@@ -376,4 +376,17 @@ wait "$serve_pid"
 serve_pid=""
 echo "    budgeted daemon completed the job and reported evictions"
 
+# Benchmark gate: `benchmark/` is a workspace of its own that tier-1 never
+# compiles, so a crate API change can break the yardstick silently. Build
+# it against this tree, run its unit tests and the replay-fidelity test,
+# and do the quick run (LeNet only: every op passes the oracle and the
+# printed metric names are exactly BENCHMARK.json's). One target dir for
+# both, the one run.sh defaults to.
+echo "==> benchmark gate: benchmark/ compiles, replay-fidelity holds, quick run clean"
+(cd benchmark && CARGO_TARGET_DIR=../.bench_build cargo test --release --offline --quiet) \
+    || { echo "benchmark/ tests failed against this tree"; exit 1; }
+benchmark/repeat.sh --quick >/dev/null \
+    || { echo "benchmark quick run failed (exit $?)"; exit 1; }
+echo "    benchmark builds against this tree, replay is faithful, metric names match"
+
 echo "==> ci.sh: all gates passed"

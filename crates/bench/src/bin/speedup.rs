@@ -3,11 +3,13 @@
 //! Runs the LeNet-5 and VGG-16 flows at 1 worker thread (forced sequential
 //! path) and at `PI_THREADS`-or-4 workers, times each phase, verifies the
 //! results are identical, and writes `BENCH_parallel.json` with the
-//! per-phase times, speedups and a trajectory point for tracking across
-//! commits. Numbers are honest: `host_cores` records how much hardware
-//! parallelism actually existed — on a single-core host the parallel
-//! schedule cannot beat the sequential one, it can only prove it does not
-//! regress.
+//! per-phase times and speedups. The file's `trajectory` is a ledger: each
+//! run appends one point to what the checked-in file already holds, with
+//! the deterministic `anneal_moves` count beside the wall time so a noisy
+//! host cannot hide or fake a change. Numbers are honest: `host_cores`
+//! records how much hardware parallelism actually existed — on a
+//! single-core host the parallel schedule cannot beat the sequential one,
+//! it can only prove it does not regress.
 //!
 //! Run with `cargo run --release --bin speedup`.
 
@@ -76,6 +78,7 @@ fn main() {
 
     let mut networks: Vec<(String, serde_json::Value)> = Vec::new();
     let mut vgg_build_speedup = 0.0f64;
+    let mut vgg_build_seq_s = 0.0f64;
     for (name, network, granularity, synth) in [
         (
             "lenet5",
@@ -109,6 +112,7 @@ fn main() {
         let compose_speedup = seq.compose_s / par.compose_s;
         if name == "vgg16" {
             vgg_build_speedup = build_speedup;
+            vgg_build_seq_s = seq.build_db_s;
         }
         println!(
             "{name:<8} build_db {:>7.2}s -> {:>7.2}s ({build_speedup:.2}x)   \
@@ -164,19 +168,35 @@ fn main() {
         );
         serde_json::Value::Null
     };
+    let report = RunReport::from_events(&sink.snapshot());
+    // Every annealer move of the capture (both networks, both thread
+    // counts): a pure function of the tree, equal on any host.
+    let anneal_moves: u64 = report.anneal.iter().map(|t| t.accepted + t.rejected).sum();
+    let mut trajectory = std::fs::read_to_string("BENCH_parallel.json")
+        .ok()
+        .map(|text| {
+            serde_json::from_str::<serde_json::Value>(&text)
+                .expect("existing BENCH_parallel.json parses")
+        })
+        .and_then(|doc| match &doc["trajectory"] {
+            serde_json::Value::Seq(points) => Some(points.clone()),
+            _ => None,
+        })
+        .unwrap_or_default();
+    trajectory.push(json!({
+        "unix_time": unix_time,
+        "host_cores": host_cores,
+        "threads": parallel_threads,
+        "vgg16_build_db_seq_s": vgg_build_seq_s,
+        "anneal_moves": anneal_moves,
+        "vgg16_build_db_speedup": headline.clone(),
+    }));
     let doc = json!({
         "bench": "parallel_speedup",
         "host_cores": host_cores,
         "thread_counts": json!([1, parallel_threads]),
         "networks": serde_json::Value::Map(networks),
-        "trajectory": json!([
-            json!({
-                "unix_time": unix_time,
-                "host_cores": host_cores,
-                "threads": parallel_threads,
-                "vgg16_build_db_speedup": headline.clone(),
-            }),
-        ]),
+        "trajectory": serde_json::Value::Seq(trajectory),
         "speedup_headline": headline,
         "notes": "build_db is the function-optimization phase (components x seeds \
                   fan-out, the flow's dominant parallel region). Speedup scales with \
@@ -189,7 +209,6 @@ fn main() {
         serde_json::to_string_pretty(&doc).expect("serialize") + "\n",
     )
     .expect("write BENCH_parallel.json");
-    let report = RunReport::from_events(&sink.snapshot());
     std::fs::write("BENCH_parallel.flowstat.txt", report.render_text())
         .expect("write BENCH_parallel.flowstat.txt");
     eprintln!(

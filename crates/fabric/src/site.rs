@@ -22,6 +22,21 @@ pub enum SiteKind {
 }
 
 impl SiteKind {
+    /// Every kind, in declaration order: `ALL[k.index()] == k`. Iterating
+    /// this (never a `HashMap`) keeps per-kind work in one fixed order.
+    pub const ALL: [SiteKind; 5] = [
+        SiteKind::Slice,
+        SiteKind::Dsp48,
+        SiteKind::Ramb36,
+        SiteKind::Uram288,
+        SiteKind::Iob,
+    ];
+
+    /// Dense index of this kind, for `[_; 5]` tables keyed by kind.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Logic capacity of one site of this kind.
     pub const fn capacity(self) -> SiteCapacity {
         match self {
@@ -101,6 +116,13 @@ mod tests {
         assert_eq!(c.luts, 8);
         assert_eq!(c.ffs, 16);
         assert_eq!(c.dsps, 0);
+    }
+
+    #[test]
+    fn all_is_indexed_by_index() {
+        for (i, kind) in SiteKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     #[test]
