@@ -1,22 +1,22 @@
-//! `router` — speed/quality comparison of the Steiner/slack/parallel
-//! router against the pre-change star router.
+//! `router` — work/quality ledger of the PathFinder router.
 //!
-//! Runs the full pre-implemented flow per network twice — once with the
-//! optimizations off ([`RouteOptions::star_baseline`]: distance-ordered
-//! star routing in net index order, the pre-change algorithm) and once
-//! with the defaults on (Steiner decomposition + slack-ordered
-//! negotiation) — folds each variant's telemetry into router work metrics
-//! (negotiation passes, A* expansions, rip-ups, final overuse) and writes
-//! `BENCH_router.json` plus a deterministic flowstat snapshot.
+//! Runs the full pre-implemented flow per network, folds the telemetry
+//! into router work metrics (negotiation passes, A* expansions, final
+//! overuse, Steiner segments) and appends them as one point to the
+//! `trajectory` of `BENCH_router.json`, beside a deterministic flowstat
+//! snapshot. Every metric is a pure function of the tree — equal on any
+//! host at any `PI_THREADS` — so the ledger is a drift detector, not a
+//! stopwatch.
 //!
-//! The bench is self-gating: it exits 2 (the shared gate exit code) when
-//! the optimized router does more A* work than the baseline or loses
-//! Fmax — the quality claim in ROADMAP item 3 must hold on every run, not
-//! just the one that produced the checked-in numbers.
+//! The bench is self-gating: it exits 2 (the shared gate exit code) when,
+//! against the ledger's last point with the same `--seeds`, a network's
+//! expansions or passes rose or its Fmax fell. The ledger's
+//! `pre_pr7_baseline` section is carried over verbatim: it records the
+//! star router this one replaced, which no longer exists at HEAD.
 //!
 //! Usage: `router [--networks lenet,vgg] [--seeds N] [--out PATH]
-//! [--trace PATH]`. `--trace` records the optimized variant of the first
-//! network's stream (CI diffs it against a checked-in seed snapshot).
+//! [--trace PATH]`. `--trace` records the first network's stream (CI
+//! diffs it against a checked-in seed snapshot).
 
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;
@@ -24,32 +24,19 @@ use pi_fabric::Device;
 use pi_flow::{build_component_db, run_pre_implemented_flow, FlowConfig};
 use pi_obs::agg::RunReport;
 use pi_obs::{Event, EventSink, FanoutSink, FileSink, MemorySink, Obs};
-use pi_pnr::RouteOptions;
 use pi_synth::SynthOptions;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::sync::Arc;
 
-struct VariantResult {
-    passes: u64,
-    expansions: u64,
-    ripups: u64,
-    final_overused: u64,
-    steiner_segments: u64,
-    criticality_reroutes: u64,
-    parallel_conflicts: u64,
-    fmax_mhz: f64,
-    events: Vec<Event>,
-}
-
-fn run_variant(
+/// One network's measurement (a ledger entry) plus the events behind it.
+fn measure(
     network: &Network,
     device: &Device,
     granularity: Granularity,
     synth: SynthOptions,
     seeds: u64,
-    route: RouteOptions,
     trace: Option<&str>,
-) -> VariantResult {
+) -> (Value, Vec<Event>) {
     let sink = Arc::new(MemorySink::new());
     let obs = match trace {
         Some(path) => {
@@ -63,24 +50,43 @@ fn run_variant(
         .with_synth(synth)
         .with_granularity(granularity)
         .with_seeds(1..=seeds)
-        .with_route(route)
         .with_obs(obs);
     let (db, _) = build_component_db(network, device, &cfg).expect("component DB builds");
     let (_, report) =
         run_pre_implemented_flow(network, &db, device, &cfg).expect("pre-implemented flow");
     let events = sink.snapshot();
-    let folded = RunReport::from_events(&events);
-    VariantResult {
-        passes: folded.route.iter().map(|t| t.iters()).sum(),
-        expansions: folded.route.iter().map(|t| t.total_expansions()).sum(),
-        ripups: folded.route.iter().map(|t| t.total_ripups()).sum(),
-        final_overused: folded.route.iter().map(|t| t.final_overused()).sum(),
-        steiner_segments: folded.route.iter().map(|t| t.steiner_segments).sum(),
-        criticality_reroutes: folded.route.iter().map(|t| t.criticality_reroutes).sum(),
-        parallel_conflicts: folded.route.iter().map(|t| t.parallel_conflicts).sum(),
-        fmax_mhz: report.compile.timing.fmax_mhz,
-        events,
+    let route = RunReport::from_events(&events).route;
+    let total = |f: &dyn Fn(&pi_obs::agg::RouteTrace) -> u64| route.iter().map(f).sum::<u64>();
+    let entry = json!({
+        "passes": total(&|t| t.iters()),
+        "expansions": total(&|t| t.total_expansions()),
+        "final_overused": total(&|t| t.final_overused()),
+        "steiner_segments": total(&|t| t.steiner_segments),
+        "fmax_mhz": report.compile.timing.fmax_mhz,
+    });
+    (entry, events)
+}
+
+fn as_f64(v: &Value) -> Option<f64> {
+    serde_json::from_value(v.clone()).ok()
+}
+
+/// What got worse in `now` against the ledger's `prev` entry for `name`.
+fn drift(name: &str, prev: &Value, now: &Value) -> Vec<String> {
+    let mut out = Vec::new();
+    for key in ["expansions", "passes"] {
+        if let (Some(p), Some(n)) = (as_f64(&prev[key]), as_f64(&now[key])) {
+            if n > p {
+                out.push(format!("{name}: {key} rose ({p} -> {n})"));
+            }
+        }
     }
+    if let (Some(p), Some(n)) = (as_f64(&prev["fmax_mhz"]), as_f64(&now["fmax_mhz"])) {
+        if n < p - 1e-9 {
+            out.push(format!("{name}: Fmax fell ({p:.3} -> {n:.3} MHz)"));
+        }
+    }
+    out
 }
 
 fn main() {
@@ -107,11 +113,24 @@ fn main() {
         }
     }
 
+    let ledger = std::fs::read_to_string(&out).ok().map(|text| {
+        serde_json::from_str::<Value>(&text).unwrap_or_else(|e| panic!("{out} does not parse: {e}"))
+    });
+    let mut trajectory = match ledger.as_ref().map(|doc| &doc["trajectory"]) {
+        Some(Value::Seq(points)) => points.clone(),
+        _ => Vec::new(),
+    };
+    let previous = trajectory
+        .iter()
+        .rev()
+        .find(|p| p["seeds"] == Value::U64(seeds))
+        .cloned();
+
     let device = Device::xcku5p_like();
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut sections: Vec<(String, serde_json::Value)> = Vec::new();
+    let mut entries: Vec<(String, Value)> = Vec::new();
     let mut all_events: Vec<Event> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
 
@@ -129,95 +148,51 @@ fn main() {
             ),
             other => panic!("unknown network {other:?} (expected lenet or vgg)"),
         };
-        eprintln!("[router] {name}: star baseline...");
-        let base = run_variant(
+        eprintln!("[router] {name}...");
+        let (entry, events) = measure(
             &network,
             &device,
             granularity,
             synth,
             seeds,
-            RouteOptions::star_baseline(),
-            None,
-        );
-        eprintln!("[router] {name}: steiner + slack-ordered...");
-        let opt = run_variant(
-            &network,
-            &device,
-            granularity,
-            synth,
-            seeds,
-            RouteOptions::default(),
             (i == 0).then_some(trace.as_deref()).flatten(),
         );
-        let pct = |b: u64, o: u64| -> f64 {
-            if b == 0 {
-                0.0
-            } else {
-                (b as f64 - o as f64) / b as f64 * 100.0
-            }
-        };
+        let n = |key: &str| as_f64(&entry[key]).expect("measure() writes numbers");
         println!(
-            "{name:<6} passes {:>4} -> {:>4} ({:+.1}%)   expansions {:>9} -> {:>9} ({:+.1}%)   \
-             Fmax {:>6.1} -> {:>6.1} MHz   {} steiner segs, {} crit re-routes",
-            base.passes,
-            opt.passes,
-            pct(base.passes, opt.passes),
-            base.expansions,
-            opt.expansions,
-            pct(base.expansions, opt.expansions),
-            base.fmax_mhz,
-            opt.fmax_mhz,
-            opt.steiner_segments,
-            opt.criticality_reroutes,
+            "{name:<6} passes {:>4}   expansions {:>9}   overused {}   Fmax {:>6.1} MHz   \
+             {} steiner segs",
+            n("passes"),
+            n("expansions"),
+            n("final_overused"),
+            n("fmax_mhz"),
+            n("steiner_segments"),
         );
-        if opt.expansions > base.expansions {
-            gate_failures.push(format!(
-                "{name}: optimized router expanded more nodes ({} > {})",
-                opt.expansions, base.expansions
-            ));
+        if let Some(prev) = previous.as_ref().and_then(|p| p["networks"].get(name)) {
+            gate_failures.extend(drift(name, prev, &entry));
         }
-        if opt.fmax_mhz < base.fmax_mhz - 1e-9 {
-            gate_failures.push(format!(
-                "{name}: optimized router lost Fmax ({:.3} < {:.3} MHz)",
-                opt.fmax_mhz, base.fmax_mhz
-            ));
-        }
-        let variant = |v: &VariantResult| {
-            json!({
-                "passes": v.passes,
-                "expansions": v.expansions,
-                "ripups": v.ripups,
-                "final_overused": v.final_overused,
-                "steiner_segments": v.steiner_segments,
-                "criticality_reroutes": v.criticality_reroutes,
-                "parallel_conflicts": v.parallel_conflicts,
-                "fmax_mhz": v.fmax_mhz,
-            })
-        };
-        sections.push((
-            name.clone(),
-            json!({
-                "baseline_star": variant(&base),
-                "steiner_slack": variant(&opt),
-                "expansions_saved_pct": pct(base.expansions, opt.expansions),
-                "passes_saved_pct": pct(base.passes, opt.passes),
-                "fmax_delta_mhz": opt.fmax_mhz - base.fmax_mhz,
-            }),
-        ));
-        all_events.extend(opt.events);
+        entries.push((name.clone(), entry));
+        all_events.extend(events);
     }
 
-    let doc = json!({
-        "bench": "router_quality_speed",
+    trajectory.push(json!({
         "host_cores": host_cores,
         "seeds": seeds,
-        "networks": serde_json::Value::Map(sections),
-        "notes": "baseline_star is the pre-change router (RouteOptions::star_baseline()): \
-                  distance-ordered star routing, index-ordered negotiation. steiner_slack \
-                  is the shipping default. expansions is total A* open-set pops — the \
-                  router's work metric; the gate requires the optimized router to do no \
-                  more work at equal-or-better Fmax. Deterministic at any PI_THREADS.",
+        "networks": Value::Map(entries),
+    }));
+    let mut doc = json!({
+        "bench": "router_quality_speed",
+        "trajectory": Value::Seq(trajectory),
     });
+    if let Some(baseline) = ledger.as_ref().and_then(|doc| doc.get("pre_pr7_baseline")) {
+        doc["pre_pr7_baseline"] = baseline.clone();
+    }
+    doc["notes"] = Value::Str(
+        "One trajectory point per run of `pi-bench --bin router`. expansions is total A* \
+         open-set pops — the router's work metric; every field except host_cores is \
+         deterministic at any PI_THREADS. The bench exits 2 when expansions or passes rise \
+         or Fmax falls against the last point with the same seeds."
+            .to_string(),
+    );
     std::fs::write(
         &out,
         serde_json::to_string_pretty(&doc).expect("serialize") + "\n",

@@ -342,6 +342,7 @@ impl Network {
 
 /// Component-extraction granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum Granularity {
     /// One component per non-elementwise layer (LeNet in the paper:
     /// conv1 / pool1+relu1 / conv2 / pool2+relu / fc1 / fc2).

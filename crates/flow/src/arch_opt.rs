@@ -11,13 +11,12 @@
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
 use crate::FlowError;
-use pi_cnn::graph::{Granularity, Network};
+use pi_cnn::graph::Network;
 use pi_fabric::Device;
-use pi_netlist::Design;
-use pi_pnr::{route_assembled_obs, CompileReport, RouteOptions};
-use pi_stitch::{
-    compose_sized_obs, ComponentDb, ComponentPlacerOptions, ComposeOptions, ComposeReport,
-};
+use pi_netlist::{Design, DEFAULT_LINK_FIFO_DEPTH};
+use pi_pnr::{route_assembled_obs, CompileReport};
+use pi_stitch::{compose_obs, ComponentDb, ComposeOptions, ComposeReport};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Wire length (tiles) each pipeline segment of a long inter-component net
@@ -48,21 +47,21 @@ pub fn pipeline_top_nets(design: &mut Design) -> u64 {
     extra
 }
 
-/// Options for the architecture-optimization phase.
-#[derive(Debug, Clone, Copy)]
-pub struct ArchOptOptions {
-    pub granularity: Granularity,
-    pub placer: ComponentPlacerOptions,
-    pub route: RouteOptions,
-}
-
-impl Default for ArchOptOptions {
-    fn default() -> Self {
-        ArchOptOptions {
-            granularity: Granularity::Layer,
-            placer: ComponentPlacerOptions::default(),
-            route: RouteOptions::default(),
-        }
+/// FIFO auto-sizing (`FlowConfig::with_fifo_autosize`): size each link
+/// FIFO for the deepest requirement among its net's edges, so no branch of
+/// a multi-sink net can stall. `edge_depths` maps component-adjacency
+/// edges `(source, sink)` — indices into the network's topological
+/// component order, which is also composition's instance order — to
+/// minimum depths; edges absent from it keep the standard depth.
+fn autosize_link_fifos(design: &mut Design, edge_depths: &BTreeMap<(usize, usize), u64>) {
+    for net in design.top_nets_mut() {
+        let source = net.source.0 .0 as usize;
+        net.fifo_depth = net
+            .sinks
+            .iter()
+            .filter_map(|&(sink, _)| edge_depths.get(&(source, sink.0 as usize)).copied())
+            .max()
+            .unwrap_or(DEFAULT_LINK_FIFO_DEPTH);
     }
 }
 
@@ -239,45 +238,44 @@ pub fn run_pre_implemented_flow(
 ) -> Result<(Design, PreImplReport), FlowError> {
     cfg.apply_parallelism();
     crate::function_opt::lint_gate_network(network, cfg)?;
-    let opts = cfg.arch_opt_options();
     let obs = cfg.obs();
     let arch = obs.scoped("flow::arch_opt");
 
     let t0 = Instant::now();
     let stitch_span = arch.span("stitch");
     // FIFO auto-sizing: re-run the dataflow analysis (the same one the
-    // lint gate consulted) and hand its per-edge minimum depths to the
-    // stitcher, which installs them on the link nets it creates. Without
-    // the knob every link keeps `DEFAULT_LINK_FIFO_DEPTH`.
-    let edge_depths = if cfg.fifo_autosize {
-        let analysis = pi_lint::analyze_dataflow(network, opts.granularity);
+    // lint gate consulted) for the per-edge minimum depths. Without the
+    // knob every link keeps `DEFAULT_LINK_FIFO_DEPTH`. The analysis runs
+    // before composition so its counters keep their place in the stream.
+    let edge_depths = cfg.fifo_autosize.then(|| {
+        let analysis = pi_lint::analyze_dataflow(network, cfg.granularity);
         let depths = analysis.depth_map();
         if arch.enabled() {
             arch.counter("autosized_links", depths.len() as u64);
             arch.counter("autosized_max_depth", analysis.max_min_depth());
         }
-        Some(depths)
-    } else {
-        None
-    };
-    let (mut design, compose_report) = compose_sized_obs(
+        depths
+    });
+    let (mut design, compose_report) = compose_obs(
         network,
         db,
         device,
         &ComposeOptions {
-            granularity: opts.granularity,
-            placer: opts.placer,
+            granularity: cfg.granularity,
+            placer: cfg.placer,
         },
-        edge_depths.as_ref(),
         obs,
     )?;
+    if let Some(depths) = &edge_depths {
+        autosize_link_fifos(&mut design, depths);
+    }
     let extra_pipeline_cycles = pipeline_top_nets(&mut design);
     stitch_span.end();
     let stitch_time = t0.elapsed();
 
     let t1 = Instant::now();
     let route_span = arch.span("route");
-    let compile = route_assembled_obs(&mut design, device, &opts.route, obs)?;
+    let compile = route_assembled_obs(&mut design, device, &cfg.route, obs)?;
     route_span.end();
     let route_time = t1.elapsed();
 
@@ -304,7 +302,7 @@ pub fn run_pre_implemented_flow(
 
     let latency = LatencyReport::for_assembled(
         network,
-        opts.granularity,
+        cfg.granularity,
         db,
         compile.timing.fmax_mhz,
         extra_pipeline_cycles,

@@ -5,37 +5,12 @@
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
 use crate::FlowError;
-use pi_cnn::graph::{Granularity, Network};
+use pi_cnn::graph::Network;
 use pi_fabric::Device;
 use pi_netlist::{Design, Module};
 use pi_pnr::{compile_flat_obs, CompileReport};
-use pi_synth::{synth_network_flat, SynthOptions};
+use pi_synth::synth_network_flat;
 use std::time::Duration;
-
-/// Options for the baseline flow.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineOptions {
-    pub synth: SynthOptions,
-    pub granularity: Granularity,
-    pub seed: u64,
-    /// Placement effort (default vendor effort).
-    pub effort: f64,
-    pub route: pi_pnr::RouteOptions,
-    pub phys_opt_passes: usize,
-}
-
-impl Default for BaselineOptions {
-    fn default() -> Self {
-        BaselineOptions {
-            synth: SynthOptions::default().monolithic(),
-            granularity: Granularity::Layer,
-            seed: 1,
-            effort: 6.0,
-            route: pi_pnr::RouteOptions::default(),
-            phys_opt_passes: 4,
-        }
-    }
-}
 
 /// Report from the baseline flow.
 #[derive(Debug, Clone)]
@@ -63,25 +38,26 @@ pub fn run_baseline_flow(
     cfg: &FlowConfig,
 ) -> Result<(Design, BaselineReport), FlowError> {
     cfg.apply_parallelism();
-    let opts = cfg.baseline_options();
-    let base = cfg.obs().scoped("flow::baseline");
-    let mut module: Module = synth_network_flat(network, opts.granularity, &opts.synth)?;
+    // The first seed of the component sweep also seeds the baseline.
+    let seed = cfg.seeds.first().copied().unwrap_or(1);
+    let base = cfg.obs().scoped("flow::baseline").with_seed(seed);
+    let mut module: Module = synth_network_flat(network, cfg.granularity, &cfg.synth.monolithic())?;
     let compile_opts = pi_pnr::compile::CompileOptions {
         place: pi_pnr::PlaceOptions {
-            seed: opts.seed,
-            effort: opts.effort,
+            seed,
+            effort: cfg.baseline_effort,
             region: None,
         },
-        route: opts.route,
-        phys_opt_passes: opts.phys_opt_passes,
+        route: cfg.route,
+        phys_opt_passes: cfg.phys_opt_passes,
     };
-    let span = base.with_seed(opts.seed).span("baseline");
+    let span = base.span("baseline");
     let compile = compile_flat_obs(&mut module, device, &compile_opts, cfg.obs())?;
     span.end();
     let latency =
-        LatencyReport::for_monolithic(network, opts.granularity, &module, compile.timing.fmax_mhz)?;
+        LatencyReport::for_monolithic(network, cfg.granularity, &module, compile.timing.fmax_mhz)?;
     if base.enabled() {
-        base.with_seed(opts.seed).point(
+        base.point(
             "baseline_done",
             &[
                 ("fmax_mhz", compile.timing.fmax_mhz.into()),

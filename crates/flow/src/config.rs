@@ -5,14 +5,29 @@
 //! architecture-optimization and baseline phases need, plus the telemetry
 //! handle every engine below them reports through. Callers build one
 //! config and hand it to [`crate::build_component_db`],
-//! [`crate::run_pre_implemented_flow`] and [`crate::run_baseline_flow`];
-//! the per-phase option structs ([`FunctionOptOptions`],
-//! [`crate::ArchOptOptions`], [`crate::BaselineOptions`]) are an internal
-//! concern of this crate.
+//! [`crate::run_pre_implemented_flow`] and [`crate::run_baseline_flow`],
+//! which read the fields they need directly.
+//!
+//! # Wire format
+//!
+//! `pi-serve` compile jobs carry their whole configuration as JSON: a
+//! client serializes its config with [`FlowConfig::to_json`], the daemon
+//! reconstructs it with [`FlowConfig::from_json`] and runs the flow under
+//! it. The wire form is the struct's derived `serde` form — every field
+//! in declaration order, enums lowercase, unset options `null` — so a new
+//! knob is a new field and nothing else, and `from_json(to_json(c))`
+//! reproduces `c` exactly, including its
+//! [`FlowConfig::cache_fingerprint`] (property-tested in
+//! `tests/config_roundtrip.rs`).
+//!
+//! Two things deliberately do not cross the wire: the telemetry sink and
+//! the report capture. They are process-local plumbing — each side
+//! installs its own — and serializing them would make identical jobs hash
+//! differently. Unknown keys are rejected (a typo in a job must fail
+//! loudly, not silently run under defaults) and integers are range-checked
+//! against their field's type; missing keys take the documented defaults
+//! so old clients keep working when knobs are added.
 
-use crate::arch_opt::ArchOptOptions;
-use crate::baseline::BaselineOptions;
-use crate::function_opt::FunctionOptOptions;
 use pi_cnn::graph::Granularity;
 use pi_netlist::StableHasher;
 use pi_obs::agg::RunReport;
@@ -20,6 +35,7 @@ use pi_obs::{EventSink, FanoutSink, MemorySink, Obs};
 use pi_pnr::RouteOptions;
 use pi_stitch::ComponentPlacerOptions;
 use pi_synth::{SynthMode, SynthOptions};
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -35,7 +51,8 @@ use std::sync::Arc;
 ///     .with_seeds([1, 2, 3]);
 /// assert_eq!(cfg.seeds, vec![1, 2, 3]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FlowConfig {
     /// Synthesis options for component (OOC) synthesis. The baseline flow
     /// derives its monolithic variant from this automatically.
@@ -103,10 +120,12 @@ pub struct FlowConfig {
     /// autosizing resizes the *assembled* design's link FIFOs, never the
     /// contents of a pre-implemented checkpoint.
     pub fifo_autosize: bool,
+    #[serde(skip)]
     obs: Obs,
     /// In-process event capture installed by
     /// [`FlowConfig::with_report_capture`]; feeds
     /// [`FlowConfig::run_report`].
+    #[serde(skip)]
     capture: Option<Arc<MemorySink>>,
 }
 
@@ -273,8 +292,6 @@ impl FlowConfig {
         h.write_bool(self.plan_partpins);
         h.write_usize(self.route.max_iters);
         h.write_u16(self.route.capacity);
-        h.write_bool(self.route.steiner);
-        h.write_bool(self.route.slack_order);
         h.finish()
     }
 
@@ -340,36 +357,35 @@ impl FlowConfig {
             .map(|c| RunReport::from_events(&c.snapshot()))
     }
 
-    pub(crate) fn function_opt_options(&self) -> FunctionOptOptions {
-        FunctionOptOptions {
-            synth: self.synth,
-            granularity: self.granularity,
-            seeds: self.seeds.clone(),
-            target_fmax_mhz: self.target_fmax_mhz,
-            pblock_utilization: self.pblock_utilization,
-            effort: self.effort,
-            plan_partpins: self.plan_partpins,
-            route: self.route,
-        }
+    /// The derived wire form as a JSON tree (see the module docs for what
+    /// is deliberately excluded). Key order is field order, so equal
+    /// configs serialize byte-identically — the property `pi-serve` job
+    /// IDs rely on.
+    pub fn to_json_value(&self) -> serde_json::Value {
+        serde_json::to_value(self)
     }
 
-    pub(crate) fn arch_opt_options(&self) -> ArchOptOptions {
-        ArchOptOptions {
-            granularity: self.granularity,
-            placer: self.placer,
-            route: self.route,
-        }
+    /// Compact JSON string of [`FlowConfig::to_json_value`].
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("config serializes")
     }
 
-    pub(crate) fn baseline_options(&self) -> BaselineOptions {
-        BaselineOptions {
-            synth: self.synth.monolithic(),
-            granularity: self.granularity,
-            seed: self.seeds.first().copied().unwrap_or(1),
-            effort: self.baseline_effort,
-            route: self.route,
-            phys_opt_passes: self.phys_opt_passes,
+    /// Rebuild a config from [`FlowConfig::to_json`] output. The result
+    /// carries no telemetry sink (install one with
+    /// [`FlowConfig::with_sink`] / [`FlowConfig::with_report_capture`]
+    /// after deserializing).
+    pub fn from_json(text: &str) -> Result<FlowConfig, String> {
+        let value = serde_json::from_str(text).map_err(|e| format!("config: {e}"))?;
+        Self::from_json_value(&value)
+    }
+
+    /// [`FlowConfig::from_json`] over an already-parsed JSON tree.
+    pub fn from_json_value(value: &serde_json::Value) -> Result<FlowConfig, String> {
+        let cfg = FlowConfig::from_content(value).map_err(|e| format!("config: {e}"))?;
+        if cfg.threads == Some(0) {
+            return Err("config: threads must be at least 1".into());
         }
+        Ok(cfg)
     }
 }
 
@@ -377,32 +393,6 @@ impl FlowConfig {
 mod tests {
     use super::*;
     use pi_obs::MemorySink;
-
-    #[test]
-    fn builder_round_trips_into_phase_options() {
-        let cfg = FlowConfig::new()
-            .with_granularity(Granularity::Block)
-            .with_seeds([7, 8])
-            .with_target_fmax(400.0)
-            .with_pblock_utilization(0.5)
-            .with_effort(3.0)
-            .with_plan_partpins(false)
-            .with_phys_opt_passes(2)
-            .with_baseline_effort(9.0);
-        let f = cfg.function_opt_options();
-        assert_eq!(f.granularity, Granularity::Block);
-        assert_eq!(f.seeds, vec![7, 8]);
-        assert_eq!(f.target_fmax_mhz, Some(400.0));
-        assert_eq!(f.pblock_utilization, 0.5);
-        assert_eq!(f.effort, 3.0);
-        assert!(!f.plan_partpins);
-        let a = cfg.arch_opt_options();
-        assert_eq!(a.granularity, Granularity::Block);
-        let b = cfg.baseline_options();
-        assert_eq!(b.seed, 7);
-        assert_eq!(b.effort, 9.0);
-        assert_eq!(b.phys_opt_passes, 2);
-    }
 
     #[test]
     fn threads_knob_defaults_to_ambient() {
@@ -450,13 +440,8 @@ mod tests {
         let mut route = base.route;
         route.capacity += 1;
         assert_ne!(fp, base.clone().with_route(route).cache_fingerprint());
-        // The Steiner/slack router knobs change routed checkpoints, so the
-        // cache must miss when they flip.
         let mut route = base.route;
-        route.steiner = !route.steiner;
-        assert_ne!(fp, base.clone().with_route(route).cache_fingerprint());
-        let mut route = base.route;
-        route.slack_order = !route.slack_order;
+        route.max_iters += 1;
         assert_ne!(fp, base.clone().with_route(route).cache_fingerprint());
         // Scheduling, telemetry and the cache location itself do not.
         assert_eq!(fp, base.clone().with_threads(4).cache_fingerprint());

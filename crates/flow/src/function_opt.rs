@@ -19,53 +19,18 @@
 
 use crate::config::FlowConfig;
 use crate::FlowError;
-use pi_cnn::graph::{Component, Granularity, Network};
+use pi_cnn::graph::{Component, Network};
 use pi_fabric::{Device, Pblock, ResourceCount, TileCoord};
 use pi_netlist::{Checkpoint, CheckpointMeta, Endpoint, Module};
 use pi_obs::Obs;
-use pi_pnr::{place_module_obs, route_module_obs, sta_module, PlaceOptions, RouteOptions};
+use pi_pnr::{place_module_obs, route_module_obs, sta_module, PlaceOptions};
 use pi_stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
-use pi_synth::{synth_component, SynthOptions};
+use pi_synth::synth_component;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// One seed's evaluation result paired with the telemetry it buffered.
 type BufferedEval = (Result<(f64, Module), FlowError>, pi_obs::BufferedObs);
-
-/// Options for the function-optimization phase.
-#[derive(Debug, Clone)]
-pub struct FunctionOptOptions {
-    pub synth: SynthOptions,
-    pub granularity: Granularity,
-    /// Placement seeds to explore per component (the DSE axis).
-    pub seeds: Vec<u64>,
-    /// Stop the sweep once a component reaches this Fmax.
-    pub target_fmax_mhz: Option<f64>,
-    /// Fraction of pblock capacity the component may use (paper: tight
-    /// pblocks force area optimization; <1.0 leaves routing slack).
-    pub pblock_utilization: f64,
-    /// Placement effort multiplier (components are small; effort is cheap).
-    pub effort: f64,
-    /// Disable partition-pin planning (ablation A1: the paper warns this
-    /// costs performance and productivity).
-    pub plan_partpins: bool,
-    pub route: RouteOptions,
-}
-
-impl Default for FunctionOptOptions {
-    fn default() -> Self {
-        FunctionOptOptions {
-            synth: SynthOptions::default(),
-            granularity: Granularity::Layer,
-            seeds: vec![1, 2, 3],
-            target_fmax_mhz: None,
-            pblock_utilization: 0.7,
-            effort: 2.0,
-            plan_partpins: true,
-            route: RouteOptions::default(),
-        }
-    }
-}
 
 /// Per-component report from the build.
 #[derive(Debug, Clone)]
@@ -231,31 +196,22 @@ pub fn scatter_partpins(module: &mut Module, pblock: &Pblock) -> Result<(), Flow
 
 /// Pre-implement one component: synthesize OOC, size a pblock, sweep
 /// placement seeds, plan ports, route, lock, and wrap as a checkpoint.
+/// Through the config's telemetry handle the DSE sweep reports each seed's
+/// outcome (`flow::function_opt` / `dse_seed`) and the accepted
+/// implementation (`component_built`); the engines below report under
+/// `pnr::place` / `pnr::route`.
 pub fn build_component(
     network: &Network,
     component: &Component,
     device: &Device,
-    opts: &FunctionOptOptions,
+    cfg: &FlowConfig,
 ) -> Result<(Checkpoint, ComponentBuildReport), FlowError> {
-    build_component_obs(network, component, device, opts, &Obs::null())
-}
-
-/// [`build_component`] with telemetry: the DSE sweep reports each seed's
-/// outcome (`flow::function_opt` / `dse_seed`) and the accepted
-/// implementation (`component_built`); the engines below report under
-/// `pnr::place` / `pnr::route`.
-pub fn build_component_obs(
-    network: &Network,
-    component: &Component,
-    device: &Device,
-    opts: &FunctionOptOptions,
-    obs: &Obs,
-) -> Result<(Checkpoint, ComponentBuildReport), FlowError> {
+    let obs = cfg.obs();
     let dse = obs.scoped("flow::function_opt");
     let t0 = Instant::now();
-    let proto = synth_component(network, component, &opts.synth)?;
+    let proto = synth_component(network, component, &cfg.synth)?;
     let need = proto.resources();
-    let pblock = size_pblock(&need, device, opts.pblock_utilization)?;
+    let pblock = size_pblock(&need, device, cfg.pblock_utilization)?;
 
     // Performance exploration: independent placements per seed, best Fmax
     // wins. Each evaluation is deterministic in its seed. The closure only
@@ -270,7 +226,7 @@ pub fn build_component_obs(
         // so the boundary paths the stitched design will pay for stay
         // short. A refinement pass afterwards snaps the pin columns to the
         // placed logic.
-        if opts.plan_partpins {
+        if cfg.plan_partpins {
             plan_partpins(&mut m, &pblock)?;
         } else {
             scatter_partpins(&mut m, &pblock)?;
@@ -280,15 +236,15 @@ pub fn build_component_obs(
             device,
             &PlaceOptions {
                 seed: s,
-                effort: opts.effort,
+                effort: cfg.effort,
                 region: Some(pblock),
             },
             obs,
         )?;
-        if opts.plan_partpins {
+        if cfg.plan_partpins {
             plan_partpins(&mut m, &pblock)?;
         }
-        let (_, congestion) = route_module_obs(&mut m, device, &opts.route, &obs.with_seed(s))?;
+        let (_, congestion) = route_module_obs(&mut m, device, &cfg.route, &obs.with_seed(s))?;
         let timing = sta_module(&m, device, Some(&congestion))?;
         let dse = obs.scoped("flow::function_opt");
         if dse.enabled() {
@@ -306,12 +262,12 @@ pub fn build_component_obs(
 
     let mut best: Option<(f64, Module)> = None;
     let mut seeds_tried = 0usize;
-    if opts.target_fmax_mhz.is_none() {
+    if cfg.target_fmax_mhz.is_none() {
         // No target: sweep every seed, embarrassingly parallel. Each seed
         // buffers its telemetry; the buffers flush in seed index order
         // after the join, so the stream is identical at any PI_THREADS.
         let items: Vec<(u64, pi_obs::BufferedObs)> =
-            opts.seeds.iter().map(|&s| (s, obs.buffered())).collect();
+            cfg.seeds.iter().map(|&s| (s, obs.buffered())).collect();
         let evaluated: Vec<BufferedEval> = items
             .into_par_iter()
             .map(|(s, buf)| {
@@ -326,7 +282,7 @@ pub fn build_component_obs(
             candidates.push(r);
         }
         let candidates: Vec<(f64, Module)> = candidates.into_iter().collect::<Result<_, _>>()?;
-        seeds_tried = opts.seeds.len();
+        seeds_tried = cfg.seeds.len();
         for (fmax, m) in candidates {
             if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
                 best = Some((fmax, m));
@@ -334,13 +290,13 @@ pub fn build_component_obs(
         }
     } else {
         // Targeted: evaluate sequentially and stop as soon as it is met.
-        for &seed in &opts.seeds {
+        for &seed in &cfg.seeds {
             seeds_tried += 1;
             let (fmax, m) = evaluate(seed, obs)?;
             if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
                 best = Some((fmax, m));
             }
-            if let (Some(target), Some((got, _))) = (opts.target_fmax_mhz, best.as_ref()) {
+            if let (Some(target), Some((got, _))) = (cfg.target_fmax_mhz, best.as_ref()) {
                 if *got >= target {
                     break;
                 }
@@ -444,10 +400,9 @@ pub fn extend_component_db(
 ) -> Result<Vec<ComponentBuildReport>, FlowError> {
     cfg.apply_parallelism();
     lint_gate_network(network, cfg)?;
-    let opts = cfg.function_opt_options();
     let obs = cfg.obs();
     let dse = obs.scoped("flow::function_opt");
-    let components = network.components(opts.granularity)?;
+    let components = network.components(cfg.granularity)?;
     let mut missing = Vec::new();
     let mut hits = 0u64;
     for c in &components {
@@ -469,7 +424,7 @@ pub fn extend_component_db(
         dse.counter("db_hits", hits);
         dse.counter("db_misses", missing.len() as u64);
     }
-    let results = build_components_parallel(&missing, network, device, &opts, obs)?;
+    let results = build_components_parallel(&missing, network, device, cfg)?;
     let mut reports = Vec::with_capacity(results.len());
     for (cp, report) in results {
         db.insert(cp);
@@ -487,16 +442,17 @@ fn build_components_parallel(
     components: &[&Component],
     network: &Network,
     device: &Device,
-    opts: &FunctionOptOptions,
-    obs: &Obs,
+    cfg: &FlowConfig,
 ) -> Result<Vec<(Checkpoint, ComponentBuildReport)>, FlowError> {
     type Built = Result<(Checkpoint, ComponentBuildReport), FlowError>;
+    let obs = cfg.obs();
     let items: Vec<(&Component, pi_obs::BufferedObs)> =
         components.iter().map(|&c| (c, obs.buffered())).collect();
     let built: Vec<(Built, pi_obs::BufferedObs)> = items
         .into_par_iter()
         .map(|(c, buf)| {
-            let r = build_component_obs(network, c, device, opts, buf.obs());
+            let cfg = cfg.clone().with_obs(buf.obs().clone());
+            let r = build_component(network, c, device, &cfg);
             (r, buf)
         })
         .collect();
@@ -526,9 +482,8 @@ pub fn improve_slowest(
     rounds: usize,
 ) -> Result<Vec<ComponentBuildReport>, FlowError> {
     cfg.apply_parallelism();
-    let opts = cfg.function_opt_options();
     let dse = cfg.obs().scoped("flow::function_opt");
-    let components = network.components(opts.granularity)?;
+    let components = network.components(cfg.granularity)?;
     let mut improvements = Vec::new();
     for round in 0..rounds {
         // Slowest checkpoint among this network's components.
@@ -547,19 +502,12 @@ pub fn improve_slowest(
         // Fresh seeds per round so reruns explore new placements, plus
         // doubled effort: a deeper dive on the one component that matters.
         let base = 1000 + (round as u64) * 16;
-        let retry_opts = FunctionOptOptions {
-            seeds: (base..base + opts.seeds.len().max(4) as u64).collect(),
-            effort: opts.effort * 2.0,
-            target_fmax_mhz: None,
-            ..opts.clone()
-        };
-        let (cp, report) = build_component_obs(
-            network,
-            &components[slowest_idx],
-            device,
-            &retry_opts,
-            cfg.obs(),
-        )?;
+        let mut retry = cfg
+            .clone()
+            .with_seeds(base..base + cfg.seeds.len().max(4) as u64)
+            .with_effort(cfg.effort * 2.0);
+        retry.target_fmax_mhz = None;
+        let (cp, report) = build_component(network, &components[slowest_idx], device, &retry)?;
         let improved = report.fmax_mhz > old_fmax;
         if dse.enabled() {
             dse.point(
@@ -592,15 +540,13 @@ pub fn build_component_db(
 ) -> Result<(ComponentDb, Vec<ComponentBuildReport>), FlowError> {
     cfg.apply_parallelism();
     lint_gate_network(network, cfg)?;
-    let opts = cfg.function_opt_options();
-    let obs = cfg.obs();
-    let components = network.components(opts.granularity)?;
-    let span = obs.scoped("flow::function_opt").span_with(
+    let components = network.components(cfg.granularity)?;
+    let span = cfg.obs().scoped("flow::function_opt").span_with(
         "build_component_db",
         &[("components", components.len().into())],
     );
     let refs: Vec<&Component> = components.iter().collect();
-    let results = build_components_parallel(&refs, network, device, &opts, obs)?;
+    let results = build_components_parallel(&refs, network, device, cfg)?;
     span.end();
     let mut db = ComponentDb::new();
     let mut reports = Vec::with_capacity(results.len());
@@ -669,11 +615,10 @@ pub fn build_component_db_cached(
     };
     cfg.apply_parallelism();
     lint_gate_network(network, cfg)?;
-    let opts = cfg.function_opt_options();
     let obs = cfg.obs();
     let dse = obs.scoped("flow::function_opt");
     let fingerprint = cfg.cache_fingerprint();
-    let components = network.components(opts.granularity)?;
+    let components = network.components(cfg.granularity)?;
     let span = dse.span_with("db_cache", &[("components", components.len().into())]);
 
     let mut cache =
@@ -703,7 +648,7 @@ pub fn build_component_db_cached(
     }
 
     let refs: Vec<&Component> = missing.iter().map(|(c, _)| *c).collect();
-    let results = build_components_parallel(&refs, network, device, &opts, obs)?;
+    let results = build_components_parallel(&refs, network, device, cfg)?;
     let mut reports = Vec::with_capacity(results.len());
     for ((cp, report), (_, key)) in results.into_iter().zip(&missing) {
         cache.insert(key, &cp, obs).map_err(FlowError::Stitch)?;
@@ -727,6 +672,7 @@ pub fn build_component_db_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi_cnn::graph::Granularity;
     use pi_cnn::models;
 
     #[test]
@@ -768,10 +714,7 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let comps = network.components(Granularity::Layer).unwrap();
-        let opts = FunctionOptOptions {
-            seeds: vec![1, 2],
-            ..Default::default()
-        };
+        let opts = FlowConfig::new().with_seeds([1, 2]);
         let (cp, report) = build_component(&network, &comps[0], &device, &opts).unwrap();
         assert!(cp.module.locked);
         assert!(cp.module.fully_placed());
@@ -793,14 +736,8 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let comps = network.components(Granularity::Layer).unwrap();
-        let single = FunctionOptOptions {
-            seeds: vec![1],
-            ..Default::default()
-        };
-        let sweep = FunctionOptOptions {
-            seeds: vec![1, 2, 3],
-            ..Default::default()
-        };
+        let single = FlowConfig::new().with_seeds([1]);
+        let sweep = FlowConfig::new().with_seeds([1, 2, 3]);
         let (_, r1) = build_component(&network, &comps[1], &device, &single).unwrap();
         let (_, r3) = build_component(&network, &comps[1], &device, &sweep).unwrap();
         assert!(r3.fmax_mhz >= r1.fmax_mhz);
@@ -824,11 +761,7 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let comps = network.components(Granularity::Layer).unwrap();
-        let opts = FunctionOptOptions {
-            seeds: vec![1],
-            plan_partpins: false,
-            ..Default::default()
-        };
+        let opts = FlowConfig::new().with_seeds([1]).with_plan_partpins(false);
         let (cp1, _) = build_component(&network, &comps[0], &device, &opts).unwrap();
         let (cp2, _) = build_component(&network, &comps[0], &device, &opts).unwrap();
         for (p1, p2) in cp1.module.ports().iter().zip(cp2.module.ports()) {
@@ -854,10 +787,7 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let comps = network.components(Granularity::Layer).unwrap();
-        let opts = FunctionOptOptions {
-            seeds: vec![1],
-            ..Default::default()
-        };
+        let opts = FlowConfig::new().with_seeds([1]);
         let (cp, _) = build_component(&network, &comps[0], &device, &opts).unwrap();
         let pb = cp.meta.pblock;
         for port in cp.module.ports() {
@@ -932,11 +862,10 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let comps = network.components(Granularity::Layer).unwrap();
-        let opts = FunctionOptOptions {
-            seeds: vec![1, 2, 3, 4, 5],
-            target_fmax_mhz: Some(1.0), // trivially met by the first seed
-            ..Default::default()
-        };
+        // Trivially met by the first seed.
+        let opts = FlowConfig::new()
+            .with_seeds([1, 2, 3, 4, 5])
+            .with_target_fmax(1.0);
         let (_, report) = build_component(&network, &comps[1], &device, &opts).unwrap();
         assert_eq!(report.seeds_tried, 1);
     }

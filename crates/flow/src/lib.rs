@@ -21,16 +21,15 @@
 pub mod arch_opt;
 pub mod baseline;
 pub mod config;
-pub mod config_json;
 pub mod function_opt;
 pub mod report;
 
-pub use arch_opt::{pipeline_top_nets, run_pre_implemented_flow, ArchOptOptions, PreImplReport};
-pub use baseline::{run_baseline_flow, BaselineOptions, BaselineReport};
+pub use arch_opt::{pipeline_top_nets, run_pre_implemented_flow, PreImplReport};
+pub use baseline::{run_baseline_flow, BaselineReport};
 pub use config::FlowConfig;
 pub use function_opt::{
     build_component_db, build_component_db_cached, extend_component_db, improve_slowest,
-    plan_partpins, size_pblock, ComponentBuildReport, DbCacheStats, FunctionOptOptions,
+    plan_partpins, size_pblock, ComponentBuildReport, DbCacheStats,
 };
 pub use report::{FlowComparison, LatencyReport};
 

@@ -6,6 +6,7 @@
 //! checkpoint/database/physical). Codes are append-only: renumbering
 //! would silently invalidate waiver files and CI greps downstream.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,7 +32,8 @@ impl fmt::Display for Severity {
 
 /// Per-code policy knob, rustc-style: `allow` drops findings, `warn`
 /// reports without failing, `deny` makes them errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum Level {
     /// Suppress findings with this code (still counted as "allowed").
     Allow,
@@ -39,18 +41,6 @@ pub enum Level {
     Warn,
     /// Report as an error.
     Deny,
-}
-
-impl Level {
-    /// Parse a CLI/config spelling.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "allow" => Some(Level::Allow),
-            "warn" => Some(Level::Warn),
-            "deny" => Some(Level::Deny),
-            _ => None,
-        }
-    }
 }
 
 /// One registered lint: stable code, human name, default level and a
@@ -436,7 +426,8 @@ impl fmt::Display for Diagnostic {
 
 /// A waiver suppresses matching findings without changing the code's
 /// level for everything else. `origin_prefix == "*"` matches any origin.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Waiver {
     /// Registry code the waiver applies to.
     pub code: String,
@@ -492,7 +483,8 @@ pub fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
 /// implementation knobs — they must never enter
 /// `FlowConfig::cache_fingerprint`, since linting cannot change what a
 /// checkpoint contains.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct LintConfig {
     /// Per-code level overrides; codes not present use registry defaults.
     pub levels: BTreeMap<String, Level>,
@@ -500,9 +492,6 @@ pub struct LintConfig {
     pub waivers: Vec<Waiver>,
     /// `PL0107` trips when a net's endpoint count exceeds this.
     pub fanout_threshold: usize,
-    /// `PL0140` considers a routed net's fan-out Steiner-worthwhile when
-    /// it has at least this many located terminals.
-    pub steiner_fanout: usize,
     /// `PL0206` trips when a component-boundary tensor has more elements
     /// than this per-frame cycle budget.
     pub frame_cycle_budget: u64,
@@ -519,7 +508,6 @@ impl Default for LintConfig {
             levels: BTreeMap::new(),
             waivers: Vec::new(),
             fanout_threshold: 64,
-            steiner_fanout: 4,
             frame_cycle_budget: pi_synth::cost::TARGET_FRAME_CYCLES,
             link_fifo_depth: pi_netlist::DEFAULT_LINK_FIFO_DEPTH,
             deny_warnings: false,
@@ -563,12 +551,6 @@ impl LintConfig {
     /// Set the `PL0107` fan-out threshold.
     pub fn with_fanout_threshold(mut self, threshold: usize) -> Self {
         self.fanout_threshold = threshold;
-        self
-    }
-
-    /// Set the `PL0140` Steiner-worthwhile terminal-count threshold.
-    pub fn with_steiner_fanout(mut self, threshold: usize) -> Self {
-        self.steiner_fanout = threshold;
         self
     }
 

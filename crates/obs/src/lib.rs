@@ -11,7 +11,6 @@
 //! * [`FileSink`] — append JSON Lines to a file (the `--trace` flag of the
 //!   `pi-bench` binaries),
 //! * [`FanoutSink`] — tee to several sinks,
-//! * [`FilterSink`] — keep only events whose scope starts with a prefix,
 //! * [`SamplingSink`] — deterministic 1-in-N head sampling of root span
 //!   trees, for bounding telemetry overhead on high-traffic servers.
 //!
@@ -403,33 +402,6 @@ impl EventSink for FanoutSink {
     }
 }
 
-/// Forwards only events whose scope starts with a prefix.
-pub struct FilterSink {
-    prefix: String,
-    inner: Arc<dyn EventSink>,
-}
-
-impl FilterSink {
-    pub fn new(prefix: impl Into<String>, inner: Arc<dyn EventSink>) -> Self {
-        FilterSink {
-            prefix: prefix.into(),
-            inner,
-        }
-    }
-}
-
-impl EventSink for FilterSink {
-    fn record(&self, event: &Event) {
-        if event.scope.starts_with(&self.prefix) {
-            self.inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
 /// Deterministic 1-in-N head sampling: of every N root-level span trees,
 /// the first is forwarded whole (all events until its matching end,
 /// children included) and the other N-1 are dropped whole. Events outside
@@ -816,18 +788,6 @@ mod tests {
                 ("outer".to_string(), EventKind::SpanEnd),
             ]
         );
-    }
-
-    #[test]
-    fn filter_sink_keeps_only_matching_scopes() {
-        let mem = Arc::new(MemorySink::new());
-        let filtered = Arc::new(FilterSink::new("pnr::", mem.clone()));
-        let obs = Obs::new(filtered);
-        obs.scoped("pnr::place").point("keep", &[]);
-        obs.scoped("stitch::placer").point("drop", &[]);
-        obs.scoped("pnr::route").point("keep2", &[]);
-        let names: Vec<String> = mem.snapshot().iter().map(|e| e.name.clone()).collect();
-        assert_eq!(names, vec!["keep", "keep2"]);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! the loop repeats — the classic negotiation, parallelized without
 //! giving up byte-identical results at any `PI_THREADS`.
 //!
-//! Two quality levers ride on top of the negotiation
-//! ([`RouteOptions::steiner`], [`RouteOptions::slack_order`]):
+//! Two quality levers ride on top of the negotiation:
 //!
 //! * **Steiner decomposition** — multi-terminal nets are decomposed into a
 //!   rectilinear Steiner topology ([`steiner_topology`]: Prim over the
@@ -37,29 +36,19 @@ use pi_fabric::{Device, TileCoord, TileKind};
 use pi_netlist::{Design, Endpoint, Module, Route};
 use pi_obs::Obs;
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Routing options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct RouteOptions {
     /// Negotiation iterations before giving up on congestion.
     pub max_iters: usize,
     /// Wires available per tile.
     pub capacity: u16,
-    /// Decompose multi-terminal nets into a rectilinear Steiner topology
-    /// and route it as two-pin segments (tight per-segment bounding boxes)
-    /// instead of a distance-ordered fan-out star. Segment A* prefers the
-    /// deepest node on f-score ties, collapsing the zero-congestion
-    /// plateau two-pin searches otherwise sweep.
-    pub steiner: bool,
-    /// Re-order rip-up/re-route by STA criticality every iteration and
-    /// scale congestion pricing per net (critical nets route first and
-    /// straight; non-critical nets detour). The reworked negotiation loop
-    /// also stops once overuse is no longer attributable to any net it
-    /// owns, instead of spinning to `max_iters`.
-    pub slack_order: bool,
 }
 
 impl Default for RouteOptions {
@@ -69,21 +58,6 @@ impl Default for RouteOptions {
             // Wires per tile. Sized so a chip-filling monolithic design
             // (~26 average occupancy) negotiates to legality with headroom.
             capacity: 64,
-            steiner: true,
-            slack_order: true,
-        }
-    }
-}
-
-impl RouteOptions {
-    /// The pre-Steiner, pre-slack router: distance-ordered star routing in
-    /// net index order. The quality/speed baseline the `router` bench
-    /// compares against.
-    pub fn star_baseline() -> Self {
-        RouteOptions {
-            steiner: false,
-            slack_order: false,
-            ..RouteOptions::default()
         }
     }
 }
@@ -284,7 +258,6 @@ impl Scratch {
     /// path empty. Both the open heap and the path vector are reused
     /// allocations — the router's inner loop runs allocation-free after
     /// warm-up.
-    #[allow(clippy::too_many_arguments)]
     fn astar(
         &mut self,
         costs: &Costs,
@@ -293,7 +266,6 @@ impl Scratch {
         bbox: (u16, u16, u16, u16),
         capacity: u16,
         pricing: f32,
-        deep_ties: bool,
     ) -> bool {
         self.path.clear();
         self.astar_calls += 1;
@@ -305,16 +277,8 @@ impl Scratch {
         // between the endpoints shares the same f = g + h, and index-order
         // ties make A* sweep that whole plateau. Preferring the deepest
         // node (largest g) on f-ties marches straight at the sink instead:
-        // same path cost, a fraction of the pops. Off in the baseline so
-        // `star_baseline()` reproduces the pre-change router exactly
-        // (`(f, 0, node)` orders identically to the old `(f, node)` key).
-        let tie = |g: f32| -> u64 {
-            if deep_ties {
-                u64::MAX - to_key(g)
-            } else {
-                0
-            }
-        };
+        // same path cost, a fraction of the pops.
+        let tie = |g: f32| -> u64 { u64::MAX - to_key(g) };
         // Take the heap out so pushing/popping does not alias the borrows
         // of the scratch arrays below; returned (cleared) on every exit.
         let mut heap = std::mem::take(&mut self.heap);
@@ -551,8 +515,8 @@ struct NetAttempt {
 }
 
 /// Route one net against `costs` without mutating anything. Multi-terminal
-/// nets take the Steiner path when enabled; two-pin nets and the disabled
-/// path reproduce the classic distance-ordered star.
+/// nets take the Steiner path; nets whose topology has fewer than two
+/// segments take the plain distance-ordered star.
 fn route_net(
     costs: &Costs,
     scratch: &mut Scratch,
@@ -568,92 +532,63 @@ fn route_net(
     let mut steiner_segments = 0u64;
     let mut ok = true;
 
-    let segments = if opts.steiner {
-        let topo = steiner_topology(endpoints);
-        if topo.len() >= 2 {
-            Some(topo)
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-
-    match segments {
-        Some(segs) => {
-            // Two-pin segments with tight per-segment boxes. The segment's
-            // `from` end is already in the tree; every tree tile inside the
-            // box is a free source, so segments share trunks.
-            let mut seg_sources: Vec<usize> = Vec::new();
-            for (a, b) in segs {
-                let sink = costs.idx(b);
-                if tree.contains(&sink) {
-                    continue;
-                }
-                let bbox = bbox_of(&[a, b], margin, costs.cols, costs.rows);
-                let (c0, c1, r0, r1) = bbox;
-                seg_sources.clear();
-                seg_sources.extend(tree.iter().copied().filter(|&t| {
-                    let at = costs.coord(t);
-                    at.col >= c0 && at.col <= c1 && at.row >= r0 && at.row <= r1
-                }));
-                if seg_sources.is_empty() {
-                    // `a` is a bbox corner and always in the tree.
-                    seg_sources.push(costs.idx(a));
-                }
-                if scratch.astar(
-                    costs,
-                    &seg_sources,
-                    sink,
-                    bbox,
-                    opts.capacity,
-                    pricing,
-                    true,
-                ) {
-                    steiner_segments += 1;
-                    for i in (0..scratch.path.len()).rev() {
-                        let p = scratch.path[i];
-                        if !tree.contains(&p) {
-                            tree.push(p);
-                        }
+    let segs = steiner_topology(endpoints);
+    if segs.len() >= 2 {
+        // Two-pin segments with tight per-segment boxes. The segment's
+        // `from` end is already in the tree; every tree tile inside the
+        // box is a free source, so segments share trunks.
+        let mut seg_sources: Vec<usize> = Vec::new();
+        for (a, b) in segs {
+            let sink = costs.idx(b);
+            if tree.contains(&sink) {
+                continue;
+            }
+            let bbox = bbox_of(&[a, b], margin, costs.cols, costs.rows);
+            let (c0, c1, r0, r1) = bbox;
+            seg_sources.clear();
+            seg_sources.extend(tree.iter().copied().filter(|&t| {
+                let at = costs.coord(t);
+                at.col >= c0 && at.col <= c1 && at.row >= r0 && at.row <= r1
+            }));
+            if seg_sources.is_empty() {
+                // `a` is a bbox corner and always in the tree.
+                seg_sources.push(costs.idx(a));
+            }
+            if scratch.astar(costs, &seg_sources, sink, bbox, opts.capacity, pricing) {
+                steiner_segments += 1;
+                for i in (0..scratch.path.len()).rev() {
+                    let p = scratch.path[i];
+                    if !tree.contains(&p) {
+                        tree.push(p);
                     }
-                } else {
-                    ok = false;
-                    break;
                 }
+            } else {
+                ok = false;
+                break;
             }
         }
-        None => {
-            // Star: sinks by distance from the driver, whole-net box.
-            let bbox = bbox_of(endpoints, margin, costs.cols, costs.rows);
-            let mut sinks: Vec<TileCoord> = endpoints[1..].to_vec();
-            sinks.sort_by_key(|s| s.manhattan(&endpoints[0]));
-            for &sink in &sinks {
-                let sidx = costs.idx(sink);
-                if tree.contains(&sidx) {
-                    continue;
-                }
-                if scratch.astar(
-                    costs,
-                    &tree,
-                    sidx,
-                    bbox,
-                    opts.capacity,
-                    pricing,
-                    opts.steiner,
-                ) {
-                    // A* reconstructs sink→tree; append in reverse so the
-                    // route tiles read as a forward (tree→sink) path.
-                    for i in (0..scratch.path.len()).rev() {
-                        let p = scratch.path[i];
-                        if !tree.contains(&p) {
-                            tree.push(p);
-                        }
+    } else {
+        // Star: sinks by distance from the driver, whole-net box.
+        let bbox = bbox_of(endpoints, margin, costs.cols, costs.rows);
+        let mut sinks: Vec<TileCoord> = endpoints[1..].to_vec();
+        sinks.sort_by_key(|s| s.manhattan(&endpoints[0]));
+        for &sink in &sinks {
+            let sidx = costs.idx(sink);
+            if tree.contains(&sidx) {
+                continue;
+            }
+            if scratch.astar(costs, &tree, sidx, bbox, opts.capacity, pricing) {
+                // A* reconstructs sink→tree; append in reverse so the
+                // route tiles read as a forward (tree→sink) path.
+                for i in (0..scratch.path.len()).rev() {
+                    let p = scratch.path[i];
+                    if !tree.contains(&p) {
+                        tree.push(p);
                     }
-                } else {
-                    ok = false;
-                    break;
                 }
+            } else {
+                ok = false;
+                break;
             }
         }
     }
@@ -682,7 +617,7 @@ fn run(
     tasks: &[Task],
     opts: &RouteOptions,
     obs: &Obs,
-    slack_fn: Option<SlackFn>,
+    slack_fn: SlackFn,
 ) -> (Vec<Option<Route>>, RouteStats) {
     let mut stats = RouteStats::default();
     let mut routes: Vec<Option<Route>> = (0..tasks.len()).map(|_| None).collect();
@@ -714,25 +649,23 @@ fn run(
         // each net's congestion share by its criticality.
         let mut slacks: Option<Vec<f64>> = None;
         let mut pricing: Vec<f32> = Vec::new();
-        if opts.slack_order && !pending.is_empty() {
-            if let Some(f) = slack_fn {
-                if let Some((s, period)) = f(&costs.congestion_snapshot(opts.capacity)) {
-                    debug_assert_eq!(s.len(), tasks.len());
-                    let period = period.max(1.0);
-                    pricing = s
-                        .iter()
-                        .map(|&sl| {
-                            let crit = (1.0 - sl / period).clamp(0.0, 1.0) as f32;
-                            1.25 - 0.75 * crit
-                        })
-                        .collect();
-                    let pending_slacks: Vec<f64> = pending.iter().map(|&ti| s[ti]).collect();
-                    pending = criticality_order(&pending_slacks)
-                        .into_iter()
-                        .map(|i| pending[i])
-                        .collect();
-                    slacks = Some(s);
-                }
+        if !pending.is_empty() {
+            if let Some((s, period)) = slack_fn(&costs.congestion_snapshot(opts.capacity)) {
+                debug_assert_eq!(s.len(), tasks.len());
+                let period = period.max(1.0);
+                pricing = s
+                    .iter()
+                    .map(|&sl| {
+                        let crit = (1.0 - sl / period).clamp(0.0, 1.0) as f32;
+                        1.25 - 0.75 * crit
+                    })
+                    .collect();
+                let pending_slacks: Vec<f64> = pending.iter().map(|&ti| s[ti]).collect();
+                pending = criticality_order(&pending_slacks)
+                    .into_iter()
+                    .map(|i| pending[i])
+                    .collect();
+                slacks = Some(s);
             }
         }
         let price_of = |ti: usize| -> f32 {
@@ -859,14 +792,12 @@ fn run(
             }
         }
         stats.criticality_reroutes += crit_reroutes;
-        // Stall detection (slack-ordered negotiation only): when every net
-        // is routed and the rip-up pass found nothing to rip, the residual
-        // overuse is not attributable to any net this run owns (it was
-        // seeded by locked instance routes) — further iterations can only
-        // raise history on tiles nobody crosses. The pre-change router
-        // spins to max_iters here; the reworked loop stops.
-        let stalled =
-            opts.slack_order && !done && ripups == 0 && routes.iter().all(|r| r.is_some());
+        // Stall detection: when every net is routed and the rip-up pass
+        // found nothing to rip, the residual overuse is not attributable
+        // to any net this run owns (it was seeded by locked instance
+        // routes) — further iterations can only raise history on tiles
+        // nobody crosses.
+        let stalled = !done && ripups == 0 && routes.iter().all(|r| r.is_some());
         if obs.enabled() {
             obs.point(
                 "pathfinder_iter",
@@ -982,7 +913,7 @@ pub fn route_module_obs(
             crate::timing::net_slacks_module(m_ref, device, Some(map)).ok()?;
         Some((task_nets.iter().map(|&ni| net_slacks[ni]).collect(), period))
     };
-    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, Some(&slack_fn));
+    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
     let nets = module.nets_mut()?;
     for (task, route) in tasks.iter().zip(routes) {
         let Slot::Intra { net, .. } = task.slot else {
@@ -1073,7 +1004,7 @@ pub fn route_design_obs(
             period,
         ))
     };
-    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, Some(&slack_fn));
+    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
     for (task, route) in tasks.iter().zip(routes) {
         match task.slot {
             Slot::Intra { inst, net } => {
@@ -1230,7 +1161,7 @@ mod tests {
         let src = costs.idx(TileCoord::new(2, 3));
         let sink = costs.idx(TileCoord::new(8, 3));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0, false));
+        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0));
         let crossings: Vec<TileCoord> = scratch
             .path
             .iter()
@@ -1243,63 +1174,57 @@ mod tests {
             "path must cross the wall exactly once, through the gap"
         );
         // The reused path buffer serves a second query unchanged.
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0, false));
+        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0));
         assert!(!scratch.path.is_empty());
     }
 
     #[test]
-    fn deep_ties_collapse_the_zero_congestion_plateau() {
+    fn f_ties_march_straight_at_the_sink() {
         // On empty fabric every tile in the monotone rectangle between the
-        // endpoints shares the same f-score; index-order ties sweep the
-        // plateau, depth-preferring ties march straight at the sink. Same
-        // path cost, strictly fewer pops.
+        // endpoints shares the same f-score; preferring the deepest node on
+        // ties must find a Manhattan-minimal path without sweeping that
+        // plateau (index-order ties pop most of its 20 x 14 tiles).
         let device = Device::test_part();
         let mut costs = Costs::new(&device);
         // Uniform fabric: the plateau argument is about equal step costs
         // (Io/Gap columns would perturb f and hide the effect).
         costs.base.fill(1.0);
-        let src = costs.idx(TileCoord::new(1, 1));
-        let sink = costs.idx(TileCoord::new(20, 14));
+        let (from, to) = (TileCoord::new(1, 1), TileCoord::new(20, 14));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
-        let mut flat = Scratch::new(costs.tiles());
-        assert!(flat.astar(&costs, &[src], sink, bbox, 64, 1.0, false));
-        let flat_len = flat.path.len();
-        let mut deep = Scratch::new(costs.tiles());
-        assert!(deep.astar(&costs, &[src], sink, bbox, 64, 1.0, true));
+        let mut scratch = Scratch::new(costs.tiles());
+        assert!(scratch.astar(&costs, &[costs.idx(from)], costs.idx(to), bbox, 64, 1.0));
+        let steps = from.manhattan(&to) as usize;
         assert_eq!(
-            deep.path.len(),
-            flat_len,
-            "tie-break must not change path cost"
+            scratch.path.len(),
+            steps + 1,
+            "path must be Manhattan-minimal"
         );
         assert!(
-            deep.expansions < flat.expansions,
-            "deep ties must pop fewer nodes ({} !< {})",
-            deep.expansions,
-            flat.expansions
+            scratch.expansions <= 2 * (steps as u64 + 1),
+            "{} pops for a {steps}-step path",
+            scratch.expansions
         );
     }
 
     #[test]
     fn negotiation_stops_when_overuse_is_not_rippable() {
         // Overuse seeded by locked instance routes cannot be fixed by
-        // ripping up nets this run owns: the slack-ordered loop detects the
-        // stall and stops after one iteration, the baseline spins to
-        // max_iters raising history on tiles nobody crosses.
+        // ripping up nets this run owns: the loop detects the stall and
+        // stops after one iteration instead of spinning to max_iters,
+        // raising history on tiles nobody crosses.
         let device = Device::test_part();
         let tasks = vec![Task {
             endpoints: vec![TileCoord::new(1, 1), TileCoord::new(4, 1)],
             slot: Slot::Top { net: 0 },
         }];
-        let run_with = |opts: RouteOptions| -> usize {
-            let mut costs = Costs::new(&device);
-            let far = costs.idx(TileCoord::new(20, 10));
-            costs.occ[far] = opts.capacity + 1;
-            let (routes, stats) = run(&mut costs, &tasks, &opts, &Obs::null(), None);
-            assert!(routes[0].is_some());
-            stats.iterations
-        };
-        assert_eq!(run_with(RouteOptions::star_baseline()), 8);
-        assert_eq!(run_with(RouteOptions::default()), 1);
+        let opts = RouteOptions::default();
+        let mut costs = Costs::new(&device);
+        let far = costs.idx(TileCoord::new(20, 10));
+        costs.occ[far] = opts.capacity + 1;
+        let (routes, stats) = run(&mut costs, &tasks, &opts, &Obs::null(), &|_| None);
+        assert!(routes[0].is_some());
+        assert_eq!(stats.iterations, 1);
+        assert_eq!(stats.overused_tiles, 1);
     }
 
     #[test]
@@ -1339,7 +1264,6 @@ mod tests {
         let opts = RouteOptions {
             max_iters: 10,
             capacity: 8,
-            ..RouteOptions::default()
         };
         let (stats, map) = route_module(&mut m, &device, &opts).unwrap();
         assert_eq!(stats.overused_tiles, 0, "negotiation failed");

@@ -703,7 +703,6 @@ mod tests {
             &crate::route::RouteOptions {
                 max_iters: 1,
                 capacity: 1,
-                ..crate::route::RouteOptions::default()
             },
         )
         .unwrap();

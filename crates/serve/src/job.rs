@@ -2,8 +2,9 @@
 //!
 //! A [`JobSpec`] is self-contained — the archdef *text* (not a path: the
 //! daemon may run on another machine), the device name, the command, and
-//! the full [`FlowConfig`] in its `pi_flow::config_json` wire form. Its
-//! [`JobSpec::job_id`] is a stable content hash of exactly those fields,
+//! the full [`FlowConfig`] in its derived-serde wire form
+//! (`FlowConfig::to_json`). Its [`JobSpec::job_id`] is a stable content
+//! hash of exactly those fields,
 //! computed *after* the daemon normalizes the cache knobs it owns
 //! (`db_dir`, `db_budget_bytes`, `threads` — see
 //! [`JobSpec::normalized`]), so two clients submitting the same work get

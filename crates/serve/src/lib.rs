@@ -6,8 +6,8 @@
 //! persistent `--db-dir` makes that true across runs on one machine;
 //! `pi-serve` makes it true across *clients*: a daemon owns the cache
 //! tier, clients POST compile jobs (archdef + serialized [`FlowConfig`]
-//! — the wire format of `pi_flow::config_json`), and the daemon schedules
-//! them across a bounded job queue and worker pool, running
+//! — the derived-serde wire form, `FlowConfig::to_json`), and the daemon
+//! schedules them across a bounded job queue and worker pool, running
 //! [`pi_flow::build_component_db_cached`] against the shared cache. The
 //! cross-process manifest lock ([`pi_stitch::LockFile`]) keeps the cache
 //! coherent even when other local processes use the same directory.

@@ -60,26 +60,6 @@ pub fn compose_obs(
     opts: &ComposeOptions,
     obs: &Obs,
 ) -> Result<(Design, ComposeReport), StitchError> {
-    compose_sized_obs(network, db, device, opts, None, obs)
-}
-
-/// [`compose_obs`] with per-edge FIFO sizing: `edge_depths` maps component
-/// adjacency edges `(source, sink)` — indices into the network's
-/// topological component order, as produced by
-/// `pi_lint::DataflowAnalysis::depth_map` — to minimum link-FIFO depths.
-/// A multi-sink net takes the max over its edges; edges absent from the
-/// map keep [`pi_netlist::DEFAULT_LINK_FIFO_DEPTH`]. This is the feedback
-/// half of `FlowConfig::with_fifo_autosize`: the dataflow lint computes
-/// the depths, composition installs them on the stitched
-/// [`pi_netlist::TopNet`]s.
-pub fn compose_sized_obs(
-    network: &Network,
-    db: &ComponentDb,
-    device: &Device,
-    opts: &ComposeOptions,
-    edge_depths: Option<&std::collections::BTreeMap<(usize, usize), u64>>,
-    obs: &Obs,
-) -> Result<(Design, ComposeReport), StitchError> {
     // Component extraction (components() walks the DFG in topological
     // order — Algorithm 1's queue-based discovery, refined so producers
     // always precede consumers even across branches).
@@ -196,22 +176,12 @@ pub fn compose_sized_obs(
             sink_pins.push((dst_inst, dst_port));
             sink_names.push(components[cb].name.as_str());
         }
-        let net_idx = design.connect_top(
+        design.connect_top(
             format!("link_{}_{}", components[ca].name, sink_names.join("+")),
             (src_inst, src_port),
             sink_pins,
             sw,
         )?;
-        if let Some(depths) = edge_depths {
-            // One net serves every sink of this source: size it for the
-            // deepest requirement among its edges so no branch can stall.
-            let depth = sinks
-                .iter()
-                .filter_map(|&cb| depths.get(&(ca, cb)).copied())
-                .max()
-                .unwrap_or(pi_netlist::DEFAULT_LINK_FIFO_DEPTH);
-            design.top_nets_mut()[net_idx].fifo_depth = depth;
-        }
         stitched += 1;
     }
     if obs.enabled() {

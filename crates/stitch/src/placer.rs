@@ -18,9 +18,11 @@ use crate::StitchError;
 use pi_fabric::{Device, Pblock, TileCoord};
 use pi_netlist::Checkpoint;
 use pi_obs::Obs;
+use serde::{Deserialize, Serialize};
 
 /// Options for component placement.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ComponentPlacerOptions {
     /// Per-edge HPWL (tiles) above which a candidate is over threshold.
     pub timing_threshold: f64,

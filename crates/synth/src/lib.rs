@@ -44,6 +44,7 @@ use serde::{Deserialize, Serialize};
 
 /// Synthesis mode: the axis Table II's comparison varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum SynthMode {
     /// Out-of-context component synthesis: no I/O buffers, area-optimized
     /// under pblock pressure.
@@ -55,6 +56,7 @@ pub enum SynthMode {
 
 /// Options threaded through every generator.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct SynthOptions {
     pub mode: SynthMode,
     /// Datapath width in bits (the paper evaluates fixed-16).

@@ -55,7 +55,6 @@ const USAGE: &str = "usage: preimpl <stats|build-db|compose|baseline|floorplan|d
                      <archdef> [db-dir] [--model FILE] [--device NAME] [--seeds N] [--threads N] \
                      [--block] [--lint] [--deny-warnings] [--trace PATH] [--report PATH] \
                      [--db-dir PATH] [--db-budget-bytes N] [--remote ADDR] \
-                     [--router-steiner on|off] [--router-slack-order on|off] \
                      [--router-max-iters N] [--fifo-autosize on|off]";
 
 const FLAGS: &[Flag] = &[
@@ -71,8 +70,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("--db-dir"),
     Flag::value("--db-budget-bytes"),
     Flag::value("--remote"),
-    Flag::value("--router-steiner"),
-    Flag::value("--router-slack-order"),
     Flag::value("--router-max-iters"),
     Flag::value("--fifo-autosize"),
 ];
@@ -365,25 +362,17 @@ fn seeds(args: &Cli) -> Result<u64, String> {
 }
 
 /// The flow knobs shared by the local and remote paths (everything that
-/// serializes through `pi_flow::config_json`).
+/// crosses the wire in `FlowConfig::to_json`).
 fn wire_config(args: &Cli, granularity: Granularity) -> Result<FlowConfig, String> {
     let mut cfg = FlowConfig::new()
         .with_granularity(granularity)
         .with_seeds(1..=seeds(args)?);
-    let mut route = cfg.route;
-    if let Some(v) = args.value("--router-steiner") {
-        route.steiner = on_off(v, "--router-steiner")?;
-    }
-    if let Some(v) = args.value("--router-slack-order") {
-        route.slack_order = on_off(v, "--router-slack-order")?;
-    }
     if let Some(n) = args.parsed::<usize>("--router-max-iters", "a number")? {
         if n == 0 {
             return Err("--router-max-iters must be at least 1".into());
         }
-        route.max_iters = n;
+        cfg.route.max_iters = n;
     }
-    cfg = cfg.with_route(route);
     if args.switch("--lint") {
         cfg = cfg.with_lint(
             preimpl_cnn::lint::LintConfig::new().with_deny_warnings(args.switch("--deny-warnings")),

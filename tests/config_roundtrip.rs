@@ -1,4 +1,5 @@
-//! Property tests for the `FlowConfig` wire format (`pi_flow::config_json`).
+//! Tests for the `FlowConfig` wire format (the struct's derived `serde`
+//! form, see `pi_flow::config`).
 //!
 //! `pi-serve` job IDs are content hashes over `FlowConfig::to_json()`, and
 //! the daemon rebuilds the config with `from_json` before running the
@@ -6,7 +7,9 @@
 //! (otherwise a remote job would rebuild components a local run already
 //! cached), and (b) serialize equal configs byte-identically (otherwise
 //! identical submissions would not coalesce). Both properties are checked
-//! here over randomized knob combinations, not just the defaults.
+//! here over randomized knob combinations, not just the defaults. The
+//! plain tests pin the bytes themselves and what a submitted config is
+//! rejected for.
 
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::lint::{Level, LintConfig, Waiver};
@@ -15,6 +18,7 @@ use preimpl_cnn::prelude::FlowConfig;
 use preimpl_cnn::stitch::ComponentPlacerOptions;
 use preimpl_cnn::synth::{SynthMode, SynthOptions};
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 /// Real codes from the lint registry plus one unknown-looking spelling
 /// (the levels map is policy, not validation — unknown codes may be
@@ -88,7 +92,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     );
     let engines = (
         pbool(),                                             // plan partpins
-        (1usize..40, 1u64..200, pbool(), pbool()),           // route knobs
+        (1usize..40, 1u64..200),                             // route knobs
         (0.0f64..500.0, 0.0f64..20.0, 0u64..16, 0usize..12), // placer knobs
         0usize..10,                                          // phys-opt passes
         0.5f64..16.0,                                        // baseline effort
@@ -102,7 +106,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     (shape, engines, synth, cache, lint_strategy()).prop_map(
         |(
             (block, seeds, target, util, effort),
-            (partpins, (max_iters, capacity, steiner, slack_order), placer, passes, baseline),
+            (partpins, (max_iters, capacity), placer, passes, baseline),
             (mono, width, on_chip, autosize),
             (threads, db_dir, budget),
             lint,
@@ -129,8 +133,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                 .with_route(RouteOptions {
                     max_iters,
                     capacity: capacity as u16,
-                    steiner,
-                    slack_order,
                 })
                 .with_placer(ComponentPlacerOptions {
                     timing_threshold: placer.0,
@@ -197,5 +199,156 @@ proptest! {
         let wire = cfg.to_json();
         let back = FlowConfig::from_json(&wire).expect("serialized config parses");
         prop_assert_eq!(back.to_json(), wire);
+    }
+}
+
+/// A config with every wire-visible knob off its default.
+fn every_knob_config() -> FlowConfig {
+    let lint = LintConfig::new()
+        .deny("PL0107")
+        .allow("PL0206")
+        .with_waivers(vec![Waiver {
+            code: "PL0101".into(),
+            origin_prefix: "net:top_*".into(),
+        }])
+        .with_fanout_threshold(17)
+        .with_frame_cycle_budget(12345)
+        .with_link_fifo_depth(96)
+        .with_deny_warnings(true);
+    FlowConfig::new()
+        .with_synth(SynthOptions::vgg_like())
+        .with_granularity(Granularity::Block)
+        .with_seeds([9, 4, 7])
+        .with_target_fmax(433.25)
+        .with_pblock_utilization(0.55)
+        .with_effort(3.5)
+        .with_plan_partpins(false)
+        .with_route(RouteOptions {
+            max_iters: 11,
+            capacity: 48,
+        })
+        .with_placer(ComponentPlacerOptions {
+            timing_threshold: 123.5,
+            congestion_weight: 7.25,
+            crowding_margin: 5,
+            max_retries: 9,
+        })
+        .with_phys_opt_passes(6)
+        .with_baseline_effort(8.5)
+        .with_threads(3)
+        .with_db_dir("/tmp/pi-db")
+        .with_db_budget_bytes(1 << 20)
+        .with_lint(lint)
+        .with_fifo_autosize(true)
+}
+
+/// The derived wire form is the hand-written one it replaced, byte for
+/// byte: these literals are `to_json()` of the same two configs captured
+/// at the last commit with the hand-written writer, minus the two router
+/// keys that were deleted with the star router. Job IDs and coalescing
+/// hash these bytes.
+#[test]
+fn wire_bytes_are_pinned() {
+    assert_eq!(
+        FlowConfig::new().to_json(),
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"target_fmax_mhz":null,"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"phys_opt_passes":4,"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null,"fifo_autosize":false}"#
+    );
+    assert_eq!(
+        every_knob_config().to_json(),
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"target_fmax_mhz":433.25,"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"phys_opt_passes":6,"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"fanout_threshold":17,"frame_cycle_budget":12345,"link_fifo_depth":96,"deny_warnings":true},"fifo_autosize":true}"#
+    );
+}
+
+#[test]
+fn every_knob_round_trips() {
+    let cfg = every_knob_config();
+    let back = FlowConfig::from_json(&cfg.to_json()).unwrap();
+    assert_eq!(back.cache_fingerprint(), cfg.cache_fingerprint());
+    assert_eq!(back.synth.data_width, cfg.synth.data_width);
+    assert_eq!(back.seeds, vec![9, 4, 7]);
+    assert_eq!(back.target_fmax_mhz, Some(433.25));
+    assert_eq!(back.threads, Some(3));
+    assert_eq!(back.db_dir, Some(PathBuf::from("/tmp/pi-db")));
+    assert_eq!(back.db_budget_bytes, Some(1 << 20));
+    let back_lint = back.lint.as_ref().unwrap();
+    assert_eq!(back_lint.levels, cfg.lint.as_ref().unwrap().levels);
+    assert_eq!(back_lint.waivers, cfg.lint.as_ref().unwrap().waivers);
+    assert_eq!(back_lint.fanout_threshold, 17);
+    assert_eq!(back_lint.frame_cycle_budget, 12345);
+    assert_eq!(back_lint.link_fifo_depth, 96);
+    assert!(back_lint.deny_warnings);
+    assert!(back.fifo_autosize);
+    // A deserialized config carries no telemetry sink.
+    assert!(!back.obs().enabled());
+    assert!(back.run_report().is_none());
+}
+
+#[test]
+fn missing_keys_take_defaults() {
+    let cfg = FlowConfig::from_json("{\"seeds\":[5]}").unwrap();
+    assert_eq!(cfg.seeds, vec![5]);
+    assert_eq!(cfg.effort, FlowConfig::new().effort);
+    assert_eq!(cfg.threads, None);
+    assert!(cfg.lint.is_none());
+    // Nested objects default key by key as well.
+    let cfg = FlowConfig::from_json("{\"route\":{\"max_iters\":3}}").unwrap();
+    assert_eq!(cfg.route.max_iters, 3);
+    assert_eq!(cfg.route.capacity, RouteOptions::default().capacity);
+    // An integer is accepted where a float is expected.
+    assert_eq!(FlowConfig::from_json("{\"effort\":3}").unwrap().effort, 3.0);
+}
+
+/// A submitted config is outside input: typos, removed knobs and values
+/// the field cannot hold fail loudly instead of running under something
+/// the client did not ask for.
+#[test]
+fn malformed_configs_are_rejected_naming_the_field() {
+    for (wire, needles) in [
+        // Unknown keys, top level and nested — including the two router
+        // switches an old client may still send.
+        ("{\"sedes\":[1]}", &["unknown key", "sedes"][..]),
+        ("{\"route\":{\"max_iter\":3}}", &["unknown key", "max_iter"]),
+        (
+            "{\"route\":{\"steiner\":true}}",
+            &["unknown key", "steiner"],
+        ),
+        (
+            "{\"lint\":{\"fanout_treshold\":4}}",
+            &["unknown key", "fanout_treshold"],
+        ),
+        // Out-of-range integers used to be truncated with `as u16`.
+        (
+            "{\"synth\":{\"data_width\":70000}}",
+            &["data_width", "out of range"],
+        ),
+        (
+            "{\"route\":{\"capacity\":70000}}",
+            &["capacity", "out of range"],
+        ),
+        (
+            "{\"placer\":{\"crowding_margin\":70000}}",
+            &["crowding_margin", "out of range"],
+        ),
+        ("{\"seeds\":[-1]}", &["seeds", "out of range"]),
+        ("{\"threads\":0}", &["threads", "at least 1"]),
+        // Enum spellings are the lowercase ones only.
+        (
+            "{\"granularity\":\"Block\"}",
+            &["granularity", "unknown variant"],
+        ),
+        (
+            "{\"lint\":{\"levels\":{\"PL0101\":\"Deny\"}}}",
+            &["levels", "PL0101", "unknown variant"],
+        ),
+        (
+            "{\"lint\":{\"waivers\":[{\"code\":\"PL0101\"}]}}",
+            &["origin_prefix"],
+        ),
+        ("[]", &["expected map"]),
+    ] {
+        let err = FlowConfig::from_json(wire).expect_err(wire);
+        for needle in needles {
+            assert!(err.contains(needle), "{wire}: {err:?} lacks {needle:?}");
+        }
     }
 }

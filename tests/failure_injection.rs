@@ -99,7 +99,6 @@ fn router_reports_congestion_when_capacity_is_starved() {
     let starved = RouteOptions {
         max_iters: 1,
         capacity: 1,
-        ..RouteOptions::default()
     };
     let (stats, map) = route_module(&mut module, &device, &starved).expect("runs");
     assert!(

@@ -213,7 +213,7 @@ proptest! {
             m.set_placement(*a, TileCoord::new(p.0, p.1)).expect("places");
             m.set_placement(*z, TileCoord::new(q.0, q.1)).expect("places");
         }
-        let opts = RouteOptions { max_iters: 6, capacity: 16, ..RouteOptions::default() };
+        let opts = RouteOptions { max_iters: 6, capacity: 16 };
         let (stats, map) = route_module(&mut m, &device, &opts).expect("routes");
         prop_assert_eq!(stats.overused_tiles, 0);
         prop_assert_eq!(map.overused(), 0);
