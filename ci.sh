@@ -10,6 +10,19 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# One entry point per stage: a `pub fn NAME_obs` may not have a `pub fn
+# NAME` sibling (the null-handle forwarders PR 17 deleted). The one allowed
+# pair is `place_components`, whose plain form the frozen benchmark calls
+# (benchmark/src/replay.rs:300); it goes with the benchmark-only rename PR.
+echo "==> entry-point gate: no NAME / NAME_obs twins"
+pub_fns="$(grep -rhoE 'pub fn [a-z_0-9]+' crates/*/src | sed 's/^pub fn //' | sort -u)"
+twins="$(echo "$pub_fns" | sed -n 's/_obs$//p' | grep -Fxf - <(echo "$pub_fns") \
+    | grep -vx 'place_components' || true)"
+[ -z "$twins" ] \
+    || { echo "stage functions with both a plain and an _obs form:" $twins; exit 1; }
+
+echo "==> product lines (ci/loc.sh): $(ci/loc.sh)"
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 

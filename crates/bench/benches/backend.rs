@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pi_cnn::graph::Granularity;
 use pi_fabric::{Device, Pblock};
-use pi_pnr::{place_module, route_module, sta_module, PlaceOptions, RouteOptions};
+use pi_obs::Obs;
+use pi_pnr::{place_module_obs, route_module_obs, sta_module, PlaceOptions, RouteOptions};
 use pi_synth::{synth_component, synth_network_flat, SynthOptions};
 
 fn lenet_component(idx: usize) -> pi_netlist::Module {
@@ -22,7 +23,7 @@ fn bench_placer(c: &mut Criterion) {
             || conv1.clone(),
             |mut m| {
                 m.pblock = Some(pblock);
-                place_module(
+                place_module_obs(
                     &mut m,
                     &device,
                     &PlaceOptions {
@@ -30,6 +31,7 @@ fn bench_placer(c: &mut Criterion) {
                         effort: 1.0,
                         region: Some(pblock),
                     },
+                    &Obs::null(),
                 )
                 .expect("places")
             },
@@ -49,7 +51,7 @@ fn bench_placer(c: &mut Criterion) {
         b.iter_batched(
             || flat.clone(),
             |mut m| {
-                place_module(
+                place_module_obs(
                     &mut m,
                     &device,
                     &PlaceOptions {
@@ -57,6 +59,7 @@ fn bench_placer(c: &mut Criterion) {
                         effort: 1.0,
                         region: None,
                     },
+                    &Obs::null(),
                 )
                 .expect("places")
             },
@@ -71,7 +74,7 @@ fn bench_router_and_sta(c: &mut Criterion) {
     let mut placed = lenet_component(0);
     let pblock = Pblock::new(1, 64, 0, 63);
     placed.pblock = Some(pblock);
-    place_module(
+    place_module_obs(
         &mut placed,
         &device,
         &PlaceOptions {
@@ -79,20 +82,25 @@ fn bench_router_and_sta(c: &mut Criterion) {
             effort: 1.0,
             region: Some(pblock),
         },
+        &Obs::null(),
     )
     .expect("places");
 
     c.bench_function("route/lenet_conv1", |b| {
         b.iter_batched(
             || placed.clone(),
-            |mut m| route_module(&mut m, &device, &RouteOptions::default()).expect("routes"),
+            |mut m| {
+                route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null())
+                    .expect("routes")
+            },
             BatchSize::LargeInput,
         )
     });
 
     let mut routed = placed.clone();
     let (_, congestion) =
-        route_module(&mut routed, &device, &RouteOptions::default()).expect("routes");
+        route_module_obs(&mut routed, &device, &RouteOptions::default(), &Obs::null())
+            .expect("routes");
     c.bench_function("sta/lenet_conv1", |b| {
         b.iter(|| sta_module(&routed, &device, Some(&congestion)).expect("sta"))
     });

@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pi_cnn::graph::Granularity;
 use pi_fabric::{Device, TileCoord};
 use pi_flow::{build_component_db, FlowConfig};
-use pi_stitch::{compose, place_components, ComponentPlacerOptions, ComposeOptions};
+use pi_obs::Obs;
+use pi_stitch::{compose_obs, place_components, ComponentPlacerOptions, ComposeOptions};
 
 fn bench_stitching(c: &mut Criterion) {
     let device = Device::xcku5p_like();
@@ -41,7 +42,16 @@ fn bench_stitching(c: &mut Criterion) {
 
     // Full composition (Algorithm 1).
     c.bench_function("stitch/compose_lenet", |b| {
-        b.iter(|| compose(&network, &db, &device, &ComposeOptions::default()).expect("composes"))
+        b.iter(|| {
+            compose_obs(
+                &network,
+                &db,
+                &device,
+                &ComposeOptions::default(),
+                &Obs::null(),
+            )
+            .expect("composes")
+        })
     });
 }
 

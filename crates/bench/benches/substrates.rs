@@ -1,12 +1,10 @@
 //! Criterion benches for the supporting substrates: fixed-point inference,
-//! the best-fit allocator, synthesis elaboration and checkpoint
-//! serialization.
+//! synthesis elaboration and checkpoint serialization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_cnn::graph::Granularity;
 use pi_cnn::infer::{forward, Weights};
 use pi_cnn::Tensor;
-use pi_memalloc::BestFitAllocator;
 use pi_synth::{synth_component, synth_network_flat, SynthOptions};
 
 fn bench_inference(c: &mut Criterion) {
@@ -22,37 +20,6 @@ fn bench_inference(c: &mut Criterion) {
     let tinput = Tensor::zeros(3, 32, 32);
     c.bench_function("infer/vgg_tiny_forward", |b| {
         b.iter(|| forward(&tiny, &tweights, &tinput).expect("forward"))
-    });
-}
-
-fn bench_allocator(c: &mut Criterion) {
-    c.bench_function("alloc/churn_1k", |b| {
-        b.iter(|| {
-            let mut a = BestFitAllocator::new(64 << 20, 64);
-            let mut live = Vec::with_capacity(512);
-            for i in 0..1024u64 {
-                let size = 1 + (i * 2654435761) % 65536;
-                match a.alloc(size) {
-                    Ok(x) => live.push(x),
-                    Err(_) => {
-                        for x in live.drain(..) {
-                            a.free(x.base).expect("frees");
-                        }
-                    }
-                }
-                if i % 3 == 0 {
-                    if let Some(x) = live.pop() {
-                        a.free(x.base).expect("frees");
-                    }
-                }
-            }
-            a.used()
-        })
-    });
-
-    c.bench_function("alloc/plan_vgg_layout", |b| {
-        let net = pi_cnn::models::vgg16();
-        b.iter(|| pi_memalloc::plan_network_layout(&net, 2, 1 << 30).expect("plans"))
     });
 }
 
@@ -101,11 +68,5 @@ fn bench_checkpoints(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_inference,
-    bench_allocator,
-    bench_synthesis,
-    bench_checkpoints
-);
+criterion_group!(benches, bench_inference, bench_synthesis, bench_checkpoints);
 criterion_main!(benches);

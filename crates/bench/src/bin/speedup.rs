@@ -11,7 +11,7 @@
 //! single-core host the parallel schedule cannot beat the sequential one,
 //! it can only prove it does not regress.
 //!
-//! Run with `cargo run --release --bin speedup`.
+//! Run with `cargo run --release -p pi-bench --bin speedup`.
 
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;

@@ -19,7 +19,7 @@ use pi_flow::{
     ComponentBuildReport, FlowConfig, PreImplReport,
 };
 use pi_netlist::Design;
-use pi_obs::{Event, EventSink, FanoutSink, FileSink, MemorySink, Obs, Value};
+use pi_obs::{Event, EventSink, FanoutSink, FileSink, MemorySink, Obs};
 use pi_stitch::ComponentDb;
 use pi_synth::SynthOptions;
 use std::sync::Arc;
@@ -57,7 +57,7 @@ pub struct NetworkRun {
 /// deterministic, so all binaries agree with `all_experiments`.
 ///
 /// The context owns the run's telemetry: a [`MemorySink`] is always
-/// attached (so experiments can compute convergence summaries), and
+/// attached (so experiments can fold a [`Ctx::run_report`]), and
 /// [`Ctx::new`] additionally tees the stream to a JSON-Lines file when the
 /// process was started with `--trace <path>`.
 pub struct Ctx {
@@ -179,12 +179,6 @@ impl Ctx {
             .with_obs(self.obs.clone())
     }
 
-    /// Convergence summary of everything recorded so far (see
-    /// [`convergence_summary`]).
-    pub fn convergence(&self) -> ConvergenceSummary {
-        convergence_summary(&self.events())
-    }
-
     /// Full `flowstat` run report of everything recorded so far.
     pub fn run_report(&self) -> pi_obs::agg::RunReport {
         pi_obs::agg::RunReport::from_events(&self.events())
@@ -236,95 +230,6 @@ impl Ctx {
     }
 }
 
-/// Aggregated convergence behavior extracted from a telemetry stream.
-#[derive(Debug, Clone, Default)]
-pub struct ConvergenceSummary {
-    /// Distinct PathFinder negotiation runs seen (`iter` restarting at 0).
-    pub route_runs: usize,
-    /// Iterations the slowest router run needed to converge.
-    pub max_router_iters: u64,
-    /// Overused tiles left after the last iteration of the last run.
-    pub final_overuse: u64,
-    /// Simulated-annealing rounds across all placements.
-    pub anneal_rounds: u64,
-    /// Component-placer candidate decisions (Eq. 1–3 evaluations kept).
-    pub placer_candidates: u64,
-    /// Component-placer threshold-retry events (unplace-and-retry loop).
-    pub placer_retries: u64,
-    /// A* expansions summed over every router iteration (the router's
-    /// work metric — what the Steiner/slack optimizations shrink).
-    pub router_expansions: u64,
-    /// Two-pin segments routed via Steiner decomposition.
-    pub steiner_segments: u64,
-    /// Rip-ups of negative-slack nets (slack-ordered negotiation).
-    pub criticality_reroutes: u64,
-    /// Parallel-merge conflicts re-routed against the live state.
-    pub parallel_conflicts: u64,
-}
-
-impl std::fmt::Display for ConvergenceSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} router runs (slowest converged in {} iterations, final overuse {}, \
-             {} expansions, {} steiner segments, {} criticality re-routes, \
-             {} merge conflicts), {} annealing rounds, \
-             {} component-placer candidates, {} threshold retries",
-            self.route_runs,
-            self.max_router_iters,
-            self.final_overuse,
-            self.router_expansions,
-            self.steiner_segments,
-            self.criticality_reroutes,
-            self.parallel_conflicts,
-            self.anneal_rounds,
-            self.placer_candidates,
-            self.placer_retries
-        )
-    }
-}
-
-fn field_u64(event: &Event, key: &str) -> Option<u64> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::U64(n) => Some(*n),
-            Value::I64(n) => u64::try_from(*n).ok(),
-            Value::F64(n) => Some(*n as u64),
-            _ => None,
-        })
-}
-
-/// Fold a telemetry stream into the convergence numbers the paper-facing
-/// reports quote (router iterations-to-converge, final overuse, annealing
-/// and stitch-placer activity).
-pub fn convergence_summary(events: &[Event]) -> ConvergenceSummary {
-    let mut summary = ConvergenceSummary::default();
-    for e in events {
-        match (e.scope.as_str(), e.name.as_str()) {
-            ("pnr::route", "pathfinder_iter") => {
-                let iter = field_u64(e, "iter").unwrap_or(0);
-                if iter == 0 {
-                    summary.route_runs += 1;
-                }
-                summary.max_router_iters = summary.max_router_iters.max(iter + 1);
-                summary.final_overuse = field_u64(e, "overused").unwrap_or(0);
-                summary.router_expansions += field_u64(e, "expansions").unwrap_or(0);
-                summary.steiner_segments += field_u64(e, "steiner_segments").unwrap_or(0);
-                summary.criticality_reroutes += field_u64(e, "criticality_reroutes").unwrap_or(0);
-                summary.parallel_conflicts += field_u64(e, "parallel_conflicts").unwrap_or(0);
-            }
-            ("pnr::place", "anneal_round") => summary.anneal_rounds += 1,
-            ("stitch::placer", "candidate") => summary.placer_candidates += 1,
-            ("stitch::placer", "threshold_retry") => summary.placer_retries += 1,
-            _ => {}
-        }
-    }
-    summary
-}
-
 /// Render a markdown table.
 pub fn md_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -369,60 +274,5 @@ mod tests {
     fn duration_formatting() {
         assert_eq!(fmt_s(std::time::Duration::from_millis(50)), "50.0 ms");
         assert_eq!(fmt_s(std::time::Duration::from_secs(2)), "2.00 s");
-    }
-
-    #[test]
-    fn convergence_summary_folds_router_and_placer_events() {
-        use pi_obs::EventKind;
-        let mk = |scope: &str, name: &str, fields: Vec<(String, Value)>| Event {
-            seq: 0,
-            ts_us: 0,
-            seed: 0,
-            scope: scope.to_string(),
-            name: name.to_string(),
-            kind: EventKind::Point,
-            fields,
-        };
-        let events = vec![
-            mk(
-                "pnr::route",
-                "pathfinder_iter",
-                vec![
-                    ("iter".to_string(), Value::U64(0)),
-                    ("overused".to_string(), Value::U64(5)),
-                    ("expansions".to_string(), Value::U64(120)),
-                    ("steiner_segments".to_string(), Value::U64(4)),
-                    ("criticality_reroutes".to_string(), Value::U64(2)),
-                    ("parallel_conflicts".to_string(), Value::U64(1)),
-                ],
-            ),
-            mk(
-                "pnr::route",
-                "pathfinder_iter",
-                vec![
-                    ("iter".to_string(), Value::U64(1)),
-                    ("overused".to_string(), Value::U64(0)),
-                    ("expansions".to_string(), Value::U64(30)),
-                    ("steiner_segments".to_string(), Value::U64(1)),
-                ],
-            ),
-            mk("pnr::place", "anneal_round", vec![]),
-            mk("stitch::placer", "candidate", vec![]),
-            mk("stitch::placer", "threshold_retry", vec![]),
-        ];
-        let s = convergence_summary(&events);
-        assert_eq!(s.route_runs, 1);
-        assert_eq!(s.max_router_iters, 2);
-        assert_eq!(s.final_overuse, 0);
-        assert_eq!(s.anneal_rounds, 1);
-        assert_eq!(s.placer_candidates, 1);
-        assert_eq!(s.placer_retries, 1);
-        assert_eq!(s.router_expansions, 150);
-        assert_eq!(s.steiner_segments, 5);
-        assert_eq!(s.criticality_reroutes, 2);
-        assert_eq!(s.parallel_conflicts, 1);
-        let line = s.to_string();
-        assert!(line.contains("converged in 2 iterations"));
-        assert!(line.contains("5 steiner segments"));
     }
 }

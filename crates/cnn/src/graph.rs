@@ -4,7 +4,7 @@ use crate::layer::{Layer, PoolKind, Shape};
 use crate::CnnError;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Index of a node in a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -327,6 +327,40 @@ impl Network {
         Ok(components)
     }
 
+    /// The component graph: one [`ComponentEdge`] per distinct pair of
+    /// `components` (as returned by [`Network::components`]) joined by a
+    /// network edge, in network-edge order. This is the single derivation
+    /// the stitcher wires top-level nets from and the dataflow analysis
+    /// sizes FIFOs over.
+    pub fn component_edges(&self, components: &[Component]) -> Vec<ComponentEdge> {
+        let mut node_to_comp = HashMap::new();
+        for (ci, comp) in components.iter().enumerate() {
+            for node in &comp.nodes {
+                node_to_comp.insert(*node, ci);
+            }
+        }
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (a, b) in &self.edges {
+            match (node_to_comp.get(a), node_to_comp.get(b)) {
+                (Some(&ca), Some(&cb)) if ca != cb && !pairs.contains(&(ca, cb)) => {
+                    pairs.push((ca, cb));
+                }
+                _ => {}
+            }
+        }
+        pairs
+            .iter()
+            .map(|&(source, sink)| ComponentEdge {
+                source,
+                sink,
+                operand: pairs
+                    .iter()
+                    .filter(|&&(a, b)| b == sink && a < source)
+                    .count(),
+            })
+            .collect()
+    }
+
     /// Basic structural validation.
     pub fn validate(&self) -> Result<(), CnnError> {
         for (f, t) in &self.edges {
@@ -396,6 +430,31 @@ impl Component {
             "{}__in{}x{}x{}",
             sig, self.input_shape.channels, self.input_shape.height, self.input_shape.width
         )
+    }
+}
+
+/// One stream link of the component graph: component `source` feeds
+/// component `sink` (indices into the [`Network::components`] order, which
+/// is also composition's instance order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ComponentEdge {
+    pub source: usize,
+    pub sink: usize,
+    /// Rank of `source` among the sink's producers, ordered by component
+    /// index — the deterministic operand assignment of a join.
+    pub operand: usize,
+}
+
+impl ComponentEdge {
+    /// The sink's input port this link drives: `din`, or `din2` for a
+    /// join's second operand. `None` past that — components accept at most
+    /// two input streams.
+    pub fn port(&self) -> Option<&'static str> {
+        match self.operand {
+            0 => Some("din"),
+            1 => Some("din2"),
+            _ => None,
+        }
     }
 }
 
@@ -508,6 +567,37 @@ mod tests {
         // Pool+relu fused signature mentions both.
         let sig1 = comps[1].signature(&n);
         assert!(sig1.contains("pool_w2s2+relu"));
+    }
+
+    #[test]
+    fn component_edges_rank_a_joins_operands_by_producer_index() {
+        let conv = Layer::Conv(ConvParams {
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            out_channels: 2,
+        });
+        let mut n = Network::new("fan");
+        n.push_layer("in", Layer::Input(Shape::new(2, 8, 8)));
+        let stem = n.push_layer("stem", conv);
+        let join = n.add_node("join", Layer::Eltwise(crate::layer::EltwiseOp::Add));
+        // Branches are wired to the join in reverse order: the operand rank
+        // follows the component index, not the edge order.
+        let branches: Vec<NodeId> = (0..3).map(|i| n.add_node(format!("b{i}"), conv)).collect();
+        for &b in branches.iter().rev() {
+            n.add_edge(stem, b);
+            n.add_edge(b, join);
+        }
+        let comps = n.components(Granularity::Layer).unwrap();
+        let index = |name: &str| comps.iter().position(|c| c.name == name).unwrap();
+        let edges = n.component_edges(&comps);
+        // stem -> b{0,1,2} -> join; the input node is no component.
+        assert_eq!(edges.len(), 6);
+        let mut into_join: Vec<_> = edges.iter().filter(|e| e.sink == index("join")).collect();
+        assert_eq!(into_join[0].source, index("b2"), "network-edge order");
+        into_join.sort_by_key(|e| e.source);
+        let operands: Vec<_> = into_join.iter().map(|e| (e.operand, e.port())).collect();
+        assert_eq!(operands, [(0, Some("din")), (1, Some("din2")), (2, None)]);
     }
 
     #[test]

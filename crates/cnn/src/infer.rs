@@ -1,8 +1,11 @@
 //! Bit-accurate fixed-point reference inference.
 //!
 //! These routines define the function the generated accelerators must
-//! compute; the integration tests check the cycle-level architecture against
-//! them. Convolution parallelizes over output channels with rayon — the
+//! compute. No test simulates a generated netlist against them: the
+//! netlists are structural (placed, routed, timed), not executable, and
+//! `tests/model_consistency.rs` checks this model only against the graph's
+//! shape propagation, ReLU non-negativity and a float reference.
+//! Convolution parallelizes over output channels with rayon — the
 //! reference model is itself an honest parallel workload.
 //!
 //! Determinism audit: the three parallel regions here (`conv2d` output

@@ -18,7 +18,7 @@ pub mod models;
 pub mod tensor;
 
 pub use archdef::{parse_archdef, parse_archdef_lenient};
-pub use graph::{Component, Network, NetworkStats, NodeId};
+pub use graph::{Component, ComponentEdge, Network, NetworkStats, NodeId};
 pub use layer::{ConvParams, EltwiseOp, FcParams, Layer, PoolKind, PoolParams, Shape};
 pub use tensor::Tensor;
 

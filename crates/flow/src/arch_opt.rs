@@ -107,6 +107,21 @@ impl PreImplReport {
         }
     }
 
+    /// The one-line `assembled …` result `preimpl compose` prints first and
+    /// a `pi-serve` compose job returns as its summary: deterministic, so
+    /// local, remote, cold and warm runs can be compared byte for byte.
+    pub fn summary_line(&self, design: &Design) -> String {
+        format!(
+            "assembled {}: Fmax {:.0} MHz, pipeline {:.0} ns, frame {:.3} ms, \
+             {} stitched nets",
+            design.name,
+            self.compile.timing.fmax_mhz,
+            self.latency.pipeline_ns,
+            self.latency.frame_ms,
+            self.compose.stitched_nets,
+        )
+    }
+
     /// Deterministic projection of this report as JSON: every field a
     /// re-run with the same config must reproduce byte-for-byte, and
     /// nothing wall-clock (stitch/route durations, phase times, and power —
@@ -456,8 +471,7 @@ mod tests {
         let cfg = FlowConfig::new()
             .with_seeds([1])
             .with_lint(pi_lint::LintConfig::new());
-        let err = crate::function_opt::extend_component_db(&mut broken, &network, &device, &cfg)
-            .unwrap_err();
+        let err = crate::function_opt::lint_gate_db(&broken, &network, &device, &cfg).unwrap_err();
         match err {
             crate::FlowError::LintFailed(report) => {
                 assert!(

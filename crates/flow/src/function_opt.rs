@@ -374,7 +374,7 @@ pub(crate) fn lint_gate_network(network: &Network, cfg: &FlowConfig) -> Result<(
 /// Post-stage lint gate: when `cfg.lint` is set, verify every checkpoint
 /// the function-optimization stage produced (or loaded) honours its
 /// envelope contracts and covers the network.
-fn lint_gate_db(
+pub(crate) fn lint_gate_db(
     db: &ComponentDb,
     network: &Network,
     device: &Device,
@@ -387,51 +387,6 @@ fn lint_gate_db(
         return Err(FlowError::LintFailed(report));
     }
     Ok(())
-}
-
-/// Build only the components a network needs that are *not* already in the
-/// database — the incremental path for extending a library with a new
-/// design ("the saved netlists may serve in multiple designs").
-pub fn extend_component_db(
-    db: &mut ComponentDb,
-    network: &Network,
-    device: &Device,
-    cfg: &FlowConfig,
-) -> Result<Vec<ComponentBuildReport>, FlowError> {
-    cfg.apply_parallelism();
-    lint_gate_network(network, cfg)?;
-    let obs = cfg.obs();
-    let dse = obs.scoped("flow::function_opt");
-    let components = network.components(cfg.granularity)?;
-    let mut missing = Vec::new();
-    let mut hits = 0u64;
-    for c in &components {
-        let sig = c.signature(network);
-        let hit = db.get(&sig).is_some();
-        if dse.enabled() {
-            dse.point(
-                "db_lookup",
-                &[("signature", sig.as_str().into()), ("hit", hit.into())],
-            );
-        }
-        if hit {
-            hits += 1;
-        } else {
-            missing.push(c);
-        }
-    }
-    if dse.enabled() {
-        dse.counter("db_hits", hits);
-        dse.counter("db_misses", missing.len() as u64);
-    }
-    let results = build_components_parallel(&missing, network, device, cfg)?;
-    let mut reports = Vec::with_capacity(results.len());
-    for (cp, report) in results {
-        db.insert(cp);
-        reports.push(report);
-    }
-    lint_gate_db(db, network, device, cfg)?;
-    Ok(reports)
 }
 
 /// Build a set of components in parallel, buffering each component's
@@ -797,26 +752,6 @@ mod tests {
                 _ => assert_eq!(pin.row, pb.row_lo, "{}", port.name),
             }
         }
-    }
-
-    #[test]
-    fn extend_builds_only_missing_components() {
-        let device = Device::xcku5p_like();
-        let toy = models::toy();
-        let cfg = FlowConfig::new().with_seeds([1]);
-        let (mut db, _) = build_component_db(&toy, &device, &cfg).unwrap();
-        let before = db.len();
-        // Extending with the same network builds nothing.
-        let again = extend_component_db(&mut db, &toy, &device, &cfg).unwrap();
-        assert!(again.is_empty());
-        assert_eq!(db.len(), before);
-        // A new network sharing no components adds exactly its own.
-        let other =
-            pi_cnn::parse_archdef("network o\ninput 1x12x12\nconv c kernel=3 out=3\nfc f out=5\n")
-                .unwrap();
-        let built = extend_component_db(&mut db, &other, &device, &cfg).unwrap();
-        assert_eq!(built.len(), 2);
-        assert_eq!(db.len(), before + 2);
     }
 
     #[test]

@@ -215,23 +215,9 @@ fn analyze_components(
         tokens.push(out_tokens);
     }
 
-    // Component edges, exactly as `pi_stitch::compose` derives them:
-    // network-edge order, deduplicated.
-    let mut node_to_comp = BTreeMap::new();
-    for (ci, comp) in comps.iter().enumerate() {
-        for node in &comp.nodes {
-            node_to_comp.insert(*node, ci);
-        }
-    }
-    let mut comp_edges: Vec<(usize, usize)> = Vec::new();
-    for (a, b) in network.edges() {
-        match (node_to_comp.get(a), node_to_comp.get(b)) {
-            (Some(&ca), Some(&cb)) if ca != cb && !comp_edges.contains(&(ca, cb)) => {
-                comp_edges.push((ca, cb));
-            }
-            _ => {}
-        }
-    }
+    // The same component graph the stitcher wires from.
+    let links = network.component_edges(&comps);
+    let comp_edges: Vec<(usize, usize)> = links.iter().map(|e| (e.source, e.sink)).collect();
 
     let (preds, succs) = adjacency(n, &comp_edges);
     let seeds: Vec<(usize, Interval)> = (0..n)
@@ -244,18 +230,14 @@ fn analyze_components(
     // the producer's pipeline: A_e = arrival(src) + depth(src). A
     // synchronizing consumer fires at the latest A_e; everything the
     // early operand produces until then queues in its link FIFO.
-    let mut edges = Vec::with_capacity(comp_edges.len());
-    for &(ca, cb) in &comp_edges {
-        let incoming: Vec<usize> = incoming_sorted(&comp_edges, cb);
-        let port = match incoming.iter().position(|&a| a == ca) {
-            Some(0) => "din",
-            _ => "din2",
-        };
-        let arrivals: Vec<Interval> = incoming
+    let mut edges = Vec::with_capacity(links.len());
+    for link in &links {
+        let (ca, cb) = (link.source, link.sink);
+        let latest = preds[cb]
             .iter()
-            .filter_map(|&a| outcome.values[a].map(|v| v.offset(depth[a])))
-            .collect();
-        let latest = arrivals.iter().map(|a| a.hi).max().unwrap_or(0);
+            .filter_map(|&a| outcome.values[a].map(|v| v.offset(depth[a]).hi))
+            .max()
+            .unwrap_or(0);
         let this = outcome.values[ca].map(|v| v.offset(depth[ca]));
         let (skew, occupancy) = match this {
             Some(a) if a.is_top() || latest == Interval::TOP_HI => {
@@ -287,13 +269,15 @@ fn analyze_components(
             sink: cb,
             source_name: comps[ca].name.clone(),
             sink_name: comps[cb].name.clone(),
-            port,
+            // A third operand has no port (PL0205 flags the join); it
+            // keeps the second's label here.
+            port: link.port().unwrap_or("din2"),
             tokens_per_frame: tokens[ca],
             expected_tokens: comps[cb].input_shape.elements(),
             skew_cycles: skew,
             occupancy,
             min_depth,
-            reconvergent: incoming.len() >= 2,
+            reconvergent: preds[cb].len() >= 2,
         });
     }
 
@@ -364,18 +348,6 @@ fn adjacency(n: usize, edges: &[(usize, usize)]) -> (Vec<Vec<usize>>, Vec<Vec<us
         }
     }
     (preds, succs)
-}
-
-/// Incoming edge sources of component `cb`, sorted — the stitcher's
-/// deterministic `din`/`din2` port assignment.
-fn incoming_sorted(edges: &[(usize, usize)], cb: usize) -> Vec<usize> {
-    let mut incoming: Vec<usize> = edges
-        .iter()
-        .filter(|(_, b)| *b == cb)
-        .map(|(a, _)| *a)
-        .collect();
-    incoming.sort_unstable();
-    incoming
 }
 
 #[cfg(test)]

@@ -478,7 +478,13 @@ mod tests {
             m.set_placement(id, pi_fabric::TileCoord::new(c, r))
                 .unwrap();
         }
-        pi_pnr::route_module(&mut m, &device, &pi_pnr::RouteOptions::default()).unwrap();
+        pi_pnr::route_module_obs(
+            &mut m,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &pi_obs::Obs::null(),
+        )
+        .unwrap();
 
         // Freshly routed: every critical net is direct, no PL0141.
         let engine = LintEngine::new(LintConfig::new());

@@ -70,16 +70,7 @@ impl CompileOptions {
 }
 
 /// Full implementation of one module (the monolithic baseline path, and the
-/// per-component OOC path).
-pub fn compile_flat(
-    module: &mut Module,
-    device: &Device,
-    opts: &CompileOptions,
-) -> Result<CompileReport, PnrError> {
-    compile_flat_obs(module, device, opts, &Obs::null())
-}
-
-/// [`compile_flat`] with telemetry: each phase runs inside a span under
+/// per-component OOC path). Each phase runs inside a span under
 /// `pnr::compile`, and every phys-opt pass emits the critical path it
 /// started from (`pnr::timing`).
 pub fn compile_flat_obs(
@@ -178,15 +169,7 @@ pub fn compile_flat_obs(
 
 /// Final inter-component routing + analysis of an assembled design: the only
 /// implementation work the pre-implemented flow leaves for the backend.
-pub fn route_assembled(
-    design: &mut Design,
-    device: &Device,
-    opts: &RouteOptions,
-) -> Result<CompileReport, PnrError> {
-    route_assembled_obs(design, device, opts, &Obs::null())
-}
-
-/// [`route_assembled`] with telemetry (see [`compile_flat_obs`]).
+/// Telemetry as in [`compile_flat_obs`].
 pub fn route_assembled_obs(
     design: &mut Design,
     device: &Device,
@@ -396,7 +379,8 @@ mod tests {
     fn full_compile_produces_complete_report() {
         let device = Device::test_part();
         let mut m = comb_chain(4);
-        let report = compile_flat(&mut m, &device, &CompileOptions::with_seed(5)).unwrap();
+        let report =
+            compile_flat_obs(&mut m, &device, &CompileOptions::with_seed(5), &Obs::null()).unwrap();
         assert!(report.timing.fmax_mhz > 50.0);
         assert!(report.route_stats.overused_tiles == 0);
         assert!(report.power.total_mw() > 0.0);
@@ -423,8 +407,8 @@ mod tests {
             phys_opt_passes: 4,
             ..no_opt
         };
-        let ra = compile_flat(&mut a, &device, &no_opt).unwrap();
-        let rb = compile_flat(&mut b_m, &device, &with_opt).unwrap();
+        let ra = compile_flat_obs(&mut a, &device, &no_opt, &Obs::null()).unwrap();
+        let rb = compile_flat_obs(&mut b_m, &device, &with_opt, &Obs::null()).unwrap();
         assert!(rb.timing.fmax_mhz >= ra.timing.fmax_mhz * 0.99);
     }
 
@@ -432,11 +416,13 @@ mod tests {
     fn assembled_routing_reports_only_route_phase() {
         let device = Device::test_part();
         let mut m = comb_chain(3);
-        let _ = compile_flat(&mut m, &device, &CompileOptions::with_seed(2)).unwrap();
+        let _ =
+            compile_flat_obs(&mut m, &device, &CompileOptions::with_seed(2), &Obs::null()).unwrap();
         m.lock();
         let mut d = Design::new("asm", "test-part", pi_netlist::DesignKind::Assembled);
         d.add_instance("a", m);
-        let report = route_assembled(&mut d, &device, &RouteOptions::default()).unwrap();
+        let report =
+            route_assembled_obs(&mut d, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert_eq!(report.phases.place_design, Duration::ZERO);
         assert!(report.timing.fmax_mhz > 50.0);
     }

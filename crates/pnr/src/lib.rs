@@ -27,16 +27,12 @@ pub mod route;
 pub mod timing;
 
 pub use compile::{
-    compile_flat, compile_flat_obs, route_assembled, route_assembled_obs, CompileOptions,
-    CompileReport, PhaseTimes,
+    compile_flat_obs, route_assembled_obs, CompileOptions, CompileReport, PhaseTimes,
 };
-pub use place::{
-    place_design_instances, place_design_instances_obs, place_module, place_module_obs,
-    PlaceOptions, PlaceStats,
-};
+pub use place::{place_module_obs, PlaceOptions, PlaceStats};
 pub use route::{
-    criticality_order, route_design, route_design_obs, route_module, route_module_obs,
-    steiner_topology, RouteOptions, RouteStats,
+    criticality_order, route_design_obs, route_module_obs, steiner_topology, RouteOptions,
+    RouteStats,
 };
 pub use timing::{net_slacks_design, net_slacks_module, sta_design, sta_module, TimingReport};
 

@@ -2,12 +2,11 @@
 //!
 //! One engine serves both flows:
 //! * the OOC flow places a single module inside a tight pblock
-//!   ([`place_module`]),
+//!   ([`place_module_obs`]),
 //! * the monolithic baseline places the whole flat design across the chip
 //!   (same entry point, region = full device),
-//! * the assembled flow never calls this for locked instances — component-
-//!   level placement is the stitcher's job — but
-//!   [`place_design_instances`] exists to finalize any *unlocked* instances.
+//! * the assembled flow never calls this: its instances arrive locked and
+//!   component-level placement is the stitcher's job.
 //!
 //! Cost = Σ over nets of HPWL × timing weight; combinational nets weigh
 //! more because every tile they stretch costs picoseconds on a critical
@@ -16,7 +15,7 @@
 
 use crate::PnrError;
 use pi_fabric::{Device, Pblock, SiteKind, TileCoord};
-use pi_netlist::{Design, Endpoint, Module};
+use pi_netlist::{Endpoint, Module};
 use pi_obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,18 +162,9 @@ const MOVE_CAP: u64 = 40_000_000;
 const FREE: u32 = u32::MAX;
 
 /// Place all movable cells of a module. Fixed cells keep their placement
-/// and block their sites. Returns statistics for reports.
-pub fn place_module(
-    module: &mut Module,
-    device: &Device,
-    opts: &PlaceOptions,
-) -> Result<PlaceStats, PnrError> {
-    place_module_obs(module, device, opts, &Obs::null())
-}
-
-/// [`place_module`] with telemetry: emits one `anneal_round` point per
-/// temperature step (cost, temperature, window, acceptance rate) under the
-/// `pnr::place` scope.
+/// and block their sites. Returns statistics for reports, and emits one
+/// `anneal_round` point per temperature step (cost, temperature, window,
+/// acceptance rate) under the `pnr::place` scope.
 pub fn place_module_obs(
     module: &mut Module,
     device: &Device,
@@ -466,36 +456,6 @@ pub fn place_module_obs(
     Ok(stats)
 }
 
-/// Place any unlocked instances of an assembled design (locked instances are
-/// already placed by relocation). Each instance is placed inside its own
-/// module pblock.
-pub fn place_design_instances(
-    design: &mut Design,
-    device: &Device,
-    opts: &PlaceOptions,
-) -> Result<Vec<PlaceStats>, PnrError> {
-    place_design_instances_obs(design, device, opts, &Obs::null())
-}
-
-/// [`place_design_instances`] with telemetry (see [`place_module_obs`]).
-pub fn place_design_instances_obs(
-    design: &mut Design,
-    device: &Device,
-    opts: &PlaceOptions,
-    obs: &Obs,
-) -> Result<Vec<PlaceStats>, PnrError> {
-    let mut all = Vec::new();
-    for inst in design.instances_mut() {
-        if inst.module.locked {
-            continue;
-        }
-        let region = inst.module.pblock.or(opts.region);
-        let inst_opts = PlaceOptions { region, ..*opts };
-        all.push(place_module_obs(&mut inst.module, device, &inst_opts, obs)?);
-    }
-    Ok(all)
-}
-
 /// Fisher–Yates with our seeded RNG (avoids pulling in rand's slice trait
 /// for one call site).
 fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
@@ -541,7 +501,7 @@ mod tests {
             effort: 1.0,
             region: Some(region),
         };
-        place_module(&mut m, &device, &opts).unwrap();
+        place_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
         assert!(m.fully_placed());
         for c in m.cells() {
             assert!(region.contains(c.placement.unwrap()), "{:?}", c.placement);
@@ -562,7 +522,7 @@ mod tests {
             effort: 2.0,
             region: None,
         };
-        let stats = place_module(&mut m, &device, &opts).unwrap();
+        let stats = place_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
         assert!(
             stats.final_cost < stats.initial_cost,
             "no improvement: {} -> {}",
@@ -587,7 +547,7 @@ mod tests {
             effort: 1.5,
             region: None,
         };
-        let stats = place_module(&mut m, &device, &opts).unwrap();
+        let stats = place_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
         let mut total = 0.0f64;
         for net in m.nets() {
             if net.is_clock {
@@ -642,8 +602,8 @@ mod tests {
         };
         let mut a = chain_module(40);
         let mut b = chain_module(40);
-        place_module(&mut a, &device, &opts).unwrap();
-        place_module(&mut b, &device, &opts).unwrap();
+        place_module_obs(&mut a, &device, &opts, &Obs::null()).unwrap();
+        place_module_obs(&mut b, &device, &opts, &Obs::null()).unwrap();
         for (ca, cb) in a.cells().iter().zip(b.cells()) {
             assert_eq!(ca.placement, cb.placement);
         }
@@ -658,7 +618,7 @@ mod tests {
             effort: 1.0,
             region: Some(Pblock::new(1, 2, 0, 3)), // 8 slices for 100 cells
         };
-        match place_module(&mut m, &device, &opts) {
+        match place_module_obs(&mut m, &device, &opts, &Obs::null()) {
             Err(PnrError::Unplaceable {
                 needed, available, ..
             }) => {
@@ -676,7 +636,7 @@ mod tests {
         let at = TileCoord::new(3, 3);
         m.set_placement(pi_netlist::CellId(0), at).unwrap();
         m.cells_mut().unwrap()[0].fixed = true;
-        place_module(&mut m, &device, &PlaceOptions::default()).unwrap();
+        place_module_obs(&mut m, &device, &PlaceOptions::default(), &Obs::null()).unwrap();
         assert_eq!(m.cells()[0].placement, Some(at));
     }
 
@@ -694,7 +654,7 @@ mod tests {
         b.connect("c", Endpoint::Cell(d), [Endpoint::Cell(r)]);
         b.connect("e", Endpoint::Cell(r), [Endpoint::Port(dout)]);
         let mut m = b.finish().unwrap();
-        place_module(&mut m, &device, &PlaceOptions::default()).unwrap();
+        place_module_obs(&mut m, &device, &PlaceOptions::default(), &Obs::null()).unwrap();
         let kind_at = |i: usize| {
             device
                 .tile_kind(m.cells()[i].placement.unwrap())
@@ -940,7 +900,7 @@ mod tests {
             let opts = PlaceOptions { seed, effort: 1.0, region };
             let mut fast = mixed_module(slices, hard, &wiring);
             let mut naive = fast.clone();
-            let got = place_module(&mut fast, &device, &opts).unwrap();
+            let got = place_module_obs(&mut fast, &device, &opts, &Obs::null()).unwrap();
             let want = place_module_reference(&mut naive, &device, &opts);
             for (a, b) in fast.cells().iter().zip(naive.cells()) {
                 prop_assert_eq!(a.placement, b.placement, "cell {}", &a.name);

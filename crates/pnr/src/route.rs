@@ -862,18 +862,10 @@ fn module_net_endpoints(module: &Module, net: &pi_netlist::Net) -> Vec<TileCoord
 }
 
 /// Route all unrouted non-clock nets of one module. Returns stats plus the
-/// resulting congestion map (used by congestion-aware timing).
-pub fn route_module(
-    module: &mut Module,
-    device: &Device,
-    opts: &RouteOptions,
-) -> Result<(RouteStats, CongestionMap), PnrError> {
-    route_module_obs(module, device, opts, &Obs::null())
-}
-
-/// [`route_module`] with telemetry: one `pathfinder_iter` point per
-/// negotiation iteration (overused tiles, rip-ups, history-cost growth,
-/// Steiner/criticality/conflict counters) under the `pnr::route` scope.
+/// resulting congestion map (used by congestion-aware timing), and emits
+/// one `pathfinder_iter` point per negotiation iteration (overused tiles,
+/// rip-ups, history-cost growth, Steiner/criticality/conflict counters)
+/// under the `pnr::route` scope.
 pub fn route_module_obs(
     module: &mut Module,
     device: &Device,
@@ -932,16 +924,8 @@ pub fn route_module_obs(
 
 /// Route an assembled design: locked module routes seed the congestion map
 /// and only unrouted nets (typically the inter-component ones) are routed.
-/// Returns stats plus the final congestion map for timing.
-pub fn route_design(
-    design: &mut Design,
-    device: &Device,
-    opts: &RouteOptions,
-) -> Result<(RouteStats, CongestionMap), PnrError> {
-    route_design_obs(design, device, opts, &Obs::null())
-}
-
-/// [`route_design`] with telemetry (see [`route_module_obs`]).
+/// Returns stats plus the final congestion map for timing. Telemetry as in
+/// [`route_module_obs`].
 pub fn route_design_obs(
     design: &mut Design,
     device: &Device,
@@ -1032,7 +1016,7 @@ pub fn route_design_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::place::{place_module, PlaceOptions};
+    use crate::place::{place_module_obs, PlaceOptions};
     use pi_netlist::{Cell, CellKind, ModuleBuilder, StreamRole};
 
     fn placed_chain(n: usize, device: &Device, seed: u64) -> Module {
@@ -1052,7 +1036,7 @@ mod tests {
         }
         b.connect("out", Endpoint::Cell(ids[n - 1]), [Endpoint::Port(dout)]);
         let mut m = b.finish().unwrap();
-        place_module(
+        place_module_obs(
             &mut m,
             device,
             &PlaceOptions {
@@ -1060,6 +1044,7 @@ mod tests {
                 effort: 1.0,
                 region: None,
             },
+            &Obs::null(),
         )
         .unwrap();
         m
@@ -1069,7 +1054,8 @@ mod tests {
     fn routes_all_nets() {
         let device = Device::test_part();
         let mut m = placed_chain(40, &device, 5);
-        let (stats, _) = route_module(&mut m, &device, &RouteOptions::default()).unwrap();
+        let (stats, _) =
+            route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert!(m.fully_routed());
         assert_eq!(stats.overused_tiles, 0);
         assert!(stats.wirelength > 0);
@@ -1082,7 +1068,7 @@ mod tests {
     fn routes_form_connected_paths() {
         let device = Device::test_part();
         let mut m = placed_chain(10, &device, 7);
-        let _ = route_module(&mut m, &device, &RouteOptions::default()).unwrap();
+        let _ = route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         for net in m.nets() {
             let Some(route) = &net.route else { continue };
             if route.tiles.len() < 2 {
@@ -1103,13 +1089,14 @@ mod tests {
     fn locked_routes_are_untouched_and_seed_congestion() {
         let device = Device::test_part();
         let mut m = placed_chain(10, &device, 9);
-        let _ = route_module(&mut m, &device, &RouteOptions::default()).unwrap();
+        let _ = route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         let saved: Vec<_> = m.nets().iter().map(|n| n.route.clone()).collect();
         m.lock();
         // Re-running the router on a locked module routes nothing new.
         let mut design = Design::new("d", "test-part", pi_netlist::DesignKind::Assembled);
         design.add_instance("a", m);
-        let (stats, map) = route_design(&mut design, &device, &RouteOptions::default()).unwrap();
+        let (stats, map) =
+            route_design_obs(&mut design, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert_eq!(stats.routed_nets, 0);
         for (net, old) in design.instances()[0].module.nets().iter().zip(saved) {
             assert_eq!(net.route, old);
@@ -1265,7 +1252,7 @@ mod tests {
             max_iters: 10,
             capacity: 8,
         };
-        let (stats, map) = route_module(&mut m, &device, &opts).unwrap();
+        let (stats, map) = route_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
         assert_eq!(stats.overused_tiles, 0, "negotiation failed");
         assert_eq!(map.overused(), 0);
     }
@@ -1322,7 +1309,8 @@ mod tests {
         for (&id, &(c, r)) in sinks.iter().zip(spots.iter()) {
             m.set_placement(id, TileCoord::new(c, r)).unwrap();
         }
-        let (stats, _) = route_module(&mut m, &device, &RouteOptions::default()).unwrap();
+        let (stats, _) =
+            route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert!(stats.steiner_segments > 0, "fan-out net not decomposed");
         let net = m.nets().iter().find(|n| n.name == "fan").unwrap();
         let route = net.route.as_ref().unwrap();

@@ -514,6 +514,7 @@ pub fn sta_design(
 mod tests {
     use super::*;
     use pi_netlist::{Cell, CellKind, ModuleBuilder, StreamRole};
+    use pi_obs::Obs;
 
     /// reg -> comb -> comb -> reg, placed with unit spacing.
     fn pipeline(comb_delay: u32, spacing: u16) -> Module {
@@ -697,13 +698,14 @@ mod tests {
         // Build a saturated congestion map by routing a module through the
         // same area with capacity 1 and seeding heavy occupancy.
         let mut routed = m.clone();
-        let (_, map) = crate::route::route_module(
+        let (_, map) = crate::route::route_module_obs(
             &mut routed,
             &device,
             &crate::route::RouteOptions {
                 max_iters: 1,
                 capacity: 1,
             },
+            &Obs::null(),
         )
         .unwrap();
         let congested = sta_module(&m, &device, Some(&map)).unwrap();

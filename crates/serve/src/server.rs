@@ -431,16 +431,9 @@ fn tagged_trace_jsonl(id: &str, spec: &JobSpec, events: Vec<pi_obs::Event>) -> S
 /// failure becomes a message the client can read — a broken archdef must
 /// 500 its job, never kill a worker.
 fn run_job(id: &str, spec: &JobSpec) -> Result<(JobResult, String), String> {
-    let network = match spec.format {
-        pi_model::ModelFormat::Archdef => {
-            pi_cnn::parse_archdef(&spec.archdef).map_err(|e| e.to_string())?
-        }
-        format => {
-            pi_model::import(&spec.archdef, format)
-                .map_err(|e| e.to_string())?
-                .network
-        }
-    };
+    let network = pi_model::import(&spec.archdef, spec.format)
+        .map_err(|e| e.to_string())?
+        .network;
     let device = Device::catalog(&spec.device).map_err(|e| e.to_string())?;
     // Capture the run's own telemetry; the stripped JSONL goes back to
     // the client for flowstat comparison against local runs.
@@ -454,15 +447,7 @@ fn run_job(id: &str, spec: &JobSpec) -> Result<(JobResult, String), String> {
         JobCommand::Compose => {
             let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg)
                 .map_err(|e| e.to_string())?;
-            format!(
-                "assembled {}: Fmax {:.0} MHz, pipeline {:.0} ns, frame {:.3} ms, \
-                 {} stitched nets",
-                design.name,
-                report.compile.timing.fmax_mhz,
-                report.latency.pipeline_ns,
-                report.latency.frame_ms,
-                report.compose.stitched_nets,
-            )
+            report.summary_line(&design)
         }
     };
     let trace_jsonl: String = cfg

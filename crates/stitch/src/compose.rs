@@ -41,18 +41,9 @@ pub struct ComposeReport {
     pub stitched_nets: usize,
 }
 
-/// Algorithm 1: compose a CNN accelerator from pre-built checkpoints.
-pub fn compose(
-    network: &Network,
-    db: &ComponentDb,
-    device: &Device,
-    opts: &ComposeOptions,
-) -> Result<(Design, ComposeReport), StitchError> {
-    compose_obs(network, db, device, opts, &Obs::null())
-}
-
-/// [`compose`] with telemetry: threads the handle into the component placer
-/// (`stitch::placer` events) and reports the stitched-net count.
+/// Algorithm 1: compose a CNN accelerator from pre-built checkpoints. The
+/// telemetry handle is threaded into the component placer (`stitch::placer`
+/// events) and receives the stitched-net count (`stitch::compose`).
 pub fn compose_obs(
     network: &Network,
     db: &ComponentDb,
@@ -73,22 +64,10 @@ pub fn compose_obs(
         .map(|sig| db.require(sig))
         .collect::<Result<_, _>>()?;
 
-    // Component-adjacency edges from the network edges.
-    let mut node_to_comp = std::collections::HashMap::new();
-    for (ci, comp) in components.iter().enumerate() {
-        for node in &comp.nodes {
-            node_to_comp.insert(*node, ci);
-        }
-    }
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (a, b) in network.edges() {
-        match (node_to_comp.get(a), node_to_comp.get(b)) {
-            (Some(&ca), Some(&cb)) if ca != cb && !edges.contains(&(ca, cb)) => {
-                edges.push((ca, cb));
-            }
-            _ => {}
-        }
-    }
+    // The component graph: adjacency for the placer, plus each link's
+    // consumer port for stitching below.
+    let links = network.component_edges(&components);
+    let edges: Vec<(usize, usize)> = links.iter().map(|e| (e.source, e.sink)).collect();
 
     // Component placement (Eq. 1–3 with unplace-and-retry).
     let placement = place_components_obs(&checkpoints, &edges, device, &opts.placer, obs)?;
@@ -109,44 +88,15 @@ pub fn compose_obs(
     // exactly as before. Branching topologies need two generalizations:
     // a fanout source drives all its consumers through one multi-sink net
     // (the router's Steiner decomposition handles the tree), and a join
-    // component receives its second operand on `din2`. Input ports are
-    // assigned deterministically: a join's incoming edges sorted by source
-    // component index map to `din`, `din2`.
-    let mut in_port: std::collections::HashMap<(usize, usize), &'static str> =
-        std::collections::HashMap::new();
-    for (cb, comp) in components.iter().enumerate() {
-        let mut incoming: Vec<usize> = edges
-            .iter()
-            .filter(|(_, b)| *b == cb)
-            .map(|(a, _)| *a)
-            .collect();
-        incoming.sort_unstable();
-        for (k, ca) in incoming.iter().enumerate() {
-            let port = match k {
-                0 => "din",
-                1 => "din2",
-                _ => {
-                    return Err(StitchError::MissingComponent(format!(
-                        "{}: {} input streams, components accept at most two",
-                        comp.name,
-                        incoming.len()
-                    )))
-                }
-            };
-            in_port.insert((*ca, cb), port);
-        }
-    }
+    // component receives its second operand on `din2`
+    // ([`pi_cnn::graph::ComponentEdge::port`]).
     let mut stitched = 0usize;
     for ca in 0..components.len() {
-        let mut sinks: Vec<usize> = edges
-            .iter()
-            .filter(|(a, _)| *a == ca)
-            .map(|(_, b)| *b)
-            .collect();
+        let mut sinks: Vec<_> = links.iter().filter(|e| e.source == ca).collect();
         if sinks.is_empty() {
             continue;
         }
-        sinks.sort_unstable();
+        sinks.sort_unstable_by_key(|e| e.sink);
         let src_inst = pi_netlist::InstId(ca as u32);
         let (src_port, sw) = {
             let (pid, p) = design
@@ -160,8 +110,15 @@ pub fn compose_obs(
         };
         let mut sink_pins = Vec::with_capacity(sinks.len());
         let mut sink_names = Vec::with_capacity(sinks.len());
-        for &cb in &sinks {
-            let want = in_port[&(ca, cb)];
+        for link in sinks {
+            let cb = link.sink;
+            let want = link.port().ok_or_else(|| {
+                StitchError::MissingComponent(format!(
+                    "{}: {} input streams, components accept at most two",
+                    components[cb].name,
+                    links.iter().filter(|e| e.sink == cb).count()
+                ))
+            })?;
             let dst_inst = pi_netlist::InstId(cb as u32);
             let (dst_port, _) = design
                 .instance(dst_inst)
@@ -216,7 +173,7 @@ mod tests {
             let mut m = synth_component(network, comp, &SynthOptions::lenet_like()).unwrap();
             let pb = Pblock::new(1, 16, 0, 59);
             m.pblock = Some(pb);
-            pi_pnr::place_module(
+            pi_pnr::place_module_obs(
                 &mut m,
                 device,
                 &pi_pnr::PlaceOptions {
@@ -224,6 +181,7 @@ mod tests {
                     effort: 0.5,
                     region: Some(pb),
                 },
+                &Obs::null(),
             )
             .unwrap();
             // Partition pins on the pblock boundary.
@@ -242,7 +200,13 @@ mod tests {
                     ));
                 }
             }
-            let _ = pi_pnr::route_module(&mut m, device, &pi_pnr::RouteOptions::default()).unwrap();
+            let _ = pi_pnr::route_module_obs(
+                &mut m,
+                device,
+                &pi_pnr::RouteOptions::default(),
+                &Obs::null(),
+            )
+            .unwrap();
             m.lock();
             db.insert(pi_netlist::Checkpoint {
                 meta: CheckpointMeta {
@@ -259,16 +223,49 @@ mod tests {
         db
     }
 
+    /// The stitched top nets are exactly the component graph: one
+    /// `(source instance, sink instance, sink port)` pin per
+    /// [`Network::component_edges`] link.
+    fn assert_stitched_the_component_graph(network: &Network, design: &Design) {
+        let components = network.components(Granularity::Layer).unwrap();
+        let mut graph: Vec<(usize, usize, &str)> = network
+            .component_edges(&components)
+            .iter()
+            .map(|e| (e.source, e.sink, e.port().unwrap()))
+            .collect();
+        graph.sort_unstable();
+        let mut stitched: Vec<(usize, usize, &str)> = design
+            .top_nets()
+            .iter()
+            .flat_map(|net| {
+                net.sinks.iter().map(|&(inst, pid)| {
+                    let port = design.instance(inst).module.port(pid).name.as_str();
+                    (net.source.0 .0 as usize, inst.0 as usize, port)
+                })
+            })
+            .collect();
+        stitched.sort_unstable();
+        assert_eq!(stitched, graph);
+    }
+
     #[test]
     fn composes_toy_network_end_to_end() {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (design, report) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
+        let (design, report) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         // toy: conv / pool+relu / fc -> 3 instances, 2 stitched links.
         assert_eq!(design.instances().len(), 3);
         assert_eq!(report.stitched_nets, 2);
         assert_eq!(design.top_nets().len(), 2);
+        assert_stitched_the_component_graph(&network, &design);
         assert!(design.validate().is_ok());
         // All instances locked (pre-implemented), only top nets unrouted.
         for inst in design.instances() {
@@ -282,8 +279,14 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::resnet_small();
         let db = toy_db(&device, &network);
-        let (mut design, report) =
-            compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
+        let (mut design, report) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         // 9 components: conv1+relu1 / (conv{b}a+relu{b}a / conv{b}b /
         // add{b}+relu{b}b) x2 / pool1 / fc1.
         assert_eq!(design.instances().len(), 9);
@@ -296,6 +299,7 @@ mod tests {
             .filter(|n| n.sinks.len() == 2)
             .count();
         assert_eq!(multi, 2);
+        assert_stitched_the_component_graph(&network, &design);
         assert!(design.validate().is_ok());
         // Joins receive both operands: each add component has its din and
         // din2 pins among the net sinks.
@@ -307,8 +311,13 @@ mod tests {
             .count();
         assert_eq!(joined, 2);
         // The assembled branching design routes end-to-end.
-        let route = pi_pnr::route_assembled(&mut design, &device, &pi_pnr::RouteOptions::default())
-            .unwrap();
+        let route = pi_pnr::route_assembled_obs(
+            &mut design,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         assert_eq!(route.route_stats.routed_nets, 8);
         assert!(design.fully_routed());
     }
@@ -318,7 +327,13 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = ComponentDb::new();
-        match compose(&network, &db, &device, &ComposeOptions::default()) {
+        match compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        ) {
             Err(StitchError::MissingComponent(sig)) => {
                 assert!(sig.starts_with("conv"), "unexpected first miss: {sig}")
             }
@@ -331,10 +346,21 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (mut design, _) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
-        let report =
-            pi_pnr::route_assembled(&mut design, &device, &pi_pnr::RouteOptions::default())
-                .unwrap();
+        let (mut design, _) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
+        let report = pi_pnr::route_assembled_obs(
+            &mut design,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         // Only the stitched nets were routed.
         assert_eq!(report.route_stats.routed_nets, 2);
         assert!(design.fully_routed());

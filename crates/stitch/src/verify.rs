@@ -212,11 +212,12 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::{compose, ComposeOptions};
+    use crate::compose::{compose_obs, ComposeOptions};
     use crate::db::ComponentDb;
     use pi_cnn::models;
     use pi_fabric::Pblock;
     use pi_netlist::{CheckpointMeta, StreamRole};
+    use pi_obs::Obs;
     use pi_synth::{synth_component, SynthOptions};
 
     /// The same database builder the compose tests use.
@@ -229,7 +230,7 @@ mod tests {
             let mut m = synth_component(network, comp, &SynthOptions::lenet_like()).unwrap();
             let pb = Pblock::new(1, 16, 0, 59);
             m.pblock = Some(pb);
-            pi_pnr::place_module(
+            pi_pnr::place_module_obs(
                 &mut m,
                 device,
                 &pi_pnr::PlaceOptions {
@@ -237,6 +238,7 @@ mod tests {
                     effort: 0.5,
                     region: Some(pb),
                 },
+                &Obs::null(),
             )
             .unwrap();
             let n_ports = m.ports().len();
@@ -254,7 +256,13 @@ mod tests {
                     ));
                 }
             }
-            let _ = pi_pnr::route_module(&mut m, device, &pi_pnr::RouteOptions::default()).unwrap();
+            let _ = pi_pnr::route_module_obs(
+                &mut m,
+                device,
+                &pi_pnr::RouteOptions::default(),
+                &Obs::null(),
+            )
+            .unwrap();
             m.lock();
             db.insert(pi_netlist::Checkpoint {
                 meta: CheckpointMeta {
@@ -276,9 +284,21 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (mut design, _) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
-        let _ =
-            pi_pnr::route_design(&mut design, &device, &pi_pnr::RouteOptions::default()).unwrap();
+        let (mut design, _) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
+        let _ = pi_pnr::route_design_obs(
+            &mut design,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         let violations = check_design(&design, &device).unwrap();
         assert!(violations.is_empty(), "violations: {violations:?}");
     }
@@ -288,7 +308,14 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (design, _) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
+        let (design, _) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         let violations = check_design(&design, &device).unwrap();
         let unrouted = violations
             .iter()
@@ -302,9 +329,21 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (mut design, _) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
-        let _ =
-            pi_pnr::route_design(&mut design, &device, &pi_pnr::RouteOptions::default()).unwrap();
+        let (mut design, _) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
+        let _ = pi_pnr::route_design_obs(
+            &mut design,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         // Clone instance 0's module over instance 1: pblocks and sites now
         // collide.
         let clone = design.instances()[0].module.clone();
@@ -323,9 +362,21 @@ mod tests {
         let device = Device::xcku5p_like();
         let network = models::toy();
         let db = toy_db(&device, &network);
-        let (mut design, _) = compose(&network, &db, &device, &ComposeOptions::default()).unwrap();
-        let _ =
-            pi_pnr::route_design(&mut design, &device, &pi_pnr::RouteOptions::default()).unwrap();
+        let (mut design, _) = compose_obs(
+            &network,
+            &db,
+            &device,
+            &ComposeOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
+        let _ = pi_pnr::route_design_obs(
+            &mut design,
+            &device,
+            &pi_pnr::RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
         // Force one partpin into the pblock interior. The module is locked,
         // so build a modified copy.
         let mut m = design.instances()[0].module.clone();

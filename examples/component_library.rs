@@ -46,7 +46,7 @@ fn main() {
     );
 
     // Relocate two replicas and stitch them into a two-stage design by hand
-    // (what `compose` automates).
+    // (what `compose_obs` automates).
     let a = relocate_to(cp, &device, TileCoord::new(pb.col_lo, 0)).expect("relocates");
     let drow = i32::from(pb.height()).max(8);
     let b = relocate_to(cp, &device, TileCoord::new(pb.col_lo, drow as u16)).expect("relocates");
@@ -71,10 +71,11 @@ fn main() {
         .connect_top("a_to_b", (ia, dout), vec![(ib, din)], 16)
         .expect("stitches");
 
-    let report = preimpl_cnn::pnr::route_assembled(
+    let report = preimpl_cnn::pnr::route_assembled_obs(
         &mut design,
         &device,
         &preimpl_cnn::pnr::RouteOptions::default(),
+        &Obs::null(),
     )
     .expect("routes");
     println!(

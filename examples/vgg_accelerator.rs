@@ -1,30 +1,18 @@
 //! VGG-16 end to end: the paper's large benchmark.
 //!
-//! VGG streams its 138 M weights from off-chip memory, so this example also
-//! plans the off-chip layout with the best-fit-with-coalescing allocator
-//! (paper §V-B2). The monolithic baseline takes ~30 s; pass `--full` to run
-//! it, otherwise only the pre-implemented flow runs.
+//! The monolithic baseline takes ~30 s; pass `--full` to run it, otherwise
+//! only the pre-implemented flow runs.
 //!
 //! ```text
 //! cargo run --release --example vgg_accelerator -- --full
 //! ```
 
-use preimpl_cnn::memalloc::plan_network_layout;
 use preimpl_cnn::prelude::*;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let device = Device::xcku5p_like();
     let network = preimpl_cnn::cnn::models::vgg16();
-
-    // Off-chip memory layout for the streamed weights and feature maps.
-    let layout = plan_network_layout(&network, 2, 1 << 30).expect("1 GiB DDR fits VGG");
-    println!(
-        "off-chip layout: {} buffers, {:.1} MiB used, fragmentation {:.1}%",
-        layout.entries.len(),
-        layout.bytes_used as f64 / (1 << 20) as f64,
-        layout.fragmentation * 100.0
-    );
 
     // Pre-implement the conv blocks / pools / FCs (block granularity — the
     // paper's VGG component split).

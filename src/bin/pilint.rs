@@ -216,18 +216,20 @@ fn run() -> Result<ExitCode, String> {
                 // what the early passes found instead of failing opaquely.
                 return finish(&mut report, &args);
             }
-            let (mut design, _) = preimpl_cnn::stitch::compose(
+            let (mut design, _) = preimpl_cnn::stitch::compose_obs(
                 &network,
                 &db,
                 &device,
                 &preimpl_cnn::stitch::ComposeOptions::default(),
+                &Obs::null(),
             )
             .map_err(|e| e.to_string())?;
             preimpl_cnn::flow::pipeline_top_nets(&mut design);
-            preimpl_cnn::pnr::route_assembled(
+            preimpl_cnn::pnr::route_assembled_obs(
                 &mut design,
                 &device,
                 &preimpl_cnn::pnr::RouteOptions::default(),
+                &Obs::null(),
             )
             .map_err(|e| e.to_string())?;
             report.merge(engine.lint_design(&design, &device, &obs));

@@ -111,33 +111,31 @@ fn run() -> Result<ExitCode, String> {
 
     let device = Device::catalog(args.device()).map_err(|e| e.to_string())?;
     let granularity = args.granularity();
-    let (text, network, format) = if let Some(model_path) = args.value("--model") {
-        let format = ModelFormat::from_path(model_path).unwrap_or(ModelFormat::Json);
-        let text = std::fs::read_to_string(model_path)
-            .map_err(|e| format!("reading {model_path}: {e}"))?;
-        let import =
-            preimpl_cnn::model::import(&text, format).map_err(|e| format!("{model_path}: {e}"))?;
-        for f in &import.findings {
-            eprintln!("preimpl: warning[{}] {}: {}", f.code, f.origin, f.message);
-        }
-        // Imported graphs pass the lint shape-propagation gate before the
-        // flow sees them; archdefs keep their opt-in `--lint` behavior.
+    // One frontend for every dialect; a positional descriptor is an archdef.
+    let (path, format) = match args.value("--model") {
+        Some(path) => (
+            path,
+            ModelFormat::from_path(path).unwrap_or(ModelFormat::Json),
+        ),
+        None => (args.positional(0, "archdef", USAGE)?, ModelFormat::Archdef),
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let import = preimpl_cnn::model::import(&text, format).map_err(|e| format!("{path}: {e}"))?;
+    for f in &import.findings {
+        eprintln!("preimpl: warning[{}] {}: {}", f.code, f.origin, f.message);
+    }
+    let network = import.network;
+    // Imported graphs pass the lint shape-propagation gate before the
+    // flow sees them; archdefs keep their opt-in `--lint` behavior.
+    if format != ModelFormat::Archdef {
         let engine = preimpl_cnn::lint::LintEngine::new(preimpl_cnn::lint::LintConfig::new());
-        let report =
-            engine.lint_network(&import.network, granularity, &preimpl_cnn::obs::Obs::null());
+        let report = engine.lint_network(&network, granularity, &preimpl_cnn::obs::Obs::null());
         if report.errors() > 0 {
             print!("{}", report.render_text());
             eprintln!("preimpl: model gate tripped ({})", report.summary_line());
             return Ok(ExitCode::from(preimpl_cnn::exit::GATE));
         }
-        (text, import.network, format)
-    } else {
-        let archdef_path = args.positional(0, "archdef", USAGE)?;
-        let text = std::fs::read_to_string(archdef_path)
-            .map_err(|e| format!("reading {archdef_path}: {e}"))?;
-        let network = parse_archdef(&text).map_err(|e| e.to_string())?;
-        (text, network, ModelFormat::Archdef)
-    };
+    }
 
     if let Some(addr) = args.value("--remote") {
         return run_remote(addr, &args, &text, format, granularity);
@@ -233,15 +231,7 @@ fn run() -> Result<ExitCode, String> {
             } else {
                 // Deterministic line first (the warm/cold CI smoke compares
                 // these byte-for-byte), wall-clock on its own line after.
-                println!(
-                    "assembled {}: Fmax {:.0} MHz, pipeline {:.0} ns, frame {:.3} ms, \
-                     {} stitched nets",
-                    design.name,
-                    report.compile.timing.fmax_mhz,
-                    report.latency.pipeline_ns,
-                    report.latency.frame_ms,
-                    report.compose.stitched_nets,
-                );
+                println!("{}", report.summary_line(&design));
                 if let Some(lint) = &report.lint {
                     println!("{}", lint.summary_line());
                 }

@@ -40,7 +40,6 @@ pub use pi_cnn as cnn;
 pub use pi_fabric as fabric;
 pub use pi_flow as flow;
 pub use pi_lint as lint;
-pub use pi_memalloc as memalloc;
 pub use pi_model as model;
 pub use pi_netlist as netlist;
 pub use pi_obs as obs;
@@ -74,8 +73,8 @@ pub mod prelude {
     pub use pi_cnn::{models, parse_archdef, parse_archdef_lenient, Network};
     pub use pi_fabric::{Device, Pblock, ResourceCount, TileCoord};
     pub use pi_flow::{
-        build_component_db, build_component_db_cached, extend_component_db, improve_slowest,
-        run_baseline_flow, run_pre_implemented_flow, DbCacheStats, FlowComparison, FlowConfig,
+        build_component_db, build_component_db_cached, improve_slowest, run_baseline_flow,
+        run_pre_implemented_flow, DbCacheStats, FlowComparison, FlowConfig,
     };
     pub use pi_lint::{parse_waivers, Diagnostic, Level, LintConfig, LintEngine, LintReport};
     pub use pi_model::{Import, ImportFinding, ModelFormat};

@@ -84,7 +84,7 @@ fn malformed_archdefs_report_line_numbers() {
 
 #[test]
 fn router_reports_congestion_when_capacity_is_starved() {
-    use preimpl_cnn::pnr::{place_module, route_module, PlaceOptions, RouteOptions};
+    use preimpl_cnn::pnr::{place_module_obs, route_module_obs, PlaceOptions, RouteOptions};
     let device = Device::test_part();
     let network = preimpl_cnn::cnn::models::toy();
     let mut module = preimpl_cnn::synth::synth_network_flat(
@@ -93,14 +93,15 @@ fn router_reports_congestion_when_capacity_is_starved() {
         &SynthOptions::lenet_like(),
     )
     .expect("synthesizes");
-    place_module(&mut module, &device, &PlaceOptions::default()).expect("places");
+    place_module_obs(&mut module, &device, &PlaceOptions::default(), &Obs::null()).expect("places");
     // One wire per tile with a single negotiation round cannot succeed for
     // a thousand-cell design on the tiny test part.
     let starved = RouteOptions {
         max_iters: 1,
         capacity: 1,
     };
-    let (stats, map) = route_module(&mut module, &device, &starved).expect("runs");
+    let (stats, map) =
+        route_module_obs(&mut module, &device, &starved, &Obs::null()).expect("runs");
     assert!(
         stats.overused_tiles > 0,
         "starved routing should leave overuse"
@@ -124,11 +125,12 @@ fn locked_modules_reject_mutation_everywhere() {
     assert!(module.ports_mut().is_err());
     // The placer refuses to touch it too (all cells fixed => no-op is fine,
     // but a locked module as a whole errors at the module API).
-    use preimpl_cnn::pnr::{place_module, PlaceOptions};
+    use preimpl_cnn::pnr::{place_module_obs, PlaceOptions};
     let placed_before: Vec<_> = module.cells().iter().map(|c| c.placement).collect();
     // place_module on a locked module: every cell is fixed, so nothing
     // moves and nothing errors — verify it is a strict no-op.
-    place_module(&mut module, &device, &PlaceOptions::default()).expect("no-op placement");
+    place_module_obs(&mut module, &device, &PlaceOptions::default(), &Obs::null())
+        .expect("no-op placement");
     let placed_after: Vec<_> = module.cells().iter().map(|c| c.placement).collect();
     assert_eq!(placed_before, placed_after);
 }

@@ -153,6 +153,26 @@ proptest! {
         }
     }
 
+    /// The dataflow analysis sizes exactly the links the stitcher wires:
+    /// its edges are `Network::component_edges`, port for port.
+    #[test]
+    fn dataflow_analysis_covers_the_component_graph(net in network_strategy()) {
+        for granularity in [Granularity::Layer, Granularity::Block] {
+            let components = net.components(granularity).unwrap();
+            let graph: Vec<_> = net
+                .component_edges(&components)
+                .iter()
+                .map(|e| (e.source, e.sink, e.port()))
+                .collect();
+            let analyzed: Vec<_> = preimpl_cnn::lint::analyze_dataflow(&net, granularity)
+                .edges
+                .iter()
+                .map(|e| (e.source, e.sink, Some(e.port)))
+                .collect();
+            prop_assert_eq!(graph, analyzed);
+        }
+    }
+
     /// Malformed descriptors always come back as located import errors —
     /// never a panic — and lenient mode tags every finding with a code
     /// the lint registry resolves.

@@ -7,7 +7,7 @@
 
 use preimpl_cnn::flow::{plan_partpins, size_pblock};
 use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StableHasher, StreamRole};
-use preimpl_cnn::pnr::{place_module, PlaceOptions};
+use preimpl_cnn::pnr::{place_module_obs, PlaceOptions};
 use preimpl_cnn::prelude::*;
 use preimpl_cnn::synth::synth_component;
 
@@ -33,7 +33,7 @@ fn chain_module(n: usize) -> Module {
 /// `StableHasher` over `(cell index, col, row)` of every cell, then
 /// `moves`, `accepted` and `final_cost.to_bits()`.
 fn fingerprint(mut m: Module, device: &Device, opts: &PlaceOptions) -> u64 {
-    let stats = place_module(&mut m, device, opts).expect("placeable");
+    let stats = place_module_obs(&mut m, device, opts, &Obs::null()).expect("placeable");
     let mut h = StableHasher::new();
     for (i, c) in m.cells().iter().enumerate() {
         let at = c.placement.expect("fully placed");

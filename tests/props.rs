@@ -2,62 +2,9 @@
 
 use pi_fabric::coords::hpwl;
 use preimpl_cnn::fabric::{Device, Pblock, TileCoord};
-use preimpl_cnn::memalloc::BestFitAllocator;
 use proptest::prelude::*;
 
 proptest! {
-    // ---- best-fit allocator -------------------------------------------
-
-    /// Any sequence of allocs and frees preserves the block-list
-    /// invariants: contiguous coverage, no zero-size blocks, no adjacent
-    /// free blocks (coalescing complete); and freeing everything restores
-    /// one maximal free block.
-    #[test]
-    fn allocator_invariants_hold_under_random_ops(
-        ops in proptest::collection::vec((0u8..3, 1u64..10_000), 1..120)
-    ) {
-        let mut a = BestFitAllocator::new(1 << 20, 64);
-        let mut live: Vec<u64> = Vec::new();
-        for (op, size) in ops {
-            match op {
-                0 | 1 => {
-                    if let Ok(x) = a.alloc(size) {
-                        live.push(x.base);
-                    }
-                }
-                _ => {
-                    if let Some(base) = live.pop() {
-                        a.free(base).expect("live allocation frees");
-                    }
-                }
-            }
-            a.check_invariants().map_err(TestCaseError::fail)?;
-        }
-        for base in live {
-            a.free(base).expect("cleanup frees");
-        }
-        prop_assert_eq!(a.largest_free(), 1 << 20);
-        prop_assert_eq!(a.block_count(), 1);
-    }
-
-    /// Allocations never overlap while simultaneously live.
-    #[test]
-    fn allocations_are_disjoint(
-        sizes in proptest::collection::vec(1u64..50_000, 1..40)
-    ) {
-        let mut a = BestFitAllocator::new(4 << 20, 64);
-        let mut spans = Vec::new();
-        for s in sizes {
-            if let Ok(x) = a.alloc(s) {
-                spans.push((x.base, x.base + x.size));
-            }
-        }
-        spans.sort_unstable();
-        for w in spans.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0, "overlap: {:?}", w);
-        }
-    }
-
     // ---- pblock geometry ----------------------------------------------
 
     /// Overlap is symmetric and overlap area is consistent with the
@@ -191,7 +138,8 @@ proptest! {
         )
     ) {
         use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StreamRole};
-        use preimpl_cnn::pnr::{route_module, RouteOptions};
+        use preimpl_cnn::obs::Obs;
+        use preimpl_cnn::pnr::{route_module_obs, RouteOptions};
         let device = Device::test_part();
         let mut b = ModuleBuilder::new("rnd");
         let din = b.input("din", StreamRole::Source, 1);
@@ -214,7 +162,7 @@ proptest! {
             m.set_placement(*z, TileCoord::new(q.0, q.1)).expect("places");
         }
         let opts = RouteOptions { max_iters: 6, capacity: 16 };
-        let (stats, map) = route_module(&mut m, &device, &opts).expect("routes");
+        let (stats, map) = route_module_obs(&mut m, &device, &opts, &Obs::null()).expect("routes");
         prop_assert_eq!(stats.overused_tiles, 0);
         prop_assert_eq!(map.overused(), 0);
         for net in m.nets() {
