@@ -21,6 +21,15 @@ twins="$(echo "$pub_fns" | sed -n 's/_obs$//p' | grep -Fxf - <(echo "$pub_fns") 
 [ -z "$twins" ] \
     || { echo "stage functions with both a plain and an _obs form:" $twins; exit 1; }
 
+# Ledger gate: a `BENCH_*.json` / `BENCH_*.flowstat.txt` that a doc or this
+# script names must exist at the repository root — a citation of a ledger
+# nobody checked in is a number nobody can reproduce.
+echo "==> ledger gate: every cited BENCH_* file exists at the repository root"
+for f in $(grep -ohE 'BENCH_[a-z]+\.(json|flowstat\.txt)' \
+    README.md DESIGN.md EXPERIMENTS.md ci.sh | sort -u); do
+    [ -f "$f" ] || { echo "$f is cited but not at the repository root"; exit 1; }
+done
+
 echo "==> product lines (ci/loc.sh): $(ci/loc.sh)"
 
 echo "==> tier-1: cargo build --release"

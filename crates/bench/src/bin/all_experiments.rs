@@ -32,14 +32,7 @@ fn main() {
          `PI_THREADS`, default all cores); results and telemetry streams are\n\
          identical at every thread count, because parallel maps return in\n\
          input index order and per-item events are buffered and flushed in\n\
-         that same order.\n\n\
-         Bench trajectory: every `pi-bench` binary accepts `--history DIR`\n\
-         to append its run's compacted flowstat metrics to\n\
-         `DIR/history.jsonl`, so the `BENCH_*.json` snapshots below become\n\
-         a gated time series — `flowstat trend --history DIR\n\
-         --fail-on-regression` compares the newest run against the rolling\n\
-         median of the window and exits non-zero on drift (`ci.sh` runs\n\
-         the same gate on LeNet traces; see DESIGN.md §16).\n\n",
+         that same order.\n\n",
     );
     for s in &sections {
         out.push_str(&s.render());
@@ -62,30 +55,10 @@ fn main() {
         .to_path_buf();
     let path = root.join("EXPERIMENTS.md");
     std::fs::write(&path, &out).expect("EXPERIMENTS.md is writable");
-    // Machine-readable twin for downstream tooling.
-    let json: Vec<serde_json::Value> = sections
-        .iter()
-        .map(|s| {
-            serde_json::json!({
-                "id": s.id,
-                "title": s.title,
-                "body_markdown": s.body,
-            })
-        })
-        .collect();
-    let json_path = root.join("target").join("experiments.json");
-    if let Ok(encoded) = serde_json::to_string_pretty(&json) {
-        let _ = std::fs::create_dir_all(root.join("target"));
-        let _ = std::fs::write(&json_path, encoded);
-    }
     // Deterministic flowstat profile of everything the run emitted.
     let flowstat_path = root.join("target").join("experiments.flowstat.txt");
+    let _ = std::fs::create_dir_all(root.join("target"));
     let _ = std::fs::write(&flowstat_path, ctx.run_report().render_text());
     println!("{out}");
-    eprintln!(
-        "wrote {}, {} and {}",
-        path.display(),
-        json_path.display(),
-        flowstat_path.display()
-    );
+    eprintln!("wrote {} and {}", path.display(), flowstat_path.display());
 }

@@ -66,12 +66,11 @@ pub struct Ctx {
     sink: Arc<MemorySink>,
     obs: Obs,
     trace_path: Option<String>,
-    history_dir: Option<String>,
 }
 
 impl Default for Ctx {
     fn default() -> Self {
-        Self::with_trace(None)
+        Self::traced_to(None)
     }
 }
 
@@ -107,34 +106,22 @@ fn run_network(network: Network, cfg: &FlowConfig) -> NetworkRun {
 }
 
 impl Ctx {
-    /// Build a context, honoring `--trace <path>` and `--history <dir>`
-    /// flags anywhere in the process arguments (every `pi-bench` binary
-    /// accepts them).
+    /// Build a context, honoring a `--trace <path>` flag anywhere in the
+    /// process arguments (every `pi-bench` binary accepts it).
     pub fn new() -> Self {
         let mut argv = std::env::args().skip(1);
         let mut trace = None;
-        let mut history = None;
         while let Some(a) = argv.next() {
             if a == "--trace" {
                 trace = argv.next();
-            } else if a == "--history" {
-                history = argv.next();
             }
         }
-        Self::with_trace(trace).with_history(history)
-    }
-
-    /// Record this context's run reports into an append-only run history
-    /// (see `pi_obs::history`) whenever a flowstat summary is written —
-    /// the feed for `flowstat trend` drift gating over bench trajectories.
-    pub fn with_history(mut self, dir: Option<String>) -> Self {
-        self.history_dir = dir;
-        self
+        Self::traced_to(trace)
     }
 
     /// Build a context with an explicit trace destination (`None` keeps the
     /// telemetry in memory only).
-    pub fn with_trace(trace: Option<String>) -> Self {
+    fn traced_to(trace: Option<String>) -> Self {
         let sink = Arc::new(MemorySink::new());
         let obs = match &trace {
             Some(path) => {
@@ -150,7 +137,6 @@ impl Ctx {
             sink,
             obs,
             trace_path: trace,
-            history_dir: None,
         }
     }
 
@@ -193,17 +179,7 @@ impl Ctx {
             Some(stem) => format!("{stem}.flowstat.txt"),
             None => format!("{json_path}.flowstat.txt"),
         };
-        let report = self.run_report();
-        std::fs::write(&path, report.render_text())?;
-        if let Some(dir) = &self.history_dir {
-            // Labeled by artifact stem, so trend compares like with like.
-            let label = std::path::Path::new(json_path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| json_path.to_string());
-            let entry = pi_obs::history::HistoryEntry::from_report(label, &report);
-            pi_obs::history::append(std::path::Path::new(dir), &entry)?;
-        }
+        std::fs::write(&path, self.run_report().render_text())?;
         Ok(path)
     }
 

@@ -94,36 +94,6 @@ pub fn latency_ms(cycles: u64, fmax_mhz: f64) -> f64 {
     latency_ns(cycles, fmax_mhz) / 1.0e6
 }
 
-/// Sum of per-component pipeline latencies — the paper's "full network"
-/// latency row in Table III. Each component runs at its own clock in the
-/// exploration table; the assembled design runs all of them at the system
-/// clock.
-pub fn schedule_latency_ns(depths_and_fmax: &[(u64, f64)]) -> f64 {
-    depths_and_fmax
-        .iter()
-        .map(|&(cycles, fmax)| latency_ns(cycles, fmax))
-        .sum()
-}
-
-/// Cycles to process a batch of `n` frames through a streaming pipeline:
-/// frames overlap, so the pipeline fills once and then produces a frame
-/// every bottleneck interval. (The paper evaluates batch size 1; this is
-/// the natural extension for throughput comparisons.)
-pub fn batch_cycles(bottleneck_cycles: u64, fill_cycles: u64, n: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    fill_cycles + bottleneck_cycles * n
-}
-
-/// Sustained throughput in frames per second at steady state.
-pub fn throughput_fps(bottleneck_cycles: u64, fmax_mhz: f64) -> f64 {
-    if bottleneck_cycles == 0 {
-        return 0.0;
-    }
-    fmax_mhz * 1.0e6 / bottleneck_cycles as f64
-}
-
 fn ceil_log2(x: u64) -> u64 {
     if x <= 1 {
         0
@@ -175,26 +145,6 @@ mod tests {
     fn latency_conversions() {
         assert!((latency_ns(100, 500.0) - 200.0).abs() < 1e-9);
         assert!((latency_ms(1_000_000, 200.0) - 5.0).abs() < 1e-9);
-        let total = schedule_latency_ns(&[(100, 500.0), (50, 250.0)]);
-        assert!((total - 400.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batching_amortizes_the_fill() {
-        let one = batch_cycles(1000, 200, 1);
-        let ten = batch_cycles(1000, 200, 10);
-        assert_eq!(one, 1200);
-        assert_eq!(ten, 10_200);
-        // Per-frame cost approaches the bottleneck as the batch grows.
-        assert!(ten / 10 < one);
-        assert_eq!(batch_cycles(1000, 200, 0), 0);
-    }
-
-    #[test]
-    fn throughput_is_clock_over_bottleneck() {
-        let fps = throughput_fps(1_000_000, 200.0);
-        assert!((fps - 200.0).abs() < 1e-9);
-        assert_eq!(throughput_fps(0, 200.0), 0.0);
     }
 
     #[test]

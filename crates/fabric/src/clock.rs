@@ -26,14 +26,6 @@ pub fn skew_ps(device: &Device, a: TileCoord, b: TileCoord) -> f64 {
     f64::from(ra.abs_diff(rb)) * SKEW_PER_REGION_PS
 }
 
-/// Number of clock-region boundaries a vertical span crosses — used by
-/// floorplanning to prefer region-aligned pblocks.
-pub fn regions_spanned(device: &Device, row_lo: u16, row_hi: u16) -> u16 {
-    let lo = row_lo / device.clock_region_rows();
-    let hi = row_hi / device.clock_region_rows();
-    hi - lo + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,14 +48,5 @@ mod tests {
         assert!(skew_ps(&d, a, far) > skew_ps(&d, a, near));
         // Symmetric.
         assert_eq!(skew_ps(&d, far, a), skew_ps(&d, a, far));
-    }
-
-    #[test]
-    fn regions_spanned_counts_bands() {
-        let d = Device::xcku5p_like();
-        assert_eq!(regions_spanned(&d, 0, 63), 1);
-        assert_eq!(regions_spanned(&d, 0, 64), 2);
-        assert_eq!(regions_spanned(&d, 60, 70), 2);
-        assert_eq!(regions_spanned(&d, 0, 447), 7);
     }
 }

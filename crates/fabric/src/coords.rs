@@ -25,11 +25,6 @@ impl TileCoord {
         self.col.abs_diff(other.col) as u32 + self.row.abs_diff(other.row) as u32
     }
 
-    /// Chebyshev (max-axis) distance to `other`.
-    pub fn chebyshev(&self, other: &TileCoord) -> u32 {
-        (self.col.abs_diff(other.col) as u32).max(self.row.abs_diff(other.row) as u32)
-    }
-
     /// Translate by a signed offset, returning `None` on underflow/overflow.
     pub fn translated(&self, dcol: i32, drow: i32) -> Option<TileCoord> {
         let col = i32::from(self.col) + dcol;
@@ -68,12 +63,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manhattan_and_chebyshev() {
+    fn manhattan_is_symmetric() {
         let a = TileCoord::new(3, 4);
         let b = TileCoord::new(7, 1);
         assert_eq!(a.manhattan(&b), 7);
         assert_eq!(b.manhattan(&a), 7);
-        assert_eq!(a.chebyshev(&b), 4);
     }
 
     #[test]

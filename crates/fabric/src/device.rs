@@ -49,11 +49,6 @@ impl Device {
         self.clock_region_rows
     }
 
-    /// Number of clock regions (horizontal bands).
-    pub fn clock_regions(&self) -> u16 {
-        self.rows.div_ceil(self.clock_region_rows)
-    }
-
     /// Clock region index a coordinate falls in.
     pub fn clock_region_of(&self, coord: TileCoord) -> u16 {
         coord.row / self.clock_region_rows
@@ -176,11 +171,6 @@ impl Device {
         Pblock::new(0, self.cols() - 1, 0, self.rows - 1)
     }
 
-    /// One-line floorplan sketch of the column pattern (for docs and debug).
-    pub fn column_sketch(&self) -> String {
-        self.columns.iter().map(|k| k.code()).collect()
-    }
-
     /// Look up a device by catalog name.
     pub fn catalog(name: &str) -> Result<Device, FabricError> {
         match name {
@@ -270,12 +260,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Append a structural gap column.
-    pub fn gap_column(mut self) -> Self {
-        self.columns.push(TileKind::Gap);
-        self
-    }
-
     /// Append `n` column groups of the given kind.
     pub fn groups(mut self, n: usize, kind: GroupKind) -> Self {
         for _ in 0..n {
@@ -348,9 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_regions() {
+    fn clock_region_of_bands_rows() {
         let d = Device::xcku5p_like();
-        assert_eq!(d.clock_regions(), 7);
         assert_eq!(d.clock_region_of(TileCoord::new(0, 0)), 0);
         assert_eq!(d.clock_region_of(TileCoord::new(0, 447)), 6);
     }
@@ -404,14 +387,5 @@ mod tests {
     fn catalog_round_trip() {
         assert!(Device::catalog("xcku5p-like").is_ok());
         assert!(Device::catalog("nonsense").is_err());
-    }
-
-    #[test]
-    fn sketch_shows_columns() {
-        let d = Device::test_part();
-        let s = d.column_sketch();
-        assert!(s.starts_with('I'));
-        assert_eq!(s.len(), d.cols() as usize);
-        assert!(s.contains('D') && s.contains('B'));
     }
 }

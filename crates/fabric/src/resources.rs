@@ -94,11 +94,6 @@ impl ResourceCount {
             ios: s(self.ios),
         }
     }
-
-    /// Sum of all classes — a crude "size" used for move budgets.
-    pub fn total_units(&self) -> u64 {
-        self.luts + self.ffs + self.brams + self.dsps + self.urams + self.ios
-    }
 }
 
 impl Add for ResourceCount {

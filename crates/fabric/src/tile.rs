@@ -40,18 +40,6 @@ impl TileKind {
     pub const fn is_discontinuity(self) -> bool {
         matches!(self, TileKind::Io | TileKind::Gap)
     }
-
-    /// Single-character code used in floorplan sketches.
-    pub const fn code(self) -> char {
-        match self {
-            TileKind::Clb => 'C',
-            TileKind::Dsp => 'D',
-            TileKind::Bram => 'B',
-            TileKind::Uram => 'U',
-            TileKind::Io => 'I',
-            TileKind::Gap => '.',
-        }
-    }
 }
 
 /// One tile of the device grid.

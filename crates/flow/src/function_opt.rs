@@ -830,8 +830,8 @@ mod tests {
         for c in network.components(Granularity::Layer).unwrap() {
             let sig = c.signature(&network);
             assert_eq!(
-                db_cold.get(&sig).unwrap().to_json().unwrap(),
-                db_warm.get(&sig).unwrap().to_json().unwrap(),
+                db_cold.get(&sig).unwrap().content_hash(),
+                db_warm.get(&sig).unwrap().content_hash(),
                 "cached checkpoint for '{sig}' differs from the built one"
             );
         }

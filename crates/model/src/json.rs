@@ -23,7 +23,7 @@
 //! order, sorted attributes, two-space indent — `parse → render` is
 //! byte-stable, which the property tests pin down.
 
-use crate::{Ctx, Import, ModelFormat};
+use crate::Ctx;
 use pi_cnn::{
     CnnError, ConvParams, EltwiseOp, FcParams, Layer, Network, NodeId, PoolParams, Shape,
 };
@@ -676,15 +676,10 @@ pub fn to_json_descriptor(network: &Network) -> Result<String, CnnError> {
     }))
 }
 
-/// Convenience: import the canonical rendering of `network` (round-trip
-/// helper for tests and the bundled-descriptor regeneration).
-pub fn reimport(network: &Network) -> Result<Import, CnnError> {
-    crate::import(&to_json_descriptor(network)?, ModelFormat::Json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelFormat;
     use pi_cnn::models;
 
     #[test]

@@ -184,18 +184,6 @@ pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<I
     }
 }
 
-/// Read and import a descriptor file, inferring the dialect from its
-/// extension (unknown extensions parse as JSON).
-pub fn import_path(path: impl AsRef<Path>) -> Result<Import, CnnError> {
-    let path = path.as_ref();
-    let format = ModelFormat::from_path(path).unwrap_or(ModelFormat::Json);
-    let text = std::fs::read_to_string(path).map_err(|e| CnnError::Import {
-        loc: path.display().to_string(),
-        msg: e.to_string(),
-    })?;
-    import(&text, format)
-}
-
 fn import_inner(
     text: &str,
     format: ModelFormat,

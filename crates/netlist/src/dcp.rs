@@ -8,7 +8,6 @@ use crate::hash::fnv1a64;
 use crate::module::Module;
 use pi_fabric::{Pblock, ResourceCount};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// On-disk checkpoint format version. Bump whenever the serialized shape
 /// of [`Checkpoint`] (or anything it contains) changes incompatibly; the
@@ -60,11 +59,7 @@ impl Checkpoint {
     /// runs and builds; the cache uses it for content addressing and
     /// corruption detection.
     pub fn content_hash(&self) -> u64 {
-        fnv1a64(
-            self.to_json()
-                .expect("checkpoint serializes for hashing")
-                .as_bytes(),
-        )
+        fnv1a64(self.to_json().as_bytes())
     }
 
     /// [`Checkpoint::content_hash`] as the fixed-width hex form file names
@@ -110,27 +105,13 @@ impl Checkpoint {
         })?;
         serde_json::from_value(inner).map_err(|e| crate::NetlistError::Decode(e.to_string()))
     }
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> Result<String, crate::NetlistError> {
-        serde_json::to_string(self).map_err(|e| crate::NetlistError::Decode(e.to_string()))
-    }
 
-    /// Deserialize from a JSON string.
-    pub fn from_json(s: &str) -> Result<Checkpoint, crate::NetlistError> {
-        serde_json::from_str(s).map_err(|e| crate::NetlistError::Decode(e.to_string()))
-    }
-
-    /// Write to a file.
-    pub fn save(&self, path: &Path) -> Result<(), crate::NetlistError> {
-        let json = self.to_json()?;
-        std::fs::write(path, json)?;
-        Ok(())
-    }
-
-    /// Read from a file.
-    pub fn load(path: &Path) -> Result<Checkpoint, crate::NetlistError> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json(&json)
+    /// The canonical (unversioned) JSON serialization [`content_hash`]
+    /// hashes: the envelope's `checkpoint` payload, without the version.
+    ///
+    /// [`content_hash`]: Checkpoint::content_hash
+    fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("checkpoint serializes for hashing")
     }
 }
 
@@ -169,39 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let cp = checkpoint();
-        let json = cp.to_json().unwrap();
-        let back = Checkpoint::from_json(&json).unwrap();
-        assert_eq!(back.meta.signature, cp.meta.signature);
-        assert_eq!(back.meta.fmax_mhz, cp.meta.fmax_mhz);
-        assert_eq!(back.module.cells().len(), 1);
-        assert!(back.module.locked);
-        assert_eq!(
-            back.module.cell(crate::CellId(0)).placement,
-            Some(TileCoord::new(8, 3))
-        );
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let cp = checkpoint();
-        let dir = std::env::temp_dir().join("pi_netlist_dcp_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("conv1.dcp.json");
-        cp.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(back.meta.latency_cycles, 21);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_json_is_an_error() {
-        assert!(Checkpoint::from_json("{not json").is_err());
-        assert!(Checkpoint::load(Path::new("/nonexistent/x.json")).is_err());
-    }
-
-    #[test]
     fn versioned_round_trip() {
         let cp = checkpoint();
         let json = cp.to_versioned_json().unwrap();
@@ -228,7 +176,7 @@ mod tests {
         }
         // A plain (unversioned) checkpoint is a decode error, not stale.
         assert!(matches!(
-            Checkpoint::from_versioned_json(&cp.to_json().unwrap()),
+            Checkpoint::from_versioned_json(&cp.to_json()),
             Err(crate::NetlistError::Decode(_))
         ));
     }

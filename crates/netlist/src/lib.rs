@@ -36,7 +36,7 @@ pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
 pub use stats::{module_stats, ModuleStats};
 
-/// Errors produced by netlist construction and checkpoint I/O.
+/// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]
 pub enum NetlistError {
     /// Referenced an id that does not exist in the module.
@@ -45,8 +45,6 @@ pub enum NetlistError {
     BadNet(String),
     /// Attempted to mutate a locked module.
     Locked(String),
-    /// Checkpoint (de)serialization failure.
-    Io(std::io::Error),
     /// Checkpoint decode failure.
     Decode(String),
     /// A persisted checkpoint carries a different format version than this
@@ -60,7 +58,6 @@ impl std::fmt::Display for NetlistError {
             NetlistError::DanglingRef(m) => write!(f, "dangling reference: {m}"),
             NetlistError::BadNet(m) => write!(f, "malformed net: {m}"),
             NetlistError::Locked(m) => write!(f, "module is locked: {m}"),
-            NetlistError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             NetlistError::Decode(m) => write!(f, "checkpoint decode error: {m}"),
             NetlistError::FormatVersion { found, want } => write!(
                 f,
@@ -71,9 +68,3 @@ impl std::fmt::Display for NetlistError {
 }
 
 impl std::error::Error for NetlistError {}
-
-impl From<std::io::Error> for NetlistError {
-    fn from(e: std::io::Error) -> Self {
-        NetlistError::Io(e)
-    }
-}

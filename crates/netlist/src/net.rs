@@ -68,12 +68,6 @@ impl Net {
         }
     }
 
-    /// Builder-style: set bus width.
-    pub fn with_width(mut self, width: u16) -> Self {
-        self.width = width;
-        self
-    }
-
     /// Builder-style: mark as clock net.
     pub fn clock(mut self) -> Self {
         self.is_clock = true;

@@ -10,9 +10,7 @@
 //! * [`MemorySink`] — collect in memory for tests and in-process analysis,
 //! * [`FileSink`] — append JSON Lines to a file (the `--trace` flag of the
 //!   `pi-bench` binaries),
-//! * [`FanoutSink`] — tee to several sinks,
-//! * [`SamplingSink`] — deterministic 1-in-N head sampling of root span
-//!   trees, for bounding telemetry overhead on high-traffic servers.
+//! * [`FanoutSink`] — tee to several sinks.
 //!
 //! **Determinism contract**: an event's payload (`seq`, `seed`, `scope`,
 //! `name`, `kind`, `fields`) never contains wall-clock time; the only
@@ -399,82 +397,6 @@ impl EventSink for FanoutSink {
         for s in &self.sinks {
             s.flush();
         }
-    }
-}
-
-/// Deterministic 1-in-N head sampling: of every N root-level span trees,
-/// the first is forwarded whole (all events until its matching end,
-/// children included) and the other N-1 are dropped whole. Events outside
-/// any span are independently sampled 1-in-N by arrival index. The
-/// decision is keyed on arrival order alone — never on time or
-/// randomness — so the same stream always samples to the same substream.
-///
-/// High-traffic servers wrap their sink in one of these to bound
-/// telemetry overhead while keeping every Nth request's full span tree.
-pub struct SamplingSink {
-    inner: Arc<dyn EventSink>,
-    n: u64,
-    state: Mutex<SamplingState>,
-}
-
-#[derive(Default)]
-struct SamplingState {
-    /// Open-span depth of the stream as observed so far.
-    depth: usize,
-    /// Whether the current root tree is being forwarded.
-    keep: bool,
-    /// Root-level span trees seen so far.
-    roots: u64,
-    /// Span-free events seen at depth 0 so far.
-    loose: u64,
-}
-
-impl SamplingSink {
-    /// Forward 1 in `n` (an `n` of 0 behaves like 1: keep everything).
-    pub fn new(n: u64, inner: Arc<dyn EventSink>) -> Self {
-        SamplingSink {
-            inner,
-            n: n.max(1),
-            state: Mutex::new(SamplingState::default()),
-        }
-    }
-}
-
-impl EventSink for SamplingSink {
-    fn record(&self, event: &Event) {
-        let mut s = self.state.lock().expect("sink lock");
-        let forward = match event.kind {
-            EventKind::SpanStart => {
-                if s.depth == 0 {
-                    s.keep = s.roots.is_multiple_of(self.n);
-                    s.roots += 1;
-                }
-                s.depth += 1;
-                s.keep
-            }
-            EventKind::SpanEnd if s.depth > 0 => {
-                s.depth -= 1;
-                s.keep
-            }
-            _ => {
-                if s.depth > 0 {
-                    s.keep
-                } else {
-                    // Outside any span (incl. orphan ends): sample by
-                    // arrival index.
-                    let keep = s.loose.is_multiple_of(self.n);
-                    s.loose += 1;
-                    keep
-                }
-            }
-        };
-        if forward {
-            self.inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
     }
 }
 
@@ -1032,74 +954,5 @@ mod tests {
         let tee = Obs::new(obs.sink_handle());
         tee.point("via_handle", &[]);
         assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn sampling_sink_keeps_exactly_one_in_n_root_trees() {
-        let mem = Arc::new(MemorySink::new());
-        let obs = Obs::new(Arc::new(SamplingSink::new(3, mem.clone()))).scoped("srv");
-        for i in 0..12u64 {
-            let span = obs.span_with("request", &[("i", i.into())]);
-            {
-                let _inner = obs.span("work");
-                obs.point("step", &[]);
-            }
-            span.end();
-        }
-        let events = mem.snapshot();
-        // Roots 0, 3, 6, 9 survive; each tree is 5 events.
-        assert_eq!(events.len(), 4 * 5);
-        let kept: Vec<u64> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanStart && e.name == "request")
-            .map(|e| match &e.fields[0].1 {
-                Value::U64(v) => *v,
-                other => panic!("unexpected field {other:?}"),
-            })
-            .collect();
-        assert_eq!(kept, vec![0, 3, 6, 9]);
-        // Kept trees are complete: starts and ends balance.
-        let starts = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanStart)
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanEnd)
-            .count();
-        assert_eq!(starts, ends);
-    }
-
-    #[test]
-    fn sampling_sink_with_n_1_forwards_everything() {
-        let mem = Arc::new(MemorySink::new());
-        let obs = Obs::new(Arc::new(SamplingSink::new(1, mem.clone())));
-        for _ in 0..5 {
-            let _s = obs.span("r");
-        }
-        obs.point("loose", &[]);
-        assert_eq!(mem.len(), 11);
-        // n = 0 is clamped to 1, not a division by zero.
-        let mem0 = Arc::new(MemorySink::new());
-        Obs::new(Arc::new(SamplingSink::new(0, mem0.clone()))).point("p", &[]);
-        assert_eq!(mem0.len(), 1);
-    }
-
-    #[test]
-    fn sampling_sink_samples_span_free_events_independently() {
-        let mem = Arc::new(MemorySink::new());
-        let obs = Obs::new(Arc::new(SamplingSink::new(4, mem.clone())));
-        for i in 0..8u64 {
-            obs.point("tick", &[("i", i.into())]);
-        }
-        let kept: Vec<u64> = mem
-            .snapshot()
-            .iter()
-            .map(|e| match &e.fields[0].1 {
-                Value::U64(v) => *v,
-                other => panic!("unexpected field {other:?}"),
-            })
-            .collect();
-        assert_eq!(kept, vec![0, 4]);
     }
 }

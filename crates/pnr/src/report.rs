@@ -1,9 +1,7 @@
-//! Human-readable reports: utilization tables, timing summaries and the
-//! ASCII floorplan that reproduces the paper's Fig. 8 (the chip with
+//! Human-readable reports: utilization tables, the routing summary and
+//! the ASCII floorplan that reproduces the paper's Fig. 8 (the chip with
 //! labelled component pblocks).
 
-use crate::power::PowerReport;
-use crate::timing::TimingReport;
 use pi_fabric::{Device, ResourceCount};
 use pi_netlist::Design;
 
@@ -90,26 +88,6 @@ pub fn utilization_table(used: &ResourceCount, device: &Device) -> String {
     out
 }
 
-/// Render a timing summary including the worst path.
-pub fn timing_summary(timing: &TimingReport) -> String {
-    let mut out = format!(
-        "Fmax {:.1} MHz (critical path {:.0} ps over {} nodes / {} edges)\n",
-        timing.fmax_mhz, timing.critical_path_ps, timing.nodes, timing.edges
-    );
-    if !timing.worst_path.is_empty() {
-        out.push_str("worst path: ");
-        out.push_str(&timing.worst_path.join(" -> "));
-        out.push('\n');
-    }
-    for p in &timing.top_paths {
-        out.push_str(&format!(
-            "  {:>8.0} ps  slack {:>8.0} ps  {} (via {})\n",
-            p.path_ps, p.slack_ps, p.endpoint, p.through
-        ));
-    }
-    out
-}
-
 /// Render a routing summary: net counts, wirelength, the router's work
 /// metric (A* expansions) and the optimization counters (Steiner segments,
 /// criticality-driven re-routes, parallel-merge conflicts).
@@ -129,16 +107,6 @@ pub fn routing_summary(stats: &crate::route::RouteStats) -> String {
         ));
     }
     out
-}
-
-/// Render a power summary.
-pub fn power_summary(power: &PowerReport) -> String {
-    format!(
-        "power: {:.0} mW total ({:.0} mW dynamic + {:.0} mW static)\n",
-        power.total_mw(),
-        power.dynamic_mw,
-        power.static_mw
-    )
 }
 
 #[cfg(test)]
@@ -213,27 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn summaries_render() {
-        let timing = TimingReport {
-            critical_path_ps: 2000.0,
-            fmax_mhz: 500.0,
-            worst_path: vec!["a".into(), "b".into()],
-            top_paths: Vec::new(),
-            nodes: 10,
-            edges: 9,
-        };
-        let s = timing_summary(&timing);
-        assert!(s.contains("500.0 MHz"));
-        assert!(s.contains("a -> b"));
-        let p = crate::power::estimate(
-            &ResourceCount {
-                luts: 1000,
-                ..ResourceCount::ZERO
-            },
-            100,
-            300.0,
-        );
-        assert!(power_summary(&p).contains("mW"));
+    fn routing_summary_renders() {
         let stats = crate::route::RouteStats {
             routed_nets: 12,
             trivial_nets: 2,

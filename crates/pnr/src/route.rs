@@ -91,24 +91,12 @@ pub struct RouteStats {
 /// congestion term and by the component placer's congestion estimate.
 #[derive(Debug, Clone)]
 pub struct CongestionMap {
-    cols: u16,
     rows: u16,
     capacity: u16,
     occ: Vec<u16>,
 }
 
 impl CongestionMap {
-    fn idx(&self, at: TileCoord) -> usize {
-        debug_assert!(at.col < self.cols && at.row < self.rows);
-        at.col as usize * self.rows as usize + at.row as usize
-    }
-
-    /// Fraction of capacity in use at a tile (can exceed 1.0 while
-    /// negotiation is incomplete).
-    pub fn fraction_at(&self, at: TileCoord) -> f64 {
-        f64::from(self.occ[self.idx(at)]) / f64::from(self.capacity)
-    }
-
     /// Mean occupancy fraction over the bounding box of two endpoints —
     /// the local congestion a wire between them experiences.
     pub fn span_fraction(&self, a: TileCoord, b: TileCoord) -> f64 {
@@ -211,7 +199,6 @@ impl Costs {
     /// A read-only snapshot in the map form the timing model consumes.
     fn congestion_snapshot(&self, capacity: u16) -> CongestionMap {
         CongestionMap {
-            cols: self.cols,
             rows: self.rows,
             capacity,
             occ: self.occ.clone(),
@@ -914,7 +901,6 @@ pub fn route_module_obs(
         nets[net].route = route;
     }
     let map = CongestionMap {
-        cols: costs.cols,
         rows: costs.rows,
         capacity: opts.capacity,
         occ: costs.occ,
@@ -1005,7 +991,6 @@ pub fn route_design_obs(
         }
     }
     let map = CongestionMap {
-        cols: costs.cols,
         rows: costs.rows,
         capacity: opts.capacity,
         occ: costs.occ,

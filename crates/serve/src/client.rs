@@ -6,7 +6,7 @@
 //! a result is plain polling with a fixed short sleep — job IDs are
 //! deterministic, so a dropped poll loop can always be restarted.
 
-use crate::job::{JobResult, JobSpec, TraceContext};
+use crate::job::{JobResult, JobSpec};
 use crate::protocol::http_call;
 use crate::ServeError;
 use pi_obs::{Event, MemorySink, Obs};
@@ -116,20 +116,6 @@ pub fn submit_and_wait(addr: &str, spec: &JobSpec) -> Result<JobResult, RemoteEr
     }
 }
 
-/// Fetch a finished job's tagged JSONL trace (`GET /trace/<id>`),
-/// verbatim. Fails while the job is still queued/running (202) — call
-/// after [`submit_and_wait`].
-pub fn trace(addr: &str, job_id: &str) -> Result<String, RemoteError> {
-    let (status, body) = http_call(addr, "GET", &format!("/trace/{job_id}"), "")?;
-    if status != 200 {
-        return Err(RemoteError::Rejected {
-            status,
-            message: error_message(&body),
-        });
-    }
-    Ok(body)
-}
-
 /// The daemon's `/metrics` Prometheus text, verbatim.
 pub fn metrics(addr: &str) -> Result<String, RemoteError> {
     let (status, body) = http_call(addr, "GET", "/metrics", "")?;
@@ -142,34 +128,39 @@ pub fn metrics(addr: &str) -> Result<String, RemoteError> {
     Ok(body)
 }
 
-/// [`submit_and_wait`] with distributed tracing: attach a deterministic
-/// [`TraceContext`] (the raw spec's content hash — no clock, no
-/// randomness), fetch the daemon's tagged event stream once the job is
-/// done, and splice it under a local `serve:request` span. The returned
-/// events are one unified call tree spanning both processes, in replay
-/// order with locally assigned sequence numbers — byte-stable for a given
-/// job because the remote stream is the stored timestamp-stripped form.
+/// [`submit_and_wait`] with distributed tracing: replay the job's event
+/// stream (the `trace` of its result) inside a `serve::job:run` span
+/// under a local `serve:request` span, both tagged with this caller's
+/// deterministic trace ID (the raw spec's content hash — no clock, no
+/// randomness). The returned events are one unified call tree spanning
+/// both processes, in replay order with locally assigned sequence numbers
+/// — byte-stable for a given job because the remote stream is the stored
+/// timestamp-stripped form.
 pub fn submit_and_wait_traced(
     addr: &str,
     spec: &JobSpec,
 ) -> Result<(JobResult, Vec<Event>), RemoteError> {
-    let ctx = TraceContext {
-        trace_id: spec.job_id(),
-        parent_span: "serve:request".to_string(),
-    };
-    let traced_spec = spec.clone().with_trace(ctx.clone());
+    let trace_id = spec.job_id();
     let sink = Arc::new(MemorySink::new());
     let obs = Obs::new(sink.clone());
     // No address/port fields on the span: ephemeral ports are
     // nondeterministic and the spliced stream feeds deterministic diffs.
     let span = obs
         .scoped("serve")
-        .span_with("request", &[("trace_id", ctx.trace_id.as_str().into())]);
-    let result = submit_and_wait(addr, &traced_spec)?;
-    let remote = trace(addr, &result.job_id)?;
-    let events = pi_obs::parse_jsonl(&remote)
+        .span_with("request", &[("trace_id", trace_id.as_str().into())]);
+    let result = submit_and_wait(addr, spec)?;
+    let events = pi_obs::parse_jsonl(&result.trace_jsonl)
         .map_err(|e| RemoteError::Transport(ServeError::Protocol(e.to_string())))?;
+    let job_span = obs.scoped("serve::job").span_with(
+        "run",
+        &[
+            ("job", result.job_id.as_str().into()),
+            ("trace_id", trace_id.as_str().into()),
+            ("parent_span", "serve:request".into()),
+        ],
+    );
     obs.replay(events);
+    job_span.end();
     span.end();
     Ok((result, sink.snapshot()))
 }

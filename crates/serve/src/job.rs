@@ -68,23 +68,6 @@ impl JobStatus {
     }
 }
 
-/// Client-side trace context riding along with a job, so the daemon can
-/// tag the job's telemetry with the submitting run's identity and the
-/// client can splice the remote span tree back under its local span.
-///
-/// Deliberately excluded from [`JobSpec::job_id`]: two clients submitting
-/// identical work with different trace contexts must still coalesce onto
-/// one build. The context annotates observability, it never changes what
-/// is computed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Identity of the client run (e.g. the raw spec's content hash) —
-    /// deterministic, never a random UUID or timestamp.
-    pub trace_id: String,
-    /// `scope:name` of the client span the remote tree nests under.
-    pub parent_span: String,
-}
-
 /// A compile job (see module docs).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -102,9 +85,6 @@ pub struct JobSpec {
     /// Flow configuration; carries no telemetry sink (the daemon installs
     /// its own capture per run).
     pub config: FlowConfig,
-    /// Optional trace context (see [`TraceContext`]). On the wire only
-    /// when set; never part of the job ID.
-    pub trace: Option<TraceContext>,
 }
 
 impl JobSpec {
@@ -116,7 +96,6 @@ impl JobSpec {
             command: JobCommand::Compose,
             format: ModelFormat::Archdef,
             config,
-            trace: None,
         }
     }
 
@@ -127,12 +106,6 @@ impl JobSpec {
 
     pub fn with_format(mut self, format: ModelFormat) -> Self {
         self.format = format;
-        self
-    }
-
-    /// Attach a trace context (observability only — see [`TraceContext`]).
-    pub fn with_trace(mut self, trace: TraceContext) -> Self {
-        self.trace = Some(trace);
         self
     }
 
@@ -149,9 +122,7 @@ impl JobSpec {
     }
 
     /// Deterministic job ID: a stable content hash of the payload (no
-    /// wall clock, no counters), rendered as 16 hex digits. The trace
-    /// context is deliberately not hashed — observability annotations
-    /// must not split identical work onto different IDs.
+    /// wall clock, no counters), rendered as 16 hex digits.
     pub fn job_id(&self) -> String {
         let mut h = StableHasher::new();
         h.write_str(&self.archdef);
@@ -176,12 +147,6 @@ impl JobSpec {
             m["format"] = Value::Str(self.format.as_str().to_string());
         }
         m["config"] = self.config.to_json_value();
-        if let Some(t) = &self.trace {
-            let mut trace = Value::Map(Vec::new());
-            trace["trace_id"] = Value::Str(t.trace_id.clone());
-            trace["parent_span"] = Value::Str(t.parent_span.clone());
-            m["trace"] = trace;
-        }
         serde_json::to_string(&m).expect("job spec serializes")
     }
 
@@ -221,27 +186,12 @@ impl JobSpec {
             Some(c) => FlowConfig::from_json_value(c)?,
             None => FlowConfig::default(),
         };
-        let trace = match v.get("trace") {
-            Some(t @ Value::Map(_)) => {
-                let str_field = |k: &str| match t.get(k) {
-                    Some(Value::Str(s)) => Ok(s.clone()),
-                    _ => Err(format!("job: trace missing string field {k}")),
-                };
-                Some(TraceContext {
-                    trace_id: str_field("trace_id")?,
-                    parent_span: str_field("parent_span")?,
-                })
-            }
-            None => None,
-            Some(_) => return Err("job: trace must be an object".to_string()),
-        };
         Ok(JobSpec {
             archdef,
             device,
             command,
             format,
             config,
-            trace,
         })
     }
 }
@@ -388,28 +338,6 @@ mod tests {
         assert_eq!(back.format, ModelFormat::Json);
         assert_eq!(back.job_id(), json_spec.job_id());
         assert!(JobSpec::from_json("{\"archdef\":\"x\",\"format\":\"onnx\"}").is_err());
-    }
-
-    #[test]
-    fn trace_context_rides_the_wire_but_never_the_id() {
-        // Default: no trace key on the wire — pre-trace job bodies and
-        // stored IDs stay exactly as they were.
-        assert!(!spec().to_json().contains("\"trace\""));
-        let ctx = TraceContext {
-            trace_id: "abcd1234".to_string(),
-            parent_span: "serve:request".to_string(),
-        };
-        let traced = spec().with_trace(ctx.clone());
-        // Observability must not split identical work onto different IDs.
-        assert_eq!(traced.job_id(), spec().job_id());
-        assert!(traced.to_json().contains("\"trace_id\":\"abcd1234\""));
-        let back = JobSpec::from_json(&traced.to_json()).unwrap();
-        assert_eq!(back.trace, Some(ctx));
-        // The context survives daemon-side normalization.
-        let norm = traced.normalized(None, None);
-        assert!(norm.trace.is_some());
-        assert!(JobSpec::from_json("{\"archdef\":\"x\",\"trace\":7}").is_err());
-        assert!(JobSpec::from_json("{\"archdef\":\"x\",\"trace\":{\"trace_id\":\"t\"}}").is_err());
     }
 
     #[test]

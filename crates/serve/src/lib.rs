@@ -24,14 +24,15 @@
 //!   submissions collapse onto one build, later ones are served the
 //!   stored result byte-for-byte.
 //! * [`server`] — the TCP daemon: accept loop, worker threads, the
-//!   `submit`/`status`/`result`/`trace`/`stats`/`metrics`/`healthz`/
-//!   `shutdown` endpoints, per-request telemetry folded into `flowstat`
+//!   `submit`/`status`/`result`/`stats`/`metrics`/`healthz`/`shutdown`
+//!   endpoints, per-request telemetry folded into `flowstat`
 //!   via [`pi_obs`] and live counters/histograms exposed as Prometheus
 //!   text through [`pi_obs::registry`].
 //! * [`client`] — the blocking client the `preimpl --remote` path and
 //!   the `pi-serve` CLI subcommands use, including
-//!   [`submit_and_wait_traced`] which splices the daemon's tagged span
-//!   tree under a local `serve:request` span for unified reports.
+//!   [`submit_and_wait_traced`] which splices the job's event stream
+//!   (stored once, inside its result) under local `serve:request` /
+//!   `serve::job:run` spans for unified reports.
 //!
 //! [`FlowConfig`]: pi_flow::FlowConfig
 
@@ -42,7 +43,7 @@ pub mod queue;
 pub mod server;
 
 pub use client::{submit_and_wait, submit_and_wait_traced, RemoteError};
-pub use job::{JobCommand, JobResult, JobSpec, JobStatus, TraceContext};
+pub use job::{JobCommand, JobResult, JobSpec, JobStatus};
 pub use queue::{JobQueue, QueueStats, Submit};
 pub use server::{serve, ServerHandle, ServerOptions};
 

@@ -56,9 +56,6 @@ struct JobEntry {
     status: JobStatus,
     /// `Ok(result json)` or `Err(error message)`, set on completion.
     outcome: Option<Result<String, String>>,
-    /// Tagged JSONL event stream of the run, persisted next to the stored
-    /// result and served verbatim by `GET /trace/<id>`.
-    trace: Option<String>,
 }
 
 struct Inner {
@@ -113,7 +110,6 @@ impl JobQueue {
                 spec: Some(spec),
                 status: JobStatus::Queued,
                 outcome: None,
-                trace: None,
             },
         );
         inner.pending.push_back(id.clone());
@@ -147,18 +143,6 @@ impl JobQueue {
     /// Record a finished job. `Ok` carries the result JSON served to every
     /// `/result` read; `Err` the failure message.
     pub fn complete(&self, id: &str, outcome: Result<String, String>) {
-        self.complete_with_trace(id, outcome, None);
-    }
-
-    /// [`JobQueue::complete`] that also persists the job's tagged JSONL
-    /// event stream, set atomically with the outcome so a client that
-    /// sees the result can always fetch the trace.
-    pub fn complete_with_trace(
-        &self,
-        id: &str,
-        outcome: Result<String, String>,
-        trace: Option<String>,
-    ) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.stats.running_now -= 1;
         match &outcome {
@@ -172,7 +156,6 @@ impl JobQueue {
             JobStatus::Failed
         };
         entry.outcome = Some(outcome);
-        entry.trace = trace;
         // Completion may unblock pollers; state is read via status/result.
         self.cond.notify_all();
     }
@@ -195,18 +178,6 @@ impl JobQueue {
             .jobs
             .get(id)
             .and_then(|e| e.outcome.clone())
-    }
-
-    /// Stored tagged trace of a job: `None` for an unknown ID,
-    /// `Some(None)` while unfinished (or when the run kept no trace),
-    /// `Some(Some(jsonl))` once persisted.
-    pub fn trace(&self, id: &str) -> Option<Option<String>> {
-        self.inner
-            .lock()
-            .expect("queue lock")
-            .jobs
-            .get(id)
-            .map(|e| e.trace.clone())
     }
 
     /// Snapshot of the counters.
@@ -267,21 +238,6 @@ mod tests {
         q.complete(&id, Err("boom".to_string()));
         assert_eq!(q.status(&id), Some(JobStatus::Failed));
         assert_eq!(q.stats().rejected, 1);
-    }
-
-    #[test]
-    fn traces_persist_next_to_the_outcome() {
-        let q = JobQueue::new(4);
-        assert_eq!(q.trace("ffff"), None, "unknown job");
-        let Submit::Queued(id) = q.submit(spec("t")) else {
-            panic!("queues")
-        };
-        assert_eq!(q.trace(&id), Some(None), "no trace while queued");
-        let (got, _) = q.next_job().unwrap();
-        assert_eq!(got, id);
-        q.complete_with_trace(&id, Ok("{}".to_string()), Some("{\"seq\":0}\n".to_string()));
-        assert_eq!(q.trace(&id), Some(Some("{\"seq\":0}\n".to_string())));
-        assert_eq!(q.outcome(&id), Some(Ok("{}".to_string())));
     }
 
     #[test]

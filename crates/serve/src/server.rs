@@ -14,9 +14,8 @@
 //! |----------------------|-------|
 //! | `POST /submit`       | `{job_id, status}` with status `queued`/`coalesced`/`done`; `400` on a bad payload, `503` when the queue is full |
 //! | `GET /status/<id>`   | `{job_id, status}`; `404` unknown |
-//! | `GET /result/<id>`   | the stored [`JobResult`] JSON (byte-identical for every reader); `202` while queued/running, `500` if the job failed, `404` unknown |
+//! | `GET /result/<id>`   | the stored [`JobResult`] JSON (byte-identical for every reader), the run's timestamp-stripped JSONL event stream inside it as `trace`; `202` while queued/running, `500` if the job failed, `404` unknown |
 //! | `GET /stats`         | queue + shared-cache counters |
-//! | `GET /trace/<id>`    | the job's tagged JSONL event stream (timestamp-stripped, persisted next to the result); `202` while queued/running, `500` if the job failed, `404` unknown |
 //! | `GET /metrics`       | Prometheus text exposition from the daemon's [`pi_obs::registry::Registry`]: queue depth, jobs by state, coalesced/rejected counts, shared-cache counters, per-command wallclock histograms, uptime |
 //! | `GET /healthz`       | `{ok: true, version, uptime_seconds}` |
 //! | `POST /shutdown`     | `{ok: true}`, then the daemon drains and exits |
@@ -24,12 +23,11 @@
 //! Telemetry: each finished request emits one `serve::request` point on
 //! the daemon's sink — cache hits/misses/evictions as deterministic
 //! fields, latency as a `wallclock_ms` field (aggregated by `flowstat
-//! summarize --wallclock`, excluded from deterministic diffs). Each job's
-//! captured event stream is additionally re-emitted under a
-//! `serve::job:run` span (tagged with the job ID and, when the client
-//! sent a [`TraceContext`](crate::job::TraceContext), its trace identity)
-//! and stored for `GET /trace/<id>` — the raw stream a client splices
-//! under its own `serve:request` span for one cross-process call tree.
+//! summarize --wallclock`, excluded from deterministic diffs). A job's
+//! own event stream is stored once, inside its result; a client that
+//! wants one cross-process call tree wraps it in a `serve::job:run` span
+//! under its own `serve:request` span
+//! ([`submit_and_wait_traced`](crate::client::submit_and_wait_traced)).
 
 use crate::job::{JobCommand, JobResult, JobSpec};
 use crate::protocol::{read_request, write_response, Request};
@@ -38,7 +36,7 @@ use crate::ServeError;
 use pi_fabric::Device;
 use pi_flow::{build_component_db_cached, run_pre_implemented_flow, DbCacheStats};
 use pi_obs::registry::Registry;
-use pi_obs::{MemorySink, Obs};
+use pi_obs::Obs;
 use serde_json::Value;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -220,20 +218,6 @@ fn route(req: &Request, state: &ServerState) -> (u16, String, bool) {
                 },
             }
         }
-        ("GET", path) if path.starts_with("/trace/") => {
-            let id = &path["/trace/".len()..];
-            match state.queue.trace(id) {
-                Some(Some(trace)) => (200, trace, false),
-                Some(None) => match state.queue.status(id) {
-                    Some(crate::job::JobStatus::Failed) => {
-                        (500, err_json("job failed; no trace stored"), false)
-                    }
-                    Some(s) => (202, ack_json(id, s.as_str()), false),
-                    None => (404, err_json("unknown job"), false),
-                },
-                None => (404, err_json("unknown job"), false),
-            }
-        }
         ("GET", "/stats") => (200, stats_json(state), false),
         ("GET", "/metrics") => (200, metrics_text(state), false),
         ("GET", "/healthz") => (200, health_json(state), false),
@@ -347,7 +331,7 @@ fn worker_loop(state: &Arc<ServerState>) {
             wall_ms,
         );
         match outcome {
-            Ok((result, tagged_trace)) => {
+            Ok(result) => {
                 fold_db(&state.db, &result.cache);
                 if req_obs.enabled() {
                     req_obs.point(
@@ -367,9 +351,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                         ],
                     );
                 }
-                state
-                    .queue
-                    .complete_with_trace(&id, Ok(result.to_json()), Some(tagged_trace));
+                state.queue.complete(&id, Ok(result.to_json()));
             }
             Err(e) => {
                 if req_obs.enabled() {
@@ -407,30 +389,10 @@ fn fold_db(totals: &DbTotals, stats: &DbCacheStats) {
     }
 }
 
-/// Re-emit a job's captured events wrapped in a `serve::job:run` span
-/// tagged with the job ID and, when present, the client's trace context.
-/// The result is the timestamp-stripped JSONL served by `GET /trace/<id>`
-/// — deterministic for a given (spec, trace context), so re-running a job
-/// stores byte-identical trace bytes.
-fn tagged_trace_jsonl(id: &str, spec: &JobSpec, events: Vec<pi_obs::Event>) -> String {
-    let sink = Arc::new(MemorySink::new());
-    let obs = Obs::new(sink.clone());
-    let job_obs = obs.scoped("serve::job");
-    let mut fields: Vec<(&str, pi_obs::Value)> = vec![("job", id.into())];
-    if let Some(t) = &spec.trace {
-        fields.push(("trace_id", t.trace_id.as_str().into()));
-        fields.push(("parent_span", t.parent_span.as_str().into()));
-    }
-    let span = job_obs.span_with("run", &fields);
-    obs.replay(events);
-    span.end();
-    sink.stripped_jsonl()
-}
-
-/// Run one job to a [`JobResult`] plus its tagged trace stream. Every
-/// failure becomes a message the client can read — a broken archdef must
-/// 500 its job, never kill a worker.
-fn run_job(id: &str, spec: &JobSpec) -> Result<(JobResult, String), String> {
+/// Run one job to a [`JobResult`]. Every failure becomes a message the
+/// client can read — a broken archdef must 500 its job, never kill a
+/// worker.
+fn run_job(id: &str, spec: &JobSpec) -> Result<JobResult, String> {
     let network = pi_model::import(&spec.archdef, spec.format)
         .map_err(|e| e.to_string())?
         .network;
@@ -459,17 +421,13 @@ fn run_job(id: &str, spec: &JobSpec) -> Result<(JobResult, String), String> {
         .run_report()
         .map(|r| r.render_text())
         .unwrap_or_default();
-    let tagged = tagged_trace_jsonl(id, spec, cfg.captured_events());
-    Ok((
-        JobResult {
-            job_id: id.to_string(),
-            summary,
-            trace_jsonl,
-            report_text,
-            cache: stats,
-        },
-        tagged,
-    ))
+    Ok(JobResult {
+        job_id: id.to_string(),
+        summary,
+        trace_jsonl,
+        report_text,
+        cache: stats,
+    })
 }
 
 #[cfg(test)]
@@ -494,8 +452,6 @@ mod tests {
         );
         assert!(body.contains("\"uptime_seconds\":"), "{body}");
         let (status, _) = http_call(&addr, "GET", "/nope", "").unwrap();
-        assert_eq!(status, 404);
-        let (status, _) = http_call(&addr, "GET", "/trace/ffff", "").unwrap();
         assert_eq!(status, 404);
         let (status, body) = http_call(&addr, "POST", "/submit", "not json").unwrap();
         assert_eq!(status, 400);
@@ -540,15 +496,6 @@ mod tests {
         let (status, stats) = http_call(&addr, "GET", "/stats", "").unwrap();
         assert_eq!(status, 200);
         assert!(stats.contains("\"completed\":1"), "{stats}");
-        // The tagged trace is stored next to the result: parseable JSONL
-        // wrapped in a serve::job span carrying the job ID.
-        let (status, trace) =
-            http_call(&addr, "GET", &format!("/trace/{normalized_id}"), "").unwrap();
-        assert_eq!(status, 200);
-        let events = pi_obs::parse_jsonl(&trace).expect("trace parses");
-        assert_eq!(events.first().map(|e| e.scope.as_str()), Some("serve::job"));
-        assert_eq!(events.last().map(|e| e.name.as_str()), Some("run"));
-        assert!(trace.contains(&normalized_id));
         // Live metrics reflect the finished job.
         let (status, metrics) = http_call(&addr, "GET", "/metrics", "").unwrap();
         assert_eq!(status, 200);

@@ -46,7 +46,7 @@
 //! stores, budget evictions), so `--trace` output shows exactly what the
 //! cache did.
 
-use crate::db::sanitize;
+use crate::db::{sanitize, write_atomic};
 use crate::lock::{LockFile, DEFAULT_LOCK_TIMEOUT};
 use crate::StitchError;
 use pi_netlist::{Checkpoint, StableHasher, CHECKPOINT_FORMAT_VERSION};
@@ -384,8 +384,7 @@ impl DbCache {
         };
         let mut evicted = Vec::new();
         loop {
-            let total: u64 = self.entries.values().map(|e| e.bytes).sum();
-            if total <= budget {
+            if self.total_bytes() <= budget {
                 break;
             }
             // Oldest generation first; BTreeMap iteration makes the key
@@ -489,18 +488,6 @@ impl DbCache {
         write_atomic(&self.root.join(MANIFEST_FILE), &json)?;
         Ok(())
     }
-}
-
-/// Write-then-rename: the contents land under a temp name first, so a
-/// crash can never leave a torn file behind the real name.
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_file_name(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("x")
-    ));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Move a file into `<root>/quarantine/`, degrading to deletion if the

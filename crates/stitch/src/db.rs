@@ -3,8 +3,9 @@
 //! In the paper this is a directory of DCP files produced once by the
 //! function-optimization phase and reused across designs. Here it is an
 //! in-memory map keyed by component signature, with save/load to a
-//! directory of JSON checkpoints so the "performed exactly once, reused in
-//! several applications" workflow is real.
+//! directory of versioned checkpoint envelopes (the same file form the
+//! persistent cache's `objects/` holds) so the "performed exactly once,
+//! reused in several applications" workflow is real.
 
 use crate::StitchError;
 use pi_netlist::Checkpoint;
@@ -60,28 +61,33 @@ impl ComponentDb {
     /// Persist every checkpoint as `<dir>/<file stem>.dcp.json`, where the
     /// stem is the collision-free form of [`file_stem`]: distinct
     /// signatures always land in distinct files, even when sanitization
-    /// maps them to the same readable prefix.
+    /// maps them to the same readable prefix. Each file is the versioned
+    /// envelope ([`Checkpoint::to_versioned_json`]), written atomically.
     pub fn save_dir(&self, dir: &Path) -> Result<(), StitchError> {
         std::fs::create_dir_all(dir)?;
         for (sig, cp) in &self.by_signature {
             let file = dir.join(format!("{}.dcp.json", file_stem(sig)));
-            cp.save(&file)?;
+            write_atomic(&file, &cp.to_versioned_json()?)?;
         }
         Ok(())
     }
 
-    /// Load every `*.dcp.json` under a directory.
+    /// Load every `*.dcp.json` under a directory. A file written under a
+    /// different `CHECKPOINT_FORMAT_VERSION` is a
+    /// [`pi_netlist::NetlistError::FormatVersion`] error, never
+    /// reinterpreted.
     pub fn load_dir(dir: &Path) -> Result<ComponentDb, StitchError> {
         let mut db = ComponentDb::new();
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
+            // A killed writer can leave a torn temp file behind.
             if path
                 .file_name()
                 .and_then(|n| n.to_str())
-                .map(|n| n.ends_with(".dcp.json"))
-                .unwrap_or(false)
+                .is_some_and(|n| n.ends_with(".dcp.json") && !n.starts_with(TMP_PREFIX))
             {
-                db.insert(Checkpoint::load(&path)?);
+                let text = std::fs::read_to_string(&path)?;
+                db.insert(Checkpoint::from_versioned_json(&text)?);
             }
         }
         Ok(db)
@@ -114,6 +120,21 @@ pub(crate) fn file_stem(sig: &str) -> String {
     let mut prefix = sanitize(sig);
     prefix.truncate(96); // sanitized text is pure ASCII, so this is safe
     format!("{prefix}-{:016x}", pi_netlist::fnv1a64(sig.as_bytes()))
+}
+
+/// Name prefix of [`write_atomic`]'s temp files.
+const TMP_PREFIX: &str = ".tmp.";
+
+/// Write-then-rename: the contents land under a temp name first, so a
+/// crash can never leave a torn file behind the real name.
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = path.with_file_name(format!(
+        "{TMP_PREFIX}{}.{}",
+        std::process::id(),
+        path.file_name().and_then(|n| n.to_str()).unwrap_or("x")
+    ));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -186,6 +207,56 @@ mod tests {
         assert_eq!(back.len(), 2, "colliding signatures must both persist");
         assert!(back.get(sig_a).is_some());
         assert!(back.get(sig_b).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_dir_writes_atomically_and_load_dir_skips_torn_temp_files() {
+        let mut db = ComponentDb::new();
+        db.insert(checkpoint("conv_k5s1p0co6__in1x32x32"));
+        let dir = std::env::temp_dir().join(format!("pi_db_atomic_{}", std::process::id()));
+        db.save_dir(&dir).unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 1, "{names:?}");
+        assert!(!names[0].starts_with(TMP_PREFIX), "{names:?}");
+        // What a writer killed mid-`write_atomic` leaves behind.
+        let torn = dir.join(format!("{TMP_PREFIX}1.x.dcp.json"));
+        std::fs::write(torn, "{\"format_ver").unwrap();
+        assert_eq!(ComponentDb::load_dir(&dir).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_dir_rejects_unversioned_and_stale_files() {
+        use pi_netlist::{NetlistError, CHECKPOINT_FORMAT_VERSION};
+        let cp = checkpoint("x");
+        let dir = std::env::temp_dir().join(format!("pi_db_stale_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("x.dcp.json");
+
+        // The plain `Checkpoint` JSON `save_dir` wrote before the envelope.
+        std::fs::write(&file, serde_json::to_string(&cp).unwrap()).unwrap();
+        assert!(matches!(
+            ComponentDb::load_dir(&dir),
+            Err(StitchError::Netlist(NetlistError::Decode(_)))
+        ));
+
+        let stale = cp.to_versioned_json().unwrap().replacen(
+            &format!("\"format_version\":{CHECKPOINT_FORMAT_VERSION}"),
+            "\"format_version\":999",
+            1,
+        );
+        std::fs::write(&file, stale).unwrap();
+        assert!(matches!(
+            ComponentDb::load_dir(&dir),
+            Err(StitchError::Netlist(NetlistError::FormatVersion {
+                found: 999,
+                ..
+            }))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

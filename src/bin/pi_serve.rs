@@ -22,14 +22,14 @@
 //! summarize --wallclock` renders it; diffs never see it).
 //!
 //! `submit` is the standalone client (`preimpl --remote` wraps the same
-//! call): it sends the archdef and waits for the result. `trace` fetches
-//! a finished job's tagged JSONL event stream (feed it to `flowstat
-//! summarize` or `pilint trace`); `stats` prints the daemon's queue and
-//! cache counters; `metrics` scrapes the live Prometheus-text `/metrics`
-//! exposition — the same bytes a real scraper would pull, so CI can
-//! validate it with no HTTP client beyond this binary. `stop` asks the
-//! daemon to drain and exit. Exit codes follow the shared
-//! `preimpl_cnn::exit` convention.
+//! call): it sends the archdef and waits for the result. `trace` prints
+//! a finished job's JSONL event stream — the `trace` of its stored result
+//! (feed it to `flowstat summarize` or `pilint trace`); `stats` prints
+//! the daemon's queue and cache counters; `metrics` scrapes the live
+//! Prometheus-text `/metrics` exposition — the same bytes a real scraper
+//! would pull, so CI can validate it with no HTTP client beyond this
+//! binary. `stop` asks the daemon to drain and exit. Exit codes follow
+//! the shared `preimpl_cnn::exit` convention.
 
 use pi_serve::{JobCommand, JobSpec, ServerOptions};
 use preimpl_cnn::cli::{self, Cli, Flag};
@@ -142,8 +142,10 @@ fn run() -> Result<ExitCode, String> {
         }
         "trace" => {
             let job_id = args.positional(0, "job-id", USAGE)?;
-            let body = pi_serve::client::trace(addr(&args), job_id).map_err(|e| e.to_string())?;
-            cli::emit(&body)?;
+            let result = pi_serve::client::try_result(addr(&args), job_id)
+                .map_err(|e| e.to_string())?
+                .ok_or_else(|| format!("job {job_id} is still queued or running"))?;
+            cli::emit(&result.trace_jsonl)?;
             Ok(ExitCode::SUCCESS)
         }
         "stats" => {

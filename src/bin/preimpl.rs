@@ -303,9 +303,9 @@ fn run_remote(
     let spec = JobSpec::new(archdef_text, args.device(), cfg)
         .with_command(command)
         .with_format(format);
-    // With `--report`, propagate a trace context and splice the daemon's
-    // tagged span tree under the local `serve:request` span: the written
-    // report is then one unified call tree spanning both processes.
+    // With `--report`, splice the job's event stream under a local
+    // `serve:request` span: the written report is then one unified call
+    // tree spanning both processes.
     let (result, spliced) = if args.value("--report").is_some() {
         let (result, events) =
             pi_serve::submit_and_wait_traced(addr, &spec).map_err(|e| e.to_string())?;

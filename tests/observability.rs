@@ -1,5 +1,5 @@
-//! Farm-wide observability end-to-end: the `/metrics` exposition, the
-//! `/trace` splice, and the sampling sink.
+//! Farm-wide observability end-to-end: the `/metrics` exposition and the
+//! cross-process trace splice.
 //!
 //! Three contracts under test:
 //!
@@ -11,12 +11,13 @@
 //!   the serve framing filtered out it equals the report of an identical
 //!   local run byte-for-byte — the cross-process stream is the *same*
 //!   deterministic stream;
-//! * [`pi_obs::SamplingSink`] keeps exactly one in N root span trees.
+//! * two callers whose raw specs differ only in daemon-owned knobs
+//!   coalesce onto one job, and each caller's splice carries that
+//!   caller's own `trace_id`.
 
-use pi_obs::{Event, SamplingSink};
+use pi_obs::Event;
 use pi_serve::{serve, submit_and_wait_traced, JobSpec, ServerOptions};
 use preimpl_cnn::prelude::*;
-use std::sync::Arc;
 
 /// The job under test: tiny network, one seed, test-part device — a
 /// sub-second build so the farm round-trips stay fast.
@@ -169,32 +170,40 @@ fn spliced_remote_report_matches_a_local_run() {
 }
 
 #[test]
-fn sampling_sink_keeps_one_in_n_root_trees_end_to_end() {
-    let kept = Arc::new(MemorySink::new());
-    let obs = Obs::new(Arc::new(SamplingSink::new(3, kept.clone())));
-    for i in 0..9u64 {
-        let scope = obs.scoped("job");
-        let span = scope.span_with("run", &[("index", i.into())]);
-        scope.counter("work", 1);
-        span.end();
-    }
-    let events = kept.snapshot();
-    // Trees 0, 3 and 6 survive, each three events (start, counter, end).
-    assert_eq!(events.len(), 9);
-    let kept_indices: Vec<u64> = events
-        .iter()
-        .filter(|e| e.name == "run" && matches!(e.kind, pi_obs::EventKind::SpanStart))
-        .filter_map(|e| {
-            e.fields
+fn coalesced_callers_each_splice_under_their_own_trace_id() {
+    let h = serve("127.0.0.1:0", ServerOptions::default()).expect("bind ephemeral");
+    let addr = h.addr();
+    // `threads` is daemon-owned: `JobSpec::normalized` clears it, so the
+    // two raw specs hash apart but land on one job.
+    let first = tiny_spec();
+    let mut second = tiny_spec();
+    second.config = second.config.with_threads(2);
+    assert_ne!(first.job_id(), second.job_id());
+
+    let mut job_ids = Vec::new();
+    for spec in [&first, &second] {
+        let (result, events) = submit_and_wait_traced(&addr, spec).expect("traced round-trip");
+        assert!(preimpl_cnn::lint::lint_trace(&events).is_empty());
+        for (scope, name) in [("serve", "request"), ("serve::job", "run")] {
+            let start = events
                 .iter()
-                .find(|(k, _)| k == "index")
-                .map(|(_, v)| match v {
-                    pi_obs::Value::U64(n) => *n,
-                    other => panic!("index field is {other:?}"),
+                .find(|e| {
+                    e.scope == scope
+                        && e.name == name
+                        && matches!(e.kind, pi_obs::EventKind::SpanStart)
                 })
-        })
-        .collect();
-    assert_eq!(kept_indices, vec![0, 3, 6]);
-    // The sampled stream is still a well-formed trace.
-    assert!(preimpl_cnn::lint::lint_trace(&events).is_empty());
+                .unwrap_or_else(|| panic!("splice has no {scope}:{name} span"));
+            let trace_id = start.fields.iter().find(|(k, _)| k == "trace_id");
+            assert_eq!(
+                trace_id.map(|(_, v)| v),
+                Some(&pi_obs::Value::Str(spec.job_id())),
+                "{scope}:{name} must carry its own caller's trace_id"
+            );
+        }
+        job_ids.push(result.job_id);
+    }
+    assert_eq!(job_ids[0], job_ids[1], "the two specs must coalesce");
+
+    pi_serve::client::shutdown(&addr).expect("shutdown");
+    h.join();
 }
