@@ -65,12 +65,16 @@ warm_line="$(echo "$warm_out" | grep '^assembled ')"
 [ "$cold_line" = "$warm_line" ] \
     || { echo "warm result differs: '$cold_line' vs '$warm_line'"; exit 1; }
 echo "    cold missed, warm hit, identical result: $warm_line"
-# A removed flag must fail loudly with the usage text, not be ignored.
-gone_out="$(cargo run --release --quiet --bin preimpl -- compose "$smoke_dir/arch.txt" \
-    --db-dir "$smoke_dir/db" --router-steiner off 2>&1)" \
-    && { echo "removed flag --router-steiner was accepted: $gone_out"; exit 1; }
-echo "$gone_out" | grep -F 'usage: preimpl' >/dev/null \
-    || { echo "removed flag rejected without the usage text: $gone_out"; exit 1; }
+# A removed flag or subcommand must fail loudly with the usage text on
+# stderr, not be ignored.
+for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router-steiner off" \
+    "pilint dataflow models/lenet.json --fifo-depth 8" \
+    "flowstat trend --history x"; do
+    gone_err="$(cargo run --release --quiet --bin ${gone%% *} -- ${gone#* } 2>&1 >/dev/null)" \
+        && { echo "removed surface was accepted: $gone"; exit 1; }
+    echo "$gone_err" | grep -F "usage: ${gone%% *}" >/dev/null \
+        || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
+done
 
 # flowstat determinism gate: two LeNet-5 runs with the same seed (each
 # against a FRESH --db-dir — a warm cache changes the event stream) must
@@ -113,30 +117,6 @@ if cargo run --release --quiet --bin flowstat -- \
     >/dev/null 2>&1; then
     echo "perturbed diff did not trip --fail-on-regression"; exit 1
 fi
-echo "    perturbed diff non-empty and gate exits non-zero, as required"
-
-# Run-history trend gate: the same traces feed `flowstat record` into a
-# fresh history; two same-seed runs must trend clean (exit 0), and
-# appending the perturbed run must trip `flowstat trend
-# --fail-on-regression` with the shared gate exit code 2.
-echo "==> flowstat gate: run-history trend clean on same-seed, trips on perturbed"
-hist_dir="$fs_dir/hist"
-cargo run --release --quiet --bin flowstat -- \
-    record "$fs_dir/t1.jsonl" --history "$hist_dir" --label lenet >/dev/null
-cargo run --release --quiet --bin flowstat -- \
-    record "$fs_dir/t2.jsonl" --history "$hist_dir" --label lenet >/dev/null
-cargo run --release --quiet --bin flowstat -- \
-    trend --history "$hist_dir" --fail-on-regression >/dev/null \
-    || { echo "same-seed trend tripped the gate"; exit 1; }
-cargo run --release --quiet --bin flowstat -- \
-    record "$fs_dir/t3.jsonl" --history "$hist_dir" --label lenet >/dev/null
-set +e
-cargo run --release --quiet --bin flowstat -- \
-    trend --history "$hist_dir" --fail-on-regression >/dev/null 2>&1
-trend_rc=$?
-set -e
-[ "$trend_rc" -eq 2 ] \
-    || { echo "perturbed trend exited $trend_rc, want 2"; exit 1; }
 top_out="$(cargo run --release --quiet --bin flowstat -- \
     summarize "$fs_dir/t1.jsonl" --top 5)"
 echo "$top_out" | grep -F 'flowstat hot spans: top' >/dev/null \
@@ -144,7 +124,7 @@ echo "$top_out" | grep -F 'flowstat hot spans: top' >/dev/null \
 trace_lint="$(cargo run --release --quiet --bin pilint -- trace "$fs_dir/t1.jsonl" --json)"
 echo "$trace_lint" | grep -F '"errors": 0' >/dev/null \
     || { echo "recorded trace did not lint clean: $trace_lint"; exit 1; }
-echo "    trend clean on same-seed, exit 2 on perturbed, hot spans render, trace lints clean"
+echo "    perturbed diff non-empty and gate exits non-zero, hot spans render, trace lints clean"
 
 # Router gate: the router bench must show no drift against its ledger on
 # LeNet-5 (run over a copy of the checked-in `BENCH_router.json`, the bin
@@ -281,10 +261,9 @@ cargo run --release --quiet --bin pilint -- \
 echo "    descriptors clean, skewed skip tripped PL0400, autosize cleared it"
 
 # Lint bench gate: the dataflow fixpoint bench must self-gate clean
-# (convergence, clean bundled models, stable ResNet skip minimum), be
-# byte-identical across PI_THREADS, and trend clean through the same
-# run-history machinery the flow traces use.
-echo "==> lint bench gate: fixpoint stable across threads, trend clean"
+# (convergence, clean bundled models, stable ResNet skip minimum) and be
+# byte-identical across PI_THREADS.
+echo "==> lint bench gate: fixpoint self-gates clean, stable across threads"
 lb_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir" "$mdl_dir" "$lb_dir"' EXIT
 PI_THREADS=1 cargo run --release --quiet -p pi-bench --bin lint -- \
@@ -297,14 +276,7 @@ lb_diff="$(cargo run --release --quiet --bin flowstat -- \
     diff "$lb_dir/l1.jsonl" "$lb_dir/l4.jsonl")"
 echo "$lb_diff" | grep -F 'identical' >/dev/null \
     || { echo "lint telemetry differs across PI_THREADS: $lb_diff"; exit 1; }
-cargo run --release --quiet --bin flowstat -- \
-    record "$lb_dir/l1.jsonl" --history "$lb_dir/hist" --label lint >/dev/null
-cargo run --release --quiet --bin flowstat -- \
-    record "$lb_dir/l4.jsonl" --history "$lb_dir/hist" --label lint >/dev/null
-cargo run --release --quiet --bin flowstat -- \
-    trend --history "$lb_dir/hist" --fail-on-regression >/dev/null \
-    || { echo "lint bench trend tripped the gate"; exit 1; }
-echo "    bench self-gated clean, identical across threads, trend clean"
+echo "    bench self-gated clean, identical across threads"
 
 # pi-serve gate: a daemon on an ephemeral port must serve the same LeNet-5
 # compose job `preimpl` runs locally — the remote trace diffs to zero

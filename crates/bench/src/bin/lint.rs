@@ -19,7 +19,7 @@
 //!
 //! Usage: `lint [--networks lenet5,resnet_small] [--out PATH]
 //! [--trace PATH]`. `--trace` records the first network's event stream
-//! (CI feeds it into `flowstat record --history` for trend gating).
+//! (CI diffs the `PI_THREADS=1` and `4` recordings with `flowstat diff`).
 
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;

@@ -170,19 +170,6 @@ impl Ctx {
         pi_obs::agg::RunReport::from_events(&self.events())
     }
 
-    /// Write the `flowstat` text report of everything recorded so far next
-    /// to a `BENCH_*.json` artifact (same stem, `.flowstat.txt`). The
-    /// report is deterministic, so same-seed bench runs rewrite the file
-    /// byte-identically.
-    pub fn write_flowstat_summary(&self, json_path: &str) -> std::io::Result<String> {
-        let path = match json_path.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.flowstat.txt"),
-            None => format!("{json_path}.flowstat.txt"),
-        };
-        std::fs::write(&path, self.run_report().render_text())?;
-        Ok(path)
-    }
-
     /// LeNet-5 runs (layer granularity, weights in ROM — the paper's
     /// configuration).
     pub fn lenet(&mut self) -> &NetworkRun {

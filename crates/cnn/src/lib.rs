@@ -1,26 +1,21 @@
 //! CNN substrate: layer definitions, data-flow graphs, reference models,
-//! the architecture-definition format, fixed-point inference, and the
-//! cycle/latency model of the generated streaming accelerators.
+//! the architecture-definition format, and the cycle/latency model of the
+//! generated streaming accelerators.
 //!
 //! This crate is tool-agnostic — it knows nothing about FPGAs. The synthesis
 //! generators consume [`Layer`] parameters to build circuits; the flows
 //! consume [`Network`] graphs to drive composition; the experiment harness
-//! uses [`infer`] to validate that a generated accelerator computes the same
-//! function as the reference model and [`cycles`] to convert clock frequency
-//! into end-to-end latency.
+//! uses [`cycles`] to convert clock frequency into end-to-end latency.
 
 pub mod archdef;
 pub mod cycles;
 pub mod graph;
-pub mod infer;
 pub mod layer;
 pub mod models;
-pub mod tensor;
 
 pub use archdef::{parse_archdef, parse_archdef_lenient};
 pub use graph::{Component, ComponentEdge, Network, NetworkStats, NodeId};
 pub use layer::{ConvParams, EltwiseOp, FcParams, Layer, PoolKind, PoolParams, Shape};
-pub use tensor::Tensor;
 
 /// Errors from CNN graph construction and the archdef parser.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -110,25 +110,6 @@ pub fn alexnet_like() -> Network {
     n
 }
 
-/// A scaled-down VGG-like network (same topology shape, 16× fewer channels,
-/// 32×32 input) used where full VGG-16 inference would be needlessly slow —
-/// functional validation exercises the identical code path.
-pub fn vgg_tiny() -> Network {
-    let mut n = Network::new("vgg-tiny");
-    n.push_layer("input", Layer::Input(Shape::new(3, 32, 32)));
-    let blocks: [(u32, u32); 3] = [(4, 2), (8, 2), (16, 3)];
-    for (b, (channels, convs)) in blocks.iter().enumerate() {
-        for c in 0..*convs {
-            n.push_layer(format!("conv{}_{}", b + 1, c + 1), conv(*channels, 3, 1));
-            n.push_layer(format!("relu{}_{}", b + 1, c + 1), Layer::Relu);
-        }
-        n.push_layer(format!("pool{}", b + 1), pool2());
-    }
-    n.push_layer("fc1", fc(32));
-    n.push_layer("fc2", fc(10));
-    n
-}
-
 /// CIFAR-10 "quick" network (the Caffe example the fpgaConvNet-style
 /// prototxt descriptor in `models/cifar10_quick.prototxt` mirrors): three
 /// 5×5 same-padded convolutions with 3×3 stride-2 pooling — max after
@@ -265,8 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_models_are_valid() {
-        assert!(vgg_tiny().validate().is_ok());
+    fn toy_model_is_valid() {
         assert!(toy().validate().is_ok());
         assert_eq!(toy().output_shape().unwrap(), Shape::new(4, 1, 1));
     }

@@ -55,6 +55,17 @@ impl Pblock {
             && (self.row_lo..=self.row_hi).contains(&coord.row)
     }
 
+    /// True when the coordinate lies on the rectangle's boundary ring —
+    /// where a component's partition pins must sit for relocation and
+    /// stitching to be legal.
+    pub fn on_ring(&self, coord: TileCoord) -> bool {
+        self.contains(coord)
+            && (coord.col == self.col_lo
+                || coord.col == self.col_hi
+                || coord.row == self.row_lo
+                || coord.row == self.row_hi)
+    }
+
     /// True when the two rectangles share at least one tile.
     pub fn overlaps(&self, other: &Pblock) -> bool {
         self.col_lo <= other.col_hi
@@ -134,6 +145,23 @@ mod tests {
         assert!(pb.contains(TileCoord::new(2, 10)));
         assert!(pb.contains(TileCoord::new(5, 19)));
         assert!(!pb.contains(TileCoord::new(6, 19)));
+    }
+
+    #[test]
+    fn boundary_ring() {
+        let pb = Pblock::new(2, 5, 10, 19);
+        for corner in [(2, 10), (5, 10), (2, 19), (5, 19)] {
+            assert!(pb.on_ring(TileCoord::new(corner.0, corner.1)));
+        }
+        assert!(pb.on_ring(TileCoord::new(2, 14)), "edge tile");
+        assert!(!pb.on_ring(TileCoord::new(3, 14)), "interior tile");
+        assert!(
+            !pb.on_ring(TileCoord::new(2, 20)),
+            "outside, on an edge line"
+        );
+        // Every tile of a 1-wide pblock is on its ring.
+        let sliver = Pblock::new(7, 7, 0, 3);
+        assert!((0..=3).all(|row| sliver.on_ring(TileCoord::new(7, row))));
     }
 
     #[test]

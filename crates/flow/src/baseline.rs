@@ -27,6 +27,9 @@ impl BaselineReport {
     }
 }
 
+/// Physical-optimization passes of the baseline's full implementation run.
+const BASELINE_PHYS_OPT_PASSES: usize = 4;
+
 /// Run the full baseline: monolithic synthesis + full implementation.
 /// Returns the implemented design (wrapped flat) and its report. The
 /// backend phases report under `pnr::compile` / `pnr::place` /
@@ -49,7 +52,7 @@ pub fn run_baseline_flow(
             region: None,
         },
         route: cfg.route,
-        phys_opt_passes: cfg.phys_opt_passes,
+        phys_opt_passes: BASELINE_PHYS_OPT_PASSES,
     };
     let span = base.span("baseline");
     let compile = compile_flat_obs(&mut module, device, &compile_opts, cfg.obs())?;

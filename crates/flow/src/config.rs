@@ -61,8 +61,6 @@ pub struct FlowConfig {
     /// Placement seeds explored per component (the DSE axis); the first
     /// seed also seeds the baseline's placement.
     pub seeds: Vec<u64>,
-    /// Stop a component's seed sweep once this Fmax is reached.
-    pub target_fmax_mhz: Option<f64>,
     /// Fraction of pblock capacity a component may use.
     pub pblock_utilization: f64,
     /// Placement effort for component (OOC) placement.
@@ -72,15 +70,13 @@ pub struct FlowConfig {
     pub route: RouteOptions,
     /// Eq. 1–3 component-placer options for the architecture phase.
     pub placer: ComponentPlacerOptions,
-    /// phys_opt passes in the baseline flow.
-    pub phys_opt_passes: usize,
     /// Placement effort for the monolithic baseline (vendor default
     /// effort; higher than the per-component effort because the whole
     /// design is placed at once).
     pub baseline_effort: f64,
     /// Worker threads for the parallel regions (component builds, seed
-    /// sweeps, reference inference). `None` defers to the process default:
-    /// the `PI_THREADS` environment variable if set, else
+    /// sweeps). `None` defers to the process default: the `PI_THREADS`
+    /// environment variable if set, else
     /// `std::thread::available_parallelism()`. `Some(1)` forces the
     /// sequential path. Results and telemetry streams are identical at
     /// every value — only wall-clock time changes.
@@ -135,13 +131,11 @@ impl Default for FlowConfig {
             synth: SynthOptions::default(),
             granularity: Granularity::Layer,
             seeds: vec![1, 2, 3],
-            target_fmax_mhz: None,
             pblock_utilization: 0.7,
             effort: 2.0,
             plan_partpins: true,
             route: RouteOptions::default(),
             placer: ComponentPlacerOptions::default(),
-            phys_opt_passes: 4,
             baseline_effort: 6.0,
             threads: None,
             db_dir: None,
@@ -174,11 +168,6 @@ impl FlowConfig {
         self
     }
 
-    pub fn with_target_fmax(mut self, mhz: f64) -> Self {
-        self.target_fmax_mhz = Some(mhz);
-        self
-    }
-
     pub fn with_pblock_utilization(mut self, utilization: f64) -> Self {
         self.pblock_utilization = utilization;
         self
@@ -201,11 +190,6 @@ impl FlowConfig {
 
     pub fn with_placer(mut self, placer: ComponentPlacerOptions) -> Self {
         self.placer = placer;
-        self
-    }
-
-    pub fn with_phys_opt_passes(mut self, passes: usize) -> Self {
-        self.phys_opt_passes = passes;
         self
     }
 
@@ -259,17 +243,17 @@ impl FlowConfig {
     }
 
     /// Stable fingerprint of every knob that affects what a pre-implemented
-    /// checkpoint *is*: synthesis options, granularity, the seed sweep, the
-    /// Fmax target, pblock utilization, placement effort, port planning and
-    /// routing options. Combined with the component signature and device
+    /// checkpoint *is*: synthesis options, granularity, the seed sweep,
+    /// pblock utilization, placement effort, port planning and routing
+    /// options. Combined with the component signature and device
     /// part by [`pi_stitch::cache_key`], it keys the persistent cache —
     /// change any of these knobs and every lookup misses cleanly instead of
     /// serving a checkpoint built under different rules.
     ///
     /// Deliberately excluded: `threads` (scheduling never changes results),
     /// the telemetry sink, `db_dir` itself, and the architecture-phase /
-    /// baseline knobs (`placer`, `phys_opt_passes`, `baseline_effort`,
-    /// `fifo_autosize`), none of which influence the checkpoint artifact.
+    /// baseline knobs (`placer`, `baseline_effort`, `fifo_autosize`), none
+    /// of which influence the checkpoint artifact.
     pub fn cache_fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_str(match self.synth.mode {
@@ -286,7 +270,6 @@ impl FlowConfig {
         for &s in &self.seeds {
             h.write_u64(s);
         }
-        h.write_opt_f64(self.target_fmax_mhz);
         h.write_f64(self.pblock_utilization);
         h.write_f64(self.effort);
         h.write_bool(self.plan_partpins);
@@ -413,7 +396,6 @@ mod tests {
         assert_eq!(fp, FlowConfig::new().cache_fingerprint());
         // Every implementation knob moves it.
         assert_ne!(fp, base.clone().with_seeds([1, 2]).cache_fingerprint());
-        assert_ne!(fp, base.clone().with_target_fmax(400.0).cache_fingerprint());
         assert_ne!(
             fp,
             base.clone()

@@ -260,47 +260,28 @@ pub fn build_component(
         Ok((timing.fmax_mhz, m))
     };
 
+    // Sweep every seed, embarrassingly parallel. Each seed buffers its
+    // telemetry; the buffers flush in seed index order after the join, so
+    // the stream is identical at any PI_THREADS.
+    let items: Vec<(u64, pi_obs::BufferedObs)> =
+        cfg.seeds.iter().map(|&s| (s, obs.buffered())).collect();
+    let evaluated: Vec<BufferedEval> = items
+        .into_par_iter()
+        .map(|(s, buf)| {
+            let r = evaluate(s, buf.obs());
+            (r, buf)
+        })
+        .collect();
+    let mut candidates: Vec<Result<(f64, Module), FlowError>> = Vec::with_capacity(evaluated.len());
+    for (r, buf) in evaluated {
+        buf.flush_into(obs);
+        candidates.push(r);
+    }
+    let candidates: Vec<(f64, Module)> = candidates.into_iter().collect::<Result<_, _>>()?;
     let mut best: Option<(f64, Module)> = None;
-    let mut seeds_tried = 0usize;
-    if cfg.target_fmax_mhz.is_none() {
-        // No target: sweep every seed, embarrassingly parallel. Each seed
-        // buffers its telemetry; the buffers flush in seed index order
-        // after the join, so the stream is identical at any PI_THREADS.
-        let items: Vec<(u64, pi_obs::BufferedObs)> =
-            cfg.seeds.iter().map(|&s| (s, obs.buffered())).collect();
-        let evaluated: Vec<BufferedEval> = items
-            .into_par_iter()
-            .map(|(s, buf)| {
-                let r = evaluate(s, buf.obs());
-                (r, buf)
-            })
-            .collect();
-        let mut candidates: Vec<Result<(f64, Module), FlowError>> =
-            Vec::with_capacity(evaluated.len());
-        for (r, buf) in evaluated {
-            buf.flush_into(obs);
-            candidates.push(r);
-        }
-        let candidates: Vec<(f64, Module)> = candidates.into_iter().collect::<Result<_, _>>()?;
-        seeds_tried = cfg.seeds.len();
-        for (fmax, m) in candidates {
-            if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
-                best = Some((fmax, m));
-            }
-        }
-    } else {
-        // Targeted: evaluate sequentially and stop as soon as it is met.
-        for &seed in &cfg.seeds {
-            seeds_tried += 1;
-            let (fmax, m) = evaluate(seed, obs)?;
-            if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
-                best = Some((fmax, m));
-            }
-            if let (Some(target), Some((got, _))) = (cfg.target_fmax_mhz, best.as_ref()) {
-                if *got >= target {
-                    break;
-                }
-            }
+    for (fmax, m) in candidates {
+        if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
+            best = Some((fmax, m));
         }
     }
     let (fmax, mut module) = best.ok_or_else(|| FlowError::ComponentUnsatisfiable {
@@ -327,7 +308,7 @@ pub fn build_component(
         fmax_mhz: fmax,
         resources: need,
         pblock,
-        seeds_tried,
+        seeds_tried: cfg.seeds.len(),
         latency_cycles,
         build_time: t0.elapsed(),
     };
@@ -457,11 +438,10 @@ pub fn improve_slowest(
         // Fresh seeds per round so reruns explore new placements, plus
         // doubled effort: a deeper dive on the one component that matters.
         let base = 1000 + (round as u64) * 16;
-        let mut retry = cfg
+        let retry = cfg
             .clone()
             .with_seeds(base..base + cfg.seeds.len().max(4) as u64)
             .with_effort(cfg.effort * 2.0);
-        retry.target_fmax_mhz = None;
         let (cp, report) = build_component(network, &components[slowest_idx], device, &retry)?;
         let improved = report.fmax_mhz > old_fmax;
         if dse.enabled() {
@@ -678,11 +658,7 @@ mod tests {
         let pb = cp.meta.pblock;
         for port in cp.module.ports() {
             let pin = port.partpin.expect("planned");
-            let on_edge = pin.col == pb.col_lo
-                || pin.col == pb.col_hi
-                || pin.row == pb.row_lo
-                || pin.row == pb.row_hi;
-            assert!(on_edge, "partpin {pin} not on pblock edge {pb}");
+            assert!(pb.on_ring(pin), "partpin {pin} not on pblock edge {pb}");
         }
     }
 
@@ -790,19 +766,6 @@ mod tests {
             improve_slowest(&mut empty, &toy, &device, &cfg, 1),
             Err(FlowError::ComponentUnsatisfiable { .. })
         ));
-    }
-
-    #[test]
-    fn target_fmax_short_circuits_the_sweep() {
-        let device = Device::xcku5p_like();
-        let network = models::toy();
-        let comps = network.components(Granularity::Layer).unwrap();
-        // Trivially met by the first seed.
-        let opts = FlowConfig::new()
-            .with_seeds([1, 2, 3, 4, 5])
-            .with_target_fmax(1.0);
-        let (_, report) = build_component(&network, &comps[1], &device, &opts).unwrap();
-        assert_eq!(report.seeds_tried, 1);
     }
 
     #[test]

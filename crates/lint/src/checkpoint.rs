@@ -111,13 +111,7 @@ pub fn lint_checkpoint(checkpoint: &Checkpoint, device: Option<&Device>) -> Vec<
                 format!("port `{}` has no partition pin", port.name),
             )),
             Some(pin) => {
-                let pb = &meta.pblock;
-                let on_ring = pb.contains(pin)
-                    && (pin.col == pb.col_lo
-                        || pin.col == pb.col_hi
-                        || pin.row == pb.row_lo
-                        || pin.row == pb.row_hi);
-                if !on_ring {
+                if !meta.pblock.on_ring(pin) {
                     out.push(Diagnostic::new(
                         "PL0304",
                         origin,

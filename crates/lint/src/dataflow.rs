@@ -35,6 +35,7 @@ use crate::diag::Diagnostic;
 use crate::engine::{fixpoint_intervals, Interval};
 use pi_cnn::graph::{Granularity, Network};
 use pi_cnn::{cycles, CnnError};
+use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
 use std::collections::BTreeMap;
 
 /// One analyzed inter-component stream link.
@@ -99,11 +100,12 @@ impl DataflowAnalysis {
         self.edges.iter().map(|e| e.min_depth).max().unwrap_or(1)
     }
 
-    /// Evaluate the flows against a link capacity. With `autosize` the
-    /// capacity of each link is its own computed minimum — the state the
-    /// flow builds under `with_fifo_autosize` — so `PL0400`/`PL0401`
-    /// cannot fire and only rate imbalance and divergence remain.
-    pub fn lint(&self, link_fifo_depth: u64, autosize: bool) -> Vec<Diagnostic> {
+    /// Evaluate the flows against the link capacity the stitcher builds:
+    /// [`DEFAULT_LINK_FIFO_DEPTH`], or with `autosize` each link's own
+    /// computed minimum — the state the flow builds under
+    /// `with_fifo_autosize` — so `PL0400`/`PL0401` cannot fire and only
+    /// rate imbalance and divergence remain.
+    pub fn lint(&self, autosize: bool) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let net = &self.network_name;
         if let Some(why) = &self.fallback {
@@ -151,7 +153,7 @@ impl DataflowAnalysis {
             let capacity = if autosize {
                 e.min_depth.max(1)
             } else {
-                link_fifo_depth
+                DEFAULT_LINK_FIFO_DEPTH
             };
             if e.min_depth > capacity {
                 out.push(Diagnostic::new(
@@ -365,9 +367,7 @@ mod tests {
             assert_eq!(e.tokens_per_frame, e.expected_tokens, "{e:?}");
             assert!(!e.reconvergent);
         }
-        assert!(a
-            .lint(pi_netlist::DEFAULT_LINK_FIFO_DEPTH, false)
-            .is_empty());
+        assert!(a.lint(false).is_empty());
     }
 
     #[test]
@@ -382,13 +382,11 @@ mod tests {
         assert_eq!(skips.len(), 2, "two skip operands: {:?}", a.edges);
         for e in &skips {
             assert!(
-                e.min_depth > 1 && e.min_depth <= pi_netlist::DEFAULT_LINK_FIFO_DEPTH,
+                e.min_depth > 1 && e.min_depth <= DEFAULT_LINK_FIFO_DEPTH,
                 "{e:?}"
             );
         }
-        assert!(a
-            .lint(pi_netlist::DEFAULT_LINK_FIFO_DEPTH, false)
-            .is_empty());
+        assert!(a.lint(false).is_empty());
     }
 
     #[test]
@@ -404,7 +402,7 @@ mod tests {
         let out = analyze(&n, Granularity::Layer);
         assert!(out.fallback.is_some());
         assert!(out.diverged, "{out:?}");
-        let diags = out.lint(64, false);
+        let diags = out.lint(false);
         assert!(diags.iter().any(|d| d.code == "PL0403"), "{diags:?}");
     }
 

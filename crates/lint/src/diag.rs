@@ -478,41 +478,20 @@ pub fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
     Ok(waivers)
 }
 
-/// Per-run lint policy: level overrides, waivers and the numeric
-/// thresholds the passes consult. Thresholds are *analysis* knobs, not
-/// implementation knobs — they must never enter
-/// `FlowConfig::cache_fingerprint`, since linting cannot change what a
-/// checkpoint contains.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Per-run lint policy: level overrides, waivers and the warning gate.
+/// Policy never enters `FlowConfig::cache_fingerprint`, since linting
+/// cannot change what a checkpoint contains. The numeric thresholds the
+/// passes check against are not policy: they are the constants the
+/// synthesizer and stitcher actually build with.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct LintConfig {
     /// Per-code level overrides; codes not present use registry defaults.
     pub levels: BTreeMap<String, Level>,
     /// Waivers applied before levels.
     pub waivers: Vec<Waiver>,
-    /// `PL0107` trips when a net's endpoint count exceeds this.
-    pub fanout_threshold: usize,
-    /// `PL0206` trips when a component-boundary tensor has more elements
-    /// than this per-frame cycle budget.
-    pub frame_cycle_budget: u64,
-    /// Token capacity the dataflow pass assumes for every stitched stream
-    /// link (`PL0400`/`PL0401` trip when a computed minimum exceeds it).
-    pub link_fifo_depth: u64,
     /// Treat surviving warnings as gate failures.
     pub deny_warnings: bool,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            levels: BTreeMap::new(),
-            waivers: Vec::new(),
-            fanout_threshold: 64,
-            frame_cycle_budget: pi_synth::cost::TARGET_FRAME_CYCLES,
-            link_fifo_depth: pi_netlist::DEFAULT_LINK_FIFO_DEPTH,
-            deny_warnings: false,
-        }
-    }
 }
 
 impl LintConfig {
@@ -545,24 +524,6 @@ impl LintConfig {
     /// Install waivers (replacing any previous set).
     pub fn with_waivers(mut self, waivers: Vec<Waiver>) -> Self {
         self.waivers = waivers;
-        self
-    }
-
-    /// Set the `PL0107` fan-out threshold.
-    pub fn with_fanout_threshold(mut self, threshold: usize) -> Self {
-        self.fanout_threshold = threshold;
-        self
-    }
-
-    /// Set the `PL0206` per-frame cycle budget.
-    pub fn with_frame_cycle_budget(mut self, budget: u64) -> Self {
-        self.frame_cycle_budget = budget;
-        self
-    }
-
-    /// Set the link FIFO token capacity the dataflow pass checks against.
-    pub fn with_link_fifo_depth(mut self, depth: u64) -> Self {
-        self.link_fifo_depth = depth;
         self
     }
 

@@ -208,11 +208,7 @@ impl LintEngine {
         granularity: Granularity,
         obs: &Obs,
     ) -> LintReport {
-        self.finalize(
-            "network",
-            lint_network(network, granularity, &self.config),
-            obs,
-        )
+        self.finalize("network", lint_network(network, granularity), obs)
     }
 
     /// Dataflow-family pass (`PL04xx`): fixpoint FIFO/deadlock/rate
@@ -235,7 +231,7 @@ impl LintEngine {
         scope.counter("iterations", analysis.iterations);
         scope.counter("links", analysis.edges.len() as u64);
         scope.counter("diverged", u64::from(analysis.diverged));
-        let raw = analysis.lint(self.config.link_fifo_depth, autosize);
+        let raw = analysis.lint(autosize);
         self.finalize("dataflow", raw, obs)
     }
 
@@ -249,7 +245,7 @@ impl LintEngine {
         granularity: Granularity,
         obs: &Obs,
     ) -> (Option<Network>, LintReport) {
-        let (network, raw) = crate::model::lint_model(text, format, granularity, &self.config);
+        let (network, raw) = crate::model::lint_model(text, format, granularity);
         (network, self.finalize("model", raw, obs))
     }
 
@@ -260,11 +256,7 @@ impl LintEngine {
         module: &pi_netlist::Module,
         obs: &Obs,
     ) -> LintReport {
-        self.finalize(
-            "module",
-            lint_module(origin_base, module, &self.config),
-            obs,
-        )
+        self.finalize("module", lint_module(origin_base, module), obs)
     }
 
     /// Checkpoint-family pass (`PL03xx`) plus the netlist pass on the
@@ -281,7 +273,7 @@ impl LintEngine {
     fn checkpoint_raw(&self, checkpoint: &Checkpoint, device: Option<&Device>) -> Vec<Diagnostic> {
         let mut raw = lint_checkpoint(checkpoint, device);
         let base = format!("checkpoint:{}/module", checkpoint.meta.signature);
-        raw.extend(lint_module(&base, &checkpoint.module, &self.config));
+        raw.extend(lint_module(&base, &checkpoint.module));
         raw
     }
 
@@ -341,7 +333,7 @@ impl LintEngine {
             .map(|(i, buf)| {
                 let inst = &design.instances()[i];
                 let origin = format!("{base}/inst:{}", inst.name);
-                (lint_module(&origin, &inst.module, &self.config), buf)
+                (lint_module(&origin, &inst.module), buf)
             })
             .collect();
         for (diags, buf) in linted {

@@ -6,25 +6,22 @@
 //! of calling [`Network::input_shapes`], which aborts at the first
 //! defect — a linter must keep going and report everything.
 
-use crate::diag::{Diagnostic, LintConfig};
+use crate::diag::Diagnostic;
 use pi_cnn::graph::Granularity;
 use pi_cnn::{Layer, Network, NodeId, Shape};
+use pi_synth::cost::TARGET_FRAME_CYCLES;
 use std::collections::BTreeMap;
 
 /// Run every graph-level lint. `granularity` selects the component
 /// partition used by the bandwidth/fusion lints (PL0206/PL0207).
-pub fn lint_network(
-    network: &Network,
-    granularity: Granularity,
-    config: &LintConfig,
-) -> Vec<Diagnostic> {
+pub fn lint_network(network: &Network, granularity: Granularity) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let base = format!("network:{}", network.name);
     input_lints(&base, network, &mut out);
     degenerate_layer_lints(&base, network, &mut out);
     let order = cycle_and_orphan_lints(&base, network, &mut out);
     shape_lints(&base, network, &order, &mut out);
-    component_lints(&base, network, granularity, config, &mut out);
+    component_lints(&base, network, granularity, &mut out);
     out
 }
 
@@ -260,7 +257,6 @@ fn component_lints(
     base: &str,
     network: &Network,
     granularity: Granularity,
-    config: &LintConfig,
     out: &mut Vec<Diagnostic>,
 ) {
     let Ok(components) = network.components(granularity) else {
@@ -269,16 +265,17 @@ fn component_lints(
     for c in &components {
         let origin = format!("{base}/component:{}", c.name);
         // Every component boundary is a memory-controller round trip: the
-        // input frame must stream through within the frame cycle budget.
+        // input frame must stream through within the frame cycle budget
+        // the synthesizer sizes every engine for.
         let elements = c.input_shape.elements();
-        if elements > config.frame_cycle_budget {
+        if elements > TARGET_FRAME_CYCLES {
             out.push(Diagnostic::new(
                 "PL0206",
                 origin.clone(),
                 format!(
                     "component input tensor {} ({} elements) exceeds the \
                      per-frame cycle budget of {}",
-                    c.input_shape, elements, config.frame_cycle_budget
+                    c.input_shape, elements, TARGET_FRAME_CYCLES
                 ),
             ));
         }
@@ -308,7 +305,7 @@ mod tests {
     }
 
     fn lint(net: &Network) -> Vec<Diagnostic> {
-        lint_network(net, Granularity::Layer, &LintConfig::new())
+        lint_network(net, Granularity::Layer)
     }
 
     #[test]
@@ -392,11 +389,29 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_budget_is_configurable() {
-        let net = pi_cnn::models::lenet5();
-        let tight = LintConfig::new().with_frame_cycle_budget(100);
-        let diags = lint_network(&net, Granularity::Layer, &tight);
-        assert!(codes_of(&diags).contains(&"PL0206"), "{diags:?}");
+    fn oversized_boundary_tensor_exceeds_the_frame_budget() {
+        // 64 x 510 x 510 = 16.6 M elements cross the conv -> pool boundary,
+        // twice what an engine sized for TARGET_FRAME_CYCLES streams.
+        let mut net = Network::new("wide");
+        net.push_layer("in", Layer::Input(Shape::new(3, 512, 512)));
+        net.push_layer(
+            "c1",
+            Layer::Conv(ConvParams {
+                kernel: 3,
+                stride: 1,
+                padding: 0,
+                out_channels: 64,
+            }),
+        );
+        net.push_layer("p1", Layer::Pool(PoolParams::max(2, 2)));
+        let diags = lint(&net);
+        let over: Vec<_> = diags.iter().filter(|d| d.code == "PL0206").collect();
+        assert_eq!(over.len(), 1, "{diags:?}");
+        assert!(
+            over[0].origin.ends_with("component:p1"),
+            "{}",
+            over[0].origin
+        );
     }
 
     #[test]

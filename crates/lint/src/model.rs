@@ -4,7 +4,7 @@
 //! one invocation reports both the import defects and the structural
 //! ones.
 
-use crate::diag::{Diagnostic, LintConfig};
+use crate::diag::Diagnostic;
 use crate::graph::lint_network;
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;
@@ -29,13 +29,12 @@ pub fn lint_model(
     text: &str,
     format: ModelFormat,
     granularity: Granularity,
-    config: &LintConfig,
 ) -> (Option<Network>, Vec<Diagnostic>) {
     let (import, findings) = import_lenient(text, format);
     let mut raw: Vec<Diagnostic> = findings.iter().map(finding_to_diagnostic).collect();
     let network = import.map(|imp| imp.network);
     if let Some(network) = &network {
-        raw.extend(lint_network(network, granularity, config));
+        raw.extend(lint_network(network, granularity));
     }
     (network, raw)
 }
@@ -47,12 +46,7 @@ mod tests {
     #[test]
     fn clean_descriptor_yields_no_diagnostics() {
         let text = pi_model::json::to_json_descriptor(&pi_cnn::models::resnet_small()).unwrap();
-        let (net, raw) = lint_model(
-            &text,
-            ModelFormat::Json,
-            Granularity::Layer,
-            &LintConfig::new(),
-        );
+        let (net, raw) = lint_model(&text, ModelFormat::Json, Granularity::Layer);
         assert!(net.is_some());
         assert!(raw.is_empty(), "{raw:?}");
     }
@@ -65,12 +59,7 @@ mod tests {
   "nodes": [{"name": "c", "op": "Convolve", "inputs": ["input"]}],
   "outputs": ["c"]
 }"#;
-        let (net, raw) = lint_model(
-            text,
-            ModelFormat::Json,
-            Granularity::Layer,
-            &LintConfig::new(),
-        );
+        let (net, raw) = lint_model(text, ModelFormat::Json, Granularity::Layer);
         assert!(net.is_none());
         assert_eq!(raw.len(), 1);
         assert_eq!(raw[0].code, pi_model::UNSUPPORTED_OP);
@@ -94,12 +83,7 @@ mod tests {
   ],
   "outputs": ["f"]
 }"#;
-        let (net, raw) = lint_model(
-            text,
-            ModelFormat::Json,
-            Granularity::Layer,
-            &LintConfig::new(),
-        );
+        let (net, raw) = lint_model(text, ModelFormat::Json, Granularity::Layer);
         assert!(net.is_some());
         assert!(raw.iter().any(|d| d.code == pi_model::UNFOLDABLE_BATCHNORM));
     }

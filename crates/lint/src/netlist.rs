@@ -8,7 +8,7 @@
 //! timing knowledge — so the passes run in microseconds even on the
 //! VGG-scale modules the synthesizer emits.
 
-use crate::diag::{Diagnostic, LintConfig};
+use crate::diag::Diagnostic;
 use pi_netlist::{Design, Direction, Endpoint, Module};
 use std::collections::BTreeMap;
 
@@ -27,13 +27,13 @@ fn sample_names(names: &[String]) -> String {
 
 /// Run every module-level netlist lint. `origin_base` anchors the
 /// diagnostics, e.g. `module:conv1` or `db:conv_k5.../module`.
-pub fn lint_module(origin_base: &str, module: &Module, config: &LintConfig) -> Vec<Diagnostic> {
+pub fn lint_module(origin_base: &str, module: &Module) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     port_drive_lints(origin_base, module, &mut out);
     width_lints(origin_base, module, &mut out);
     combinational_loop_lints(origin_base, module, &mut out);
     unreachable_cell_lints(origin_base, module, &mut out);
-    fanout_lints(origin_base, module, config, &mut out);
+    fanout_lints(origin_base, module, &mut out);
     steiner_lints(origin_base, module, &mut out);
     out
 }
@@ -292,23 +292,25 @@ fn unreachable_cell_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>
     }
 }
 
-/// PL0107: fan-out hotspots — nets whose endpoint count exceeds the
-/// configured threshold and would need replication or extra pipelining
+/// Endpoint count above which `PL0107` calls a net a fan-out hotspot.
+const FANOUT_THRESHOLD: usize = 64;
+
+/// PL0107: fan-out hotspots — nets whose endpoint count exceeds
+/// [`FANOUT_THRESHOLD`] and would need replication or extra pipelining
 /// in a real device.
-fn fanout_lints(base: &str, module: &Module, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+fn fanout_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
     for net in module.nets() {
         if net.is_clock {
             continue; // clock trees use dedicated routing; fan-out is free
         }
-        if net.degree() > config.fanout_threshold {
+        if net.degree() > FANOUT_THRESHOLD {
             out.push(Diagnostic::new(
                 "PL0107",
                 format!("{base}/net:{}", net.name),
                 format!(
-                    "net `{}` has fan-out {} (threshold {})",
+                    "net `{}` has fan-out {} (threshold {FANOUT_THRESHOLD})",
                     net.name,
                     net.degree(),
-                    config.fanout_threshold
                 ),
             ));
         }
@@ -465,7 +467,7 @@ mod tests {
         b.connect("n_mid", Endpoint::Cell(a), [Endpoint::Cell(c)]);
         b.connect("n_out", Endpoint::Cell(c), [Endpoint::Port(dout)]);
         let m = b.finish().unwrap();
-        assert!(lint_module("module:m", &m, &LintConfig::new()).is_empty());
+        assert!(lint_module("module:m", &m).is_empty());
     }
 
     #[test]
@@ -482,7 +484,7 @@ mod tests {
         );
         b.connect("n1", Endpoint::Cell(c), [Endpoint::Port(dout)]);
         let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:m", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:m", &m));
         assert!(codes.contains(&"PL0101"), "multi-driven dout: {codes:?}");
         assert!(codes.contains(&"PL0102"), "dangling din: {codes:?}");
     }
@@ -497,7 +499,7 @@ mod tests {
         b.connect("n0", Endpoint::Port(din), [Endpoint::Cell(a)]);
         b.connect("n1", Endpoint::Cell(a), [Endpoint::Cell(c)]);
         let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:m", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:m", &m));
         assert!(codes.contains(&"PL0103"), "{codes:?}");
     }
 
@@ -508,7 +510,7 @@ mod tests {
         let dout = b.output("dout", StreamRole::Sink, 16);
         b.connect("thru", Endpoint::Port(din), [Endpoint::Port(dout)]);
         let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:m", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:m", &m));
         assert!(codes.contains(&"PL0104"), "{codes:?}");
     }
 
@@ -524,7 +526,7 @@ mod tests {
         b.connect("n1", Endpoint::Cell(x), [Endpoint::Cell(y)]);
         b.connect("n2", Endpoint::Cell(y), [Endpoint::Port(dout)]);
         let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:chain", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:chain", &m));
         assert!(!codes.contains(&"PL0105"), "chain is not a loop: {codes:?}");
 
         // Loop: x -> y -> x.
@@ -541,7 +543,7 @@ mod tests {
             [Endpoint::Cell(x), Endpoint::Port(dout)],
         );
         let m = b.finish().unwrap();
-        let diags = lint_module("module:lp", &m, &LintConfig::new());
+        let diags = lint_module("module:lp", &m);
         let loops: Vec<_> = diags.iter().filter(|d| d.code == "PL0105").collect();
         assert_eq!(loops.len(), 1, "{diags:?}");
         assert!(loops[0].message.contains("2 cell(s)"));
@@ -560,29 +562,31 @@ mod tests {
         let v = reg(&mut b, "v");
         b.connect("n2", Endpoint::Cell(u), [Endpoint::Cell(v)]);
         let m = b.finish().unwrap();
-        let diags = lint_module("module:m", &m, &LintConfig::new());
+        let diags = lint_module("module:m", &m);
         let dead: Vec<_> = diags.iter().filter(|d| d.code == "PL0106").collect();
         assert_eq!(dead.len(), 1, "one aggregated diagnostic: {diags:?}");
         assert!(dead[0].message.contains("2 cell(s)"));
     }
 
     #[test]
-    fn fanout_threshold_is_configurable() {
-        let mut b = ModuleBuilder::new("m");
-        let din = b.input("din", StreamRole::Source, 8);
-        let dout = b.output("dout", StreamRole::Sink, 8);
-        let cells: Vec<_> = (0..6).map(|i| reg(&mut b, &format!("c{i}"))).collect();
-        let sinks: Vec<_> = cells.iter().map(|&c| Endpoint::Cell(c)).collect();
-        b.connect("wide", Endpoint::Port(din), sinks);
-        for (i, &c) in cells.iter().enumerate() {
-            b.connect(format!("o{i}"), Endpoint::Cell(c), [Endpoint::Port(dout)]);
-        }
-        let m = b.finish().unwrap();
-        let cfg = LintConfig::new().with_fanout_threshold(4);
-        let codes = codes_of(&lint_module("module:m", &m, &cfg));
+    fn fanout_hotspot_trips_above_the_threshold() {
+        // A net's degree is its driver plus its sinks: 65 sinks is the
+        // first fan-out past the 64-endpoint threshold, 63 sinks sits on it.
+        let wide_net = |sinks: usize| {
+            let mut b = ModuleBuilder::new("m");
+            let din = b.input("din", StreamRole::Source, 8);
+            let dout = b.output("dout", StreamRole::Sink, 8);
+            let cells: Vec<_> = (0..sinks).map(|i| reg(&mut b, &format!("c{i}"))).collect();
+            let sinks: Vec<_> = cells.iter().map(|&c| Endpoint::Cell(c)).collect();
+            b.connect("wide", Endpoint::Port(din), sinks);
+            for (i, &c) in cells.iter().enumerate() {
+                b.connect(format!("o{i}"), Endpoint::Cell(c), [Endpoint::Port(dout)]);
+            }
+            b.finish().unwrap()
+        };
+        let codes = codes_of(&lint_module("module:m", &wide_net(65)));
         assert!(codes.contains(&"PL0107"), "{codes:?}");
-        let calm = LintConfig::new().with_fanout_threshold(100);
-        let codes = codes_of(&lint_module("module:m", &m, &calm));
+        let codes = codes_of(&lint_module("module:m", &wide_net(63)));
         assert!(!codes.contains(&"PL0107"), "{codes:?}");
     }
 
@@ -617,13 +621,13 @@ mod tests {
         m.nets_mut().unwrap()[fan].route = Some(Route {
             tiles: vec![TileCoord::new(5, 0); 31],
         });
-        let codes = codes_of(&lint_module("module:m", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:m", &m));
         assert!(codes.contains(&"PL0140"), "{codes:?}");
         // Steiner-length route (+1 tile of slack): clean.
         m.nets_mut().unwrap()[fan].route = Some(Route {
             tiles: vec![TileCoord::new(5, 0); 22],
         });
-        let codes = codes_of(&lint_module("module:m", &m, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:m", &m));
         assert!(!codes.contains(&"PL0140"), "{codes:?}");
         // Three terminals are below the Steiner-worthwhile fan-out: the
         // same shape without its far sink (Steiner 15 steps, star 20)
@@ -642,7 +646,7 @@ mod tests {
         t.nets_mut().unwrap()[fan].route = Some(Route {
             tiles: vec![TileCoord::new(5, 0); 21],
         });
-        let codes = codes_of(&lint_module("module:t", &t, &LintConfig::new()));
+        let codes = codes_of(&lint_module("module:t", &t));
         assert!(!codes.contains(&"PL0140"), "{codes:?}");
     }
 }

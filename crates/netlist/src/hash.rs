@@ -65,17 +65,6 @@ impl StableHasher {
         self.write_u64(v.to_bits());
     }
 
-    /// An optional `f64`: presence is part of the encoding.
-    pub fn write_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.write_bool(true);
-                self.write_f64(x);
-            }
-            None => self.write_bool(false),
-        }
-    }
-
     pub fn finish(&self) -> u64 {
         self.state
     }
@@ -108,15 +97,6 @@ mod tests {
         let mut b = StableHasher::new();
         b.write_str("a");
         b.write_str("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn option_presence_is_encoded() {
-        let mut a = StableHasher::new();
-        a.write_opt_f64(None);
-        let mut b = StableHasher::new();
-        b.write_opt_f64(Some(0.0));
         assert_ne!(a.finish(), b.finish());
     }
 

@@ -25,7 +25,6 @@ pub mod hash;
 pub mod module;
 pub mod net;
 pub mod port;
-pub mod stats;
 
 pub use cell::{Cell, CellId, CellKind};
 pub use dcp::{Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION};
@@ -34,7 +33,6 @@ pub use hash::{fnv1a64, StableHasher};
 pub use module::{Module, ModuleBuilder};
 pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
-pub use stats::{module_stats, ModuleStats};
 
 /// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]

@@ -429,12 +429,6 @@ impl RunReport {
         r
     }
 
-    /// Parse a JSON-Lines trace (full or timestamp-stripped form) and fold
-    /// it. Blank lines are skipped.
-    pub fn from_jsonl(text: &str) -> Result<RunReport, crate::ParseError> {
-        Ok(Self::from_events(&crate::parse_jsonl(text)?))
-    }
-
     fn fold_convergence(&mut self, e: &Event) {
         match (e.scope.as_str(), e.name.as_str()) {
             ("pnr::place", "anneal_round") => {
@@ -1216,11 +1210,12 @@ mod tests {
             .iter()
             .map(|e| e.to_json_line() + "\n")
             .collect();
-        let parsed = RunReport::from_jsonl(&full).expect("parses");
-        assert_eq!(direct, parsed);
+        let fold =
+            |jsonl: &str| RunReport::from_events(&crate::parse_jsonl(jsonl).expect("parses"));
+        assert_eq!(direct, fold(&full));
         // The stripped comparison form drops exactly the wall-clock
         // aggregates — every deterministic metric still aligns.
-        let stripped = RunReport::from_jsonl(&sink.stripped_jsonl()).expect("parses");
+        let stripped = fold(&sink.stripped_jsonl());
         assert!(direct.diff(&stripped).is_empty());
         assert!(stripped.wallclock.is_empty());
         assert_eq!(direct.wallclock["rt:step.wallclock_s"].last, 0.5);

@@ -28,7 +28,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod agg;
-pub mod history;
 pub mod registry;
 
 /// A telemetry field value.

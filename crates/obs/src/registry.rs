@@ -63,12 +63,6 @@ impl Registry {
         }
     }
 
-    /// Add `delta` to a monotonic counter (created at 0).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        *inner.counters.entry(sanitize(name)).or_insert(0) += delta;
-    }
-
     /// Set a monotonic counter to an absolute value — for mirroring a
     /// total that another subsystem already maintains (queue stats, cache
     /// totals) at scrape time.
@@ -93,18 +87,6 @@ impl Registry {
     /// Whole seconds since this registry was created.
     pub fn uptime_seconds(&self) -> u64 {
         self.start.elapsed().as_secs()
-    }
-
-    /// Current value of a counter (0 if absent) — mostly for tests.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("registry lock");
-        inner.counters.get(&sanitize(name)).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().expect("registry lock");
-        inner.gauges.get(&sanitize(name)).copied()
     }
 
     /// Upper bound (`le` label) of histogram bucket `i`, matching
@@ -158,33 +140,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_set_overrides() {
+    fn counter_set_overrides_the_previous_total() {
         let r = Registry::new();
-        r.counter_add("jobs_total", 2);
-        r.counter_add("jobs_total", 3);
-        assert_eq!(r.counter_value("jobs_total"), 5);
+        r.counter_set("jobs_total", 5);
+        assert!(r.render_prometheus().contains("jobs_total 5\n"));
         r.counter_set("jobs_total", 9);
-        assert_eq!(r.counter_value("jobs_total"), 9);
-        assert_eq!(r.counter_value("absent"), 0);
+        let text = r.render_prometheus();
+        assert!(text.contains("jobs_total 9\n") && !text.contains("jobs_total 5"));
     }
 
     #[test]
     fn names_are_sanitized_into_the_prometheus_charset() {
         let r = Registry::new();
-        r.counter_add("pi-serve jobs.total", 1);
-        assert_eq!(r.counter_value("pi_serve_jobs_total"), 1);
-        assert!(r.render_prometheus().contains("pi_serve_jobs_total 1"));
+        r.counter_set("pi-serve jobs.total", 1);
+        assert!(r.render_prometheus().contains("pi_serve_jobs_total 1\n"));
         // A leading digit is not a valid first character.
         r.gauge_set("9lives", 1.0);
-        assert_eq!(r.gauge_value("_lives"), Some(1.0));
+        assert!(r.render_prometheus().contains("\n_lives 1\n"));
     }
 
     #[test]
     fn prometheus_rendering_is_sorted_and_typed() {
         let r = Registry::new();
         r.gauge_set("queue_depth", 3.0);
-        r.counter_add("b_total", 1);
-        r.counter_add("a_total", 2);
+        r.counter_set("b_total", 1);
+        r.counter_set("a_total", 2);
         let text = r.render_prometheus();
         let a = text.find("a_total 2").expect("a_total rendered");
         let b = text.find("b_total 1").expect("b_total rendered");

@@ -136,12 +136,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
         if let Some(pb) = pblock {
             for port in inst.module.ports() {
                 if let Some(pin) = port.partpin {
-                    let on_ring = pb.contains(pin)
-                        && (pin.col == pb.col_lo
-                            || pin.col == pb.col_hi
-                            || pin.row == pb.row_lo
-                            || pin.row == pb.row_hi);
-                    if !on_ring {
+                    if !pb.on_ring(pin) {
                         violations.push(Violation::PartpinOffPblock {
                             instance: inst.name.clone(),
                             port: port.name.clone(),

@@ -60,16 +60,4 @@ fn main() {
         violations.len()
     );
     assert!(violations.is_empty());
-
-    // Netlist analysis of the biggest component, for the curious.
-    let biggest = design
-        .instances()
-        .iter()
-        .max_by_key(|i| i.module.cells().len())
-        .expect("instances exist");
-    println!(
-        "\nlargest instance '{}' netlist stats:\n{}",
-        biggest.name,
-        preimpl_cnn::netlist::module_stats(&biggest.module)
-    );
 }

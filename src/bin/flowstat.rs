@@ -2,10 +2,7 @@
 //!
 //! ```text
 //! flowstat summarize <trace.jsonl> [--json] [--wallclock] [--top N]
-//! flowstat diff <a.jsonl> <b.jsonl> [--fail-on-regression [PCT]] [--json]
-//! flowstat record <trace.jsonl> --history DIR [--label NAME]
-//! flowstat trend --history DIR [--window N] [--tolerance PCT]
-//!               [--fail-on-regression [PCT]]
+//! flowstat diff <a.jsonl> <b.jsonl> [--fail-on-regression PCT] [--json]
 //! ```
 //!
 //! `summarize` folds one `--trace` recording (see the `preimpl`,
@@ -13,41 +10,29 @@
 //! tree, counter/gauge/histogram tables and per-phase convergence traces;
 //! `--top N` prints only the N hottest spans by self cost. `diff` aligns
 //! two recordings by scope path and prints every metric delta; with
-//! `--fail-on-regression [PCT]` (default 0) the exit code becomes 2 when
-//! any aligned metric moved by more than PCT percent (or
-//! appeared/vanished), which is the CI regression gate. `record` compacts
-//! a recording into an append-only JSONL history, and `trend` judges the
-//! newest recorded run against the rolling median of the preceding window
-//! — the run-*history* gate that catches slow drift pairwise `diff`
-//! misses. All output is deterministic: built from seq-ordered events
-//! only, timestamps ignored, so two same-seed runs summarize
-//! byte-identically at any thread count. `--wallclock` appends the one
-//! non-deterministic section — `wallclock*` fields such as the daemon's
-//! per-request latency — which never participates in diffs or gates.
+//! `--fail-on-regression PCT` the exit code becomes 2 when any aligned
+//! metric moved by more than PCT percent (or appeared/vanished), which is
+//! the CI regression gate — run against a checked-in seed trace
+//! (`ci/*.seed.jsonl`) with PCT 0 it catches any drift exactly, because
+//! all output is deterministic: built from seq-ordered events only,
+//! timestamps ignored, so two same-seed runs summarize byte-identically
+//! at any thread count. `--wallclock` appends the one non-deterministic
+//! section — `wallclock*` fields such as the daemon's per-request latency
+//! — which never participates in diffs or gates.
 
-use pi_obs::history::{self, HistoryEntry};
 use preimpl_cnn::cli::{self, Flag};
 use preimpl_cnn::prelude::*;
-use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: flowstat <summarize|diff|record|trend> [trace.jsonl] [trace-b.jsonl] \
-                     [--fail-on-regression [PCT]] [--json] [--wallclock] [--top N] \
-                     [--history DIR] [--label NAME] [--window N] [--tolerance PCT]";
+const USAGE: &str = "usage: flowstat <summarize|diff> <trace.jsonl> [trace-b.jsonl] \
+                     [--fail-on-regression PCT] [--json] [--wallclock] [--top N]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--json"),
     Flag::switch("--wallclock"),
-    Flag::optional_value("--fail-on-regression"),
+    Flag::value("--fail-on-regression"),
     Flag::value("--top"),
-    Flag::value("--history"),
-    Flag::value("--label"),
-    Flag::value("--window"),
-    Flag::value("--tolerance"),
 ];
-
-const DEFAULT_WINDOW: usize = 20;
-const DEFAULT_TOLERANCE_PCT: f64 = 5.0;
 
 fn load_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -55,26 +40,14 @@ fn load_report(path: &str) -> Result<RunReport, String> {
     Ok(RunReport::from_events(&events))
 }
 
-/// `--history DIR` is mandatory for `record` and `trend`.
-fn history_dir(args: &cli::Cli) -> Result<&Path, String> {
-    args.value("--history")
-        .map(Path::new)
-        .ok_or_else(|| format!("--history DIR is required\n{USAGE}"))
-}
-
-/// The gate threshold of `--fail-on-regression [PCT]`: `None` when the
-/// flag is absent, `Some(pct)` otherwise (`default` when bare).
-fn gate_pct(args: &cli::Cli, default: f64) -> Result<Option<f64>, String> {
-    if !args.switch("--fail-on-regression") && args.value("--fail-on-regression").is_none() {
-        return Ok(None);
+/// The gate threshold of `--fail-on-regression PCT`, `None` when absent.
+fn gate_pct(args: &cli::Cli) -> Result<Option<f64>, String> {
+    match args.parsed::<f64>("--fail-on-regression", "a number")? {
+        Some(pct) if !pct.is_finite() || pct < 0.0 => {
+            Err("--fail-on-regression must be >= 0".to_string())
+        }
+        other => Ok(other),
     }
-    let pct = args
-        .parsed::<f64>("--fail-on-regression", "a number")?
-        .unwrap_or(default);
-    if !pct.is_finite() || pct < 0.0 {
-        return Err("--fail-on-regression must be >= 0".to_string());
-    }
-    Ok(Some(pct))
 }
 
 fn main() -> ExitCode {
@@ -112,7 +85,7 @@ fn run() -> Result<ExitCode, String> {
             } else {
                 cli::emit(&diff.render_text())?;
             }
-            if let Some(pct) = gate_pct(&args, 0.0)? {
+            if let Some(pct) = gate_pct(&args)? {
                 let regressions = diff.regressions(pct);
                 if !regressions.is_empty() {
                     eprintln!(
@@ -121,54 +94,6 @@ fn run() -> Result<ExitCode, String> {
                     );
                     return Ok(ExitCode::from(preimpl_cnn::exit::GATE));
                 }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "record" => {
-            let path = args.positional(0, "trace.jsonl", USAGE)?;
-            let dir = history_dir(&args)?;
-            let label = match args.value("--label") {
-                Some(l) => l.to_string(),
-                None => Path::new(path)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| path.to_string()),
-            };
-            let report = load_report(path)?;
-            let entry = HistoryEntry::from_report(label.clone(), &report);
-            history::append(dir, &entry)
-                .map_err(|e| format!("appending to {}: {e}", dir.display()))?;
-            cli::emit(&format!(
-                "flowstat record: {:?} ({} metrics) -> {}\n",
-                label,
-                entry.metrics.len(),
-                dir.join(history::HISTORY_FILE).display()
-            ))?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "trend" => {
-            let dir = history_dir(&args)?;
-            let window = args
-                .parsed::<usize>("--window", "a number")?
-                .unwrap_or(DEFAULT_WINDOW)
-                .max(1);
-            let tolerance = match args.parsed::<f64>("--tolerance", "a number")? {
-                Some(t) if !t.is_finite() || t < 0.0 => {
-                    return Err("--tolerance must be >= 0".to_string());
-                }
-                other => other.unwrap_or(DEFAULT_TOLERANCE_PCT),
-            };
-            // A valued --fail-on-regression doubles as the tolerance.
-            let gate = gate_pct(&args, tolerance)?;
-            let entries = history::load(dir)?;
-            let report = history::trend(&entries, window, gate.unwrap_or(tolerance))?;
-            cli::emit(&report.render_text())?;
-            if gate.is_some() && !report.is_clean() {
-                eprintln!(
-                    "flowstat: {} metric(s) beyond the trend gate",
-                    report.regressions.len()
-                );
-                return Ok(ExitCode::from(preimpl_cnn::exit::GATE));
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -21,8 +21,8 @@
 //! `.prototxt` — format sniffed from the extension, archdef otherwise) and
 //! runs the worklist fixpoint over arrival intervals: link-FIFO occupancy
 //! bounds, skew-induced deadlock risk on reconvergent joins, token-rate
-//! mismatches. `--fifo-depth N` sets the assumed link capacity (default
-//! 64, the stitcher's); `--autosize` lints against the depths
+//! mismatches. Links are checked against the stitcher's standard depth
+//! (64); `--autosize` lints against the depths
 //! `FlowConfig::with_fifo_autosize` would install instead.
 //!
 //! Waivers that match no finding are themselves flagged (`PL0001`) on the
@@ -42,7 +42,7 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: pilint <archdef|model|dataflow|db|design|trace|codes> <inputs...> [--block] [--json] \
                      [--deny-warnings] [--waivers FILE] [--allow CODE] [--warn CODE] \
-                     [--deny CODE] [--device NAME] [--threads N] [--fifo-depth N] [--autosize]";
+                     [--deny CODE] [--device NAME] [--threads N] [--autosize]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--block"),
@@ -55,7 +55,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("--deny"),
     Flag::value("--device"),
     Flag::value("--threads"),
-    Flag::value("--fifo-depth"),
 ];
 
 fn lint_config(args: &Cli) -> Result<LintConfig, String> {
@@ -75,15 +74,6 @@ fn lint_config(args: &Cli) -> Result<LintConfig, String> {
     if let Some(path) = args.value("--waivers") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         cfg = cfg.with_waivers(parse_waivers(&text).map_err(|e| format!("{path}: {e}"))?);
-    }
-    if let Some(depth) = args.value("--fifo-depth") {
-        let depth: u64 = depth
-            .parse()
-            .map_err(|e| format!("--fifo-depth {depth}: {e}"))?;
-        if depth == 0 {
-            return Err("--fifo-depth must be at least 1".into());
-        }
-        cfg = cfg.with_link_fifo_depth(depth);
     }
     Ok(cfg)
 }

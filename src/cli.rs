@@ -30,10 +30,6 @@ pub enum FlagKind {
     Switch,
     /// An option that always consumes the next argument (`--device NAME`).
     Value,
-    /// A switch that consumes the next argument only when one follows and
-    /// does not look like a flag (`--fail-on-regression [PCT]`). Presence
-    /// is visible via [`Cli::switch`] whether or not a value was given.
-    OptionalValue,
 }
 
 /// One accepted flag: a bare switch (`--json`) or an option that consumes
@@ -59,14 +55,6 @@ impl Flag {
         Flag {
             name,
             kind: FlagKind::Value,
-        }
-    }
-
-    /// A switch with an optional trailing value (`--gate [THRESHOLD]`).
-    pub const fn optional_value(name: &'static str) -> Flag {
-        Flag {
-            name,
-            kind: FlagKind::OptionalValue,
         }
     }
 }
@@ -160,7 +148,7 @@ pub fn parse_from(
     flags: &'static [Flag],
     usage: &str,
 ) -> Result<Cli, String> {
-    let mut argv = argv.into_iter().peekable();
+    let mut argv = argv.into_iter();
     let mut cli = Cli {
         command: argv.next().ok_or_else(|| usage.to_string())?,
         ..Cli::default()
@@ -172,13 +160,6 @@ pub fn parse_from(
                 FlagKind::Value => {
                     let v = argv.next().ok_or(format!("{} needs a value", flag.name))?;
                     cli.values.push((flag.name, v));
-                }
-                FlagKind::OptionalValue => {
-                    cli.switches.push(flag.name);
-                    if argv.peek().is_some_and(|next| !next.starts_with('-')) {
-                        let v = argv.next().expect("peeked value exists");
-                        cli.values.push((flag.name, v));
-                    }
                 }
             }
         } else if a.starts_with("--") {
@@ -227,7 +208,7 @@ mod tests {
         Flag::value("--device"),
         Flag::value("--threads"),
         Flag::value("--allow"),
-        Flag::optional_value("--gate"),
+        Flag::value("--fail-on-regression"),
     ];
 
     fn args(parts: &[&str]) -> Vec<String> {
@@ -273,17 +254,26 @@ mod tests {
     }
 
     #[test]
-    fn optional_value_flags_work_bare_valued_and_trailing() {
-        let bare = parse_from(args(&["x", "--gate", "--json"]), FLAGS, "u").unwrap();
-        assert!(bare.switch("--gate") && bare.switch("--json"));
-        assert_eq!(bare.value("--gate"), None, "next flag is not a value");
-        let valued = parse_from(args(&["x", "--gate", "2.5", "in.cnn"]), FLAGS, "u").unwrap();
-        assert!(valued.switch("--gate"));
-        assert_eq!(valued.value("--gate"), Some("2.5"));
-        assert_eq!(valued.positional, vec!["in.cnn"], "positional survives");
-        let trailing = parse_from(args(&["x", "--gate"]), FLAGS, "u").unwrap();
-        assert!(trailing.switch("--gate"));
-        assert_eq!(trailing.value("--gate"), None, "end of argv is fine");
+    fn value_flags_take_one_argument_in_any_position() {
+        // `flowstat diff`'s gate: the flag owns exactly the argument after
+        // it, so the two traces stay positionals 0 and 1 wherever it sits.
+        for argv in [
+            ["diff", "--fail-on-regression", "5", "a", "b"],
+            ["diff", "a", "b", "--fail-on-regression", "5"],
+        ] {
+            let cli = parse_from(args(&argv), FLAGS, "u").unwrap();
+            assert_eq!(cli.positional, vec!["a", "b"], "{argv:?}");
+            assert_eq!(cli.value("--fail-on-regression"), Some("5"), "{argv:?}");
+        }
+        // There is no bare form: a trailing flag is an error, never a
+        // silently defaulted threshold.
+        let e = parse_from(
+            args(&["diff", "a", "b", "--fail-on-regression"]),
+            FLAGS,
+            "u",
+        )
+        .unwrap_err();
+        assert_eq!(e, "--fail-on-regression needs a value");
     }
 
     #[test]

@@ -50,35 +50,26 @@ fn opt<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
 fn lint_strategy() -> impl Strategy<Value = Option<LintConfig>> {
     let levels = proptest::collection::vec((0usize..CODES.len(), 0u8..3), 0..4);
     let waivers = proptest::collection::vec((0usize..CODES.len(), 0usize..PREFIXES.len()), 0..3);
-    let cfg = (
-        (levels, waivers),
-        (1usize..64, 1u64..1_000_000, 1u64..512),
-        pbool(),
-    )
-        .prop_map(|((levels, waivers), (fanout, budget, fifo), deny)| {
-            let mut lint = LintConfig::new()
-                .with_fanout_threshold(fanout)
-                .with_frame_cycle_budget(budget)
-                .with_link_fifo_depth(fifo)
-                .with_deny_warnings(deny);
-            for (code, level) in levels {
-                let level = match level {
-                    0 => Level::Allow,
-                    1 => Level::Warn,
-                    _ => Level::Deny,
-                };
-                lint = lint.with_level(CODES[code].to_string(), level);
-            }
-            lint.with_waivers(
-                waivers
-                    .into_iter()
-                    .map(|(code, prefix)| Waiver {
-                        code: CODES[code].to_string(),
-                        origin_prefix: PREFIXES[prefix].to_string(),
-                    })
-                    .collect(),
-            )
-        });
+    let cfg = (levels, waivers, pbool()).prop_map(|(levels, waivers, deny)| {
+        let mut lint = LintConfig::new().with_deny_warnings(deny);
+        for (code, level) in levels {
+            let level = match level {
+                0 => Level::Allow,
+                1 => Level::Warn,
+                _ => Level::Deny,
+            };
+            lint = lint.with_level(CODES[code].to_string(), level);
+        }
+        lint.with_waivers(
+            waivers
+                .into_iter()
+                .map(|(code, prefix)| Waiver {
+                    code: CODES[code].to_string(),
+                    origin_prefix: PREFIXES[prefix].to_string(),
+                })
+                .collect(),
+        )
+    });
     opt(cfg)
 }
 
@@ -86,7 +77,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     let shape = (
         pbool(),                                          // granularity
         proptest::collection::vec(0u64..1_000_000, 1..6), // seeds
-        opt(50.0f64..2_000.0),                            // target fmax
         0.05f64..1.0,                                     // pblock utilization
         0.1f64..16.0,                                     // effort
     );
@@ -94,7 +84,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         pbool(),                                             // plan partpins
         (1usize..40, 1u64..200),                             // route knobs
         (0.0f64..500.0, 0.0f64..20.0, 0u64..16, 0usize..12), // placer knobs
-        0usize..10,                                          // phys-opt passes
         0.5f64..16.0,                                        // baseline effort
     );
     let synth = (pbool(), 1u64..64, pbool(), pbool());
@@ -105,8 +94,8 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     );
     (shape, engines, synth, cache, lint_strategy()).prop_map(
         |(
-            (block, seeds, target, util, effort),
-            (partpins, (max_iters, capacity), placer, passes, baseline),
+            (block, seeds, util, effort),
+            (partpins, (max_iters, capacity), placer, baseline),
             (mono, width, on_chip, autosize),
             (threads, db_dir, budget),
             lint,
@@ -140,12 +129,8 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                     crowding_margin: placer.2 as u16,
                     max_retries: placer.3,
                 })
-                .with_phys_opt_passes(passes)
                 .with_baseline_effort(baseline)
                 .with_fifo_autosize(autosize);
-            if let Some(t) = target {
-                cfg = cfg.with_target_fmax(t);
-            }
             if let Some(t) = threads {
                 cfg = cfg.with_threads(t);
             }
@@ -178,16 +163,11 @@ proptest! {
         prop_assert_eq!(back.threads, cfg.threads);
         prop_assert_eq!(back.db_dir.clone(), cfg.db_dir.clone());
         prop_assert_eq!(back.db_budget_bytes, cfg.db_budget_bytes);
-        prop_assert_eq!(back.phys_opt_passes, cfg.phys_opt_passes);
         prop_assert_eq!(back.baseline_effort, cfg.baseline_effort);
         prop_assert_eq!(back.fifo_autosize, cfg.fifo_autosize);
         prop_assert_eq!(
-            back.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(),
-                                        l.fanout_threshold, l.frame_cycle_budget,
-                                        l.link_fifo_depth, l.deny_warnings)),
-            cfg.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(),
-                                       l.fanout_threshold, l.frame_cycle_budget,
-                                       l.link_fifo_depth, l.deny_warnings))
+            back.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings)),
+            cfg.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings))
         );
     }
 
@@ -211,15 +191,11 @@ fn every_knob_config() -> FlowConfig {
             code: "PL0101".into(),
             origin_prefix: "net:top_*".into(),
         }])
-        .with_fanout_threshold(17)
-        .with_frame_cycle_budget(12345)
-        .with_link_fifo_depth(96)
         .with_deny_warnings(true);
     FlowConfig::new()
         .with_synth(SynthOptions::vgg_like())
         .with_granularity(Granularity::Block)
         .with_seeds([9, 4, 7])
-        .with_target_fmax(433.25)
         .with_pblock_utilization(0.55)
         .with_effort(3.5)
         .with_plan_partpins(false)
@@ -233,7 +209,6 @@ fn every_knob_config() -> FlowConfig {
             crowding_margin: 5,
             max_retries: 9,
         })
-        .with_phys_opt_passes(6)
         .with_baseline_effort(8.5)
         .with_threads(3)
         .with_db_dir("/tmp/pi-db")
@@ -244,18 +219,19 @@ fn every_knob_config() -> FlowConfig {
 
 /// The derived wire form is the hand-written one it replaced, byte for
 /// byte: these literals are `to_json()` of the same two configs captured
-/// at the last commit with the hand-written writer, minus the two router
-/// keys that were deleted with the star router. Job IDs and coalescing
-/// hash these bytes.
+/// at the last commit with the hand-written writer, minus the keys of the
+/// knobs deleted since (every one is a rejected input in
+/// `malformed_configs_are_rejected_naming_the_field`). Job IDs and
+/// coalescing hash these bytes.
 #[test]
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"target_fmax_mhz":null,"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"phys_opt_passes":4,"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null,"fifo_autosize":false}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null,"fifo_autosize":false}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"target_fmax_mhz":433.25,"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"phys_opt_passes":6,"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"fanout_threshold":17,"frame_cycle_budget":12345,"link_fifo_depth":96,"deny_warnings":true},"fifo_autosize":true}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true},"fifo_autosize":true}"#
     );
 }
 
@@ -266,16 +242,12 @@ fn every_knob_round_trips() {
     assert_eq!(back.cache_fingerprint(), cfg.cache_fingerprint());
     assert_eq!(back.synth.data_width, cfg.synth.data_width);
     assert_eq!(back.seeds, vec![9, 4, 7]);
-    assert_eq!(back.target_fmax_mhz, Some(433.25));
     assert_eq!(back.threads, Some(3));
     assert_eq!(back.db_dir, Some(PathBuf::from("/tmp/pi-db")));
     assert_eq!(back.db_budget_bytes, Some(1 << 20));
     let back_lint = back.lint.as_ref().unwrap();
     assert_eq!(back_lint.levels, cfg.lint.as_ref().unwrap().levels);
     assert_eq!(back_lint.waivers, cfg.lint.as_ref().unwrap().waivers);
-    assert_eq!(back_lint.fanout_threshold, 17);
-    assert_eq!(back_lint.frame_cycle_budget, 12345);
-    assert_eq!(back_lint.link_fifo_depth, 96);
     assert!(back_lint.deny_warnings);
     assert!(back.fifo_autosize);
     // A deserialized config carries no telemetry sink.
@@ -304,8 +276,8 @@ fn missing_keys_take_defaults() {
 #[test]
 fn malformed_configs_are_rejected_naming_the_field() {
     for (wire, needles) in [
-        // Unknown keys, top level and nested — including the two router
-        // switches an old client may still send.
+        // Unknown keys, top level and nested — including every removed
+        // knob an old client may still send.
         ("{\"sedes\":[1]}", &["unknown key", "sedes"][..]),
         ("{\"route\":{\"max_iter\":3}}", &["unknown key", "max_iter"]),
         (
@@ -313,8 +285,24 @@ fn malformed_configs_are_rejected_naming_the_field() {
             &["unknown key", "steiner"],
         ),
         (
-            "{\"lint\":{\"fanout_treshold\":4}}",
-            &["unknown key", "fanout_treshold"],
+            "{\"target_fmax_mhz\":400.0}",
+            &["unknown key", "target_fmax_mhz"],
+        ),
+        (
+            "{\"phys_opt_passes\":4}",
+            &["unknown key", "phys_opt_passes"],
+        ),
+        (
+            "{\"lint\":{\"link_fifo_depth\":96}}",
+            &["unknown key", "link_fifo_depth"],
+        ),
+        (
+            "{\"lint\":{\"fanout_threshold\":17}}",
+            &["unknown key", "fanout_threshold"],
+        ),
+        (
+            "{\"lint\":{\"frame_cycle_budget\":1}}",
+            &["unknown key", "frame_cycle_budget"],
         ),
         // Out-of-range integers used to be truncated with `as u16`.
         (

@@ -111,18 +111,6 @@ proptest! {
         prop_assert_eq!(back.nodes().len(), net.nodes().len());
         prop_assert_eq!(back.stats().expect("stats"), net.stats().expect("stats"));
     }
-
-    // ---- fixed point -----------------------------------------------------
-
-    /// Quantization round-trips within half an LSB and requantization of a
-    /// product matches the shift definition.
-    #[test]
-    fn quantization_round_trip(x in -100.0f32..100.0) {
-        use preimpl_cnn::cnn::tensor::{dequantize, quantize};
-        let q = quantize(x);
-        let back = dequantize(q);
-        prop_assert!((back - x).abs() <= 0.5 / 256.0 + f32::EPSILON * x.abs());
-    }
 }
 
 proptest! {
