@@ -561,10 +561,13 @@ pub fn build_component_db_cached(
     let mut db = ComponentDb::new();
     let mut stats = DbCacheStats::default();
     let mut missing: Vec<(&Component, String)> = Vec::new();
-    for c in &components {
-        let sig = c.signature(network);
-        let key = cache_key(&sig, device.name(), fingerprint);
-        match cache.lookup(&key, obs) {
+    let keys: Vec<String> = components
+        .iter()
+        .map(|c| cache_key(&c.signature(network), device.name(), fingerprint))
+        .collect();
+    let lookups = cache.lookup_all(&keys, obs);
+    for ((c, key), lookup) in components.iter().zip(keys).zip(lookups) {
+        match lookup {
             CacheLookup::Hit { checkpoint, bytes } => {
                 stats.hits += 1;
                 stats.bytes_loaded += bytes;

@@ -44,14 +44,21 @@ pub struct Checkpoint {
     pub module: Module,
 }
 
-/// The versioned envelope the persistent component cache stores: the
-/// format version rides *outside* the checkpoint so stale entries are
-/// detectable before (and independent of) decoding the payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct VersionedCheckpoint {
-    format_version: u32,
-    checkpoint: Checkpoint,
-}
+/// The versioned envelope the persistent component cache stores is a
+/// textual frame around the [`Checkpoint::content_hash`] pre-image:
+///
+/// ```text
+/// {"format_version":<decimal digits>,"checkpoint":<payload>}
+/// ```
+///
+/// The format version rides *outside* the payload so stale entries are
+/// detectable before (and independent of) decoding it, and the payload
+/// bytes are exactly what the one deterministic serializer writes for the
+/// checkpoint — a reader verifies a file by hashing that slice, without
+/// decoding and re-encoding it.
+const ENVELOPE_HEAD: &str = "{\"format_version\":";
+const ENVELOPE_MID: &str = ",\"checkpoint\":";
+const ENVELOPE_TAIL: char = '}';
 
 impl Checkpoint {
     /// Stable 64-bit content hash of this checkpoint: FNV-1a over the
@@ -69,41 +76,45 @@ impl Checkpoint {
     }
 
     /// Serialize wrapped in the versioned envelope (the persistent-cache
-    /// on-disk form).
+    /// on-disk form): one encode, framed textually.
     pub fn to_versioned_json(&self) -> Result<String, crate::NetlistError> {
-        serde_json::to_string(&VersionedCheckpoint {
-            format_version: CHECKPOINT_FORMAT_VERSION,
-            checkpoint: self.clone(),
-        })
-        .map_err(|e| crate::NetlistError::Decode(e.to_string()))
+        Ok(format!(
+            "{ENVELOPE_HEAD}{CHECKPOINT_FORMAT_VERSION}{ENVELOPE_MID}{}{ENVELOPE_TAIL}",
+            self.to_json()
+        ))
     }
 
-    /// Deserialize the versioned envelope. A missing or non-integer
-    /// version is a decode error; a *different* version is the distinct
+    /// Split the versioned envelope and return its payload slice — the
+    /// bytes [`Checkpoint::content_hash`] hashes, so
+    /// `fnv1a64(payload.as_bytes())` verifies a stored file without
+    /// decoding it. Text that is not exactly the frame
+    /// [`Checkpoint::to_versioned_json`] writes is a decode error; a
+    /// *different* version is the distinct
     /// [`crate::NetlistError::FormatVersion`] so callers can tell "stale"
     /// from "corrupt".
-    pub fn from_versioned_json(s: &str) -> Result<Checkpoint, crate::NetlistError> {
-        let value: serde_json::Value =
-            serde_json::from_str(s).map_err(|e| crate::NetlistError::Decode(e.to_string()))?;
-        let found = match value.get("format_version") {
-            Some(serde_json::Value::U64(v)) => *v as u32,
-            Some(serde_json::Value::I64(v)) => *v as u32,
-            _ => {
-                return Err(crate::NetlistError::Decode(
-                    "checkpoint envelope has no format_version".to_string(),
-                ))
-            }
-        };
+    pub fn versioned_payload(s: &str) -> Result<&str, crate::NetlistError> {
+        let malformed =
+            || crate::NetlistError::Decode("not a versioned checkpoint envelope".to_string());
+        let rest = s.strip_prefix(ENVELOPE_HEAD).ok_or_else(malformed)?;
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let found: u32 = rest[..digits].parse().map_err(|_| malformed())?;
         if found != CHECKPOINT_FORMAT_VERSION {
             return Err(crate::NetlistError::FormatVersion {
                 found,
                 want: CHECKPOINT_FORMAT_VERSION,
             });
         }
-        let inner = value.get("checkpoint").cloned().ok_or_else(|| {
-            crate::NetlistError::Decode("checkpoint envelope has no payload".to_string())
-        })?;
-        serde_json::from_value(inner).map_err(|e| crate::NetlistError::Decode(e.to_string()))
+        rest[digits..]
+            .strip_prefix(ENVELOPE_MID)
+            .and_then(|payload| payload.strip_suffix(ENVELOPE_TAIL))
+            .ok_or_else(malformed)
+    }
+
+    /// Deserialize the versioned envelope (see
+    /// [`Checkpoint::versioned_payload`] for the frame and its errors).
+    pub fn from_versioned_json(s: &str) -> Result<Checkpoint, crate::NetlistError> {
+        serde_json::from_str(Self::versioned_payload(s)?)
+            .map_err(|e| crate::NetlistError::Decode(e.to_string()))
     }
 
     /// The canonical (unversioned) JSON serialization [`content_hash`]
@@ -179,6 +190,34 @@ mod tests {
             Checkpoint::from_versioned_json(&cp.to_json()),
             Err(crate::NetlistError::Decode(_))
         ));
+    }
+
+    #[test]
+    fn payload_slice_is_the_hash_pre_image_and_only_the_exact_frame_splits() {
+        let cp = checkpoint();
+        let json = cp.to_versioned_json().unwrap();
+        let payload = Checkpoint::versioned_payload(&json).unwrap();
+        assert_eq!(payload, cp.to_json());
+        assert_eq!(fnv1a64(payload.as_bytes()), cp.content_hash());
+        // Equivalent JSON that is not the frame this build writes, a torn
+        // tail (the frame still splits; the payload no longer decodes) and
+        // a version no u32 holds are all decode errors.
+        for bad in [
+            json.replacen(':', ": ", 1),
+            format!("{json}\n"),
+            json[..json.len() - 1].to_string(),
+            json.replacen("\"format_version\":", "\"format_version\":99999999999", 1),
+            json.replacen("\"format_version\":1", "\"format_version\":", 1),
+        ] {
+            assert!(
+                matches!(
+                    Checkpoint::from_versioned_json(&bad),
+                    Err(crate::NetlistError::Decode(_))
+                ),
+                "accepted {:?}...",
+                &bad[..40]
+            );
+        }
     }
 
     #[test]

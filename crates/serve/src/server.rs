@@ -37,6 +37,7 @@ use pi_fabric::Device;
 use pi_flow::{build_component_db_cached, run_pre_implemented_flow, DbCacheStats};
 use pi_obs::registry::Registry;
 use pi_obs::Obs;
+use pi_stitch::DbCache;
 use serde_json::Value;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -270,6 +271,10 @@ fn metrics_text(state: &ServerState) -> String {
         "pi_serve_db_cache_bytes_loaded_total",
         state.db.bytes_loaded.load(Ordering::SeqCst),
     );
+    // Process-wide, not per job: fewer decodes than hits is the decode
+    // memo serving repeat loads.
+    r.counter_set("pi_serve_db_cache_decodes_total", DbCache::decodes());
+    r.gauge_set("pi_serve_db_cache_memo_bytes", DbCache::memo_bytes() as f64);
     r.counter_set(
         "pi_serve_db_cold_builds_total",
         state.db.cold_builds.load(Ordering::SeqCst),
@@ -504,6 +509,12 @@ mod tests {
             "{metrics}"
         );
         assert!(metrics.contains("# TYPE pi_serve_job_wall_ms_compose histogram"));
+        for series in [
+            "pi_serve_db_cache_decodes_total ",
+            "pi_serve_db_cache_memo_bytes ",
+        ] {
+            assert!(metrics.contains(series), "{series} missing:\n{metrics}");
+        }
         assert!(metrics.contains("uptime_seconds"));
         let (_, _) = http_call(&addr, "POST", "/shutdown", "").unwrap();
         h.join();

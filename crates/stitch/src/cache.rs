@@ -17,8 +17,14 @@
 //!   hasher, so any knob change that would alter a checkpoint changes the
 //!   key and misses cleanly instead of serving a stale artifact.
 //! * **Content addressing** — each object file name carries its key, and
-//!   the manifest records the checkpoint's content hash; a loaded entry is
-//!   verified against it before being served.
+//!   the manifest records the checkpoint's content hash; on *every* lookup
+//!   the bytes just read are hashed and compared against it before
+//!   anything is served.
+//! * **Decode once** — a verified payload is decoded at most once per
+//!   process: a bounded process-wide memo keyed by (content hash, payload
+//!   length) serves later lookups a clone. It is consulted only *after*
+//!   the byte hash matched the manifest, so a file that rots on disk is
+//!   still quarantined on its next lookup.
 //! * **Atomicity** — objects and the manifest are written to a temp file
 //!   and renamed into place, so a crash mid-write can at worst leave a
 //!   stray temp file, never a half-written entry behind a valid name.
@@ -49,11 +55,14 @@
 use crate::db::{sanitize, write_atomic};
 use crate::lock::{LockFile, DEFAULT_LOCK_TIMEOUT};
 use crate::StitchError;
-use pi_netlist::{Checkpoint, StableHasher, CHECKPOINT_FORMAT_VERSION};
+use pi_netlist::{fnv1a64, Checkpoint, NetlistError, StableHasher, CHECKPOINT_FORMAT_VERSION};
 use pi_obs::Obs;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// On-disk manifest format version; bumped when the manifest shape
@@ -136,6 +145,119 @@ pub fn cache_key(signature: &str, device: &str, knobs_fingerprint: u64) -> Strin
     h.write_str(device);
     h.write_u64(knobs_fingerprint);
     format!("{:016x}", h.finish())
+}
+
+/// Serialized payload bytes the decode memo may keep resident. A constant,
+/// not a knob: the memo only trades memory for decode time, every caller
+/// wants the same trade, and the whole five-network zoo is 25 MB.
+const MEMO_BOUND_BYTES: u64 = 256 << 20;
+
+/// Identity of a decoded payload: its content hash and byte length.
+type PayloadId = (u64, u64);
+
+/// Decoded checkpoints by payload identity, least-recently-used out once
+/// the payload bytes they stand for exceed `bound`.
+struct Memo {
+    bound: u64,
+    bytes: u64,
+    clock: u64,
+    slots: BTreeMap<PayloadId, (Arc<Checkpoint>, u64)>,
+}
+
+impl Memo {
+    const fn new(bound: u64) -> Memo {
+        Memo {
+            bound,
+            bytes: 0,
+            clock: 0,
+            slots: BTreeMap::new(),
+        }
+    }
+
+    fn get(&mut self, id: PayloadId) -> Option<Arc<Checkpoint>> {
+        self.clock += 1;
+        let (cp, used) = self.slots.get_mut(&id)?;
+        *used = self.clock;
+        Some(Arc::clone(cp))
+    }
+
+    /// Keep `cp` unless it alone exceeds the bound; evict oldest-used
+    /// entries until the rest fits.
+    fn put(&mut self, id: PayloadId, cp: Arc<Checkpoint>) {
+        if id.1 > self.bound {
+            return;
+        }
+        self.clock += 1;
+        if self.slots.insert(id, (cp, self.clock)).is_none() {
+            self.bytes += id.1;
+        }
+        while self.bytes > self.bound {
+            let oldest = *self
+                .slots
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .expect("over-bound memo is non-empty")
+                .0;
+            self.slots.remove(&oldest);
+            self.bytes -= oldest.1;
+        }
+    }
+}
+
+static MEMO: Mutex<Memo> = Mutex::new(Memo::new(MEMO_BOUND_BYTES));
+/// Payload decodes performed by this process on the hit path.
+static DECODES: AtomicU64 = AtomicU64::new(0);
+
+fn memo() -> std::sync::MutexGuard<'static, Memo> {
+    // Every update leaves the memo valid, so a panicked holder is harmless.
+    MEMO.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The read-only half of a lookup: read the object file, split the
+/// envelope, verify the payload bytes against the manifest's content hash,
+/// and only then serve the decoded checkpoint (from the memo when this
+/// process has decoded these bytes before). Errors are the invalidation
+/// reason.
+fn load_verified(
+    root: &Path,
+    entry: &ManifestEntry,
+) -> Result<(Arc<Checkpoint>, u64), &'static str> {
+    let path = root.join(OBJECTS_DIR).join(&entry.file);
+    let text = std::fs::read_to_string(path).map_err(|_| "missing_file")?;
+    let payload = Checkpoint::versioned_payload(&text).map_err(|e| match e {
+        NetlistError::FormatVersion { .. } => "stale_version",
+        _ => "corrupt",
+    })?;
+    let decode = || serde_json::from_str::<Checkpoint>(payload).map_err(|_| "corrupt");
+    let hash = fnv1a64(payload.as_bytes());
+    if format!("{hash:016x}") != entry.content_hash {
+        // Failure path only: decoding tells bytes that still form a
+        // checkpoint (altered) from bytes that do not (truncated, torn).
+        decode()?;
+        return Err("hash_mismatch");
+    }
+    let id = (hash, payload.len() as u64);
+    let bytes = text.len() as u64;
+    if let Some(cp) = memo().get(id) {
+        return Ok((cp, bytes));
+    }
+    // Decoded outside the lock: two threads missing at the same instant
+    // both decode, and the second `put` replaces the first.
+    let cp = Arc::new(decode()?);
+    DECODES.fetch_add(1, Ordering::Relaxed);
+    memo().put(id, Arc::clone(&cp));
+    Ok((cp, bytes))
+}
+
+/// Move a file into `<root>/quarantine/`, degrading to deletion if the
+/// rename fails (cross-device, permissions); both outcomes take the bad
+/// entry out of service.
+fn quarantine_file(root: &Path, path: &Path, name: &str) {
+    let qdir = root.join(QUARANTINE_DIR);
+    let _ = std::fs::create_dir_all(&qdir);
+    if std::fs::rename(path, qdir.join(name)).is_err() {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// A persistent component-checkpoint cache rooted at a directory.
@@ -258,64 +380,115 @@ impl DbCache {
         self.entries.get(key).map(|e| e.signature.as_str())
     }
 
-    /// Look up a key: load, verify format version and content hash, and
-    /// serve the checkpoint. Any verification failure quarantines the
-    /// entry and reports `Invalidated` — corruption on disk can slow the
-    /// next run down (it rebuilds), but can never crash it or feed it a
-    /// wrong artifact.
+    /// Look up one key: [`DbCache::lookup_all`] on a batch of one.
     pub fn lookup(&mut self, key: &str, obs: &Obs) -> CacheLookup {
+        self.lookup_all(&[key], obs).remove(0)
+    }
+
+    /// Look up a batch of keys. The results, the manifest and the
+    /// telemetry are those of looking each key up in turn, at any thread
+    /// count.
+    ///
+    /// Every distinct indexed key is read and verified once, in parallel
+    /// (format version, then the payload bytes against the manifest's
+    /// content hash — see [`load_verified`]); duplicates share the load.
+    /// Then *one* locked manifest cycle applies every recency touch and
+    /// every quarantine in key order, and the events are emitted in key
+    /// order. Any verification failure quarantines the entry and reports
+    /// `Invalidated` — corruption on disk can slow the next run down (it
+    /// rebuilds), but can never crash it or feed it a wrong artifact.
+    pub fn lookup_all<K: AsRef<str>>(&mut self, keys: &[K], obs: &Obs) -> Vec<CacheLookup> {
         let cache_obs = obs.scoped(CACHE_SCOPE);
-        let Some(entry) = self.entries.get(key) else {
-            if cache_obs.enabled() {
-                cache_obs.point("cache_miss", &[("key", key.into())]);
-            }
-            return CacheLookup::Miss;
-        };
-        let (file, content_hash, signature) = (
-            entry.file.clone(),
-            entry.content_hash.clone(),
-            entry.signature.clone(),
-        );
-        let path = self.root.join(OBJECTS_DIR).join(&file);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return self.invalidate(key, "missing_file", &cache_obs),
-        };
-        let checkpoint = match Checkpoint::from_versioned_json(&text) {
-            Ok(cp) => cp,
-            Err(pi_netlist::NetlistError::FormatVersion { .. }) => {
-                return self.invalidate(key, "stale_version", &cache_obs)
-            }
-            Err(_) => return self.invalidate(key, "corrupt", &cache_obs),
-        };
-        if checkpoint.content_hash_hex() != content_hash {
-            return self.invalidate(key, "hash_mismatch", &cache_obs);
+        let distinct: BTreeMap<&str, &ManifestEntry> = keys
+            .iter()
+            .filter_map(|key| Some((key.as_ref(), self.entries.get(key.as_ref())?)))
+            .collect();
+        let root = &self.root;
+        let mut loaded: BTreeMap<&str, _> = distinct
+            .into_par_iter()
+            .map(|(key, entry)| (key, load_verified(root, entry)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect();
+        let results: Vec<CacheLookup> = keys
+            .iter()
+            .map(|key| match loaded.get(key.as_ref()) {
+                None => CacheLookup::Miss,
+                Some(Ok((checkpoint, bytes))) => CacheLookup::Hit {
+                    checkpoint: Box::new(Checkpoint::clone(checkpoint)),
+                    bytes: *bytes,
+                },
+                Some(&Err(reason)) => {
+                    // Quarantined by this occurrence: the next one misses.
+                    loaded.remove(key.as_ref());
+                    CacheLookup::Invalidated { reason }
+                }
+            })
+            .collect();
+
+        // Best-effort, like every recovery step: LRU ordering is advisory
+        // and a row left behind is re-invalidated by the next lookup, so a
+        // lock timeout degrades to a skipped write, never a failed lookup.
+        if results.iter().any(|r| !matches!(r, CacheLookup::Miss)) {
+            let _ = self.mutate_locked(&cache_obs, |cache| {
+                for (key, result) in keys.iter().zip(&results) {
+                    let key = key.as_ref();
+                    match result {
+                        CacheLookup::Hit { .. } => {
+                            let generation = cache.generation + 1;
+                            if let Some(e) = cache.entries.get_mut(key) {
+                                cache.generation = generation;
+                                e.last_used = generation;
+                            }
+                        }
+                        CacheLookup::Invalidated { .. } => {
+                            if let Some(entry) = cache.entries.remove(key) {
+                                let path = cache.root.join(OBJECTS_DIR).join(&entry.file);
+                                if path.exists() {
+                                    quarantine_file(&cache.root, &path, &entry.file);
+                                }
+                            }
+                        }
+                        CacheLookup::Miss => {}
+                    }
+                }
+                Ok(())
+            });
         }
-        let bytes = text.len() as u64;
-        // Recency touch: best-effort — LRU ordering is advisory, so a lock
-        // timeout degrades to a skipped touch, never a failed lookup.
-        let _ = self.mutate_locked(&cache_obs, |cache| {
-            let generation = cache.generation + 1;
-            if let Some(e) = cache.entries.get_mut(key) {
-                cache.generation = generation;
-                e.last_used = generation;
-            }
-            Ok(())
-        });
         if cache_obs.enabled() {
-            cache_obs.point(
-                "cache_hit",
-                &[
-                    ("key", key.into()),
-                    ("signature", signature.as_str().into()),
-                    ("bytes", bytes.into()),
-                ],
-            );
+            for (key, result) in keys.iter().zip(&results) {
+                let key = key.as_ref();
+                match result {
+                    CacheLookup::Hit { checkpoint, bytes } => cache_obs.point(
+                        "cache_hit",
+                        &[
+                            ("key", key.into()),
+                            ("signature", checkpoint.meta.signature.as_str().into()),
+                            ("bytes", (*bytes).into()),
+                        ],
+                    ),
+                    CacheLookup::Miss => cache_obs.point("cache_miss", &[("key", key.into())]),
+                    CacheLookup::Invalidated { reason } => cache_obs.point(
+                        "cache_invalidate",
+                        &[("key", key.into()), ("reason", (*reason).into())],
+                    ),
+                }
+            }
         }
-        CacheLookup::Hit {
-            checkpoint: Box::new(checkpoint),
-            bytes,
-        }
+        results
+    }
+
+    /// Payload decodes this process has performed on the hit path. With
+    /// the decode memo, repeat loads of the same bytes add nothing here:
+    /// "distinct decodes < hits" is the memo working.
+    pub fn decodes() -> u64 {
+        DECODES.load(Ordering::Relaxed)
+    }
+
+    /// Serialized payload bytes whose decoded checkpoints the process-wide
+    /// memo currently holds (bounded by a constant, LRU out).
+    pub fn memo_bytes() -> u64 {
+        memo().bytes
     }
 
     /// Insert (or replace) a checkpoint under a key: atomic object write,
@@ -326,6 +499,7 @@ impl DbCache {
     /// the cache fits (the just-inserted entry is never its own victim).
     pub fn insert(&mut self, key: &str, cp: &Checkpoint, obs: &Obs) -> Result<(), StitchError> {
         let json = cp.to_versioned_json()?;
+        let content_hash = fnv1a64(Checkpoint::versioned_payload(&json)?.as_bytes());
         let mut prefix = sanitize(&cp.meta.signature);
         prefix.truncate(64);
         let file = format!("{prefix}-{key}.dcp.json");
@@ -336,7 +510,7 @@ impl DbCache {
             key: key.to_string(),
             signature: cp.meta.signature.clone(),
             file,
-            content_hash: cp.content_hash_hex(),
+            content_hash: format!("{content_hash:016x}"),
             format_version: CHECKPOINT_FORMAT_VERSION,
             device: cp.meta.device.clone(),
             bytes,
@@ -432,30 +606,6 @@ impl DbCache {
         Ok(existed)
     }
 
-    /// Drop the entry, move its object file into `quarantine/`, persist
-    /// the shrunken manifest, and report. Best-effort on the filesystem
-    /// side: a failing rename degrades to deletion, a failing manifest
-    /// write leaves a row the next lookup will re-invalidate — recovery
-    /// never introduces a new failure mode.
-    fn invalidate(&mut self, key: &str, reason: &'static str, cache_obs: &Obs) -> CacheLookup {
-        let _ = self.mutate_locked(cache_obs, |cache| {
-            if let Some(entry) = cache.entries.remove(key) {
-                let path = cache.root.join(OBJECTS_DIR).join(&entry.file);
-                if path.exists() {
-                    quarantine_file(&cache.root, &path, &entry.file);
-                }
-            }
-            Ok(())
-        });
-        if cache_obs.enabled() {
-            cache_obs.point(
-                "cache_invalidate",
-                &[("key", key.into()), ("reason", reason.into())],
-            );
-        }
-        CacheLookup::Invalidated { reason }
-    }
-
     /// One serialized manifest read-modify-write cycle: acquire the
     /// advisory lock, reload the on-disk manifest (another process may
     /// have written since we last read), apply `mutate`, persist
@@ -484,20 +634,11 @@ impl DbCache {
             entries: self.entries.values().cloned().collect(),
         };
         let json = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| pi_netlist::NetlistError::Decode(e.to_string()))?;
+            .map_err(|e| NetlistError::Decode(e.to_string()))?;
         write_atomic(&self.root.join(MANIFEST_FILE), &json)?;
+        #[cfg(test)]
+        tests::MANIFEST_WRITES.with(|n| n.set(n.get() + 1));
         Ok(())
-    }
-}
-
-/// Move a file into `<root>/quarantine/`, degrading to deletion if the
-/// rename fails (cross-device, permissions); both outcomes take the bad
-/// entry out of service.
-fn quarantine_file(root: &Path, path: &Path, name: &str) {
-    let qdir = root.join(QUARANTINE_DIR);
-    let _ = std::fs::create_dir_all(&qdir);
-    if std::fs::rename(path, qdir.join(name)).is_err() {
-        let _ = std::fs::remove_file(path);
     }
 }
 
@@ -506,7 +647,6 @@ mod tests {
     use super::*;
     use pi_fabric::Pblock;
     use pi_netlist::{Cell, CellKind, CheckpointMeta, Endpoint, ModuleBuilder, StreamRole};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn checkpoint(sig: &str) -> Checkpoint {
         let mut b = ModuleBuilder::new(sig);
@@ -527,6 +667,11 @@ mod tests {
             },
             module: m,
         }
+    }
+
+    thread_local! {
+        /// `manifest.json` rewrites performed on this test's thread.
+        pub(super) static MANIFEST_WRITES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -592,9 +737,7 @@ mod tests {
         let a = checkpoint("sig_a");
         let b = checkpoint("sig_b");
         let c = checkpoint("sig_c");
-        let one_size = serde_json::to_string(&a.to_versioned_json().unwrap())
-            .unwrap()
-            .len() as u64;
+        let one_size = a.to_versioned_json().unwrap().len() as u64;
         // Budget fits two entries but not three.
         let mut cache = DbCache::open_with_budget(&root, Some(one_size * 2 + 8), &obs).unwrap();
         let (ka, kb, kc) = (
@@ -616,6 +759,69 @@ mod tests {
         let reopened = DbCache::open(&root, &obs).unwrap();
         assert_eq!(reopened.len(), 2);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_batch_is_one_manifest_cycle_and_duplicates_share_a_load() {
+        let root = tmp_root("batch");
+        let obs = Obs::null();
+        let mut cache = DbCache::open(&root, &obs).unwrap();
+        let keys: Vec<String> = (0..6)
+            .map(|i| {
+                let sig = format!("batch_sig_{i}");
+                let key = cache_key(&sig, "test-part", 1);
+                cache.insert(&key, &checkpoint(&sig), &obs).unwrap();
+                key
+            })
+            .collect();
+        // Nine lookups over six keys, the shape of resnet-small.
+        let batch: Vec<&str> = [0, 1, 2, 1, 3, 4, 1, 5, 0]
+            .iter()
+            .map(|&i| keys[i].as_str())
+            .collect();
+        let writes = || MANIFEST_WRITES.with(|n| n.get());
+        let before = writes();
+        let results = cache.lookup_all(&batch, &obs);
+        assert_eq!(writes() - before, 1, "one locked cycle per batch");
+        assert!(results.iter().all(|r| matches!(r, CacheLookup::Hit { .. })));
+        assert_eq!(
+            cache.generation,
+            6 + 9,
+            "every occurrence is a recency touch"
+        );
+        // A batch that touches and quarantines nothing writes nothing.
+        let before = writes();
+        assert!(matches!(
+            cache.lookup_all(&["absent"], &obs)[..],
+            [CacheLookup::Miss]
+        ));
+        assert_eq!(writes(), before);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn memo_residency_never_exceeds_its_bound() {
+        let one = 1000;
+        let mut memo = Memo::new(3 * one);
+        let cp = Arc::new(checkpoint("memo"));
+        for id in 0..4 {
+            memo.put((id, one), Arc::clone(&cp));
+            assert!(memo.bytes <= memo.bound);
+        }
+        assert_eq!(memo.bytes, 3 * one);
+        assert!(
+            memo.get((0, one)).is_none(),
+            "least recently used goes first"
+        );
+        // A touch protects an entry from the next eviction.
+        assert!(memo.get((1, one)).is_some());
+        memo.put((4, one), Arc::clone(&cp));
+        assert!(memo.get((1, one)).is_some());
+        assert!(memo.get((2, one)).is_none());
+        // An entry larger than the whole bound is not kept at all.
+        memo.put((5, 3 * one + 1), cp);
+        assert!(memo.get((5, 3 * one + 1)).is_none());
+        assert_eq!(memo.bytes, 3 * one);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::StitchError;
 use pi_netlist::Checkpoint;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -72,12 +73,13 @@ impl ComponentDb {
         Ok(())
     }
 
-    /// Load every `*.dcp.json` under a directory. A file written under a
-    /// different `CHECKPOINT_FORMAT_VERSION` is a
+    /// Load every `*.dcp.json` under a directory, decoding in parallel. A
+    /// file written under a different `CHECKPOINT_FORMAT_VERSION` is a
     /// [`pi_netlist::NetlistError::FormatVersion`] error, never
-    /// reinterpreted.
+    /// reinterpreted. With several bad files the error is that of the
+    /// first in file-name order, whatever order the filesystem lists them.
     pub fn load_dir(dir: &Path) -> Result<ComponentDb, StitchError> {
-        let mut db = ComponentDb::new();
+        let mut paths = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             // A killed writer can leave a torn temp file behind.
@@ -86,9 +88,20 @@ impl ComponentDb {
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| n.ends_with(".dcp.json") && !n.starts_with(TMP_PREFIX))
             {
-                let text = std::fs::read_to_string(&path)?;
-                db.insert(Checkpoint::from_versioned_json(&text)?);
+                paths.push(path);
             }
+        }
+        paths.sort();
+        let checkpoints: Result<Vec<Checkpoint>, StitchError> = paths
+            .par_iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(path)?;
+                Ok(Checkpoint::from_versioned_json(&text)?)
+            })
+            .collect();
+        let mut db = ComponentDb::new();
+        for checkpoint in checkpoints? {
+            db.insert(checkpoint);
         }
         Ok(db)
     }

@@ -1,19 +1,22 @@
 //! Property-based tests over the persistent component-database cache:
 //! adversarial signatures must round-trip losslessly, the manifest must
-//! stay consistent under arbitrary insert/evict interleavings, and cache
-//! keys must be stable functions of their inputs.
+//! stay consistent under arbitrary insert/evict interleavings, cache
+//! keys must be stable functions of their inputs, a batched lookup must be
+//! indistinguishable from one lookup per key, and the envelope's payload
+//! slice must be the content hash's pre-image.
 
 use preimpl_cnn::fabric::Pblock;
 use preimpl_cnn::netlist::{
-    Cell, CellKind, Checkpoint, CheckpointMeta, Endpoint, ModuleBuilder, StreamRole,
+    fnv1a64, Cell, CellKind, Checkpoint, CheckpointMeta, Endpoint, ModuleBuilder, StreamRole,
 };
-use preimpl_cnn::obs::Obs;
+use preimpl_cnn::obs::{MemorySink, Obs};
 use preimpl_cnn::prelude::FlowConfig;
 use preimpl_cnn::stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Signature fragments chosen to break naive filename schemes: path
 /// separators, parent-dir hops, unicode (multi-byte), characters that
@@ -72,8 +75,124 @@ fn tmp_root(tag: &str) -> PathBuf {
     ))
 }
 
+/// A cache directory holding one entry per signature, with the entry at
+/// `poisoned` (if any) altered so that it no longer hashes to its manifest
+/// row. Twins built from the same arguments are byte-identical.
+fn populated(sigs: &[&str], poisoned: Option<usize>) -> PathBuf {
+    let root = tmp_root("twin");
+    let obs = Obs::null();
+    let mut cache = DbCache::open(&root, &obs).unwrap();
+    for sig in sigs {
+        let key = cache_key(sig, "test-part", 7);
+        cache.insert(&key, &checkpoint(sig), &obs).unwrap();
+    }
+    if let Some(ix) = poisoned {
+        let key = cache_key(sigs[ix], "test-part", 7);
+        let path = std::fs::read_dir(root.join("objects"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.to_string_lossy().contains(&key))
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("500.0", "501.0", 1)).unwrap();
+    }
+    root
+}
+
+/// What a series of lookups left behind: the results (checkpoints by
+/// content hash), the manifest bytes, and the cache's event stream.
+fn observe(
+    root: &Path,
+    lookups: impl FnOnce(&mut DbCache, &Obs) -> Vec<CacheLookup>,
+) -> (Vec<String>, String, String) {
+    let sink = Arc::new(MemorySink::new());
+    let obs = Obs::new(sink.clone());
+    let mut cache = DbCache::open(root, &obs).unwrap();
+    let results = lookups(&mut cache, &obs)
+        .into_iter()
+        .map(|r| match r {
+            CacheLookup::Hit { checkpoint, bytes } => {
+                format!("hit {} {bytes}", checkpoint.content_hash_hex())
+            }
+            other => format!("{other:?}"),
+        })
+        .collect();
+    let manifest = std::fs::read_to_string(root.join("manifest.json")).unwrap();
+    (results, manifest, sink.stripped_jsonl())
+}
+
+/// The payload slice of an envelope this build wrote.
+fn payload_of(envelope: &str) -> &str {
+    Checkpoint::versioned_payload(envelope).expect("own envelope splits")
+}
+
+/// The two facts the byte-hash verification rests on, for one checkpoint:
+/// the payload slice is the content hash's pre-image, and the textual
+/// frame is byte-identical to serializing the envelope as a JSON object.
+fn assert_frame_is_canonical(cp: &Checkpoint) {
+    let envelope = cp.to_versioned_json().unwrap();
+    assert_eq!(fnv1a64(payload_of(&envelope).as_bytes()), cp.content_hash());
+    let as_object = serde_json::json!({ "format_version": 1, "checkpoint": cp });
+    assert_eq!(envelope, serde_json::to_string(&as_object).unwrap());
+}
+
+#[test]
+fn lenet_checkpoints_frame_canonically() {
+    use preimpl_cnn::prelude::*;
+    let cfg = FlowConfig::new()
+        .with_synth(SynthOptions::lenet_like())
+        .with_seeds([1]);
+    let (db, _) =
+        build_component_db(&models::lenet5(), &Device::xcku5p_like(), &cfg).expect("db builds");
+    assert!(!db.is_empty());
+    for cp in db.checkpoints() {
+        assert_frame_is_canonical(cp);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `lookup_all` over any key list — duplicates, absent keys, one
+    /// poisoned entry — returns the same results, leaves the same
+    /// `manifest.json` bytes and emits the same event stream as one
+    /// `lookup` per key on a twin directory, at 1 and 4 threads.
+    #[test]
+    fn batched_lookup_equals_one_lookup_per_key(
+        picks in proptest::collection::vec(0usize..7, 0..12),
+        poisoned in 0usize..6,
+    ) {
+        // Indices 5 and 6 name keys the cache never held; `poisoned == 5`
+        // leaves every entry sound.
+        let sigs = &TOKENS[..5];
+        let keys: Vec<String> = picks
+            .iter()
+            .map(|&i| cache_key(TOKENS[i], "test-part", 7))
+            .collect();
+        let poisoned = (poisoned < sigs.len()).then_some(poisoned);
+
+        let twin = populated(sigs, poisoned);
+        let one_by_one = observe(&twin, |cache, obs| {
+            keys.iter().map(|key| cache.lookup(key, obs)).collect()
+        });
+        std::fs::remove_dir_all(&twin).ok();
+        if poisoned.is_some_and(|ix| picks.contains(&ix)) {
+            let invalidated = one_by_one.0.iter().filter(|r| r.contains("hash_mismatch"));
+            prop_assert_eq!(invalidated.count(), 1, "later occurrences miss");
+        }
+        for threads in [1, 4] {
+            rayon::set_num_threads(threads);
+            let root = populated(sigs, poisoned);
+            let batched = observe(&root, |cache, obs| cache.lookup_all(&keys, obs));
+            prop_assert_eq!(&batched, &one_by_one, "at {} threads", threads);
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    #[test]
+    fn generated_checkpoints_frame_canonically(sig in signature_strategy()) {
+        assert_frame_is_canonical(&checkpoint(&sig));
+    }
 
     /// Any signature — unicode, path separators, parent-dir hops, names
     /// far past NAME_MAX — survives insert, persist, reopen, and verified

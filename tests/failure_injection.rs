@@ -193,15 +193,29 @@ mod db_cache_faults {
     /// Corrupt one entry via `mutate`, then verify: lookup quarantines it
     /// with `reason`, a cached flow rebuild recovers (right stats, telemetry
     /// trail), and a final run is all hits again.
+    ///
+    /// Every fault is a *hit, then rot*: two warm builds first leave the
+    /// process-wide decode memo holding the entry about to be poisoned, so
+    /// each scenario fails if the memo is ever consulted before the bytes
+    /// just read have hashed to the manifest's value.
     fn assert_recovers(tag: &str, reason: &str, mutate: impl Fn(&Path, &str)) {
         let (root, cfg, key, n) = populated(tag);
+        let device = Device::xcku5p_like();
+        let network = preimpl_cnn::cnn::models::toy();
+        for _ in 0..2 {
+            let (_, _, stats) =
+                build_component_db_cached(&network, &device, &cfg).expect("warm build");
+            assert!(stats.all_hits(), "before the fault: {stats:?}");
+        }
+        assert!(
+            DbCache::memo_bytes() > 0,
+            "warm builds fill the decode memo"
+        );
         mutate(&root, &key);
 
         // The cached build rebuilds exactly the poisoned component and says
         // so in telemetry.
         let sink = Arc::new(MemorySink::new());
-        let device = Device::xcku5p_like();
-        let network = preimpl_cnn::cnn::models::toy();
         let traced = cfg.clone().with_sink(sink.clone());
         let (db, reports, stats) =
             build_component_db_cached(&network, &device, &traced).expect("recovery build");
@@ -276,6 +290,40 @@ mod db_cache_faults {
             );
             assert_ne!(stale, text, "fault injection failed to rewrite the version");
             std::fs::write(&path, stale).expect("write stale object");
+        });
+    }
+
+    /// One digit of a cell delay changes: the file is still a well-formed
+    /// envelope around a decodable checkpoint — only the byte hash can tell.
+    #[test]
+    fn altered_payload_that_still_decodes_is_a_hash_mismatch() {
+        assert_recovers("altered", "hash_mismatch", |root, key| {
+            let path = object_path(root, key);
+            let mut bytes = std::fs::read(&path).expect("read object");
+            let field = b"\"delay_ps\":";
+            let at = bytes
+                .windows(field.len())
+                .position(|w| w == field)
+                .expect("a cell delay in the payload")
+                + field.len();
+            assert!(bytes[at].is_ascii_digit());
+            bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
+            std::fs::write(&path, bytes).expect("write altered object");
+        });
+    }
+
+    /// The accepted set is exactly the canonical bytes: the same checkpoint
+    /// pretty-printed is equivalent JSON, but it is quarantined and rebuilt,
+    /// never served.
+    #[test]
+    fn non_canonical_envelope_is_quarantined_never_served() {
+        assert_recovers("pretty", "corrupt", |root, key| {
+            let path = object_path(root, key);
+            let text = std::fs::read_to_string(&path).expect("read object");
+            let value: serde_json::Value = serde_json::from_str(&text).expect("object is JSON");
+            let pretty = serde_json::to_string_pretty(&value).expect("serializes");
+            assert_ne!(pretty, text);
+            std::fs::write(&path, pretty).expect("write pretty object");
         });
     }
 
