@@ -21,6 +21,18 @@ twins="$(echo "$pub_fns" | sed -n 's/_obs$//p' | grep -Fxf - <(echo "$pub_fns") 
 [ -z "$twins" ] \
     || { echo "stage functions with both a plain and an _obs form:" $twins; exit 1; }
 
+# Dependency direction: the product sizes hardware from the rate model
+# (`pi_cnn::cycles`), never from its own checker. `pi-flow` may hold
+# `pi-lint` only for the opt-in lint gate, and `pi-lint` checks the model,
+# so it has no business depending on the generators.
+echo "==> dependency-direction gate: the flow does not size from the linter"
+if grep -rnE 'analyze_dataflow|pi_lint::dataflow' crates/flow/src; then
+    echo "crates/flow/src sizes hardware from pi-lint's dataflow analysis"; exit 1
+fi
+if grep -n 'pi-synth' crates/lint/Cargo.toml; then
+    echo "pi-lint depends on pi-synth"; exit 1
+fi
+
 # Ledger gate: a `BENCH_*.json` / `BENCH_*.flowstat.txt` that a doc or this
 # script names must exist at the repository root — a citation of a ledger
 # nobody checked in is a number nobody can reproduce.

@@ -330,8 +330,8 @@ impl Network {
     /// The component graph: one [`ComponentEdge`] per distinct pair of
     /// `components` (as returned by [`Network::components`]) joined by a
     /// network edge, in network-edge order. This is the single derivation
-    /// the stitcher wires top-level nets from and the dataflow analysis
-    /// sizes FIFOs over.
+    /// the stitcher wires top-level nets from, the rate model sizes link
+    /// FIFOs over and the dataflow lint checks them over.
     pub fn component_edges(&self, components: &[Component]) -> Vec<ComponentEdge> {
         let mut node_to_comp = HashMap::new();
         for (ci, comp) in components.iter().enumerate() {

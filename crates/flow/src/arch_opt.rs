@@ -7,10 +7,16 @@
 //! inter-component routing in the backend. Stitching time and routing time
 //! are reported separately — the paper's Fig. 6 shows stitching is only
 //! 5–9 % of the pre-implemented flow's total.
+//!
+//! Every design decision here that needs a component's rate — link FIFO
+//! depths under `fifo_autosize`, the latency report — reads the rate
+//! model ([`pi_cnn::cycles`]). `pi-lint` appears only as the opt-in gate
+//! that checks the result; the flow never sizes hardware from it.
 
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
 use crate::FlowError;
+use pi_cnn::cycles;
 use pi_cnn::graph::Network;
 use pi_fabric::Device;
 use pi_netlist::{Design, DEFAULT_LINK_FIFO_DEPTH};
@@ -258,19 +264,21 @@ pub fn run_pre_implemented_flow(
 
     let t0 = Instant::now();
     let stitch_span = arch.span("stitch");
-    // FIFO auto-sizing: re-run the dataflow analysis (the same one the
-    // lint gate consulted) for the per-edge minimum depths. Without the
-    // knob every link keeps `DEFAULT_LINK_FIFO_DEPTH`. The analysis runs
-    // before composition so its counters keep their place in the stream.
-    let edge_depths = cfg.fifo_autosize.then(|| {
-        let analysis = pi_lint::analyze_dataflow(network, cfg.granularity);
-        let depths = analysis.depth_map();
+    // FIFO auto-sizing: the per-link minimum depths come from the rate
+    // model. Without the knob every link keeps `DEFAULT_LINK_FIFO_DEPTH`.
+    // Sizing runs before composition so its counters keep their place in
+    // the stream.
+    let edge_depths = if cfg.fifo_autosize {
+        let depths = cycles::link_min_depths(network, cfg.granularity)?;
         if arch.enabled() {
             arch.counter("autosized_links", depths.len() as u64);
-            arch.counter("autosized_max_depth", analysis.max_min_depth());
+            let deepest = depths.values().copied().max().unwrap_or(1);
+            arch.counter("autosized_max_depth", deepest);
         }
-        depths
-    });
+        Some(depths)
+    } else {
+        None
+    };
     let (mut design, compose_report) = compose_obs(
         network,
         db,

@@ -57,8 +57,7 @@ pub fn run_baseline_flow(
     let span = base.span("baseline");
     let compile = compile_flat_obs(&mut module, device, &compile_opts, cfg.obs())?;
     span.end();
-    let latency =
-        LatencyReport::for_monolithic(network, cfg.granularity, &module, compile.timing.fmax_mhz)?;
+    let latency = LatencyReport::for_monolithic(network, cfg.granularity, compile.timing.fmax_mhz)?;
     if base.enabled() {
         base.point(
             "baseline_done",

@@ -105,12 +105,12 @@ pub struct FlowConfig {
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// linting observes checkpoints, it never changes what they contain.
     pub lint: Option<pi_lint::LintConfig>,
-    /// Feed the `pi-lint` dataflow analysis back into stitching: size
-    /// every inter-component link FIFO to its computed minimum occupancy
-    /// bound instead of the standard depth, so reconvergent skews
-    /// (ResNet skips) can never deadlock. Also evaluated by the lint
-    /// gate: with autosizing on, `PL0400`/`PL0401` are checked against
-    /// the autosized capacities and cannot fire.
+    /// Size every inter-component link FIFO from the rate model
+    /// ([`pi_cnn::cycles::link_min_depths`]) instead of the standard
+    /// depth, so reconvergent skews (ResNet skips) can never deadlock.
+    /// Also evaluated by the lint gate: with autosizing on,
+    /// `PL0400`/`PL0401` are checked against the autosized capacities
+    /// and cannot fire.
     ///
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// autosizing resizes the *assembled* design's link FIFOs, never the
@@ -235,7 +235,7 @@ impl FlowConfig {
         self
     }
 
-    /// Size stitched link FIFOs from the dataflow analysis (see the
+    /// Size stitched link FIFOs from the rate model (see the
     /// `fifo_autosize` field).
     pub fn with_fifo_autosize(mut self, autosize: bool) -> Self {
         self.fifo_autosize = autosize;

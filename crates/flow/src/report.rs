@@ -1,12 +1,13 @@
-//! Latency modeling and flow-vs-flow comparison — the numbers every table
-//! and figure of the evaluation prints.
+//! Latency reporting and flow-vs-flow comparison — the numbers every table
+//! and figure of the evaluation prints. Nothing is modelled here: each
+//! component's depth, frame cycles and width are read from the rate model
+//! ([`pi_cnn::cycles::ComponentRate`]) and only summed and converted to
+//! time at the design's clock.
 
 use crate::FlowError;
-use pi_cnn::cycles;
-use pi_cnn::graph::{Granularity, Network};
-use pi_netlist::Module;
+use pi_cnn::cycles::{self, ComponentRate};
+use pi_cnn::graph::{Component, Granularity, Network};
 use pi_stitch::ComponentDb;
-use pi_synth::component::component_dsp_estimate;
 use serde::Serialize;
 use std::time::Duration;
 
@@ -39,26 +40,21 @@ pub struct LatencyReport {
 
 impl LatencyReport {
     fn build(
-        network: &Network,
-        granularity: Granularity,
+        components: &[Component],
+        rates: &[ComponentRate],
         fmax_mhz: f64,
         extra_pipeline_cycles: u64,
-        dsps_of: impl Fn(&str, usize) -> u64,
-    ) -> Result<LatencyReport, FlowError> {
-        let components = network.components(granularity)?;
-        let mut per_component = Vec::with_capacity(components.len());
-        for (i, comp) in components.iter().enumerate() {
-            let depth = cycles::component_pipeline_depth(network, comp)?;
-            let macs = cycles::component_macs(network, comp)?;
-            let elements = comp.output_shape.elements();
-            let dsps = dsps_of(&comp.signature(network), i);
-            per_component.push(ComponentLatency {
+    ) -> LatencyReport {
+        let per_component: Vec<ComponentLatency> = components
+            .iter()
+            .zip(rates)
+            .map(|(comp, rate)| ComponentLatency {
                 name: comp.name.clone(),
-                depth_cycles: depth,
-                frame_cycles: cycles::frame_cycles(macs, elements, dsps),
-                dsps,
-            });
-        }
+                depth_cycles: rate.depth_cycles,
+                frame_cycles: rate.frame_cycles,
+                dsps: rate.dsps,
+            })
+            .collect();
         let pipeline_cycles: u64 =
             per_component.iter().map(|c| c.depth_cycles).sum::<u64>() + extra_pipeline_cycles;
         let bottleneck = per_component
@@ -67,18 +63,19 @@ impl LatencyReport {
             .max()
             .unwrap_or(0);
         let frame_cycles = bottleneck + pipeline_cycles;
-        Ok(LatencyReport {
+        LatencyReport {
             per_component,
             pipeline_cycles,
             pipeline_ns: cycles::latency_ns(pipeline_cycles, fmax_mhz),
             frame_cycles,
             frame_ms: cycles::latency_ms(frame_cycles, fmax_mhz),
             fmax_mhz,
-        })
+        }
     }
 
     /// Latency of an assembled design: engine widths come from the
-    /// checkpoints actually used.
+    /// checkpoints actually used, so a component `db` does not hold is an
+    /// error, not a latency.
     pub fn for_assembled(
         network: &Network,
         granularity: Granularity,
@@ -86,30 +83,30 @@ impl LatencyReport {
         fmax_mhz: f64,
         extra_pipeline_cycles: u64,
     ) -> Result<LatencyReport, FlowError> {
-        Self::build(
-            network,
-            granularity,
+        let components = network.components(granularity)?;
+        let mut rates = cycles::component_rates(network, &components)?;
+        for (comp, rate) in components.iter().zip(&mut rates) {
+            let checkpoint = db.require(&comp.signature(network))?;
+            *rate = rate.at_width(checkpoint.meta.resources.dsps);
+        }
+        Ok(Self::build(
+            &components,
+            &rates,
             fmax_mhz,
             extra_pipeline_cycles,
-            |sig, _| db.get(sig).map(|cp| cp.meta.resources.dsps).unwrap_or(1),
-        )
+        ))
     }
 
     /// Latency of the monolithic design: same engines (the generators are
-    /// shared), so the analytic estimate applies; the flat module's total
-    /// DSP count cross-checks it.
+    /// shared), at the widths the model sizes them to.
     pub fn for_monolithic(
         network: &Network,
         granularity: Granularity,
-        _module: &Module,
         fmax_mhz: f64,
     ) -> Result<LatencyReport, FlowError> {
         let components = network.components(granularity)?;
-        let estimates: Vec<u64> = components
-            .iter()
-            .map(|c| component_dsp_estimate(network, c))
-            .collect::<Result<_, _>>()?;
-        Self::build(network, granularity, fmax_mhz, 0, |_, i| estimates[i])
+        let rates = cycles::component_rates(network, &components)?;
+        Ok(Self::build(&components, &rates, fmax_mhz, 0))
     }
 }
 
@@ -221,15 +218,29 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_latency_for_lenet() {
+    fn assembled_latency_of_a_missing_checkpoint_is_an_error() {
         let network = pi_cnn::models::lenet5();
-        let m = pi_synth::synth_network_flat(
+        let err = LatencyReport::for_assembled(
             &network,
             Granularity::Layer,
-            &pi_synth::SynthOptions::lenet_like(),
+            &ComponentDb::new(),
+            400.0,
+            0,
         )
-        .unwrap();
-        let r = LatencyReport::for_monolithic(&network, Granularity::Layer, &m, 400.0).unwrap();
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlowError::Stitch(pi_stitch::StitchError::MissingComponent(_))
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn monolithic_latency_for_lenet() {
+        let network = pi_cnn::models::lenet5();
+        let r = LatencyReport::for_monolithic(&network, Granularity::Layer, 400.0).unwrap();
         assert_eq!(r.per_component.len(), 6);
         // Pipeline latency in the hundreds-of-ns band of Table III.
         assert!(
@@ -244,13 +255,7 @@ mod tests {
     #[test]
     fn vgg_frame_latency_in_paper_band() {
         let network = pi_cnn::models::vgg16();
-        let m = pi_synth::synth_network_flat(
-            &network,
-            Granularity::Block,
-            &pi_synth::SynthOptions::vgg_like(),
-        )
-        .unwrap();
-        let r = LatencyReport::for_monolithic(&network, Granularity::Block, &m, 200.0).unwrap();
+        let r = LatencyReport::for_monolithic(&network, Granularity::Block, 200.0).unwrap();
         // Paper Fig. 7: baseline VGG 55 ms at 200 MHz. Same order here.
         assert!(
             (20.0..150.0).contains(&r.frame_ms),

@@ -11,7 +11,7 @@
 
 use crate::diag::Diagnostic;
 use pi_cnn::graph::{Component, Granularity};
-use pi_cnn::Network;
+use pi_cnn::{cycles, Network};
 use pi_fabric::Device;
 use pi_netlist::Checkpoint;
 use pi_stitch::{ComponentDb, Violation};
@@ -225,6 +225,11 @@ pub fn lint_db_consistency(db: &ComponentDb) -> Vec<Diagnostic> {
 }
 
 /// PL0301: every component the network needs must have a checkpoint.
+/// PL0307: and that checkpoint's measured `latency_cycles` / DSP count
+/// must be what the rate model ([`pi_cnn::cycles`]) says of the component
+/// it serves — the flow sizes FIFOs and prints latency from the model, so
+/// a checkpoint that disagrees would be stitched under numbers that are
+/// not its own.
 pub fn lint_db_coverage(
     network: &Network,
     granularity: Granularity,
@@ -234,11 +239,31 @@ pub fn lint_db_coverage(
         // Graph-level lints already explain an unpartitionable network.
         return Vec::new();
     };
+    let Ok(rates) = cycles::component_rates(network, &components) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
-    for c in &components {
+    for (c, rate) in components.iter().zip(&rates) {
         let sig = c.signature(network);
-        if db.get(&sig).is_none() {
+        let Some(cp) = db.get(&sig) else {
             out.push(missing_component(&network.name, c, &sig));
+            continue;
+        };
+        for (what, measured, modelled) in [
+            ("latency_cycles", cp.meta.latency_cycles, rate.depth_cycles),
+            ("dsps", cp.meta.resources.dsps, rate.dsps),
+        ] {
+            if measured != modelled {
+                out.push(Diagnostic::new(
+                    "PL0307",
+                    format!("checkpoint:{sig}/{what}"),
+                    format!(
+                        "envelope {what} {measured} differs from the rate model's \
+                         {modelled} for component `{}` of network `{}`",
+                        c.name, network.name
+                    ),
+                ));
+            }
         }
     }
     out

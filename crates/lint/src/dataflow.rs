@@ -10,18 +10,21 @@
 //! shared ancestor, the long path starves, and the pipeline deadlocks: a
 //! cyclic wait no amount of runtime can clear.
 //!
-//! The analysis propagates first-token *arrival intervals* (cycles from
-//! frame start) over the component graph with the worklist fixpoint core
-//! in [`crate::engine`]: a component's arrival is the synchronizing `sup`
-//! of each predecessor's arrival offset by that predecessor's pipeline
-//! depth ([`pi_cnn::cycles::component_pipeline_depth`]). Token rates come
-//! from the folding model: a component emitting `T` tokens over `F` frame
-//! cycles ([`pi_cnn::cycles::frame_cycles`] with the analytic DSP count)
-//! produces at `T/F` tokens per cycle, so an operand waiting `S` cycles
-//! buffers `ceil(S·T/F)` tokens — plus one in-flight slot — giving the
-//! per-edge occupancy bound and minimum FIFO depth. Per-edge token counts
-//! are also balance-checked (SDF consistency: producer tokens per frame
-//! must equal what the consumer port expects).
+//! This is the *checker*. The flow sizes link FIFOs from the rate model
+//! ([`pi_cnn::cycles::link_min_depths`], one forward sweep that assumes
+//! the component DAG is well formed); this pass re-derives the same depths
+//! independently and is the one that keeps going when the graph is not.
+//! It propagates first-token *arrival intervals* (cycles from frame
+//! start) over the component graph with the worklist fixpoint core in
+//! [`crate::engine`]: a component's arrival is the synchronizing `sup` of
+//! each predecessor's arrival offset by that predecessor's pipeline
+//! depth. Per-component quantities — pipeline depth, tokens in and out,
+//! frame cycles — are read from the model's
+//! [`pi_cnn::cycles::ComponentRate`], and the skew → depth rule is the
+//! model's [`pi_cnn::cycles::min_link_depth`]; only the arrival
+//! propagation is this pass's own. Per-edge token counts are also
+//! balance-checked (SDF consistency: producer tokens per frame must equal
+//! what the consumer port expects).
 //!
 //! Findings: `PL0400` (join skew unbuffereable within capacity — the
 //! deadlock), `PL0401` (any link whose computed minimum exceeds capacity),
@@ -32,7 +35,7 @@
 //! still reports divergence instead of crashing or silently passing.
 
 use crate::diag::Diagnostic;
-use crate::engine::{fixpoint_intervals, Interval};
+use crate::engine::{fixpoint_intervals, FixpointOutcome, Interval};
 use pi_cnn::graph::{Granularity, Network};
 use pi_cnn::{cycles, CnnError};
 use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
@@ -57,9 +60,9 @@ pub struct EdgeFlow {
     /// Synchronization wait this operand sees at the consumer: the gap
     /// between its own earliest arrival and the join's latest operand.
     pub skew_cycles: u64,
-    /// Token occupancy bounds of the link FIFO during pipeline fill.
-    pub occupancy: Interval,
-    /// Minimum FIFO depth that absorbs the skew without backpressure.
+    /// Minimum FIFO depth that absorbs the skew without backpressure: the
+    /// tokens queued during pipeline fill plus the one in flight at the
+    /// consumer. [`Interval::TOP_HI`] when the fixpoint widened to top.
     pub min_depth: u64,
     /// True when the consumer synchronizes two operand streams — the
     /// reconvergent case where an undersized FIFO deadlocks rather than
@@ -67,9 +70,8 @@ pub struct EdgeFlow {
     pub reconvergent: bool,
 }
 
-/// The analysis result: per-link flows plus fixpoint bookkeeping. This is
-/// what `FlowConfig::with_fifo_autosize` feeds back into stitching and
-/// what the `lint` bench bin measures.
+/// The analysis result: per-link flows plus fixpoint bookkeeping — what
+/// the `lint` bench bin measures.
 #[derive(Debug, Clone)]
 pub struct DataflowAnalysis {
     pub network_name: String,
@@ -87,7 +89,8 @@ pub struct DataflowAnalysis {
 }
 
 impl DataflowAnalysis {
-    /// Computed minimum depth per component edge, for the stitcher.
+    /// Computed minimum depth per component edge — comparable key for key
+    /// with [`pi_cnn::cycles::link_min_depths`].
     pub fn depth_map(&self) -> BTreeMap<(usize, usize), u64> {
         self.edges
             .iter()
@@ -102,9 +105,11 @@ impl DataflowAnalysis {
 
     /// Evaluate the flows against the link capacity the stitcher builds:
     /// [`DEFAULT_LINK_FIFO_DEPTH`], or with `autosize` each link's own
-    /// computed minimum — the state the flow builds under
-    /// `with_fifo_autosize` — so `PL0400`/`PL0401` cannot fire and only
-    /// rate imbalance and divergence remain.
+    /// minimum — what the flow installs from the rate model under
+    /// `with_fifo_autosize`, and equal to the depth computed here
+    /// (`tests/model_import_props.rs` holds the two together) — so
+    /// `PL0400`/`PL0401` cannot fire and only rate imbalance and
+    /// divergence remain.
     pub fn lint(&self, autosize: bool) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let net = &self.network_name;
@@ -147,15 +152,11 @@ impl DataflowAnalysis {
                     ),
                 ));
             }
-            if e.occupancy.is_top() {
+            if e.min_depth == Interval::TOP_HI {
                 continue; // divergence already reported as PL0403
             }
-            let capacity = if autosize {
-                e.min_depth.max(1)
-            } else {
-                DEFAULT_LINK_FIFO_DEPTH
-            };
-            if e.min_depth > capacity {
+            let capacity = DEFAULT_LINK_FIFO_DEPTH;
+            if !autosize && e.min_depth > capacity {
                 out.push(Diagnostic::new(
                     "PL0401",
                     format!("network:{net}/link:{}->{}", e.source_name, e.sink_name),
@@ -163,7 +164,8 @@ impl DataflowAnalysis {
                         "link FIFO undersized: occupancy reaches {} tokens \
                          during pipeline fill, minimum depth {} exceeds \
                          capacity {capacity}",
-                        e.occupancy.hi, e.min_depth
+                        e.min_depth - 1,
+                        e.min_depth
                     ),
                 ));
                 if e.reconvergent {
@@ -195,38 +197,20 @@ pub fn analyze(network: &Network, granularity: Granularity) -> DataflowAnalysis 
 }
 
 /// The precise path: actors are the fused components the stitcher will
-/// instantiate, rates come from the shape/folding model.
+/// instantiate, rates come from the model.
 fn analyze_components(
     network: &Network,
     granularity: Granularity,
 ) -> Result<DataflowAnalysis, CnnError> {
     let comps = network.components(granularity)?;
     let n = comps.len();
-
-    // Per-component rate model.
-    let mut depth = Vec::with_capacity(n);
-    let mut frame = Vec::with_capacity(n);
-    let mut tokens = Vec::with_capacity(n);
-    for c in &comps {
-        depth.push(cycles::component_pipeline_depth(network, c)?);
-        let macs = cycles::component_macs(network, c)?;
-        let dsps = pi_synth::component::component_dsp_estimate(network, c)
-            .map_err(|e| CnnError::ShapeMismatch(e.to_string()))?;
-        let out_tokens = c.output_shape.elements().max(1);
-        frame.push(cycles::frame_cycles(macs, out_tokens, dsps).max(1));
-        tokens.push(out_tokens);
-    }
+    let rates = cycles::component_rates(network, &comps)?;
 
     // The same component graph the stitcher wires from.
     let links = network.component_edges(&comps);
-    let comp_edges: Vec<(usize, usize)> = links.iter().map(|e| (e.source, e.sink)).collect();
-
-    let (preds, succs) = adjacency(n, &comp_edges);
-    let seeds: Vec<(usize, Interval)> = (0..n)
-        .filter(|&i| preds[i].is_empty())
-        .map(|i| (i, Interval::point(0)))
-        .collect();
-    let outcome = fixpoint_intervals(&preds, &succs, &seeds, |p, _n, v| v.offset(depth[p]));
+    let (preds, outcome) = arrivals(n, links.iter().map(|e| (e.source, e.sink)), |p| {
+        rates[p].depth_cycles
+    });
 
     // Per-edge flows. An edge's operand "arrives" at the consumer after
     // the producer's pipeline: A_e = arrival(src) + depth(src). A
@@ -237,34 +221,21 @@ fn analyze_components(
         let (ca, cb) = (link.source, link.sink);
         let latest = preds[cb]
             .iter()
-            .filter_map(|&a| outcome.values[a].map(|v| v.offset(depth[a]).hi))
+            .filter_map(|&a| outcome.values[a].map(|v| v.offset(rates[a].depth_cycles).hi))
             .max()
             .unwrap_or(0);
-        let this = outcome.values[ca].map(|v| v.offset(depth[ca]));
-        let (skew, occupancy) = match this {
-            Some(a) if a.is_top() || latest == Interval::TOP_HI => {
-                (Interval::TOP_HI, Interval::new_top())
-            }
-            Some(a) => {
-                let skew = latest.saturating_sub(a.lo);
-                // Tokens emitted over `skew` producer cycles, rounded up.
-                let buffered = (skew.saturating_mul(tokens[ca])).div_ceil(frame[ca]);
-                (
-                    skew,
-                    Interval {
-                        lo: 0,
-                        hi: buffered,
-                    },
-                )
-            }
+        let producer = &rates[ca];
+        let skew = match outcome.values[ca].map(|v| v.offset(producer.depth_cycles)) {
+            Some(a) if a.is_top() || latest == Interval::TOP_HI => Interval::TOP_HI,
+            Some(a) => latest.saturating_sub(a.lo),
             // Producer unreachable from the input: orphan territory
             // (PL0202); nothing flows, nothing queues.
-            None => (0, Interval::point(0)),
+            None => 0,
         };
-        let min_depth = if occupancy.is_top() {
+        let min_depth = if skew == Interval::TOP_HI {
             Interval::TOP_HI
         } else {
-            occupancy.hi + 1 // +1: the in-flight token at the consumer
+            cycles::min_link_depth(skew, producer.tokens_out, producer.frame_cycles)
         };
         edges.push(EdgeFlow {
             source: ca,
@@ -274,10 +245,9 @@ fn analyze_components(
             // A third operand has no port (PL0205 flags the join); it
             // keeps the second's label here.
             port: link.port().unwrap_or("din2"),
-            tokens_per_frame: tokens[ca],
-            expected_tokens: comps[cb].input_shape.elements(),
+            tokens_per_frame: producer.tokens_out,
+            expected_tokens: rates[cb].tokens_in,
             skew_cycles: skew,
-            occupancy,
             min_depth,
             reconvergent: preds[cb].len() >= 2,
         });
@@ -300,17 +270,8 @@ fn analyze_components(
 /// instead of an analysis crash.
 fn analyze_fallback(network: &Network, why: CnnError) -> DataflowAnalysis {
     let n = network.nodes().len();
-    let node_edges: Vec<(usize, usize)> = network
-        .edges()
-        .iter()
-        .map(|(a, b)| (a.index(), b.index()))
-        .collect();
-    let (preds, succs) = adjacency(n, &node_edges);
-    let seeds: Vec<(usize, Interval)> = (0..n)
-        .filter(|&i| preds[i].is_empty())
-        .map(|i| (i, Interval::point(0)))
-        .collect();
-    let outcome = fixpoint_intervals(&preds, &succs, &seeds, |_p, _n, v| v.offset(1));
+    let node_edges = network.edges().iter().map(|(a, b)| (a.index(), b.index()));
+    let (_, outcome) = arrivals(n, node_edges, |_| 1);
     DataflowAnalysis {
         network_name: network.name.clone(),
         actors: n,
@@ -321,35 +282,28 @@ fn analyze_fallback(network: &Network, why: CnnError) -> DataflowAnalysis {
     }
 }
 
-/// Pure depth rule, exposed for the monotonicity property tests: the
-/// minimum FIFO depth for an operand waiting `skew_cycles` on a producer
-/// emitting `tokens_per_frame` tokens over `frame_cycles` cycles.
-pub fn min_depth_for_skew(skew_cycles: u64, tokens_per_frame: u64, frame_cycles: u64) -> u64 {
-    skew_cycles
-        .saturating_mul(tokens_per_frame)
-        .div_ceil(frame_cycles.max(1))
-        + 1
-}
-
-impl Interval {
-    fn new_top() -> Self {
-        Interval {
-            lo: 0,
-            hi: Interval::TOP_HI,
-        }
-    }
-}
-
-fn adjacency(n: usize, edges: &[(usize, usize)]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+/// First-token arrival interval of each of `n` actors: actors without a
+/// producer fire at cycle 0 and every edge delays its producer's arrival
+/// by `depth_of(producer)`. Returns the predecessor lists alongside.
+fn arrivals(
+    n: usize,
+    edges: impl Iterator<Item = (usize, usize)>,
+    depth_of: impl Fn(usize) -> u64,
+) -> (Vec<Vec<usize>>, FixpointOutcome) {
     let mut preds = vec![Vec::new(); n];
     let mut succs = vec![Vec::new(); n];
-    for &(a, b) in edges {
+    for (a, b) in edges {
         if a < n && b < n {
             preds[b].push(a);
             succs[a].push(b);
         }
     }
-    (preds, succs)
+    let seeds: Vec<(usize, Interval)> = (0..n)
+        .filter(|&i| preds[i].is_empty())
+        .map(|i| (i, Interval::point(0)))
+        .collect();
+    let outcome = fixpoint_intervals(&preds, &succs, &seeds, |p, _n, v| v.offset(depth_of(p)));
+    (preds, outcome)
 }
 
 #[cfg(test)]
@@ -404,13 +358,5 @@ mod tests {
         assert!(out.diverged, "{out:?}");
         let diags = out.lint(false);
         assert!(diags.iter().any(|d| d.code == "PL0403"), "{diags:?}");
-    }
-
-    #[test]
-    fn min_depth_rule_is_monotone_and_tight() {
-        assert_eq!(min_depth_for_skew(0, 100, 10), 1);
-        assert_eq!(min_depth_for_skew(10, 1, 1), 11);
-        // One token per 4 cycles, 43-cycle wait: ceil(43/4)+1.
-        assert_eq!(min_depth_for_skew(43, 1, 4), 12);
     }
 }

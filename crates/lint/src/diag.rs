@@ -276,7 +276,8 @@ pub const REGISTRY: &[LintCode] = &[
         name: "meta-mismatch",
         default: Level::Deny,
         summary: "checkpoint envelope metadata disagrees with the module it \
-                  wraps (resource counts, non-positive Fmax)",
+                  wraps (resource counts, non-positive Fmax) or with the rate \
+                  model of the component it serves (latency cycles, DSPs)",
     },
     LintCode {
         code: "PL0308",

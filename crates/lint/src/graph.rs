@@ -7,9 +7,9 @@
 //! defect — a linter must keep going and report everything.
 
 use crate::diag::Diagnostic;
+use pi_cnn::cycles::TARGET_FRAME_CYCLES;
 use pi_cnn::graph::Granularity;
 use pi_cnn::{Layer, Network, NodeId, Shape};
-use pi_synth::cost::TARGET_FRAME_CYCLES;
 use std::collections::BTreeMap;
 
 /// Run every graph-level lint. `granularity` selects the component

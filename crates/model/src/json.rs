@@ -280,10 +280,7 @@ pub fn render_json(model: &JsonModel) -> String {
 /// `BatchNormalization` folds into its producing conv, `Flatten`
 /// dissolves into a rewire, `GlobalAveragePool` resolves against the
 /// propagated shape, and declared shapes are cross-checked.
-pub(crate) fn to_network(
-    model: &JsonModel,
-    ctx: &mut Ctx,
-) -> Result<(Network, Vec<(String, String)>), CnnError> {
+pub(crate) fn to_network(model: &JsonModel, ctx: &mut Ctx) -> Result<Network, CnnError> {
     // Name table (the input participates).
     let mut index: HashMap<&str, usize> = HashMap::new();
     if model.nodes.iter().any(|n| n.name == model.input_name) {
@@ -598,7 +595,7 @@ pub(crate) fn to_network(
         }
     }
 
-    Ok((network, Vec::new()))
+    Ok(network)
 }
 
 /// The inverse mapping: render an in-memory network as a canonical JSON

@@ -11,8 +11,10 @@
 //!   `Flatten`). Non-linear topologies (ResNet skips, branches) are first
 //!   class: a node lists any earlier nodes as inputs.
 //! * **prototxt layer configs** ([`prototxt`]) — the fpgaConvNet-style
-//!   per-layer block format (`layer { conv: { ... } activation: Relu }`)
-//!   with folding factors, which the importer retains as metadata.
+//!   per-layer block format (`layer { conv: { ... } activation: Relu }`).
+//!   Its folding factors and header knobs stay in the parsed AST so the
+//!   canonical writer round-trips them; the importer does not read them
+//!   (engine widths are the rate model's decision, [`pi_cnn::cycles`]).
 //!
 //! Importing normalizes the descriptor into the flow's layer vocabulary:
 //! `BatchNormalization` folds into the adjacent convolution (it is an
@@ -95,15 +97,12 @@ pub struct ImportFinding {
     pub message: String,
 }
 
-/// A successful import: the normalized network, the non-fatal findings
-/// the normalization produced, and descriptor metadata the flow has no
-/// field for (prototxt folding factors, header knobs).
+/// A successful import: the normalized network and the non-fatal
+/// findings the normalization produced.
 #[derive(Debug, Clone)]
 pub struct Import {
     pub network: Network,
     pub findings: Vec<ImportFinding>,
-    /// `(key, value)` pairs, e.g. `("layer1.conv.worker_factor", "3")`.
-    pub metadata: Vec<(String, String)>,
 }
 
 /// Import context threaded through the format frontends: accumulates
@@ -148,10 +147,9 @@ impl Ctx {
 pub fn import(text: &str, format: ModelFormat) -> Result<Import, CnnError> {
     let mut ctx = Ctx::default();
     let result = import_inner(text, format, &mut ctx);
-    result.map(|(network, metadata)| Import {
+    result.map(|network| Import {
         network,
         findings: ctx.findings,
-        metadata,
     })
 }
 
@@ -162,13 +160,12 @@ pub fn import(text: &str, format: ModelFormat) -> Result<Import, CnnError> {
 pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<ImportFinding>) {
     let mut ctx = Ctx::default();
     match import_inner(text, format, &mut ctx) {
-        Ok((network, metadata)) => {
+        Ok(network) => {
             let findings = ctx.findings.clone();
             (
                 Some(Import {
                     network,
                     findings: ctx.findings,
-                    metadata,
                 }),
                 findings,
             )
@@ -184,13 +181,9 @@ pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<I
     }
 }
 
-fn import_inner(
-    text: &str,
-    format: ModelFormat,
-    ctx: &mut Ctx,
-) -> Result<(Network, Vec<(String, String)>), CnnError> {
-    let (network, metadata) = match format {
-        ModelFormat::Archdef => (pi_cnn::parse_archdef(text)?, Vec::new()),
+fn import_inner(text: &str, format: ModelFormat, ctx: &mut Ctx) -> Result<Network, CnnError> {
+    let network = match format {
+        ModelFormat::Archdef => pi_cnn::parse_archdef(text)?,
         ModelFormat::Json => {
             let model = json::parse_json(text)?;
             json::to_network(&model, ctx)?
@@ -204,7 +197,7 @@ fn import_inner(
     // full shape walk, before the network may enter the flow.
     network.validate()?;
     network.input_shapes()?;
-    Ok((network, metadata))
+    Ok(network)
 }
 
 /// Edit distance (Levenshtein) for the "did you mean" suggestions on

@@ -25,10 +25,11 @@
 //! }
 //! ```
 //!
-//! Folding factors (`*_factor` keys) do not change the architecture the
-//! flow builds — component sizing is the synthesizer's job here — so the
-//! importer retains them as metadata instead of dropping them. Errors
-//! carry `line N` locations. Layer names are generated per kind
+//! Folding factors (`*_factor` keys) and header knobs do not change the
+//! architecture the flow builds — engine widths are the rate model's
+//! decision ([`pi_cnn::cycles`]) — so the AST keeps them (render → parse
+//! → render stays byte-identical) and the importer does not read them.
+//! Errors carry `line N` locations. Layer names are generated per kind
 //! (`conv1`, `pool1`, `relu1`, `fc1`, ...), matching the naming the
 //! bundled [`pi_cnn::models`] constructors use.
 
@@ -58,7 +59,7 @@ pub struct ProtoLayer {
     pub input: Option<(u32, u32, u32)>,
     pub num_outputs: Option<u32>,
     pub op: ProtoOp,
-    /// `*_factor` keys, sorted, retained as metadata.
+    /// `*_factor` keys, sorted; kept for the writer, unread by the importer.
     pub folding: Vec<(String, u32)>,
     /// `activation: Relu` — appends a ReLU after the engine.
     pub relu: bool,
@@ -439,19 +440,10 @@ pub fn render_prototxt(model: &ProtoModel) -> String {
 }
 
 /// Lower the linear block list into a flow [`Network`]. Layer names are
-/// generated per kind; folding factors and header knobs come back as
-/// metadata.
-pub(crate) fn to_network(
-    model: &ProtoModel,
-    ctx: &mut Ctx,
-) -> Result<(Network, Vec<(String, String)>), CnnError> {
+/// generated per kind.
+pub(crate) fn to_network(model: &ProtoModel, ctx: &mut Ctx) -> Result<Network, CnnError> {
     let name = model.name.clone().unwrap_or_else(|| "model".to_string());
     let mut network = Network::new(&name);
-    let mut metadata: Vec<(String, String)> = model
-        .header
-        .iter()
-        .map(|(k, v)| (format!("header.{k}"), v.clone()))
-        .collect();
     let mut counters = std::collections::HashMap::new();
     let mut fresh = |kind: &str| {
         let n = counters.entry(kind.to_string()).or_insert(0u32);
@@ -488,7 +480,7 @@ pub(crate) fn to_network(
             }
             _ => {}
         }
-        let lname = match &layer.op {
+        match &layer.op {
             ProtoOp::Conv {
                 kernel,
                 pad,
@@ -501,9 +493,8 @@ pub(crate) fn to_network(
                         "conv layer is missing num_outputs".to_string(),
                     )
                 })?;
-                let n = fresh("conv");
                 network.push_layer(
-                    &n,
+                    fresh("conv"),
                     Layer::Conv(ConvParams {
                         kernel: *kernel,
                         stride: *stride,
@@ -511,19 +502,16 @@ pub(crate) fn to_network(
                         out_channels: out,
                     }),
                 );
-                n
             }
             ProtoOp::Pool { kind, dim, stride } => {
-                let n = fresh("pool");
                 network.push_layer(
-                    &n,
+                    fresh("pool"),
                     Layer::Pool(PoolParams {
                         window: *dim,
                         stride: *stride,
                         kind: *kind,
                     }),
                 );
-                n
             }
             ProtoOp::Fc => {
                 let out = layer.num_outputs.ok_or_else(|| {
@@ -533,19 +521,14 @@ pub(crate) fn to_network(
                         "fc layer is missing num_outputs".to_string(),
                     )
                 })?;
-                let n = fresh("fc");
-                network.push_layer(&n, Layer::Fc(FcParams { out_features: out }));
-                n
+                network.push_layer(fresh("fc"), Layer::Fc(FcParams { out_features: out }));
             }
-        };
+        }
         if layer.relu {
             network.push_layer(fresh("relu"), Layer::Relu);
         }
-        for (k, v) in &layer.folding {
-            metadata.push((format!("{lname}.{k}"), v.to_string()));
-        }
     }
-    Ok((network, metadata))
+    Ok(network)
 }
 
 #[cfg(test)]
@@ -595,10 +578,7 @@ layer {
             .map(|n| n.name.as_str())
             .collect();
         assert_eq!(names, ["input", "conv1", "pool1", "relu1"]);
-        assert!(imp
-            .metadata
-            .iter()
-            .any(|(k, v)| k == "conv1.worker_factor" && v == "3"));
+        assert_eq!(model.layers[0].folding, [("worker_factor".to_string(), 3)]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct TopNet {
     pub pipeline_stages: u32,
     /// Token capacity of the link FIFO backing this net. Stitching starts
     /// every net at the standard depth; `FlowConfig::with_fifo_autosize`
-    /// overwrites it with the dataflow analysis' computed minimum.
+    /// overwrites it with the rate model's minimum for the link.
     #[serde(default = "default_fifo_depth")]
     pub fifo_depth: u64,
 }

@@ -107,7 +107,7 @@ pub fn synth_cle(
     }
     // Lanes sized for the group's total MAC load (the CLE runs its layers
     // back to back, so the budget covers the sum).
-    let lanes = cost::conv_lanes(total_macs, max_taps);
+    let lanes = pi_cnn::cycles::conv_lanes(total_macs, max_taps);
 
     let mut b = ModuleBuilder::new(format!("cle_{}l", group.len()));
     let clk = b.input("clk", StreamRole::Clock, 1);

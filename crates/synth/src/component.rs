@@ -92,30 +92,6 @@ pub fn synth_component(
     Ok(b.finish()?)
 }
 
-/// Analytic DSP count of a component's engines — the same sizing rules the
-/// generators use, without building the netlist. The latency model divides
-/// MACs by this number.
-pub fn component_dsp_estimate(network: &Network, component: &Component) -> Result<u64, SynthError> {
-    let shapes = network.input_shapes()?;
-    let mut dsps = crate::cost::MEMCTRL_DSPS + 1; // source + sink controllers
-    for node_id in &component.nodes {
-        let node = network.node(*node_id);
-        let input = shapes[node_id.index()];
-        match &node.layer {
-            Layer::Conv(p) => {
-                let taps = u64::from(p.kernel) * u64::from(p.kernel);
-                let macs = p.macs(input)?;
-                dsps += crate::cost::conv_lanes(macs, taps) * taps;
-            }
-            Layer::Fc(p) => {
-                dsps += crate::cost::fc_dsps(p.macs(input));
-            }
-            _ => {}
-        }
-    }
-    Ok(dsps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,6 +3,7 @@
 use crate::cost;
 use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, LaneSpec};
 use crate::SynthOptions;
+use pi_cnn::cycles;
 use pi_cnn::layer::{ConvParams, Shape};
 use pi_netlist::{Cell, CellKind, Endpoint, ModuleBuilder};
 
@@ -23,7 +24,7 @@ pub fn emit_conv_engine(
     let w = u64::from(opts.data_width);
     let taps = u64::from(p.kernel) * u64::from(p.kernel);
     let macs = p.macs(input_shape).unwrap_or(taps);
-    let lanes = cost::conv_lanes(macs, taps);
+    let lanes = cycles::conv_lanes(macs, taps);
 
     // Line buffers: (k-1) image rows of all input channels.
     let lb_bits = u64::from(p.kernel.saturating_sub(1))

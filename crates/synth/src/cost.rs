@@ -1,5 +1,8 @@
-//! Resource cost model: the named constants every generator sizes itself
-//! with, and the parallelism rules that map layer shapes onto hardware.
+//! Resource cost model: the named area constants every generator sizes
+//! itself with. The rules that decide *how many DSPs* an engine gets — the
+//! frame-cycle budget, conv lanes, FC folding, controller address DSPs —
+//! are the performance model's ([`pi_cnn::cycles`]); the generators read
+//! them from there, so the model's DSP count is the netlist's.
 //!
 //! Calibration targets (see EXPERIMENTS.md): VGG-16 lands near the paper's
 //! Table II (~283 k LUTs, ~2100 DSPs, several hundred BRAM on the
@@ -20,8 +23,6 @@ pub const FC_LUT_PER_DSP: u64 = 120;
 /// Slices in a memory controller (address generators, burst logic,
 /// FIFO control) — Fig. 5's interface block.
 pub const MEMCTRL_SLICES: u64 = 190;
-/// DSPs used by a memory controller's address arithmetic.
-pub const MEMCTRL_DSPS: u64 = 2;
 /// BRAMs in a memory controller's FIFO queues.
 pub const MEMCTRL_FIFO_BRAMS: u64 = 4;
 
@@ -36,26 +37,6 @@ pub const MONOLITHIC_LUT_OVERHEAD_PCT: u64 = 9;
 pub const MONOLITHIC_BRAM_OVERHEAD_PCT: u64 = 6;
 /// Extra register fraction (percent) from monolithic fanout pipelining.
 pub const MONOLITHIC_FF_OVERHEAD_PCT: u64 = 12;
-
-/// Frame-cycle budget each engine is sized for: lanes are provisioned so a
-/// layer streams one frame in roughly this many cycles, balancing the
-/// pipeline (every streaming accelerator generator does this; it is also
-/// what keeps VGG-16's total DSP demand in the Table II band).
-pub const TARGET_FRAME_CYCLES: u64 = 8_000_000;
-
-/// Output-channel lanes instantiated per convolution engine, proportional
-/// to the layer's MAC load: heavy layers get wide arrays, light layers fold
-/// onto a single k×k lane.
-pub fn conv_lanes(macs: u64, taps: u64) -> u64 {
-    macs.div_ceil(taps.max(1) * TARGET_FRAME_CYCLES)
-        .clamp(1, 40)
-}
-
-/// DSP MACs in the folded fully-connected engine, MAC-load proportional
-/// with a minimum that keeps the accumulator tree busy.
-pub fn fc_dsps(macs: u64) -> u64 {
-    macs.div_ceil(TARGET_FRAME_CYCLES).clamp(4, 128)
-}
 
 /// Channel lanes in a pooling engine.
 pub fn pool_lanes(in_channels: u32) -> u64 {
@@ -79,18 +60,9 @@ pub const MAX_COMB_CHAIN: usize = 3;
 /// are pipelined. This single rule is what makes deep-input layers slower
 /// (the paper's conv2-vs-conv1 and VGG-component observations).
 pub fn comb_chain_len(taps: u64) -> usize {
-    (ceil_log2(taps).div_ceil(2))
+    (pi_cnn::cycles::ceil_log2(taps).div_ceil(2))
         .max(1)
         .min(MAX_COMB_CHAIN as u64) as usize
-}
-
-/// Ceiling log2 (0 and 1 map to 0).
-pub fn ceil_log2(x: u64) -> u64 {
-    if x <= 1 {
-        0
-    } else {
-        64 - u64::from((x - 1).leading_zeros())
-    }
 }
 
 #[cfg(test)]
@@ -98,16 +70,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_rules_balance_the_pipeline() {
-        // LeNet conv1 (118k MACs) folds onto one 5x5 lane.
-        assert_eq!(conv_lanes(117_600, 25), 1);
-        // A heavy VGG conv (1.85G MACs, 3x3) gets a wide array.
-        let heavy = conv_lanes(1_850_000_000, 9);
-        assert!((20..=40).contains(&heavy), "lanes = {heavy}");
-        // Lanes scale down with lighter layers.
-        assert!(conv_lanes(462_000_000, 9) < heavy);
-        assert_eq!(fc_dsps(48_000), 4);
-        assert_eq!(fc_dsps(102_000_000), 13);
+    fn pool_lanes_follow_the_channel_count() {
         assert_eq!(pool_lanes(6), 2);
         assert_eq!(pool_lanes(512), 16);
     }

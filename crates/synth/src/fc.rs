@@ -5,6 +5,7 @@
 use crate::cost;
 use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, LaneSpec};
 use crate::SynthOptions;
+use pi_cnn::cycles;
 use pi_cnn::layer::{FcParams, Shape};
 use pi_netlist::{Cell, CellKind, Endpoint, ModuleBuilder};
 
@@ -19,7 +20,7 @@ pub fn emit_fc_engine(
 ) -> Endpoint {
     let w = u64::from(opts.data_width);
     let in_elems = input_shape.elements();
-    let dsps = cost::fc_dsps(p.macs(input_shape));
+    let dsps = cycles::fc_dsps(p.macs(input_shape));
 
     // Input activation buffer.
     let n_in = cost::brams_for_bits(in_elems * w).max(1) as usize;

@@ -7,6 +7,7 @@
 
 use crate::cost;
 use crate::emit::{emit_chain, out_slice, tree_slice};
+use pi_cnn::cycles;
 use pi_netlist::{Cell, CellKind, Endpoint, ModuleBuilder};
 
 /// Which side of a component the controller serves.
@@ -33,8 +34,8 @@ pub fn emit_memctrl(
         CtrlSide::Sink => cost::MEMCTRL_SLICES / 3,
     } as usize;
     let dsps = match side {
-        CtrlSide::Source => cost::MEMCTRL_DSPS,
-        CtrlSide::Sink => 1,
+        CtrlSide::Source => cycles::SOURCE_CTRL_DSPS,
+        CtrlSide::Sink => cycles::SINK_CTRL_DSPS,
     } as usize;
     let brams = match side {
         CtrlSide::Source => cost::MEMCTRL_FIFO_BRAMS,
@@ -104,7 +105,7 @@ mod tests {
     fn source_controller_resources() {
         let m = build(CtrlSide::Source);
         let r = m.resources();
-        assert_eq!(r.dsps, cost::MEMCTRL_DSPS);
+        assert_eq!(r.dsps, cycles::SOURCE_CTRL_DSPS);
         assert_eq!(r.brams, cost::MEMCTRL_FIFO_BRAMS);
         assert!(r.luts >= cost::MEMCTRL_SLICES * 8 - 64);
     }

@@ -24,7 +24,7 @@
 //! re-implemented; with it, `compose` and `floorplan` need no positional
 //! `<db-dir>` and build misses on demand), `--db-budget-bytes N`
 //! (LRU-evict the cache beyond N bytes) and `--fifo-autosize on|off`
-//! (size each stitched link FIFO from the `pi-lint` dataflow analysis
+//! (size each stitched link FIFO from the rate model, `pi_cnn::cycles`,
 //! instead of the fixed default — makes skew-heavy join topologies that
 //! would trip `PL0400`/`PL0401` under `--lint` flow to completion).
 //!

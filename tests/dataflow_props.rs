@@ -5,7 +5,7 @@
 //! `FlowConfig::with_fifo_autosize` with thread-count-independent
 //! telemetry.
 
-use preimpl_cnn::lint::dataflow::min_depth_for_skew;
+use preimpl_cnn::cnn::cycles::min_link_depth;
 use preimpl_cnn::lint::{analyze_dataflow, fixpoint_intervals, Interval, LintConfig, LintEngine};
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
@@ -75,10 +75,10 @@ proptest! {
         tokens in 1u64..100_000,
         frame in 1u64..100_000,
     ) {
-        let base = min_depth_for_skew(skew, tokens, frame);
-        let more = min_depth_for_skew(skew + delta, tokens, frame);
+        let base = min_link_depth(skew, tokens, frame);
+        let more = min_link_depth(skew + delta, tokens, frame);
         prop_assert!(more >= base, "skew {skew}+{delta}: {more} < {base}");
-        prop_assert_eq!(min_depth_for_skew(0, tokens, frame), 1);
+        prop_assert_eq!(min_link_depth(0, tokens, frame), 1);
     }
 }
 

@@ -247,6 +247,40 @@ fn synthesized_db_lints_clean_and_contract_breaks_are_caught() {
     let report = e.lint_checkpoint(&wrong, Some(&device), &Obs::null());
     let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
     assert!(codes.contains(&"PL0306"), "{codes:?}");
+
+    // Model next to measurement: an envelope whose recorded latency or
+    // DSP count is not what the rate model says of the component it
+    // serves (one field perturbed through the serde envelope).
+    for (field, origin) in [
+        (vec!["latency_cycles"], "/latency_cycles"),
+        (vec!["resources", "dsps"], "/dsps"),
+    ] {
+        let mut json = serde_json::to_value(&cp);
+        let mut slot = &mut json["meta"];
+        for key in &field {
+            slot = &mut slot[*key];
+        }
+        let serde_json::Value::U64(measured) = *slot else {
+            panic!("{field:?} is not an integer: {slot:?}");
+        };
+        *slot = serde_json::Value::U64(measured + 1);
+        let mut drifted = db.clone();
+        drifted.insert(serde_json::from_value(json).unwrap());
+        let report = e.lint_db_for_network(
+            &network,
+            Granularity::Layer,
+            &drifted,
+            Some(&device),
+            &Obs::null(),
+        );
+        assert!(
+            report.diagnostics.iter().any(|d| d.code == "PL0307"
+                && d.origin.ends_with(origin)
+                && d.message.contains("rate model")),
+            "{field:?}: {}",
+            report.render_text()
+        );
+    }
 }
 
 #[test]

@@ -3,34 +3,35 @@
 
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::cnn::{cycles, models};
-use preimpl_cnn::synth::component::component_dsp_estimate;
 use preimpl_cnn::synth::{synth_component, SynthOptions};
 
 #[test]
 fn synthesized_dsps_match_the_analytic_estimate() {
-    // The latency model divides MACs by the analytic DSP estimate; the
-    // netlist generators must instantiate exactly that many.
-    for (network, gran, opts) in [
-        (
-            models::lenet5(),
-            Granularity::Layer,
-            SynthOptions::lenet_like(),
-        ),
-        (
-            models::vgg16(),
-            Granularity::Block,
-            SynthOptions::vgg_like(),
-        ),
+    // The rate model's `dsps` is what the latency report divides MACs by
+    // and what PL0307 holds checkpoints to; the netlist generators must
+    // instantiate exactly that many — on every zoo network, joins (two
+    // source controllers) included.
+    let vgg = SynthOptions::vgg_like();
+    for (network, opts) in [
+        (models::lenet5(), SynthOptions::lenet_like()),
+        (models::vgg16(), vgg),
+        (models::alexnet_like(), vgg),
+        (models::cifar10_quick(), vgg),
+        (models::resnet_small(), vgg),
     ] {
-        for comp in network.components(gran).expect("components") {
-            let module = synth_component(&network, &comp, &opts).expect("synthesizes");
-            let estimate = component_dsp_estimate(&network, &comp).expect("estimates");
-            assert_eq!(
-                module.resources().dsps,
-                estimate,
-                "{}: netlist and estimate disagree",
-                comp.name
-            );
+        for gran in [Granularity::Layer, Granularity::Block] {
+            let comps = network.components(gran).expect("components");
+            let rates = cycles::component_rates(&network, &comps).expect("rates");
+            for (comp, rate) in comps.iter().zip(&rates) {
+                let module = synth_component(&network, comp, &opts).expect("synthesizes");
+                assert_eq!(
+                    module.resources().dsps,
+                    rate.dsps,
+                    "{} {gran:?} {}: netlist and model disagree",
+                    network.name,
+                    comp.name
+                );
+            }
         }
     }
 }
@@ -63,19 +64,18 @@ fn rom_capacity_covers_the_weights_it_stores() {
 #[test]
 fn frame_cycles_are_bounded_below_by_ideal_macs_per_dsp() {
     let network = models::vgg16();
-    for comp in network.components(Granularity::Block).expect("components") {
-        let macs = cycles::component_macs(&network, &comp).expect("macs");
-        if macs == 0 {
+    let comps = network.components(Granularity::Block).expect("components");
+    let rates = cycles::component_rates(&network, &comps).expect("rates");
+    for (comp, rate) in comps.iter().zip(&rates) {
+        if rate.macs == 0 {
             continue;
         }
-        let dsps = component_dsp_estimate(&network, &comp).expect("estimates");
-        let cycles = cycles::frame_cycles(macs, comp.output_shape.elements(), dsps);
         assert!(
-            cycles >= macs / dsps,
+            rate.frame_cycles >= rate.macs / rate.dsps,
             "{}: {} cycles below the ideal {}",
             comp.name,
-            cycles,
-            macs / dsps
+            rate.frame_cycles,
+            rate.macs / rate.dsps
         );
     }
 }

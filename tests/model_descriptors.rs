@@ -71,21 +71,23 @@ fn bundled_prototxt_matches_cifar10_quick() {
         preimpl_cnn::cnn::archdef::to_archdef(&imp.network),
         preimpl_cnn::cnn::archdef::to_archdef(&models::cifar10_quick()),
     );
-    // Folding factors and header knobs survive as metadata.
-    for key in [
-        "header.frequency",
-        "header.default_precision.integer_bits",
-        "conv1.worker_factor",
-        "fc1.weights_reloading_factor",
-    ] {
+    // Folding factors and header knobs survive in the parsed form, which
+    // the canonical writer round-trips.
+    let model = preimpl_cnn::model::prototxt::parse_prototxt(&text).unwrap();
+    for key in ["frequency", "default_precision.integer_bits"] {
         assert!(
-            imp.metadata.iter().any(|(k, _)| k == key),
-            "metadata key {key} missing: {:?}",
-            imp.metadata
+            model.header.iter().any(|(k, _)| k == key),
+            "header key {key} missing: {:?}",
+            model.header
         );
     }
-    // The canonical writer round-trips the declared form.
-    let model = preimpl_cnn::model::prototxt::parse_prototxt(&text).unwrap();
+    for (layer, key) in [(0, "worker_factor"), (6, "weights_reloading_factor")] {
+        let folding = &model.layers[layer].folding;
+        assert!(
+            folding.iter().any(|(k, _)| k == key),
+            "layer {layer} folding key {key} missing: {folding:?}"
+        );
+    }
     let rendered = preimpl_cnn::model::prototxt::render_prototxt(&model);
     let back = preimpl_cnn::model::prototxt::parse_prototxt(&rendered).unwrap();
     assert_eq!(back, model);

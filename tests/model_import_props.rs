@@ -173,6 +173,19 @@ proptest! {
         }
     }
 
+    /// Sizer vs. checker: the depths the flow installs under
+    /// `fifo_autosize` (the rate model's forward sweep) are exactly what
+    /// the lint's independent interval fixpoint computes, link for link.
+    #[test]
+    fn model_link_depths_equal_the_dataflow_analysis(net in network_strategy()) {
+        for granularity in [Granularity::Layer, Granularity::Block] {
+            let analysis = preimpl_cnn::lint::analyze_dataflow(&net, granularity);
+            prop_assert!(!analysis.diverged && analysis.fallback.is_none(), "{analysis:?}");
+            let sized = preimpl_cnn::cnn::cycles::link_min_depths(&net, granularity).unwrap();
+            prop_assert_eq!(sized, analysis.depth_map());
+        }
+    }
+
     /// Malformed descriptors always come back as located import errors —
     /// never a panic — and lenient mode tags every finding with a code
     /// the lint registry resolves.
