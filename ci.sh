@@ -24,13 +24,14 @@ twins="$(echo "$pub_fns" | sed -n 's/_obs$//p' | grep -Fxf - <(echo "$pub_fns") 
 # Dependency direction: the product sizes hardware from the rate model
 # (`pi_cnn::cycles`), never from its own checker. `pi-flow` may hold
 # `pi-lint` only for the opt-in lint gate, and `pi-lint` checks the model,
-# so it has no business depending on the generators.
+# so it has no business depending on the generators — nor on the backend:
+# the linter checks routes, it does not re-route.
 echo "==> dependency-direction gate: the flow does not size from the linter"
 if grep -rnE 'analyze_dataflow|pi_lint::dataflow' crates/flow/src; then
     echo "crates/flow/src sizes hardware from pi-lint's dataflow analysis"; exit 1
 fi
-if grep -n 'pi-synth' crates/lint/Cargo.toml; then
-    echo "pi-lint depends on pi-synth"; exit 1
+if grep -nE 'pi-(synth|pnr)' crates/lint/Cargo.toml; then
+    echo "pi-lint depends on a generator or the backend"; exit 1
 fi
 
 # Ledger gate: a `BENCH_*.json` / `BENCH_*.flowstat.txt` that a doc or this
@@ -55,6 +56,12 @@ PI_THREADS=1 cargo test -q
 
 echo "==> tier-1: PI_THREADS=4 cargo test -q"
 PI_THREADS=4 cargo test -q
+
+# Tier-1 is the root package only; the crates' own unit tests
+# (`pnr::{route,timing,compile}`, `stitch::verify`, `lint::*`, the vendored
+# derives) run here.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # Warm/cold smoke of the persistent component-database cache: the second
 # run against the same --db-dir must serve every checkpoint from disk
@@ -87,6 +94,12 @@ for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router
     echo "$gone_err" | grep -F "usage: ${gone%% *}" >/dev/null \
         || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
 done
+# Likewise a retired lint code: unknown, and named on stderr.
+retired_err="$(cargo run --release --quiet --bin pilint -- \
+    model models/lenet.json --allow PL0140 2>&1 >/dev/null)" \
+    && { echo "retired lint code PL0140 was accepted"; exit 1; }
+echo "$retired_err" | grep -F 'unknown lint code PL0140' >/dev/null \
+    || { echo "PL0140 rejected without naming it: $retired_err"; exit 1; }
 
 # flowstat determinism gate: two LeNet-5 runs with the same seed (each
 # against a FRESH --db-dir — a warm cache changes the event stream) must

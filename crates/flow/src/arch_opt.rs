@@ -12,6 +12,13 @@
 //! depths under `fifo_autosize`, the latency report — reads the rate
 //! model ([`pi_cnn::cycles`]). `pi-lint` appears only as the opt-in gate
 //! that checks the result; the flow never sizes hardware from it.
+//!
+//! Legality has one judge: [`pi_stitch::check_design`] runs unconditionally
+//! after inter-component routing and any violation is
+//! [`FlowError::DrcFailed`], with or without a lint policy. The lint pass
+//! is additive (structure + netlist lints → [`FlowError::LintFailed`]) and
+//! is handed the DRC's verdict instead of calling it, so a policy cannot
+//! waive `PL031x` inside the flow.
 
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
@@ -92,7 +99,8 @@ pub struct PreImplReport {
     /// Lint report over the composed design — present when the config
     /// carries a lint policy ([`FlowConfig::with_lint`]). A gate-tripping
     /// report never lands here: the flow fails with
-    /// [`crate::FlowError::LintFailed`] instead.
+    /// [`crate::FlowError::LintFailed`] instead (and an illegal design
+    /// with [`crate::FlowError::DrcFailed`] before any lint runs).
     pub lint: Option<pi_lint::LintReport>,
 }
 
@@ -302,25 +310,28 @@ pub fn run_pre_implemented_flow(
     route_span.end();
     let route_time = t1.elapsed();
 
-    // Design-rule and structural checking. With a lint policy configured
-    // the full design pass runs (structure + per-instance netlist lints +
-    // the physical DRC folded into PL031x diagnostics) and gates via
-    // `LintFailed`; without one, the raw physical DRC runs exactly as it
-    // always has and aborts via `DrcFailed`. Any violation of either kind
-    // on a composed design is a flow bug, never an input error.
-    let lint = if let Some(lc) = &cfg.lint {
-        let engine = pi_lint::LintEngine::new(lc.clone());
-        let report = engine.lint_design(&design, device, obs);
-        if report.gate(lc.deny_warnings) {
-            return Err(crate::FlowError::LintFailed(report));
+    // The one legality verdict: the physical DRC runs unconditionally and
+    // any violation aborts via `DrcFailed` — no lint level, waiver or
+    // `--allow` can turn an illegal design into `Ok`. A violation on a
+    // composed design is a flow bug (or a corrupt database), never an
+    // input error.
+    let violations = pi_stitch::check_design(&design, device)?;
+    if !violations.is_empty() {
+        return Err(FlowError::DrcFailed(violations));
+    }
+    // The lint pass is purely additive: structure + per-instance netlist
+    // lints, gated via `LintFailed`. It is handed the DRC's verdict to
+    // fold rather than calling the DRC — empty here by construction.
+    let lint = match &cfg.lint {
+        Some(lc) => {
+            let report =
+                pi_lint::LintEngine::new(lc.clone()).lint_design(&design, &violations, obs);
+            if report.gate(lc.deny_warnings) {
+                return Err(FlowError::LintFailed(report));
+            }
+            Some(report)
         }
-        Some(report)
-    } else {
-        let violations = pi_stitch::check_design(&design, device)?;
-        if !violations.is_empty() {
-            return Err(crate::FlowError::DrcFailed(violations));
-        }
-        None
+        None => None,
     };
 
     let latency = LatencyReport::for_assembled(
@@ -465,17 +476,22 @@ mod tests {
         assert!(!plain.deterministic_summary().contains("\"lint\""));
     }
 
-    #[test]
-    fn lint_gate_trips_on_contract_break() {
-        let (device, network, db) = toy_setup();
-        // Corrupt one checkpoint through the serde envelope (the in-memory
-        // module is locked): unlock it, which breaks PL0302 and PL0317.
+    /// Corrupt every checkpoint through the serde envelope (the in-memory
+    /// module is locked): unlock it, which breaks PL0302 and PL0317.
+    fn unlocked(db: &ComponentDb) -> ComponentDb {
         let mut broken = ComponentDb::new();
         for cp in db.checkpoints() {
             let mut json = serde_json::to_value(cp);
             json["module"]["locked"] = serde_json::Value::Bool(false);
             broken.insert(serde_json::from_value(json).expect("checkpoint round-trips"));
         }
+        broken
+    }
+
+    #[test]
+    fn lint_gate_trips_on_contract_break() {
+        let (device, network, db) = toy_setup();
+        let broken = unlocked(&db);
         let cfg = FlowConfig::new()
             .with_seeds([1])
             .with_lint(pi_lint::LintConfig::new());
@@ -488,6 +504,31 @@ mod tests {
                 );
             }
             other => panic!("expected LintFailed, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_lint_policy_cannot_waive_the_drc() {
+        let (device, network, db) = toy_setup();
+        let broken = unlocked(&db);
+        let waived = pi_lint::LintConfig::new().with_waivers(vec![pi_lint::Waiver {
+            code: "PL0317".into(),
+            origin_prefix: "*".into(),
+        }]);
+        for cfg in [
+            FlowConfig::new(),
+            FlowConfig::from_json(r#"{"lint":{"levels":{"PL0317":"allow"}}}"#).unwrap(),
+            FlowConfig::new().with_lint(waived),
+        ] {
+            match run_pre_implemented_flow(&network, &broken, &device, &cfg) {
+                Err(FlowError::DrcFailed(v)) => assert!(
+                    v.iter()
+                        .any(|v| matches!(v, pi_stitch::Violation::NotLocked { .. })),
+                    "{v:?}"
+                ),
+                Err(other) => panic!("expected DrcFailed, got {other}"),
+                Ok(_) => panic!("an unlocked design passed under {:?}", cfg.lint),
+            }
         }
     }
 

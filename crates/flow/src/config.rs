@@ -96,9 +96,9 @@ pub struct FlowConfig {
     pub db_budget_bytes: Option<u64>,
     /// Static-analysis policy. When set, the flow entry points run the
     /// relevant `pi-lint` passes at stage boundaries (network before
-    /// function optimization, database after it, composed design instead
-    /// of the raw DRC) and fail with [`crate::FlowError::LintFailed`]
-    /// when the gate trips. `None` (the default) runs no lints — the
+    /// function optimization, database after it, composed design after —
+    /// never instead of — the physical DRC) and fail with
+    /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the default) runs no lints — the
     /// ablation flows legitimately violate contracts the linter enforces
     /// (e.g. scattered partition pins).
     ///

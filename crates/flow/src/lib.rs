@@ -48,12 +48,15 @@ pub enum FlowError {
         component: String,
         reason: String,
     },
-    /// The assembled design failed design-rule checking — a flow bug, never
-    /// an input error.
+    /// The assembled design failed design-rule checking
+    /// (`pi_stitch::check_design`, the flow's only legality verdict) — a
+    /// flow bug or a corrupt database, never an input error. Raised with or
+    /// without a lint policy; no level or waiver can suppress it.
     DrcFailed(Vec<pi_stitch::Violation>),
     /// A stage-boundary lint gate tripped (`FlowConfig::lint` was set and
     /// the report has errors, or warnings under `deny_warnings`). The
-    /// report carries every finding for rendering.
+    /// report carries every finding for rendering. Never stands in for
+    /// `DrcFailed`: the design pass only adds structure and netlist lints.
     LintFailed(pi_lint::LintReport),
 }
 

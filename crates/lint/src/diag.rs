@@ -4,7 +4,9 @@
 //! Every finding any pass can emit has a stable code in [`REGISTRY`]
 //! (`PL01xx` netlist, `PL02xx` CNN dataflow graph, `PL03xx`
 //! checkpoint/database/physical). Codes are append-only: renumbering
-//! would silently invalidate waiver files and CI greps downstream.
+//! would silently invalidate waiver files and CI greps downstream. A
+//! retired code's number is never reused (`PL0140` / `PL0141` policed the
+//! star router PR 15 deleted; naming them is now "unknown lint code").
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -115,22 +117,6 @@ pub const REGISTRY: &[LintCode] = &[
         default: Level::Warn,
         summary: "a net's endpoint count exceeds the configured fan-out \
                   threshold",
-    },
-    LintCode {
-        code: "PL0140",
-        name: "undecomposed-fanout",
-        default: Level::Warn,
-        summary: "a routed net's fan-out exceeds the Steiner-worthwhile \
-                  threshold but its wirelength tracks the fan-out star, not \
-                  the Steiner-tree estimate (routed without decomposition)",
-    },
-    LintCode {
-        code: "PL0141",
-        name: "uncriticalized-critical-net",
-        default: Level::Warn,
-        summary: "a routed design has negative-slack nets whose routes \
-                  detour beyond the direct-path estimate (the router left \
-                  timing-critical nets uncriticalized)",
     },
     // ---- PL015x: model-descriptor import (pi-model findings) ----
     LintCode {

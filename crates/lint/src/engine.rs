@@ -3,6 +3,12 @@
 //! the findings through the configured policy and emits one telemetry
 //! point per pass.
 //!
+//! The engine checks; it neither routes nor judges legality. The design
+//! pass is handed the physical DRC's verdict (`&[Violation]`, produced by
+//! the one call to `pi_stitch::check_design` in the flow) and only folds it
+//! into `PL031x` findings — so the policy here shapes a *report*, and can
+//! never turn an illegal design into a legal one.
+//!
 //! Per-checkpoint and per-instance passes fan out across the vendored
 //! rayon backend, buffering each unit's telemetry and flushing in input
 //! order (the `pi-obs` determinism contract) — so a lint run's event
@@ -20,7 +26,7 @@ use pi_cnn::Network;
 use pi_fabric::Device;
 use pi_netlist::{Checkpoint, Design};
 use pi_obs::{Obs, Value};
-use pi_stitch::ComponentDb;
+use pi_stitch::{ComponentDb, Violation};
 use rayon::prelude::*;
 
 /// A saturating interval `[lo, hi]` of cycle counts — the value domain of
@@ -318,10 +324,12 @@ impl LintEngine {
         report
     }
 
-    /// Lint a composed design: top-level structure, every instance's
-    /// module (parallel fan-out), and the physical DRC from
-    /// [`pi_stitch::check_design`] folded into `PL031x` diagnostics.
-    pub fn lint_design(&self, design: &Design, device: &Device, obs: &Obs) -> LintReport {
+    /// Lint a composed design: top-level structure and every instance's
+    /// module (parallel fan-out), plus `drc` — the verdict of the physical
+    /// DRC ([`pi_stitch::check_design`]), which the caller ran — folded into
+    /// `PL031x` diagnostics. The engine reports the verdict; it never
+    /// produces or overrides it.
+    pub fn lint_design(&self, design: &Design, drc: &[Violation], obs: &Obs) -> LintReport {
         let base = format!("design:{}", design.name);
         let mut raw = lint_design_structure(design);
 
@@ -341,94 +349,8 @@ impl LintEngine {
             raw.extend(diags);
         }
 
-        match pi_stitch::check_design(design, device) {
-            Ok(violations) => {
-                raw.extend(violations.iter().map(|v| diagnose_violation(&base, v)));
-            }
-            Err(e) => raw.push(Diagnostic::new(
-                "PL0308",
-                format!("{base}/drc"),
-                format!("physical DRC could not run: {e}"),
-            )),
-        }
-        criticality_lints(&base, design, device, &mut raw);
+        raw.extend(drc.iter().map(|v| diagnose_violation(&base, v)));
         self.finalize("design", raw, obs)
-    }
-}
-
-/// PL0141: timing-critical nets the router left uncriticalized — a net in
-/// the negative-slack cone (STA against the 5%-tightened target clock)
-/// whose route detours beyond its direct-path estimate. A slack-ordered
-/// router gives exactly these nets first pick of the fabric, so a detour
-/// here means the criticality feedback was off (or defeated) when the
-/// design was routed. 25% allowance for unavoidable congestion detours.
-fn criticality_lints(base: &str, design: &Design, device: &Device, out: &mut Vec<Diagnostic>) {
-    let Ok((inst_slacks, top_slacks, _period)) = pi_pnr::net_slacks_design(design, device, None)
-    else {
-        return; // unplaced/unroutable designs are reported by other passes
-    };
-    let mut check = |origin: String,
-                     name: &str,
-                     slack: f64,
-                     route: &Option<pi_netlist::Route>,
-                     terminals: Vec<pi_fabric::TileCoord>| {
-        if slack >= 0.0 {
-            return;
-        }
-        let Some(route) = route else { return };
-        if terminals.len() < 2 {
-            return;
-        }
-        let direct: u64 = pi_pnr::steiner_topology(&terminals)
-            .iter()
-            .map(|(a, b)| u64::from(a.manhattan(b)))
-            .sum();
-        let actual = route.tiles.len().saturating_sub(1) as u64;
-        if actual * 4 > direct * 5 {
-            out.push(Diagnostic::new(
-                "PL0141",
-                origin,
-                format!(
-                    "critical net `{name}` (slack {slack:.3} ns) detours: \
-                     routed {actual} tiles vs direct-path estimate {direct} \
-                     — the router left it uncriticalized"
-                ),
-            ));
-        }
-    };
-    for (ii, inst) in design.instances().iter().enumerate() {
-        for (ni, net) in inst.module.nets().iter().enumerate() {
-            if net.is_clock {
-                continue;
-            }
-            let terminals: Vec<pi_fabric::TileCoord> = net
-                .endpoints()
-                .filter_map(|e| match e {
-                    pi_netlist::Endpoint::Cell(c) => inst.module.cells()[c.index()].placement,
-                    pi_netlist::Endpoint::Port(p) => inst.module.ports()[p.index()].partpin,
-                })
-                .collect();
-            check(
-                format!("{base}/inst:{}/net:{}", inst.name, net.name),
-                &net.name,
-                inst_slacks[ii][ni],
-                &net.route,
-                terminals,
-            );
-        }
-    }
-    for (ni, tnet) in design.top_nets().iter().enumerate() {
-        let terminals: Vec<pi_fabric::TileCoord> = tnet
-            .endpoints()
-            .filter_map(|ep| design.top_endpoint_coord(ep))
-            .collect();
-        check(
-            format!("{base}/net:{}", tnet.name),
-            &tnet.name,
-            top_slacks[ni],
-            &tnet.route,
-            terminals,
-        );
     }
 }
 
@@ -439,82 +361,21 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn flags_uncriticalized_critical_detours() {
-        use pi_netlist::{Cell, CellKind, DesignKind, Endpoint, ModuleBuilder, StreamRole};
-        let device = Device::test_part();
-        let mut b = ModuleBuilder::new("chain");
-        let din = b.input("din", StreamRole::Source, 8);
-        let dout = b.output("dout", StreamRole::Sink, 8);
-        let ids: Vec<_> = (0..4)
-            .map(|i| b.cell(Cell::new(format!("s{i}"), CellKind::full_slice())))
-            .collect();
-        b.connect("in", Endpoint::Port(din), [Endpoint::Cell(ids[0])]);
-        for i in 1..ids.len() {
-            b.connect(
-                format!("n{i}"),
-                Endpoint::Cell(ids[i - 1]),
-                [Endpoint::Cell(ids[i])],
-            );
-        }
-        b.connect(
-            "out",
-            Endpoint::Cell(ids[ids.len() - 1]),
-            [Endpoint::Port(dout)],
-        );
-        let mut m = b.finish().unwrap();
-        // Long spans (~20 tiles) push the critical path past the timing
-        // model's 500 ps floor so the tightened target yields a non-empty
-        // negative-slack cone.
-        let spots = [(1u16, 1u16), (21, 1), (1, 9), (21, 9)];
-        for (&id, &(c, r)) in ids.iter().zip(&spots) {
-            m.set_placement(id, pi_fabric::TileCoord::new(c, r))
-                .unwrap();
-        }
-        pi_pnr::route_module_obs(
-            &mut m,
-            &device,
-            &pi_pnr::RouteOptions::default(),
-            &pi_obs::Obs::null(),
-        )
-        .unwrap();
-
-        // Freshly routed: every critical net is direct, no PL0141.
-        let engine = LintEngine::new(LintConfig::new());
-        let mk_design = |m: pi_netlist::Module| {
-            let mut d = Design::new("d", device.name(), DesignKind::Assembled);
-            d.add_instance("a", m);
-            d
-        };
-        let clean = engine.lint_design(&mk_design(m.clone()), &device, &Obs::null());
-        assert!(
-            !clean.diagnostics.iter().any(|d| d.code == "PL0141"),
-            "{clean:?}"
-        );
-
-        // Inflate a negative-slack net's route to 3x its length: the lint
-        // must call out the uncriticalized detour.
-        let (slacks, _) = pi_pnr::net_slacks_module(&m, &device, None).unwrap();
-        let victim = (0..m.nets().len())
-            .find(|&ni| {
-                slacks[ni] < 0.0
-                    && m.nets()[ni]
-                        .route
-                        .as_ref()
-                        .is_some_and(|r| r.tiles.len() >= 2)
-            })
-            .expect("the critical cone is non-empty on a routed module");
-        {
-            let nets = m.nets_mut().unwrap();
-            let tiles = &mut nets[victim].route.as_mut().unwrap().tiles;
-            let last = *tiles.last().unwrap();
-            let pad = 2 * tiles.len();
-            tiles.extend(std::iter::repeat_n(last, pad));
-        }
-        let report = engine.lint_design(&mk_design(m), &device, &Obs::null());
-        assert!(
-            report.diagnostics.iter().any(|d| d.code == "PL0141"),
-            "{report:?}"
-        );
+    fn lint_design_folds_the_verdict_it_is_handed() {
+        let design = Design::new("d", "test-part", pi_netlist::DesignKind::Assembled);
+        let verdict = [Violation::NotLocked {
+            instance: "conv1".into(),
+        }];
+        let report = LintEngine::default().lint_design(&design, &verdict, &Obs::null());
+        assert_eq!(report.by_code(), vec![("PL0317", 1)], "{report:?}");
+        // A policy shapes the report, never the verdict: the caller still
+        // holds the violation.
+        let lax = LintEngine::new(LintConfig::new().allow("PL0317"));
+        let report = lax.lint_design(&design, &verdict, &Obs::null());
+        assert!(report.is_clean() && report.allowed == 1, "{report:?}");
+        assert!(LintEngine::default()
+            .lint_design(&design, &[], &Obs::null())
+            .is_clean());
     }
 
     #[test]

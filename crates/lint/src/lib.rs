@@ -15,8 +15,9 @@
 //! * **checkpoint** (`PL03xx`) — contract conformance of [`pi_stitch`]
 //!   checkpoint envelopes and databases: locking, pblock containment,
 //!   boundary partition pins, pre-routed clocks, device/metadata
-//!   consistency — plus the physical DRC of
-//!   [`pi_stitch::check_design`] folded into `PL031x` codes;
+//!   consistency — plus the verdict of the physical DRC
+//!   ([`pi_stitch::check_design`], run by the flow, never by this crate)
+//!   folded into `PL031x` codes;
 //! * **dataflow** (`PL04xx`) — streaming FIFO/deadlock/rate analysis of
 //!   the stitched pipeline: a worklist fixpoint over arrival intervals
 //!   proves join skews fit the link FIFOs (`pilint dataflow`, and the

@@ -34,7 +34,6 @@ pub fn lint_module(origin_base: &str, module: &Module) -> Vec<Diagnostic> {
     combinational_loop_lints(origin_base, module, &mut out);
     unreachable_cell_lints(origin_base, module, &mut out);
     fanout_lints(origin_base, module, &mut out);
-    steiner_lints(origin_base, module, &mut out);
     out
 }
 
@@ -317,72 +316,6 @@ fn fanout_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Sum of rectilinear segment lengths of the net's Steiner topology — the
-/// wirelength a decomposed route would target.
-fn steiner_estimate(terminals: &[pi_fabric::TileCoord]) -> u64 {
-    pi_pnr::steiner_topology(terminals)
-        .iter()
-        .map(|(a, b)| u64::from(a.manhattan(b)))
-        .sum()
-}
-
-/// Locate a net's terminals: placed cells and partition-pinned ports,
-/// driver first. Unlocatable endpoints are skipped.
-fn located_terminals(module: &Module, net: &pi_netlist::Net) -> Vec<pi_fabric::TileCoord> {
-    net.endpoints()
-        .filter_map(|e| match e {
-            Endpoint::Cell(c) => module.cells()[c.index()].placement,
-            Endpoint::Port(p) => module.ports()[p.index()].partpin,
-        })
-        .collect()
-}
-
-/// Located terminals from which `PL0140` considers a routed net's fan-out
-/// Steiner-worthwhile.
-const STEINER_FANOUT: usize = 4;
-
-/// PL0140: routed fan-out nets whose wirelength tracks the fan-out star
-/// instead of the (cheaper) Steiner-tree estimate — the router spent wire
-/// a decomposition would have saved. A 25% allowance absorbs legitimate
-/// congestion detours.
-fn steiner_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
-    for net in module.nets() {
-        if net.is_clock {
-            continue;
-        }
-        let Some(route) = &net.route else { continue };
-        let terminals = located_terminals(module, net);
-        if terminals.len() < STEINER_FANOUT {
-            continue;
-        }
-        let driver = terminals[0];
-        let star: u64 = terminals[1..]
-            .iter()
-            .map(|t| u64::from(t.manhattan(&driver)))
-            .sum();
-        let est = steiner_estimate(&terminals);
-        if est >= star {
-            continue; // a star is already optimal; nothing to decompose
-        }
-        let actual = route.tiles.len().saturating_sub(1) as u64;
-        if actual * 4 > est * 5 {
-            out.push(Diagnostic::new(
-                "PL0140",
-                format!("{base}/net:{}", net.name),
-                format!(
-                    "net `{}` (fan-out {}) routed {} tiles; its Steiner tree \
-                     estimates {} (star {}) — routed without decomposition",
-                    net.name,
-                    terminals.len(),
-                    actual,
-                    est,
-                    star
-                ),
-            ));
-        }
-    }
-}
-
 /// Top-level design structure lints: PL0101 for instance input ports
 /// driven by more than one top net, PL0104 for top-net width mismatches
 /// against their endpoint ports. Per-instance module internals are
@@ -588,65 +521,5 @@ mod tests {
         assert!(codes.contains(&"PL0107"), "{codes:?}");
         let codes = codes_of(&lint_module("module:m", &wide_net(63)));
         assert!(!codes.contains(&"PL0107"), "{codes:?}");
-    }
-
-    #[test]
-    fn flags_undecomposed_fanout_routes() {
-        use pi_fabric::TileCoord;
-        use pi_netlist::Route;
-        // T-shaped fan-out: driver (5,0), sinks (0,5) (10,5) (5,10). The
-        // Steiner tree through (5,5) needs 20 tile steps, the star 30.
-        let mut b = ModuleBuilder::new("m");
-        let din = b.input("din", StreamRole::Source, 8);
-        let drv = reg(&mut b, "drv");
-        let sinks: Vec<_> = (0..3).map(|i| reg(&mut b, &format!("s{i}"))).collect();
-        b.connect("in", Endpoint::Port(din), [Endpoint::Cell(drv)]);
-        b.connect(
-            "fan",
-            Endpoint::Cell(drv),
-            sinks.iter().map(|&c| Endpoint::Cell(c)).collect::<Vec<_>>(),
-        );
-        let mut m = b.finish().unwrap();
-        m.set_placement(drv, TileCoord::new(5, 0)).unwrap();
-        m.set_placement(sinks[0], TileCoord::new(0, 5)).unwrap();
-        m.set_placement(sinks[1], TileCoord::new(10, 5)).unwrap();
-        m.set_placement(sinks[2], TileCoord::new(5, 10)).unwrap();
-        let fan = m
-            .nets()
-            .iter()
-            .position(|n| n.name == "fan")
-            .expect("fan net exists");
-        // Star-length route (31 tiles = 30 steps): wirelength the
-        // decomposition would have saved — PL0140 trips.
-        m.nets_mut().unwrap()[fan].route = Some(Route {
-            tiles: vec![TileCoord::new(5, 0); 31],
-        });
-        let codes = codes_of(&lint_module("module:m", &m));
-        assert!(codes.contains(&"PL0140"), "{codes:?}");
-        // Steiner-length route (+1 tile of slack): clean.
-        m.nets_mut().unwrap()[fan].route = Some(Route {
-            tiles: vec![TileCoord::new(5, 0); 22],
-        });
-        let codes = codes_of(&lint_module("module:m", &m));
-        assert!(!codes.contains(&"PL0140"), "{codes:?}");
-        // Three terminals are below the Steiner-worthwhile fan-out: the
-        // same shape without its far sink (Steiner 15 steps, star 20)
-        // stays silent even on a star-length route.
-        let mut b = ModuleBuilder::new("t");
-        let din = b.input("din", StreamRole::Source, 8);
-        let drv = reg(&mut b, "drv");
-        let sinks = [reg(&mut b, "s0"), reg(&mut b, "s1")];
-        b.connect("in", Endpoint::Port(din), [Endpoint::Cell(drv)]);
-        b.connect("fan", Endpoint::Cell(drv), sinks.map(Endpoint::Cell));
-        let mut t = b.finish().unwrap();
-        t.set_placement(drv, TileCoord::new(5, 0)).unwrap();
-        t.set_placement(sinks[0], TileCoord::new(0, 5)).unwrap();
-        t.set_placement(sinks[1], TileCoord::new(10, 5)).unwrap();
-        let fan = t.nets().iter().position(|n| n.name == "fan").unwrap();
-        t.nets_mut().unwrap()[fan].route = Some(Route {
-            tiles: vec![TileCoord::new(5, 0); 21],
-        });
-        let codes = codes_of(&lint_module("module:t", &t));
-        assert!(!codes.contains(&"PL0140"), "{codes:?}");
     }
 }

@@ -201,24 +201,14 @@ impl Design {
 
     /// True when all intra-module nets and all top nets are routed.
     pub fn fully_routed(&self) -> bool {
-        self.instances.iter().all(|i| i.module.fully_routed())
-            && self.top_nets.iter().all(|n| n.route.is_some())
+        let mut nets = crate::walk::NetView::from(self).nets();
+        nets.all(|n| n.route().is_some())
     }
 
     /// Number of unrouted nets (the work remaining for the final router).
     pub fn unrouted_nets(&self) -> usize {
-        let intra: usize = self
-            .instances
-            .iter()
-            .map(|i| {
-                i.module
-                    .nets()
-                    .iter()
-                    .filter(|n| !n.is_clock && n.route.is_none())
-                    .count()
-            })
-            .sum();
-        intra + self.top_nets.iter().filter(|n| n.route.is_none()).count()
+        let nets = crate::walk::NetView::from(self).nets();
+        nets.filter(|n| n.route().is_none()).count()
     }
 
     /// Total cell count across instances.

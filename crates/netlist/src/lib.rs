@@ -25,6 +25,7 @@ pub mod hash;
 pub mod module;
 pub mod net;
 pub mod port;
+pub mod walk;
 
 pub use cell::{Cell, CellId, CellKind};
 pub use dcp::{Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION};
@@ -33,6 +34,7 @@ pub use hash::{fnv1a64, StableHasher};
 pub use module::{Module, ModuleBuilder};
 pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
+pub use walk::{NetView, PlacedNet, Slot};
 
 /// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]

@@ -173,16 +173,9 @@ impl Module {
     /// Sum of placed-endpoint HPWL over all non-clock nets — the classic
     /// wirelength figure of merit.
     pub fn wirelength(&self) -> u64 {
-        self.nets
-            .iter()
-            .filter(|n| !n.is_clock)
-            .map(|n| {
-                let pts: Vec<TileCoord> = n
-                    .endpoints()
-                    .filter_map(|e| self.endpoint_coord(e))
-                    .collect();
-                u64::from(pi_fabric::coords::hpwl(&pts))
-            })
+        crate::walk::NetView::from(self)
+            .nets()
+            .map(|n| u64::from(pi_fabric::coords::hpwl(&n.terminals())))
             .sum()
     }
 

@@ -7,12 +7,12 @@
 
 use crate::place::{place_module_obs, PlaceOptions, PlaceStats};
 use crate::power::{estimate, PowerReport};
-use crate::route::{route_design_obs, route_module_obs, RouteOptions, RouteStats};
-use crate::timing::{sta_design, sta_module, TimingReport};
+use crate::route::{route_design_obs, route_module_obs, CongestionMap, RouteOptions, RouteStats};
+use crate::timing::{sta, sta_module, TimingReport};
 use crate::PnrError;
 use pi_fabric::TileCoord;
 use pi_fabric::{Device, ResourceCount};
-use pi_netlist::{CellId, Design, Module};
+use pi_netlist::{CellId, Design, Module, NetView};
 use pi_obs::Obs;
 use std::time::{Duration, Instant};
 
@@ -127,11 +127,32 @@ pub fn compile_flat_obs(
     // route_design.
     let t3 = Instant::now();
     let span = phases.span("route_design");
-    let (route_stats, congestion) = route_module_obs(module, device, &opts.route, obs)?;
+    let routed = route_module_obs(module, device, &opts.route, obs)?;
     span.end();
     let route_time = t3.elapsed();
 
-    let timing = sta_module(module, device, Some(&congestion))?;
+    let phases = PhaseTimes {
+        opt_design: opt_time,
+        place_design: place_time,
+        phys_opt_design: phys_opt_time,
+        route_design: route_time,
+    };
+    let netlist = (module.name.as_str(), (&*module).into(), resources);
+    report_routed(netlist, device, phases, place_stats, routed, &timing_obs)
+}
+
+/// The tail both compile paths share: final congestion-aware timing (one
+/// `final_timing` point), wirelength of every stored route — locked and
+/// new; `route_stats.wirelength` only counts this run's — and power.
+fn report_routed(
+    (name, view, resources): (&str, NetView<'_>, ResourceCount),
+    device: &Device,
+    phases: PhaseTimes,
+    place_stats: PlaceStats,
+    (route_stats, congestion): (RouteStats, CongestionMap),
+    timing_obs: &Obs,
+) -> Result<CompileReport, PnrError> {
+    let timing = sta(view, device, Some(&congestion))?;
     if timing_obs.enabled() {
         timing_obs.point(
             "final_timing",
@@ -141,23 +162,13 @@ pub fn compile_flat_obs(
             ],
         );
     }
-    let total_wirelength: u64 = module
-        .nets()
-        .iter()
-        .filter_map(|n| n.route.as_ref())
-        .map(|r| r.tiles.len() as u64)
-        .sum();
+    let routes = view.nets().filter_map(|n| n.route());
+    let total_wirelength: u64 = routes.map(|r| r.tiles.len() as u64).sum();
     let power = estimate(&resources, total_wirelength, timing.fmax_mhz);
-
     Ok(CompileReport {
-        design_name: module.name.clone(),
+        design_name: name.to_string(),
         device_name: device.name().to_string(),
-        phases: PhaseTimes {
-            opt_design: opt_time,
-            place_design: place_time,
-            phys_opt_design: phys_opt_time,
-            route_design: route_time,
-        },
+        phases,
         timing,
         resources,
         power,
@@ -188,52 +199,24 @@ pub fn route_assembled_obs(
 
     let t1 = Instant::now();
     let span = phases.span("route_design");
-    let (route_stats, congestion) = route_design_obs(design, device, opts, obs)?;
+    let routed = route_design_obs(design, device, opts, obs)?;
     span.end();
     let route_time = t1.elapsed();
 
-    let timing = sta_design(design, device, Some(&congestion))?;
-    if timing_obs.enabled() {
-        timing_obs.point(
-            "final_timing",
-            &[
-                ("critical_path_ps", timing.critical_path_ps.into()),
-                ("fmax_mhz", timing.fmax_mhz.into()),
-            ],
-        );
-    }
-    // Wirelength of the whole design: locked routes plus the new ones.
-    let total_wl: u64 = design
-        .instances()
-        .iter()
-        .flat_map(|i| i.module.nets())
-        .filter_map(|n| n.route.as_ref())
-        .map(|r| r.tiles.len() as u64)
-        .sum::<u64>()
-        + design
-            .top_nets()
-            .iter()
-            .filter_map(|n| n.route.as_ref())
-            .map(|r| r.tiles.len() as u64)
-            .sum::<u64>();
-    let power = estimate(&resources, total_wl, timing.fmax_mhz);
-
-    Ok(CompileReport {
-        design_name: design.name.clone(),
-        device_name: device.name().to_string(),
-        phases: PhaseTimes {
-            opt_design: opt_time,
-            place_design: Duration::ZERO,
-            phys_opt_design: Duration::ZERO,
-            route_design: route_time,
-        },
-        timing,
-        resources,
-        power,
-        place_stats: PlaceStats::default(),
-        route_stats,
-        total_wirelength: total_wl,
-    })
+    let phases = PhaseTimes {
+        opt_design: opt_time,
+        route_design: route_time,
+        ..PhaseTimes::default()
+    };
+    let netlist = (design.name.as_str(), (&*design).into(), resources);
+    report_routed(
+        netlist,
+        device,
+        phases,
+        PlaceStats::default(),
+        routed,
+        &timing_obs,
+    )
 }
 
 /// One phys_opt pass: try to shorten the wires feeding the worst path by

@@ -34,7 +34,7 @@ pub use route::{
     criticality_order, route_design_obs, route_module_obs, steiner_topology, RouteOptions,
     RouteStats,
 };
-pub use timing::{net_slacks_design, net_slacks_module, sta_design, sta_module, TimingReport};
+pub use timing::{sta_design, sta_module, TimingReport};
 
 /// Errors from the backend.
 #[derive(Debug)]

@@ -20,9 +20,9 @@
 //!   bounding boxes instead of one fan-out star over the whole net bbox.
 //!   Already-routed tree tiles are zero-cost sources for every later
 //!   segment.
-//! * **Slack-aware ordering** — per-net STA slacks (see
-//!   `timing::net_slacks_module`) are refreshed from the live congestion
-//!   map every iteration; nets route most-negative-slack first
+//! * **Slack-aware ordering** — per-net STA slacks (`timing::SlackFeed`:
+//!   the timing graph is built once per run) are refreshed from the live
+//!   congestion map every iteration; nets route most-negative-slack first
 //!   ([`criticality_order`]) and the history/congestion share of
 //!   [`Costs::node_cost`] is priced by criticality, so critical nets take
 //!   direct paths and non-critical nets absorb the detours.
@@ -30,10 +30,16 @@
 //! The **incremental mode** is the flow's productivity lever: locked
 //! routes seed the occupancy map and are never touched, so an assembled
 //! design only pays for its inter-component nets.
+//!
+//! [`route_module_obs`] and [`route_design_obs`] are two thin fronts over
+//! one body, [`route_into`]: task collection, occupancy seeding and route
+//! write-back all read the nets through [`pi_netlist::NetView`], where a
+//! module is the one-instance case of a design.
 
+use crate::timing::SlackFeed;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord, TileKind};
-use pi_netlist::{Design, Endpoint, Module, Route};
+use pi_netlist::{Design, Module, NetView, Route, Slot};
 use pi_obs::Obs;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -485,12 +491,6 @@ struct Task {
     slot: Slot,
 }
 
-#[derive(Clone, Copy)]
-enum Slot {
-    Intra { inst: usize, net: usize },
-    Top { net: usize },
-}
-
 /// One net's routing attempt against a (frozen or live) cost state.
 struct NetAttempt {
     /// Tree tiles in growth order, first = driver tile; `None` = failed
@@ -836,16 +836,90 @@ fn bbox_of(pts: &[TileCoord], margin: i32, cols: u16, rows: u16) -> (u16, u16, u
     (lo(c0), hi(c1, cols), lo(r0), hi(r1, rows))
 }
 
-/// Locate a module net's endpoints: placed cells and partition-pinned
-/// ports. Unlocatable endpoints are skipped (ports awaiting partpin
-/// planning).
-fn module_net_endpoints(module: &Module, net: &pi_netlist::Net) -> Vec<TileCoord> {
-    net.endpoints()
-        .filter_map(|e| match e {
-            Endpoint::Cell(c) => module.cells()[c.index()].placement,
-            Endpoint::Port(p) => module.ports()[p.index()].partpin,
-        })
-        .collect()
+/// What a routing run writes its routes back into. A module is the
+/// one-instance case of a design, so both go through [`route_into`].
+enum Target<'a> {
+    Module(&'a mut Module),
+    Design(&'a mut Design),
+}
+
+impl Target<'_> {
+    fn view(&self) -> NetView<'_> {
+        match self {
+            Target::Module(m) => (&**m).into(),
+            Target::Design(d) => (&**d).into(),
+        }
+    }
+
+    fn set_route(&mut self, slot: Slot, route: Option<Route>) -> Result<(), PnrError> {
+        match slot {
+            Slot::Intra { inst, net } => {
+                let module = match self {
+                    Target::Module(m) => &mut **m,
+                    Target::Design(d) => &mut d.instances_mut()[inst].module,
+                };
+                // Instances may be locked (their unrouted nets should not
+                // exist), so go through the unlocked path only.
+                if !module.locked {
+                    module.nets_mut()?[net].route = route;
+                }
+            }
+            Slot::Top { net } => match self {
+                Target::Design(d) => d.top_nets_mut()[net].route = route,
+                Target::Module(_) => unreachable!("a module has no top nets"),
+            },
+        }
+        Ok(())
+    }
+}
+
+/// The one routing body: collect the unrouted nets of `target`, seed the
+/// occupancy map from the routes it already stores, negotiate, write the
+/// new routes back.
+fn route_into(
+    mut target: Target<'_>,
+    device: &Device,
+    opts: &RouteOptions,
+    obs: &Obs,
+) -> Result<(RouteStats, CongestionMap), PnrError> {
+    let obs = obs.scoped("pnr::route");
+    let mut costs = Costs::new(device);
+    let view = target.view();
+    let mut tasks = Vec::new();
+    for net in view.nets() {
+        match net.route() {
+            // Seed occupancy with whatever is already routed (locked or
+            // not). A *stored* route occupies every one of its tiles,
+            // source tile included; a route laid by this run occupies all
+            // but its source tile (the merge in [`run`] skips `t[0]`). The
+            // asymmetry is kept bit-exact here, its only seeding site.
+            Some(route) => {
+                for t in &route.tiles {
+                    let i = costs.idx(*t);
+                    costs.occ[i] += 1;
+                }
+            }
+            None => tasks.push(Task {
+                endpoints: net.terminals(),
+                slot: net.slot(),
+            }),
+        }
+    }
+    let feed = SlackFeed::new(view);
+    let slack_fn = |map: &CongestionMap| {
+        let slots = tasks.iter().map(|t| t.slot);
+        feed.net_slacks(slots, device, Some(map)).ok()
+    };
+    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
+    for (task, route) in tasks.iter().zip(routes) {
+        target.set_route(task.slot, route)?;
+    }
+    let map = CongestionMap {
+        rows: costs.rows,
+        capacity: opts.capacity,
+        occ: costs.occ,
+    };
+    Ok((stats, map))
 }
 
 /// Route all unrouted non-clock nets of one module. Returns stats plus the
@@ -859,53 +933,9 @@ pub fn route_module_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    let obs = obs.scoped("pnr::route");
-    let mut costs = Costs::new(device);
-    // Seed occupancy with whatever is already routed (locked or not).
-    let mut tasks = Vec::new();
-    for (ni, net) in module.nets().iter().enumerate() {
-        if net.is_clock {
-            continue;
-        }
-        match &net.route {
-            Some(r) => {
-                for t in &r.tiles {
-                    let i = costs.idx(*t);
-                    costs.occ[i] += 1;
-                }
-            }
-            None => tasks.push(Task {
-                endpoints: module_net_endpoints(module, net),
-                slot: Slot::Intra { inst: 0, net: ni },
-            }),
-        }
-    }
-    let task_nets: Vec<usize> = tasks
-        .iter()
-        .map(|t| match t.slot {
-            Slot::Intra { net, .. } | Slot::Top { net } => net,
-        })
-        .collect();
-    let m_ref: &Module = module;
-    let slack_fn = move |map: &CongestionMap| -> Option<(Vec<f64>, f64)> {
-        let (net_slacks, period) =
-            crate::timing::net_slacks_module(m_ref, device, Some(map)).ok()?;
-        Some((task_nets.iter().map(|&ni| net_slacks[ni]).collect(), period))
-    };
-    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
-    let nets = module.nets_mut()?;
-    for (task, route) in tasks.iter().zip(routes) {
-        let Slot::Intra { net, .. } = task.slot else {
-            unreachable!("module routing only creates intra slots")
-        };
-        nets[net].route = route;
-    }
-    let map = CongestionMap {
-        rows: costs.rows,
-        capacity: opts.capacity,
-        occ: costs.occ,
-    };
-    Ok((stats, map))
+    // A bare module is routed to be written: refuse a locked one.
+    module.nets_mut()?;
+    route_into(Target::Module(module), device, opts, obs)
 }
 
 /// Route an assembled design: locked module routes seed the congestion map
@@ -918,91 +948,14 @@ pub fn route_design_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    let obs = obs.scoped("pnr::route");
-    let mut costs = Costs::new(device);
-    let mut tasks = Vec::new();
-    for (ii, inst) in design.instances().iter().enumerate() {
-        for (ni, net) in inst.module.nets().iter().enumerate() {
-            if net.is_clock {
-                continue;
-            }
-            match &net.route {
-                Some(r) => {
-                    for t in &r.tiles {
-                        let i = costs.idx(*t);
-                        costs.occ[i] += 1;
-                    }
-                }
-                None => tasks.push(Task {
-                    endpoints: module_net_endpoints(&inst.module, net),
-                    slot: Slot::Intra { inst: ii, net: ni },
-                }),
-            }
-        }
-    }
-    for (ni, tnet) in design.top_nets().iter().enumerate() {
-        if let Some(route) = &tnet.route {
-            for t in &route.tiles {
-                let i = costs.idx(*t);
-                costs.occ[i] += 1;
-            }
-            continue;
-        }
-        let endpoints: Vec<TileCoord> = tnet
-            .endpoints()
-            .filter_map(|ep| design.top_endpoint_coord(ep))
-            .collect();
-        tasks.push(Task {
-            endpoints,
-            slot: Slot::Top { net: ni },
-        });
-    }
-
-    let slots: Vec<Slot> = tasks.iter().map(|t| t.slot).collect();
-    let d_ref: &Design = design;
-    let slack_fn = move |map: &CongestionMap| -> Option<(Vec<f64>, f64)> {
-        let (inst_slacks, top_slacks, period) =
-            crate::timing::net_slacks_design(d_ref, device, Some(map)).ok()?;
-        Some((
-            slots
-                .iter()
-                .map(|s| match *s {
-                    Slot::Intra { inst, net } => inst_slacks[inst][net],
-                    Slot::Top { net } => top_slacks[net],
-                })
-                .collect(),
-            period,
-        ))
-    };
-    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
-    for (task, route) in tasks.iter().zip(routes) {
-        match task.slot {
-            Slot::Intra { inst, net } => {
-                // Instances may be locked (their unrouted nets should not
-                // exist), so go through the unlocked path only.
-                let m = &mut design.instances_mut()[inst].module;
-                if !m.locked {
-                    m.nets_mut()?[net].route = route;
-                }
-            }
-            Slot::Top { net } => {
-                design.top_nets_mut()[net].route = route;
-            }
-        }
-    }
-    let map = CongestionMap {
-        rows: costs.rows,
-        capacity: opts.capacity,
-        occ: costs.occ,
-    };
-    Ok((stats, map))
+    route_into(Target::Design(design), device, opts, obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::place::{place_module_obs, PlaceOptions};
-    use pi_netlist::{Cell, CellKind, ModuleBuilder, StreamRole};
+    use pi_netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StreamRole};
 
     fn placed_chain(n: usize, device: &Device, seed: u64) -> Module {
         let mut b = ModuleBuilder::new("chain");

@@ -9,12 +9,19 @@
 //! For OOC modules, input ports with no fanin launch with a standard
 //! interface allowance — the assumption HD.CLK_SRC-style OOC analysis makes
 //! about the not-yet-present upstream register.
+//!
+//! There is one graph builder ([`TGraph::build`]) over a
+//! [`pi_netlist::NetView`]: a module is the one-instance case of a design,
+//! so [`sta_module`], [`sta_design`] and the router's per-net slack feed
+//! ([`SlackFeed`]) all analyze the same graph. Only the congestion map
+//! changes between analyses of one placement, so the router builds the
+//! graph once per run and re-analyzes it every negotiation iteration.
 
 use crate::delay;
 use crate::route::CongestionMap;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord};
-use pi_netlist::{Design, Endpoint, Module};
+use pi_netlist::{Design, Endpoint, Module, NetView, PlacedNet, Slot};
 
 /// Launch allowance for paths entering an OOC module boundary, picoseconds.
 const IO_LAUNCH_PS: f64 = 150.0;
@@ -24,8 +31,7 @@ const IO_LAUNCH_PS: f64 = 150.0;
 /// achieved period the worst path would always read exactly zero slack and
 /// no net would ever be "critical"; tightening the target makes the whole
 /// near-critical cone read negative, giving downstream consumers — the
-/// router's criticality ordering, lint's PL0141 — a non-empty critical
-/// set to act on.
+/// router's criticality ordering — a non-empty critical set to act on.
 const CRIT_TARGET_RATIO: f64 = 0.95;
 
 /// The result of a timing run.
@@ -76,54 +82,68 @@ struct TGraph {
     nodes: Vec<TNode>,
     /// (source node, sink node, pipeline stages the wire is broken into)
     edges: Vec<(u32, u32, u32)>,
+    /// Per instance: index of its first cell node and of its first port
+    /// node.
+    bases: Vec<(usize, usize)>,
 }
 
 impl TGraph {
-    fn new() -> Self {
-        TGraph {
+    /// The timing graph of everything `view` covers: per instance one
+    /// node per cell then one per port, and one edge per (driver, sink)
+    /// pair of every non-clock net, intra nets first, top nets last.
+    fn build(view: NetView<'_>) -> TGraph {
+        let mut g = TGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
+            bases: Vec::new(),
+        };
+        for inst in 0..view.instance_count() {
+            let (module, prefix) = (view.module(inst), view.prefix(inst));
+            let cell_base = g.nodes.len();
+            for cell in module.cells() {
+                g.nodes.push(TNode {
+                    name: [&prefix, cell.name.as_str()].concat(),
+                    comb_delay_ps: delay::comb_delay_ps(cell.delay_ps),
+                    registered: cell.registered,
+                    clk2q_ps: f64::from(delay::clk_to_q_ps(cell.kind)),
+                    coord: cell.placement,
+                });
+            }
+            let port_base = g.nodes.len();
+            for port in module.ports() {
+                g.nodes.push(TNode {
+                    name: [&prefix, port.name.as_str()].concat(),
+                    comb_delay_ps: 0.0,
+                    registered: false, // transparent: a partition pin, not a register
+                    clk2q_ps: 0.0,
+                    coord: port.partpin,
+                });
+            }
+            g.bases.push((cell_base, port_base));
         }
+        for net in view.nets() {
+            let mut nodes = net_nodes(&g.bases, net);
+            let src = nodes.next().expect("a net has a driver");
+            let stages = net.pipeline_stages();
+            g.edges.extend(nodes.map(|sink| (src, sink, stages)));
+        }
+        g
     }
+}
 
-    fn add_module(&mut self, module: &Module, prefix: &str) -> (usize, usize) {
-        let cell_base = self.nodes.len();
-        for cell in module.cells() {
-            self.nodes.push(TNode {
-                name: format!("{prefix}{}", cell.name),
-                comb_delay_ps: delay::comb_delay_ps(cell.delay_ps),
-                registered: cell.registered,
-                clk2q_ps: f64::from(delay::clk_to_q_ps(cell.kind)),
-                coord: cell.placement,
-            });
+/// The graph nodes of a net's endpoints, driver first, given each
+/// instance's (first cell node, first port node).
+fn net_nodes<'a>(
+    bases: &'a [(usize, usize)],
+    net: PlacedNet<'a>,
+) -> impl Iterator<Item = u32> + 'a {
+    net.endpoints().map(|(inst, e)| {
+        let (cell_base, port_base) = bases[inst];
+        match e {
+            Endpoint::Cell(c) => (cell_base + c.index()) as u32,
+            Endpoint::Port(p) => (port_base + p.index()) as u32,
         }
-        let port_base = self.nodes.len();
-        for port in module.ports() {
-            self.nodes.push(TNode {
-                name: format!("{prefix}{}", port.name),
-                comb_delay_ps: 0.0,
-                registered: false, // transparent: a partition pin, not a register
-                clk2q_ps: 0.0,
-                coord: port.partpin,
-            });
-        }
-        for net in module.nets() {
-            if net.is_clock {
-                continue;
-            }
-            let to_node = |e: Endpoint| -> u32 {
-                match e {
-                    Endpoint::Cell(c) => (cell_base + c.index()) as u32,
-                    Endpoint::Port(p) => (port_base + p.index()) as u32,
-                }
-            };
-            let src = to_node(net.source);
-            for &sink in &net.sinks {
-                self.edges.push((src, to_node(sink), 1));
-            }
-        }
-        (cell_base, port_base)
-    }
+    })
 }
 
 /// Wire delay of one timing edge.
@@ -150,14 +170,6 @@ fn edge_wire_ps(
         // worst segment carries its share of the wire plus a register hop.
         raw / f64::from(stages) + f64::from(delay::SETUP_PS) + 100.0
     }
-}
-
-fn analyze(
-    graph: &TGraph,
-    device: &Device,
-    congestion: Option<&CongestionMap>,
-) -> Result<TimingReport, PnrError> {
-    analyze_full(graph, device, congestion).map(|(report, _)| report)
 }
 
 /// Forward arrival pass (Kahn) plus backward required-time pass. Returns
@@ -374,103 +386,51 @@ fn analyze_full(
     ))
 }
 
-/// Worst output slack across a net's endpoints (`+inf` for clock nets —
-/// the clock network is not a routed resource here).
-fn net_slack(
-    node_slacks: &[f64],
-    cell_base: usize,
-    port_base: usize,
-    net: &pi_netlist::Net,
-) -> f64 {
-    if net.is_clock {
-        return f64::INFINITY;
-    }
-    let node = |e: Endpoint| -> usize {
-        match e {
-            Endpoint::Cell(c) => cell_base + c.index(),
-            Endpoint::Port(p) => port_base + p.index(),
-        }
-    };
-    let mut s = node_slacks[node(net.source)];
-    for &sink in &net.sinks {
-        s = s.min(node_slacks[node(sink)]);
-    }
-    s
-}
-
-/// Per-net slack for a module's nets, in net index order, against the
-/// tightened target clock (second return value, ps). Negative slack marks
-/// the near-critical cone (see [`CRIT_TARGET_RATIO`]); clock nets report
-/// `+inf`. This is the router's slack-ordering feed — it needs only
+/// The router's slack-ordering feed: the timing graph of a view, built
+/// once, re-analyzed against each iteration's congestion map. It needs only
 /// placements, not routes, so it is valid mid-negotiation.
-pub fn net_slacks_module(
-    module: &Module,
-    device: &Device,
-    congestion: Option<&CongestionMap>,
-) -> Result<(Vec<f64>, f64), PnrError> {
-    let mut g = TGraph::new();
-    let (cell_base, port_base) = g.add_module(module, "");
-    let (report, node_slacks) = analyze_full(&g, device, congestion)?;
-    let target = report.critical_path_ps * CRIT_TARGET_RATIO;
-    let slacks = module
-        .nets()
-        .iter()
-        .map(|net| net_slack(&node_slacks, cell_base, port_base, net))
-        .collect();
-    Ok((slacks, target))
+pub(crate) struct SlackFeed<'a> {
+    view: NetView<'a>,
+    graph: TGraph,
 }
 
-/// Per-instance net slacks (outer index = instance, inner = net),
-/// top-level net slacks, and the target clock period (ps).
-pub type DesignSlacks = (Vec<Vec<f64>>, Vec<f64>, f64);
-
-/// [`net_slacks_module`] for an assembled design: see [`DesignSlacks`]
-/// for the return shape.
-pub fn net_slacks_design(
-    design: &Design,
-    device: &Device,
-    congestion: Option<&CongestionMap>,
-) -> Result<DesignSlacks, PnrError> {
-    let mut g = TGraph::new();
-    let mut bases = Vec::with_capacity(design.instances().len());
-    for inst in design.instances() {
-        bases.push(g.add_module(&inst.module, &format!("{}/", inst.name)));
-    }
-    for tnet in design.top_nets() {
-        let (si, sp) = tnet.source;
-        let src = (bases[si.index()].1 + sp.index()) as u32;
-        for &(ti, tp) in &tnet.sinks {
-            let dst = (bases[ti.index()].1 + tp.index()) as u32;
-            g.edges.push((src, dst, tnet.pipeline_stages.max(1)));
+impl<'a> SlackFeed<'a> {
+    pub(crate) fn new(view: NetView<'a>) -> Self {
+        SlackFeed {
+            view,
+            graph: TGraph::build(view),
         }
     }
-    let (report, node_slacks) = analyze_full(&g, device, congestion)?;
-    let target = report.critical_path_ps * CRIT_TARGET_RATIO;
-    let inst_slacks = design
-        .instances()
-        .iter()
-        .zip(&bases)
-        .map(|(inst, &(cb, pb))| {
-            inst.module
-                .nets()
-                .iter()
-                .map(|net| net_slack(&node_slacks, cb, pb, net))
-                .collect()
-        })
-        .collect();
-    let top_slacks = design
-        .top_nets()
-        .iter()
-        .map(|tnet| {
-            let (si, sp) = tnet.source;
-            let mut s = node_slacks[bases[si.index()].1 + sp.index()];
-            for &(ti, tp) in &tnet.sinks {
-                s = s.min(node_slacks[bases[ti.index()].1 + tp.index()]);
-            }
-            s
-        })
-        .collect();
-    Ok((inst_slacks, top_slacks, target))
+
+    /// Per-net slack of the nets in `slots` (worst output slack across the
+    /// net's endpoints) against the tightened target clock, plus that
+    /// target (ps). Negative slack marks the near-critical cone (see
+    /// [`CRIT_TARGET_RATIO`]).
+    pub(crate) fn net_slacks(
+        &self,
+        slots: impl Iterator<Item = Slot>,
+        device: &Device,
+        congestion: Option<&CongestionMap>,
+    ) -> Result<(Vec<f64>, f64), PnrError> {
+        let (report, node_slacks) = analyze_full(&self.graph, device, congestion)?;
+        let target = report.critical_path_ps * CRIT_TARGET_RATIO;
+        let slacks = slots
+            .map(|slot| {
+                let nodes = net_nodes(&self.graph.bases, self.view.net(slot));
+                nodes.fold(f64::INFINITY, |s, n| s.min(node_slacks[n as usize]))
+            })
+            .collect();
+        Ok((slacks, target))
+    }
+}
+
+/// STA over everything a view covers.
+pub(crate) fn sta(
+    view: NetView<'_>,
+    device: &Device,
+    congestion: Option<&CongestionMap>,
+) -> Result<TimingReport, PnrError> {
+    analyze_full(&TGraph::build(view), device, congestion).map(|(report, _)| report)
 }
 
 /// STA over a single module (OOC component analysis).
@@ -479,9 +439,7 @@ pub fn sta_module(
     device: &Device,
     congestion: Option<&CongestionMap>,
 ) -> Result<TimingReport, PnrError> {
-    let mut g = TGraph::new();
-    g.add_module(module, "");
-    analyze(&g, device, congestion)
+    sta(module.into(), device, congestion)
 }
 
 /// STA over an assembled design: all instances plus the inter-component
@@ -493,21 +451,7 @@ pub fn sta_design(
     device: &Device,
     congestion: Option<&CongestionMap>,
 ) -> Result<TimingReport, PnrError> {
-    let mut g = TGraph::new();
-    let mut port_bases = Vec::with_capacity(design.instances().len());
-    for inst in design.instances() {
-        let (_, port_base) = g.add_module(&inst.module, &format!("{}/", inst.name));
-        port_bases.push(port_base);
-    }
-    for tnet in design.top_nets() {
-        let (si, sp) = tnet.source;
-        let src = (port_bases[si.index()] + sp.index()) as u32;
-        for &(ti, tp) in &tnet.sinks {
-            let dst = (port_bases[ti.index()] + tp.index()) as u32;
-            g.edges.push((src, dst, tnet.pipeline_stages.max(1)));
-        }
-    }
-    analyze(&g, device, congestion)
+    sta(design.into(), device, congestion)
 }
 
 #[cfg(test)]
@@ -716,8 +660,12 @@ mod tests {
     fn net_slacks_mark_the_critical_cone_negative() {
         let device = Device::test_part();
         let m = pipeline(250, 1);
-        let (slacks, target) = net_slacks_module(&m, &device, None).unwrap();
-        assert_eq!(slacks.len(), m.nets().len());
+        let slots: Vec<Slot> = NetView::from(&m).nets().map(|n| n.slot()).collect();
+        assert_eq!(slots.len(), m.nets().len());
+        let feed = SlackFeed::new((&m).into());
+        let (slacks, target) = feed
+            .net_slacks(slots.iter().copied(), &device, None)
+            .unwrap();
         let report = sta_module(&m, &device, None).unwrap();
         assert!((target - report.critical_path_ps * CRIT_TARGET_RATIO).abs() < 1e-9);
         // The critical chain runs through every data net, so against the
@@ -757,19 +705,17 @@ mod tests {
         let (pa, _) = d.instance(a).module.port_by_name("dout").unwrap();
         let (pb, _) = d.instance(bb).module.port_by_name("din").unwrap();
         d.connect_top("link", (a, pa), vec![(bb, pb)], 16).unwrap();
-        let (inst_slacks, top_slacks, target) = net_slacks_design(&d, &device, None).unwrap();
-        assert_eq!(inst_slacks.len(), 2);
-        for (inst, slacks) in d.instances().iter().zip(&inst_slacks) {
-            assert_eq!(slacks.len(), inst.module.nets().len());
-        }
-        assert_eq!(top_slacks.len(), 1);
+        // Two nets per instance plus the link, the top net last.
+        let slots: Vec<Slot> = NetView::from(&d).nets().map(|n| n.slot()).collect();
+        assert_eq!(slots.len(), 5);
+        assert_eq!(slots[4], Slot::Top { net: 0 });
+        let feed = SlackFeed::new((&d).into());
+        let (slacks, target) = feed
+            .net_slacks(slots.iter().copied(), &device, None)
+            .unwrap();
+        assert_eq!(slacks.len(), slots.len());
         assert!(target > 0.0);
-        let worst = inst_slacks
-            .iter()
-            .flatten()
-            .chain(top_slacks.iter())
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
+        let worst = slacks.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(worst < 0.0, "tightened target must leave a critical cone");
     }
 

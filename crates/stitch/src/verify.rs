@@ -1,5 +1,5 @@
-//! Design-rule checks for assembled designs — the sanity pass a real flow
-//! runs before writing the final checkpoint.
+//! Design-rule checks for assembled designs — the flow's one legality
+//! verdict.
 //!
 //! Composition has many moving parts (relocation, overlap-free component
 //! placement, partition pins, locked internals); this module verifies the
@@ -7,16 +7,17 @@
 //! site across instances, every instance inside its pblock, partition pins
 //! on pblock boundaries, routes within the grid, and locked modules intact.
 //!
-//! This is the *single* implementation of the physical checks. The
-//! `pi-lint` pass manager folds every [`Violation`] variant into its
-//! unified diagnostics as codes `PL0310`–`PL0318` (see
-//! `pi_lint::checkpoint::violation_code`), so [`check_design`] doubles as
-//! the backing analysis for the design-level lint pass; calling it
-//! directly remains supported as a thin shim over the same checks.
+//! [`check_design`] is the *single* implementation of the physical checks
+//! and the only judge of legality: `run_pre_implemented_flow` calls it
+//! unconditionally and any [`Violation`] is `FlowError::DrcFailed`. The
+//! `pi-lint` pass manager never calls it; it *folds* a verdict it is handed
+//! into codes `PL0310`–`PL0318` (`pi_lint::checkpoint::violation_code`), so
+//! no lint policy can waive a violation. The route checks read every net
+//! through [`pi_netlist::NetView`] — the walk the router routed on.
 
 use crate::StitchError;
 use pi_fabric::{Device, TileCoord};
-use pi_netlist::Design;
+use pi_netlist::{Design, NetView};
 use std::collections::HashMap;
 
 /// One DRC violation.
@@ -146,23 +147,6 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
                 }
             }
         }
-        // Routes stay on the grid.
-        for net in inst.module.nets() {
-            if let Some(route) = &net.route {
-                for &t in &route.tiles {
-                    if !device.in_bounds(t) {
-                        violations.push(Violation::RouteOffGrid {
-                            net: format!("{}/{}", inst.name, net.name),
-                            at: t,
-                        });
-                    }
-                }
-            } else if !net.is_clock {
-                violations.push(Violation::Unrouted {
-                    net: format!("{}/{}", inst.name, net.name),
-                });
-            }
-        }
     }
 
     // Pairwise pblock disjointness.
@@ -182,22 +166,15 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
         }
     }
 
-    // Top nets routed and on-grid.
-    for net in design.top_nets() {
-        match &net.route {
-            Some(route) => {
-                for &t in &route.tiles {
-                    if !device.in_bounds(t) {
-                        violations.push(Violation::RouteOffGrid {
-                            net: net.name.clone(),
-                            at: t,
-                        });
-                    }
-                }
-            }
-            None => violations.push(Violation::Unrouted {
-                net: net.name.clone(),
-            }),
+    // Every non-clock net, intra-instance then top, routed and on-grid.
+    for net in NetView::from(design).nets() {
+        let Some(route) = net.route() else {
+            violations.push(Violation::Unrouted { net: net.path() });
+            continue;
+        };
+        for &at in route.tiles.iter().filter(|&&t| !device.in_bounds(t)) {
+            let net = net.path();
+            violations.push(Violation::RouteOffGrid { net, at });
         }
     }
 

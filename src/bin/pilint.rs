@@ -5,7 +5,7 @@
 //! pilint model    <file>               import + lint a model descriptor (.json/.prototxt)
 //! pilint dataflow <file>               fixpoint FIFO/deadlock/rate analysis (PL04xx)
 //! pilint db       <db-dir> [archdef]   lint a checkpoint database (+ coverage)
-//! pilint design   <archdef> <db-dir>   compose + route, lint the assembled design
+//! pilint design   <archdef> <db-dir>   run the flow's assembly, report its DRC verdict + design lints
 //! pilint trace    <trace.jsonl>        lint a recorded telemetry stream
 //! pilint codes                         print the lint-code registry
 //! ```
@@ -206,23 +206,28 @@ fn run() -> Result<ExitCode, String> {
                 // what the early passes found instead of failing opaquely.
                 return finish(&mut report, &args);
             }
-            let (mut design, _) = preimpl_cnn::stitch::compose_obs(
-                &network,
-                &db,
-                &device,
-                &preimpl_cnn::stitch::ComposeOptions::default(),
-                &Obs::null(),
-            )
-            .map_err(|e| e.to_string())?;
-            preimpl_cnn::flow::pipeline_top_nets(&mut design);
-            preimpl_cnn::pnr::route_assembled_obs(
-                &mut design,
-                &device,
-                &preimpl_cnn::pnr::RouteOptions::default(),
-                &Obs::null(),
-            )
-            .map_err(|e| e.to_string())?;
-            report.merge(engine.lint_design(&design, &device, &obs));
+            // The flow itself composes, routes and judges the design — at
+            // the granularity the passes above used, under this run's
+            // policy — so `pilint design` refuses exactly what the flow
+            // would refuse.
+            use preimpl_cnn::flow::{run_pre_implemented_flow, FlowConfig, FlowError};
+            let cfg = FlowConfig::new()
+                .with_granularity(granularity)
+                .with_lint(engine.config().clone());
+            match run_pre_implemented_flow(&network, &db, &device, &cfg) {
+                Ok((_, flow)) => report.merge(flow.lint.expect("the config carries a policy")),
+                Err(FlowError::LintFailed(r)) => report.merge(r),
+                Err(FlowError::DrcFailed(violations)) => {
+                    // The origin `lint_design` anchors a composed design at.
+                    let base = format!("design:{}_assembled", network.name);
+                    let raw = violations
+                        .iter()
+                        .map(|v| preimpl_cnn::lint::diagnose_violation(&base, v))
+                        .collect();
+                    report.merge(LintReport::from_raw(raw, engine.config()));
+                }
+                Err(e) => return Err(e.to_string()),
+            }
             finish(&mut report, &args)
         }
         other => Err(format!("unknown command {other}\n{USAGE}")),

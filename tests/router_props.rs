@@ -208,3 +208,88 @@ fn routes_and_telemetry_are_identical_across_thread_counts() {
         );
     }
 }
+
+/// `fanout_module` with both stream ports partition-pinned, so the two
+/// port nets are real routable two-terminal nets.
+fn pinned_fanout_module() -> Module {
+    let mut m = fanout_module();
+    let ports = m.ports_mut().unwrap();
+    ports[0].partpin = Some(TileCoord::new(0, 1));
+    ports[1].partpin = Some(TileCoord::new(26, 18));
+    m
+}
+
+/// Everything a routing run leaves behind, in comparable form: routes in
+/// net order, stats, congestion map, stripped telemetry.
+type RouteOutcome = (
+    Vec<Option<preimpl_cnn::netlist::Route>>,
+    String,
+    String,
+    String,
+);
+
+fn route_outcome(level: usize, as_design: bool) -> RouteOutcome {
+    with_level(level, || {
+        let device = Device::test_part();
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::new(sink.clone());
+        let opts = RouteOptions {
+            capacity: 4,
+            ..RouteOptions::default()
+        };
+        let (module, stats, map) = if as_design {
+            let mut d = Design::flat("fan", device.name(), pinned_fanout_module());
+            let (stats, map) =
+                preimpl_cnn::pnr::route_design_obs(&mut d, &device, &opts, &obs).unwrap();
+            (d.instances()[0].module.clone(), stats, map)
+        } else {
+            let mut m = pinned_fanout_module();
+            let (stats, map) =
+                preimpl_cnn::pnr::route_module_obs(&mut m, &device, &opts, &obs).unwrap();
+            (m, stats, map)
+        };
+        assert_eq!(stats.trivial_nets, 0, "every net has located terminals");
+        (
+            module.nets().iter().map(|n| n.route.clone()).collect(),
+            format!("{stats:?}"),
+            format!("{map:?}"),
+            sink.stripped_jsonl(),
+        )
+    })
+}
+
+/// A module is the one-instance case of a design: routing it bare and
+/// routing it wrapped in `Design::flat` must agree on every net's route,
+/// the stats, the congestion map and the telemetry bytes.
+#[test]
+fn a_module_routes_like_the_flat_design_that_wraps_it() {
+    for level in [1, 4] {
+        let bare = route_outcome(level, false);
+        let wrapped = route_outcome(level, true);
+        assert!(bare.0.iter().all(|r| r.is_some()), "module fully routed");
+        assert_eq!(bare.0, wrapped.0, "routes differ at {level} threads");
+        assert_eq!(bare.1, wrapped.1, "RouteStats differ at {level} threads");
+        assert_eq!(
+            bare.2, wrapped.2,
+            "congestion maps differ at {level} threads"
+        );
+        assert_eq!(bare.3, wrapped.3, "telemetry differs at {level} threads");
+    }
+}
+
+/// Same contract for timing: the flat design's graph is the module's graph
+/// with every node name behind a `top/` prefix.
+#[test]
+fn a_module_times_like_the_flat_design_that_wraps_it() {
+    use preimpl_cnn::pnr::{sta_design, sta_module};
+    let device = Device::test_part();
+    let m = pinned_fanout_module();
+    let d = Design::flat("fan", device.name(), m.clone());
+    let a = sta_module(&m, &device, None).unwrap();
+    let b = sta_design(&d, &device, None).unwrap();
+    assert_eq!(a.critical_path_ps, b.critical_path_ps);
+    assert_eq!(a.fmax_mhz, b.fmax_mhz);
+    assert_eq!((a.nodes, a.edges), (b.nodes, b.edges));
+    let prefixed: Vec<String> = a.worst_path.iter().map(|n| format!("top/{n}")).collect();
+    assert_eq!(prefixed, b.worst_path);
+}
