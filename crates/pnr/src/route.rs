@@ -20,10 +20,9 @@
 //!   bounding boxes instead of one fan-out star over the whole net bbox.
 //!   Already-routed tree tiles are zero-cost sources for every later
 //!   segment.
-//! * **Slack-aware ordering** — per-net STA slacks (`timing::SlackFeed`:
-//!   the timing graph is built once per run) are refreshed from the live
-//!   congestion map every iteration; nets route most-negative-slack first
-//!   ([`criticality_order`]) and the history/congestion share of
+//! * **Slack-aware ordering** — per-net STA slacks are refreshed from the
+//!   live congestion map every iteration; nets route most-negative-slack
+//!   first ([`criticality_order`]) and the history/congestion share of
 //!   [`Costs::node_cost`] is priced by criticality, so critical nets take
 //!   direct paths and non-critical nets absorb the detours.
 //!
@@ -34,9 +33,14 @@
 //! [`route_module_obs`] and [`route_design_obs`] are two thin fronts over
 //! one body, [`route_into`]: task collection, occupancy seeding and route
 //! write-back all read the nets through [`pi_netlist::NetView`], where a
-//! module is the one-instance case of a design.
+//! module is the one-instance case of a design. One routing run builds one
+//! `timing::TimingGraph`: every iteration's slack ordering re-analyzes it, and
+//! the compile tail (`compile::report_routed`) takes the run's final timing
+//! report from the same graph instead of building a second one. The
+//! [`CongestionMap`] each analysis reads carries a summed-area table, so a
+//! timing edge's congestion term is four lookups, not a box walk.
 
-use crate::timing::SlackFeed;
+use crate::timing::TimingGraph;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord, TileKind};
 use pi_netlist::{Design, Module, NetView, Route, Slot};
@@ -94,33 +98,61 @@ pub struct RouteStats {
 }
 
 /// Post-routing channel-occupancy map, consumed by the timing model's
-/// congestion term and by the component placer's congestion estimate.
+/// congestion term (one box mean per timing edge).
 #[derive(Debug, Clone)]
 pub struct CongestionMap {
+    cols: u16,
     rows: u16,
     capacity: u16,
     occ: Vec<u16>,
+    /// Summed-area table over `occ`, column-major with a zero first column
+    /// and row: entry `(c, r)` at `c * (rows + 1) + r` is the exact sum of
+    /// every tile left of column `c` and above row `r`.
+    sums: Vec<u64>,
 }
 
 impl CongestionMap {
-    /// Mean occupancy fraction over the bounding box of two endpoints —
-    /// the local congestion a wire between them experiences.
-    pub fn span_fraction(&self, a: TileCoord, b: TileCoord) -> f64 {
-        let (c0, c1) = (a.col.min(b.col), a.col.max(b.col));
-        let (r0, r1) = (a.row.min(b.row), a.row.max(b.row));
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for c in c0..=c1 {
-            for r in r0..=r1 {
-                sum += u64::from(self.occ[c as usize * self.rows as usize + r as usize]);
-                n += 1;
+    /// The map of a column-major occupancy grid (`occ[col * rows + row]`).
+    fn new(rows: u16, capacity: u16, occ: Vec<u16>) -> CongestionMap {
+        let rows_n = usize::from(rows);
+        let cols = occ.len() / rows_n;
+        let stride = rows_n + 1;
+        let mut sums = vec![0u64; (cols + 1) * stride];
+        for c in 0..cols {
+            let mut column = 0u64;
+            for r in 0..rows_n {
+                column += u64::from(occ[c * rows_n + r]);
+                sums[(c + 1) * stride + r + 1] = sums[c * stride + r + 1] + column;
             }
         }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64 / f64::from(self.capacity)
+        CongestionMap {
+            cols: cols as u16,
+            rows,
+            capacity,
+            occ,
+            sums,
         }
+    }
+
+    /// Mean occupancy fraction over the bounding box of two endpoints —
+    /// the local congestion a wire between them experiences. Four lookups
+    /// in the summed-area table give the box's exact `u64` sum, so the
+    /// mean is bit-equal to summing the box tile by tile. The box is
+    /// clamped to the grid; one wholly off the grid reads 0.
+    pub fn span_fraction(&self, a: TileCoord, b: TileCoord) -> f64 {
+        // Half-open box [c0, c1) x [r0, r1), clamped to the grid.
+        let (rows, cols) = (usize::from(self.rows), usize::from(self.cols));
+        let c0 = usize::from(a.col.min(b.col));
+        let c1 = (usize::from(a.col.max(b.col)) + 1).min(cols);
+        let r0 = usize::from(a.row.min(b.row));
+        let r1 = (usize::from(a.row.max(b.row)) + 1).min(rows);
+        if c0 >= c1 || r0 >= r1 {
+            return 0.0;
+        }
+        let at = |c: usize, r: usize| self.sums[c * (rows + 1) + r];
+        let sum = (at(c1, r1) + at(c0, r0)) - (at(c0, r1) + at(c1, r0));
+        let n = ((c1 - c0) * (r1 - r0)) as u64;
+        sum as f64 / n as f64 / f64::from(self.capacity)
     }
 
     /// Tiles over capacity.
@@ -204,11 +236,7 @@ impl Costs {
 
     /// A read-only snapshot in the map form the timing model consumes.
     fn congestion_snapshot(&self, capacity: u16) -> CongestionMap {
-        CongestionMap {
-            rows: self.rows,
-            capacity,
-            occ: self.occ.clone(),
-        }
+        CongestionMap::new(self.rows, capacity, self.occ.clone())
     }
 }
 
@@ -838,7 +866,7 @@ fn bbox_of(pts: &[TileCoord], margin: i32, cols: u16, rows: u16) -> (u16, u16, u
 
 /// What a routing run writes its routes back into. A module is the
 /// one-instance case of a design, so both go through [`route_into`].
-enum Target<'a> {
+pub(crate) enum Target<'a> {
     Module(&'a mut Module),
     Design(&'a mut Design),
 }
@@ -875,13 +903,20 @@ impl Target<'_> {
 
 /// The one routing body: collect the unrouted nets of `target`, seed the
 /// occupancy map from the routes it already stores, negotiate, write the
-/// new routes back.
-fn route_into(
+/// new routes back. Returns the stats, the final congestion map and the
+/// run's timing graph — built once, re-analyzed every iteration for the
+/// slack ordering, and valid after write-back because routing moves no
+/// placement: the compile tail takes its final report from it.
+pub(crate) fn route_into(
     mut target: Target<'_>,
     device: &Device,
     opts: &RouteOptions,
     obs: &Obs,
-) -> Result<(RouteStats, CongestionMap), PnrError> {
+) -> Result<(RouteStats, CongestionMap, TimingGraph), PnrError> {
+    if let Target::Module(module) = &mut target {
+        // A bare module is routed to be written: refuse a locked one.
+        module.nets_mut()?;
+    }
     let obs = obs.scoped("pnr::route");
     let mut costs = Costs::new(device);
     let view = target.view();
@@ -893,9 +928,11 @@ fn route_into(
             // source tile included; a route laid by this run occupies all
             // but its source tile (the merge in [`run`] skips `t[0]`). The
             // asymmetry is kept bit-exact here, its only seeding site.
+            // Off-grid tiles occupy nothing: they are the DRC's
+            // `RouteOffGrid`, not a tile to charge.
             Some(route) => {
-                for t in &route.tiles {
-                    let i = costs.idx(*t);
+                for &t in route.tiles.iter().filter(|&&t| device.in_bounds(t)) {
+                    let i = costs.idx(t);
                     costs.occ[i] += 1;
                 }
             }
@@ -905,21 +942,17 @@ fn route_into(
             }),
         }
     }
-    let feed = SlackFeed::new(view);
+    let graph = TimingGraph::build(view);
     let slack_fn = |map: &CongestionMap| {
         let slots = tasks.iter().map(|t| t.slot);
-        feed.net_slacks(slots, device, Some(map)).ok()
+        graph.net_slacks(view, slots, device, Some(map)).ok()
     };
     let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
     for (task, route) in tasks.iter().zip(routes) {
         target.set_route(task.slot, route)?;
     }
-    let map = CongestionMap {
-        rows: costs.rows,
-        capacity: opts.capacity,
-        occ: costs.occ,
-    };
-    Ok((stats, map))
+    let map = CongestionMap::new(costs.rows, opts.capacity, costs.occ);
+    Ok((stats, map, graph))
 }
 
 /// Route all unrouted non-clock nets of one module. Returns stats plus the
@@ -933,9 +966,8 @@ pub fn route_module_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    // A bare module is routed to be written: refuse a locked one.
-    module.nets_mut()?;
-    route_into(Target::Module(module), device, opts, obs)
+    let (stats, map, _) = route_into(Target::Module(module), device, opts, obs)?;
+    Ok((stats, map))
 }
 
 /// Route an assembled design: locked module routes seed the congestion map
@@ -948,7 +980,8 @@ pub fn route_design_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    route_into(Target::Design(design), device, opts, obs)
+    let (stats, map, _) = route_into(Target::Design(design), device, opts, obs)?;
+    Ok((stats, map))
 }
 
 #[cfg(test)]
@@ -1261,6 +1294,67 @@ mod tests {
         ) {
             assert!(route.tiles.contains(t), "terminal {t:?} not on the route");
         }
+    }
+
+    /// Reference: the box mean summed tile by tile.
+    fn brute_box_mean(map: &CongestionMap, a: TileCoord, b: TileCoord) -> f64 {
+        let (c0, c1) = (a.col.min(b.col), a.col.max(b.col));
+        let (r0, r1) = (a.row.min(b.row), a.row.max(b.row));
+        let mut sum = 0u64;
+        let mut n = 0u64;
+        for c in c0..=c1 {
+            for r in r0..=r1 {
+                sum += u64::from(map.occ[c as usize * map.rows as usize + r as usize]);
+                n += 1;
+            }
+        }
+        sum as f64 / n as f64 / f64::from(map.capacity)
+    }
+
+    proptest::proptest! {
+        /// The summed-area lookup equals the brute-force box mean bit for
+        /// bit on random maps, for random boxes, every 1x1 box and the
+        /// full grid.
+        #[test]
+        fn span_fraction_is_the_exact_box_mean(
+            cols in 1u16..14,
+            rows in 1u16..14,
+            capacity in 1u16..80,
+            raw in proptest::collection::vec(0u16..u16::MAX, 196..197),
+            boxes in proptest::collection::vec((0u16..14, 0u16..14, 0u16..14, 0u16..14), 1..24),
+        ) {
+            let occ: Vec<u16> = raw[..cols as usize * rows as usize].to_vec();
+            let map = CongestionMap::new(rows, capacity, occ);
+            let mut probes: Vec<(TileCoord, TileCoord)> = boxes
+                .iter()
+                .map(|&(c0, r0, c1, r1)| {
+                    (TileCoord::new(c0 % cols, r0 % rows), TileCoord::new(c1 % cols, r1 % rows))
+                })
+                .collect();
+            probes.push((TileCoord::new(0, 0), TileCoord::new(cols - 1, rows - 1)));
+            probes.push((TileCoord::new(cols - 1, 0), TileCoord::new(0, rows - 1)));
+            for c in 0..cols {
+                for r in 0..rows {
+                    probes.push((TileCoord::new(c, r), TileCoord::new(c, r)));
+                }
+            }
+            for (a, b) in probes {
+                let (got, want) = (map.span_fraction(a, b), brute_box_mean(&map, a, b));
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}-{:?}", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn span_fraction_clamps_its_box_to_the_grid() {
+        let map = CongestionMap::new(2, 4, vec![1, 2, 3, 4]);
+        let inside = map.span_fraction(TileCoord::new(1, 0), TileCoord::new(1, 1));
+        assert_eq!(inside, 7.0 / 2.0 / 4.0);
+        // Past the last column and row: only the on-grid part is averaged.
+        let over = map.span_fraction(TileCoord::new(1, 0), TileCoord::new(5, 9));
+        assert_eq!(over, inside);
+        let outside = TileCoord::new(2, 0);
+        assert_eq!(map.span_fraction(outside, outside), 0.0);
     }
 
     #[test]

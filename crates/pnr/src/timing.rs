@@ -10,12 +10,19 @@
 //! interface allowance — the assumption HD.CLK_SRC-style OOC analysis makes
 //! about the not-yet-present upstream register.
 //!
-//! There is one graph builder ([`TGraph::build`]) over a
+//! There is one graph, `TimingGraph`, built over a
 //! [`pi_netlist::NetView`]: a module is the one-instance case of a design,
-//! so [`sta_module`], [`sta_design`] and the router's per-net slack feed
-//! ([`SlackFeed`]) all analyze the same graph. Only the congestion map
-//! changes between analyses of one placement, so the router builds the
-//! graph once per run and re-analyzes it every negotiation iteration.
+//! so [`sta_module`], [`sta_design`], the router's per-net slack ordering
+//! and a routing run's final report all analyze the same graph. Only the
+//! congestion map changes between analyses of one placement, so a routing
+//! run builds the graph once, re-analyzes it every negotiation iteration
+//! and hands it to the compile tail for the final report.
+//!
+//! The graph is nameless: a node is an index in walk order (per instance,
+//! its cells then its ports), and names are resolved through the view only
+//! for the reported paths and a combinational-loop error. Adjacency is CSR
+//! in edge order and the capture table is dense, so an analysis fills a
+//! few flat vectors and hashes nothing.
 
 use crate::delay;
 use crate::route::CongestionMap;
@@ -68,9 +75,11 @@ pub struct PathSummary {
 /// How many capture events the multi-path report keeps.
 const TOP_PATHS: usize = 8;
 
+/// No node: an unset predecessor, a path launched at the boundary.
+const NONE: u32 = u32::MAX;
+
 #[derive(Clone)]
 struct TNode {
-    name: String,
     /// Combinational propagation delay (applies to unregistered nodes).
     comb_delay_ps: f64,
     registered: bool,
@@ -78,56 +87,378 @@ struct TNode {
     coord: Option<TileCoord>,
 }
 
-struct TGraph {
+/// The timing graph of everything a view covers: per instance one node per
+/// cell then one per port, and one edge per (driver, sink) pair of every
+/// non-clock net, intra nets first, top nets last.
+///
+/// It borrows nothing, so a routing run can write its routes back and still
+/// hand the graph on. Placements are all it reads, and routing does not
+/// move them. Every method that needs a name or a net takes the view the
+/// graph was built from.
+pub(crate) struct TimingGraph {
     nodes: Vec<TNode>,
-    /// (source node, sink node, pipeline stages the wire is broken into)
-    edges: Vec<(u32, u32, u32)>,
     /// Per instance: index of its first cell node and of its first port
     /// node.
     bases: Vec<(usize, usize)>,
+    /// CSR adjacency by source node, each node's out-edges in edge order:
+    /// node `i`'s edges are `out[out_start[i]..out_start[i + 1]]`, each a
+    /// (sink node, pipeline stages the wire is broken into).
+    out_start: Vec<u32>,
+    out: Vec<(u32, u32)>,
+    /// Per node: edges into it when it is combinational (registered nodes
+    /// capture, so their fanin never gates propagation), else 0.
+    fanin: Vec<u32>,
 }
 
-impl TGraph {
-    /// The timing graph of everything `view` covers: per instance one
-    /// node per cell then one per port, and one edge per (driver, sink)
-    /// pair of every non-clock net, intra nets first, top nets last.
-    fn build(view: NetView<'_>) -> TGraph {
-        let mut g = TGraph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            bases: Vec::new(),
-        };
+/// What one forward pass leaves behind.
+struct Forward {
+    /// Wire delay of every edge, in CSR order.
+    wire: Vec<f64>,
+    /// Arrival at each node's *output*.
+    arrival: Vec<f64>,
+    /// Worst predecessor per node ([`NONE`] = none).
+    pred: Vec<u32>,
+    /// Per capture endpoint its worst path: (ps, driver of the final hop).
+    worst_at: Vec<Option<(f64, u32)>>,
+    /// Critical path, ps, and where it captures.
+    critical: f64,
+    critical_end: u32,
+    /// Kahn pop order: a topological order of every processed node.
+    pop_order: Vec<u32>,
+}
+
+impl TimingGraph {
+    pub(crate) fn build(view: NetView<'_>) -> TimingGraph {
+        let mut nodes = Vec::new();
+        let mut bases = Vec::with_capacity(view.instance_count());
         for inst in 0..view.instance_count() {
-            let (module, prefix) = (view.module(inst), view.prefix(inst));
-            let cell_base = g.nodes.len();
-            for cell in module.cells() {
-                g.nodes.push(TNode {
-                    name: [&prefix, cell.name.as_str()].concat(),
-                    comb_delay_ps: delay::comb_delay_ps(cell.delay_ps),
-                    registered: cell.registered,
-                    clk2q_ps: f64::from(delay::clk_to_q_ps(cell.kind)),
-                    coord: cell.placement,
-                });
-            }
-            let port_base = g.nodes.len();
-            for port in module.ports() {
-                g.nodes.push(TNode {
-                    name: [&prefix, port.name.as_str()].concat(),
-                    comb_delay_ps: 0.0,
-                    registered: false, // transparent: a partition pin, not a register
-                    clk2q_ps: 0.0,
-                    coord: port.partpin,
-                });
-            }
-            g.bases.push((cell_base, port_base));
+            let module = view.module(inst);
+            let cell_base = nodes.len();
+            nodes.extend(module.cells().iter().map(|cell| TNode {
+                comb_delay_ps: delay::comb_delay_ps(cell.delay_ps),
+                registered: cell.registered,
+                clk2q_ps: f64::from(delay::clk_to_q_ps(cell.kind)),
+                coord: cell.placement,
+            }));
+            let port_base = nodes.len();
+            nodes.extend(module.ports().iter().map(|port| TNode {
+                comb_delay_ps: 0.0,
+                registered: false, // transparent: a partition pin, not a register
+                clk2q_ps: 0.0,
+                coord: port.partpin,
+            }));
+            bases.push((cell_base, port_base));
         }
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
         for net in view.nets() {
-            let mut nodes = net_nodes(&g.bases, net);
-            let src = nodes.next().expect("a net has a driver");
+            let mut ends = net_nodes(&bases, net);
+            let src = ends.next().expect("a net has a driver");
             let stages = net.pipeline_stages();
-            g.edges.extend(nodes.map(|sink| (src, sink, stages)));
+            edges.extend(ends.map(|sink| (src, sink, stages)));
         }
-        g
+        // Counting sort by source, stable, so each node's out-edges keep
+        // edge order (the order every pass visits them in).
+        let n = nodes.len();
+        let mut out_start = vec![0u32; n + 1];
+        let mut fanin = vec![0u32; n];
+        for &(s, t, _) in &edges {
+            out_start[s as usize + 1] += 1;
+            if !nodes[t as usize].registered {
+                fanin[t as usize] += 1;
+            }
+        }
+        for i in 0..n {
+            out_start[i + 1] += out_start[i];
+        }
+        let mut next = out_start.clone();
+        let mut out = vec![(0, 0); edges.len()];
+        for &(s, t, stages) in &edges {
+            let at = &mut next[s as usize];
+            out[*at as usize] = (t, stages);
+            *at += 1;
+        }
+        TimingGraph {
+            nodes,
+            bases,
+            out_start,
+            out,
+            fanin,
+        }
+    }
+
+    /// Node `i`'s out-edges, as a range of CSR slots.
+    fn fanout(&self, i: usize) -> std::ops::Range<usize> {
+        self.out_start[i] as usize..self.out_start[i + 1] as usize
+    }
+
+    /// Forward arrival pass (Kahn). `Err` carries a node on a
+    /// combinational loop, if one can be named.
+    fn forward(
+        &self,
+        device: &Device,
+        congestion: Option<&CongestionMap>,
+    ) -> Result<Forward, Option<u32>> {
+        let n = self.nodes.len();
+        let mut wire = Vec::with_capacity(self.out.len());
+        for (s, node) in self.nodes.iter().enumerate() {
+            wire.extend(self.out[self.fanout(s)].iter().map(|&(t, stages)| {
+                let sink = self.nodes[t as usize].coord;
+                edge_wire_ps(device, node.coord, sink, congestion, stages)
+            }));
+        }
+        let fanin = &self.fanin;
+
+        // Arrival at a node's *output*: for registered nodes this is
+        // clk2q; for combinational nodes it accumulates. Combinational
+        // nodes with no fanin launch with the OOC interface allowance.
+        let mut arrival: Vec<f64> = self
+            .nodes
+            .iter()
+            .zip(fanin)
+            .map(|(node, &fanin)| {
+                if node.registered {
+                    node.clk2q_ps
+                } else if fanin == 0 {
+                    IO_LAUNCH_PS + node.comb_delay_ps
+                } else {
+                    f64::NEG_INFINITY
+                }
+            })
+            .collect();
+        let mut pred: Vec<u32> = vec![NONE; n];
+
+        // Kahn's algorithm over combinational sinks.
+        let mut ready: Vec<u32> = (0..n as u32)
+            .filter(|&i| self.nodes[i as usize].registered || fanin[i as usize] == 0)
+            .collect();
+        let mut remaining = fanin.clone();
+        let mut processed = 0usize;
+        let total_comb = (0..n)
+            .filter(|&i| !self.nodes[i].registered && fanin[i] > 0)
+            .count();
+
+        let mut critical = 0.0f64;
+        let mut critical_end = NONE;
+        // One slot per *endpoint*: a register captures many paths but
+        // reports its worst.
+        let mut worst_at: Vec<Option<(f64, u32)>> = vec![None; n];
+        // Pop order is a valid topological order of every processed node
+        // (a node only becomes ready once all its fanins have been
+        // popped); reversed, it drives the backward required-time pass.
+        let mut pop_order: Vec<u32> = Vec::with_capacity(n);
+
+        while let Some(node) = ready.pop() {
+            pop_order.push(node);
+            let i = node as usize;
+            let out_arr = arrival[i];
+            let edges = self.fanout(i);
+            for (&(t, _), &wire) in self.out[edges.clone()].iter().zip(&wire[edges.clone()]) {
+                let ti = t as usize;
+                let sink = &self.nodes[ti];
+                let at_input = out_arr + wire;
+                if sink.registered {
+                    // Path captures here.
+                    let path = at_input + f64::from(delay::SETUP_PS);
+                    let slot = worst_at[ti].get_or_insert((f64::NEG_INFINITY, NONE));
+                    if path > slot.0 {
+                        *slot = (path, node);
+                    }
+                    if path > critical {
+                        critical = path;
+                        critical_end = t;
+                        pred[ti] = node;
+                    }
+                } else {
+                    let through = at_input + sink.comb_delay_ps;
+                    if through > arrival[ti] {
+                        arrival[ti] = through;
+                        pred[ti] = node;
+                    }
+                    remaining[ti] -= 1;
+                    if remaining[ti] == 0 {
+                        processed += 1;
+                        ready.push(t);
+                    }
+                }
+            }
+            // Combinational endpoints with no fanout also capture (module
+            // outputs): charge setup at the boundary.
+            if !self.nodes[i].registered && edges.is_empty() {
+                let path = out_arr + f64::from(delay::SETUP_PS);
+                let slot = worst_at[i].get_or_insert((f64::NEG_INFINITY, NONE));
+                if path > slot.0 {
+                    *slot = (path, pred[i]);
+                }
+                if path > critical {
+                    critical = path;
+                    critical_end = node;
+                }
+            }
+        }
+
+        if processed < total_comb {
+            // Some combinational node never became ready: a cycle.
+            let stuck = (0..n).find(|&i| !self.nodes[i].registered && remaining[i] > 0);
+            return Err(stuck.map(|i| i as u32));
+        }
+        Ok(Forward {
+            wire,
+            arrival,
+            pred,
+            worst_at,
+            // Floors: even an empty design runs at the clock network's
+            // limit.
+            critical: critical.max(500.0),
+            critical_end,
+            pop_order,
+        })
+    }
+
+    /// The full report: critical path, worst path and the multi-path
+    /// report, names resolved through `view`.
+    pub(crate) fn report(
+        &self,
+        view: NetView<'_>,
+        device: &Device,
+        congestion: Option<&CongestionMap>,
+    ) -> Result<TimingReport, PnrError> {
+        let f = self
+            .forward(device, congestion)
+            .map_err(|stuck| self.loop_error(view, stuck))?;
+
+        // Reconstruct the worst path.
+        let mut worst_path = Vec::new();
+        let mut cur = f.critical_end;
+        while cur != NONE && worst_path.len() < 64 {
+            worst_path.push(self.name(view, cur));
+            cur = f.pred[cur as usize];
+        }
+        worst_path.reverse();
+
+        // Multi-path report: the worst TOP_PATHS endpoints, by decreasing
+        // path delay, ties by node. The order is total, so selecting the
+        // first TOP_PATHS before sorting them ranks exactly as a full sort.
+        let mut events: Vec<(f64, u32, u32)> = f
+            .worst_at
+            .iter()
+            .enumerate()
+            .filter_map(|(end, w)| w.map(|(ps, via)| (ps, end as u32, via)))
+            .collect();
+        let rank = |a: &(f64, u32, u32), b: &(f64, u32, u32)| {
+            b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
+        };
+        if events.len() > TOP_PATHS {
+            events.select_nth_unstable_by(TOP_PATHS - 1, rank);
+            events.truncate(TOP_PATHS);
+        }
+        events.sort_by(rank);
+
+        let critical = f.critical;
+        let top_paths = events
+            .into_iter()
+            .map(|(ps, end, via)| PathSummary {
+                path_ps: ps,
+                slack_ps: critical - ps,
+                endpoint: self.name(view, end),
+                through: if via == NONE {
+                    "<boundary>".to_string()
+                } else {
+                    self.name(view, via)
+                },
+            })
+            .collect();
+        Ok(TimingReport {
+            critical_path_ps: critical,
+            fmax_mhz: 1.0e6 / critical,
+            worst_path,
+            top_paths,
+            nodes: self.nodes.len(),
+            edges: self.out.len(),
+        })
+    }
+
+    /// The router's slack feed: per-net slack of the nets in `slots`
+    /// (worst output slack across the net's endpoints) against the
+    /// tightened target clock, plus that target (ps). Negative slack marks
+    /// the near-critical cone (see [`CRIT_TARGET_RATIO`]). It needs only
+    /// placements, not routes, so it is valid mid-negotiation.
+    pub(crate) fn net_slacks(
+        &self,
+        view: NetView<'_>,
+        slots: impl Iterator<Item = Slot>,
+        device: &Device,
+        congestion: Option<&CongestionMap>,
+    ) -> Result<(Vec<f64>, f64), PnrError> {
+        let f = self
+            .forward(device, congestion)
+            .map_err(|stuck| self.loop_error(view, stuck))?;
+        let target = f.critical * CRIT_TARGET_RATIO;
+
+        // Backward required-time pass against the tightened target clock.
+        // Reverse pop order guarantees a combinational sink's requirement
+        // is final before any of its fanins is visited; registered sinks
+        // need no requirement of their own (capture is `target - setup`
+        // directly).
+        let setup = f64::from(delay::SETUP_PS);
+        let mut required: Vec<f64> = vec![f64::INFINITY; self.nodes.len()];
+        for &node in f.pop_order.iter().rev() {
+            let i = node as usize;
+            let edges = self.fanout(i);
+            let mut req = f64::INFINITY;
+            for (&(t, _), &wire) in self.out[edges.clone()].iter().zip(&f.wire[edges.clone()]) {
+                let sink = &self.nodes[t as usize];
+                let cand = if sink.registered {
+                    target - setup - wire
+                } else {
+                    required[t as usize] - sink.comb_delay_ps - wire
+                };
+                req = req.min(cand);
+            }
+            if !self.nodes[i].registered && edges.is_empty() {
+                req = req.min(target - setup);
+            }
+            required[i] = req;
+        }
+        // Output slack per node, `+inf` for unconstrained nodes.
+        let slack = |i: usize| {
+            if f.arrival[i] == f64::NEG_INFINITY || required[i] == f64::INFINITY {
+                f64::INFINITY
+            } else {
+                required[i] - f.arrival[i]
+            }
+        };
+        let slacks = slots
+            .map(|slot| {
+                let nodes = net_nodes(&self.bases, view.net(slot));
+                nodes.fold(f64::INFINITY, |s, n| s.min(slack(n as usize)))
+            })
+            .collect();
+        Ok((slacks, target))
+    }
+
+    /// Hierarchical name of `node`: the instance prefix, then the cell or
+    /// port name.
+    fn name(&self, view: NetView<'_>, node: u32) -> String {
+        let node = node as usize;
+        // The last instance starting at or before `node` owns it (an
+        // instance without cells or ports starts where the next one does).
+        let inst = self
+            .bases
+            .partition_point(|&(cell_base, _)| cell_base <= node)
+            - 1;
+        let (cell_base, port_base) = self.bases[inst];
+        let module = view.module(inst);
+        let local = if node < port_base {
+            &module.cells()[node - cell_base].name
+        } else {
+            &module.ports()[node - port_base].name
+        };
+        [view.prefix(inst).as_str(), local].concat()
+    }
+
+    fn loop_error(&self, view: NetView<'_>, stuck: Option<u32>) -> PnrError {
+        let name = stuck.map_or_else(|| "<unknown>".to_string(), |n| self.name(view, n));
+        PnrError::CombinationalLoop(name)
     }
 }
 
@@ -172,265 +503,13 @@ fn edge_wire_ps(
     }
 }
 
-/// Forward arrival pass (Kahn) plus backward required-time pass. Returns
-/// the report and the per-node *output* slack against the tightened target
-/// clock (see [`CRIT_TARGET_RATIO`]): `required_out - arrival`, `+inf` for
-/// unconstrained nodes. The node index space matches [`TGraph::nodes`].
-fn analyze_full(
-    graph: &TGraph,
-    device: &Device,
-    congestion: Option<&CongestionMap>,
-) -> Result<(TimingReport, Vec<f64>), PnrError> {
-    let n = graph.nodes.len();
-    // Adjacency.
-    let mut out_edges: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    let mut fanin_count = vec![0u32; n];
-    let mut has_fanout = vec![false; n];
-    for &(s, t, stages) in &graph.edges {
-        let wire = edge_wire_ps(
-            device,
-            graph.nodes[s as usize].coord,
-            graph.nodes[t as usize].coord,
-            congestion,
-            stages,
-        );
-        out_edges[s as usize].push((t, wire));
-        has_fanout[s as usize] = true;
-        if !graph.nodes[t as usize].registered {
-            fanin_count[t as usize] += 1;
-        }
-    }
-
-    // Arrival at a node's *output*: for registered nodes this is clk2q; for
-    // combinational nodes it accumulates. Combinational nodes with no fanin
-    // launch with the OOC interface allowance.
-    let mut arrival: Vec<f64> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            if node.registered {
-                node.clk2q_ps
-            } else if fanin_count[i] == 0 {
-                IO_LAUNCH_PS + node.comb_delay_ps
-            } else {
-                f64::NEG_INFINITY
-            }
-        })
-        .collect();
-    let mut pred: Vec<u32> = vec![u32::MAX; n];
-
-    // Kahn's algorithm over combinational sinks.
-    let mut ready: Vec<u32> = (0..n as u32)
-        .filter(|&i| {
-            let node = &graph.nodes[i as usize];
-            node.registered || fanin_count[i as usize] == 0
-        })
-        .collect();
-    let mut remaining = vec![0u32; n];
-    remaining.copy_from_slice(&fanin_count);
-    let mut processed = 0usize;
-    let total_comb = (0..n)
-        .filter(|&i| !graph.nodes[i].registered && fanin_count[i] > 0)
-        .count();
-
-    let mut critical = 0.0f64;
-    let mut critical_end = u32::MAX;
-    // (path ps, capture node, driver node) for the multi-path report. One
-    // slot per *endpoint*: a register captures many paths but reports its
-    // worst.
-    let mut worst_at: std::collections::HashMap<u32, (f64, u32)> = std::collections::HashMap::new();
-    // Pop order is a valid topological order of every processed node
-    // (a node only becomes ready once all its fanins have been popped);
-    // reversed, it drives the backward required-time pass.
-    let mut pop_order: Vec<u32> = Vec::with_capacity(n);
-
-    while let Some(node) = ready.pop() {
-        pop_order.push(node);
-        let i = node as usize;
-        let out_arr = arrival[i];
-        for &(t, wire) in &out_edges[i] {
-            let ti = t as usize;
-            let sink = &graph.nodes[ti];
-            let at_input = out_arr + wire;
-            if sink.registered {
-                // Path captures here.
-                let path = at_input + f64::from(delay::SETUP_PS);
-                let slot = worst_at.entry(t).or_insert((f64::NEG_INFINITY, u32::MAX));
-                if path > slot.0 {
-                    *slot = (path, node);
-                }
-                if path > critical {
-                    critical = path;
-                    critical_end = t;
-                    pred[ti] = node;
-                }
-            } else {
-                let through = at_input + sink.comb_delay_ps;
-                if through > arrival[ti] {
-                    arrival[ti] = through;
-                    pred[ti] = node;
-                }
-                remaining[ti] -= 1;
-                if remaining[ti] == 0 {
-                    processed += 1;
-                    ready.push(t);
-                }
-            }
-        }
-        // Combinational endpoints with no fanout also capture (module
-        // outputs): charge setup at the boundary.
-        if !graph.nodes[i].registered && !has_fanout[i] {
-            let path = out_arr + f64::from(delay::SETUP_PS);
-            let slot = worst_at
-                .entry(node)
-                .or_insert((f64::NEG_INFINITY, u32::MAX));
-            if path > slot.0 {
-                *slot = (path, pred[i]);
-            }
-            if path > critical {
-                critical = path;
-                critical_end = node;
-            }
-        }
-    }
-
-    if processed < total_comb {
-        // Some combinational node never became ready: a cycle.
-        let stuck = (0..n)
-            .find(|&i| !graph.nodes[i].registered && remaining[i] > 0 && fanin_count[i] > 0)
-            .map(|i| graph.nodes[i].name.clone())
-            .unwrap_or_else(|| "<unknown>".to_string());
-        return Err(PnrError::CombinationalLoop(stuck));
-    }
-
-    // Reconstruct the worst path.
-    let mut worst_path = Vec::new();
-    let mut cur = critical_end;
-    let mut guard = 0;
-    while cur != u32::MAX && guard < 64 {
-        worst_path.push(graph.nodes[cur as usize].name.clone());
-        cur = pred[cur as usize];
-        guard += 1;
-    }
-    worst_path.reverse();
-
-    // Multi-path report: the worst TOP_PATHS endpoints.
-    let mut events: Vec<(f64, u32, u32)> = worst_at
-        .into_iter()
-        .map(|(end, (ps, via))| (ps, end, via))
-        .collect();
-    events.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    events.truncate(TOP_PATHS);
-
-    // Floors: even an empty design runs at the clock network's limit.
-    let critical = critical.max(500.0);
-
-    // Backward required-time pass against the tightened target clock.
-    // Reverse pop order guarantees a combinational sink's requirement is
-    // final before any of its fanins is visited; registered sinks need no
-    // requirement of their own (capture is `target - setup` directly).
-    let target = critical * CRIT_TARGET_RATIO;
-    let setup = f64::from(delay::SETUP_PS);
-    let mut required: Vec<f64> = vec![f64::INFINITY; n];
-    for &node in pop_order.iter().rev() {
-        let i = node as usize;
-        let mut req = f64::INFINITY;
-        for &(t, wire) in &out_edges[i] {
-            let ti = t as usize;
-            let cand = if graph.nodes[ti].registered {
-                target - setup - wire
-            } else {
-                required[ti] - graph.nodes[ti].comb_delay_ps - wire
-            };
-            req = req.min(cand);
-        }
-        if !graph.nodes[i].registered && !has_fanout[i] {
-            req = req.min(target - setup);
-        }
-        required[i] = req;
-    }
-    let slacks: Vec<f64> = (0..n)
-        .map(|i| {
-            if arrival[i] == f64::NEG_INFINITY || required[i] == f64::INFINITY {
-                f64::INFINITY
-            } else {
-                required[i] - arrival[i]
-            }
-        })
-        .collect();
-
-    let top_paths = events
-        .into_iter()
-        .map(|(ps, end, via)| PathSummary {
-            path_ps: ps,
-            slack_ps: critical - ps,
-            endpoint: graph.nodes[end as usize].name.clone(),
-            through: if via == u32::MAX {
-                "<boundary>".to_string()
-            } else {
-                graph.nodes[via as usize].name.clone()
-            },
-        })
-        .collect();
-    Ok((
-        TimingReport {
-            critical_path_ps: critical,
-            fmax_mhz: 1.0e6 / critical,
-            worst_path,
-            top_paths,
-            nodes: n,
-            edges: graph.edges.len(),
-        },
-        slacks,
-    ))
-}
-
-/// The router's slack-ordering feed: the timing graph of a view, built
-/// once, re-analyzed against each iteration's congestion map. It needs only
-/// placements, not routes, so it is valid mid-negotiation.
-pub(crate) struct SlackFeed<'a> {
-    view: NetView<'a>,
-    graph: TGraph,
-}
-
-impl<'a> SlackFeed<'a> {
-    pub(crate) fn new(view: NetView<'a>) -> Self {
-        SlackFeed {
-            view,
-            graph: TGraph::build(view),
-        }
-    }
-
-    /// Per-net slack of the nets in `slots` (worst output slack across the
-    /// net's endpoints) against the tightened target clock, plus that
-    /// target (ps). Negative slack marks the near-critical cone (see
-    /// [`CRIT_TARGET_RATIO`]).
-    pub(crate) fn net_slacks(
-        &self,
-        slots: impl Iterator<Item = Slot>,
-        device: &Device,
-        congestion: Option<&CongestionMap>,
-    ) -> Result<(Vec<f64>, f64), PnrError> {
-        let (report, node_slacks) = analyze_full(&self.graph, device, congestion)?;
-        let target = report.critical_path_ps * CRIT_TARGET_RATIO;
-        let slacks = slots
-            .map(|slot| {
-                let nodes = net_nodes(&self.graph.bases, self.view.net(slot));
-                nodes.fold(f64::INFINITY, |s, n| s.min(node_slacks[n as usize]))
-            })
-            .collect();
-        Ok((slacks, target))
-    }
-}
-
 /// STA over everything a view covers.
-pub(crate) fn sta(
+fn sta(
     view: NetView<'_>,
     device: &Device,
     congestion: Option<&CongestionMap>,
 ) -> Result<TimingReport, PnrError> {
-    analyze_full(&TGraph::build(view), device, congestion).map(|(report, _)| report)
+    TimingGraph::build(view).report(view, device, congestion)
 }
 
 /// STA over a single module (OOC component analysis).
@@ -662,9 +741,9 @@ mod tests {
         let m = pipeline(250, 1);
         let slots: Vec<Slot> = NetView::from(&m).nets().map(|n| n.slot()).collect();
         assert_eq!(slots.len(), m.nets().len());
-        let feed = SlackFeed::new((&m).into());
-        let (slacks, target) = feed
-            .net_slacks(slots.iter().copied(), &device, None)
+        let view = NetView::from(&m);
+        let (slacks, target) = TimingGraph::build(view)
+            .net_slacks(view, slots.iter().copied(), &device, None)
             .unwrap();
         let report = sta_module(&m, &device, None).unwrap();
         assert!((target - report.critical_path_ps * CRIT_TARGET_RATIO).abs() < 1e-9);
@@ -709,9 +788,9 @@ mod tests {
         let slots: Vec<Slot> = NetView::from(&d).nets().map(|n| n.slot()).collect();
         assert_eq!(slots.len(), 5);
         assert_eq!(slots[4], Slot::Top { net: 0 });
-        let feed = SlackFeed::new((&d).into());
-        let (slacks, target) = feed
-            .net_slacks(slots.iter().copied(), &device, None)
+        let view = NetView::from(&d);
+        let (slacks, target) = TimingGraph::build(view)
+            .net_slacks(view, slots.iter().copied(), &device, None)
             .unwrap();
         assert_eq!(slacks.len(), slots.len());
         assert!(target > 0.0);

@@ -14,6 +14,11 @@
 //! into codes `PL0310`–`PL0318` (`pi_lint::checkpoint::violation_code`), so
 //! no lint policy can waive a violation. The route checks read every net
 //! through [`pi_netlist::NetView`] — the walk the router routed on.
+//!
+//! Site ownership is a dense per-tile grid of (instance, cell) indices, so
+//! the check over the locked interiors allocates one vector and formats no
+//! name: a hierarchical `instance/cell` tag is built only for a
+//! `SiteConflict` it reports.
 
 use crate::StitchError;
 use pi_fabric::{Device, TileCoord};
@@ -84,19 +89,31 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// An (instance, cell) index pair: who holds a site.
+type Owner = (u32, u32);
+
 /// Run every check; returns all violations found (empty = clean).
 pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, StitchError> {
     let mut violations = Vec::new();
-    let mut site_owner: HashMap<TileCoord, String> = HashMap::new();
+    // The cell that last claimed each site: a dense column-major grid for
+    // on-grid tiles, a map for the off-grid ones only a corrupt design
+    // has. Names are formatted only when a conflict is reported.
+    let rows = usize::from(device.rows());
+    let mut site_owner: Vec<Option<Owner>> = vec![None; usize::from(device.cols()) * rows];
+    let mut off_grid_owner: HashMap<TileCoord, Owner> = HashMap::new();
+    let tag = |(inst, cell): Owner| {
+        let inst = &design.instances()[inst as usize];
+        format!("{}/{}", inst.name, inst.module.cells()[cell as usize].name)
+    };
 
-    for inst in design.instances() {
+    for (ii, inst) in design.instances().iter().enumerate() {
         if design.kind == pi_netlist::DesignKind::Assembled && !inst.module.locked {
             violations.push(Violation::NotLocked {
                 instance: inst.name.clone(),
             });
         }
         let pblock = inst.module.pblock;
-        for cell in inst.module.cells() {
+        for (ci, cell) in inst.module.cells().iter().enumerate() {
             let Some(at) = cell.placement else {
                 violations.push(Violation::UnplacedCell {
                     instance: inst.name.clone(),
@@ -114,11 +131,17 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
                 }),
             }
             // Exclusive occupancy across ALL instances.
-            let tag = format!("{}/{}", inst.name, cell.name);
-            if let Some(prev) = site_owner.insert(at, tag.clone()) {
+            let owner = (ii as u32, ci as u32);
+            let prev = if device.in_bounds(at) {
+                let site = usize::from(at.col) * rows + usize::from(at.row);
+                site_owner[site].replace(owner)
+            } else {
+                off_grid_owner.insert(at, owner)
+            };
+            if let Some(prev) = prev {
                 violations.push(Violation::SiteConflict {
-                    a: prev,
-                    b: tag,
+                    a: tag(prev),
+                    b: tag(owner),
                     at,
                 });
             }
@@ -150,17 +173,17 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
     }
 
     // Pairwise pblock disjointness.
-    let pbs: Vec<(String, pi_fabric::Pblock)> = design
+    let pbs: Vec<(&str, pi_fabric::Pblock)> = design
         .instances()
         .iter()
-        .filter_map(|i| i.module.pblock.map(|pb| (i.name.clone(), pb)))
+        .filter_map(|i| i.module.pblock.map(|pb| (i.name.as_str(), pb)))
         .collect();
     for i in 0..pbs.len() {
         for j in (i + 1)..pbs.len() {
             if pbs[i].1.overlaps(&pbs[j].1) {
                 violations.push(Violation::PblockOverlap {
-                    a: pbs[i].0.clone(),
-                    b: pbs[j].0.clone(),
+                    a: pbs[i].0.to_string(),
+                    b: pbs[j].0.to_string(),
                 });
             }
         }

@@ -9,6 +9,8 @@
 //! * Routes and the telemetry stream must be byte-identical at
 //!   `PI_THREADS` = 1, 2 and 8 — the parallel proposal wave and the
 //!   deterministic merge may not leak the schedule into results.
+//! * Occupancy seeding charges only on-grid tiles of stored routes, so an
+//!   off-grid stored route reaches the DRC's `RouteOffGrid` verdict.
 
 use preimpl_cnn::obs::{MemorySink, Obs};
 use preimpl_cnn::pnr::{criticality_order, steiner_topology, RouteOptions};
@@ -292,4 +294,50 @@ fn a_module_times_like_the_flat_design_that_wraps_it() {
     assert_eq!((a.nodes, a.edges), (b.nodes, b.edges));
     let prefixed: Vec<String> = a.worst_path.iter().map(|n| format!("top/{n}")).collect();
     assert_eq!(prefixed, b.worst_path);
+}
+
+/// A locked instance whose stored route leaves the grid — one tile past
+/// the last column, or one past the last row — must reach the DRC's
+/// `RouteOffGrid` verdict. Router seeding skips the off-grid tile: it
+/// neither indexes out of bounds (past the last column) nor charges the
+/// tile it aliases, (col + 1, row - rows) (past the last row).
+#[test]
+fn an_off_grid_stored_route_reaches_the_drc() {
+    use preimpl_cnn::netlist::{DesignKind, Route};
+    use preimpl_cnn::stitch::{check_design, Violation};
+    let device = Device::test_part();
+    let (cols, rows) = (device.cols(), device.rows());
+    for bad in [TileCoord::new(cols, 1), TileCoord::new(2, rows)] {
+        let mut b = ModuleBuilder::new("m");
+        let din = b.input("din", StreamRole::Source, 8);
+        let c = b.cell(Cell::new("c", CellKind::full_slice()));
+        b.connect("n", Endpoint::Port(din), [Endpoint::Cell(c)]);
+        let mut m = b.finish().unwrap();
+        m.set_placement(c, TileCoord::new(2, 1)).unwrap();
+        m.ports_mut().unwrap()[din.index()].partpin = Some(TileCoord::new(1, 1));
+        m.nets_mut().unwrap()[0].route = Some(Route {
+            tiles: vec![TileCoord::new(1, 1), TileCoord::new(2, 1), bad],
+        });
+        m.lock();
+        let mut d = Design::new("d", device.name(), DesignKind::Assembled);
+        d.add_instance("a", m);
+        let (stats, map) = preimpl_cnn::pnr::route_design_obs(
+            &mut d,
+            &device,
+            &RouteOptions::default(),
+            &Obs::null(),
+        )
+        .unwrap();
+        assert_eq!(stats.routed_nets, 0);
+        let aliased = TileCoord::new(3, 0);
+        assert_eq!(map.span_fraction(aliased, aliased), 0.0, "{bad:?} aliased");
+        let violations = check_design(&d, &device).unwrap();
+        assert_eq!(
+            violations,
+            [Violation::RouteOffGrid {
+                net: "a/n".to_string(),
+                at: bad
+            }]
+        );
+    }
 }
