@@ -4,7 +4,7 @@
 //! the way a directory of DCP files is — each file is a frozen, reusable,
 //! relocatable implementation of one component.
 
-use crate::hash::fnv1a64;
+use crate::hash::xxh64;
 use crate::module::Module;
 use pi_fabric::{Pblock, ResourceCount};
 use serde::{Deserialize, Serialize};
@@ -58,15 +58,15 @@ pub struct Checkpoint {
 /// decoding and re-encoding it.
 const ENVELOPE_HEAD: &str = "{\"format_version\":";
 const ENVELOPE_MID: &str = ",\"checkpoint\":";
-const ENVELOPE_TAIL: char = '}';
+const ENVELOPE_TAIL: &str = "}";
 
 impl Checkpoint {
-    /// Stable 64-bit content hash of this checkpoint: FNV-1a over the
+    /// Stable 64-bit content hash of this checkpoint: [`xxh64`] over the
     /// canonical JSON serialization. Equal checkpoints hash equal across
     /// runs and builds; the cache uses it for content addressing and
     /// corruption detection.
     pub fn content_hash(&self) -> u64 {
-        fnv1a64(self.to_json().as_bytes())
+        xxh64(self.to_json().as_bytes())
     }
 
     /// [`Checkpoint::content_hash`] as the fixed-width hex form file names
@@ -85,19 +85,24 @@ impl Checkpoint {
     }
 
     /// Split the versioned envelope and return its payload slice — the
-    /// bytes [`Checkpoint::content_hash`] hashes, so
-    /// `fnv1a64(payload.as_bytes())` verifies a stored file without
-    /// decoding it. Text that is not exactly the frame
-    /// [`Checkpoint::to_versioned_json`] writes is a decode error; a
+    /// bytes [`Checkpoint::content_hash`] hashes, so `xxh64(payload)`
+    /// verifies a stored file without decoding it (or even validating it
+    /// as UTF-8). Bytes that are not exactly the frame
+    /// [`Checkpoint::to_versioned_json`] writes are a decode error; a
     /// *different* version is the distinct
     /// [`crate::NetlistError::FormatVersion`] so callers can tell "stale"
     /// from "corrupt".
-    pub fn versioned_payload(s: &str) -> Result<&str, crate::NetlistError> {
+    pub fn versioned_payload(bytes: &[u8]) -> Result<&[u8], crate::NetlistError> {
         let malformed =
             || crate::NetlistError::Decode("not a versioned checkpoint envelope".to_string());
-        let rest = s.strip_prefix(ENVELOPE_HEAD).ok_or_else(malformed)?;
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        let found: u32 = rest[..digits].parse().map_err(|_| malformed())?;
+        let rest = bytes
+            .strip_prefix(ENVELOPE_HEAD.as_bytes())
+            .ok_or_else(malformed)?;
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let found: u32 = std::str::from_utf8(&rest[..digits])
+            .ok()
+            .and_then(|d| d.parse().ok())
+            .ok_or_else(malformed)?;
         if found != CHECKPOINT_FORMAT_VERSION {
             return Err(crate::NetlistError::FormatVersion {
                 found,
@@ -105,16 +110,24 @@ impl Checkpoint {
             });
         }
         rest[digits..]
-            .strip_prefix(ENVELOPE_MID)
-            .and_then(|payload| payload.strip_suffix(ENVELOPE_TAIL))
+            .strip_prefix(ENVELOPE_MID.as_bytes())
+            .and_then(|payload| payload.strip_suffix(ENVELOPE_TAIL.as_bytes()))
             .ok_or_else(malformed)
+    }
+
+    /// Decode a payload slice (see [`Checkpoint::versioned_payload`]). This
+    /// is where the bytes are first required to be UTF-8: invalid UTF-8 is
+    /// a decode error like any other malformed payload.
+    pub fn from_payload(payload: &[u8]) -> Result<Checkpoint, crate::NetlistError> {
+        let text =
+            std::str::from_utf8(payload).map_err(|e| crate::NetlistError::Decode(e.to_string()))?;
+        serde_json::from_str(text).map_err(|e| crate::NetlistError::Decode(e.to_string()))
     }
 
     /// Deserialize the versioned envelope (see
     /// [`Checkpoint::versioned_payload`] for the frame and its errors).
     pub fn from_versioned_json(s: &str) -> Result<Checkpoint, crate::NetlistError> {
-        serde_json::from_str(Self::versioned_payload(s)?)
-            .map_err(|e| crate::NetlistError::Decode(e.to_string()))
+        Self::from_payload(Self::versioned_payload(s.as_bytes())?)
     }
 
     /// The canonical (unversioned) JSON serialization [`content_hash`]
@@ -196,9 +209,9 @@ mod tests {
     fn payload_slice_is_the_hash_pre_image_and_only_the_exact_frame_splits() {
         let cp = checkpoint();
         let json = cp.to_versioned_json().unwrap();
-        let payload = Checkpoint::versioned_payload(&json).unwrap();
-        assert_eq!(payload, cp.to_json());
-        assert_eq!(fnv1a64(payload.as_bytes()), cp.content_hash());
+        let payload = Checkpoint::versioned_payload(json.as_bytes()).unwrap();
+        assert_eq!(payload, cp.to_json().as_bytes());
+        assert_eq!(xxh64(payload), cp.content_hash());
         // Equivalent JSON that is not the frame this build writes, a torn
         // tail (the frame still splits; the payload no longer decodes) and
         // a version no u32 holds are all decode errors.
@@ -218,6 +231,16 @@ mod tests {
                 &bad[..40]
             );
         }
+        // A byte that is not UTF-8 leaves the frame splittable, but the
+        // payload is a decode error.
+        let mut bytes = json.into_bytes();
+        let mid = bytes.len() / 2;
+        bytes[mid] = 0xFF;
+        let payload = Checkpoint::versioned_payload(&bytes).unwrap();
+        assert!(matches!(
+            Checkpoint::from_payload(payload),
+            Err(crate::NetlistError::Decode(_))
+        ));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod walk;
 pub use cell::{Cell, CellId, CellKind};
 pub use dcp::{Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION};
 pub use design::{Design, DesignKind, InstId, ModuleInst, TopNet, DEFAULT_LINK_FIFO_DEPTH};
-pub use hash::{fnv1a64, StableHasher};
+pub use hash::{xxh64, StableHasher};
 pub use module::{Module, ModuleBuilder};
 pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};

@@ -1,4 +1,10 @@
 //! Modules: self-contained netlists with boundary ports.
+//!
+//! A module's cells, nets and ports live behind `Arc`s and are written
+//! copy-on-write (`Arc::make_mut`). Cloning a module therefore bumps three
+//! reference counts instead of copying its netlist, which is what makes a
+//! locked, read-only checkpoint cheap to hand out many times; the first
+//! write to a shared clone copies only the vector it touches.
 
 use crate::cell::{Cell, CellId};
 use crate::net::{Endpoint, Net, NetId};
@@ -6,15 +12,16 @@ use crate::port::{Direction, Port, PortId, StreamRole};
 use crate::NetlistError;
 use pi_fabric::{Pblock, ResourceCount, TileCoord};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A netlist module: the unit of synthesis, OOC implementation, checkpointing
 /// and reuse.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Module {
     pub name: String,
-    cells: Vec<Cell>,
-    nets: Vec<Net>,
-    ports: Vec<Port>,
+    cells: Arc<Vec<Cell>>,
+    nets: Arc<Vec<Net>>,
+    ports: Arc<Vec<Port>>,
     /// True once the module's placement and routing are frozen (the paper's
     /// logic-locking step). Locked modules reject further mutation.
     pub locked: bool,
@@ -91,14 +98,14 @@ impl Module {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        let cell = &mut self.cells[id.index()];
+        let cell = &self.cells[id.index()];
         if cell.fixed {
             return Err(NetlistError::Locked(format!(
                 "{}: cell {} is fixed",
                 self.name, cell.name
             )));
         }
-        cell.placement = Some(at);
+        Arc::make_mut(&mut self.cells)[id.index()].placement = Some(at);
         Ok(())
     }
 
@@ -107,7 +114,7 @@ impl Module {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        Ok(&mut self.cells)
+        Ok(Arc::make_mut(&mut self.cells).as_mut_slice())
     }
 
     /// Mutable net access for the router. Fails when locked.
@@ -115,7 +122,7 @@ impl Module {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        Ok(&mut self.nets)
+        Ok(Arc::make_mut(&mut self.nets).as_mut_slice())
     }
 
     /// Mutable port access (for partition-pin planning). Fails when locked.
@@ -123,17 +130,17 @@ impl Module {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        Ok(&mut self.ports)
+        Ok(Arc::make_mut(&mut self.ports).as_mut_slice())
     }
 
     /// Freeze placement and routing: cells become fixed, nets locked, module
     /// rejects mutation. This is the paper's logic-locking step — the final
     /// inter-module routing will then only consider non-routed nets.
     pub fn lock(&mut self) {
-        for c in &mut self.cells {
+        for c in Arc::make_mut(&mut self.cells) {
             c.fixed = true;
         }
-        for n in &mut self.nets {
+        for n in Arc::make_mut(&mut self.nets) {
             if n.route.is_some() {
                 n.locked = true;
             }
@@ -147,19 +154,19 @@ impl Module {
     /// `None` if any coordinate would leave the grid's coordinate space.
     pub fn translated(&self, dcol: i32, drow: i32) -> Option<Module> {
         let mut m = self.clone();
-        for c in &mut m.cells {
+        for c in Arc::make_mut(&mut m.cells) {
             if let Some(p) = c.placement {
                 c.placement = Some(p.translated(dcol, drow)?);
             }
         }
-        for n in &mut m.nets {
+        for n in Arc::make_mut(&mut m.nets) {
             if let Some(r) = &mut n.route {
                 for t in &mut r.tiles {
                     *t = t.translated(dcol, drow)?;
                 }
             }
         }
-        for p in &mut m.ports {
+        for p in Arc::make_mut(&mut m.ports) {
             if let Some(pp) = p.partpin {
                 p.partpin = Some(pp.translated(dcol, drow)?);
             }
@@ -191,7 +198,7 @@ impl Module {
     /// Structural validation: all endpoints resolve, sources drive, sinks
     /// receive.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for net in &self.nets {
+        for net in self.nets.iter() {
             if net.sinks.is_empty() {
                 return Err(NetlistError::BadNet(format!(
                     "{}: net {} has no sinks",
@@ -257,9 +264,9 @@ impl ModuleBuilder {
         ModuleBuilder {
             module: Module {
                 name: name.into(),
-                cells: Vec::new(),
-                nets: Vec::new(),
-                ports: Vec::new(),
+                cells: Arc::default(),
+                nets: Arc::default(),
+                ports: Arc::default(),
                 locked: false,
                 pblock: None,
                 clock_prerouted: false,
@@ -270,7 +277,7 @@ impl ModuleBuilder {
     /// Add a cell, returning its id.
     pub fn cell(&mut self, cell: Cell) -> CellId {
         let id = CellId(self.module.cells.len() as u32);
-        self.module.cells.push(cell);
+        Arc::make_mut(&mut self.module.cells).push(cell);
         id
     }
 
@@ -287,7 +294,7 @@ impl ModuleBuilder {
     /// Add a fully specified port.
     pub fn port(&mut self, port: Port) -> PortId {
         let id = PortId(self.module.ports.len() as u32);
-        self.module.ports.push(port);
+        Arc::make_mut(&mut self.module.ports).push(port);
         id
     }
 
@@ -304,7 +311,7 @@ impl ModuleBuilder {
     /// Add a fully specified net.
     pub fn net(&mut self, net: Net) -> NetId {
         let id = NetId(self.module.nets.len() as u32);
-        self.module.nets.push(net);
+        Arc::make_mut(&mut self.module.nets).push(net);
         id
     }
 
@@ -398,6 +405,85 @@ mod tests {
         assert_eq!(t.pblock, Some(Pblock::new(10, 15, 20, 25)));
         // Underflow is rejected.
         assert!(m.translated(-2, 0).is_none());
+    }
+
+    #[test]
+    fn a_clone_of_a_locked_module_shares_storage() {
+        let mut m = two_cell_module();
+        m.lock();
+        let c = m.clone();
+        assert_eq!(c.cells().as_ptr(), m.cells().as_ptr());
+        assert_eq!(c.nets().as_ptr(), m.nets().as_ptr());
+        assert_eq!(c.ports().as_ptr(), m.ports().as_ptr());
+    }
+
+    #[test]
+    fn writes_to_a_clone_never_show_through_the_original() {
+        let mut original = two_cell_module();
+        original
+            .set_placement(CellId(0), TileCoord::new(1, 1))
+            .unwrap();
+        original
+            .set_placement(CellId(1), TileCoord::new(3, 4))
+            .unwrap();
+        original.ports_mut().unwrap()[0].partpin = Some(TileCoord::new(0, 2));
+        let before = serde_json::to_string(&original).unwrap();
+        type Write = (&'static str, fn(&mut Module));
+        let writes: [Write; 6] = [
+            ("set_placement", |m| {
+                m.set_placement(CellId(0), TileCoord::new(5, 5)).unwrap()
+            }),
+            ("cells_mut", |m| m.cells_mut().unwrap()[1].placement = None),
+            ("nets_mut", |m| m.nets_mut().unwrap()[0].name.push('x')),
+            ("ports_mut", |m| m.ports_mut().unwrap()[0].partpin = None),
+            ("lock", Module::lock),
+            ("translated", |m| *m = m.translated(2, 3).unwrap()),
+        ];
+        for (what, write) in writes {
+            let mut clone = original.clone();
+            write(&mut clone);
+            assert_ne!(
+                serde_json::to_string(&clone).unwrap(),
+                before,
+                "{what} changed nothing"
+            );
+            assert_eq!(
+                serde_json::to_string(&original).unwrap(),
+                before,
+                "{what} showed through"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_storage_serializes_like_plain_vectors() {
+        #[derive(Serialize)]
+        struct Plain {
+            name: String,
+            cells: Vec<Cell>,
+            nets: Vec<Net>,
+            ports: Vec<Port>,
+            locked: bool,
+            pblock: Option<Pblock>,
+            clock_prerouted: bool,
+        }
+        let mut m = two_cell_module();
+        m.set_placement(CellId(0), TileCoord::new(1, 1)).unwrap();
+        m.pblock = Some(Pblock::new(0, 5, 0, 5));
+        m.lock();
+        let json = serde_json::to_string(&m).unwrap();
+        let plain = Plain {
+            name: m.name.clone(),
+            cells: m.cells().to_vec(),
+            nets: m.nets().to_vec(),
+            ports: m.ports().to_vec(),
+            locked: m.locked,
+            pblock: m.pblock,
+            clock_prerouted: m.clock_prerouted,
+        };
+        assert_eq!(json, serde_json::to_string(&plain).unwrap());
+        let back: Module = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -17,14 +17,17 @@
 //!   hasher, so any knob change that would alter a checkpoint changes the
 //!   key and misses cleanly instead of serving a stale artifact.
 //! * **Content addressing** — each object file name carries its key, and
-//!   the manifest records the checkpoint's content hash; on *every* lookup
-//!   the bytes just read are hashed and compared against it before
-//!   anything is served.
+//!   the manifest records the checkpoint's content hash (XXH64 of the
+//!   payload bytes, [`pi_netlist::xxh64`]); on *every* lookup the bytes
+//!   just read are hashed and compared against it before anything is
+//!   served. The hash runs on raw bytes: UTF-8 is validated only where a
+//!   payload is decoded, so a file that is not text is `corrupt`.
 //! * **Decode once** — a verified payload is decoded at most once per
 //!   process: a bounded process-wide memo keyed by (content hash, payload
-//!   length) serves later lookups a clone. It is consulted only *after*
-//!   the byte hash matched the manifest, so a file that rots on disk is
-//!   still quarantined on its next lookup.
+//!   length) serves later lookups a clone, which shares the memoized
+//!   module's copy-on-write storage instead of copying it. The memo is
+//!   consulted only *after* the byte hash matched the manifest, so a file
+//!   that rots on disk is still quarantined on its next lookup.
 //! * **Atomicity** — objects and the manifest are written to a temp file
 //!   and renamed into place, so a crash mid-write can at worst leave a
 //!   stray temp file, never a half-written entry behind a valid name.
@@ -55,21 +58,22 @@
 use crate::db::{sanitize, write_atomic};
 use crate::lock::{LockFile, DEFAULT_LOCK_TIMEOUT};
 use crate::StitchError;
-use pi_netlist::{fnv1a64, Checkpoint, NetlistError, StableHasher, CHECKPOINT_FORMAT_VERSION};
+use pi_netlist::{xxh64, Checkpoint, NetlistError, StableHasher, CHECKPOINT_FORMAT_VERSION};
 use pi_obs::Obs;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// On-disk manifest format version; bumped when the manifest shape
 /// changes. A mismatched manifest is quarantined wholesale and the cache
 /// restarts empty (entries rebuild on demand). Version 2 added the
-/// `generation` clock and per-entry `last_used` recency for LRU eviction.
-pub const MANIFEST_VERSION: u32 = 2;
+/// `generation` clock and per-entry `last_used` recency for LRU eviction;
+/// version 3 changed `content_hash` from FNV-1a to XXH64.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// File names inside the cache root.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -161,7 +165,7 @@ struct Memo {
     bound: u64,
     bytes: u64,
     clock: u64,
-    slots: BTreeMap<PayloadId, (Arc<Checkpoint>, u64)>,
+    slots: BTreeMap<PayloadId, (Checkpoint, u64)>,
 }
 
 impl Memo {
@@ -174,16 +178,16 @@ impl Memo {
         }
     }
 
-    fn get(&mut self, id: PayloadId) -> Option<Arc<Checkpoint>> {
+    fn get(&mut self, id: PayloadId) -> Option<Checkpoint> {
         self.clock += 1;
         let (cp, used) = self.slots.get_mut(&id)?;
         *used = self.clock;
-        Some(Arc::clone(cp))
+        Some(cp.clone())
     }
 
     /// Keep `cp` unless it alone exceeds the bound; evict oldest-used
     /// entries until the rest fits.
-    fn put(&mut self, id: PayloadId, cp: Arc<Checkpoint>) {
+    fn put(&mut self, id: PayloadId, cp: Checkpoint) {
         if id.1 > self.bound {
             return;
         }
@@ -213,23 +217,20 @@ fn memo() -> std::sync::MutexGuard<'static, Memo> {
     MEMO.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The read-only half of a lookup: read the object file, split the
+/// The read-only half of a lookup: read the object file's bytes, split the
 /// envelope, verify the payload bytes against the manifest's content hash,
 /// and only then serve the decoded checkpoint (from the memo when this
 /// process has decoded these bytes before). Errors are the invalidation
-/// reason.
-fn load_verified(
-    root: &Path,
-    entry: &ManifestEntry,
-) -> Result<(Arc<Checkpoint>, u64), &'static str> {
+/// reason; only a failed read is `missing_file`.
+fn load_verified(root: &Path, entry: &ManifestEntry) -> Result<(Checkpoint, u64), &'static str> {
     let path = root.join(OBJECTS_DIR).join(&entry.file);
-    let text = std::fs::read_to_string(path).map_err(|_| "missing_file")?;
-    let payload = Checkpoint::versioned_payload(&text).map_err(|e| match e {
+    let file = std::fs::read(path).map_err(|_| "missing_file")?;
+    let payload = Checkpoint::versioned_payload(&file).map_err(|e| match e {
         NetlistError::FormatVersion { .. } => "stale_version",
         _ => "corrupt",
     })?;
-    let decode = || serde_json::from_str::<Checkpoint>(payload).map_err(|_| "corrupt");
-    let hash = fnv1a64(payload.as_bytes());
+    let decode = || Checkpoint::from_payload(payload).map_err(|_| "corrupt");
+    let hash = xxh64(payload);
     if format!("{hash:016x}") != entry.content_hash {
         // Failure path only: decoding tells bytes that still form a
         // checkpoint (altered) from bytes that do not (truncated, torn).
@@ -237,15 +238,15 @@ fn load_verified(
         return Err("hash_mismatch");
     }
     let id = (hash, payload.len() as u64);
-    let bytes = text.len() as u64;
+    let bytes = file.len() as u64;
     if let Some(cp) = memo().get(id) {
         return Ok((cp, bytes));
     }
     // Decoded outside the lock: two threads missing at the same instant
     // both decode, and the second `put` replaces the first.
-    let cp = Arc::new(decode()?);
+    let cp = decode()?;
     DECODES.fetch_add(1, Ordering::Relaxed);
-    memo().put(id, Arc::clone(&cp));
+    memo().put(id, cp.clone());
     Ok((cp, bytes))
 }
 
@@ -415,7 +416,7 @@ impl DbCache {
             .map(|key| match loaded.get(key.as_ref()) {
                 None => CacheLookup::Miss,
                 Some(Ok((checkpoint, bytes))) => CacheLookup::Hit {
-                    checkpoint: Box::new(Checkpoint::clone(checkpoint)),
+                    checkpoint: Box::new(checkpoint.clone()),
                     bytes: *bytes,
                 },
                 Some(&Err(reason)) => {
@@ -499,7 +500,7 @@ impl DbCache {
     /// the cache fits (the just-inserted entry is never its own victim).
     pub fn insert(&mut self, key: &str, cp: &Checkpoint, obs: &Obs) -> Result<(), StitchError> {
         let json = cp.to_versioned_json()?;
-        let content_hash = fnv1a64(Checkpoint::versioned_payload(&json)?.as_bytes());
+        let content_hash = xxh64(Checkpoint::versioned_payload(json.as_bytes())?);
         let mut prefix = sanitize(&cp.meta.signature);
         prefix.truncate(64);
         let file = format!("{prefix}-{key}.dcp.json");
@@ -803,9 +804,9 @@ mod tests {
     fn memo_residency_never_exceeds_its_bound() {
         let one = 1000;
         let mut memo = Memo::new(3 * one);
-        let cp = Arc::new(checkpoint("memo"));
+        let cp = checkpoint("memo");
         for id in 0..4 {
-            memo.put((id, one), Arc::clone(&cp));
+            memo.put((id, one), cp.clone());
             assert!(memo.bytes <= memo.bound);
         }
         assert_eq!(memo.bytes, 3 * one);
@@ -815,7 +816,7 @@ mod tests {
         );
         // A touch protects an entry from the next eviction.
         assert!(memo.get((1, one)).is_some());
-        memo.put((4, one), Arc::clone(&cp));
+        memo.put((4, one), cp.clone());
         assert!(memo.get((1, one)).is_some());
         assert!(memo.get((2, one)).is_none());
         // An entry larger than the whole bound is not kept at all.

@@ -124,7 +124,7 @@ pub(crate) fn sanitize(sig: &str) -> String {
 }
 
 /// Collision-free file stem for a signature: a length-capped sanitized
-/// prefix for human readability plus the FNV-1a hash of the *raw*
+/// prefix for human readability plus the XXH64 hash of the *raw*
 /// signature. Signatures like `pool_w2s2+relu` and `pool_w2s2_relu`
 /// sanitize identically but hash apart, so `save_dir` can never silently
 /// overwrite one with the other; the cap keeps arbitrarily long signatures
@@ -132,7 +132,7 @@ pub(crate) fn sanitize(sig: &str) -> String {
 pub(crate) fn file_stem(sig: &str) -> String {
     let mut prefix = sanitize(sig);
     prefix.truncate(96); // sanitized text is pure ASCII, so this is safe
-    format!("{prefix}-{:016x}", pi_netlist::fnv1a64(sig.as_bytes()))
+    format!("{prefix}-{:016x}", pi_netlist::xxh64(sig.as_bytes()))
 }
 
 /// Name prefix of [`write_atomic`]'s temp files.

@@ -7,7 +7,7 @@
 
 use preimpl_cnn::fabric::Pblock;
 use preimpl_cnn::netlist::{
-    fnv1a64, Cell, CellKind, Checkpoint, CheckpointMeta, Endpoint, ModuleBuilder, StreamRole,
+    xxh64, Cell, CellKind, Checkpoint, CheckpointMeta, Endpoint, ModuleBuilder, StreamRole,
 };
 use preimpl_cnn::obs::{MemorySink, Obs};
 use preimpl_cnn::prelude::FlowConfig;
@@ -122,8 +122,8 @@ fn observe(
 }
 
 /// The payload slice of an envelope this build wrote.
-fn payload_of(envelope: &str) -> &str {
-    Checkpoint::versioned_payload(envelope).expect("own envelope splits")
+fn payload_of(envelope: &str) -> &[u8] {
+    Checkpoint::versioned_payload(envelope.as_bytes()).expect("own envelope splits")
 }
 
 /// The two facts the byte-hash verification rests on, for one checkpoint:
@@ -131,7 +131,7 @@ fn payload_of(envelope: &str) -> &str {
 /// frame is byte-identical to serializing the envelope as a JSON object.
 fn assert_frame_is_canonical(cp: &Checkpoint) {
     let envelope = cp.to_versioned_json().unwrap();
-    assert_eq!(fnv1a64(payload_of(&envelope).as_bytes()), cp.content_hash());
+    assert_eq!(xxh64(payload_of(&envelope)), cp.content_hash());
     let as_object = serde_json::json!({ "format_version": 1, "checkpoint": cp });
     assert_eq!(envelope, serde_json::to_string(&as_object).unwrap());
 }

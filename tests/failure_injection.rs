@@ -312,6 +312,73 @@ mod db_cache_faults {
         });
     }
 
+    /// A high-bit byte lands in the payload: the file still reads, but it
+    /// is no longer text. Only a failed read is `missing_file`.
+    #[test]
+    fn non_utf8_object_is_corrupt_not_missing() {
+        assert_recovers("nonutf8", "corrupt", |root, key| {
+            let path = object_path(root, key);
+            let mut bytes = std::fs::read(&path).expect("read object");
+            let mid = bytes.len() / 2;
+            bytes[mid] = 0xFF;
+            std::fs::write(&path, bytes).expect("write non-UTF-8 object");
+        });
+    }
+
+    /// A directory written before the content hash moved to XXH64: its
+    /// version-2 manifest records FNV-1a hashes of unchanged envelopes. The
+    /// cache goes cold once, announced, and never mistakes the old hashes
+    /// for corruption.
+    #[test]
+    fn version_2_manifest_goes_cold_once_without_mismatches() {
+        let (root, cfg, _, n) = populated("manifest_v2");
+        let path = root.join("manifest.json");
+        let mut manifest: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).expect("read manifest"))
+                .expect("manifest is JSON");
+        manifest["manifest_version"] = serde_json::json!(2);
+        let serde_json::Value::Seq(entries) = &mut manifest["entries"] else {
+            panic!("manifest entries are a list");
+        };
+        for entry in entries.iter_mut() {
+            let serde_json::Value::Str(file) = &entry["file"] else {
+                panic!("entry names its file");
+            };
+            let envelope = std::fs::read(root.join("objects").join(file)).expect("read object");
+            let payload = preimpl_cnn::netlist::Checkpoint::versioned_payload(&envelope)
+                .expect("envelope splits");
+            let mut fnv = preimpl_cnn::netlist::StableHasher::new();
+            fnv.write_bytes(payload);
+            entry["content_hash"] = serde_json::json!(format!("{:016x}", fnv.finish()));
+        }
+        std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap())
+            .expect("write version-2 manifest");
+
+        let device = Device::xcku5p_like();
+        let network = preimpl_cnn::cnn::models::toy();
+        let sink = Arc::new(MemorySink::new());
+        let traced = cfg.clone().with_sink(sink.clone());
+        let (_, _, stats) =
+            build_component_db_cached(&network, &device, &traced).expect("cold rebuild");
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (0, n, 0));
+        let events = sink.snapshot();
+        assert!(
+            events.iter().any(|e| e.name == "manifest_quarantined"
+                && e.fields
+                    .iter()
+                    .any(|(k, v)| k == "reason" && format!("{v:?}").contains("stale_version"))),
+            "no manifest_quarantined(stale_version) event in telemetry"
+        );
+        assert!(!events.iter().any(|e| e.name == "cache_invalidate"));
+        assert!(quarantined_names(&root)
+            .iter()
+            .any(|f| f == "manifest.json"));
+
+        let (_, _, stats) = build_component_db_cached(&network, &device, &cfg).expect("warm");
+        assert!(stats.all_hits(), "after the cold rebuild: {stats:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     /// The accepted set is exactly the canonical bytes: the same checkpoint
     /// pretty-printed is equivalent JSON, but it is quarantined and rebuilt,
     /// never served.
