@@ -34,6 +34,18 @@ if grep -nE 'pi-(synth|pnr)' crates/lint/Cargo.toml; then
     echo "pi-lint depends on a generator or the backend"; exit 1
 fi
 
+# One serialization mechanism: every JSON artifact the flow writes or reads
+# is a derived serde struct (a hand-written `Serialize` impl forwards to a
+# derived view where the wire form has computed or untagged values), so no
+# JSON tree is assembled map by map. The `crates/bench` ledger bins are
+# exempt: they read, edit and rewrite whole `BENCH_*.json` documents and
+# keep keys they do not know (`pre_pr7_baseline`), which a derive would drop.
+echo "==> serialization gate: no hand-built JSON maps"
+if grep -rnE '(Value|J)::Map\((Vec::new\(\)|vec!|root\))' \
+    crates/{obs,lint,flow,serve,model}/src src/bin; then
+    echo "hand-built JSON map above: derive Serialize on the data instead"; exit 1
+fi
+
 # Ledger gate: a `BENCH_*.json` / `BENCH_*.flowstat.txt` that a doc or this
 # script names must exist at the repository root — a citation of a ledger
 # nobody checked in is a number nobody can reproduce.

@@ -25,10 +25,12 @@ use crate::report::LatencyReport;
 use crate::FlowError;
 use pi_cnn::cycles;
 use pi_cnn::graph::Network;
-use pi_fabric::Device;
+use pi_fabric::{Device, ResourceCount};
+use pi_lint::CodeCount;
 use pi_netlist::{Design, DEFAULT_LINK_FIFO_DEPTH};
 use pi_pnr::{route_assembled_obs, CompileReport};
 use pi_stitch::{compose_obs, ComponentDb, ComposeOptions, ComposeReport};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -143,116 +145,112 @@ impl PreImplReport {
     /// determinism tests and the warm/cold CI smoke compare these strings
     /// to assert a warm-cache run assembles the identical accelerator.
     pub fn deterministic_summary(&self) -> String {
-        use serde_json::Value;
-        let anchors: Vec<Value> = self
-            .compose
-            .placement
-            .anchors
-            .iter()
-            .map(|a| Value::Seq(vec![Value::U64(a.col as u64), Value::U64(a.row as u64)]))
-            .collect();
-        let signatures: Vec<Value> = self
-            .compose
-            .component_signatures
-            .iter()
-            .map(|s| Value::Str(s.clone()))
-            .collect();
-        let compose = Value::Map(vec![
-            ("component_signatures".into(), Value::Seq(signatures)),
-            ("anchors".into(), Value::Seq(anchors)),
-            (
-                "timing_cost".into(),
-                Value::F64(self.compose.placement.timing_cost),
-            ),
-            (
-                "congestion_cost".into(),
-                Value::F64(self.compose.placement.congestion_cost),
-            ),
-            (
-                "retries".into(),
-                Value::U64(self.compose.placement.retries as u64),
-            ),
-            (
-                "stitched_nets".into(),
-                Value::U64(self.compose.stitched_nets as u64),
-            ),
-        ]);
-        let c = &self.compile;
-        let compile = Value::Map(vec![
-            ("design_name".into(), Value::Str(c.design_name.clone())),
-            ("device_name".into(), Value::Str(c.device_name.clone())),
-            (
-                "critical_path_ps".into(),
-                Value::F64(c.timing.critical_path_ps),
-            ),
-            ("fmax_mhz".into(), Value::F64(c.timing.fmax_mhz)),
-            ("resources".into(), serde_json::to_value(&c.resources)),
-            (
-                "route_stats".into(),
-                Value::Map(vec![
-                    (
-                        "routed_nets".into(),
-                        Value::U64(c.route_stats.routed_nets as u64),
-                    ),
-                    (
-                        "trivial_nets".into(),
-                        Value::U64(c.route_stats.trivial_nets as u64),
-                    ),
-                    ("wirelength".into(), Value::U64(c.route_stats.wirelength)),
-                    (
-                        "overused_tiles".into(),
-                        Value::U64(c.route_stats.overused_tiles as u64),
-                    ),
-                    (
-                        "iterations".into(),
-                        Value::U64(c.route_stats.iterations as u64),
-                    ),
-                ]),
-            ),
-            ("total_wirelength".into(), Value::U64(c.total_wirelength)),
-        ]);
-        let latency = Value::Map(vec![
-            (
-                "pipeline_cycles".into(),
-                Value::U64(self.latency.pipeline_cycles),
-            ),
-            ("pipeline_ns".into(), Value::F64(self.latency.pipeline_ns)),
-            ("frame_cycles".into(), Value::U64(self.latency.frame_cycles)),
-            ("frame_ms".into(), Value::F64(self.latency.frame_ms)),
-            ("fmax_mhz".into(), Value::F64(self.latency.fmax_mhz)),
-        ]);
-        let mut root = vec![
-            ("compose".into(), compose),
-            ("compile".into(), compile),
-            ("latency".into(), latency),
-        ];
-        // Only present when a lint policy ran — summaries of lint-less
-        // runs (the warm/cold CI smoke, cache determinism tests) are
-        // unchanged by the lint subsystem existing.
-        if let Some(lint) = &self.lint {
-            let by_code: Vec<Value> = lint
-                .by_code()
-                .into_iter()
-                .map(|(code, n)| {
-                    Value::Map(vec![
-                        ("code".into(), Value::Str(code.to_string())),
-                        ("count".into(), Value::U64(n as u64)),
-                    ])
-                })
-                .collect();
-            root.push((
-                "lint".into(),
-                Value::Map(vec![
-                    ("errors".into(), Value::U64(lint.errors() as u64)),
-                    ("warnings".into(), Value::U64(lint.warnings() as u64)),
-                    ("waived".into(), Value::U64(lint.waived as u64)),
-                    ("allowed".into(), Value::U64(lint.allowed as u64)),
-                    ("by_code".into(), Value::Seq(by_code)),
-                ]),
-            ));
-        }
-        serde_json::to_string_pretty(&Value::Map(root)).expect("summary serializes")
+        let (placement, c) = (&self.compose.placement, &self.compile);
+        let rs = &c.route_stats;
+        let summary = Summary {
+            compose: ComposeSummary {
+                component_signatures: &self.compose.component_signatures,
+                anchors: placement.anchors.iter().map(|a| (a.col, a.row)).collect(),
+                timing_cost: placement.timing_cost,
+                congestion_cost: placement.congestion_cost,
+                retries: placement.retries,
+                stitched_nets: self.compose.stitched_nets,
+            },
+            compile: CompileSummary {
+                design_name: &c.design_name,
+                device_name: &c.device_name,
+                critical_path_ps: c.timing.critical_path_ps,
+                fmax_mhz: c.timing.fmax_mhz,
+                resources: &c.resources,
+                route_stats: RouteSummary {
+                    routed_nets: rs.routed_nets,
+                    trivial_nets: rs.trivial_nets,
+                    wirelength: rs.wirelength,
+                    overused_tiles: rs.overused_tiles,
+                    iterations: rs.iterations,
+                },
+                total_wirelength: c.total_wirelength,
+            },
+            latency: LatencySummary {
+                pipeline_cycles: self.latency.pipeline_cycles,
+                pipeline_ns: self.latency.pipeline_ns,
+                frame_cycles: self.latency.frame_cycles,
+                frame_ms: self.latency.frame_ms,
+                fmax_mhz: self.latency.fmax_mhz,
+            },
+            lint: self.lint.as_ref().map(|lint| LintSummary {
+                errors: lint.errors(),
+                warnings: lint.warnings(),
+                waived: lint.waived,
+                allowed: lint.allowed,
+                by_code: lint.by_code().into_iter().map(CodeCount::from).collect(),
+            }),
+        };
+        serde_json::to_string_pretty(&summary).expect("summary serializes")
     }
+}
+
+/// The wire form of [`PreImplReport::deterministic_summary`].
+#[derive(Serialize)]
+struct Summary<'a> {
+    compose: ComposeSummary<'a>,
+    compile: CompileSummary<'a>,
+    latency: LatencySummary,
+    /// Only present when a lint policy ran — summaries of lint-less runs
+    /// (the warm/cold CI smoke, cache determinism tests) are unchanged by
+    /// the lint subsystem existing.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    lint: Option<LintSummary>,
+}
+
+#[derive(Serialize)]
+struct ComposeSummary<'a> {
+    component_signatures: &'a [String],
+    /// `[col, row]` of each component, in composition order.
+    anchors: Vec<(u16, u16)>,
+    timing_cost: f64,
+    congestion_cost: f64,
+    retries: usize,
+    stitched_nets: usize,
+}
+
+#[derive(Serialize)]
+struct CompileSummary<'a> {
+    design_name: &'a str,
+    device_name: &'a str,
+    critical_path_ps: f64,
+    fmax_mhz: f64,
+    resources: &'a ResourceCount,
+    route_stats: RouteSummary,
+    total_wirelength: u64,
+}
+
+/// The deterministic subset of the router's statistics.
+#[derive(Serialize)]
+struct RouteSummary {
+    routed_nets: usize,
+    trivial_nets: usize,
+    wirelength: u64,
+    overused_tiles: usize,
+    iterations: usize,
+}
+
+#[derive(Serialize)]
+struct LatencySummary {
+    pipeline_cycles: u64,
+    pipeline_ns: f64,
+    frame_cycles: u64,
+    frame_ms: f64,
+    fmax_mhz: f64,
+}
+
+#[derive(Serialize)]
+struct LintSummary {
+    errors: usize,
+    warnings: usize,
+    waived: usize,
+    allowed: usize,
+    by_code: Vec<CodeCount>,
 }
 
 /// Run the architecture-optimization phase: compose from the database, then

@@ -365,10 +365,17 @@ impl FlowConfig {
     /// [`FlowConfig::from_json`] over an already-parsed JSON tree.
     pub fn from_json_value(value: &serde_json::Value) -> Result<FlowConfig, String> {
         let cfg = FlowConfig::from_content(value).map_err(|e| format!("config: {e}"))?;
-        if cfg.threads == Some(0) {
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// The checks a decoded config must pass beyond its field types (run
+    /// by every reader of the wire form).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.threads == Some(0) {
             return Err("config: threads must be at least 1".into());
         }
-        Ok(cfg)
+        Ok(())
     }
 }
 

@@ -27,6 +27,7 @@ use pi_pnr::{place_module_obs, route_module_obs, sta_module, PlaceOptions};
 use pi_stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
 use pi_synth::synth_component;
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// One seed's evaluation result paired with the telemetry it buffered.
@@ -495,7 +496,7 @@ pub fn build_component_db(
 
 /// Cache interaction summary from [`build_component_db_cached`]: how much
 /// of the database came off disk versus was pre-implemented this run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DbCacheStats {
     /// Components served from the persistent cache.
     pub hits: usize,
@@ -504,11 +505,11 @@ pub struct DbCacheStats {
     /// Cached entries that failed verification (truncated, stale version,
     /// hash mismatch, missing file) and were quarantined + rebuilt.
     pub invalidations: usize,
-    /// Serialized checkpoint bytes loaded on hits.
-    pub bytes_loaded: u64,
     /// Entries evicted to honor `FlowConfig::db_budget_bytes` while this
     /// run's inserts were persisted.
     pub evictions: u64,
+    /// Serialized checkpoint bytes loaded on hits.
+    pub bytes_loaded: u64,
 }
 
 impl DbCacheStats {

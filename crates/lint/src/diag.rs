@@ -15,7 +15,8 @@ use std::fmt;
 /// How serious a rendered finding is. Derived from the effective
 /// [`Level`] of the finding's code: `Deny` renders as an error, `Warn`
 /// as a warning, `Allow` suppresses the finding entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[serde(rename_all = "lowercase")]
 pub enum Severity {
     /// Advisory; does not fail a lint gate unless `--deny-warnings`.
     Warning,
@@ -366,8 +367,9 @@ pub fn lookup(code: &str) -> Option<&'static LintCode> {
 
 /// One finding. Ordering (and therefore rendered output) is fully
 /// determined by `(code, origin, message)` so reports are byte-identical
-/// regardless of the schedule that produced the findings.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// regardless of the schedule that produced the findings. Serializes as
+/// the `pilint --json` diagnostic object, fields in declaration order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// Registry code, e.g. `PL0104`.
     pub code: &'static str,

@@ -49,7 +49,7 @@ pub use engine::{fixpoint_intervals, FixpointOutcome, Interval, LintEngine};
 pub use graph::lint_network;
 pub use model::lint_model;
 pub use netlist::{lint_design_structure, lint_module};
-pub use report::LintReport;
+pub use report::{CodeCount, LintReport};
 pub use trace::lint_trace;
 
 // The physical DRC enum stays defined in `pi_stitch` (see the satellite

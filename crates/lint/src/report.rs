@@ -2,8 +2,39 @@
 //! lint passes, with rustc-style text and stable JSON renderers.
 
 use crate::diag::{Diagnostic, Level, LintConfig, Severity};
-use serde_json::Value;
+use serde::Serialize;
 use std::collections::BTreeSet;
+
+/// Findings of one code: an entry of a report's `by_code` summary, also
+/// the shape of the lint section of the flow's deterministic summary.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct CodeCount {
+    pub code: &'static str,
+    pub count: usize,
+}
+
+impl From<(&'static str, usize)> for CodeCount {
+    fn from((code, count): (&'static str, usize)) -> Self {
+        CodeCount { code, count }
+    }
+}
+
+/// The wire form of a [`LintReport`] (`pilint --json`).
+#[derive(Serialize)]
+struct ReportJson<'a> {
+    diagnostics: &'a [Diagnostic],
+    summary: SummaryJson,
+}
+
+#[derive(Serialize)]
+struct SummaryJson {
+    errors: usize,
+    warnings: usize,
+    waived: usize,
+    allowed: usize,
+    deduped: usize,
+    by_code: Vec<CodeCount>,
+}
 
 /// The outcome of running lint passes under one [`LintConfig`].
 ///
@@ -189,43 +220,18 @@ impl LintReport {
     /// reports: diagnostics are pre-sorted and the summary map uses a
     /// fixed key order.
     pub fn render_json(&self) -> String {
-        let diags: Vec<Value> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                Value::Map(vec![
-                    ("code".into(), Value::Str(d.code.to_string())),
-                    ("severity".into(), Value::Str(d.severity.to_string())),
-                    ("origin".into(), Value::Str(d.origin.clone())),
-                    ("message".into(), Value::Str(d.message.clone())),
-                ])
-            })
-            .collect();
-        let by_code: Vec<Value> = self
-            .by_code()
-            .into_iter()
-            .map(|(code, n)| {
-                Value::Map(vec![
-                    ("code".into(), Value::Str(code.to_string())),
-                    ("count".into(), Value::U64(n as u64)),
-                ])
-            })
-            .collect();
-        let root = Value::Map(vec![
-            ("diagnostics".into(), Value::Seq(diags)),
-            (
-                "summary".into(),
-                Value::Map(vec![
-                    ("errors".into(), Value::U64(self.errors() as u64)),
-                    ("warnings".into(), Value::U64(self.warnings() as u64)),
-                    ("waived".into(), Value::U64(self.waived as u64)),
-                    ("allowed".into(), Value::U64(self.allowed as u64)),
-                    ("deduped".into(), Value::U64(self.deduped as u64)),
-                    ("by_code".into(), Value::Seq(by_code)),
-                ]),
-            ),
-        ]);
-        serde_json::to_string_pretty(&root).expect("lint report serializes")
+        let json = ReportJson {
+            diagnostics: &self.diagnostics,
+            summary: SummaryJson {
+                errors: self.errors(),
+                warnings: self.warnings(),
+                waived: self.waived,
+                allowed: self.allowed,
+                deduped: self.deduped,
+                by_code: self.by_code().into_iter().map(CodeCount::from).collect(),
+            },
+        };
+        serde_json::to_string_pretty(&json).expect("lint report serializes")
     }
 }
 

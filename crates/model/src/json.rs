@@ -22,6 +22,13 @@
 //! disagreements. [`render_json`] is the canonical writer: fixed key
 //! order, sorted attributes, two-space indent — `parse → render` is
 //! byte-stable, which the property tests pin down.
+//!
+//! Unlike the flow's other JSON artifacts, neither direction is a derived
+//! serde struct. The writer lays each node out on one line, which the
+//! derived pretty printer cannot do, and the bundled `models/*.json`
+//! bytes are hashed into `pi-serve` job IDs; only its strings go through
+//! `serde_json`. The reader checks outside input, and its errors name the
+//! JSON path of the defect (`nodes[3].attrs.kernel`).
 
 use crate::Ctx;
 use pi_cnn::{
@@ -202,20 +209,9 @@ pub fn parse_json(text: &str) -> Result<JsonModel, CnnError> {
     })
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    serde_json::to_string(s).expect("strings serialize")
 }
 
 fn shape_list(s: Shape) -> String {
@@ -227,10 +223,10 @@ fn shape_list(s: Shape) -> String {
 pub fn render_json(model: &JsonModel) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"name\": \"{}\",\n", escape(&model.name)));
+    out.push_str(&format!("  \"name\": {},\n", quoted(&model.name)));
     out.push_str(&format!(
-        "  \"input\": {{\"name\": \"{}\", \"shape\": {}}},\n",
-        escape(&model.input_name),
+        "  \"input\": {{\"name\": {}, \"shape\": {}}},\n",
+        quoted(&model.input_name),
         shape_list(model.input_shape)
     ));
     out.push_str("  \"nodes\": [\n");
@@ -238,19 +234,19 @@ pub fn render_json(model: &JsonModel) -> String {
         let inputs = n
             .inputs
             .iter()
-            .map(|s| format!("\"{}\"", escape(s)))
+            .map(|s| quoted(s))
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"op\": \"{}\", \"inputs\": [{inputs}]",
-            escape(&n.name),
-            escape(&n.op)
+            "    {{\"name\": {}, \"op\": {}, \"inputs\": [{inputs}]",
+            quoted(&n.name),
+            quoted(&n.op)
         ));
         if !n.attrs.is_empty() {
             let attrs = n
                 .attrs
                 .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
+                .map(|(k, v)| format!("{}: {v}", quoted(k)))
                 .collect::<Vec<_>>()
                 .join(", ");
             out.push_str(&format!(", \"attrs\": {{{attrs}}}"));
@@ -268,7 +264,7 @@ pub fn render_json(model: &JsonModel) -> String {
     let outputs = model
         .outputs
         .iter()
-        .map(|s| format!("\"{}\"", escape(s)))
+        .map(|s| quoted(s))
         .collect::<Vec<_>>()
         .join(", ");
     out.push_str(&format!("  \"outputs\": [{outputs}]\n"));

@@ -29,6 +29,7 @@ pub mod json;
 pub mod prototxt;
 
 use pi_cnn::{CnnError, Network};
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Unsupported operator (with a nearest-supported suggestion).
@@ -41,10 +42,13 @@ pub const JOIN_CHANNEL_MISMATCH: &str = "PL0152";
 /// missing attribute, duplicate name).
 pub const MODEL_MALFORMED: &str = "PL0153";
 
-/// Which descriptor dialect a file speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which descriptor dialect a file speaks. On the wire (a `pi-serve`
+/// job) it is the lowercase name, [`ModelFormat::as_str`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum ModelFormat {
     /// The repo's own archdef text (`network` / `conv` / ... directives).
+    #[default]
     Archdef,
     /// ONNX-style JSON op graph.
     Json,
@@ -70,15 +74,6 @@ impl ModelFormat {
             ModelFormat::Archdef => "archdef",
             ModelFormat::Json => "json",
             ModelFormat::Prototxt => "prototxt",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<ModelFormat> {
-        match s {
-            "archdef" => Some(ModelFormat::Archdef),
-            "json" => Some(ModelFormat::Json),
-            "prototxt" => Some(ModelFormat::Prototxt),
-            _ => None,
         }
     }
 }

@@ -21,11 +21,18 @@
 //! metric delta; `flowstat diff --fail-on-regression` turns that into a CI
 //! gate. Fields whose key starts with `wallclock` are skipped during the
 //! fold (they are nondeterministic by convention, see
-//! [`Event::to_json`](crate::Event::to_json)), so a report folded from a
+//! [`stripped_jsonl`](crate::stripped_jsonl)), so a report folded from a
 //! live [`MemorySink`](crate::MemorySink) equals one folded from the
 //! recorded `--trace` JSONL of the same run.
+//!
+//! The JSON forms (`flowstat summarize --json`, `flowstat diff --json`)
+//! are derived serde structs. Where the wire form carries values the
+//! in-memory form derives on demand (a trace's round count, a
+//! histogram's bucket labels), a borrowed `*Json` view holds them and the
+//! type's `Serialize` impl forwards to it.
 
 use crate::{Event, EventKind, Value};
+use serde::{Content, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Number of histogram buckets: underflow (`< 0`), `[0, 1)`, then one
@@ -119,31 +126,43 @@ impl Histogram {
             .map(|(i, &c)| c as f64 * (i as f64 + 1.0))
             .sum()
     }
+}
 
-    fn to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Value::Map(Vec::new());
-        m["count"] = serde_json::Value::U64(self.count);
-        m["sum"] = serde_json::Value::F64(self.sum);
-        if self.count > 0 {
-            m["min"] = serde_json::Value::F64(self.min);
-            m["max"] = serde_json::Value::F64(self.max);
+/// The wire form of a [`Histogram`]: `min`/`max` only once a sample was
+/// recorded, and the non-empty buckets as `[label, count]` pairs.
+#[derive(Serialize)]
+struct HistogramJson {
+    count: u64,
+    sum: f64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    min: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    max: Option<f64>,
+    buckets: Vec<(String, u64)>,
+}
+
+impl Serialize for Histogram {
+    fn to_content(&self) -> Content {
+        let seen = self.count > 0;
+        HistogramJson {
+            count: self.count,
+            sum: self.sum,
+            min: seen.then_some(self.min),
+            max: seen.then_some(self.max),
+            buckets: self
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| (Self::bucket_label(i), c))
+                .collect(),
         }
-        let mut buckets = Vec::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                buckets.push(serde_json::Value::Seq(vec![
-                    serde_json::Value::Str(Self::bucket_label(i)),
-                    serde_json::Value::U64(c),
-                ]));
-            }
-        }
-        m["buckets"] = serde_json::Value::Seq(buckets);
-        m
+        .to_content()
     }
 }
 
 /// Profile statistics of one span path.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct SpanProfile {
     /// Times a span with this path was entered.
     pub count: u64,
@@ -157,16 +176,18 @@ pub struct SpanProfile {
 
 /// Counter aggregate: counters carry monotonic totals sampled at emission
 /// time, so both the sum over samples and the last sample are kept.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct CounterStats {
+    #[serde(rename = "n")]
     pub count: u64,
     pub sum: u64,
     pub last: u64,
 }
 
 /// Gauge aggregate over instantaneous measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaugeStats {
+    #[serde(rename = "n")]
     pub count: u64,
     pub last: f64,
     pub min: f64,
@@ -186,8 +207,9 @@ impl Default for GaugeStats {
 
 /// Point aggregate: occurrence count plus a fixed-bucket histogram per
 /// numeric field.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct PointStats {
+    #[serde(rename = "n")]
     pub count: u64,
     pub fields: BTreeMap<String, Histogram>,
 }
@@ -216,6 +238,33 @@ impl AnnealTrace {
 
     pub fn final_cost(&self) -> f64 {
         self.cost.last().copied().unwrap_or(0.0)
+    }
+}
+
+/// The wire form of an [`AnnealTrace`], summary first.
+#[derive(Serialize)]
+struct AnnealJson<'a> {
+    seed: u64,
+    rounds: u64,
+    initial_cost: f64,
+    final_cost: f64,
+    accepted: u64,
+    rejected: u64,
+    cost: &'a [f64],
+}
+
+impl Serialize for AnnealTrace {
+    fn to_content(&self) -> Content {
+        AnnealJson {
+            seed: self.seed,
+            rounds: self.rounds(),
+            initial_cost: self.initial_cost(),
+            final_cost: self.final_cost(),
+            accepted: self.accepted,
+            rejected: self.rejected,
+            cost: &self.cost,
+        }
+        .to_content()
     }
 }
 
@@ -251,9 +300,38 @@ impl RouteTrace {
     }
 }
 
+/// The wire form of a [`RouteTrace`], summary first.
+#[derive(Serialize)]
+struct RouteJson<'a> {
+    iters: u64,
+    final_overused: u64,
+    ripups: u64,
+    expansions: u64,
+    steiner_segments: u64,
+    criticality_reroutes: u64,
+    parallel_conflicts: u64,
+    passes: &'a [(u64, u64, u64)],
+}
+
+impl Serialize for RouteTrace {
+    fn to_content(&self) -> Content {
+        RouteJson {
+            iters: self.iters(),
+            final_overused: self.final_overused(),
+            ripups: self.total_ripups(),
+            expansions: self.total_expansions(),
+            steiner_segments: self.steiner_segments,
+            criticality_reroutes: self.criticality_reroutes,
+            parallel_conflicts: self.parallel_conflicts,
+            passes: &self.passes,
+        }
+        .to_content()
+    }
+}
+
 /// One firing of the stitch placer's unplace-and-retry loop
 /// (`stitch::placer` `threshold_retry`).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct StitchRetry {
     pub component: String,
     pub step: u64,
@@ -300,6 +378,45 @@ pub struct RunReport {
     pub route: Vec<RouteTrace>,
     /// Stitch-placer threshold retries, in stream order.
     pub stitch_retries: Vec<StitchRetry>,
+}
+
+/// The wire form of a [`RunReport`]: deterministic (sorted keys, no
+/// timestamps, no wall-clock aggregates), convergence traces grouped.
+#[derive(Serialize)]
+struct ReportJson<'a> {
+    events: u64,
+    seeds: &'a BTreeSet<u64>,
+    spans: &'a BTreeMap<String, SpanProfile>,
+    counters: &'a BTreeMap<String, CounterStats>,
+    gauges: &'a BTreeMap<String, GaugeStats>,
+    points: &'a BTreeMap<String, PointStats>,
+    convergence: ConvergenceJson<'a>,
+}
+
+#[derive(Serialize)]
+struct ConvergenceJson<'a> {
+    anneal: &'a [AnnealTrace],
+    route: &'a [RouteTrace],
+    stitch_retries: &'a [StitchRetry],
+}
+
+impl Serialize for RunReport {
+    fn to_content(&self) -> Content {
+        ReportJson {
+            events: self.events,
+            seeds: &self.seeds,
+            spans: &self.spans,
+            counters: &self.counters,
+            gauges: &self.gauges,
+            points: &self.points,
+            convergence: ConvergenceJson {
+                anneal: &self.anneal,
+                route: &self.route,
+                stitch_retries: &self.stitch_retries,
+            },
+        }
+        .to_content()
+    }
 }
 
 fn seg(scope: &str, name: &str) -> String {
@@ -586,110 +703,13 @@ impl RunReport {
     /// The report as a JSON tree (deterministic: sorted keys, no
     /// timestamps).
     pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value as J;
-        let mut root = J::Map(Vec::new());
-        root["events"] = J::U64(self.events);
-        root["seeds"] = J::Seq(self.seeds.iter().map(|&s| J::U64(s)).collect());
-        let mut spans = J::Map(Vec::new());
-        for (path, s) in &self.spans {
-            let mut n = J::Map(Vec::new());
-            n["count"] = J::U64(s.count);
-            n["total_events"] = J::U64(s.total_events);
-            n["self_events"] = J::U64(s.self_events);
-            spans[path.as_str()] = n;
-        }
-        root["spans"] = spans;
-        let mut counters = J::Map(Vec::new());
-        for (k, c) in &self.counters {
-            let mut n = J::Map(Vec::new());
-            n["n"] = J::U64(c.count);
-            n["sum"] = J::U64(c.sum);
-            n["last"] = J::U64(c.last);
-            counters[k.as_str()] = n;
-        }
-        root["counters"] = counters;
-        let mut gauges = J::Map(Vec::new());
-        for (k, g) in &self.gauges {
-            let mut n = J::Map(Vec::new());
-            n["n"] = J::U64(g.count);
-            n["last"] = J::F64(g.last);
-            n["min"] = J::F64(g.min);
-            n["max"] = J::F64(g.max);
-            gauges[k.as_str()] = n;
-        }
-        root["gauges"] = gauges;
-        let mut points = J::Map(Vec::new());
-        for (k, p) in &self.points {
-            let mut n = J::Map(Vec::new());
-            n["n"] = J::U64(p.count);
-            let mut fields = J::Map(Vec::new());
-            for (f, h) in &p.fields {
-                fields[f.as_str()] = h.to_json();
-            }
-            n["fields"] = fields;
-            points[k.as_str()] = n;
-        }
-        root["points"] = points;
-        let mut conv = J::Map(Vec::new());
-        conv["anneal"] = J::Seq(
-            self.anneal
-                .iter()
-                .map(|t| {
-                    let mut n = J::Map(Vec::new());
-                    n["seed"] = J::U64(t.seed);
-                    n["rounds"] = J::U64(t.rounds());
-                    n["initial_cost"] = J::F64(t.initial_cost());
-                    n["final_cost"] = J::F64(t.final_cost());
-                    n["accepted"] = J::U64(t.accepted);
-                    n["rejected"] = J::U64(t.rejected);
-                    n["cost"] = J::Seq(t.cost.iter().map(|&c| J::F64(c)).collect());
-                    n
-                })
-                .collect(),
-        );
-        conv["route"] = J::Seq(
-            self.route
-                .iter()
-                .map(|t| {
-                    let mut n = J::Map(Vec::new());
-                    n["iters"] = J::U64(t.iters());
-                    n["final_overused"] = J::U64(t.final_overused());
-                    n["ripups"] = J::U64(t.total_ripups());
-                    n["expansions"] = J::U64(t.total_expansions());
-                    n["steiner_segments"] = J::U64(t.steiner_segments);
-                    n["criticality_reroutes"] = J::U64(t.criticality_reroutes);
-                    n["parallel_conflicts"] = J::U64(t.parallel_conflicts);
-                    n["passes"] = J::Seq(
-                        t.passes
-                            .iter()
-                            .map(|&(o, r, x)| J::Seq(vec![J::U64(o), J::U64(r), J::U64(x)]))
-                            .collect(),
-                    );
-                    n
-                })
-                .collect(),
-        );
-        conv["stitch_retries"] = J::Seq(
-            self.stitch_retries
-                .iter()
-                .map(|t| {
-                    let mut n = J::Map(Vec::new());
-                    n["component"] = J::Str(t.component.clone());
-                    n["step"] = J::U64(t.step);
-                    n["score"] = J::F64(t.score);
-                    n["threshold"] = J::F64(t.threshold);
-                    n
-                })
-                .collect(),
-        );
-        root["convergence"] = conv;
-        root
+        serde_json::to_value(self)
     }
 
     /// [`RunReport::to_json`] pretty-printed (the `flowstat summarize
     /// --json` form).
     pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("report serializes")
+        serde_json::to_string_pretty(self).expect("report serializes")
     }
 
     /// Deterministic plain-text rendering (the `flowstat summarize`
@@ -874,7 +894,7 @@ impl RunReport {
 }
 
 /// One aligned metric that differs between two reports.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DiffEntry {
     pub key: String,
     /// Value in the first report (`None` = metric absent there).
@@ -918,6 +938,25 @@ pub struct ReportDiff {
     pub entries: Vec<DiffEntry>,
     /// Total metric keys compared (union of both reports).
     pub compared: usize,
+}
+
+/// The wire form of a [`ReportDiff`].
+#[derive(Serialize)]
+struct DiffJson<'a> {
+    compared: usize,
+    differing: usize,
+    entries: &'a [DiffEntry],
+}
+
+impl Serialize for ReportDiff {
+    fn to_content(&self) -> Content {
+        DiffJson {
+            compared: self.compared,
+            differing: self.entries.len(),
+            entries: &self.entries,
+        }
+        .to_content()
+    }
 }
 
 impl ReportDiff {
@@ -969,28 +1008,12 @@ impl ReportDiff {
     /// [`ReportDiff::to_json`] pretty-printed (the `flowstat diff --json`
     /// form).
     pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("diff serializes")
+        serde_json::to_string_pretty(self).expect("diff serializes")
     }
 
-    /// The diff as a JSON array (deterministic).
+    /// The diff as a JSON tree (deterministic).
     pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value as J;
-        let mut root = J::Map(Vec::new());
-        root["compared"] = J::U64(self.compared as u64);
-        root["differing"] = J::U64(self.entries.len() as u64);
-        root["entries"] = J::Seq(
-            self.entries
-                .iter()
-                .map(|e| {
-                    let mut n = J::Map(Vec::new());
-                    n["key"] = J::Str(e.key.clone());
-                    n["a"] = e.a.map(J::F64).unwrap_or(J::Null);
-                    n["b"] = e.b.map(J::F64).unwrap_or(J::Null);
-                    n
-                })
-                .collect(),
-        );
-        root
+        serde_json::to_value(self)
     }
 }
 

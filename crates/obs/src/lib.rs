@@ -17,8 +17,15 @@
 //! nondeterministic field is the microsecond timestamp `ts_us`, carried
 //! separately so it can be stripped. Two runs of the same seeded flow emit
 //! byte-identical streams once timestamps are removed —
-//! [`MemorySink::stripped_jsonl`] is exactly that comparison form.
+//! [`stripped_jsonl`] is exactly that comparison form.
+//!
+//! **Wire form**: one event is one JSON line, the derived serde form of
+//! `Line` (`{seq, ts_us, seed, scope, name, kind, fields}`); reading a
+//! line back is [`Event`]'s derived `Deserialize`. Only the `fields` map is
+//! written and read by hand, because its values are untagged scalars (see
+//! [`Value`]) and the comparison form drops its `wallclock*` keys.
 
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -79,34 +86,41 @@ impl From<String> for Value {
     }
 }
 
-impl Value {
-    fn to_json(&self) -> serde_json::Value {
+/// Written by hand, not derived: a field value is an *untagged* scalar on
+/// the wire (`7`, `-2.5`, `"x"`, `true`), which the externally tagged
+/// derive cannot express.
+impl Serialize for Value {
+    fn to_content(&self) -> Content {
         match self {
-            Value::U64(v) => serde_json::Value::U64(*v),
-            Value::I64(v) => serde_json::Value::I64(*v),
-            Value::F64(v) => serde_json::Value::F64(*v),
-            Value::Str(v) => serde_json::Value::Str(v.clone()),
-            Value::Bool(v) => serde_json::Value::Bool(*v),
+            Value::U64(v) => Content::U64(*v),
+            Value::I64(v) => Content::I64(*v),
+            Value::F64(v) => Content::F64(*v),
+            Value::Str(v) => Content::Str(v.clone()),
+            Value::Bool(v) => Content::Bool(*v),
         }
     }
+}
 
-    fn from_json(v: &serde_json::Value) -> Option<Value> {
-        Some(match v {
-            serde_json::Value::U64(n) => Value::U64(*n),
-            serde_json::Value::I64(n) => Value::I64(*n),
-            serde_json::Value::F64(n) => Value::F64(*n),
-            serde_json::Value::Str(s) => Value::Str(s.clone()),
-            serde_json::Value::Bool(b) => Value::Bool(*b),
-            // Non-finite floats serialize as null; fold them back to NaN so
-            // the field survives a round trip instead of vanishing.
-            serde_json::Value::Null => Value::F64(f64::NAN),
-            _ => return None,
+/// Written by hand, not derived: the inverse of the untagged form, plus
+/// `null` — non-finite floats serialize as null, and reading them back as
+/// NaN keeps the field instead of dropping it.
+impl Deserialize for Value {
+    fn from_content(c: &Content) -> Result<Value, DeError> {
+        Ok(match c {
+            Content::U64(n) => Value::U64(*n),
+            Content::I64(n) => Value::I64(*n),
+            Content::F64(n) => Value::F64(*n),
+            Content::Str(s) => Value::Str(s.clone()),
+            Content::Bool(b) => Value::Bool(*b),
+            Content::Null => Value::F64(f64::NAN),
+            _ => return Err(DeError::custom("non-scalar value")),
         })
     }
 }
 
 /// What an event marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum EventKind {
     /// A named phase begins. Paired with [`EventKind::SpanEnd`] by name
     /// within a scope.
@@ -121,29 +135,6 @@ pub enum EventKind {
     Gauge,
     /// A structured progress record (one iteration, one candidate, ...).
     Point,
-}
-
-impl EventKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            EventKind::SpanStart => "span_start",
-            EventKind::SpanEnd => "span_end",
-            EventKind::Counter => "counter",
-            EventKind::Gauge => "gauge",
-            EventKind::Point => "point",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<EventKind> {
-        Some(match s {
-            "span_start" => EventKind::SpanStart,
-            "span_end" => EventKind::SpanEnd,
-            "counter" => EventKind::Counter,
-            "gauge" => EventKind::Gauge,
-            "point" => EventKind::Point,
-            _ => return None,
-        })
-    }
 }
 
 /// Error parsing a recorded JSONL trace back into [`Event`]s.
@@ -167,14 +158,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One structured telemetry record.
-#[derive(Debug, Clone)]
+/// One structured telemetry record. Its derived `Deserialize` reads a
+/// line written by [`Event::to_json_line`] or [`stripped_jsonl`].
+#[derive(Debug, Clone, Deserialize)]
 pub struct Event {
     /// Monotonic sequence number, shared by every handle cloned from the
     /// same root — a total order over the run.
     pub seq: u64,
     /// Microseconds since the root handle was created. The only
-    /// nondeterministic field; strip it to compare runs.
+    /// nondeterministic field; strip it to compare runs (a stripped line
+    /// reads back as 0).
+    #[serde(default)]
     pub ts_us: u64,
     /// Seed of the computation that emitted this event.
     pub seed: u64,
@@ -182,92 +176,117 @@ pub struct Event {
     pub scope: String,
     pub name: String,
     pub kind: EventKind,
+    #[serde(default, deserialize_with = "read_fields")]
     pub fields: Vec<(String, Value)>,
 }
 
-impl Event {
-    /// JSON object for this event; `include_ts` controls whether the
-    /// nondeterministic data is present. Besides `ts_us`, fields whose key
-    /// starts with `wallclock` are nondeterministic by convention (they
-    /// carry wall-clock-derived measurements such as the stitch share) and
-    /// are stripped from the comparison form along with the timestamp.
-    pub fn to_json(&self, include_ts: bool) -> serde_json::Value {
-        let mut m = serde_json::Value::Map(Vec::new());
-        m["seq"] = serde_json::Value::U64(self.seq);
-        if include_ts {
-            m["ts_us"] = serde_json::Value::U64(self.ts_us);
-        }
-        m["seed"] = serde_json::Value::U64(self.seed);
-        m["scope"] = serde_json::Value::Str(self.scope.clone());
-        m["name"] = serde_json::Value::Str(self.name.clone());
-        m["kind"] = serde_json::Value::Str(self.kind.as_str().to_string());
-        let mut fields = serde_json::Value::Map(Vec::new());
-        for (k, v) in &self.fields {
-            if !include_ts && k.starts_with("wallclock") {
+/// The wire form of one event line, borrowed from an [`Event`].
+#[derive(Serialize)]
+struct Line<'a> {
+    seq: u64,
+    /// `None` in the comparison form.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    ts_us: Option<u64>,
+    seed: u64,
+    scope: &'a str,
+    name: &'a str,
+    kind: EventKind,
+    fields: Fields<'a>,
+}
+
+/// An event's `fields` as a JSON object.
+struct Fields<'a> {
+    fields: &'a [(String, Value)],
+    /// Drop `wallclock*` keys (the comparison form).
+    strip_wallclock: bool,
+}
+
+/// Written by hand, not derived: the fields are a list of pairs in memory
+/// but an object on the wire, with the strippable keys filtered. A
+/// repeated key keeps its first position and takes the last value, like
+/// assigning into a JSON object.
+impl Serialize for Fields<'_> {
+    fn to_content(&self) -> Content {
+        let mut m: Vec<(String, Content)> = Vec::with_capacity(self.fields.len());
+        for (k, v) in self.fields {
+            if self.strip_wallclock && k.starts_with("wallclock") {
                 continue;
             }
-            fields[k.as_str()] = v.to_json();
+            match m.iter_mut().find(|(seen, _)| seen == k) {
+                Some(slot) => slot.1 = v.to_content(),
+                None => m.push((k.clone(), v.to_content())),
+            }
         }
-        m["fields"] = fields;
-        m
+        Content::Map(m)
+    }
+}
+
+/// Decoder of the `fields` object (order kept).
+fn read_fields(c: &Content) -> Result<Vec<(String, Value)>, DeError> {
+    let Content::Map(m) = c else {
+        return Err(DeError::custom("fields is not an object"));
+    };
+    m.iter()
+        .map(|(k, v)| {
+            let v = Value::from_content(v).map_err(|e| DeError(format!("field {k}: {e}")))?;
+            Ok((k.clone(), v))
+        })
+        .collect()
+}
+
+impl Event {
+    /// The wire view; `include_ts` false is the comparison form. Besides
+    /// `ts_us`, fields whose key starts with `wallclock` are
+    /// nondeterministic by convention (they carry wall-clock-derived
+    /// measurements such as the stitch share) and are stripped from the
+    /// comparison form along with the timestamp.
+    fn line(&self, include_ts: bool) -> Line<'_> {
+        Line {
+            seq: self.seq,
+            ts_us: include_ts.then_some(self.ts_us),
+            seed: self.seed,
+            scope: &self.scope,
+            name: &self.name,
+            kind: self.kind,
+            fields: Fields {
+                fields: &self.fields,
+                strip_wallclock: !include_ts,
+            },
+        }
+    }
+
+    /// JSON object for this event; `include_ts` controls whether the
+    /// nondeterministic data is present (see [`stripped_jsonl`]).
+    pub fn to_json(&self, include_ts: bool) -> serde_json::Value {
+        serde_json::to_value(&self.line(include_ts))
     }
 
     /// One JSON line, timestamp included.
     pub fn to_json_line(&self) -> String {
-        serde_json::to_string(&self.to_json(true)).expect("event serializes")
+        serde_json::to_string(&self.line(true)).expect("event serializes")
     }
 
     /// Parse one JSON line produced by [`Event::to_json_line`] (or its
-    /// timestamp-stripped [`MemorySink::stripped_jsonl`] form — a missing
-    /// `ts_us` reads as 0).
+    /// timestamp-stripped [`stripped_jsonl`] form — a missing `ts_us`
+    /// reads as 0).
     pub fn from_json_line(line: &str) -> Result<Event, ParseError> {
-        let err = |message: String| ParseError { line: 0, message };
-        let json = serde_json::from_str(line).map_err(|e| err(format!("invalid JSON: {e}")))?;
-        let m = match &json {
-            serde_json::Value::Map(entries) => entries,
-            _ => return Err(err("event line is not a JSON object".to_string())),
-        };
-        let get = |key: &str| m.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let get_u64 = |key: &str| match get(key) {
-            Some(serde_json::Value::U64(n)) => Ok(*n),
-            Some(serde_json::Value::I64(n)) if *n >= 0 => Ok(*n as u64),
-            Some(_) => Err(err(format!("field {key} is not an unsigned integer"))),
-            None => Err(err(format!("missing field {key}"))),
-        };
-        let get_str = |key: &str| match get(key) {
-            Some(serde_json::Value::Str(s)) => Ok(s.clone()),
-            Some(_) => Err(err(format!("field {key} is not a string"))),
-            None => Err(err(format!("missing field {key}"))),
-        };
-        let kind_str = get_str("kind")?;
-        let kind = EventKind::from_str(&kind_str)
-            .ok_or_else(|| err(format!("unknown event kind {kind_str:?}")))?;
-        let mut fields = Vec::new();
-        match get("fields") {
-            Some(serde_json::Value::Map(entries)) => {
-                for (k, v) in entries {
-                    let value = Value::from_json(v)
-                        .ok_or_else(|| err(format!("field {k} has a non-scalar value")))?;
-                    fields.push((k.clone(), value));
-                }
-            }
-            Some(_) => return Err(err("fields is not an object".to_string())),
-            None => {}
-        }
-        Ok(Event {
-            seq: get_u64("seq")?,
-            ts_us: if get("ts_us").is_some() {
-                get_u64("ts_us")?
-            } else {
-                0
-            },
-            seed: get_u64("seed")?,
-            scope: get_str("scope")?,
-            name: get_str("name")?,
-            kind,
-            fields,
+        serde_json::from_str(line).map_err(|e| ParseError {
+            line: 0,
+            message: e.to_string(),
         })
     }
+}
+
+/// The determinism comparison form of `events`: JSON Lines with the
+/// timestamp and the `wallclock*` fields stripped. Two same-seed runs
+/// must produce byte-identical output.
+pub fn stripped_jsonl(events: &[Event]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&serde_json::to_string(&e.line(false)).expect("event serializes"));
+        out.push('\n');
+    }
+    out
 }
 
 /// Parse a whole JSON-Lines trace (blank lines skipped), e.g. a `--trace`
@@ -326,15 +345,9 @@ impl MemorySink {
         self.len() == 0
     }
 
-    /// The determinism comparison form: JSON Lines with the timestamp
-    /// stripped. Two same-seed runs must produce byte-identical output.
+    /// [`stripped_jsonl`] of everything recorded so far.
     pub fn stripped_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events.lock().expect("sink lock").iter() {
-            out.push_str(&serde_json::to_string(&e.to_json(false)).expect("event serializes"));
-            out.push('\n');
-        }
-        out
+        stripped_jsonl(&self.events.lock().expect("sink lock"))
     }
 }
 
@@ -593,7 +606,7 @@ impl Obs {
 /// coordinator calls [`BufferedObs::flush_into`] on each buffer **in input
 /// index order**, which replays the events through the real handle with
 /// freshly assigned sequence numbers. The resulting stream is byte-
-/// identical (in [`MemorySink::stripped_jsonl`] form) at every thread
+/// identical (in [`stripped_jsonl`] form) at every thread
 /// count, including the `PI_THREADS=1` sequential path.
 ///
 /// When the parent handle is disabled this is a no-op wrapper around the
@@ -901,10 +914,7 @@ mod tests {
             assert_eq!(parsed.kind, e.kind);
             // Values compare via JSON form: a positive I64 reads back as
             // U64, which is the same JSON scalar.
-            assert_eq!(
-                serde_json::to_string(&parsed.to_json(true)).unwrap(),
-                e.to_json_line()
-            );
+            assert_eq!(parsed.to_json_line(), e.to_json_line());
         }
         // Whole-trace parse, including the stripped form (ts_us -> 0).
         let full: String = sink

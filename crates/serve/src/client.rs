@@ -7,10 +7,9 @@
 //! deterministic, so a dropped poll loop can always be restarted.
 
 use crate::job::{JobResult, JobSpec};
-use crate::protocol::http_call;
+use crate::protocol::{http_call, Ack, ErrorBody};
 use crate::ServeError;
 use pi_obs::{Event, MemorySink, Obs};
-use serde_json::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,13 +53,7 @@ impl From<ServeError> for RemoteError {
 
 /// Pull `"error"` out of a JSON error body, falling back to the raw text.
 fn error_message(body: &str) -> String {
-    match serde_json::from_str::<Value>(body) {
-        Ok(v) => match v.get("error") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => body.to_string(),
-        },
-        Err(_) => body.to_string(),
-    }
+    serde_json::from_str::<ErrorBody>(body).map_or_else(|_| body.to_string(), |b| b.error)
 }
 
 /// Submit a job; returns the daemon-side job ID (the ID of the
@@ -74,14 +67,11 @@ pub fn submit(addr: &str, spec: &JobSpec) -> Result<String, RemoteError> {
             message: error_message(&body),
         });
     }
-    let v: Value = serde_json::from_str(&body)
-        .map_err(|e| RemoteError::Transport(ServeError::Protocol(e.to_string())))?;
-    match v.get("job_id") {
-        Some(Value::Str(id)) => Ok(id.clone()),
-        _ => Err(RemoteError::Transport(ServeError::Protocol(format!(
-            "submit ack without job_id: {body}"
-        )))),
-    }
+    serde_json::from_str::<Ack>(&body)
+        .map(|ack| ack.job_id)
+        .map_err(|e| {
+            RemoteError::Transport(ServeError::Protocol(format!("bad submit ack {body}: {e}")))
+        })
 }
 
 /// Fetch a finished job's result, or `Ok(None)` while it is still

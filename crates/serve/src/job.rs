@@ -12,22 +12,28 @@
 //! identical submissions coalesce onto one build. No wall clock anywhere
 //! near the ID: resubmitting a job tomorrow finds today's result.
 //!
+//! Both payloads are derived serde structs, like the [`FlowConfig`] they
+//! carry: no per-key reader or writer exists. A `/submit` body with a key
+//! [`JobSpec`] does not know is rejected, not ignored.
+//!
 //! [`FlowConfig`]: pi_flow::FlowConfig
 
 use pi_flow::{DbCacheStats, FlowConfig};
 use pi_model::ModelFormat;
 use pi_netlist::StableHasher;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// What the daemon should run for a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum JobCommand {
     /// Pre-implement the components (function optimization only); the
     /// result summary reports the database, no accelerator is composed.
     BuildDb,
     /// Full flow: build/load components off the shared cache, then
     /// compose and route the accelerator (the default).
+    #[default]
     Compose,
 }
 
@@ -36,14 +42,6 @@ impl JobCommand {
         match self {
             JobCommand::BuildDb => "build-db",
             JobCommand::Compose => "compose",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<JobCommand> {
-        match s {
-            "build-db" => Some(JobCommand::BuildDb),
-            "compose" => Some(JobCommand::Compose),
-            _ => None,
         }
     }
 }
@@ -68,23 +66,39 @@ impl JobStatus {
     }
 }
 
-/// A compile job (see module docs).
-#[derive(Debug, Clone)]
+/// A compile job (see module docs). Every field except `archdef` is
+/// optional on the wire: device defaults to `xcku5p-like`, command to
+/// `compose`, format to archdef, config to [`FlowConfig::default`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct JobSpec {
     /// Network description text. By default this is archdef syntax
     /// (`parse_archdef` input); [`JobSpec::format`] selects one of the
     /// `pi-model` descriptor dialects instead.
     pub archdef: String,
     /// Device catalog name (`xcku5p-like`, ...).
+    #[serde(default = "default_device")]
     pub device: String,
+    #[serde(default)]
     pub command: JobCommand,
     /// How to interpret [`JobSpec::archdef`]. `Archdef` (the default)
-    /// keeps the historical wire form and job IDs; `Json`/`Prototxt`
-    /// route the text through the `pi-model` importer.
+    /// keeps the historical wire form and job IDs — it is left off the
+    /// wire; `Json`/`Prototxt` route the text through the `pi-model`
+    /// importer.
+    #[serde(default, skip_serializing_if = "is_archdef")]
     pub format: ModelFormat,
     /// Flow configuration; carries no telemetry sink (the daemon installs
     /// its own capture per run).
+    #[serde(default)]
     pub config: FlowConfig,
+}
+
+fn default_device() -> String {
+    "xcku5p-like".to_string()
+}
+
+fn is_archdef(format: &ModelFormat) -> bool {
+    *format == ModelFormat::Archdef
 }
 
 impl JobSpec {
@@ -139,121 +153,44 @@ impl JobSpec {
 
     /// The wire form a client POSTs to `/submit`.
     pub fn to_json(&self) -> String {
-        let mut m = Value::Map(Vec::new());
-        m["archdef"] = Value::Str(self.archdef.clone());
-        m["device"] = Value::Str(self.device.clone());
-        m["command"] = Value::Str(self.command.as_str().to_string());
-        if self.format != ModelFormat::Archdef {
-            m["format"] = Value::Str(self.format.as_str().to_string());
-        }
-        m["config"] = self.config.to_json_value();
-        serde_json::to_string(&m).expect("job spec serializes")
+        serde_json::to_string(self).expect("job spec serializes")
     }
 
-    /// Parse a `/submit` body. Every field except `archdef` is optional:
-    /// device defaults to `xcku5p-like`, command to `compose`, config to
-    /// [`FlowConfig::default`].
+    /// Parse a `/submit` body (see [`JobSpec`] for the defaults).
     pub fn from_json(text: &str) -> Result<JobSpec, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("job: {e}"))?;
-        let Value::Map(_) = v else {
-            return Err("job: expected a JSON object".to_string());
-        };
-        let archdef = match v.get("archdef") {
-            Some(Value::Str(s)) => s.clone(),
-            Some(_) => return Err("job: archdef must be a string".to_string()),
-            None => return Err("job: missing archdef".to_string()),
-        };
-        let device = match v.get("device") {
-            Some(Value::Str(s)) => s.clone(),
-            None => "xcku5p-like".to_string(),
-            Some(_) => return Err("job: device must be a string".to_string()),
-        };
-        let command = match v.get("command") {
-            Some(Value::Str(s)) => {
-                JobCommand::parse(s).ok_or_else(|| format!("job: unknown command {s:?}"))?
-            }
-            None => JobCommand::Compose,
-            Some(_) => return Err("job: command must be a string".to_string()),
-        };
-        let format = match v.get("format") {
-            Some(Value::Str(s)) => {
-                ModelFormat::parse(s).ok_or_else(|| format!("job: unknown format {s:?}"))?
-            }
-            None => ModelFormat::Archdef,
-            Some(_) => return Err("job: format must be a string".to_string()),
-        };
-        let config = match v.get("config") {
-            Some(c) => FlowConfig::from_json_value(c)?,
-            None => FlowConfig::default(),
-        };
-        Ok(JobSpec {
-            archdef,
-            device,
-            command,
-            format,
-            config,
-        })
+        let spec: JobSpec = serde_json::from_str(text).map_err(|e| format!("job: {e}"))?;
+        spec.config.validate()?;
+        Ok(spec)
     }
 }
 
 /// What the daemon stores and returns for a finished job. The stored JSON
 /// string is served to every client byte-for-byte, so four clients
 /// submitting the same job read four identical responses.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobResult {
     pub job_id: String,
     /// The deterministic one-line outcome (the same line `preimpl
     /// compose` prints first).
     pub summary: String,
-    /// Timestamp-stripped JSONL telemetry of the run — feed it straight
-    /// to `flowstat summarize`/`diff`.
-    pub trace_jsonl: String,
-    /// The aggregated `flowstat` run report, rendered.
-    pub report_text: String,
     /// Cache interaction of this run against the shared tier.
     pub cache: DbCacheStats,
+    /// Timestamp-stripped JSONL telemetry of the run — feed it straight
+    /// to `flowstat summarize`/`diff`.
+    #[serde(rename = "trace")]
+    pub trace_jsonl: String,
+    /// The aggregated `flowstat` run report, rendered.
+    #[serde(rename = "report")]
+    pub report_text: String,
 }
 
 impl JobResult {
     pub fn to_json(&self) -> String {
-        let mut cache = Value::Map(Vec::new());
-        cache["hits"] = Value::U64(self.cache.hits as u64);
-        cache["misses"] = Value::U64(self.cache.misses as u64);
-        cache["invalidations"] = Value::U64(self.cache.invalidations as u64);
-        cache["evictions"] = Value::U64(self.cache.evictions);
-        cache["bytes_loaded"] = Value::U64(self.cache.bytes_loaded);
-        let mut m = Value::Map(Vec::new());
-        m["job_id"] = Value::Str(self.job_id.clone());
-        m["summary"] = Value::Str(self.summary.clone());
-        m["cache"] = cache;
-        m["trace"] = Value::Str(self.trace_jsonl.clone());
-        m["report"] = Value::Str(self.report_text.clone());
-        serde_json::to_string(&m).expect("job result serializes")
+        serde_json::to_string(self).expect("job result serializes")
     }
 
     pub fn from_json(text: &str) -> Result<JobResult, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("result: {e}"))?;
-        let str_field = |k: &str| match v.get(k) {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("result: missing string field {k}")),
-        };
-        let cache_field = |k: &str| match v.get("cache").and_then(|c| c.get(k)) {
-            Some(Value::U64(n)) => Ok(*n),
-            _ => Err(format!("result: missing cache field {k}")),
-        };
-        Ok(JobResult {
-            job_id: str_field("job_id")?,
-            summary: str_field("summary")?,
-            trace_jsonl: str_field("trace")?,
-            report_text: str_field("report")?,
-            cache: DbCacheStats {
-                hits: cache_field("hits")? as usize,
-                misses: cache_field("misses")? as usize,
-                invalidations: cache_field("invalidations")? as usize,
-                bytes_loaded: cache_field("bytes_loaded")?,
-                evictions: cache_field("evictions")?,
-            },
-        })
+        serde_json::from_str(text).map_err(|e| format!("result: {e}"))
     }
 }
 
@@ -324,6 +261,17 @@ mod tests {
         assert!(JobSpec::from_json("{}").is_err());
         assert!(JobSpec::from_json("[1,2]").is_err());
         assert!(JobSpec::from_json("{\"archdef\":\"x\",\"command\":\"explode\"}").is_err());
+        assert!(JobSpec::from_json("{\"archdef\":\"x\",\"config\":{\"threads\":0}}").is_err());
+    }
+
+    #[test]
+    fn unknown_top_level_keys_are_rejected() {
+        // A misspelt `format` must not silently import the text as archdef.
+        let err = JobSpec::from_json("{\"archdef\":\"{}\",\"fromat\":\"json\"}").unwrap_err();
+        assert!(err.contains("unknown key \"fromat\""), "{err}");
+        // Nested config keys were already checked.
+        let err = JobSpec::from_json("{\"archdef\":\"x\",\"config\":{\"sedes\":[1]}}").unwrap_err();
+        assert!(err.contains("unknown key \"sedes\""), "{err}");
     }
 
     #[test]

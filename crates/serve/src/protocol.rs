@@ -8,6 +8,7 @@
 //! timeouts so a stalled peer cannot wedge a handler thread).
 
 use crate::ServeError;
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -25,6 +26,20 @@ pub struct Request {
     pub method: String,
     pub path: String,
     pub body: String,
+}
+
+/// The `{job_id, status}` reply of `/submit`, `/status` and a pending
+/// `/result`.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct Ack {
+    pub job_id: String,
+    pub status: String,
+}
+
+/// The `{error}` body of every error reply.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct ErrorBody {
+    pub error: String,
 }
 
 /// Read a single request off an accepted connection.

@@ -13,6 +13,7 @@
 //! string every later `/result` read returns byte-for-byte.
 
 use crate::job::{JobSpec, JobStatus};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
@@ -29,8 +30,8 @@ pub enum Submit {
     Busy,
 }
 
-/// Counters the `/stats` endpoint reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Counters the `/stats` endpoint reports (its `queue` object).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct QueueStats {
     /// Total `/submit` requests accepted (including coalesced ones).
     pub submitted: u64,

@@ -30,15 +30,15 @@
 //! ([`submit_and_wait_traced`](crate::client::submit_and_wait_traced)).
 
 use crate::job::{JobCommand, JobResult, JobSpec};
-use crate::protocol::{read_request, write_response, Request};
-use crate::queue::{JobQueue, Submit};
+use crate::protocol::{read_request, write_response, Ack, ErrorBody, Request};
+use crate::queue::{JobQueue, QueueStats, Submit};
 use crate::ServeError;
 use pi_fabric::Device;
 use pi_flow::{build_component_db_cached, run_pre_implemented_flow, DbCacheStats};
 use pi_obs::registry::Registry;
 use pi_obs::Obs;
 use pi_stitch::DbCache;
-use serde_json::Value;
+use serde::Serialize;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,6 +85,49 @@ struct DbTotals {
     evictions: AtomicU64,
     bytes_loaded: AtomicU64,
     cold_builds: AtomicU64,
+}
+
+/// A snapshot of [`DbTotals`] (the `db` object of `/stats`).
+#[derive(Serialize)]
+struct DbStats {
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+    evictions: u64,
+    bytes_loaded: u64,
+    cold_builds: u64,
+}
+
+impl DbTotals {
+    fn snapshot(&self) -> DbStats {
+        let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
+        DbStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            invalidations: load(&self.invalidations),
+            evictions: load(&self.evictions),
+            bytes_loaded: load(&self.bytes_loaded),
+            cold_builds: load(&self.cold_builds),
+        }
+    }
+}
+
+/// The `/stats` body.
+#[derive(Serialize)]
+struct Stats<'a> {
+    queue: QueueStats,
+    db: DbStats,
+    workers: usize,
+    db_dir: Option<&'a PathBuf>,
+}
+
+/// The `/healthz` body: `ok` plus crate version and uptime. Both extra
+/// fields are wall-clock/build facts — nothing downstream may diff them.
+#[derive(Serialize)]
+struct Health {
+    ok: bool,
+    version: &'static str,
+    uptime_seconds: u64,
 }
 
 struct ServerState {
@@ -227,16 +270,6 @@ fn route(req: &Request, state: &ServerState) -> (u16, String, bool) {
     }
 }
 
-/// Liveness body: `ok` plus crate version and uptime. Both extra fields
-/// are wall-clock/build facts — nothing downstream may diff them.
-fn health_json(state: &ServerState) -> String {
-    format!(
-        "{{\"ok\":true,\"version\":\"{}\",\"uptime_seconds\":{}}}",
-        env!("CARGO_PKG_VERSION"),
-        state.registry.uptime_seconds()
-    )
-}
-
 /// `GET /metrics`: mirror the authoritative queue and shared-cache
 /// counters into the registry at scrape time (one source of truth — the
 /// workers only feed the histograms), then render the Prometheus text.
@@ -251,78 +284,54 @@ fn metrics_text(state: &ServerState) -> String {
     r.counter_set("pi_serve_jobs_rejected_total", q.rejected);
     r.counter_set("pi_serve_jobs_completed_total", q.completed);
     r.counter_set("pi_serve_jobs_failed_total", q.failed);
-    r.counter_set(
-        "pi_serve_db_cache_hits_total",
-        state.db.hits.load(Ordering::SeqCst),
-    );
-    r.counter_set(
-        "pi_serve_db_cache_misses_total",
-        state.db.misses.load(Ordering::SeqCst),
-    );
-    r.counter_set(
-        "pi_serve_db_cache_invalidations_total",
-        state.db.invalidations.load(Ordering::SeqCst),
-    );
-    r.counter_set(
-        "pi_serve_db_cache_evictions_total",
-        state.db.evictions.load(Ordering::SeqCst),
-    );
-    r.counter_set(
-        "pi_serve_db_cache_bytes_loaded_total",
-        state.db.bytes_loaded.load(Ordering::SeqCst),
-    );
+    let db = state.db.snapshot();
+    r.counter_set("pi_serve_db_cache_hits_total", db.hits);
+    r.counter_set("pi_serve_db_cache_misses_total", db.misses);
+    r.counter_set("pi_serve_db_cache_invalidations_total", db.invalidations);
+    r.counter_set("pi_serve_db_cache_evictions_total", db.evictions);
+    r.counter_set("pi_serve_db_cache_bytes_loaded_total", db.bytes_loaded);
     // Process-wide, not per job: fewer decodes than hits is the decode
     // memo serving repeat loads.
     r.counter_set("pi_serve_db_cache_decodes_total", DbCache::decodes());
     r.gauge_set("pi_serve_db_cache_memo_bytes", DbCache::memo_bytes() as f64);
-    r.counter_set(
-        "pi_serve_db_cold_builds_total",
-        state.db.cold_builds.load(Ordering::SeqCst),
-    );
+    r.counter_set("pi_serve_db_cold_builds_total", db.cold_builds);
     r.gauge_set("pi_serve_workers", state.options.workers.max(1) as f64);
     r.render_prometheus()
 }
 
+/// A reply body: the value's derived compact JSON form.
+fn json(body: &impl Serialize) -> String {
+    serde_json::to_string(body).expect("reply body serializes")
+}
+
 fn err_json(message: &str) -> String {
-    let mut m = Value::Map(Vec::new());
-    m["error"] = Value::Str(message.to_string());
-    serde_json::to_string(&m).expect("error serializes")
+    json(&ErrorBody {
+        error: message.to_string(),
+    })
 }
 
 fn ack_json(job_id: &str, status: &str) -> String {
-    let mut m = Value::Map(Vec::new());
-    m["job_id"] = Value::Str(job_id.to_string());
-    m["status"] = Value::Str(status.to_string());
-    serde_json::to_string(&m).expect("ack serializes")
+    json(&Ack {
+        job_id: job_id.to_string(),
+        status: status.to_string(),
+    })
+}
+
+fn health_json(state: &ServerState) -> String {
+    json(&Health {
+        ok: true,
+        version: env!("CARGO_PKG_VERSION"),
+        uptime_seconds: state.registry.uptime_seconds(),
+    })
 }
 
 fn stats_json(state: &ServerState) -> String {
-    let q = state.queue.stats();
-    let mut queue = Value::Map(Vec::new());
-    queue["submitted"] = Value::U64(q.submitted);
-    queue["unique"] = Value::U64(q.unique);
-    queue["hits"] = Value::U64(q.hits);
-    queue["rejected"] = Value::U64(q.rejected);
-    queue["completed"] = Value::U64(q.completed);
-    queue["failed"] = Value::U64(q.failed);
-    queue["queued_now"] = Value::U64(q.queued_now);
-    queue["running_now"] = Value::U64(q.running_now);
-    let mut db = Value::Map(Vec::new());
-    db["hits"] = Value::U64(state.db.hits.load(Ordering::SeqCst));
-    db["misses"] = Value::U64(state.db.misses.load(Ordering::SeqCst));
-    db["invalidations"] = Value::U64(state.db.invalidations.load(Ordering::SeqCst));
-    db["evictions"] = Value::U64(state.db.evictions.load(Ordering::SeqCst));
-    db["bytes_loaded"] = Value::U64(state.db.bytes_loaded.load(Ordering::SeqCst));
-    db["cold_builds"] = Value::U64(state.db.cold_builds.load(Ordering::SeqCst));
-    let mut m = Value::Map(Vec::new());
-    m["queue"] = queue;
-    m["db"] = db;
-    m["workers"] = Value::U64(state.options.workers.max(1) as u64);
-    m["db_dir"] = match &state.options.db_dir {
-        Some(p) => Value::Str(p.to_string_lossy().into_owned()),
-        None => Value::Null,
-    };
-    serde_json::to_string(&m).expect("stats serialize")
+    json(&Stats {
+        queue: state.queue.stats(),
+        db: state.db.snapshot(),
+        workers: state.options.workers.max(1),
+        db_dir: state.options.db_dir.as_ref(),
+    })
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
@@ -417,11 +426,7 @@ fn run_job(id: &str, spec: &JobSpec) -> Result<JobResult, String> {
             report.summary_line(&design)
         }
     };
-    let trace_jsonl: String = cfg
-        .captured_events()
-        .iter()
-        .map(|e| serde_json::to_string(&e.to_json(false)).expect("event serializes") + "\n")
-        .collect();
+    let trace_jsonl = pi_obs::stripped_jsonl(&cfg.captured_events());
     let report_text = cfg
         .run_report()
         .map(|r| r.render_text())

@@ -102,6 +102,30 @@ fn network_strategy() -> impl Strategy<Value = Network> {
         .prop_map(|(c, e, steps, fc)| build_network(c, e, &steps, fc))
 }
 
+/// Name suffixes the canonical writer must escape: a quote, a backslash,
+/// a newline, control characters below 0x20, non-ASCII text.
+const AWKWARD: &[&str] = &[
+    "\"q\"",
+    "back\\slash",
+    "new\nline\ttab\r",
+    "ctl\u{1}\u{1f}",
+    "ünï ☂ 配線",
+    "\"\\\n\u{7}é",
+];
+
+/// Append `suffix` to every name in the descriptor (model, input, nodes
+/// and every reference to them), keeping the graph intact.
+fn rename_all(model: &mut JsonModel, suffix: &str) {
+    let re = |s: &mut String| s.push_str(suffix);
+    re(&mut model.name);
+    re(&mut model.input_name);
+    for node in &mut model.nodes {
+        re(&mut node.name);
+        node.inputs.iter_mut().for_each(re);
+    }
+    model.outputs.iter_mut().for_each(re);
+}
+
 /// The four malformations the importer must locate, applied to a parsed
 /// descriptor AST.
 fn mutate(model: &mut JsonModel, kind: u8, pick: usize) {
@@ -130,6 +154,18 @@ proptest! {
         let text = to_json_descriptor(&net).unwrap();
         let model = parse_json(&text).unwrap();
         prop_assert_eq!(render_json(&model), text);
+    }
+
+    /// The same fixed point with names that need escaping: every string
+    /// is written as `serde_json` writes it and parses back unchanged.
+    #[test]
+    fn awkward_names_render_parse_render(net in network_strategy(), pick in 0..AWKWARD.len()) {
+        let mut model = parse_json(&to_json_descriptor(&net).unwrap()).unwrap();
+        rename_all(&mut model, AWKWARD[pick]);
+        let text = render_json(&model);
+        let back = parse_json(&text).unwrap();
+        prop_assert_eq!(&back, &model);
+        prop_assert_eq!(render_json(&back), text);
     }
 
     /// Importing the rendered descriptor reproduces the source network
