@@ -96,11 +96,15 @@ warm_line="$(echo "$warm_out" | grep '^assembled ')"
 [ "$cold_line" = "$warm_line" ] \
     || { echo "warm result differs: '$cold_line' vs '$warm_line'"; exit 1; }
 echo "    cold missed, warm hit, identical result: $warm_line"
-# A removed flag or subcommand must fail loudly with the usage text on
-# stderr, not be ignored.
+# A removed flag, subcommand or positional must fail loudly with the usage
+# text on stderr, not be ignored. The component database is `--db-dir`
+# only: a database directory given as a positional is a surplus argument.
 for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router-steiner off" \
     "pilint dataflow models/lenet.json --fifo-depth 8" \
-    "flowstat trend --history x"; do
+    "flowstat trend --history x" \
+    "preimpl compose $smoke_dir/arch.txt $smoke_dir/db" \
+    "pilint db $smoke_dir/db" \
+    "preimpl stats $smoke_dir/arch.txt junk"; do
     gone_err="$(cargo run --release --quiet --bin ${gone%% *} -- ${gone#* } 2>&1 >/dev/null)" \
         && { echo "removed surface was accepted: $gone"; exit 1; }
     echo "$gone_err" | grep -F "usage: ${gone%% *}" >/dev/null \
@@ -240,6 +244,24 @@ set -e
 [ "$lint_rc" -eq 2 ] \
     || { echo "broken fixture exited $lint_rc, want 2"; exit 1; }
 echo "    both models clean, broken fixture tripped the gate (exit 2)"
+
+# pilint db gate: the LeNet --db-dir cache built above lints clean through
+# the verified lookup, and a missing --db-dir is an error naming the path —
+# never an empty database, and never created (`DbCache::open` would).
+echo "==> pilint db gate: the LeNet cache lints clean, a missing --db-dir is an error"
+db_lint="$(cargo run --release --quiet --bin pilint -- \
+    db "$fs_dir/lenet.txt" --db-dir "$fs_dir/db1" --json)" \
+    || { echo "LeNet cache did not lint clean: $db_lint"; exit 1; }
+echo "$db_lint" | grep -F '"errors": 0' >/dev/null \
+    || { echo "LeNet cache JSON summary lacks zero errors: $db_lint"; exit 1; }
+missing_err="$(cargo run --release --quiet --bin pilint -- \
+    db --db-dir "$lint_dir/no_db" 2>&1 >/dev/null)" \
+    && { echo "pilint db accepted a missing --db-dir"; exit 1; }
+echo "$missing_err" | grep -F "$lint_dir/no_db" >/dev/null \
+    || { echo "missing --db-dir rejected without naming it: $missing_err"; exit 1; }
+[ ! -e "$lint_dir/no_db" ] \
+    || { echo "pilint db created the missing --db-dir"; exit 1; }
+echo "    LeNet cache clean, missing --db-dir named and not created"
 
 # Model-descriptor gate: every checked-in descriptor under models/ must
 # import and lint clean (exit 0) through `pilint model`, and the LeNet

@@ -12,9 +12,9 @@
 //!   class: a node lists any earlier nodes as inputs.
 //! * **prototxt layer configs** ([`prototxt`]) — the fpgaConvNet-style
 //!   per-layer block format (`layer { conv: { ... } activation: Relu }`).
-//!   Its folding factors and header knobs stay in the parsed AST so the
-//!   canonical writer round-trips them; the importer does not read them
-//!   (engine widths are the rate model's decision, [`pi_cnn::cycles`]).
+//!   Its folding factors and header knobs stay in the parsed AST; the
+//!   importer does not read them (engine widths are the rate model's
+//!   decision, [`pi_cnn::cycles`]).
 //!
 //! Importing normalizes the descriptor into the flow's layer vocabulary:
 //! `BatchNormalization` folds into the adjacent convolution (it is an

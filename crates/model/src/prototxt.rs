@@ -27,8 +27,9 @@
 //!
 //! Folding factors (`*_factor` keys) and header knobs do not change the
 //! architecture the flow builds — engine widths are the rate model's
-//! decision ([`pi_cnn::cycles`]) — so the AST keeps them (render → parse
-//! → render stays byte-identical) and the importer does not read them.
+//! decision ([`pi_cnn::cycles`]) — so the AST keeps them as parsed and
+//! the importer does not read them. There is no prototxt writer: the
+//! dialect is input only.
 //! Errors carry `line N` locations. Layer names are generated per kind
 //! (`conv1`, `pool1`, `relu1`, `fc1`, ...), matching the naming the
 //! bundled [`pi_cnn::models`] constructors use.
@@ -59,7 +60,7 @@ pub struct ProtoLayer {
     pub input: Option<(u32, u32, u32)>,
     pub num_outputs: Option<u32>,
     pub op: ProtoOp,
-    /// `*_factor` keys, sorted; kept for the writer, unread by the importer.
+    /// `*_factor` keys, sorted; kept as parsed, unread by the importer.
     pub folding: Vec<(String, u32)>,
     /// `activation: Relu` — appends a ReLU after the engine.
     pub relu: bool,
@@ -372,73 +373,6 @@ fn parse_engine(
     }
 }
 
-/// Canonical writer: fixed field order, folding keys sorted, four-space
-/// indent — `parse → render` is byte-stable.
-pub fn render_prototxt(model: &ProtoModel) -> String {
-    let mut out = String::new();
-    if let Some(name) = &model.name {
-        out.push_str(&format!("name: \"{name}\"\n"));
-    }
-    for (k, v) in &model.header {
-        out.push_str(&format!("{k}: {v}\n"));
-    }
-    for layer in &model.layers {
-        out.push_str("\nlayer {\n");
-        if let Some((c, h, w)) = layer.input {
-            out.push_str(&format!("    input_height: {h}\n"));
-            out.push_str(&format!("    input_width: {w}\n"));
-            out.push_str(&format!("    num_inputs: {c}\n"));
-        }
-        if let Some(n) = layer.num_outputs {
-            out.push_str(&format!("    num_outputs: {n}\n"));
-        }
-        match &layer.op {
-            ProtoOp::Conv {
-                kernel,
-                pad,
-                stride,
-            } => {
-                out.push_str("    conv: {\n");
-                out.push_str(&format!("        kernel_size: {kernel}\n"));
-                out.push_str(&format!("        pad: {pad}\n"));
-                out.push_str(&format!("        stride: {stride}\n"));
-                for (k, v) in &layer.folding {
-                    out.push_str(&format!("        {k}: {v}\n"));
-                }
-                out.push_str("    }\n");
-            }
-            ProtoOp::Pool { kind, dim, stride } => {
-                out.push_str("    pool: {\n");
-                out.push_str(&format!(
-                    "        type: {}\n",
-                    match kind {
-                        PoolKind::Max => "Max",
-                        PoolKind::Average => "Average",
-                    }
-                ));
-                out.push_str(&format!("        dim: {dim}\n"));
-                out.push_str(&format!("        stride: {stride}\n"));
-                for (k, v) in &layer.folding {
-                    out.push_str(&format!("        {k}: {v}\n"));
-                }
-                out.push_str("    }\n");
-            }
-            ProtoOp::Fc => {
-                out.push_str("    fc: {\n");
-                for (k, v) in &layer.folding {
-                    out.push_str(&format!("        {k}: {v}\n"));
-                }
-                out.push_str("    }\n");
-            }
-        }
-        if layer.relu {
-            out.push_str("    activation: Relu\n");
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Lower the linear block list into a flow [`Network`]. Layer names are
 /// generated per kind.
 pub(crate) fn to_network(model: &ProtoModel, ctx: &mut Ctx) -> Result<Network, CnnError> {
@@ -579,15 +513,6 @@ layer {
             .collect();
         assert_eq!(names, ["input", "conv1", "pool1", "relu1"]);
         assert_eq!(model.layers[0].folding, [("worker_factor".to_string(), 3)]);
-    }
-
-    #[test]
-    fn rendering_is_parse_stable() {
-        let model = parse_prototxt(CIFAR).unwrap();
-        let text = render_prototxt(&model);
-        let back = parse_prototxt(&text).unwrap();
-        assert_eq!(back, model);
-        assert_eq!(render_prototxt(&back), text);
     }
 
     #[test]

@@ -5,10 +5,9 @@ use crate::net::Route;
 use crate::port::{Direction, PortId};
 use crate::NetlistError;
 use pi_fabric::{Device, ResourceCount, TileCoord};
-use serde::{Deserialize, Serialize};
 
 /// Index of an instance within a [`Design`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub u32);
 
 impl InstId {
@@ -18,7 +17,7 @@ impl InstId {
 }
 
 /// How the design was produced — drives which implementation steps apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DesignKind {
     /// One flat netlist, everything unplaced/unrouted: the traditional
     /// monolithic flow's input.
@@ -30,7 +29,7 @@ pub enum DesignKind {
 
 /// An instance of a module in the top-level design. Module coordinates are
 /// absolute device coordinates (relocation already applied by the stitcher).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModuleInst {
     pub name: String,
     pub module: Module,
@@ -44,7 +43,7 @@ pub const DEFAULT_LINK_FIFO_DEPTH: u64 = 64;
 
 /// An inter-instance net created by the stitcher (RapidWright's
 /// `createNet` + port connection). Endpoints are (instance, port) pairs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopNet {
     pub name: String,
     pub source: (InstId, PortId),
@@ -54,21 +53,11 @@ pub struct TopNet {
     /// Pipeline registers inserted on this net (the paper's FF-insertion
     /// fix for long inter-component wires): the wire is broken into this
     /// many register-to-register segments. 1 = unpipelined.
-    #[serde(default = "default_stages")]
     pub pipeline_stages: u32,
     /// Token capacity of the link FIFO backing this net. Stitching starts
     /// every net at the standard depth; `FlowConfig::with_fifo_autosize`
     /// overwrites it with the rate model's minimum for the link.
-    #[serde(default = "default_fifo_depth")]
     pub fifo_depth: u64,
-}
-
-fn default_stages() -> u32 {
-    1
-}
-
-fn default_fifo_depth() -> u64 {
-    DEFAULT_LINK_FIFO_DEPTH
 }
 
 impl TopNet {
@@ -78,7 +67,7 @@ impl TopNet {
 }
 
 /// A top-level design: what gets implemented and reported on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Design {
     pub name: String,
     /// Catalog name of the target device.
@@ -310,26 +299,6 @@ mod tests {
         let d = Design::flat("base", "test-part", leaf("top"));
         assert_eq!(d.kind, DesignKind::Flat);
         assert_eq!(d.instances().len(), 1);
-    }
-
-    #[test]
-    fn pipeline_stages_default_to_one_and_survive_serde() {
-        let mut d = Design::new("d", "test-part", DesignKind::Assembled);
-        let a = d.add_instance("a", leaf("a"));
-        let b = d.add_instance("b", leaf("b"));
-        let (out_a, _) = d.instance(a).module.port_by_name("dout").unwrap();
-        let (in_b, _) = d.instance(b).module.port_by_name("din").unwrap();
-        d.connect_top("link", (a, out_a), vec![(b, in_b)], 8)
-            .unwrap();
-        assert_eq!(d.top_nets()[0].pipeline_stages, 1);
-        d.top_nets_mut()[0].pipeline_stages = 5;
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Design = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.top_nets()[0].pipeline_stages, 5);
-        // A serialized TopNet missing the field decodes with the default.
-        let stripped = json.replace(",\"pipeline_stages\":5", "");
-        let legacy: Design = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(legacy.top_nets()[0].pipeline_stages, 1);
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub enum PnrError {
     /// A cell or port endpoint had no physical location when one was
     /// required.
     Unplaced(String),
-    /// The router could not resolve congestion within its iteration budget.
-    RoutingCongested { overused_tiles: usize },
     /// The timing graph has a combinational cycle.
     CombinationalLoop(String),
     /// Underlying netlist error.
@@ -70,9 +68,6 @@ impl std::fmt::Display for PnrError {
                 "placement region offers {available} {kind} sites, design needs {needed}"
             ),
             PnrError::Unplaced(what) => write!(f, "missing physical location: {what}"),
-            PnrError::RoutingCongested { overused_tiles } => {
-                write!(f, "routing left {overused_tiles} tiles overused")
-            }
             PnrError::CombinationalLoop(m) => write!(f, "combinational loop through {m}"),
             PnrError::Netlist(e) => write!(f, "netlist: {e}"),
             PnrError::Fabric(e) => write!(f, "fabric: {e}"),

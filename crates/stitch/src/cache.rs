@@ -6,7 +6,7 @@
 //! directory holds:
 //!
 //! ```text
-//! <db-dir>/
+//! <root>/                the --db-dir PATH of every tool
 //!   manifest.json        versioned index: key -> file + content hash
 //!   objects/             one versioned checkpoint envelope per entry
 //!   quarantine/          corrupted / stale entries moved aside, never lost
@@ -55,7 +55,6 @@
 //! stores, budget evictions), so `--trace` output shows exactly what the
 //! cache did.
 
-use crate::db::{sanitize, write_atomic};
 use crate::lock::{LockFile, DEFAULT_LOCK_TIMEOUT};
 use crate::StitchError;
 use pi_netlist::{xxh64, Checkpoint, NetlistError, StableHasher, CHECKPOINT_FORMAT_VERSION};
@@ -248,6 +247,33 @@ fn load_verified(root: &Path, entry: &ManifestEntry) -> Result<(Checkpoint, u64)
     DECODES.fetch_add(1, Ordering::Relaxed);
     memo().put(id, cp.clone());
     Ok((cp, bytes))
+}
+
+/// Filesystem-safe rendering of a signature for an object file name:
+/// ASCII alphanumerics, `_` and `-` pass through, everything else becomes
+/// `_`. Lossy, which is why the name also carries the key.
+fn sanitize(sig: &str) -> String {
+    sig.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// Write-then-rename: the contents land under a temp name first, so a
+/// crash can never leave a torn file behind the real name.
+fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = path.with_file_name(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        path.file_name().and_then(|n| n.to_str()).unwrap_or("x")
+    ));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Move a file into `<root>/quarantine/`, degrading to deletion if the

@@ -3,7 +3,9 @@
 //! stitched design".
 //!
 //! * [`db`] — the database of pre-built checkpoints, keyed by component
-//!   signature, with a directory-backed persistent form (a folder of DCPs).
+//!   signature, in memory.
+//! * [`cache`] — its one on-disk form: a verified, content-addressed
+//!   directory of checkpoints reused across runs.
 //! * [`relocate`] — replicate/relocate a locked placed-and-routed module to
 //!   another chip location, validating columnar compatibility.
 //! * [`placer`] — congestion-aware timing-driven placement of whole

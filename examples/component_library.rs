@@ -1,4 +1,4 @@
-//! Working with the component database directly: persistence, matching,
+//! Working with the component database directly: its on-disk form, matching,
 //! relocation validity and manual composition — the RapidWright-level API
 //! the flow is built on.
 //!
@@ -12,8 +12,9 @@ use preimpl_cnn::stitch::{relocate_to, valid_anchor_columns};
 fn main() {
     let device = Device::xcku5p_like();
     let network = preimpl_cnn::cnn::models::lenet5();
-    let cfg = FlowConfig::new().with_seeds([1]);
-    let (db, _) = build_component_db(&network, &device, &cfg).expect("db builds");
+    let dir = std::env::temp_dir().join("preimpl_cnn_library_demo");
+    let cfg = FlowConfig::new().with_seeds([1]).with_db_dir(&dir);
+    let (db, _, _) = build_component_db_cached(&network, &device, &cfg).expect("db builds");
 
     // The database is keyed by component signature: kind + parameters +
     // input shape, everything that determines the hardware.
@@ -86,12 +87,16 @@ fn main() {
         report.phases.route_design
     );
 
-    // Checkpoints are plain JSON: show the on-disk form.
-    let dir = std::env::temp_dir().join("preimpl_cnn_library_demo");
-    db.save_dir(&dir).expect("saves");
-    let files = std::fs::read_dir(&dir)
+    // The on-disk form: one versioned JSON checkpoint per cache entry,
+    // named by signature and cache key, indexed by `manifest.json`.
+    let objects = dir.join("objects");
+    println!("\ncheckpoints under {}:", objects.display());
+    let mut files: Vec<String> = std::fs::read_dir(&objects)
         .expect("readable")
-        .filter_map(|e| e.ok())
-        .count();
-    println!("\nsaved {files} DCP files under {}", dir.display());
+        .filter_map(|e| Some(e.ok()?.file_name().to_string_lossy().into_owned()))
+        .collect();
+    files.sort();
+    for f in files {
+        println!("  {f}");
+    }
 }

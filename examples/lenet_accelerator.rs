@@ -1,10 +1,10 @@
 //! LeNet-5 end to end: the paper's first benchmark.
 //!
 //! Builds the component database (conv1 / pool1+relu1 / conv2 / pool2+relu2
-//! / fc1 / fc2), persists it to disk as a directory of DCP files, reloads
-//! it — the "performed exactly once, reused in several applications"
-//! workflow — then generates the accelerator and compares it with the
-//! monolithic baseline.
+//! / fc1 / fc2) into an on-disk cache, builds it again to show every
+//! checkpoint served from disk — the "performed exactly once, reused in
+//! several applications" workflow — then generates the accelerator and
+//! compares it with the monolithic baseline.
 //!
 //! ```text
 //! cargo run --release --example lenet_accelerator
@@ -17,12 +17,16 @@ fn main() {
     let network = preimpl_cnn::cnn::models::lenet5();
 
     // Function optimization with a seed sweep (the paper's performance
-    // exploration). The same config later drives the architecture phase and
-    // the monolithic baseline (which derives its synthesis mode itself).
+    // exploration), persisted to an empty cache directory. The same config
+    // later drives the architecture phase and the monolithic baseline
+    // (which derives its synthesis mode itself).
+    let dir = std::env::temp_dir().join("preimpl_cnn_lenet_db");
+    std::fs::remove_dir_all(&dir).ok();
     let cfg = FlowConfig::new()
         .with_synth(SynthOptions::lenet_like())
-        .with_seeds([1, 2, 3]);
-    let (db, reports) = build_component_db(&network, &device, &cfg).expect("db builds");
+        .with_seeds([1, 2, 3])
+        .with_db_dir(&dir);
+    let (_, reports, cold) = build_component_db_cached(&network, &device, &cfg).expect("db builds");
     println!("pre-implemented components (Table III exploration):");
     for r in &reports {
         println!(
@@ -31,15 +35,16 @@ fn main() {
         );
     }
 
-    // Persist and reload the database — checkpoints are inspectable JSON
-    // DCPs on disk.
-    let dir = std::env::temp_dir().join("preimpl_cnn_lenet_db");
-    db.save_dir(&dir).expect("db saves");
-    let db = ComponentDb::load_dir(&dir).expect("db reloads");
+    // Reuse: the same knobs again, and every checkpoint comes off disk,
+    // verified against its content hash, with no pre-implementation.
+    let (db, _, warm) = build_component_db_cached(&network, &device, &cfg).expect("db reloads");
+    assert!(warm.all_hits());
     println!(
-        "\ndatabase persisted to {} ({} checkpoints)",
+        "\ndatabase in {}: cold run {} misses, warm run {} hits ({} bytes loaded)",
         dir.display(),
-        db.len()
+        cold.misses,
+        warm.hits,
+        warm.bytes_loaded
     );
 
     // Generate the accelerator.

@@ -34,6 +34,15 @@ const FLAGS: &[Flag] = &[
     Flag::value("--top"),
 ];
 
+/// `diff` reads two traces, every other subcommand one.
+fn positionals(args: &cli::Cli) -> usize {
+    if args.command == "diff" {
+        2
+    } else {
+        1
+    }
+}
+
 fn load_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let events = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -55,7 +64,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = cli::parse(FLAGS, USAGE)?;
+    let args = cli::parse(FLAGS, positionals, USAGE)?;
     match args.command.as_str() {
         "summarize" => {
             let path = args.positional(0, "trace.jsonl", USAGE)?;

@@ -65,12 +65,17 @@ fn main() -> ExitCode {
     cli::run_main(run)
 }
 
+/// `submit` takes an archdef and `trace` a job ID; the rest take none.
+fn positionals(args: &Cli) -> usize {
+    usize::from(matches!(args.command.as_str(), "submit" | "trace"))
+}
+
 fn addr(args: &Cli) -> &str {
     args.value("--addr").unwrap_or(DEFAULT_ADDR)
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = cli::parse(FLAGS, USAGE)?;
+    let args = cli::parse(FLAGS, positionals, USAGE)?;
     match args.command.as_str() {
         "serve" => {
             let mut options = ServerOptions {

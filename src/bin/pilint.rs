@@ -1,13 +1,13 @@
 //! `pilint` — static-analysis front door for the pre-implemented flow.
 //!
 //! ```text
-//! pilint archdef  <file>               lint a CNN architecture definition
-//! pilint model    <file>               import + lint a model descriptor (.json/.prototxt)
-//! pilint dataflow <file>               fixpoint FIFO/deadlock/rate analysis (PL04xx)
-//! pilint db       <db-dir> [archdef]   lint a checkpoint database (+ coverage)
-//! pilint design   <archdef> <db-dir>   run the flow's assembly, report its DRC verdict + design lints
-//! pilint trace    <trace.jsonl>        lint a recorded telemetry stream
-//! pilint codes                         print the lint-code registry
+//! pilint archdef  <file>                      lint a CNN architecture definition
+//! pilint model    <file>                      import + lint a model descriptor (.json/.prototxt)
+//! pilint dataflow <file>                      fixpoint FIFO/deadlock/rate analysis (PL04xx)
+//! pilint db       [archdef] --db-dir PATH     lint a component database (+ coverage)
+//! pilint design   <archdef> --db-dir PATH     run the flow's assembly, report its DRC verdict + design lints
+//! pilint trace    <trace.jsonl>               lint a recorded telemetry stream
+//! pilint codes                                print the lint-code registry
 //! ```
 //!
 //! All lint commands accept `--json`, `--deny-warnings`, `--waivers FILE`,
@@ -25,6 +25,16 @@
 //! (64); `--autosize` lints against the depths
 //! `FlowConfig::with_fifo_autosize` would install instead.
 //!
+//! `db` and `design` read the component database `preimpl --db-dir`
+//! writes, through the same verified lookup the flow uses: every entry is
+//! hashed against its manifest row before it is linted, and one that fails
+//! is quarantined, named on stderr and left out of the lint. Reading is a
+//! lookup, so it touches each entry's LRU recency. Entries with one
+//! signature (built for other devices or knobs) collapse to the last in
+//! key order. A `--db-dir` that holds no `manifest.json` (missing, or
+//! not a cache) is an error, not an empty database, and is left as it
+//! was.
+//!
 //! Waivers that match no finding are themselves flagged (`PL0001`) on the
 //! merged report of each run.
 //!
@@ -37,12 +47,13 @@ use preimpl_cnn::cli::{self, Cli, Flag};
 use preimpl_cnn::exit;
 use preimpl_cnn::lint::{lookup, parse_waivers, Level, LintConfig, LintEngine, LintReport};
 use preimpl_cnn::prelude::*;
+use preimpl_cnn::stitch::{CacheLookup, MANIFEST_FILE};
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: pilint <archdef|model|dataflow|db|design|trace|codes> <inputs...> [--block] [--json] \
-                     [--deny-warnings] [--waivers FILE] [--allow CODE] [--warn CODE] \
-                     [--deny CODE] [--device NAME] [--threads N] [--autosize]";
+    "usage: pilint <archdef|model|dataflow|db|design|trace|codes> <input> [--db-dir PATH] \
+                     [--block] [--json] [--deny-warnings] [--waivers FILE] [--allow CODE] \
+                     [--warn CODE] [--deny CODE] [--device NAME] [--threads N] [--autosize]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--block"),
@@ -55,7 +66,14 @@ const FLAGS: &[Flag] = &[
     Flag::value("--deny"),
     Flag::value("--device"),
     Flag::value("--threads"),
+    Flag::value("--db-dir"),
 ];
+
+/// `codes` takes nothing, every other subcommand one input (optional for
+/// `db`).
+fn positionals(args: &Cli) -> usize {
+    usize::from(args.command != "codes")
+}
 
 fn lint_config(args: &Cli) -> Result<LintConfig, String> {
     let mut cfg = LintConfig::new().with_deny_warnings(args.switch("--deny-warnings"));
@@ -76,6 +94,45 @@ fn lint_config(args: &Cli) -> Result<LintConfig, String> {
         cfg = cfg.with_waivers(parse_waivers(&text).map_err(|e| format!("{path}: {e}"))?);
     }
     Ok(cfg)
+}
+
+/// The `--db-dir` component database: every entry that passes the cache's
+/// hash check, in key order; one that fails is quarantined and reported.
+fn load_db(args: &Cli) -> Result<ComponentDb, String> {
+    let dir = args
+        .value("--db-dir")
+        .ok_or_else(|| format!("missing --db-dir PATH\n{USAGE}"))?;
+    // `DbCache::open` creates what is missing, so a path without a
+    // manifest (absent, or a plain directory of checkpoints) is refused
+    // before it is opened.
+    if !std::path::Path::new(dir).join(MANIFEST_FILE).is_file() {
+        return Err(format!(
+            "{dir}: no component database there (no {MANIFEST_FILE})"
+        ));
+    }
+    let obs = Obs::null();
+    let mut cache = DbCache::open(dir, &obs).map_err(|e| format!("{dir}: {e}"))?;
+    let entries: Vec<(String, String)> = cache
+        .keys()
+        .map(|k| {
+            (
+                k.to_string(),
+                cache.signature_of(k).unwrap_or("").to_string(),
+            )
+        })
+        .collect();
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    let mut db = ComponentDb::new();
+    for ((key, signature), lookup) in entries.iter().zip(cache.lookup_all(&keys, &obs)) {
+        match lookup {
+            CacheLookup::Hit { checkpoint, .. } => db.insert(*checkpoint),
+            CacheLookup::Invalidated { reason } => {
+                eprintln!("pilint: quarantined {signature} (key {key}): {reason}, not linted")
+            }
+            CacheLookup::Miss => {}
+        }
+    }
+    Ok(db)
 }
 
 fn load_network(path: &str) -> Result<Network, String> {
@@ -107,7 +164,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = cli::parse(FLAGS, USAGE)?;
+    let args = cli::parse(FLAGS, positionals, USAGE)?;
     if let Some(n) = args.threads()? {
         preimpl_cnn::flow::FlowConfig::new()
             .with_threads(n)
@@ -169,10 +226,9 @@ fn run() -> Result<ExitCode, String> {
             }
         }
         "db" => {
-            let dir = args.positional(0, "db-dir", USAGE)?;
             let device = Device::catalog(args.device()).map_err(|e| e.to_string())?;
-            let db = ComponentDb::load_dir(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
-            let mut report = match args.positional.get(1) {
+            let db = load_db(&args)?;
+            let mut report = match args.positional.first() {
                 Some(archdef) => {
                     let network = load_network(archdef)?;
                     engine.lint_db_for_network(&network, granularity, &db, Some(&device), &obs)
@@ -193,10 +249,9 @@ fn run() -> Result<ExitCode, String> {
         }
         "design" => {
             let archdef = args.positional(0, "archdef", USAGE)?;
-            let dir = args.positional(1, "db-dir", USAGE)?;
             let device = Device::catalog(args.device()).map_err(|e| e.to_string())?;
             let network = load_network(archdef)?;
-            let db = ComponentDb::load_dir(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+            let db = load_db(&args)?;
             let mut report = engine.lint_network(&network, granularity, &obs);
             let coverage =
                 engine.lint_db_for_network(&network, granularity, &db, Some(&device), &obs);

@@ -1,12 +1,12 @@
 //! `preimpl` — command-line driver for the pre-implemented CNN flow.
 //!
 //! ```text
-//! preimpl stats     <archdef>                      network statistics (Table I style)
-//! preimpl build-db  <archdef> <db-dir> [--block]   pre-implement components into a DCP directory
-//! preimpl compose   <archdef> <db-dir> [--block]   generate the accelerator from checkpoints
-//! preimpl baseline  <archdef>          [--block]   run the traditional monolithic flow
-//! preimpl floorplan <archdef> <db-dir> [--block]   render the assembled floorplan
-//! preimpl devices                                  list the device catalog
+//! preimpl stats     <archdef>                         network statistics (Table I style)
+//! preimpl build-db  <archdef> --db-dir PATH [--block] pre-implement every component into the database
+//! preimpl compose   <archdef> [--block]               generate the accelerator from checkpoints
+//! preimpl baseline  <archdef> [--block]               run the traditional monolithic flow
+//! preimpl floorplan <archdef> [--block]               render the assembled floorplan
+//! preimpl devices                                     list the device catalog
 //! ```
 //!
 //! All commands accept `--device <name>` (default `xcku5p-like`),
@@ -18,11 +18,13 @@
 //! traces), `--lint` (run the `pi-lint` stage-boundary passes; adds a
 //! lint summary to the output and, with `--deny-warnings`, turns any
 //! warning into a gate failure — exit code 2, matching `pilint` and
-//! `flowstat diff`), `--db-dir <path>` (persistent content-addressed
-//! component cache: checkpoints keyed by signature + device +
-//! implementation knobs are reused across runs instead of
-//! re-implemented; with it, `compose` and `floorplan` need no positional
-//! `<db-dir>` and build misses on demand), `--db-budget-bytes N`
+//! `flowstat diff`), `--db-dir <path>` (the component database: a
+//! persistent content-addressed cache whose checkpoints, keyed by
+//! signature + device + implementation knobs and verified against their
+//! content hash on every lookup, are reused across runs instead of
+//! re-implemented; `compose` and `floorplan` build misses on demand, and
+//! without it build every component in memory for this run only;
+//! `build-db` needs it or `--remote`), `--db-budget-bytes N`
 //! (LRU-evict the cache beyond N bytes) and `--fifo-autosize on|off`
 //! (size each stitched link FIFO from the rate model, `pi_cnn::cycles`,
 //! instead of the fixed default — makes skew-heavy join topologies that
@@ -33,8 +35,8 @@
 //! graph or `.prototxt` layer config — see `pi-model`) imported into the
 //! flow, with importer findings printed as warnings and the `pi-lint`
 //! graph passes (shape propagation included) run as a gate before
-//! anything is built. With `--model`, `<db-dir>` becomes the first
-//! positional.
+//! anything is built. A positional past the archdef (or any positional
+//! with `--model`) is a usage error.
 //!
 //! `compose` and `build-db` also accept `--remote ADDR`: instead of
 //! running locally, the job (archdef or descriptor text + full
@@ -47,12 +49,11 @@ use pi_serve::{JobCommand, JobSpec};
 use preimpl_cnn::cli::{self, Cli, Flag};
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::prelude::*;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: preimpl <stats|build-db|compose|baseline|floorplan|devices> \
-                     <archdef> [db-dir] [--model FILE] [--device NAME] [--seeds N] [--threads N] \
+                     <archdef> [--model FILE] [--device NAME] [--seeds N] [--threads N] \
                      [--block] [--lint] [--deny-warnings] [--trace PATH] [--report PATH] \
                      [--db-dir PATH] [--db-budget-bytes N] [--remote ADDR] \
                      [--router-max-iters N] [--fifo-autosize on|off]";
@@ -78,6 +79,12 @@ fn main() -> ExitCode {
     cli::run_main(run)
 }
 
+/// `devices` takes nothing; every other subcommand one archdef, unless
+/// `--model FILE` stands in for it.
+fn positionals(args: &Cli) -> usize {
+    usize::from(args.command != "devices" && args.value("--model").is_none())
+}
+
 /// Render a lint-gate failure and map it onto the shared exit convention;
 /// every other flow error stays an operational error.
 fn lint_gate_exit(e: preimpl_cnn::flow::FlowError) -> Result<ExitCode, String> {
@@ -91,7 +98,7 @@ fn lint_gate_exit(e: preimpl_cnn::flow::FlowError) -> Result<ExitCode, String> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = cli::parse(FLAGS, USAGE)?;
+    let args = cli::parse(FLAGS, positionals, USAGE)?;
     if args.command == "devices" {
         for name in ["xcku5p-like", "xcku060-like", "test-part"] {
             let d = Device::catalog(name).map_err(|e| e.to_string())?;
@@ -175,23 +182,21 @@ fn run() -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "build-db" => {
-            let dir = db_dir(&args)?;
+            let dir = args
+                .value("--db-dir")
+                .ok_or_else(|| format!("build-db needs --db-dir PATH or --remote ADDR\n{USAGE}"))?;
             let cfg = config(&args, granularity)?;
             let t = std::time::Instant::now();
             let (db, reports, stats) = match build_component_db_cached(&network, &device, &cfg) {
                 Ok(v) => v,
                 Err(e) => return lint_gate_exit(e),
             };
-            db.save_dir(&dir).map_err(|e| e.to_string())?;
             println!(
-                "built {} checkpoints in {:.1} s -> {}",
+                "built {} checkpoints in {:.1} s -> {dir}",
                 db.len(),
                 t.elapsed().as_secs_f64(),
-                dir.display()
             );
-            if args.value("--db-dir").is_some() {
-                print!("{}", db_cache_line(&stats));
-            }
+            print!("{}", db_cache_line(&stats));
             for r in &reports {
                 println!(
                     "  {:<40} {:6.0} MHz  {:6} LUTs {:4} DSPs",
@@ -203,21 +208,11 @@ fn run() -> Result<ExitCode, String> {
         }
         "compose" | "floorplan" => {
             let cfg = config(&args, granularity)?;
-            // With a persistent cache, the positional checkpoint directory
-            // is optional: misses are built on demand and persisted. The
-            // plain form still loads a directory produced by `build-db`.
-            let (db, stats) = if args.value("--db-dir").is_some() {
-                let (db, _, stats) = match build_component_db_cached(&network, &device, &cfg) {
-                    Ok(v) => v,
-                    Err(e) => return lint_gate_exit(e),
-                };
-                (db, Some(stats))
-            } else {
-                let dir = db_dir(&args)?;
-                (
-                    ComponentDb::load_dir(&dir).map_err(|e| e.to_string())?,
-                    None,
-                )
+            // Hits come off `--db-dir`; misses (everything, without it) are
+            // built now.
+            let (db, _, stats) = match build_component_db_cached(&network, &device, &cfg) {
+                Ok(v) => v,
+                Err(e) => return lint_gate_exit(e),
             };
             let (design, report) = match run_pre_implemented_flow(&network, &db, &device, &cfg) {
                 Ok(v) => v,
@@ -235,8 +230,8 @@ fn run() -> Result<ExitCode, String> {
                 if let Some(lint) = &report.lint {
                     println!("{}", lint.summary_line());
                 }
-                if let Some(stats) = &stats {
-                    print!("{}", db_cache_line(stats));
+                if args.value("--db-dir").is_some() {
+                    print!("{}", db_cache_line(&stats));
                 }
                 println!(
                     "timing: generated in {:.1} ms (stitch share {:.0}%)",
@@ -335,16 +330,6 @@ fn db_cache_line(stats: &preimpl_cnn::flow::DbCacheStats) -> String {
         "db-cache: {} hits, {} misses, {} invalidated, {} evicted ({} bytes loaded)\n",
         stats.hits, stats.misses, stats.invalidations, stats.evictions, stats.bytes_loaded
     )
-}
-
-fn db_dir(args: &Cli) -> Result<PathBuf, String> {
-    // With `--model` there is no positional archdef, so db-dir shifts up.
-    let idx = if args.value("--model").is_some() {
-        0
-    } else {
-        1
-    };
-    args.positional(idx, "db-dir", USAGE).map(PathBuf::from)
 }
 
 fn seeds(args: &Cli) -> Result<u64, String> {

@@ -6,18 +6,23 @@
 //! the shared [`crate::exit`] code convention. Before this module each
 //! binary re-implemented that loop by hand and they drifted (different
 //! error spellings, different `--threads` validation). Now a binary
-//! declares its flags as a table and gets parsing, validation and the
-//! `main` wrapper from one place:
+//! declares its flags as a table and how many positionals each subcommand
+//! takes, and gets parsing, validation and the `main` wrapper from one
+//! place. A positional past that count is a usage error, never ignored:
 //!
 //! ```
-//! use preimpl_cnn::cli::{parse_from, Flag};
+//! use preimpl_cnn::cli::{parse_from, Cli, Flag};
 //!
 //! const FLAGS: &[Flag] = &[Flag::switch("--json"), Flag::value("--device")];
-//! let args = ["lint", "a.cnn", "--json"].iter().map(|s| s.to_string());
-//! let cli = parse_from(args, FLAGS, "usage: demo <cmd>").unwrap();
+//! fn positionals(_: &Cli) -> usize {
+//!     1
+//! }
+//! let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+//! let cli = parse_from(args(&["lint", "a.cnn", "--json"]), FLAGS, positionals, "usage").unwrap();
 //! assert_eq!(cli.command, "lint");
 //! assert!(cli.switch("--json"));
 //! assert_eq!(cli.value("--device"), None);
+//! assert!(parse_from(args(&["lint", "a.cnn", "junk"]), FLAGS, positionals, "usage").is_err());
 //! ```
 
 use std::process::ExitCode;
@@ -138,14 +143,22 @@ impl Cli {
 }
 
 /// Parse the process arguments (skipping `argv[0]`) against a flag table.
-pub fn parse(flags: &'static [Flag], usage: &str) -> Result<Cli, String> {
-    parse_from(std::env::args().skip(1), flags, usage)
+/// `positionals` says how many positionals the parsed subcommand takes
+/// (it may read the flags, e.g. `--model` standing in for an archdef);
+/// one more is an `unexpected argument` usage error.
+pub fn parse(
+    flags: &'static [Flag],
+    positionals: fn(&Cli) -> usize,
+    usage: &str,
+) -> Result<Cli, String> {
+    parse_from(std::env::args().skip(1), flags, positionals, usage)
 }
 
 /// [`parse`] over an explicit argument stream (testable).
 pub fn parse_from(
     argv: impl IntoIterator<Item = String>,
     flags: &'static [Flag],
+    positionals: fn(&Cli) -> usize,
     usage: &str,
 ) -> Result<Cli, String> {
     let mut argv = argv.into_iter();
@@ -168,7 +181,10 @@ pub fn parse_from(
             cli.positional.push(a);
         }
     }
-    Ok(cli)
+    match cli.positional.get(positionals(&cli)) {
+        Some(extra) => Err(format!("unexpected argument {extra}\n{usage}")),
+        None => Ok(cli),
+    }
 }
 
 /// Write a rendering to stdout, tolerating a closed pipe (`tool … | head`
@@ -215,11 +231,19 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    fn two(_: &Cli) -> usize {
+        2
+    }
+
+    /// Parse with a table that takes up to two positionals.
+    fn parse2(parts: &[&str], usage: &str) -> Result<Cli, String> {
+        parse_from(args(parts), FLAGS, two, usage)
+    }
+
     #[test]
     fn parses_command_positionals_switches_and_values() {
-        let cli = parse_from(
-            args(&["lint", "a.cnn", "--json", "--device", "test-part", "b"]),
-            FLAGS,
+        let cli = parse2(
+            &["lint", "a.cnn", "--json", "--device", "test-part", "b"],
             "usage",
         )
         .unwrap();
@@ -233,23 +257,18 @@ mod tests {
 
     #[test]
     fn repeatable_options_keep_every_occurrence() {
-        let cli = parse_from(
-            args(&["lint", "--allow", "PL0101", "--allow", "PL0102"]),
-            FLAGS,
-            "usage",
-        )
-        .unwrap();
+        let cli = parse2(&["lint", "--allow", "PL0101", "--allow", "PL0102"], "usage").unwrap();
         assert_eq!(cli.values("--allow"), vec!["PL0101", "PL0102"]);
         assert_eq!(cli.value("--allow"), Some("PL0102"), "last wins");
     }
 
     #[test]
     fn unknown_flags_and_missing_values_error_with_usage() {
-        let e = parse_from(args(&["lint", "--nope"]), FLAGS, "USAGE").unwrap_err();
+        let e = parse2(&["lint", "--nope"], "USAGE").unwrap_err();
         assert!(e.contains("unknown flag --nope") && e.contains("USAGE"));
-        let e = parse_from(args(&["lint", "--device"]), FLAGS, "USAGE").unwrap_err();
+        let e = parse2(&["lint", "--device"], "USAGE").unwrap_err();
         assert_eq!(e, "--device needs a value");
-        let e = parse_from(args(&[]), FLAGS, "USAGE").unwrap_err();
+        let e = parse2(&[], "USAGE").unwrap_err();
         assert_eq!(e, "USAGE");
     }
 
@@ -261,45 +280,58 @@ mod tests {
             ["diff", "--fail-on-regression", "5", "a", "b"],
             ["diff", "a", "b", "--fail-on-regression", "5"],
         ] {
-            let cli = parse_from(args(&argv), FLAGS, "u").unwrap();
+            let cli = parse2(&argv, "u").unwrap();
             assert_eq!(cli.positional, vec!["a", "b"], "{argv:?}");
             assert_eq!(cli.value("--fail-on-regression"), Some("5"), "{argv:?}");
         }
         // There is no bare form: a trailing flag is an error, never a
         // silently defaulted threshold.
-        let e = parse_from(
-            args(&["diff", "a", "b", "--fail-on-regression"]),
-            FLAGS,
-            "u",
-        )
-        .unwrap_err();
+        let e = parse2(&["diff", "a", "b", "--fail-on-regression"], "u").unwrap_err();
         assert_eq!(e, "--fail-on-regression needs a value");
     }
 
     #[test]
     fn threads_validation_is_uniform() {
-        let ok = parse_from(args(&["x", "--threads", "2"]), FLAGS, "u").unwrap();
+        let ok = parse2(&["x", "--threads", "2"], "u").unwrap();
         assert_eq!(ok.threads().unwrap(), Some(2));
-        let zero = parse_from(args(&["x", "--threads", "0"]), FLAGS, "u").unwrap();
+        let zero = parse2(&["x", "--threads", "0"], "u").unwrap();
         assert_eq!(zero.threads().unwrap_err(), "--threads must be at least 1");
-        let junk = parse_from(args(&["x", "--threads", "many"]), FLAGS, "u").unwrap();
+        let junk = parse2(&["x", "--threads", "many"], "u").unwrap();
         assert_eq!(junk.threads().unwrap_err(), "--threads must be a number");
-        assert_eq!(
-            parse_from(args(&["x"]), FLAGS, "u").unwrap().threads(),
-            Ok(None)
-        );
+        assert_eq!(parse2(&["x"], "u").unwrap().threads(), Ok(None));
+    }
+
+    #[test]
+    fn a_positional_past_the_subcommands_count_is_a_usage_error() {
+        // `preimpl stats a.arch junk` used to ignore `junk`.
+        let e = parse2(&["stats", "a.arch", "--json", "b", "junk"], "USAGE").unwrap_err();
+        assert_eq!(e, "unexpected argument junk\nUSAGE");
+        // The count may read the flags: a flag can stand in for a positional.
+        fn archdef_unless_model(cli: &Cli) -> usize {
+            usize::from(cli.value("--device").is_none())
+        }
+        let ok = parse_from(args(&["stats", "a.arch"]), FLAGS, archdef_unless_model, "U");
+        assert_eq!(ok.unwrap().positional, vec!["a.arch"]);
+        let e = parse_from(
+            args(&["stats", "--device", "d", "a.arch"]),
+            FLAGS,
+            archdef_unless_model,
+            "U",
+        )
+        .unwrap_err();
+        assert_eq!(e, "unexpected argument a.arch\nU");
     }
 
     #[test]
     fn defaults_and_positional_errors() {
-        let cli = parse_from(args(&["x"]), FLAGS, "u").unwrap();
+        let cli = parse2(&["x"], "u").unwrap();
         assert_eq!(cli.device(), "xcku5p-like");
         assert_eq!(cli.granularity(), pi_cnn::graph::Granularity::Layer);
         assert_eq!(
             cli.positional(0, "archdef", "U").unwrap_err(),
             "missing <archdef>\nU"
         );
-        let blk = parse_from(args(&["x", "--block"]), FLAGS, "u").unwrap();
+        let blk = parse2(&["x", "--block"], "u").unwrap();
         assert_eq!(blk.granularity(), pi_cnn::graph::Granularity::Block);
     }
 }

@@ -11,7 +11,7 @@ use preimpl_cnn::netlist::{
 };
 use preimpl_cnn::obs::{MemorySink, Obs};
 use preimpl_cnn::prelude::FlowConfig;
-use preimpl_cnn::stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
+use preimpl_cnn::stitch::{cache_key, CacheLookup, DbCache};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -228,27 +228,6 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    /// The flat-directory form behind `build-db` keeps every checkpoint
-    /// despite signatures that sanitize to colliding filenames.
-    #[test]
-    fn save_dir_load_dir_round_trips_adversarial_signatures(
-        sigs in proptest::collection::vec(signature_strategy(), 1..8)
-    ) {
-        let sigs: BTreeSet<String> = sigs.into_iter().collect();
-        let mut db = ComponentDb::new();
-        for sig in &sigs {
-            db.insert(checkpoint(sig));
-        }
-        let dir = tmp_root("savedir");
-        db.save_dir(&dir).unwrap();
-        let loaded = ComponentDb::load_dir(&dir).unwrap();
-        prop_assert_eq!(loaded.len(), sigs.len());
-        for sig in &sigs {
-            prop_assert!(loaded.get(sig).is_some(), "lost '{}' across save/load", sig);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// After any interleaving of inserts and evictions the manifest agrees

@@ -421,12 +421,14 @@ mod db_cache_faults {
 
 #[test]
 fn corrupt_checkpoint_files_are_decode_errors() {
-    let dir = std::env::temp_dir().join(format!("pi_corrupt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    std::fs::write(dir.join("bad.dcp.json"), b"{ not valid json").expect("writes");
-    match ComponentDb::load_dir(&dir) {
-        Err(StitchError::Netlist(preimpl_cnn::netlist::NetlistError::Decode(_))) => {}
-        other => panic!("expected decode error, got {other:?}"),
+    use preimpl_cnn::netlist::NetlistError;
+    for bad in [
+        "{ not valid json",
+        "{\"format_version\":1,\"checkpoint\":{}}",
+    ] {
+        match Checkpoint::from_versioned_json(bad) {
+            Err(NetlistError::Decode(_)) => {}
+            other => panic!("expected decode error for {bad:?}, got {other:?}"),
+        }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

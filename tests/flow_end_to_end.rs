@@ -125,10 +125,30 @@ fn preimpl_resources(a: &LenetArtifacts) -> ResourceCount {
 
 #[test]
 fn checkpoint_database_round_trips_through_disk() {
+    use preimpl_cnn::stitch::{cache_key, CacheLookup};
     let a = lenet();
     let dir = std::env::temp_dir().join(format!("pi_e2e_db_{}", std::process::id()));
-    a.db.save_dir(&dir).expect("saves");
-    let reloaded = ComponentDb::load_dir(&dir).expect("loads");
+    std::fs::remove_dir_all(&dir).ok();
+    let obs = Obs::null();
+    let keys: Vec<String> =
+        a.db.signatures()
+            .map(|sig| cache_key(sig, a.device.name(), 0))
+            .collect();
+    let mut cache = DbCache::open(&dir, &obs).expect("opens");
+    for (key, cp) in keys.iter().zip(a.db.checkpoints()) {
+        cache.insert(key, cp, &obs).expect("stores");
+    }
+    // A fresh handle reads every checkpoint back, verified.
+    let mut reloaded = ComponentDb::new();
+    for lookup in DbCache::open(&dir, &obs)
+        .expect("reopens")
+        .lookup_all(&keys, &obs)
+    {
+        match lookup {
+            CacheLookup::Hit { checkpoint, .. } => reloaded.insert(*checkpoint),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+    }
     assert_eq!(reloaded.len(), a.db.len());
     // The reloaded database composes identically.
     let (_, r1) = run_pre_implemented_flow(&a.network, &a.db, &a.device, &FlowConfig::new())
