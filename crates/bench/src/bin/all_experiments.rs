@@ -1,6 +1,7 @@
 //! Runs every experiment and writes EXPERIMENTS.md at the workspace root.
 //!
-//! Usage: `cargo run -p pi-bench --release --bin all_experiments`
+//! Usage: `cargo run -p pi-bench --release --bin all_experiments [-- --trace PATH]`
+//! (`--trace` also writes the run's JSON-Lines telemetry stream).
 use std::fmt::Write as _;
 
 fn main() {

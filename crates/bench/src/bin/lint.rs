@@ -10,8 +10,9 @@
 //! The bench is self-gating (shared exit code 2):
 //!
 //! * the fixpoint must converge on every bundled network (no `PL0403`),
-//! * every bundled network must lint clean at the stitcher's default
-//!   link-FIFO depth — the shipped models are the calibration set,
+//! * every bundled network must lint clean and need no link deeper than
+//!   the stitcher's default link-FIFO depth — the shipped models are the
+//!   calibration set, and the flow keeps their links at that depth,
 //! * the ResNet skip-path minimum depth must not drift from the
 //!   checked-in value: that number is the rate model's observable, and a
 //!   silent change means the folding/cycle model moved under the
@@ -24,6 +25,7 @@
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;
 use pi_lint::{analyze_dataflow, LintConfig, LintEngine};
+use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
 use pi_obs::agg::RunReport;
 use pi_obs::{Event, EventSink, FanoutSink, FileSink, MemorySink, Obs};
 use serde_json::json;
@@ -60,7 +62,7 @@ fn run_network(network: &Network, trace: Option<&str>) -> NetResult {
     let analysis = analyze_dataflow(network, Granularity::Layer);
     let analysis_ms = t0.elapsed().as_secs_f64() * 1e3;
     let engine = LintEngine::new(LintConfig::new());
-    let report = engine.lint_dataflow(network, Granularity::Layer, false, &obs);
+    let report = engine.lint_dataflow(network, Granularity::Layer, &obs);
     NetResult {
         analysis_ms,
         iterations: analysis.iterations,
@@ -120,6 +122,12 @@ fn main() {
             gate_failures.push(format!(
                 "{name}: bundled network no longer lints clean ({})",
                 r.summary
+            ));
+        }
+        if r.max_min_depth > DEFAULT_LINK_FIFO_DEPTH {
+            gate_failures.push(format!(
+                "{name}: a link needs depth {} > the default {DEFAULT_LINK_FIFO_DEPTH}",
+                r.max_min_depth
             ));
         }
         if name == "resnet_small" && r.max_min_depth != RESNET_EXPECTED_MAX_DEPTH {

@@ -293,7 +293,7 @@ pub fn fig6_productivity(ctx: &mut Ctx) -> Section {
              optimization) is shown separately, as the paper also excludes it.\n"
             + &format!(
                 "\nConvergence (from the telemetry stream of these runs): {}. \
-                 Re-run any pi-bench binary with `--trace <path>` to dump the \
+                 Re-run `all_experiments` with `--trace <path>` to dump the \
                  full JSON-Lines stream.\n",
                 convergence_line(&ctx.run_report())
             ),

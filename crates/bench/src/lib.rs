@@ -2,11 +2,10 @@
 //! and figures.
 //!
 //! Each experiment lives in [`experiments`] as a function returning a
-//! rendered markdown [`Section`]; the `fig*`/`table*`/`ablation*` binaries
-//! print one section each, and `all_experiments` runs the full set and
+//! rendered markdown [`Section`]; `all_experiments` runs the full set and
 //! writes `EXPERIMENTS.md`. Heavyweight intermediate results (component
-//! databases, flow runs) are cached in a [`Ctx`] so the combined run does
-//! not repeat work.
+//! databases, flow runs) are cached in a [`Ctx`] so the experiments do not
+//! repeat work.
 
 pub mod experiments;
 pub mod paper;
@@ -54,7 +53,7 @@ pub struct NetworkRun {
 }
 
 /// Shared, lazily-built experiment context. Everything is seeded and
-/// deterministic, so all binaries agree with `all_experiments`.
+/// deterministic.
 ///
 /// The context owns the run's telemetry: a [`MemorySink`] is always
 /// attached (so experiments can fold a [`Ctx::run_report`]), and
@@ -65,7 +64,6 @@ pub struct Ctx {
     vgg: Option<NetworkRun>,
     sink: Arc<MemorySink>,
     obs: Obs,
-    trace_path: Option<String>,
 }
 
 impl Default for Ctx {
@@ -107,7 +105,7 @@ fn run_network(network: Network, cfg: &FlowConfig) -> NetworkRun {
 
 impl Ctx {
     /// Build a context, honoring a `--trace <path>` flag anywhere in the
-    /// process arguments (every `pi-bench` binary accepts it).
+    /// process arguments.
     pub fn new() -> Self {
         let mut argv = std::env::args().skip(1);
         let mut trace = None;
@@ -136,18 +134,12 @@ impl Ctx {
             vgg: None,
             sink,
             obs,
-            trace_path: trace,
         }
     }
 
     /// The telemetry handle every flow run in this context reports through.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Where `--trace` is being written, if anywhere.
-    pub fn trace_path(&self) -> Option<&str> {
-        self.trace_path.as_deref()
     }
 
     /// Everything recorded so far, in emission order.

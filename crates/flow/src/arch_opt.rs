@@ -9,9 +9,9 @@
 //! 5–9 % of the pre-implemented flow's total.
 //!
 //! Every design decision here that needs a component's rate — link FIFO
-//! depths under `fifo_autosize`, the latency report — reads the rate
-//! model ([`pi_cnn::cycles`]). `pi-lint` appears only as the opt-in gate
-//! that checks the result; the flow never sizes hardware from it.
+//! depths, the latency report — reads the rate model
+//! ([`pi_cnn::cycles`]). `pi-lint` appears only as the opt-in gate that
+//! checks the result; the flow never sizes hardware from it.
 //!
 //! Legality has one judge: [`pi_stitch::check_design`] runs unconditionally
 //! after inter-component routing and any violation is
@@ -62,21 +62,21 @@ pub fn pipeline_top_nets(design: &mut Design) -> u64 {
     extra
 }
 
-/// FIFO auto-sizing (`FlowConfig::with_fifo_autosize`): size each link
-/// FIFO for the deepest requirement among its net's edges, so no branch of
-/// a multi-sink net can stall. `edge_depths` maps component-adjacency
-/// edges `(source, sink)` — indices into the network's topological
-/// component order, which is also composition's instance order — to
-/// minimum depths; edges absent from it keep the standard depth.
-fn autosize_link_fifos(design: &mut Design, edge_depths: &BTreeMap<(usize, usize), u64>) {
+/// Size each stitched link FIFO from the rate model: the standard depth,
+/// or the deepest requirement among the net's edges where a sink must
+/// absorb more path skew, so no branch of a multi-sink net can stall and
+/// no reconvergent join can deadlock. `edge_depths` maps
+/// component-adjacency edges `(source, sink)` — indices into the
+/// network's topological component order, which is also composition's
+/// instance order — to minimum depths.
+fn size_link_fifos(design: &mut Design, edge_depths: &BTreeMap<(usize, usize), u64>) {
     for net in design.top_nets_mut() {
         let source = net.source.0 .0 as usize;
         net.fifo_depth = net
             .sinks
             .iter()
             .filter_map(|&(sink, _)| edge_depths.get(&(source, sink.0 as usize)).copied())
-            .max()
-            .unwrap_or(DEFAULT_LINK_FIFO_DEPTH);
+            .fold(DEFAULT_LINK_FIFO_DEPTH, u64::max);
     }
 }
 
@@ -270,21 +270,6 @@ pub fn run_pre_implemented_flow(
 
     let t0 = Instant::now();
     let stitch_span = arch.span("stitch");
-    // FIFO auto-sizing: the per-link minimum depths come from the rate
-    // model. Without the knob every link keeps `DEFAULT_LINK_FIFO_DEPTH`.
-    // Sizing runs before composition so its counters keep their place in
-    // the stream.
-    let edge_depths = if cfg.fifo_autosize {
-        let depths = cycles::link_min_depths(network, cfg.granularity)?;
-        if arch.enabled() {
-            arch.counter("autosized_links", depths.len() as u64);
-            let deepest = depths.values().copied().max().unwrap_or(1);
-            arch.counter("autosized_max_depth", deepest);
-        }
-        Some(depths)
-    } else {
-        None
-    };
     let (mut design, compose_report) = compose_obs(
         network,
         db,
@@ -295,9 +280,10 @@ pub fn run_pre_implemented_flow(
         },
         obs,
     )?;
-    if let Some(depths) = &edge_depths {
-        autosize_link_fifos(&mut design, depths);
-    }
+    size_link_fifos(
+        &mut design,
+        &cycles::link_min_depths(network, cfg.granularity)?,
+    );
     let extra_pipeline_cycles = pipeline_top_nets(&mut design);
     stitch_span.end();
     let stitch_time = t0.elapsed();
@@ -396,6 +382,11 @@ mod tests {
         assert!(design.fully_routed());
         assert!(report.compile.timing.fmax_mhz > 100.0);
         assert_eq!(report.compose.stitched_nets, 2);
+        // A chain needs no skew buffering: every link keeps the standard depth.
+        assert!(design
+            .top_nets()
+            .iter()
+            .all(|n| n.fifo_depth == DEFAULT_LINK_FIFO_DEPTH));
         assert!(report.latency.pipeline_ns > 0.0);
         assert!(report.total_time() > Duration::ZERO);
         assert!(report.stitch_share() > 0.0 && report.stitch_share() < 1.0);

@@ -105,17 +105,6 @@ pub struct FlowConfig {
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// linting observes checkpoints, it never changes what they contain.
     pub lint: Option<pi_lint::LintConfig>,
-    /// Size every inter-component link FIFO from the rate model
-    /// ([`pi_cnn::cycles::link_min_depths`]) instead of the standard
-    /// depth, so reconvergent skews (ResNet skips) can never deadlock.
-    /// Also evaluated by the lint gate: with autosizing on,
-    /// `PL0400`/`PL0401` are checked against the autosized capacities
-    /// and cannot fire.
-    ///
-    /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
-    /// autosizing resizes the *assembled* design's link FIFOs, never the
-    /// contents of a pre-implemented checkpoint.
-    pub fifo_autosize: bool,
     #[serde(skip)]
     obs: Obs,
     /// In-process event capture installed by
@@ -141,7 +130,6 @@ impl Default for FlowConfig {
             db_dir: None,
             db_budget_bytes: None,
             lint: None,
-            fifo_autosize: false,
             obs: Obs::null(),
             capture: None,
         }
@@ -235,13 +223,6 @@ impl FlowConfig {
         self
     }
 
-    /// Size stitched link FIFOs from the rate model (see the
-    /// `fifo_autosize` field).
-    pub fn with_fifo_autosize(mut self, autosize: bool) -> Self {
-        self.fifo_autosize = autosize;
-        self
-    }
-
     /// Stable fingerprint of every knob that affects what a pre-implemented
     /// checkpoint *is*: synthesis options, granularity, the seed sweep,
     /// pblock utilization, placement effort, port planning and routing
@@ -252,8 +233,8 @@ impl FlowConfig {
     ///
     /// Deliberately excluded: `threads` (scheduling never changes results),
     /// the telemetry sink, `db_dir` itself, and the architecture-phase /
-    /// baseline knobs (`placer`, `baseline_effort`, `fifo_autosize`), none
-    /// of which influence the checkpoint artifact.
+    /// baseline knobs (`placer`, `baseline_effort`), neither of which
+    /// influences the checkpoint artifact.
     pub fn cache_fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_str(match self.synth.mode {
@@ -340,15 +321,10 @@ impl FlowConfig {
             .map(|c| RunReport::from_events(&c.snapshot()))
     }
 
-    /// The derived wire form as a JSON tree (see the module docs for what
-    /// is deliberately excluded). Key order is field order, so equal
-    /// configs serialize byte-identically — the property `pi-serve` job
-    /// IDs rely on.
-    pub fn to_json_value(&self) -> serde_json::Value {
-        serde_json::to_value(self)
-    }
-
-    /// Compact JSON string of [`FlowConfig::to_json_value`].
+    /// The derived wire form as a compact JSON string (see the module docs
+    /// for what is deliberately excluded). Key order is field order, so
+    /// equal configs serialize byte-identically — the property `pi-serve`
+    /// job IDs rely on.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("config serializes")
     }
@@ -358,13 +334,7 @@ impl FlowConfig {
     /// [`FlowConfig::with_sink`] / [`FlowConfig::with_report_capture`]
     /// after deserializing).
     pub fn from_json(text: &str) -> Result<FlowConfig, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("config: {e}"))?;
-        Self::from_json_value(&value)
-    }
-
-    /// [`FlowConfig::from_json`] over an already-parsed JSON tree.
-    pub fn from_json_value(value: &serde_json::Value) -> Result<FlowConfig, String> {
-        let cfg = FlowConfig::from_content(value).map_err(|e| format!("config: {e}"))?;
+        let cfg: FlowConfig = serde_json::from_str(text).map_err(|e| format!("config: {e}"))?;
         cfg.validate()?;
         Ok(cfg)
     }

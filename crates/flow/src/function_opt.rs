@@ -336,16 +336,13 @@ pub fn build_component(
 
 /// Pre-stage lint gate: when `cfg.lint` is set, run the graph-family
 /// passes *and* the `PL04xx` dataflow analysis on the network before
-/// spending any implementation effort. Under `cfg.fifo_autosize` the
-/// dataflow pass lints against the depths stitch will actually install,
-/// so an autosized flow cannot gate on `PL0400`/`PL0401`. Waivers are
-/// audited here, on the merged report, so a waiver consumed by either
-/// pass counts as used.
+/// spending any implementation effort. Waivers are audited here, on the
+/// merged report, so a waiver consumed by either pass counts as used.
 pub(crate) fn lint_gate_network(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
     let Some(lc) = &cfg.lint else { return Ok(()) };
     let engine = pi_lint::LintEngine::new(lc.clone());
     let mut report = engine.lint_network(network, cfg.granularity, cfg.obs());
-    report.merge(engine.lint_dataflow(network, cfg.granularity, cfg.fifo_autosize, cfg.obs()));
+    report.merge(engine.lint_dataflow(network, cfg.granularity, cfg.obs()));
     report.audit_waivers(lc);
     if report.gate(lc.deny_warnings) {
         return Err(FlowError::LintFailed(report));

@@ -6,16 +6,18 @@
 //! reconvergent topologies (ResNet skips joining at an Eltwise) the early
 //! operand's FIFO must absorb the *path latency skew* — every token the
 //! short path produces while the long path is still filling its pipeline.
-//! If the skew exceeds the link capacity, backpressure propagates to the
-//! shared ancestor, the long path starves, and the pipeline deadlocks: a
-//! cyclic wait no amount of runtime can clear.
+//! If the skew exceeded the link capacity, backpressure would propagate to
+//! the shared ancestor, the long path would starve, and the pipeline would
+//! deadlock. The flow therefore never picks a capacity: it sizes every
+//! link FIFO from the rate model ([`pi_cnn::cycles::link_min_depths`], one
+//! forward sweep that assumes the component DAG is well formed), never
+//! below the standard depth, so no link it builds can be undersized.
 //!
-//! This is the *checker*. The flow sizes link FIFOs from the rate model
-//! ([`pi_cnn::cycles::link_min_depths`], one forward sweep that assumes
-//! the component DAG is well formed); this pass re-derives the same depths
-//! independently and is the one that keeps going when the graph is not.
-//! It propagates first-token *arrival intervals* (cycles from frame
-//! start) over the component graph with the worklist fixpoint core in
+//! This is the *checker*. It re-derives the same depths independently
+//! (`tests/model_import_props.rs` holds the two equal) and is the one
+//! that keeps going when the graph is not well formed. It propagates
+//! first-token *arrival intervals* (cycles from frame start) over the
+//! component graph with the worklist fixpoint core in
 //! [`crate::engine`]: a component's arrival is the synchronizing `sup` of
 //! each predecessor's arrival offset by that predecessor's pipeline
 //! depth. Per-component quantities — pipeline depth, tokens in and out,
@@ -26,19 +28,17 @@
 //! balance-checked (SDF consistency: producer tokens per frame must equal
 //! what the consumer port expects).
 //!
-//! Findings: `PL0400` (join skew unbuffereable within capacity — the
-//! deadlock), `PL0401` (any link whose computed minimum exceeds capacity),
-//! `PL0402` (token-rate imbalance), `PL0403` (fixpoint widened to top
-//! before stabilizing — cyclic graph, nothing proven). When the graph is
-//! too broken for the rate model (cycles, shape failures) the analysis
-//! falls back to a unit-rate node-level graph so it still terminates and
-//! still reports divergence instead of crashing or silently passing.
+//! Findings: `PL0402` (token-rate imbalance), `PL0403` (fixpoint widened
+//! to top before stabilizing — cyclic graph, nothing proven). When the
+//! graph is too broken for the rate model (cycles, shape failures) the
+//! analysis falls back to a unit-rate node-level graph so it still
+//! terminates and still reports divergence instead of crashing or
+//! silently passing.
 
 use crate::diag::Diagnostic;
 use crate::engine::{fixpoint_intervals, FixpointOutcome, Interval};
 use pi_cnn::graph::{Granularity, Network};
 use pi_cnn::{cycles, CnnError};
-use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
 use std::collections::BTreeMap;
 
 /// One analyzed inter-component stream link.
@@ -64,10 +64,6 @@ pub struct EdgeFlow {
     /// tokens queued during pipeline fill plus the one in flight at the
     /// consumer. [`Interval::TOP_HI`] when the fixpoint widened to top.
     pub min_depth: u64,
-    /// True when the consumer synchronizes two operand streams — the
-    /// reconvergent case where an undersized FIFO deadlocks rather than
-    /// merely throttles.
-    pub reconvergent: bool,
 }
 
 /// The analysis result: per-link flows plus fixpoint bookkeeping — what
@@ -103,14 +99,9 @@ impl DataflowAnalysis {
         self.edges.iter().map(|e| e.min_depth).max().unwrap_or(1)
     }
 
-    /// Evaluate the flows against the link capacity the stitcher builds:
-    /// [`DEFAULT_LINK_FIFO_DEPTH`], or with `autosize` each link's own
-    /// minimum — what the flow installs from the rate model under
-    /// `with_fifo_autosize`, and equal to the depth computed here
-    /// (`tests/model_import_props.rs` holds the two together) — so
-    /// `PL0400`/`PL0401` cannot fire and only rate imbalance and
-    /// divergence remain.
-    pub fn lint(&self, autosize: bool) -> Vec<Diagnostic> {
+    /// The findings of the analysis: divergence and rate imbalance. Link
+    /// depths are not findings — the flow installs them.
+    pub fn lint(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let net = &self.network_name;
         if let Some(why) = &self.fallback {
@@ -135,11 +126,6 @@ impl DataflowAnalysis {
                 ),
             ));
         }
-        if self.fallback.is_some() {
-            // Unit-rate bounds are placeholders; reporting depths computed
-            // from them would be noise on top of the PL0403 above.
-            return out;
-        }
         for e in &self.edges {
             if e.tokens_per_frame != e.expected_tokens {
                 out.push(Diagnostic::new(
@@ -151,37 +137,6 @@ impl DataflowAnalysis {
                         e.port, e.source_name, e.tokens_per_frame, e.sink_name, e.expected_tokens
                     ),
                 ));
-            }
-            if e.min_depth == Interval::TOP_HI {
-                continue; // divergence already reported as PL0403
-            }
-            let capacity = DEFAULT_LINK_FIFO_DEPTH;
-            if !autosize && e.min_depth > capacity {
-                out.push(Diagnostic::new(
-                    "PL0401",
-                    format!("network:{net}/link:{}->{}", e.source_name, e.sink_name),
-                    format!(
-                        "link FIFO undersized: occupancy reaches {} tokens \
-                         during pipeline fill, minimum depth {} exceeds \
-                         capacity {capacity}",
-                        e.min_depth - 1,
-                        e.min_depth
-                    ),
-                ));
-                if e.reconvergent {
-                    out.push(Diagnostic::new(
-                        "PL0400",
-                        format!("network:{net}/component:{}", e.sink_name),
-                        format!(
-                            "potential deadlock at join `{}`: operand from \
-                             `{}` must buffer {} cycles of path skew \
-                             (≥ {} tokens) but the link FIFO holds \
-                             {capacity} — backpressure reaches the shared \
-                             producer and both paths stall",
-                            e.sink_name, e.source_name, e.skew_cycles, e.min_depth
-                        ),
-                    ));
-                }
             }
         }
         out
@@ -249,7 +204,6 @@ fn analyze_components(
             expected_tokens: rates[cb].tokens_in,
             skew_cycles: skew,
             min_depth,
-            reconvergent: preds[cb].len() >= 2,
         });
     }
 
@@ -310,6 +264,7 @@ fn arrivals(
 mod tests {
     use super::*;
     use pi_cnn::models;
+    use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
 
     #[test]
     fn linear_chains_have_unit_depths() {
@@ -319,20 +274,15 @@ mod tests {
         for e in &a.edges {
             assert_eq!(e.min_depth, 1, "{e:?}");
             assert_eq!(e.tokens_per_frame, e.expected_tokens, "{e:?}");
-            assert!(!e.reconvergent);
         }
-        assert!(a.lint(false).is_empty());
+        assert!(a.lint().is_empty());
     }
 
     #[test]
     fn resnet_skip_edges_need_skew_buffering_within_default_capacity() {
         let a = analyze(&models::resnet_small(), Granularity::Layer);
         assert!(a.fallback.is_none() && !a.diverged, "{a:?}");
-        let skips: Vec<&EdgeFlow> = a
-            .edges
-            .iter()
-            .filter(|e| e.reconvergent && e.skew_cycles > 0)
-            .collect();
+        let skips: Vec<&EdgeFlow> = a.edges.iter().filter(|e| e.skew_cycles > 0).collect();
         assert_eq!(skips.len(), 2, "two skip operands: {:?}", a.edges);
         for e in &skips {
             assert!(
@@ -340,7 +290,7 @@ mod tests {
                 "{e:?}"
             );
         }
-        assert!(a.lint(false).is_empty());
+        assert!(a.lint().is_empty());
     }
 
     #[test]
@@ -356,7 +306,7 @@ mod tests {
         let out = analyze(&n, Granularity::Layer);
         assert!(out.fallback.is_some());
         assert!(out.diverged, "{out:?}");
-        let diags = out.lint(false);
+        let diags = out.lint();
         assert!(diags.iter().any(|d| d.code == "PL0403"), "{diags:?}");
     }
 }

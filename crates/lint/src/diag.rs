@@ -5,8 +5,10 @@
 //! (`PL01xx` netlist, `PL02xx` CNN dataflow graph, `PL03xx`
 //! checkpoint/database/physical). Codes are append-only: renumbering
 //! would silently invalidate waiver files and CI greps downstream. A
-//! retired code's number is never reused (`PL0140` / `PL0141` policed the
-//! star router PR 15 deleted; naming them is now "unknown lint code").
+//! retired code's number is never reused; naming one is "unknown lint
+//! code". Retired: `PL0140` / `PL0141` (they policed the star router,
+//! since deleted) and `PL0400` / `PL0401` (undersized link FIFOs — the
+//! flow sizes every link from the rate model, so neither can fire).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -327,22 +329,7 @@ pub const REGISTRY: &[LintCode] = &[
         default: Level::Deny,
         summary: "a top-level net in an assembled design has no route",
     },
-    // ---- PL04xx: streaming dataflow analysis (fixpoint FIFO/rate model) ----
-    LintCode {
-        code: "PL0400",
-        name: "potential-deadlock",
-        default: Level::Deny,
-        summary: "a reconvergent join's early operand cannot buffer the path \
-                  latency skew within the link FIFO capacity — backpressure \
-                  reaches the shared producer and the pipeline deadlocks",
-    },
-    LintCode {
-        code: "PL0401",
-        name: "undersized-fifo",
-        default: Level::Warn,
-        summary: "a stream link needs a deeper FIFO than the configured \
-                  capacity (the message carries the computed minimum depth)",
-    },
+    // ---- PL04xx: streaming dataflow analysis (fixpoint rate model) ----
     LintCode {
         code: "PL0402",
         name: "rate-mismatch",

@@ -217,16 +217,12 @@ impl LintEngine {
         self.finalize("network", lint_network(network, granularity), obs)
     }
 
-    /// Dataflow-family pass (`PL04xx`): fixpoint FIFO/deadlock/rate
-    /// analysis over the component graph. With `autosize` the findings
-    /// are evaluated against each link's own computed minimum depth (the
-    /// capacities `FlowConfig::with_fifo_autosize` will stitch), so only
-    /// rate imbalance and divergence can surface.
+    /// Dataflow-family pass (`PL04xx`): fixpoint analysis over the
+    /// component graph, reporting rate imbalance and divergence.
     pub fn lint_dataflow(
         &self,
         network: &Network,
         granularity: Granularity,
-        autosize: bool,
         obs: &Obs,
     ) -> LintReport {
         let scope = obs.scoped("lint::dataflow");
@@ -237,7 +233,7 @@ impl LintEngine {
         scope.counter("iterations", analysis.iterations);
         scope.counter("links", analysis.edges.len() as u64);
         scope.counter("diverged", u64::from(analysis.diverged));
-        let raw = analysis.lint(autosize);
+        let raw = analysis.lint();
         self.finalize("dataflow", raw, obs)
     }
 

@@ -18,10 +18,11 @@
 //!   consistency — plus the verdict of the physical DRC
 //!   ([`pi_stitch::check_design`], run by the flow, never by this crate)
 //!   folded into `PL031x` codes;
-//! * **dataflow** (`PL04xx`) — streaming FIFO/deadlock/rate analysis of
-//!   the stitched pipeline: a worklist fixpoint over arrival intervals
-//!   proves join skews fit the link FIFOs (`pilint dataflow`, and the
-//!   sizing source for `FlowConfig::with_fifo_autosize`).
+//! * **dataflow** (`PL04xx`) — streaming rate analysis of the stitched
+//!   pipeline: a worklist fixpoint over arrival intervals derives each
+//!   link's minimum FIFO depth independently of the rate model the flow
+//!   sizes links from, and flags token-rate imbalance and divergence
+//!   (`pilint dataflow`).
 //!
 //! Every finding is a [`Diagnostic`] with a stable code from
 //! [`REGISTRY`]; [`LintConfig`] applies rustc-style `allow`/`warn`/`deny`

@@ -37,8 +37,8 @@ pub struct ModuleInst {
 
 /// Token capacity of the standard stream-link FIFO the stitcher places on
 /// every inter-component net (the queue half of the paper's Fig. 5 memory
-/// controller). The dataflow lint checks computed occupancy bounds against
-/// this unless the flow autosizes links (`FlowConfig::with_fifo_autosize`).
+/// controller). The flow deepens a link beyond it only where the rate
+/// model says a join must absorb more path skew.
 pub const DEFAULT_LINK_FIFO_DEPTH: u64 = 64;
 
 /// An inter-instance net created by the stitcher (RapidWright's
@@ -55,8 +55,8 @@ pub struct TopNet {
     /// many register-to-register segments. 1 = unpipelined.
     pub pipeline_stages: u32,
     /// Token capacity of the link FIFO backing this net. Stitching starts
-    /// every net at the standard depth; `FlowConfig::with_fifo_autosize`
-    /// overwrites it with the rate model's minimum for the link.
+    /// every net at the standard depth; the architecture phase raises it
+    /// to the rate model's minimum for the link where that is deeper.
     pub fifo_depth: u64,
 }
 

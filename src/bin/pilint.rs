@@ -3,7 +3,7 @@
 //! ```text
 //! pilint archdef  <file>                      lint a CNN architecture definition
 //! pilint model    <file>                      import + lint a model descriptor (.json/.prototxt)
-//! pilint dataflow <file>                      fixpoint FIFO/deadlock/rate analysis (PL04xx)
+//! pilint dataflow <file>                      fixpoint rate analysis (PL04xx)
 //! pilint db       [archdef] --db-dir PATH     lint a component database (+ coverage)
 //! pilint design   <archdef> --db-dir PATH     run the flow's assembly, report its DRC verdict + design lints
 //! pilint trace    <trace.jsonl>               lint a recorded telemetry stream
@@ -19,11 +19,10 @@
 //!
 //! `dataflow` takes any importable network description (archdef, `.json`,
 //! `.prototxt` — format sniffed from the extension, archdef otherwise) and
-//! runs the worklist fixpoint over arrival intervals: link-FIFO occupancy
-//! bounds, skew-induced deadlock risk on reconvergent joins, token-rate
-//! mismatches. Links are checked against the stitcher's standard depth
-//! (64); `--autosize` lints against the depths
-//! `FlowConfig::with_fifo_autosize` would install instead.
+//! runs the worklist fixpoint over arrival intervals: token-rate
+//! mismatches and divergence (a cyclic graph). Link FIFO depths are not
+//! findings — the flow sizes every link from the rate model, which this
+//! fixpoint re-derives independently.
 //!
 //! `db` and `design` read the component database `preimpl --db-dir`
 //! writes, through the same verified lookup the flow uses: every entry is
@@ -53,13 +52,12 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: pilint <archdef|model|dataflow|db|design|trace|codes> <input> [--db-dir PATH] \
                      [--block] [--json] [--deny-warnings] [--waivers FILE] [--allow CODE] \
-                     [--warn CODE] [--deny CODE] [--device NAME] [--threads N] [--autosize]";
+                     [--warn CODE] [--deny CODE] [--device NAME] [--threads N]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--block"),
     Flag::switch("--json"),
     Flag::switch("--deny-warnings"),
-    Flag::switch("--autosize"),
     Flag::value("--waivers"),
     Flag::value("--allow"),
     Flag::value("--warn"),
@@ -215,12 +213,7 @@ fn run() -> Result<ExitCode, String> {
                 // never got a graph to analyze.
                 None => finish(&mut import_report, &args),
                 Some(network) => {
-                    let mut report = engine.lint_dataflow(
-                        &network,
-                        granularity,
-                        args.switch("--autosize"),
-                        &obs,
-                    );
+                    let mut report = engine.lint_dataflow(&network, granularity, &obs);
                     finish(&mut report, &args)
                 }
             }

@@ -24,11 +24,10 @@
 //! content hash on every lookup, are reused across runs instead of
 //! re-implemented; `compose` and `floorplan` build misses on demand, and
 //! without it build every component in memory for this run only;
-//! `build-db` needs it or `--remote`), `--db-budget-bytes N`
-//! (LRU-evict the cache beyond N bytes) and `--fifo-autosize on|off`
-//! (size each stitched link FIFO from the rate model, `pi_cnn::cycles`,
-//! instead of the fixed default — makes skew-heavy join topologies that
-//! would trip `PL0400`/`PL0401` under `--lint` flow to completion).
+//! `build-db` needs it or `--remote`) and `--db-budget-bytes N`
+//! (LRU-evict the cache beyond N bytes). Link FIFO depths take no flag:
+//! `compose` sizes every stitched link from the rate model
+//! (`pi_cnn::cycles`), so skew-heavy join topologies flow to completion.
 //!
 //! Every archdef-taking command also accepts `--model FILE` instead of
 //! the positional `<archdef>`: FILE is a model descriptor (`.json` op
@@ -56,7 +55,7 @@ const USAGE: &str = "usage: preimpl <stats|build-db|compose|baseline|floorplan|d
                      <archdef> [--model FILE] [--device NAME] [--seeds N] [--threads N] \
                      [--block] [--lint] [--deny-warnings] [--trace PATH] [--report PATH] \
                      [--db-dir PATH] [--db-budget-bytes N] [--remote ADDR] \
-                     [--router-max-iters N] [--fifo-autosize on|off]";
+                     [--router-max-iters N]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--block"),
@@ -72,7 +71,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("--db-budget-bytes"),
     Flag::value("--remote"),
     Flag::value("--router-max-iters"),
-    Flag::value("--fifo-autosize"),
 ];
 
 fn main() -> ExitCode {
@@ -353,18 +351,7 @@ fn wire_config(args: &Cli, granularity: Granularity) -> Result<FlowConfig, Strin
             preimpl_cnn::lint::LintConfig::new().with_deny_warnings(args.switch("--deny-warnings")),
         );
     }
-    if let Some(v) = args.value("--fifo-autosize") {
-        cfg = cfg.with_fifo_autosize(on_off(v, "--fifo-autosize")?);
-    }
     Ok(cfg)
-}
-
-fn on_off(v: &str, flag: &str) -> Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("{flag} expects on|off, got {other:?}")),
-    }
 }
 
 fn config(args: &Cli, granularity: Granularity) -> Result<FlowConfig, String> {

@@ -86,7 +86,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         (0.0f64..500.0, 0.0f64..20.0, 0u64..16, 0usize..12), // placer knobs
         0.5f64..16.0,                                        // baseline effort
     );
-    let synth = (pbool(), 1u64..64, pbool(), pbool());
+    let synth = (pbool(), 1u64..64, pbool());
     let cache = (
         opt(1usize..32),         // threads
         opt(0usize..DIRS.len()), // db dir
@@ -96,7 +96,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         |(
             (block, seeds, util, effort),
             (partpins, (max_iters, capacity), placer, baseline),
-            (mono, width, on_chip, autosize),
+            (mono, width, on_chip),
             (threads, db_dir, budget),
             lint,
         )| {
@@ -129,8 +129,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                     crowding_margin: placer.2 as u16,
                     max_retries: placer.3,
                 })
-                .with_baseline_effort(baseline)
-                .with_fifo_autosize(autosize);
+                .with_baseline_effort(baseline);
             if let Some(t) = threads {
                 cfg = cfg.with_threads(t);
             }
@@ -164,7 +163,6 @@ proptest! {
         prop_assert_eq!(back.db_dir.clone(), cfg.db_dir.clone());
         prop_assert_eq!(back.db_budget_bytes, cfg.db_budget_bytes);
         prop_assert_eq!(back.baseline_effort, cfg.baseline_effort);
-        prop_assert_eq!(back.fifo_autosize, cfg.fifo_autosize);
         prop_assert_eq!(
             back.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings)),
             cfg.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings))
@@ -214,7 +212,6 @@ fn every_knob_config() -> FlowConfig {
         .with_db_dir("/tmp/pi-db")
         .with_db_budget_bytes(1 << 20)
         .with_lint(lint)
-        .with_fifo_autosize(true)
 }
 
 /// The derived wire form is the hand-written one it replaced, byte for
@@ -227,11 +224,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null,"fifo_autosize":false}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true},"fifo_autosize":true}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
     );
 }
 
@@ -249,7 +246,6 @@ fn every_knob_round_trips() {
     assert_eq!(back_lint.levels, cfg.lint.as_ref().unwrap().levels);
     assert_eq!(back_lint.waivers, cfg.lint.as_ref().unwrap().waivers);
     assert!(back_lint.deny_warnings);
-    assert!(back.fifo_autosize);
     // A deserialized config carries no telemetry sink.
     assert!(!back.obs().enabled());
     assert!(back.run_report().is_none());
@@ -303,6 +299,10 @@ fn malformed_configs_are_rejected_naming_the_field() {
         (
             "{\"lint\":{\"frame_cycle_budget\":1}}",
             &["unknown key", "frame_cycle_budget"],
+        ),
+        (
+            "{\"fifo_autosize\":true}",
+            &["unknown key", "fifo_autosize"],
         ),
         // Out-of-range integers used to be truncated with `as u16`.
         (

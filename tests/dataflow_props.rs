@@ -1,12 +1,13 @@
-//! Property and acceptance tests of the `pi-lint` dataflow engine: the
-//! fixpoint terminates on arbitrary cyclic graphs, FIFO minima are
-//! monotone in path skew, autosized capacities always absorb the computed
-//! occupancy, and the skewed-ResNet scenario flows end-to-end under
-//! `FlowConfig::with_fifo_autosize` with thread-count-independent
-//! telemetry.
+//! Property and acceptance tests of the `pi-lint` dataflow engine and the
+//! link sizing it checks: the fixpoint terminates on arbitrary cyclic
+//! graphs, FIFO minima are monotone in path skew, every bundled network
+//! fits the standard link depth, and the skewed-ResNet scenario flows
+//! end-to-end under a plain config — its deep skip FIFO derived, not
+//! configured — with thread-count-independent telemetry.
 
-use preimpl_cnn::cnn::cycles::min_link_depth;
+use preimpl_cnn::cnn::cycles::{link_min_depths, min_link_depth};
 use preimpl_cnn::lint::{analyze_dataflow, fixpoint_intervals, Interval, LintConfig, LintEngine};
+use preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH;
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -84,8 +85,9 @@ proptest! {
 
 /// Network-level monotonicity: widening the ResNet main-path kernels
 /// strictly stretches the add2 skip skew, so the analysis' deepest FIFO
-/// requirement is non-decreasing in kernel size — and crosses the default
-/// capacity (64) past kernel 3, which is what the CI trigger relies on.
+/// requirement is non-decreasing in kernel size — and exceeds the
+/// standard depth (64) past kernel 3. The flow sizes links from that
+/// requirement, so the dataflow lint stays clean at every skew.
 #[test]
 fn resnet_skip_min_depth_grows_with_kernel() {
     let mut last = 0u64;
@@ -99,101 +101,67 @@ fn resnet_skip_min_depth_grows_with_kernel() {
             "kernel {kernel}: {deepest} < previous {last}"
         );
         last = deepest;
+        assert_eq!(
+            deepest > DEFAULT_LINK_FIFO_DEPTH,
+            kernel > 3,
+            "kernel {kernel}: deepest requirement {deepest}"
+        );
         let engine = LintEngine::new(LintConfig::new());
-        let report = engine.lint_dataflow(&network, Granularity::Layer, false, &Obs::null());
-        if kernel == 3 {
-            assert!(
-                report.is_clean(),
-                "kernel {kernel}: {}",
-                report.render_text()
-            );
-        } else {
-            assert!(
-                report.diagnostics.iter().any(|d| d.code == "PL0400"),
-                "kernel {kernel} must trip the deadlock finding: {}",
-                report.render_text()
-            );
-            assert!(
-                report.diagnostics.iter().any(|d| d.code == "PL0401"
-                    && d.message.contains(&format!("minimum depth {deepest}"))),
-                "PL0401 must carry the computed minimum: {}",
-                report.render_text()
-            );
-        }
-    }
-}
-
-/// Autosizing is self-consistent by construction: linting against the
-/// depths the analysis itself computed can never find an undersized link,
-/// whatever the skew.
-#[test]
-fn autosized_capacities_always_lint_clean() {
-    let engine = LintEngine::new(LintConfig::new());
-    for network in [
-        models::lenet5(),
-        models::alexnet_like(),
-        models::resnet_small(),
-        models::cifar10_quick(),
-        skewed_resnet(7),
-        skewed_resnet(9),
-    ] {
-        let report = engine.lint_dataflow(&network, Granularity::Layer, true, &Obs::null());
+        let report = engine.lint_dataflow(&network, Granularity::Layer, &Obs::null());
         assert!(
-            !report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "PL0400" || d.code == "PL0401"),
-            "{}: {}",
-            network.name,
+            report.is_clean(),
+            "kernel {kernel}: {}",
             report.render_text()
         );
     }
 }
 
-/// The acceptance scenario end-to-end: the skewed ResNet trips the lint
-/// gate at the default link depth, but under `with_fifo_autosize` the
-/// same model flows to completion with the computed depths installed on
-/// the stitched nets — and the run's telemetry is byte-identical at
-/// `PI_THREADS` 1 and 4.
+/// Every bundled network, at the granularity it ships with, needs no link
+/// deeper than the standard depth: deriving depths from the rate model
+/// leaves each of their stitched FIFOs at `DEFAULT_LINK_FIFO_DEPTH`.
 #[test]
-fn skewed_resnet_flows_under_fifo_autosize() {
+fn bundled_networks_fit_the_standard_link_depth() {
+    for (network, granularity) in [
+        (models::lenet5(), Granularity::Layer),
+        (models::cifar10_quick(), Granularity::Layer),
+        (models::resnet_small(), Granularity::Layer),
+        (models::alexnet_like(), Granularity::Layer),
+        (models::vgg16(), Granularity::Block),
+    ] {
+        let deepest = link_min_depths(&network, granularity)
+            .unwrap()
+            .into_values()
+            .max()
+            .unwrap_or(1);
+        assert!(
+            deepest <= DEFAULT_LINK_FIFO_DEPTH,
+            "{}: deepest requirement {deepest}",
+            network.name
+        );
+    }
+}
+
+/// The acceptance scenario end-to-end: under a plain config with a
+/// `deny_warnings` lint policy, the skewed ResNet flows to completion with
+/// its deepest computed requirement installed on a stitched net — and the
+/// run's telemetry is byte-identical at `PI_THREADS` 1 and 4.
+#[test]
+fn skewed_resnet_flows_with_derived_link_depths() {
     let device = Device::xcku5p_like();
     let network = skewed_resnet(7);
     let base = FlowConfig::new()
         .with_seeds([1])
         .with_lint(LintConfig::new().with_deny_warnings(true));
-    // The dataflow gate guards the db build too, so pre-implementation
-    // itself must run under autosize (the fingerprint ignores the knob:
-    // the same checkpoints serve both configs).
-    let (db, _) =
-        build_component_db(&network, &device, &base.clone().with_fifo_autosize(true)).unwrap();
+    let (db, _) = build_component_db(&network, &device, &base).unwrap();
 
-    // Gate trips without autosizing: the skip FIFO cannot absorb the skew.
-    let err = run_pre_implemented_flow(&network, &db, &device, &base).unwrap_err();
-    match err {
-        preimpl_cnn::flow::FlowError::LintFailed(report) => {
-            assert!(
-                report.diagnostics.iter().any(|d| d.code == "PL0400"),
-                "{}",
-                report.render_text()
-            );
-        }
-        other => panic!("expected LintFailed, got {other}"),
-    }
-
-    // With autosizing the identical inputs flow to completion and the
-    // deepest computed requirement lands on a stitched net.
     let analysis = analyze_dataflow(&network, Granularity::Layer);
     let deepest = analysis.max_min_depth();
-    assert!(deepest > preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH);
+    assert!(deepest > DEFAULT_LINK_FIFO_DEPTH);
     let mut renders = Vec::new();
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
         let sink = Arc::new(MemorySink::new());
-        let cfg = base
-            .clone()
-            .with_fifo_autosize(true)
-            .with_obs(Obs::new(sink.clone()));
+        let cfg = base.clone().with_obs(Obs::new(sink.clone()));
         let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
         assert!(design.fully_routed());
         assert!(

@@ -209,9 +209,9 @@ proptest! {
         }
     }
 
-    /// Sizer vs. checker: the depths the flow installs under
-    /// `fifo_autosize` (the rate model's forward sweep) are exactly what
-    /// the lint's independent interval fixpoint computes, link for link.
+    /// Sizer vs. checker: the minimum depths the flow sizes links from
+    /// (the rate model's forward sweep) are exactly what the lint's
+    /// independent interval fixpoint computes, link for link.
     #[test]
     fn model_link_depths_equal_the_dataflow_analysis(net in network_strategy()) {
         for granularity in [Granularity::Layer, Granularity::Block] {
