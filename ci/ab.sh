@@ -17,6 +17,12 @@
 # interpolation) and the pairs it won (higher is better for jobs_per_s,
 # lower for the rest). Exits 1 if any run fails an op.
 #
+# Every completed A/B appends one point, one line, to the perf ledger
+# BENCH_e2e.json at the repository root: both revisions (`git describe`;
+# a checkout with uncommitted changes reads `-dirty`), the workload, the
+# seed, N, host_cores, the UTC date, and per metric each side's median,
+# quartiles and wins. Commit the point with the change it measured.
+#
 # Nothing under benchmark/ is edited, but cargo rewrites
 # benchmark/Cargo.lock whenever the crates' manifests have moved on:
 # `git checkout benchmark/Cargo.lock` before `git add -A`.
@@ -71,6 +77,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 printf '\n%-13s %-6s %12s %12s %12s %6s\n' metric side median q1 q3 wins
+: > "$work/summary.tsv"
 for m in $metrics; do
     for name in rev change; do
         other=change
@@ -95,7 +102,36 @@ for m in $metrics; do
                 for (p in mine) {
                     if (m == "jobs_per_s" ? mine[p] > theirs[p] : mine[p] < theirs[p]) wins++
                 }
-                printf "%-13s %-6s %12.6f %12.6f %12.6f %3d/%d\n", m, name, q(0.5), q(0.25), q(0.75), wins, n
-            }' "$work/$name.tsv" "$work/$other.tsv"
+                printf "%s %s %.6f %.6f %.6f %d %d\n", m, name, q(0.5), q(0.25), q(0.75), wins, n
+            }' "$work/$name.tsv" "$work/$other.tsv" >> "$work/summary.tsv"
     done
 done
+awk '{ printf "%-13s %-6s %12.6f %12.6f %12.6f %3d/%d\n", $1, $2, $3, $4, $5, $6, $7 }' \
+    "$work/summary.tsv"
+
+# The ledger point: one JSON line, appended inside the `points` array.
+ledger="$here/BENCH_e2e.json"
+point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
+    -v change="$(git -C "$here" describe --always --dirty)" \
+    -v workload="$workload" -v seed="$seed" -v pairs="$pairs" \
+    -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" '
+    {
+        side = sprintf("\"median\":%s,\"q1\":%s,\"q3\":%s,\"wins\":%s", $3, $4, $5, $6)
+        if (!($1 in seen)) { order[++k] = $1; seen[$1] = 1 }
+        body[$1] = body[$1] (body[$1] == "" ? "" : ",") "\"" $2 "\":{" side "}"
+    }
+    END {
+        printf "{\"rev\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%s,", rev, change, workload, seed
+        printf "\"n\":%s,\"host_cores\":%s,\"date\":\"%s\",\"metrics\":{", pairs, cores, date
+        for (i = 1; i <= k; i++) printf "%s\"%s\":{%s}", (i > 1 ? "," : ""), order[i], body[order[i]]
+        printf "}}"
+    }' "$work/summary.tsv")"
+if [ ! -s "$ledger" ]; then
+    printf '{"ledger":"BENCH_e2e","about":"%s","points":[\n]}\n' \
+        "ci/ab.sh REV WORKLOAD N SEED: N interleaved pairs of the frozen benchmark, REV against the change; per metric, the median, quartiles and pairs won of each side" \
+        > "$ledger"
+fi
+sed -i '$d' "$ledger"
+if tail -1 "$ledger" | grep -q '}$'; then sed -i '$s/$/,/' "$ledger"; fi
+printf '%s\n]}\n' "$point" >> "$ledger"
+echo "ab: appended a point to $ledger"

@@ -7,9 +7,10 @@
 //! * **strategic floorplanning**: [`size_pblock`] picks the smallest column
 //!   group × row span whose capacity covers the component at the requested
 //!   utilization — small pblocks maximize relocatability,
-//! * **performance exploration**: a seed sweep over placement (rayon-
-//!   parallel), keeping the best-Fmax implementation, stopping early when a
-//!   target is met,
+//! * **performance exploration**: a seed sweep over placement, keeping the
+//!   best-Fmax implementation. One parallel sweep serves every build, and
+//!   components whose netlists differ only in names share one
+//!   implementation (see [`build_component_db`]),
 //! * **strategic port planning**: [`plan_partpins`] commits each port to a
 //!   boundary interconnect tile next to the logic it feeds,
 //! * **clock routing**: the checkpoint records a partially routed clock so
@@ -28,10 +29,8 @@ use pi_stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
 use pi_synth::synth_component;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::time::{Duration, Instant};
-
-/// One seed's evaluation result paired with the telemetry it buffered.
-type BufferedEval = (Result<(f64, Module), FlowError>, pi_obs::BufferedObs);
 
 /// Per-component report from the build.
 #[derive(Debug, Clone)]
@@ -41,8 +40,15 @@ pub struct ComponentBuildReport {
     pub fmax_mhz: f64,
     pub resources: ResourceCount,
     pub pblock: Pblock,
+    /// Placement seeds run for this component: the whole sweep when it was
+    /// implemented, 0 when it shares another component's result.
     pub seeds_tried: usize,
+    /// The component whose implementation this one shares: its netlist is
+    /// that component's up to names (see [`build_component_db`]).
+    pub reused_from: Option<String>,
     pub latency_cycles: u64,
+    /// Synthesis plus every seed run for this component. Seeds run in
+    /// parallel, so this can exceed the wall time the build took.
     pub build_time: Duration,
 }
 
@@ -197,7 +203,9 @@ pub fn scatter_partpins(module: &mut Module, pblock: &Pblock) -> Result<(), Flow
 
 /// Pre-implement one component: synthesize OOC, size a pblock, sweep
 /// placement seeds, plan ports, route, lock, and wrap as a checkpoint.
-/// Through the config's telemetry handle the DSE sweep reports each seed's
+/// This is [`build_component_db`]'s sweep on a single component, so its
+/// checkpoint is byte for byte the one the database build stores for it.
+/// Through the config's telemetry handle the sweep reports each seed's
 /// outcome (`flow::function_opt` / `dse_seed`) and the accepted
 /// implementation (`component_built`); the engines below report under
 /// `pnr::place` / `pnr::route`.
@@ -207,131 +215,279 @@ pub fn build_component(
     device: &Device,
     cfg: &FlowConfig,
 ) -> Result<(Checkpoint, ComponentBuildReport), FlowError> {
-    let obs = cfg.obs();
+    Ok(build_components(&[component], network, device, cfg)?.remove(0))
+}
+
+/// One component's synthesized netlist and the pblock sized for it.
+struct Synthesized<'a> {
+    component: &'a Component,
+    proto: Module,
+    pblock: Pblock,
+    synth_time: Duration,
+}
+
+/// One placement seed's implementation of a netlist, with the telemetry
+/// it buffered and the time it took.
+struct SeedRun {
+    result: Result<(f64, Module), FlowError>,
+    telemetry: pi_obs::BufferedObs,
+    time: Duration,
+}
+
+/// Implement `syn`'s netlist with placement seed `seed`: plan ports, place
+/// inside the pblock, route, and time it. Deterministic in the seed, and
+/// blind to every module, cell and net name. Emits only through `obs`.
+fn implement_seed(
+    syn: &Synthesized,
+    seed: u64,
+    device: &Device,
+    cfg: &FlowConfig,
+    obs: &Obs,
+) -> Result<(f64, Module), FlowError> {
+    let pblock = syn.pblock;
+    let mut m = syn.proto.clone();
+    m.pblock = Some(pblock);
+    // Partition pins act as fixed anchors during placement: planning
+    // them *first* pulls each interface's logic toward its pblock edge,
+    // so the boundary paths the stitched design will pay for stay
+    // short. A refinement pass afterwards snaps the pin columns to the
+    // placed logic.
+    if cfg.plan_partpins {
+        plan_partpins(&mut m, &pblock)?;
+    } else {
+        scatter_partpins(&mut m, &pblock)?;
+    }
+    place_module_obs(
+        &mut m,
+        device,
+        &PlaceOptions {
+            seed,
+            effort: cfg.effort,
+            region: Some(pblock),
+        },
+        obs,
+    )?;
+    if cfg.plan_partpins {
+        plan_partpins(&mut m, &pblock)?;
+    }
+    let (_, congestion) = route_module_obs(&mut m, device, &cfg.route, &obs.with_seed(seed))?;
+    let timing = sta_module(&m, device, Some(&congestion))?;
     let dse = obs.scoped("flow::function_opt");
-    let t0 = Instant::now();
-    let proto = synth_component(network, component, &cfg.synth)?;
-    let need = proto.resources();
-    let pblock = size_pblock(&need, device, cfg.pblock_utilization)?;
-
-    // Performance exploration: independent placements per seed, best Fmax
-    // wins. Each evaluation is deterministic in its seed. The closure only
-    // emits through the telemetry handle it is *given* — in the parallel
-    // sweep that is a per-seed buffer, so the stream stays deterministic
-    // at every thread count.
-    let evaluate = |s: u64, obs: &Obs| -> Result<(f64, Module), FlowError> {
-        let mut m = proto.clone();
-        m.pblock = Some(pblock);
-        // Partition pins act as fixed anchors during placement: planning
-        // them *first* pulls each interface's logic toward its pblock edge,
-        // so the boundary paths the stitched design will pay for stay
-        // short. A refinement pass afterwards snaps the pin columns to the
-        // placed logic.
-        if cfg.plan_partpins {
-            plan_partpins(&mut m, &pblock)?;
-        } else {
-            scatter_partpins(&mut m, &pblock)?;
-        }
-        place_module_obs(
-            &mut m,
-            device,
-            &PlaceOptions {
-                seed: s,
-                effort: cfg.effort,
-                region: Some(pblock),
-            },
-            obs,
-        )?;
-        if cfg.plan_partpins {
-            plan_partpins(&mut m, &pblock)?;
-        }
-        let (_, congestion) = route_module_obs(&mut m, device, &cfg.route, &obs.with_seed(s))?;
-        let timing = sta_module(&m, device, Some(&congestion))?;
-        let dse = obs.scoped("flow::function_opt");
-        if dse.enabled() {
-            dse.with_seed(s).point(
-                "dse_seed",
-                &[
-                    ("component", component.name.as_str().into()),
-                    ("seed", s.into()),
-                    ("fmax_mhz", timing.fmax_mhz.into()),
-                ],
-            );
-        }
-        Ok((timing.fmax_mhz, m))
-    };
-
-    // Sweep every seed, embarrassingly parallel. Each seed buffers its
-    // telemetry; the buffers flush in seed index order after the join, so
-    // the stream is identical at any PI_THREADS.
-    let items: Vec<(u64, pi_obs::BufferedObs)> =
-        cfg.seeds.iter().map(|&s| (s, obs.buffered())).collect();
-    let evaluated: Vec<BufferedEval> = items
-        .into_par_iter()
-        .map(|(s, buf)| {
-            let r = evaluate(s, buf.obs());
-            (r, buf)
-        })
-        .collect();
-    let mut candidates: Vec<Result<(f64, Module), FlowError>> = Vec::with_capacity(evaluated.len());
-    for (r, buf) in evaluated {
-        buf.flush_into(obs);
-        candidates.push(r);
-    }
-    let candidates: Vec<(f64, Module)> = candidates.into_iter().collect::<Result<_, _>>()?;
-    let mut best: Option<(f64, Module)> = None;
-    for (fmax, m) in candidates {
-        if best.as_ref().map(|(b, _)| fmax > *b).unwrap_or(true) {
-            best = Some((fmax, m));
-        }
-    }
-    let (fmax, mut module) = best.ok_or_else(|| FlowError::ComponentUnsatisfiable {
-        component: component.name.clone(),
-        reason: "no placement seeds supplied".to_string(),
-    })?;
-
-    // Clock pre-route marker + logic locking, then checkpoint.
-    module.clock_prerouted = true;
-    module.lock();
-    let latency_cycles = pi_cnn::cycles::component_pipeline_depth(network, component)?;
-    let signature = component.signature(network);
-    let meta = CheckpointMeta {
-        signature: signature.clone(),
-        fmax_mhz: fmax,
-        resources: need,
-        pblock,
-        device: device.name().to_string(),
-        latency_cycles,
-    };
-    let report = ComponentBuildReport {
-        name: component.name.clone(),
-        signature,
-        fmax_mhz: fmax,
-        resources: need,
-        pblock,
-        seeds_tried: cfg.seeds.len(),
-        latency_cycles,
-        build_time: t0.elapsed(),
-    };
     if dse.enabled() {
-        dse.point(
-            "component_built",
+        dse.with_seed(seed).point(
+            "dse_seed",
             &[
-                ("component", report.name.as_str().into()),
-                ("signature", report.signature.as_str().into()),
-                ("fmax_mhz", report.fmax_mhz.into()),
-                ("seeds_tried", report.seeds_tried.into()),
-                ("luts", need.luts.into()),
-                ("dsps", need.dsps.into()),
-                ("brams", need.brams.into()),
-                ("pblock_w", pblock.width().into()),
-                ("pblock_h", pblock.height().into()),
-                ("latency_cycles", report.latency_cycles.into()),
-                ("wallclock_build_s", t0.elapsed().as_secs_f64().into()),
+                ("component", syn.component.name.as_str().into()),
+                ("seed", seed.into()),
+                ("fmax_mhz", timing.fmax_mhz.into()),
             ],
         );
     }
-    Ok((Checkpoint { meta, module }, report))
+    Ok((timing.fmax_mhz, m))
+}
+
+/// The one implementation sweep behind every build: pre-implement
+/// `components` and return their checkpoints and reports in input order.
+///
+/// Components whose netlists are equal up to names
+/// ([`Module::same_netlist`]) form a group: VGG-16's conv3 and conv4
+/// blocks, its four pools, ResNet's repeated residual layers. Equal
+/// netlists have equal resources, so a group shares one pblock as well,
+/// and only its first member is implemented. One parallel map runs every
+/// (group, seed) item, largest netlist first and one item per task, so
+/// the longest anneals start first and no task queues two of them. Each
+/// item buffers its telemetry.
+///
+/// Back in component order, a group's first member flushes its seeds'
+/// buffers in seed order, locks the best-Fmax seed (the first on a tie)
+/// and reports `component_built`. Every later member gets that module
+/// under its own module, cell and net names, with its own signature and
+/// latency in the meta, and reports `reused_from` and `seeds_tried: 0`.
+/// Placement, routing and timing read no name, so the shared checkpoint
+/// is byte for byte the one implementing that member separately would
+/// produce. Results and the event stream are identical at any
+/// `PI_THREADS`; the first error in component order is returned.
+fn build_components(
+    components: &[&Component],
+    network: &Network,
+    device: &Device,
+    cfg: &FlowConfig,
+) -> Result<Vec<(Checkpoint, ComponentBuildReport)>, FlowError> {
+    let obs = cfg.obs();
+    let dse = obs.scoped("flow::function_opt");
+    let synthesized: Vec<Synthesized> = components
+        .par_iter()
+        .map(|&component| {
+            let t0 = Instant::now();
+            let proto = synth_component(network, component, &cfg.synth)?;
+            let pblock = size_pblock(&proto.resources(), device, cfg.pblock_utilization)?;
+            Ok(Synthesized {
+                component,
+                proto,
+                pblock,
+                synth_time: t0.elapsed(),
+            })
+        })
+        .collect::<Result<_, FlowError>>()?;
+
+    // `owners[g]` is group g's first member; `group_of[i]` is i's group.
+    let mut owners: Vec<usize> = Vec::new();
+    let mut group_of: Vec<usize> = Vec::with_capacity(synthesized.len());
+    for (i, syn) in synthesized.iter().enumerate() {
+        let same = |&o: &usize| synthesized[o].proto.same_netlist(&syn.proto);
+        group_of.push(owners.iter().position(same).unwrap_or_else(|| {
+            owners.push(i);
+            owners.len() - 1
+        }));
+    }
+
+    // Item `g * n_seeds + k` runs group g's netlist with seed k.
+    let n_seeds = cfg.seeds.len();
+    let mut order: Vec<usize> = (0..owners.len() * n_seeds).collect();
+    order.sort_by_key(|&item| Reverse(synthesized[owners[item / n_seeds]].proto.cells().len()));
+    let mut runs: Vec<(usize, SeedRun)> = order
+        .into_iter()
+        .map(|item| (item, obs.buffered()))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .with_max_len(1)
+        .map(|(item, telemetry)| {
+            let t0 = Instant::now();
+            let syn = &synthesized[owners[item / n_seeds]];
+            let seed = cfg.seeds[item % n_seeds];
+            let result = implement_seed(syn, seed, device, cfg, telemetry.obs());
+            let time = t0.elapsed();
+            (
+                item,
+                SeedRun {
+                    result,
+                    telemetry,
+                    time,
+                },
+            )
+        })
+        .collect();
+    runs.sort_by_key(|&(item, _)| item);
+    let mut runs = runs.into_iter().map(|(_, run)| run);
+
+    // Each group's locked winner; `None` once its first member failed.
+    let mut winners: Vec<Option<(f64, Module)>> = Vec::with_capacity(owners.len());
+    let mut built: Vec<Result<(Checkpoint, ComponentBuildReport), FlowError>> =
+        Vec::with_capacity(synthesized.len());
+    for (i, syn) in synthesized.iter().enumerate() {
+        let g = group_of[i];
+        let mut build_time = syn.synth_time;
+        let (fmax, module, seeds_tried, reused_from) = if owners[g] == i {
+            // Groups are numbered in order of their first member, so this
+            // group's seeds are the next `n_seeds` runs.
+            let mut best: Option<(f64, Module)> = None;
+            let mut failed: Option<FlowError> = None;
+            for run in runs.by_ref().take(n_seeds) {
+                run.telemetry.flush_into(obs);
+                build_time += run.time;
+                match run.result {
+                    Ok((fmax, m)) => {
+                        if best.as_ref().is_none_or(|(b, _)| fmax > *b) {
+                            best = Some((fmax, m));
+                        }
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
+            }
+            let winner = match (failed, best) {
+                (None, Some(best)) => Ok(best),
+                (Some(e), _) => Err(e),
+                (None, None) => Err(FlowError::ComponentUnsatisfiable {
+                    component: syn.component.name.clone(),
+                    reason: "no placement seeds supplied".to_string(),
+                }),
+            };
+            let (fmax, mut m) = match winner {
+                Ok(best) => best,
+                Err(e) => {
+                    winners.push(None);
+                    built.push(Err(e));
+                    continue;
+                }
+            };
+            // Clock pre-route marker + logic locking.
+            m.clock_prerouted = true;
+            m.lock();
+            winners.push(Some((fmax, m.clone())));
+            (fmax, m, n_seeds, None)
+        } else {
+            // The group's first member failed and reported the error.
+            let Some((fmax, m)) = &winners[g] else {
+                continue;
+            };
+            let from = synthesized[owners[g]].component.name.clone();
+            (*fmax, m.renamed_like(&syn.proto), 0, Some(from))
+        };
+        built.push(
+            checkpoint_component(network, syn, device, fmax, module).map(|cp| {
+                let report = ComponentBuildReport {
+                    name: syn.component.name.clone(),
+                    signature: cp.meta.signature.clone(),
+                    fmax_mhz: fmax,
+                    resources: cp.meta.resources,
+                    pblock: syn.pblock,
+                    seeds_tried,
+                    reused_from,
+                    latency_cycles: cp.meta.latency_cycles,
+                    build_time,
+                };
+                report_built(&dse, &report);
+                (cp, report)
+            }),
+        );
+    }
+    built.into_iter().collect()
+}
+
+/// Wrap one component's locked module as its checkpoint.
+fn checkpoint_component(
+    network: &Network,
+    syn: &Synthesized,
+    device: &Device,
+    fmax: f64,
+    module: Module,
+) -> Result<Checkpoint, FlowError> {
+    let meta = CheckpointMeta {
+        signature: syn.component.signature(network),
+        fmax_mhz: fmax,
+        resources: module.resources(),
+        pblock: syn.pblock,
+        device: device.name().to_string(),
+        latency_cycles: pi_cnn::cycles::component_pipeline_depth(network, syn.component)?,
+    };
+    Ok(Checkpoint { meta, module })
+}
+
+/// The `component_built` point for one accepted (or shared) implementation.
+fn report_built(dse: &Obs, report: &ComponentBuildReport) {
+    if !dse.enabled() {
+        return;
+    }
+    let (need, pblock) = (report.resources, report.pblock);
+    let mut fields = vec![
+        ("component", report.name.as_str().into()),
+        ("signature", report.signature.as_str().into()),
+        ("fmax_mhz", report.fmax_mhz.into()),
+        ("seeds_tried", report.seeds_tried.into()),
+        ("luts", need.luts.into()),
+        ("dsps", need.dsps.into()),
+        ("brams", need.brams.into()),
+        ("pblock_w", pblock.width().into()),
+        ("pblock_h", pblock.height().into()),
+        ("latency_cycles", report.latency_cycles.into()),
+        ("wallclock_build_s", report.build_time.as_secs_f64().into()),
+    ];
+    if let Some(from) = &report.reused_from {
+        fields.push(("reused_from", from.as_str().into()));
+    }
+    dse.point("component_built", &fields);
 }
 
 /// Pre-stage lint gate: when `cfg.lint` is set, run the graph-family
@@ -366,36 +522,6 @@ pub(crate) fn lint_gate_db(
         return Err(FlowError::LintFailed(report));
     }
     Ok(())
-}
-
-/// Build a set of components in parallel, buffering each component's
-/// telemetry and flushing the buffers in component index order — the
-/// pi-obs determinism contract for parallel regions (see
-/// [`pi_obs::BufferedObs`]).
-fn build_components_parallel(
-    components: &[&Component],
-    network: &Network,
-    device: &Device,
-    cfg: &FlowConfig,
-) -> Result<Vec<(Checkpoint, ComponentBuildReport)>, FlowError> {
-    type Built = Result<(Checkpoint, ComponentBuildReport), FlowError>;
-    let obs = cfg.obs();
-    let items: Vec<(&Component, pi_obs::BufferedObs)> =
-        components.iter().map(|&c| (c, obs.buffered())).collect();
-    let built: Vec<(Built, pi_obs::BufferedObs)> = items
-        .into_par_iter()
-        .map(|(c, buf)| {
-            let cfg = cfg.clone().with_obs(buf.obs().clone());
-            let r = build_component(network, c, device, &cfg);
-            (r, buf)
-        })
-        .collect();
-    let mut results: Vec<Built> = Vec::with_capacity(built.len());
-    for (r, buf) in built {
-        buf.flush_into(obs);
-        results.push(r);
-    }
-    results.into_iter().collect()
 }
 
 /// The paper's stated future work: "the frequency of the pre-implemented
@@ -464,8 +590,16 @@ pub fn improve_slowest(
     Ok(improvements)
 }
 
-/// Build the whole component database for a network. Components build in
-/// parallel (rayon) — the "performed exactly once" investment of the paper.
+/// Build the whole component database for a network — the "performed
+/// exactly once" investment of the paper. Each distinct netlist is
+/// implemented once: components whose netlists are equal up to module,
+/// cell and net names ([`Module::same_netlist`]) share one placed-and-routed
+/// result, renamed for each, which is byte for byte what building each on
+/// its own gives, because placement, routing and timing read no name. The
+/// shared component's report names the one it shares (`reused_from`) and
+/// `seeds_tried` is 0. All (netlist, seed) pairs run in one parallel sweep,
+/// largest netlist first; results and telemetry are identical at any
+/// `PI_THREADS`.
 pub fn build_component_db(
     network: &Network,
     device: &Device,
@@ -479,7 +613,7 @@ pub fn build_component_db(
         &[("components", components.len().into())],
     );
     let refs: Vec<&Component> = components.iter().collect();
-    let results = build_components_parallel(&refs, network, device, cfg)?;
+    let results = build_components(&refs, network, device, cfg)?;
     span.end();
     let mut db = ComponentDb::new();
     let mut reports = Vec::with_capacity(results.len());
@@ -584,10 +718,15 @@ pub fn build_component_db_cached(
     }
 
     let refs: Vec<&Component> = missing.iter().map(|(c, _)| *c).collect();
-    let results = build_components_parallel(&refs, network, device, cfg)?;
+    let results = build_components(&refs, network, device, cfg)?;
+    let inserts: Vec<(&str, &Checkpoint)> = missing
+        .iter()
+        .zip(&results)
+        .map(|((_, key), (cp, _))| (key.as_str(), cp))
+        .collect();
+    cache.insert_all(&inserts, obs).map_err(FlowError::Stitch)?;
     let mut reports = Vec::with_capacity(results.len());
-    for ((cp, report), (_, key)) in results.into_iter().zip(&missing) {
-        cache.insert(key, &cp, obs).map_err(FlowError::Stitch)?;
+    for (cp, report) in results {
         db.insert(cp);
         reports.push(report);
     }

@@ -76,7 +76,7 @@ impl CellKind {
 }
 
 /// One cell of a module netlist.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     /// Hierarchical name, for reports and debugging.
     pub name: String,

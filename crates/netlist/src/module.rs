@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A netlist module: the unit of synthesis, OOC implementation, checkpointing
 /// and reuse.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Module {
     pub name: String,
     cells: Arc<Vec<Cell>>,
@@ -175,6 +175,88 @@ impl Module {
             m.pblock = Some(pb.translated(dcol, drow)?);
         }
         Some(m)
+    }
+
+    /// True when `other` is the same netlist up to names: the same cells,
+    /// nets and ports in the same order, equal in every field except the
+    /// module, cell and net names (port names do count). Placement,
+    /// routing and timing read no such name, so two modules that compare
+    /// equal here implement to the same result.
+    pub fn same_netlist(&self, other: &Module) -> bool {
+        let Module {
+            name: _,
+            cells,
+            nets,
+            ports,
+            locked,
+            pblock,
+            clock_prerouted,
+        } = self;
+        let cell_eq = |a: &Cell, b: &Cell| {
+            let Cell {
+                name: _,
+                kind,
+                delay_ps,
+                registered,
+                placement,
+                fixed,
+            } = a;
+            (kind, delay_ps, registered, placement, fixed)
+                == (&b.kind, &b.delay_ps, &b.registered, &b.placement, &b.fixed)
+        };
+        let net_eq = |a: &Net, b: &Net| {
+            let Net {
+                name: _,
+                source,
+                sinks,
+                width,
+                route,
+                locked,
+                is_clock,
+            } = a;
+            (source, sinks, width, route, locked, is_clock)
+                == (
+                    &b.source,
+                    &b.sinks,
+                    &b.width,
+                    &b.route,
+                    &b.locked,
+                    &b.is_clock,
+                )
+        };
+        (locked, pblock, clock_prerouted) == (&other.locked, &other.pblock, &other.clock_prerouted)
+            && *ports == other.ports
+            && cells.len() == other.cells.len()
+            && nets.len() == other.nets.len()
+            && cells
+                .iter()
+                .zip(other.cells.iter())
+                .all(|(a, b)| cell_eq(a, b))
+            && nets
+                .iter()
+                .zip(other.nets.iter())
+                .all(|(a, b)| net_eq(a, b))
+    }
+
+    /// A copy carrying `names`' module, cell and net names, and everything
+    /// else from `self`. Works on locked modules. With `names` the same
+    /// netlist as `self` before implementation ([`Module::same_netlist`]),
+    /// the copy is exactly what implementing `names` itself would produce.
+    pub fn renamed_like(&self, names: &Module) -> Module {
+        debug_assert_eq!(self.cells.len(), names.cells.len());
+        debug_assert_eq!(self.nets.len(), names.nets.len());
+        let mut m = self.clone();
+        m.name.clone_from(&names.name);
+        for (c, n) in Arc::make_mut(&mut m.cells)
+            .iter_mut()
+            .zip(names.cells.iter())
+        {
+            c.name.clone_from(&n.name);
+        }
+        for (net, n) in Arc::make_mut(&mut m.nets).iter_mut().zip(names.nets.iter()) {
+            net.name.clone_from(&n.name);
+        }
+        m
     }
 
     /// Sum of placed-endpoint HPWL over all non-clock nets — the classic

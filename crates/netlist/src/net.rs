@@ -37,7 +37,7 @@ impl Route {
 }
 
 /// A net of the module netlist.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Net {
     pub name: String,
     pub source: Endpoint,

@@ -37,7 +37,7 @@ pub enum StreamRole {
 }
 
 /// A boundary port of a module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Port {
     pub name: String,
     pub dir: Direction,

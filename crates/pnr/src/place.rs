@@ -161,6 +161,43 @@ const MOVE_CAP: u64 = 40_000_000;
 /// Marks an unoccupied site in the occupancy grid.
 const FREE: u32 = u32::MAX;
 
+/// Slots of [`AcceptMemo`]: uphill moves with `delta < 512` hit the table.
+const ACCEPT_MEMO_LEN: usize = 1024;
+
+/// The Metropolis acceptance probability `exp(-delta / temp)`, memoized
+/// within one round. A net costs `weight × span` with weight 1 or
+/// [`COMB_NET_WEIGHT`] (2.5), so every `delta` is an exact multiple of 0.5
+/// and `2 × delta` indexes the table exactly; equal keys are equal deltas,
+/// so a memoized value is bit for bit the one `exp` would return. A slot
+/// is stamped with the round that filled it: the next round's temperature
+/// invalidates the table without touching it, so a module with few moves
+/// per round never pays for a refill.
+struct AcceptMemo {
+    slots: Vec<(u64, f64)>,
+}
+
+impl AcceptMemo {
+    fn new() -> AcceptMemo {
+        AcceptMemo {
+            slots: vec![(u64::MAX, 0.0); ACCEPT_MEMO_LEN],
+        }
+    }
+
+    #[inline]
+    fn probability(&mut self, delta: f64, temp: f64, round: u64) -> f64 {
+        let key = 2.0 * delta;
+        if key >= 0.0 && key < ACCEPT_MEMO_LEN as f64 && key == key.trunc() {
+            let slot = &mut self.slots[key as usize];
+            if slot.0 != round {
+                *slot = (round, (-delta / temp).exp());
+            }
+            slot.1
+        } else {
+            (-delta / temp).exp()
+        }
+    }
+}
+
 /// Place all movable cells of a module. Fixed cells keep their placement
 /// and block their sites. Returns statistics for reports, and emits one
 /// `anneal_round` point per temperature step (cost, temperature, window,
@@ -330,6 +367,7 @@ pub fn place_module_obs(
         // Move-loop scratch, reused so the hot path allocates nothing.
         let mut merged: Vec<u32> = Vec::new();
         let mut proposed: Vec<Bbox> = Vec::new();
+        let mut memo = AcceptMemo::new();
 
         let anneal_span = obs.span_with(
             "anneal",
@@ -408,7 +446,8 @@ pub fn place_module_obs(
                     proposed.push(bb);
                 }
                 let delta = after - before;
-                let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
+                let accept =
+                    delta <= 0.0 || rng.gen::<f64>() < memo.probability(delta, temp, round);
                 if accept {
                     stats.accepted += 1;
                     round_accepted += 1;
@@ -912,6 +951,26 @@ mod tests {
             let io = fast.cells().last().unwrap().placement.unwrap();
             prop_assert_eq!(device.site_at(io).unwrap(), Some(SiteKind::Iob));
             prop_assert!(region.is_none_or(|r| !r.contains(io)));
+        }
+    }
+
+    #[test]
+    fn accept_memo_returns_exp_bit_for_bit() {
+        let mut memo = AcceptMemo::new();
+        let mut temp = 37.3;
+        for round in 0..6u64 {
+            // Half-integer deltas hit the table (twice each); off-grid and
+            // out-of-table deltas fall back to `exp`.
+            for delta in (1..1200).map(|k| f64::from(k) * 0.5).chain([0.3, 1.7, 2e6]) {
+                for _ in 0..2 {
+                    let want = (-delta / temp).exp();
+                    assert_eq!(
+                        memo.probability(delta, temp, round).to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+            temp *= 0.82;
         }
     }
 

@@ -264,6 +264,32 @@ fn sanitize(sig: &str) -> String {
         .collect()
 }
 
+/// A checkpoint ready to store: its object bytes and its manifest row.
+struct Encoded {
+    json: String,
+    entry: ManifestEntry,
+}
+
+/// Encode `cp` for `key`: the versioned object bytes, hashed, and the
+/// manifest row naming them. Pure, so a batch encodes in parallel.
+fn encode_entry(key: &str, cp: &Checkpoint) -> Result<Encoded, StitchError> {
+    let json = cp.to_versioned_json()?;
+    let content_hash = xxh64(Checkpoint::versioned_payload(json.as_bytes())?);
+    let mut prefix = sanitize(&cp.meta.signature);
+    prefix.truncate(64);
+    let entry = ManifestEntry {
+        key: key.to_string(),
+        signature: cp.meta.signature.clone(),
+        file: format!("{prefix}-{key}.dcp.json"),
+        content_hash: format!("{content_hash:016x}"),
+        format_version: CHECKPOINT_FORMAT_VERSION,
+        device: cp.meta.device.clone(),
+        bytes: json.len() as u64,
+        last_used: 0,
+    };
+    Ok(Encoded { json, entry })
+}
+
 /// Write-then-rename: the contents land under a temp name first, so a
 /// crash can never leave a torn file behind the real name.
 fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
@@ -525,24 +551,42 @@ impl DbCache {
     /// budget configured, least-recently-used entries are evicted until
     /// the cache fits (the just-inserted entry is never its own victim).
     pub fn insert(&mut self, key: &str, cp: &Checkpoint, obs: &Obs) -> Result<(), StitchError> {
-        let json = cp.to_versioned_json()?;
-        let content_hash = xxh64(Checkpoint::versioned_payload(json.as_bytes())?);
-        let mut prefix = sanitize(&cp.meta.signature);
-        prefix.truncate(64);
-        let file = format!("{prefix}-{key}.dcp.json");
-        let path = self.root.join(OBJECTS_DIR).join(&file);
-        write_atomic(&path, &json)?;
-        let bytes = json.len() as u64;
-        let entry = ManifestEntry {
-            key: key.to_string(),
-            signature: cp.meta.signature.clone(),
-            file,
-            content_hash: format!("{content_hash:016x}"),
-            format_version: CHECKPOINT_FORMAT_VERSION,
-            device: cp.meta.device.clone(),
-            bytes,
-            last_used: 0,
-        };
+        self.store(encode_entry(key, cp)?, obs)
+    }
+
+    /// Insert a batch: [`DbCache::insert`] on each pair in turn, with two
+    /// differences that leave the same files on disk. The checkpoints are
+    /// encoded in parallel first. A key that occurs more than once is
+    /// written once, with its last checkpoint — the one whose bytes a
+    /// sequential run leaves behind — at the place of its last occurrence.
+    pub fn insert_all(
+        &mut self,
+        items: &[(&str, &Checkpoint)],
+        obs: &Obs,
+    ) -> Result<(), StitchError> {
+        let last: Vec<(&str, &Checkpoint)> = items
+            .iter()
+            .enumerate()
+            .filter(|(i, (key, _))| items[i + 1..].iter().all(|(k, _)| k != key))
+            .map(|(_, &item)| item)
+            .collect();
+        let encoded: Vec<Result<Encoded, StitchError>> = last
+            .into_par_iter()
+            .map(|(key, cp)| encode_entry(key, cp))
+            .collect();
+        for entry in encoded {
+            self.store(entry?, obs)?;
+        }
+        Ok(())
+    }
+
+    /// Write one encoded object, then merge its manifest row under the
+    /// lock (evicting to the budget), and report the store.
+    fn store(&mut self, encoded: Encoded, obs: &Obs) -> Result<(), StitchError> {
+        let Encoded { json, entry } = encoded;
+        write_atomic(&self.root.join(OBJECTS_DIR).join(&entry.file), &json)?;
+        let (key, signature, bytes) = (entry.key.clone(), entry.signature.clone(), entry.bytes);
+        let key = key.as_str();
         let cache_obs = obs.scoped(CACHE_SCOPE);
         let evicted = self.mutate_locked(&cache_obs, move |cache| {
             cache.generation += 1;
@@ -563,7 +607,7 @@ impl DbCache {
                 "cache_store",
                 &[
                     ("key", key.into()),
-                    ("signature", cp.meta.signature.as_str().into()),
+                    ("signature", signature.as_str().into()),
                     ("bytes", bytes.into()),
                 ],
             );
@@ -824,6 +868,55 @@ mod tests {
         ));
         assert_eq!(writes(), before);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_batch_insert_leaves_the_files_of_inserting_in_turn() {
+        let obs = Obs::null();
+        let a_first = checkpoint("sig_a");
+        let mut a_last = checkpoint("sig_a");
+        a_last.meta.fmax_mhz = 400.0;
+        let b = checkpoint("sig_b");
+        let (ka, kb) = (
+            cache_key("sig_a", "test-part", 1),
+            cache_key("sig_b", "test-part", 1),
+        );
+        let items = [
+            (ka.as_str(), &a_first),
+            (kb.as_str(), &b),
+            (ka.as_str(), &a_last),
+        ];
+        let objects = |root: &Path| -> Vec<(String, Vec<u8>)> {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(root.join(OBJECTS_DIR))
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let (in_turn, batch) = (tmp_root("in_turn"), tmp_root("batch_insert"));
+        let mut cache = DbCache::open(&in_turn, &obs).unwrap();
+        for (key, cp) in items {
+            cache.insert(key, cp, &obs).unwrap();
+        }
+        let mut cache = DbCache::open(&batch, &obs).unwrap();
+        let writes = || MANIFEST_WRITES.with(|n| n.get());
+        let before = writes();
+        cache.insert_all(&items, &obs).unwrap();
+        assert_eq!(writes() - before, 2, "the repeated key is written once");
+        assert_eq!(objects(&batch), objects(&in_turn));
+        match cache.lookup(&ka, &obs) {
+            CacheLookup::Hit { checkpoint, .. } => {
+                assert_eq!(checkpoint.content_hash(), a_last.content_hash())
+            }
+            other => panic!("expected hit, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&in_turn).ok();
+        std::fs::remove_dir_all(&batch).ok();
     }
 
     #[test]
