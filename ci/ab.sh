@@ -15,13 +15,17 @@
 # Prints each run's numbers as it lands, then, for e2e_s, e2e_tail_s,
 # jobs_per_s and cpu_s_per_op, each side's median, quartiles (linear
 # interpolation) and the pairs it won (higher is better for jobs_per_s,
-# lower for the rest). Exits 1 if any run fails an op.
+# lower for the rest). Then one traced run (`--trace 1`) per side prints
+# the deterministic work counters: pnr.assembled_expansions,
+# stitch.stitched_nets, pnr.overused_tiles and stitch.cache_bytes_loaded.
+# Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
 # BENCH_e2e.json at the repository root: both revisions (`git describe`;
 # a checkout with uncommitted changes reads `-dirty`), the workload, the
-# seed, N, host_cores, the UTC date, and per metric each side's median,
-# quartiles and wins. Commit the point with the change it measured.
+# seed, N, host_cores, the UTC date, per metric each side's median,
+# quartiles and wins, and under `traced` each side's counters. Commit the
+# point with the change it measured.
 #
 # Nothing under benchmark/ is edited, but cargo rewrites
 # benchmark/Cargo.lock whenever the crates' manifests have moved on:
@@ -32,6 +36,7 @@ rev="$1" workload="$2" pairs="$3" seed="${4:-1}"
 here="$(cd "$(dirname "$0")/.." && pwd)"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$here/BENCHMARK.json")"
 metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
+counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -46,22 +51,50 @@ for side in "$work/rev" "$here"; do
         --quiet --manifest-path benchmark/Cargo.toml)
 done
 
+# The result line of one run on one side (`$4` is --trace); exits on a
+# failed op.
+run_once() {
+    local name="$1" dir="$2" what="$3" trace="$4" line
+    line="$(cd "$dir" && benchmark/run.sh --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -1)"
+    if ! echo "$line" | grep -q '"failed":0,'; then
+        echo "ab: $name $what failed ops: $line" >&2
+        exit 1
+    fi
+    echo "$line"
+}
+
+# The value of metric $2 in result line $1.
+value_of() {
+    echo "$1" | sed -n "s/.*\"${2//./\\.}\":{\"value\":\([^,}]*\).*/\1/p"
+}
+
 # One run on one side; appends "pair metric value" lines to $work/<name>.tsv.
 run_side() {
     local name="$1" dir="$2" pair="$3" line m v
-    line="$(cd "$dir" && benchmark/run.sh --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -1)"
-    if ! echo "$line" | grep -q '"failed":0,'; then
-        echo "ab: $name run of pair $pair failed ops: $line" >&2
-        exit 1
-    fi
+    line="$(run_once "$name" "$dir" "run of pair $pair" 0)" || exit 1
     printf '  %-6s' "$name"
     for m in $metrics; do
-        v="$(echo "$line" | sed -n "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/p")"
+        v="$(value_of "$line" "$m")"
         echo "$pair $m $v" >> "$work/$name.tsv"
         printf ' %s=%s' "$m" "$v"
     done
     echo
+}
+
+# One traced run on one side; writes its counters as a JSON object to
+# $work/<name>.traced.
+traced_side() {
+    local name="$1" dir="$2" line m v json=""
+    line="$(run_once "$name" "$dir" "traced run" 1)" || exit 1
+    printf '  %-6s' "$name"
+    for m in $counters; do
+        v="$(value_of "$line" "$m")"
+        json="$json${json:+,}\"$m\":${v:-null}"
+        printf ' %s=%s' "$m" "$v"
+    done
+    echo
+    echo "{$json}" > "$work/$name.traced"
 }
 
 echo "ab: $rev vs checkout, $workload, $pairs pairs, seed $seed, ${seconds} s per run"
@@ -75,6 +108,10 @@ for pair in $(seq 1 "$pairs"); do
         run_side rev "$work/rev" "$pair"
     fi
 done
+
+echo "ab: one traced run per side"
+traced_side rev "$work/rev"
+traced_side change "$here"
 
 printf '\n%-13s %-6s %12s %12s %12s %6s\n' metric side median q1 q3 wins
 : > "$work/summary.tsv"
@@ -114,7 +151,8 @@ ledger="$here/BENCH_e2e.json"
 point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
     -v change="$(git -C "$here" describe --always --dirty)" \
     -v workload="$workload" -v seed="$seed" -v pairs="$pairs" \
-    -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" '
+    -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" \
+    -v traced_rev="$(cat "$work/rev.traced")" -v traced_change="$(cat "$work/change.traced")" '
     {
         side = sprintf("\"median\":%s,\"q1\":%s,\"q3\":%s,\"wins\":%s", $3, $4, $5, $6)
         if (!($1 in seen)) { order[++k] = $1; seen[$1] = 1 }
@@ -124,7 +162,7 @@ point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
         printf "{\"rev\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%s,", rev, change, workload, seed
         printf "\"n\":%s,\"host_cores\":%s,\"date\":\"%s\",\"metrics\":{", pairs, cores, date
         for (i = 1; i <= k; i++) printf "%s\"%s\":{%s}", (i > 1 ? "," : ""), order[i], body[order[i]]
-        printf "}}"
+        printf "},\"traced\":{\"rev\":%s,\"change\":%s}}", traced_rev, traced_change
     }' "$work/summary.tsv")"
 if [ ! -s "$ledger" ]; then
     printf '{"ledger":"BENCH_e2e","about":"%s","points":[\n]}\n' \

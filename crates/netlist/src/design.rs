@@ -27,8 +27,11 @@ pub enum DesignKind {
     Assembled,
 }
 
-/// An instance of a module in the top-level design. Module coordinates are
-/// absolute device coordinates (relocation already applied by the stitcher).
+/// An instance of a module in the top-level design. Cell placements,
+/// partition pins and the pblock are absolute device coordinates
+/// (relocation already applied by the stitcher); a relocated module's
+/// stored routes stay in its checkpoint's frame and are read in the device
+/// frame through [`crate::walk`].
 #[derive(Debug, Clone)]
 pub struct ModuleInst {
     pub name: String,

@@ -34,7 +34,7 @@ pub use hash::{xxh64, StableHasher};
 pub use module::{Module, ModuleBuilder};
 pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
-pub use walk::{NetView, PlacedNet, Slot};
+pub use walk::{NetView, PlacedNet, RouteView, Slot};
 
 /// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]

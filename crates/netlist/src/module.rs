@@ -5,13 +5,20 @@
 //! reference counts instead of copying its netlist, which is what makes a
 //! locked, read-only checkpoint cheap to hand out many times; the first
 //! write to a shared clone copies only the vector it touches.
+//!
+//! Relocation ([`Module::translated`]) copies the cells and ports but
+//! shares the nets: a translated module keeps its checkpoint's routes in
+//! the checkpoint frame and records the shift as a route offset, which
+//! [`crate::walk`] (the one reader of stored routes) applies. The first
+//! write to the nets bakes the offset in, so no writer sees the
+//! checkpoint frame.
 
 use crate::cell::{Cell, CellId};
 use crate::net::{Endpoint, Net, NetId};
 use crate::port::{Direction, Port, PortId, StreamRole};
 use crate::NetlistError;
 use pi_fabric::{Pblock, ResourceCount, TileCoord};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A netlist module: the unit of synthesis, OOC implementation, checkpointing
@@ -30,6 +37,31 @@ pub struct Module {
     /// Models the HD.CLK_SRC constraint: the clock is partially routed to
     /// the interconnect tiles so OOC timing analysis is meaningful.
     pub clock_prerouted: bool,
+    /// (dcol, drow) from the frame the stored route tiles are written in
+    /// to the device frame they are read in. Non-zero only on a
+    /// translated module; absent from the serialized form when zero, so a
+    /// checkpoint's bytes (and content hash) never carry it, and rejected
+    /// when decoded non-zero: a checkpoint stores its routes in its own
+    /// frame, and only [`Module::translated`] checks an offset's extent.
+    #[serde(
+        default,
+        skip_serializing_if = "is_zero",
+        deserialize_with = "zero_route_offset"
+    )]
+    route_offset: (i32, i32),
+}
+
+fn is_zero(offset: &(i32, i32)) -> bool {
+    *offset == (0, 0)
+}
+
+fn zero_route_offset(c: &Content) -> Result<(i32, i32), DeError> {
+    match <(i32, i32)>::from_content(c)? {
+        (0, 0) => Ok((0, 0)),
+        (dcol, drow) => Err(DeError::custom(format!(
+            "route_offset ({dcol}, {drow}): a checkpoint's routes are stored in its own frame"
+        ))),
+    }
 }
 
 impl Module {
@@ -117,12 +149,29 @@ impl Module {
         Ok(Arc::make_mut(&mut self.cells).as_mut_slice())
     }
 
-    /// Mutable net access for the router. Fails when locked.
+    /// Mutable net access for the router. Fails when locked. The routes
+    /// handed out are in the device frame: a route offset is written into
+    /// them (and reset) first.
     pub fn nets_mut(&mut self) -> Result<&mut [Net], NetlistError> {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        Ok(Arc::make_mut(&mut self.nets).as_mut_slice())
+        let nets = Arc::make_mut(&mut self.nets);
+        let (dcol, drow) = std::mem::take(&mut self.route_offset);
+        if (dcol, drow) != (0, 0) {
+            for r in nets.iter_mut().filter_map(|n| n.route.as_mut()) {
+                for t in &mut r.tiles {
+                    *t = shift(*t, dcol, drow);
+                }
+            }
+        }
+        Ok(nets.as_mut_slice())
+    }
+
+    /// The shift from the stored route tiles' frame to the device frame;
+    /// applied by [`crate::walk`].
+    pub(crate) fn route_offset(&self) -> (i32, i32) {
+        self.route_offset
     }
 
     /// Mutable port access (for partition-pin planning). Fails when locked.
@@ -152,18 +201,26 @@ impl Module {
     /// and the pblock all shift together. Works on locked modules — this is
     /// exactly what relocation of a pre-implemented component does. Returns
     /// `None` if any coordinate would leave the grid's coordinate space.
+    ///
+    /// Cells, ports and the pblock are copied; the nets are shared with
+    /// `self` and the shift is added to the route offset, so the routes are
+    /// neither copied nor rewritten.
     pub fn translated(&self, dcol: i32, drow: i32) -> Option<Module> {
         let mut m = self.clone();
+        if let Some((lo, hi)) = self.stored_route_extent() {
+            let (oc, or) = self.route_offset;
+            let oc = i64::from(oc) + i64::from(dcol);
+            let or = i64::from(or) + i64::from(drow);
+            let fits = |v: u16, d: i64| (0..=i64::from(u16::MAX)).contains(&(i64::from(v) + d));
+            if !(fits(lo.col, oc) && fits(hi.col, oc) && fits(lo.row, or) && fits(hi.row, or)) {
+                return None;
+            }
+            // Both corners fit, so each part of the offset is within a u16.
+            m.route_offset = (oc as i32, or as i32);
+        }
         for c in Arc::make_mut(&mut m.cells) {
             if let Some(p) = c.placement {
                 c.placement = Some(p.translated(dcol, drow)?);
-            }
-        }
-        for n in Arc::make_mut(&mut m.nets) {
-            if let Some(r) = &mut n.route {
-                for t in &mut r.tiles {
-                    *t = t.translated(dcol, drow)?;
-                }
             }
         }
         for p in Arc::make_mut(&mut m.ports) {
@@ -175,6 +232,21 @@ impl Module {
             m.pblock = Some(pb.translated(dcol, drow)?);
         }
         Some(m)
+    }
+
+    /// The (lowest col, lowest row) and (highest col, highest row) over
+    /// every stored route tile, in the stored frame; `None` when no net
+    /// stores a tile.
+    fn stored_route_extent(&self) -> Option<(TileCoord, TileCoord)> {
+        let tiles = self.nets.iter().filter_map(|n| n.route.as_ref());
+        let mut tiles = tiles.flat_map(|r| r.tiles.iter());
+        let first = *tiles.next()?;
+        Some(tiles.fold((first, first), |(lo, hi), t| {
+            (
+                TileCoord::new(lo.col.min(t.col), lo.row.min(t.row)),
+                TileCoord::new(hi.col.max(t.col), hi.row.max(t.row)),
+            )
+        }))
     }
 
     /// True when `other` is the same netlist up to names: the same cells,
@@ -191,6 +263,7 @@ impl Module {
             locked,
             pblock,
             clock_prerouted,
+            route_offset,
         } = self;
         let cell_eq = |a: &Cell, b: &Cell| {
             let Cell {
@@ -224,7 +297,13 @@ impl Module {
                     &b.is_clock,
                 )
         };
-        (locked, pblock, clock_prerouted) == (&other.locked, &other.pblock, &other.clock_prerouted)
+        (locked, pblock, clock_prerouted, route_offset)
+            == (
+                &other.locked,
+                &other.pblock,
+                &other.clock_prerouted,
+                &other.route_offset,
+            )
             && *ports == other.ports
             && cells.len() == other.cells.len()
             && nets.len() == other.nets.len()
@@ -335,6 +414,15 @@ impl Module {
     }
 }
 
+/// `t` moved by (dcol, drow), which the caller has checked keeps it in
+/// the u16 space.
+pub(crate) fn shift(t: TileCoord, dcol: i32, drow: i32) -> TileCoord {
+    TileCoord::new(
+        (i32::from(t.col) + dcol) as u16,
+        (i32::from(t.row) + drow) as u16,
+    )
+}
+
 /// Incremental module construction used by the synthesis generators.
 #[derive(Debug)]
 pub struct ModuleBuilder {
@@ -352,6 +440,7 @@ impl ModuleBuilder {
                 locked: false,
                 pblock: None,
                 clock_prerouted: false,
+                route_offset: (0, 0),
             },
         }
     }

@@ -23,13 +23,21 @@ pub enum Endpoint {
 }
 
 /// A committed routing path: the sequence of tiles the net's wires occupy.
-/// Produced by the router; preserved verbatim for locked modules.
+/// Produced by the router; preserved verbatim for locked modules. A
+/// relocated module's routes stay in its checkpoint's frame, so the tiles
+/// are private to this crate: outside it they are read, in the device
+/// frame, through [`crate::RouteView`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Route {
-    pub tiles: Vec<TileCoord>,
+    pub(crate) tiles: Vec<TileCoord>,
 }
 
 impl Route {
+    /// A route over `tiles`, given in the device frame.
+    pub fn new(tiles: Vec<TileCoord>) -> Route {
+        Route { tiles }
+    }
+
     /// Wirelength in tiles.
     pub fn length(&self) -> usize {
         self.tiles.len().saturating_sub(1)

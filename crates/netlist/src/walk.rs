@@ -6,9 +6,13 @@
 //! [`Module`] or an assembled [`Design`]. [`NetView`] answers it once: a
 //! module is the one-instance case of a design (instance 0, no top nets),
 //! so every reader is written against the view and works on both.
+//!
+//! Stored routes are read through [`RouteView`], which yields device-frame
+//! tiles: a relocated instance shares its checkpoint's routes and carries
+//! the shift as an offset ([`Module::translated`]), applied here.
 
 use crate::design::{Design, TopNet};
-use crate::module::Module;
+use crate::module::{shift, Module};
 use crate::net::{Endpoint, Net, Route};
 use pi_fabric::TileCoord;
 
@@ -165,11 +169,17 @@ impl<'a> PlacedNet<'a> {
         }
     }
 
-    /// The stored route; `None` = unrouted.
-    pub fn route(&self) -> Option<&'a Route> {
+    /// The stored route, read in the device frame; `None` = unrouted.
+    pub fn route(&self) -> Option<RouteView<'a>> {
         match *self {
-            PlacedNet::Intra { net, .. } => net.route.as_ref(),
-            PlacedNet::Top(_, _, net) => net.route.as_ref(),
+            PlacedNet::Intra { module, net, .. } => net.route.as_ref().map(|route| RouteView {
+                route,
+                offset: module.route_offset(),
+            }),
+            PlacedNet::Top(_, _, net) => net.route.as_ref().map(|route| RouteView {
+                route,
+                offset: (0, 0),
+            }),
         }
     }
 
@@ -211,6 +221,22 @@ impl<'a> PlacedNet<'a> {
                     .collect()
             }
         }
+    }
+}
+
+/// A stored route as its readers see it: its tiles in the device frame,
+/// whatever frame the route is stored in.
+#[derive(Clone, Copy)]
+pub struct RouteView<'a> {
+    route: &'a Route,
+    offset: (i32, i32),
+}
+
+impl<'a> RouteView<'a> {
+    /// The route's tiles in stored order, in the device frame.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = TileCoord> + 'a {
+        let (dcol, drow) = self.offset;
+        self.route.tiles.iter().map(move |&t| shift(t, dcol, drow))
     }
 }
 

@@ -164,7 +164,7 @@ fn report_routed(
         );
     }
     let routes = view.nets().filter_map(|n| n.route());
-    let total_wirelength: u64 = routes.map(|r| r.tiles.len() as u64).sum();
+    let total_wirelength: u64 = routes.map(|r| r.tiles().len() as u64).sum();
     let power = estimate(&resources, total_wirelength, timing.fmax_mhz);
     Ok(CompileReport {
         design_name: name.to_string(),

@@ -633,9 +633,9 @@ fn run(
     opts: &RouteOptions,
     obs: &Obs,
     slack_fn: SlackFn,
-) -> (Vec<Option<Route>>, RouteStats) {
+) -> (Vec<Option<Vec<TileCoord>>>, RouteStats) {
     let mut stats = RouteStats::default();
-    let mut routes: Vec<Option<Route>> = (0..tasks.len()).map(|_| None).collect();
+    let mut routes: Vec<Option<Vec<TileCoord>>> = (0..tasks.len()).map(|_| None).collect();
     let tiles = costs.tiles();
     // Merge-phase scratch for conflict re-routes (workers use their own).
     let mut merge_scratch = Scratch::new(tiles);
@@ -650,7 +650,7 @@ fn run(
         if iter == 0 {
             for (ti, task) in tasks.iter().enumerate() {
                 if task.endpoints.len() < 2 {
-                    routes[ti] = Some(Route::default());
+                    routes[ti] = Some(Vec::new());
                     stats.trivial_nets += 1;
                 }
             }
@@ -760,8 +760,7 @@ fn run(
                 for &x in &t[1..] {
                     costs.occ[x] += 1;
                 }
-                let tiles: Vec<TileCoord> = t.iter().map(|&p| costs.coord(p)).collect();
-                routes[ti] = Some(Route { tiles });
+                routes[ti] = Some(t.iter().map(|&p| costs.coord(p)).collect());
             }
         }
         stats.expansions += iter_exp;
@@ -787,11 +786,11 @@ fn run(
             let over_set: std::collections::HashSet<usize> = overused.into_iter().collect();
             for (ti, route) in routes.iter_mut().enumerate() {
                 let Some(r) = route else { continue };
-                if r.tiles.is_empty() {
+                if r.is_empty() {
                     continue;
                 }
-                if r.tiles.iter().any(|&t| over_set.contains(&costs.idx(t))) {
-                    for &t in &r.tiles[1..] {
+                if r.iter().any(|&t| over_set.contains(&costs.idx(t))) {
+                    for &t in &r[1..] {
                         let i = costs.idx(t);
                         costs.occ[i] = costs.occ[i].saturating_sub(1);
                     }
@@ -844,7 +843,7 @@ fn run(
 
     stats.overused_tiles = costs.occ.iter().filter(|&&o| o > opts.capacity).count();
     stats.routed_nets = routes.iter().filter(|r| r.is_some()).count() - stats.trivial_nets;
-    stats.wirelength = routes.iter().flatten().map(|r| r.tiles.len() as u64).sum();
+    stats.wirelength = routes.iter().flatten().map(|r| r.len() as u64).sum();
     (routes, stats)
 }
 
@@ -931,7 +930,7 @@ pub(crate) fn route_into(
             // Off-grid tiles occupy nothing: they are the DRC's
             // `RouteOffGrid`, not a tile to charge.
             Some(route) => {
-                for &t in route.tiles.iter().filter(|&&t| device.in_bounds(t)) {
+                for t in route.tiles().filter(|&t| device.in_bounds(t)) {
                     let i = costs.idx(t);
                     costs.occ[i] += 1;
                 }
@@ -949,7 +948,7 @@ pub(crate) fn route_into(
     };
     let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
     for (task, route) in tasks.iter().zip(routes) {
-        target.set_route(task.slot, route)?;
+        target.set_route(task.slot, route.map(Route::new))?;
     }
     let map = CongestionMap::new(costs.rows, opts.capacity, costs.occ);
     Ok((stats, map, graph))
@@ -1021,6 +1020,12 @@ mod tests {
         m
     }
 
+    /// The stored route of `m`'s net `net`, read through the net walk.
+    fn route_tiles(m: &Module, net: usize) -> Option<Vec<TileCoord>> {
+        let placed = NetView::from(m).net(Slot::Intra { inst: 0, net });
+        placed.route().map(|r| r.tiles().collect())
+    }
+
     #[test]
     fn routes_all_nets() {
         let device = Device::test_part();
@@ -1040,16 +1045,18 @@ mod tests {
         let device = Device::test_part();
         let mut m = placed_chain(10, &device, 7);
         let _ = route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
-        for net in m.nets() {
-            let Some(route) = &net.route else { continue };
-            if route.tiles.len() < 2 {
+        for (i, net) in m.nets().iter().enumerate() {
+            let Some(tiles) = route_tiles(&m, i) else {
+                continue;
+            };
+            if tiles.len() < 2 {
                 continue;
             }
             // Every consecutive pair of tiles is grid-adjacent or a tree
             // branch point (distance can jump when starting a new branch,
             // but for 2-pin chains it is a simple path).
             if net.degree() == 2 {
-                for w in route.tiles.windows(2) {
+                for w in tiles.windows(2) {
                     assert!(w[0].manhattan(&w[1]) <= 1, "{:?}", w);
                 }
             }
@@ -1283,8 +1290,8 @@ mod tests {
         let (stats, _) =
             route_module_obs(&mut m, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert!(stats.steiner_segments > 0, "fan-out net not decomposed");
-        let net = m.nets().iter().find(|n| n.name == "fan").unwrap();
-        let route = net.route.as_ref().unwrap();
+        let fan = m.nets().iter().position(|n| n.name == "fan").unwrap();
+        let route = route_tiles(&m, fan).unwrap();
         for t in [TileCoord::new(12, 10)].iter().chain(
             spots
                 .iter()
@@ -1292,7 +1299,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .iter(),
         ) {
-            assert!(route.tiles.contains(t), "terminal {t:?} not on the route");
+            assert!(route.contains(t), "terminal {t:?} not on the route");
         }
     }
 

@@ -157,8 +157,6 @@ impl JobQueue {
             JobStatus::Failed
         };
         entry.outcome = Some(outcome);
-        // Completion may unblock pollers; state is read via status/result.
-        self.cond.notify_all();
     }
 
     /// Lifecycle of a job, if known.

@@ -195,7 +195,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
             violations.push(Violation::Unrouted { net: net.path() });
             continue;
         };
-        for &at in route.tiles.iter().filter(|&&t| !device.in_bounds(t)) {
+        for at in route.tiles().filter(|&t| !device.in_bounds(t)) {
             let net = net.path();
             violations.push(Violation::RouteOffGrid { net, at });
         }

@@ -432,3 +432,32 @@ fn corrupt_checkpoint_files_are_decode_errors() {
         }
     }
 }
+
+#[test]
+fn a_checkpoint_carrying_a_route_offset_is_a_decode_error() {
+    use preimpl_cnn::netlist::NetlistError;
+    let device = Device::xcku5p_like();
+    let network = preimpl_cnn::cnn::models::toy();
+    let cfg = FlowConfig::new().with_seeds([1]);
+    let (db, _) = build_component_db(&network, &device, &cfg).expect("builds");
+    let mut cp = db.checkpoints().next().expect("a component").clone();
+    let clean = cp.to_versioned_json().unwrap();
+    assert!(
+        !clean.contains("route_offset"),
+        "a checkpoint has no offset"
+    );
+    Checkpoint::from_versioned_json(&clean).expect("a clean checkpoint decodes");
+    // A relocated module writes its offset; decoding one would trust a
+    // shift nobody checked against the stored routes (the second would
+    // wrap every tile), so both are refused.
+    cp.module = cp.module.translated(3, 4).expect("fits");
+    let shifted = cp.to_versioned_json().unwrap();
+    let wrapping = shifted.replace("\"route_offset\":[3,4]", "\"route_offset\":[-70000,0]");
+    assert_ne!(shifted, wrapping, "the offset is on the wire");
+    for bad in [shifted, wrapping] {
+        match Checkpoint::from_versioned_json(&bad) {
+            Err(NetlistError::Decode(e)) => assert!(e.contains("route_offset"), "{e}"),
+            other => panic!("expected a route_offset decode error, got {other:?}"),
+        }
+    }
+}

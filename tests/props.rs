@@ -125,7 +125,9 @@ proptest! {
             1..12
         )
     ) {
-        use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StreamRole};
+        use preimpl_cnn::netlist::{
+            Cell, CellKind, Endpoint, ModuleBuilder, NetView, Slot, StreamRole,
+        };
         use preimpl_cnn::obs::Obs;
         use preimpl_cnn::pnr::{route_module_obs, RouteOptions};
         let device = Device::test_part();
@@ -153,10 +155,12 @@ proptest! {
         let (stats, map) = route_module_obs(&mut m, &device, &opts, &Obs::null()).expect("routes");
         prop_assert_eq!(stats.overused_tiles, 0);
         prop_assert_eq!(map.overused(), 0);
-        for net in m.nets() {
-            let Some(r) = &net.route else { continue };
-            if net.degree() == 2 && r.tiles.len() >= 2 {
-                for w in r.tiles.windows(2) {
+        let view = NetView::from(&m);
+        for (i, net) in m.nets().iter().enumerate() {
+            let Some(r) = view.net(Slot::Intra { inst: 0, net: i }).route() else { continue };
+            let tiles: Vec<TileCoord> = r.tiles().collect();
+            if net.degree() == 2 && tiles.len() >= 2 {
+                for w in tiles.windows(2) {
                     prop_assert!(w[0].manhattan(&w[1]) <= 1, "non-adjacent step {:?}", w);
                 }
             }

@@ -1,0 +1,299 @@
+//! Relocation shares routes: a translated module copies its cells and
+//! ports but keeps its checkpoint's nets, reading every stored route tile
+//! through an offset.
+//!
+//! The property pins that the offset is invisible to readers: the net walk
+//! yields exactly the tiles a per-tile translation would, `translated`
+//! refuses exactly the shifts a per-coordinate translation refuses, and
+//! shifts compose. The tests after it pin that a writer never sees the
+//! checkpoint frame, and the sharing itself on all five networks of the zoo.
+
+use preimpl_cnn::netlist::{
+    Cell, CellId, CellKind, Endpoint, ModuleBuilder, Net, NetView, Route, Slot, StreamRole,
+};
+use preimpl_cnn::prelude::*;
+use preimpl_cnn::synth::SynthOptions;
+use proptest::prelude::*;
+
+/// Generated geometry: every coordinate lies within 40 tiles of `base`, so
+/// shifts of up to 80 tiles leave the u16 space only near its edges.
+#[derive(Debug, Clone)]
+struct Geometry {
+    base: u16,
+    cells: Vec<Option<(u16, u16)>>,
+    partpins: Vec<Option<(u16, u16)>>,
+    pblock: Option<((u16, u16), (u16, u16))>,
+    nets: Vec<GenNet>,
+}
+
+#[derive(Debug, Clone)]
+struct GenNet {
+    source: usize,
+    sink: usize,
+    route: Option<Vec<(u16, u16)>>,
+    clock: bool,
+}
+
+fn geometry() -> impl Strategy<Value = Geometry> {
+    // A coordinate within 40 tiles of the base, absent when its first
+    // draw is 0 (one in four).
+    let maybe = || (0u8..4, 0u16..40, 0u16..40);
+    let some = |(present, c, r): (u8, u16, u16)| (present != 0).then_some((c, r));
+    (
+        0u8..3,
+        proptest::collection::vec(maybe(), 1..6),
+        proptest::collection::vec(maybe(), 0..3),
+        (maybe(), maybe()),
+        proptest::collection::vec(
+            (
+                (0usize..6, 0usize..6),
+                maybe(),
+                proptest::collection::vec((0u16..40, 0u16..40), 0..6),
+                0u8..5,
+            ),
+            1..8,
+        ),
+    )
+        .prop_map(move |(base, cells, partpins, (lo, hi), nets)| Geometry {
+            base: [0, 30_000, u16::MAX - 39][usize::from(base)],
+            cells: cells.into_iter().map(some).collect(),
+            partpins: partpins.into_iter().map(some).collect(),
+            pblock: some(lo).zip(some(hi)),
+            nets: nets
+                .into_iter()
+                .map(|((source, sink), routed, tiles, clock)| GenNet {
+                    source,
+                    sink,
+                    route: some(routed).map(|_| tiles),
+                    clock: clock == 0,
+                })
+                .collect(),
+        })
+}
+
+impl Geometry {
+    fn at(&self, (c, r): (u16, u16)) -> TileCoord {
+        TileCoord::new(self.base + c, self.base + r)
+    }
+
+    /// A locked module carrying this geometry.
+    fn module(&self) -> Module {
+        let mut b = ModuleBuilder::new("m");
+        for i in 0..self.partpins.len() {
+            b.input(format!("p{i}"), StreamRole::Source, 8);
+        }
+        for i in 0..self.cells.len() {
+            b.cell(Cell::new(format!("c{i}"), CellKind::full_slice()));
+        }
+        let cell = |i: usize| Endpoint::Cell(CellId((i % self.cells.len()) as u32));
+        for (i, g) in self.nets.iter().enumerate() {
+            let mut net = Net::new(format!("n{i}"), cell(g.source), vec![cell(g.sink)]);
+            let route = g.route.as_ref();
+            net.route = route.map(|tiles| Route::new(tiles.iter().map(|&t| self.at(t)).collect()));
+            net.is_clock = g.clock;
+            b.net(net);
+        }
+        let mut m = b.finish().expect("structurally valid");
+        for (i, at) in self.cells.iter().enumerate() {
+            if let Some(at) = at {
+                m.set_placement(CellId(i as u32), self.at(*at)).unwrap();
+            }
+        }
+        for (port, pin) in m.ports_mut().unwrap().iter_mut().zip(&self.partpins) {
+            port.partpin = pin.map(|p| self.at(p));
+        }
+        m.pblock = self.pblock.map(|(a, b)| {
+            let (lo, hi) = (self.at(a), self.at(b));
+            Pblock::new(
+                lo.col.min(hi.col),
+                lo.col.max(hi.col),
+                lo.row.min(hi.row),
+                lo.row.max(hi.row),
+            )
+        });
+        m.lock();
+        m
+    }
+}
+
+/// Every coordinate of `m` a translation moves: cell placements, partition
+/// pins, pblock corners and stored route tiles.
+fn every_coordinate(m: &Module) -> Vec<TileCoord> {
+    let mut all: Vec<TileCoord> = m.cells().iter().filter_map(|c| c.placement).collect();
+    all.extend(m.ports().iter().filter_map(|p| p.partpin));
+    if let Some(pb) = m.pblock {
+        all.push(TileCoord::new(pb.col_lo, pb.row_lo));
+        all.push(TileCoord::new(pb.col_hi, pb.row_hi));
+    }
+    all.extend(walked_routes(m).into_iter().flatten().flatten());
+    all
+}
+
+/// The device-frame tiles of every net of `m`, read through the net walk.
+fn walked_routes(m: &Module) -> Vec<Option<Vec<TileCoord>>> {
+    let view = NetView::from(m);
+    (0..m.nets().len())
+        .map(|net| {
+            let route = view.net(Slot::Intra { inst: 0, net }).route();
+            route.map(|r| r.tiles().collect())
+        })
+        .collect()
+}
+
+/// The reference: every tile of `m` translated on its own.
+fn reference_routes(m: &Module, dc: i32, dr: i32) -> Vec<Option<Vec<TileCoord>>> {
+    let translated = |tiles: Vec<TileCoord>| {
+        let tiles = tiles.into_iter().map(|t| t.translated(dc, dr).unwrap());
+        tiles.collect()
+    };
+    walked_routes(m)
+        .into_iter()
+        .map(|route| route.map(translated))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A translated module reads like a per-tile copy, fails exactly when
+    /// a per-coordinate translation fails, and shifts compose.
+    #[test]
+    fn translation_reads_like_a_per_tile_copy(
+        g in geometry(),
+        (dc, dr) in (-80i32..80, -80i32..80),
+        (dc2, dr2) in (-80i32..80, -80i32..80),
+    ) {
+        let m = g.module();
+        let leaves = every_coordinate(&m).iter().any(|t| t.translated(dc, dr).is_none());
+        let t = m.translated(dc, dr);
+        prop_assert_eq!(t.is_none(), leaves);
+        let Some(t) = t else { return Ok(()) };
+
+        prop_assert_eq!(t.nets().as_ptr(), m.nets().as_ptr(), "nets are shared");
+        prop_assert_eq!(walked_routes(&t), reference_routes(&m, dc, dr));
+        for (a, b) in t.cells().iter().zip(m.cells()) {
+            prop_assert_eq!(a.placement, b.placement.map(|p| p.translated(dc, dr).unwrap()));
+        }
+        for (a, b) in t.ports().iter().zip(m.ports()) {
+            prop_assert_eq!(a.partpin, b.partpin.map(|p| p.translated(dc, dr).unwrap()));
+        }
+        prop_assert_eq!(t.pblock, m.pblock.map(|pb| pb.translated(dc, dr).unwrap()));
+        prop_assert!(t.same_netlist(&t.clone()));
+
+        if let Some(twice) = t.translated(dc2, dr2) {
+            let once = m.translated(dc + dc2, dr + dr2);
+            prop_assert!(once.as_ref() == Some(&twice), "twice != once by the sum");
+            prop_assert_eq!(walked_routes(&twice), reference_routes(&m, dc + dc2, dr + dr2));
+        }
+    }
+}
+
+/// An unlocked translated module hands its writer device-frame routes, and
+/// the net walk reads them unshifted afterwards.
+#[test]
+fn nets_mut_on_a_translated_module_returns_device_frame_routes() {
+    let mut b = ModuleBuilder::new("m");
+    let c0 = b.cell(Cell::new("c0", CellKind::full_slice()));
+    let c1 = b.cell(Cell::new("c1", CellKind::full_slice()));
+    let mut net = Net::new("n", Endpoint::Cell(c0), vec![Endpoint::Cell(c1)]);
+    net.route = Some(Route::new(vec![
+        TileCoord::new(1, 2),
+        TileCoord::new(2, 2),
+        TileCoord::new(3, 2),
+    ]));
+    b.net(net);
+    let m = b.finish().unwrap();
+    let checkpoint_json = serde_json::to_string(&m).unwrap();
+
+    let mut t = m.translated(10, 20).unwrap();
+    let want = vec![
+        TileCoord::new(11, 22),
+        TileCoord::new(12, 22),
+        TileCoord::new(13, 22),
+    ];
+    assert_eq!(walked_routes(&t), vec![Some(want.clone())]);
+    let routes = t.nets_mut().unwrap();
+    assert_eq!(
+        routes[0].route,
+        Some(Route::new(want.clone())),
+        "stored baked"
+    );
+    assert_eq!(
+        walked_routes(&t),
+        vec![Some(want.clone())],
+        "no second shift"
+    );
+    assert!(
+        !serde_json::to_string(&t).unwrap().contains("route_offset"),
+        "the offset is baked in"
+    );
+    assert_eq!(serde_json::to_string(&m).unwrap(), checkpoint_json);
+}
+
+/// Assemble `network` and check that every instance reads its
+/// checkpoint's net storage: assembly copies no net.
+fn assert_instances_share_nets(network: Network, synth: SynthOptions, granularity: Granularity) {
+    let device = Device::xcku5p_like();
+    // Sharing does not depend on placement quality: one short sweep (an
+    // effort below ~0.2 leaves VGG-16 with off-grid routes).
+    let cfg = FlowConfig::new()
+        .with_synth(synth)
+        .with_granularity(granularity)
+        .with_seeds([1])
+        .with_effort(0.5);
+    let (db, _) = build_component_db(&network, &device, &cfg).unwrap();
+    let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
+    let signatures = &report.compose.component_signatures;
+    assert_eq!(signatures.len(), design.instances().len());
+    for (inst, sig) in design.instances().iter().zip(signatures) {
+        let cp = db.require(sig).unwrap();
+        assert_eq!(
+            inst.module.nets().as_ptr(),
+            cp.module.nets().as_ptr(),
+            "{}: instance {} copied its nets",
+            network.name,
+            inst.name
+        );
+    }
+}
+
+fn import(text: &str, format: ModelFormat) -> Network {
+    let imported = preimpl_cnn::model::import(text, format);
+    imported.expect("bundled descriptor imports").network
+}
+
+// The five networks of the zoo, one test each so they assemble in parallel.
+
+#[test]
+fn lenet_instances_share_their_checkpoints_nets() {
+    let network = import(include_str!("../models/lenet.json"), ModelFormat::Json);
+    assert_instances_share_nets(network, SynthOptions::lenet_like(), Granularity::Layer);
+}
+
+#[test]
+fn cifar10_quick_instances_share_their_checkpoints_nets() {
+    let text = include_str!("../models/cifar10_quick.prototxt");
+    let network = import(text, ModelFormat::Prototxt);
+    assert_instances_share_nets(network, SynthOptions::lenet_like(), Granularity::Layer);
+}
+
+#[test]
+fn resnet_small_instances_share_their_checkpoints_nets() {
+    let network = import(
+        include_str!("../models/resnet_small.json"),
+        ModelFormat::Json,
+    );
+    assert_instances_share_nets(network, SynthOptions::lenet_like(), Granularity::Layer);
+}
+
+#[test]
+fn alexnet_instances_share_their_checkpoints_nets() {
+    let network = import(include_str!("../models/alexnet.json"), ModelFormat::Json);
+    assert_instances_share_nets(network, SynthOptions::vgg_like(), Granularity::Layer);
+}
+
+#[test]
+fn vgg16_instances_share_their_checkpoints_nets() {
+    let network = models::vgg16();
+    assert_instances_share_nets(network, SynthOptions::vgg_like(), Granularity::Block);
+}

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StreamRole};
+use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, NetView, Slot, StreamRole};
 use rayon as pi_rayon;
 
 /// The worker-thread level is process-global; tests that change it must
@@ -165,7 +165,9 @@ fn fanout_module() -> Module {
     m
 }
 
-fn route_at_level(level: usize) -> (String, Vec<Option<preimpl_cnn::netlist::Route>>, u64) {
+/// The telemetry stream, every net's route (read through the net walk) and
+/// the Steiner segment count of one routing run at `level` worker threads.
+fn route_at_level(level: usize) -> (String, Vec<Option<Vec<TileCoord>>>, u64) {
     with_level(level, || {
         let device = Device::test_part();
         let mut m = fanout_module();
@@ -176,11 +178,14 @@ fn route_at_level(level: usize) -> (String, Vec<Option<preimpl_cnn::netlist::Rou
             ..RouteOptions::default()
         };
         let (stats, _) = preimpl_cnn::pnr::route_module_obs(&mut m, &device, &opts, &obs).unwrap();
-        (
-            sink.stripped_jsonl(),
-            m.nets().iter().map(|n| n.route.clone()).collect(),
-            stats.steiner_segments,
-        )
+        let view = NetView::from(&m);
+        let routes = (0..m.nets().len())
+            .map(|net| {
+                let route = view.net(Slot::Intra { inst: 0, net }).route();
+                route.map(|r| r.tiles().collect())
+            })
+            .collect();
+        (sink.stripped_jsonl(), routes, stats.steiner_segments)
     })
 }
 
@@ -195,7 +200,7 @@ fn routes_and_telemetry_are_identical_across_thread_counts() {
     assert!(
         base_routes
             .iter()
-            .any(|r| r.as_ref().is_some_and(|r| !r.tiles.is_empty())),
+            .any(|r| r.as_ref().is_some_and(|r| !r.is_empty())),
         "nets routed"
     );
     for level in [2, 8] {
@@ -315,9 +320,11 @@ fn an_off_grid_stored_route_reaches_the_drc() {
         let mut m = b.finish().unwrap();
         m.set_placement(c, TileCoord::new(2, 1)).unwrap();
         m.ports_mut().unwrap()[din.index()].partpin = Some(TileCoord::new(1, 1));
-        m.nets_mut().unwrap()[0].route = Some(Route {
-            tiles: vec![TileCoord::new(1, 1), TileCoord::new(2, 1), bad],
-        });
+        m.nets_mut().unwrap()[0].route = Some(Route::new(vec![
+            TileCoord::new(1, 1),
+            TileCoord::new(2, 1),
+            bad,
+        ]));
         m.lock();
         let mut d = Design::new("d", device.name(), DesignKind::Assembled);
         d.add_instance("a", m);
