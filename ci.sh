@@ -392,6 +392,7 @@ awk '
 for metric in pi_serve_jobs_submitted_total pi_serve_jobs_completed_total \
     pi_serve_jobs_coalesced_total pi_serve_queue_depth \
     pi_serve_db_cache_hits_total pi_serve_job_wall_ms_compose_bucket \
+    pi_serve_queue_wait_ms_bucket pi_serve_connections_in_flight \
     uptime_seconds; do
     grep -q "^$metric" "$srv_dir/metrics.txt" \
         || { echo "metrics exposition is missing $metric"; exit 1; }

@@ -16,8 +16,9 @@
 # jobs_per_s and cpu_s_per_op, each side's median, quartiles (linear
 # interpolation) and the pairs it won (higher is better for jobs_per_s,
 # lower for the rest). Then one traced run (`--trace 1`) per side prints
-# the deterministic work counters: pnr.assembled_expansions,
-# stitch.stitched_nets, pnr.overused_tiles and stitch.cache_bytes_loaded.
+# the work counters: pnr.assembled_expansions, stitch.stitched_nets,
+# pnr.overused_tiles, stitch.cache_bytes_loaded and serve.polls_per_job
+# (the /result fetches per serve_mix job).
 # Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
@@ -36,7 +37,7 @@ rev="$1" workload="$2" pairs="$3" seed="${4:-1}"
 here="$(cd "$(dirname "$0")/.." && pwd)"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$here/BENCHMARK.json")"
 metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
-counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded"
+counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded serve.polls_per_job"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT

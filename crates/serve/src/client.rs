@@ -2,9 +2,11 @@
 //!
 //! Used by `preimpl --remote ADDR` (compose on the farm instead of
 //! locally) and by the `pi-serve submit`/`stats`/`stop` subcommands.
-//! Every call is one request/response on a fresh connection; waiting for
-//! a result is plain polling with a fixed short sleep — job IDs are
-//! deterministic, so a dropped poll loop can always be restarted.
+//! Every call is one request/response on a fresh connection. Waiting for
+//! a result needs no sleep: the daemon holds a `/result` read until the
+//! job finishes (up to its hold, well inside the client's read timeout),
+//! so the client simply asks again after each `202` — job IDs are
+//! deterministic, so a dropped wait can always be restarted.
 
 use crate::job::{JobResult, JobSpec};
 use crate::protocol::{http_call, Ack, ErrorBody};
@@ -13,9 +15,9 @@ use pi_obs::{Event, MemorySink, Obs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long [`submit_and_wait`] polls before giving up.
+/// How long [`submit_and_wait`] keeps re-asking for a result before
+/// giving up.
 pub const WAIT_TIMEOUT: Duration = Duration::from_secs(600);
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Why a remote job did not produce a result.
 #[derive(Debug)]
@@ -74,8 +76,9 @@ pub fn submit(addr: &str, spec: &JobSpec) -> Result<String, RemoteError> {
         })
 }
 
-/// Fetch a finished job's result, or `Ok(None)` while it is still
-/// queued/running.
+/// Fetch a job's result. The daemon holds the read until the job
+/// finishes, so this blocks for the job's remaining run time; `Ok(None)`
+/// if it is still queued/running when the daemon's hold runs out.
 pub fn try_result(addr: &str, job_id: &str) -> Result<Option<JobResult>, RemoteError> {
     let (status, body) = http_call(addr, "GET", &format!("/result/{job_id}"), "")?;
     match status {
@@ -91,7 +94,8 @@ pub fn try_result(addr: &str, job_id: &str) -> Result<Option<JobResult>, RemoteE
     }
 }
 
-/// Submit a job and block (polling) until its result is available.
+/// Submit a job and block until its result is available, re-asking after
+/// every held read the daemon ends without one.
 pub fn submit_and_wait(addr: &str, spec: &JobSpec) -> Result<JobResult, RemoteError> {
     let job_id = submit(addr, spec)?;
     let deadline = Instant::now() + WAIT_TIMEOUT;
@@ -102,7 +106,6 @@ pub fn submit_and_wait(addr: &str, spec: &JobSpec) -> Result<JobResult, RemoteEr
         if Instant::now() >= deadline {
             return Err(RemoteError::Timeout(job_id));
         }
-        std::thread::sleep(POLL_INTERVAL);
     }
 }
 

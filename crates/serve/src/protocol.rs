@@ -62,8 +62,14 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
     Ok(Request { method, path, body })
 }
 
-/// Write a response and close our half of the connection.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> Result<(), ServeError> {
+/// Write a response and close our half of the connection. `retry_after`
+/// adds a `Retry-After` header (seconds), as a shed `503` carries.
+pub fn write_response(
+    stream: &mut TcpStream,
+    status: u16,
+    body: &str,
+    retry_after: Option<u64>,
+) -> Result<(), ServeError> {
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -73,10 +79,11 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> Result
         503 => "Service Unavailable",
         _ => "Response",
     };
+    let retry = retry_after.map_or_else(String::new, |s| format!("Retry-After: {s}\r\n"));
     write!(
         stream,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\n{retry}Connection: close\r\n\r\n{body}",
         body.len()
     )?;
     stream.flush()?;
@@ -175,7 +182,7 @@ mod tests {
             assert_eq!(req.path, "/submit");
             assert_eq!(req.body, "{\"x\":1}");
             let mut stream = stream;
-            write_response(&mut stream, 200, "{\"ok\":true}").unwrap();
+            write_response(&mut stream, 200, "{\"ok\":true}", None).unwrap();
         });
         let (status, body) = http_call(&addr, "POST", "/submit", "{\"x\":1}").unwrap();
         assert_eq!(status, 200);
@@ -192,7 +199,7 @@ mod tests {
             let req = read_request(&stream).unwrap();
             assert_eq!(req.method, "GET");
             assert_eq!(req.body, "");
-            write_response(&mut { stream }, 404, "{}").unwrap();
+            write_response(&mut { stream }, 404, "{}", None).unwrap();
         });
         let (status, body) = http_call(&addr, "GET", "/nope", "").unwrap();
         assert_eq!(status, 404);

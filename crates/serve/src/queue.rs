@@ -10,12 +10,16 @@
 //!
 //! Workers block on [`JobQueue::next_job`] (condvar, no spinning) and the
 //! queue never loses a completion: results are stored as the exact JSON
-//! string every later `/result` read returns byte-for-byte.
+//! string every later `/result` read returns byte-for-byte. Readers block
+//! on [`JobQueue::wait_outcome`] (a second condvar, woken by every
+//! completion and by [`JobQueue::stop`]), so a held `/result` answers the
+//! moment its job finishes.
 
 use crate::job::{JobSpec, JobStatus};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Outcome of a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +61,8 @@ struct JobEntry {
     status: JobStatus,
     /// `Ok(result json)` or `Err(error message)`, set on completion.
     outcome: Option<Result<String, String>>,
+    /// When the job was enqueued; [`JobQueue::next_job`] reports the wait.
+    enqueued: Instant,
 }
 
 struct Inner {
@@ -70,6 +76,8 @@ struct Inner {
 pub struct JobQueue {
     inner: Mutex<Inner>,
     cond: Condvar,
+    /// Signalled on every completion and on stop; `wait_outcome` waits here.
+    done: Condvar,
     capacity: usize,
 }
 
@@ -84,6 +92,7 @@ impl JobQueue {
                 stopped: false,
             }),
             cond: Condvar::new(),
+            done: Condvar::new(),
             capacity,
         }
     }
@@ -111,6 +120,7 @@ impl JobQueue {
                 spec: Some(spec),
                 status: JobStatus::Queued,
                 outcome: None,
+                enqueued: Instant::now(),
             },
         );
         inner.pending.push_back(id.clone());
@@ -122,8 +132,9 @@ impl JobQueue {
     }
 
     /// Block until a job is available (marking it `Running`) or the queue
-    /// is stopped (`None`).
-    pub fn next_job(&self) -> Option<(String, JobSpec)> {
+    /// is stopped (`None`). The `Duration` is how long the job waited in
+    /// the queue.
+    pub fn next_job(&self) -> Option<(String, JobSpec, Duration)> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if let Some(id) = inner.pending.pop_front() {
@@ -132,7 +143,7 @@ impl JobQueue {
                 let entry = inner.jobs.get_mut(&id).expect("pending job exists");
                 entry.status = JobStatus::Running;
                 let spec = entry.spec.take().expect("queued job keeps its spec");
-                return Some((id, spec));
+                return Some((id, spec, entry.enqueued.elapsed()));
             }
             if inner.stopped {
                 return None;
@@ -157,6 +168,7 @@ impl JobQueue {
             JobStatus::Failed
         };
         entry.outcome = Some(outcome);
+        self.done.notify_all();
     }
 
     /// Lifecycle of a job, if known.
@@ -169,14 +181,23 @@ impl JobQueue {
             .map(|e| e.status)
     }
 
-    /// Stored outcome of a finished job (`None` until completion).
-    pub fn outcome(&self, id: &str) -> Option<Result<String, String>> {
-        self.inner
-            .lock()
-            .expect("queue lock")
-            .jobs
-            .get(id)
-            .and_then(|e| e.outcome.clone())
+    /// Stored outcome of a job, waiting up to `hold` for it to finish.
+    /// `None` when the job is unknown (at once), still queued or running
+    /// after `hold`, or the queue is stopped.
+    pub fn wait_outcome(&self, id: &str, hold: Duration) -> Option<Result<String, String>> {
+        let deadline = Instant::now() + hold;
+        let mut inner = self.inner.lock().expect("queue lock");
+        loop {
+            let outcome = &inner.jobs.get(id)?.outcome;
+            if outcome.is_some() {
+                return outcome.clone();
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if inner.stopped || left.is_zero() {
+                return None;
+            }
+            inner = self.done.wait_timeout(inner, left).expect("queue lock").0;
+        }
     }
 
     /// Snapshot of the counters.
@@ -184,10 +205,12 @@ impl JobQueue {
         self.inner.lock().expect("queue lock").stats.clone()
     }
 
-    /// Stop accepting `next_job` waits; workers drain and exit.
+    /// Stop accepting `next_job` waits; workers drain and exit. Held
+    /// `wait_outcome` calls return at once.
     pub fn stop(&self) {
         self.inner.lock().expect("queue lock").stopped = true;
         self.cond.notify_all();
+        self.done.notify_all();
     }
 }
 
@@ -212,7 +235,7 @@ mod tests {
         };
         assert_eq!(q.submit(spec("a")), Submit::Coalesced(id.clone()));
         assert_eq!(q.submit(spec("a")), Submit::Coalesced(id.clone()));
-        let (got, _) = q.next_job().unwrap();
+        let (got, _, _) = q.next_job().unwrap();
         assert_eq!(got, id);
         // Still coalesces while running.
         assert_eq!(q.submit(spec("a")), Submit::Coalesced(id.clone()));
@@ -222,7 +245,10 @@ mod tests {
         assert_eq!(s.submitted, 5);
         assert_eq!(s.unique, 1);
         assert_eq!(s.hits, 4);
-        assert_eq!(q.outcome(&id), Some(Ok("{\"r\":1}".to_string())));
+        assert_eq!(
+            q.wait_outcome(&id, Duration::ZERO),
+            Some(Ok("{\"r\":1}".to_string()))
+        );
     }
 
     #[test]
@@ -232,11 +258,97 @@ mod tests {
         assert!(matches!(q.submit(spec("b")), Submit::Queued(_)));
         assert_eq!(q.submit(spec("c")), Submit::Busy);
         // Draining one slot readmits new work.
-        let (id, _) = q.next_job().unwrap();
+        let (id, _, _) = q.next_job().unwrap();
         assert!(matches!(q.submit(spec("c")), Submit::Queued(_)));
         q.complete(&id, Err("boom".to_string()));
         assert_eq!(q.status(&id), Some(JobStatus::Failed));
         assert_eq!(q.stats().rejected, 1);
+    }
+
+    /// A hold far longer than any test should take: a waiter that returns
+    /// well inside it was woken, not timed out.
+    const LONG_HOLD: Duration = Duration::from_secs(30);
+
+    /// A queue with one job already handed to a worker.
+    fn running(tag: &str) -> (std::sync::Arc<JobQueue>, String) {
+        let q = std::sync::Arc::new(JobQueue::new(4));
+        let Submit::Queued(id) = q.submit(spec(tag)) else {
+            panic!("first submission queues")
+        };
+        q.next_job().unwrap();
+        (q, id)
+    }
+
+    /// `n` threads holding `wait_outcome(id, LONG_HOLD)`, each checking it
+    /// was woken well inside the hold and returning what it read.
+    fn waiters(
+        q: &std::sync::Arc<JobQueue>,
+        id: &str,
+        n: usize,
+    ) -> Vec<std::thread::JoinHandle<Option<Result<String, String>>>> {
+        let handles = (0..n)
+            .map(|_| {
+                let (q, id) = (q.clone(), id.to_string());
+                std::thread::spawn(move || {
+                    let t = Instant::now();
+                    let outcome = q.wait_outcome(&id, LONG_HOLD);
+                    assert!(t.elapsed() < LONG_HOLD / 4, "held {:?}", t.elapsed());
+                    outcome
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        handles
+    }
+
+    #[test]
+    fn wait_outcome_returns_when_the_job_completes() {
+        let (q, id) = running("a");
+        let held = waiters(&q, &id, 1);
+        q.complete(&id, Ok("{\"r\":1}".to_string()));
+        for h in held {
+            assert_eq!(h.join().unwrap(), Some(Ok("{\"r\":1}".to_string())));
+        }
+    }
+
+    #[test]
+    fn wait_outcome_gives_up_after_the_hold() {
+        let (q, id) = running("a");
+        let hold = Duration::from_millis(60);
+        let t = Instant::now();
+        assert_eq!(q.wait_outcome(&id, hold), None);
+        assert!(t.elapsed() >= hold, "returned after {:?}", t.elapsed());
+        assert_eq!(q.status(&id), Some(JobStatus::Running));
+    }
+
+    #[test]
+    fn wait_outcome_does_not_wait_for_an_unknown_job() {
+        let q = JobQueue::new(4);
+        let t = Instant::now();
+        assert_eq!(q.wait_outcome("ffff", LONG_HOLD), None);
+        assert!(t.elapsed() < LONG_HOLD / 4, "held {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn stop_releases_held_readers() {
+        let (q, id) = running("a");
+        let held = waiters(&q, &id, 1);
+        q.stop();
+        for h in held {
+            assert_eq!(h.join().unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn one_completion_wakes_every_reader_of_a_coalesced_job() {
+        let (q, id) = running("a");
+        assert_eq!(q.submit(spec("a")), Submit::Coalesced(id.clone()));
+        assert_eq!(q.submit(spec("a")), Submit::Coalesced(id.clone()));
+        let held = waiters(&q, &id, 3);
+        q.complete(&id, Err("boom".to_string()));
+        for h in held {
+            assert_eq!(h.join().unwrap(), Some(Err("boom".to_string())));
+        }
     }
 
     #[test]

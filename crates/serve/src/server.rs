@@ -2,11 +2,14 @@
 //!
 //! One thread accepts connections and hands each to a short-lived handler
 //! thread (requests are tiny; the expensive work never happens on a
-//! connection thread). `workers` long-lived worker threads block on the
-//! job queue and run the flow — component builds go through
-//! [`pi_flow::build_component_db_cached`] against the daemon's `db_dir`,
-//! so every job shares one cache tier and the advisory manifest lock
-//! keeps concurrent workers (and unrelated local processes) coherent.
+//! connection thread). A `/result` read for an unfinished job parks its
+//! handler until the job completes (at most `RESULT_HOLD`, 10 s), so live
+//! handlers are bounded by `MAX_HANDLERS` (256): past it the accept thread
+//! answers `503` with `Retry-After` itself. `workers` long-lived worker
+//! threads block on the job queue and run the flow — component builds go
+//! through [`pi_flow::build_component_db_cached`] against the daemon's
+//! `db_dir`, so every job shares one cache tier and the advisory manifest
+//! lock keeps concurrent workers (and unrelated local processes) coherent.
 //!
 //! Endpoints (JSON in, JSON out, one request per connection):
 //!
@@ -14,11 +17,14 @@
 //! |----------------------|-------|
 //! | `POST /submit`       | `{job_id, status}` with status `queued`/`coalesced`/`done`; `400` on a bad payload, `503` when the queue is full |
 //! | `GET /status/<id>`   | `{job_id, status}`; `404` unknown |
-//! | `GET /result/<id>`   | the stored [`JobResult`] JSON (byte-identical for every reader), the run's timestamp-stripped JSONL event stream inside it as `trace`; `202` while queued/running, `500` if the job failed, `404` unknown |
+//! | `GET /result/<id>`   | the stored [`JobResult`] JSON (byte-identical for every reader), the run's timestamp-stripped JSONL event stream inside it as `trace`, sent the moment the job finishes; `202` if it is still queued/running after `RESULT_HOLD`, `500` if the job failed, `404` unknown (at once) |
 //! | `GET /stats`         | queue + shared-cache counters |
-//! | `GET /metrics`       | Prometheus text exposition from the daemon's [`pi_obs::registry::Registry`]: queue depth, jobs by state, coalesced/rejected counts, shared-cache counters, per-command wallclock histograms, uptime |
+//! | `GET /metrics`       | Prometheus text exposition from the daemon's [`pi_obs::registry::Registry`]: queue depth, jobs by state, coalesced/rejected counts, shared-cache counters, queue-wait and per-command wallclock histograms, live connections, uptime |
 //! | `GET /healthz`       | `{ok: true, version, uptime_seconds}` |
-//! | `POST /shutdown`     | `{ok: true}`, then the daemon drains and exits |
+//! | `POST /shutdown`     | `{ok: true}`, then the daemon drains and exits; held `/result` reads answer `202` |
+//!
+//! Any request past `MAX_HANDLERS` live connections gets `503
+//! {"error":"busy"}` with `Retry-After: 1`.
 //!
 //! Telemetry: each finished request emits one `serve::request` point on
 //! the daemon's sink — cache hits/misses/evictions as deterministic
@@ -30,7 +36,7 @@
 //! ([`submit_and_wait_traced`](crate::client::submit_and_wait_traced)).
 
 use crate::job::{JobCommand, JobResult, JobSpec};
-use crate::protocol::{read_request, write_response, Ack, ErrorBody, Request};
+use crate::protocol::{read_request, write_response, Ack, ErrorBody, Request, IO_TIMEOUT};
 use crate::queue::{JobQueue, QueueStats, Submit};
 use crate::ServeError;
 use pi_fabric::Device;
@@ -39,12 +45,27 @@ use pi_obs::registry::Registry;
 use pi_obs::Obs;
 use pi_stitch::DbCache;
 use serde::Serialize;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long `GET /result/<id>` waits for an unfinished job before
+/// answering `202`.
+const RESULT_HOLD: Duration = Duration::from_secs(10);
+// A held read must answer before the client's read timeout fires.
+const _: () = assert!(RESULT_HOLD.as_millis() < IO_TIMEOUT.as_millis());
+
+/// Live handler threads (connections being served) the accept loop
+/// allows; each held `/result` parks one.
+const MAX_HANDLERS: usize = 256;
+
+/// How long a shed connection is drained after its `503`, so closing it
+/// does not reset the reply under the peer; bounds what a silent peer
+/// costs the accept thread.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -136,6 +157,8 @@ struct ServerState {
     addr: SocketAddr,
     stop: AtomicBool,
     db: DbTotals,
+    /// Live handler threads; the accept loop sheds load at [`MAX_HANDLERS`].
+    in_flight: AtomicUsize,
     /// Live metric registry behind `GET /metrics` (uptime epoch included).
     registry: Registry,
 }
@@ -170,6 +193,17 @@ impl ServerHandle {
 /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start the
 /// daemon: one accept thread plus `options.workers` worker threads.
 pub fn serve(addr: &str, options: ServerOptions) -> Result<ServerHandle, ServeError> {
+    let workers = options.workers.max(1);
+    serve_with_workers(addr, options, workers)
+}
+
+/// [`serve`] with an explicit worker count; tests start `0` workers to
+/// keep submitted jobs queued.
+fn serve_with_workers(
+    addr: &str,
+    options: ServerOptions,
+    workers: usize,
+) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let state = Arc::new(ServerState {
@@ -178,10 +212,11 @@ pub fn serve(addr: &str, options: ServerOptions) -> Result<ServerHandle, ServeEr
         addr,
         stop: AtomicBool::new(false),
         db: DbTotals::default(),
+        in_flight: AtomicUsize::new(0),
         registry: Registry::new(),
     });
     let mut threads = Vec::new();
-    for _ in 0..state.options.workers.max(1) {
+    for _ in 0..workers {
         let st = Arc::clone(&state);
         threads.push(std::thread::spawn(move || worker_loop(&st)));
     }
@@ -209,9 +244,38 @@ fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Only this thread increments, so the bound is exact.
+        if state.in_flight.load(Ordering::SeqCst) >= MAX_HANDLERS {
+            shed(stream);
+            continue;
+        }
+        state.in_flight.fetch_add(1, Ordering::SeqCst);
         let st = Arc::clone(state);
-        std::thread::spawn(move || handle_conn(stream, &st));
+        std::thread::spawn(move || {
+            let _live = Live(&st.in_flight);
+            handle_conn(stream, &st);
+        });
     }
+}
+
+/// Decrements the live-handler count when its handler thread ends, even
+/// by a panic.
+struct Live<'a>(&'a AtomicUsize);
+
+impl Drop for Live<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer a connection past `MAX_HANDLERS` from the accept thread:
+/// `503 busy`, then drain what the peer sent until it closes or
+/// [`SHED_DRAIN`] passes.
+fn shed(mut stream: TcpStream) {
+    let _ = write_response(&mut stream, 503, &err_json("busy"), Some(1));
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(SHED_DRAIN));
+    let _ = std::io::copy(&mut stream, &mut std::io::sink());
 }
 
 fn handle_conn(mut stream: TcpStream, state: &Arc<ServerState>) {
@@ -219,7 +283,7 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<ServerState>) {
         Ok(req) => route(&req, state),
         Err(e) => (400, err_json(&e.to_string()), false),
     };
-    let _ = write_response(&mut stream, status, &body);
+    let _ = write_response(&mut stream, status, &body, None);
     if shutdown {
         request_stop(state);
     }
@@ -253,13 +317,15 @@ fn route(req: &Request, state: &ServerState) -> (u16, String, bool) {
         }
         ("GET", path) if path.starts_with("/result/") => {
             let id = &path["/result/".len()..];
-            match state.queue.outcome(id) {
+            let Some(status) = state.queue.status(id) else {
+                return (404, err_json("unknown job"), false);
+            };
+            // The wait reads the outcome under the queue lock, so a `202`
+            // never says `done`; it names the state the read arrived in.
+            match state.queue.wait_outcome(id, RESULT_HOLD) {
                 Some(Ok(result)) => (200, result, false),
                 Some(Err(e)) => (500, err_json(&e), false),
-                None => match state.queue.status(id) {
-                    Some(s) => (202, ack_json(id, s.as_str()), false),
-                    None => (404, err_json("unknown job"), false),
-                },
+                None => (202, ack_json(id, status.as_str()), false),
             }
         }
         ("GET", "/stats") => (200, stats_json(state), false),
@@ -296,6 +362,11 @@ fn metrics_text(state: &ServerState) -> String {
     r.gauge_set("pi_serve_db_cache_memo_bytes", DbCache::memo_bytes() as f64);
     r.counter_set("pi_serve_db_cold_builds_total", db.cold_builds);
     r.gauge_set("pi_serve_workers", state.options.workers.max(1) as f64);
+    // Includes the handler serving this scrape.
+    r.gauge_set(
+        "pi_serve_connections_in_flight",
+        state.in_flight.load(Ordering::SeqCst) as f64,
+    );
     r.render_prometheus()
 }
 
@@ -335,7 +406,10 @@ fn stats_json(state: &ServerState) -> String {
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
-    while let Some((id, spec)) = state.queue.next_job() {
+    while let Some((id, spec, queued)) = state.queue.next_job() {
+        state
+            .registry
+            .observe("pi_serve_queue_wait_ms", queued.as_secs_f64() * 1000.0);
         let started = Instant::now();
         let outcome = run_job(&id, &spec);
         let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
@@ -444,6 +518,7 @@ fn run_job(id: &str, spec: &JobSpec) -> Result<JobResult, String> {
 mod tests {
     use super::*;
     use crate::protocol::http_call;
+    use std::io::{Read, Write};
 
     fn start() -> ServerHandle {
         serve("127.0.0.1:0", ServerOptions::default()).expect("bind ephemeral")
@@ -486,16 +561,11 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         let normalized_id = spec.clone().normalized(None, None).job_id();
         assert!(body.contains(&normalized_id), "{body}");
-        // Poll to completion.
-        let result = loop {
-            let (status, body) =
-                http_call(&addr, "GET", &format!("/result/{normalized_id}"), "").unwrap();
-            match status {
-                200 => break JobResult::from_json(&body).unwrap(),
-                202 => std::thread::sleep(std::time::Duration::from_millis(10)),
-                other => panic!("unexpected status {other}: {body}"),
-            }
-        };
+        // One held read, made right away, is answered with the result.
+        let (status, body) =
+            http_call(&addr, "GET", &format!("/result/{normalized_id}"), "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let result = JobResult::from_json(&body).unwrap();
         assert!(
             result.summary.starts_with("assembled tiny"),
             "{}",
@@ -517,11 +587,120 @@ mod tests {
         for series in [
             "pi_serve_db_cache_decodes_total ",
             "pi_serve_db_cache_memo_bytes ",
+            "pi_serve_queue_wait_ms_count 1\n",
         ] {
             assert!(metrics.contains(series), "{series} missing:\n{metrics}");
         }
+        // The scrape's own connection is live (an earlier one may still be
+        // closing).
+        let live: f64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("pi_serve_connections_in_flight "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no in-flight gauge:\n{metrics}"));
+        assert!(live >= 1.0, "{metrics}");
         assert!(metrics.contains("uptime_seconds"));
         let (_, _) = http_call(&addr, "POST", "/shutdown", "").unwrap();
+        h.join();
+    }
+
+    /// A daemon with no workers and one submitted job, which therefore
+    /// stays queued until the test plays the worker.
+    fn start_with_a_queued_job() -> (ServerHandle, String) {
+        let h =
+            serve_with_workers("127.0.0.1:0", ServerOptions::default(), 0).expect("bind ephemeral");
+        let spec = JobSpec::new("network q\ninput 1x8x8\n", "test-part", Default::default());
+        let (status, body) = http_call(&h.addr(), "POST", "/submit", &spec.to_json()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        await_handlers(&h, 0);
+        (h, spec.normalized(None, None).job_id())
+    }
+
+    /// Wait until the daemon has exactly `n` live handlers.
+    fn await_handlers(h: &ServerHandle, n: usize) {
+        let deadline = Instant::now() + RESULT_HOLD;
+        while h.state.in_flight.load(Ordering::SeqCst) != n {
+            assert!(Instant::now() < deadline, "never {n} live handlers");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `GET /result/<id>` from another thread: its status and how long it
+    /// was held. Returns once the daemon has a handler for it, so a stop
+    /// that follows cannot refuse the connection; no other handler may
+    /// start or end meanwhile.
+    fn held_read(h: &ServerHandle, id: &str) -> JoinHandle<(u16, Duration)> {
+        let live = h.state.in_flight.load(Ordering::SeqCst);
+        let (addr, path) = (h.addr(), format!("/result/{id}"));
+        let reader = std::thread::spawn(move || {
+            let t = Instant::now();
+            let (status, _) = http_call(&addr, "GET", &path, "").unwrap();
+            (status, t.elapsed())
+        });
+        await_handlers(h, live + 1);
+        reader
+    }
+
+    #[test]
+    fn shutdown_answers_a_held_result_read() {
+        let (h, id) = start_with_a_queued_job();
+        let reader = held_read(&h, &id);
+        h.shutdown();
+        let (status, held) = reader.join().unwrap();
+        assert_eq!(status, 202);
+        assert!(held < RESULT_HOLD / 4, "held {held:?}");
+        h.join();
+    }
+
+    #[test]
+    fn a_reader_that_hangs_up_mid_hold_leaves_the_daemon_serving() {
+        let (h, id) = start_with_a_queued_job();
+        let addr = h.addr();
+        let mut hangs_up = TcpStream::connect(&addr).unwrap();
+        write!(
+            hangs_up,
+            "GET /result/{id} HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        )
+        .unwrap();
+        await_handlers(&h, 1);
+        drop(hangs_up);
+        let reader = held_read(&h, &id);
+        let (got, _, _) = h.state.queue.next_job().unwrap();
+        assert_eq!(got, id);
+        h.state
+            .queue
+            .complete(&id, Ok("{\"stored\":1}".to_string()));
+        assert_eq!(reader.join().unwrap().0, 200);
+        let (status, body) = http_call(&addr, "GET", &format!("/result/{id}"), "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "{\"stored\":1}"));
+        assert_eq!(http_call(&addr, "GET", "/healthz", "").unwrap().0, 200);
+        h.shutdown();
+        h.join();
+    }
+
+    #[test]
+    fn connections_past_the_bound_are_shed_with_retry_after() {
+        let h =
+            serve_with_workers("127.0.0.1:0", ServerOptions::default(), 0).expect("bind ephemeral");
+        let addr = h.addr();
+        // Each idle socket parks a handler waiting for its request.
+        let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
+            .map(|_| TcpStream::connect(&addr).unwrap())
+            .collect();
+        let mut next = TcpStream::connect(&addr).unwrap();
+        write!(next, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        next.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+        assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+        assert!(reply.ends_with("\r\n\r\n{\"error\":\"busy\"}"), "{reply}");
+        drop(idle);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while http_call(&addr, "GET", "/healthz", "").unwrap().0 != 200 {
+            assert!(Instant::now() < deadline, "service did not resume");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        h.shutdown();
         h.join();
     }
 }

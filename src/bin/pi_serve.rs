@@ -23,8 +23,9 @@
 //!
 //! `submit` is the standalone client (`preimpl --remote` wraps the same
 //! call): it sends the archdef and waits for the result. `trace` prints
-//! a finished job's JSONL event stream — the `trace` of its stored result
-//! (feed it to `flowstat summarize` or `pilint trace`); `stats` prints
+//! a job's JSONL event stream — the `trace` of its stored result (feed it
+//! to `flowstat summarize` or `pilint trace`), waiting up to the daemon's
+//! 10 s result hold for a job still queued or running; `stats` prints
 //! the daemon's queue and cache counters; `metrics` scrapes the live
 //! Prometheus-text `/metrics` exposition — the same bytes a real scraper
 //! would pull, so CI can validate it with no HTTP client beyond this
@@ -149,7 +150,9 @@ fn run() -> Result<ExitCode, String> {
             let job_id = args.positional(0, "job-id", USAGE)?;
             let result = pi_serve::client::try_result(addr(&args), job_id)
                 .map_err(|e| e.to_string())?
-                .ok_or_else(|| format!("job {job_id} is still queued or running"))?;
+                .ok_or_else(|| {
+                    format!("job {job_id} is still queued or running after the daemon's hold")
+                })?;
             cli::emit(&result.trace_jsonl)?;
             Ok(ExitCode::SUCCESS)
         }
