@@ -18,15 +18,18 @@
 # lower for the rest). Then one traced run (`--trace 1`) per side prints
 # the work counters: pnr.assembled_expansions, stitch.stitched_nets,
 # pnr.overused_tiles, stitch.cache_bytes_loaded and serve.polls_per_job
-# (the /result fetches per serve_mix job).
+# (the /result fetches per serve_mix job); and the traced self-times
+# stitch.relocate_s, stitch.check_design_s and pnr.route_assembled_s, which
+# show the layer a saving lands in.
 # Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
 # BENCH_e2e.json at the repository root: both revisions (`git describe`;
 # a checkout with uncommitted changes reads `-dirty`), the workload, the
 # seed, N, host_cores, the UTC date, per metric each side's median,
-# quartiles and wins, and under `traced` each side's counters. Commit the
-# point with the change it measured.
+# quartiles and wins, under `traced` each side's counters, and under
+# `layers` each side's traced self-times (one run each, so corroboration,
+# not a claim). Commit the point with the change it measured.
 #
 # Nothing under benchmark/ is edited, but cargo rewrites
 # benchmark/Cargo.lock whenever the crates' manifests have moved on:
@@ -38,6 +41,7 @@ here="$(cd "$(dirname "$0")/.." && pwd)"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$here/BENCHMARK.json")"
 metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
 counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded serve.polls_per_job"
+layers="stitch.relocate_s stitch.check_design_s pnr.route_assembled_s"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -83,19 +87,28 @@ run_side() {
     echo
 }
 
-# One traced run on one side; writes its counters as a JSON object to
-# $work/<name>.traced.
-traced_side() {
-    local name="$1" dir="$2" line m v json=""
-    line="$(run_once "$name" "$dir" "traced run" 1)" || exit 1
-    printf '  %-6s' "$name"
-    for m in $counters; do
+# Writes the named metrics $3.. of result line $1 as a JSON object to file
+# $2, printing each as it is read.
+json_of() {
+    local line="$1" out="$2" m v json=""
+    shift 2
+    for m in "$@"; do
         v="$(value_of "$line" "$m")"
         json="$json${json:+,}\"$m\":${v:-null}"
         printf ' %s=%s' "$m" "$v"
     done
+    echo "{$json}" > "$out"
+}
+
+# One traced run on one side; writes its counters as a JSON object to
+# $work/<name>.traced and its layer self-times to $work/<name>.layers.
+traced_side() {
+    local name="$1" dir="$2" line
+    line="$(run_once "$name" "$dir" "traced run" 1)" || exit 1
+    printf '  %-6s' "$name"
+    json_of "$line" "$work/$name.traced" $counters
+    json_of "$line" "$work/$name.layers" $layers
     echo
-    echo "{$json}" > "$work/$name.traced"
 }
 
 echo "ab: $rev vs checkout, $workload, $pairs pairs, seed $seed, ${seconds} s per run"
@@ -153,7 +166,8 @@ point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
     -v change="$(git -C "$here" describe --always --dirty)" \
     -v workload="$workload" -v seed="$seed" -v pairs="$pairs" \
     -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" \
-    -v traced_rev="$(cat "$work/rev.traced")" -v traced_change="$(cat "$work/change.traced")" '
+    -v traced_rev="$(cat "$work/rev.traced")" -v traced_change="$(cat "$work/change.traced")" \
+    -v layers_rev="$(cat "$work/rev.layers")" -v layers_change="$(cat "$work/change.layers")" '
     {
         side = sprintf("\"median\":%s,\"q1\":%s,\"q3\":%s,\"wins\":%s", $3, $4, $5, $6)
         if (!($1 in seen)) { order[++k] = $1; seen[$1] = 1 }
@@ -163,7 +177,8 @@ point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
         printf "{\"rev\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%s,", rev, change, workload, seed
         printf "\"n\":%s,\"host_cores\":%s,\"date\":\"%s\",\"metrics\":{", pairs, cores, date
         for (i = 1; i <= k; i++) printf "%s\"%s\":{%s}", (i > 1 ? "," : ""), order[i], body[order[i]]
-        printf "},\"traced\":{\"rev\":%s,\"change\":%s}}", traced_rev, traced_change
+        printf "},\"traced\":{\"rev\":%s,\"change\":%s}", traced_rev, traced_change
+        printf ",\"layers\":{\"rev\":%s,\"change\":%s}}", layers_rev, layers_change
     }' "$work/summary.tsv")"
 if [ ! -s "$ledger" ]; then
     printf '{"ledger":"BENCH_e2e","about":"%s","points":[\n]}\n' \

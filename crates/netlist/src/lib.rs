@@ -25,6 +25,7 @@ pub mod hash;
 pub mod module;
 pub mod net;
 pub mod port;
+mod summary;
 pub mod walk;
 
 pub use cell::{Cell, CellId, CellKind};
@@ -34,7 +35,7 @@ pub use hash::{xxh64, StableHasher};
 pub use module::{Module, ModuleBuilder};
 pub use net::{Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
-pub use walk::{NetView, PlacedNet, RouteView, Slot};
+pub use walk::{NetView, PlacedNet, RouteFootprint, RouteView, Slot};
 
 /// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]

@@ -12,10 +12,18 @@
 //! [`crate::walk`] (the one reader of stored routes) applies. The first
 //! write to the nets bakes the offset in, so no writer sees the
 //! checkpoint frame.
+//!
+//! The shared net storage also caches a route summary (the stored
+//! tiles' extent, a per-tile route count and the unrouted nets), built on
+//! first read and shared like the nets, so `translated`, the router's
+//! occupancy seeding and the DRC read one summary per checkpoint instead
+//! of walking its tiles. Every write to the nets goes through one helper
+//! that resets it.
 
 use crate::cell::{Cell, CellId};
 use crate::net::{Endpoint, Net, NetId};
 use crate::port::{Direction, Port, PortId, StreamRole};
+use crate::summary::{NetStore, RouteSummary};
 use crate::NetlistError;
 use pi_fabric::{Pblock, ResourceCount, TileCoord};
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -27,7 +35,7 @@ use std::sync::Arc;
 pub struct Module {
     pub name: String,
     cells: Arc<Vec<Cell>>,
-    nets: Arc<Vec<Net>>,
+    nets: Arc<NetStore>,
     ports: Arc<Vec<Port>>,
     /// True once the module's placement and routing are frozen (the paper's
     /// logic-locking step). Locked modules reject further mutation.
@@ -156,8 +164,8 @@ impl Module {
         if self.locked {
             return Err(NetlistError::Locked(self.name.clone()));
         }
-        let nets = Arc::make_mut(&mut self.nets);
         let (dcol, drow) = std::mem::take(&mut self.route_offset);
+        let nets = self.nets_write();
         if (dcol, drow) != (0, 0) {
             for r in nets.iter_mut().filter_map(|n| n.route.as_mut()) {
                 for t in &mut r.tiles {
@@ -168,10 +176,22 @@ impl Module {
         Ok(nets.as_mut_slice())
     }
 
+    /// The one write path to the nets: unshares them and resets the
+    /// route summary.
+    fn nets_write(&mut self) -> &mut Vec<Net> {
+        Arc::make_mut(&mut self.nets).write()
+    }
+
     /// The shift from the stored route tiles' frame to the device frame;
     /// applied by [`crate::walk`].
     pub(crate) fn route_offset(&self) -> (i32, i32) {
         self.route_offset
+    }
+
+    /// The summary of the stored routes, in the stored frame; built on
+    /// first read and shared with every module sharing the nets.
+    pub(crate) fn route_summary(&self) -> &RouteSummary {
+        self.nets.summary()
     }
 
     /// Mutable port access (for partition-pin planning). Fails when locked.
@@ -189,7 +209,7 @@ impl Module {
         for c in Arc::make_mut(&mut self.cells) {
             c.fixed = true;
         }
-        for n in Arc::make_mut(&mut self.nets) {
+        for n in self.nets_write() {
             if n.route.is_some() {
                 n.locked = true;
             }
@@ -204,10 +224,11 @@ impl Module {
     ///
     /// Cells, ports and the pblock are copied; the nets are shared with
     /// `self` and the shift is added to the route offset, so the routes are
-    /// neither copied nor rewritten.
+    /// neither copied nor rewritten. The routes' extent comes from the
+    /// shared route summary.
     pub fn translated(&self, dcol: i32, drow: i32) -> Option<Module> {
         let mut m = self.clone();
-        if let Some((lo, hi)) = self.stored_route_extent() {
+        if let Some((lo, hi)) = self.route_summary().extent {
             let (oc, or) = self.route_offset;
             let oc = i64::from(oc) + i64::from(dcol);
             let or = i64::from(or) + i64::from(drow);
@@ -232,21 +253,6 @@ impl Module {
             m.pblock = Some(pb.translated(dcol, drow)?);
         }
         Some(m)
-    }
-
-    /// The (lowest col, lowest row) and (highest col, highest row) over
-    /// every stored route tile, in the stored frame; `None` when no net
-    /// stores a tile.
-    fn stored_route_extent(&self) -> Option<(TileCoord, TileCoord)> {
-        let tiles = self.nets.iter().filter_map(|n| n.route.as_ref());
-        let mut tiles = tiles.flat_map(|r| r.tiles.iter());
-        let first = *tiles.next()?;
-        Some(tiles.fold((first, first), |(lo, hi), t| {
-            (
-                TileCoord::new(lo.col.min(t.col), lo.row.min(t.row)),
-                TileCoord::new(hi.col.max(t.col), hi.row.max(t.row)),
-            )
-        }))
     }
 
     /// True when `other` is the same netlist up to names: the same cells,
@@ -332,7 +338,7 @@ impl Module {
         {
             c.name.clone_from(&n.name);
         }
-        for (net, n) in Arc::make_mut(&mut m.nets).iter_mut().zip(names.nets.iter()) {
+        for (net, n) in m.nets_write().iter_mut().zip(names.nets.iter()) {
             net.name.clone_from(&n.name);
         }
         m
@@ -482,7 +488,7 @@ impl ModuleBuilder {
     /// Add a fully specified net.
     pub fn net(&mut self, net: Net) -> NetId {
         let id = NetId(self.module.nets.len() as u32);
-        Arc::make_mut(&mut self.module.nets).push(net);
+        self.module.nets_write().push(net);
         id
     }
 

@@ -1,0 +1,139 @@
+//! A module's shared net storage and the route summary cached beside it.
+//!
+//! A checkpoint's nets are shared by every instance placed from it
+//! ([`crate::Module::translated`]), so what the readers of stored routes
+//! need from them — the extent of the stored tiles, the per-tile route
+//! count and the unrouted nets — is computed once per storage, on first
+//! read, and shared too. It is in the stored frame; [`crate::walk`]
+//! applies an instance's route offset when it hands the summary out.
+//!
+//! The summary is derived state: it is never serialized, takes no part in
+//! equality, and every write to the nets resets it (the module's one write
+//! helper, `Module::nets_write`).
+
+use crate::net::{Net, Route};
+use pi_fabric::TileCoord;
+use serde::{Content, DeError, Deserialize, Serialize};
+use std::ops::Deref;
+use std::sync::OnceLock;
+
+/// Largest per-tile count window kept, in tiles. Any device is far
+/// smaller, so only a corrupt route spans an extent this large; its
+/// summary keeps no window and its readers walk the tiles instead.
+const MAX_WINDOW_TILES: usize = 1 << 24;
+
+/// A module's nets plus their lazily built [`RouteSummary`].
+#[derive(Clone, Default)]
+pub(crate) struct NetStore {
+    nets: Vec<Net>,
+    summary: OnceLock<RouteSummary>,
+}
+
+impl NetStore {
+    /// The nets for writing. The summary is dropped first, so the next
+    /// read rebuilds it from what the writer left.
+    pub(crate) fn write(&mut self) -> &mut Vec<Net> {
+        self.summary.take();
+        &mut self.nets
+    }
+
+    /// The summary of the stored routes, built on first read.
+    pub(crate) fn summary(&self) -> &RouteSummary {
+        self.summary.get_or_init(|| RouteSummary::build(&self.nets))
+    }
+}
+
+impl Deref for NetStore {
+    type Target = [Net];
+
+    fn deref(&self) -> &[Net] {
+        &self.nets
+    }
+}
+
+impl PartialEq for NetStore {
+    fn eq(&self, other: &NetStore) -> bool {
+        self.nets == other.nets
+    }
+}
+
+impl std::fmt::Debug for NetStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.nets.fmt(f)
+    }
+}
+
+impl Serialize for NetStore {
+    fn to_content(&self) -> Content {
+        self.nets.to_content()
+    }
+}
+
+impl Deserialize for NetStore {
+    fn from_content(c: &Content) -> Result<NetStore, DeError> {
+        let nets = Vec::<Net>::from_content(c)?;
+        Ok(NetStore {
+            nets,
+            summary: OnceLock::new(),
+        })
+    }
+}
+
+/// The tiles a stored route occupies: every one of its tiles, source tile
+/// included. This is the one place that convention is written down; the
+/// route summary's counts and [`crate::RouteView::occupied`] both read it.
+pub(crate) fn occupied(route: &Route) -> &[TileCoord] {
+    &route.tiles
+}
+
+/// What the readers of stored routes need, in the stored frame.
+#[derive(Clone, Debug)]
+pub(crate) struct RouteSummary {
+    /// (lowest col, lowest row) and (highest col, highest row) over every
+    /// stored route tile, clock routes included; `None` when no net
+    /// stores a tile.
+    pub(crate) extent: Option<(TileCoord, TileCoord)>,
+    /// How many non-clock stored routes occupy each tile of the extent,
+    /// column-major (`(col - lo.col) * height + (row - lo.row)`); `None`
+    /// when the extent exceeds [`MAX_WINDOW_TILES`].
+    pub(crate) counts: Option<Vec<u16>>,
+    /// Indices of the unrouted non-clock nets, ascending.
+    pub(crate) unrouted: Vec<u32>,
+}
+
+impl RouteSummary {
+    fn build(nets: &[Net]) -> RouteSummary {
+        let routes = nets.iter().filter_map(|n| n.route.as_ref());
+        let mut tiles = routes.flat_map(|r| r.tiles.iter());
+        let extent = tiles.next().map(|&first| {
+            tiles.fold((first, first), |(lo, hi), t| {
+                (
+                    TileCoord::new(lo.col.min(t.col), lo.row.min(t.row)),
+                    TileCoord::new(hi.col.max(t.col), hi.row.max(t.row)),
+                )
+            })
+        });
+        let counts = extent.and_then(|(lo, hi)| {
+            let height = usize::from(hi.row - lo.row) + 1;
+            let area = (usize::from(hi.col - lo.col) + 1) * height;
+            (area <= MAX_WINDOW_TILES).then(|| {
+                let mut counts = vec![0u16; area];
+                let stored = nets.iter().filter(|n| !n.is_clock);
+                for r in stored.filter_map(|n| n.route.as_ref()) {
+                    for t in occupied(r) {
+                        let i = usize::from(t.col - lo.col) * height + usize::from(t.row - lo.row);
+                        counts[i] += 1;
+                    }
+                }
+                counts
+            })
+        });
+        let unrouted = nets.iter().enumerate();
+        let unrouted = unrouted.filter(|(_, n)| !n.is_clock && n.route.is_none());
+        RouteSummary {
+            extent,
+            counts,
+            unrouted: unrouted.map(|(i, _)| i as u32).collect(),
+        }
+    }
+}

@@ -9,12 +9,16 @@
 //!
 //! Stored routes are read through [`RouteView`], which yields device-frame
 //! tiles: a relocated instance shares its checkpoint's routes and carries
-//! the shift as an offset ([`Module::translated`]), applied here.
+//! the shift as an offset ([`Module::translated`]), applied here. Readers
+//! that need an instance's routes only in aggregate — occupancy, extent,
+//! which nets are unrouted — read its [`RouteFootprint`] instead, the
+//! checkpoint's shared route summary under the same offset.
 
 use crate::design::{Design, TopNet};
 use crate::module::{shift, Module};
 use crate::net::{Endpoint, Net, Route};
-use pi_fabric::TileCoord;
+use crate::summary::RouteSummary;
+use pi_fabric::{Device, TileCoord};
 
 /// Where a net lives: inside instance `inst` (net index `net` of its
 /// module) or at the top level of a design.
@@ -112,16 +116,87 @@ impl<'a> NetView<'a> {
     /// the top nets (clock nets use dedicated routing and are no routed
     /// resource here).
     pub fn nets(self) -> impl Iterator<Item = PlacedNet<'a>> {
-        let intra = (0..self.instance_count()).flat_map(move |inst| {
-            let nets = self.module(inst).nets().iter().enumerate();
-            nets.filter(|(_, n)| !n.is_clock)
-                .map(move |(i, net)| self.intra(inst, i, net))
-        });
-        let top = self.design().into_iter().flat_map(|design| {
+        let intra = (0..self.instance_count()).flat_map(move |inst| self.instance_nets(inst));
+        intra.chain(self.top_nets())
+    }
+
+    /// The non-clock nets of instance `inst`, in net index order.
+    pub fn instance_nets(self, inst: usize) -> impl Iterator<Item = PlacedNet<'a>> {
+        let nets = self.module(inst).nets().iter().enumerate();
+        nets.filter(|(_, n)| !n.is_clock)
+            .map(move |(i, net)| self.intra(inst, i, net))
+    }
+
+    /// The top nets, in index order (none for a bare module).
+    pub fn top_nets(self) -> impl Iterator<Item = PlacedNet<'a>> {
+        self.design().into_iter().flat_map(|design| {
             let nets = design.top_nets().iter().enumerate();
             nets.map(move |(i, net)| PlacedNet::Top(i, design, net))
-        });
-        intra.chain(top)
+        })
+    }
+
+    /// Instance `inst`'s stored routes in aggregate, in the device frame.
+    pub fn footprint(&self, inst: usize) -> RouteFootprint<'a> {
+        let module = self.module(inst);
+        RouteFootprint {
+            summary: module.route_summary(),
+            offset: module.route_offset(),
+        }
+    }
+}
+
+/// One instance's stored routes in aggregate, read in the device frame:
+/// its checkpoint's shared route summary under the instance's route
+/// offset. Built once per checkpoint, so reading it costs no walk over
+/// the stored tiles.
+#[derive(Clone, Copy)]
+pub struct RouteFootprint<'a> {
+    summary: &'a RouteSummary,
+    offset: (i32, i32),
+}
+
+impl<'a> RouteFootprint<'a> {
+    /// (lowest col, lowest row) and (highest col, highest row) over every
+    /// stored route tile, clock routes included; `None` when no net stores
+    /// a tile.
+    fn extent(&self) -> Option<(TileCoord, TileCoord)> {
+        let (dcol, drow) = self.offset;
+        let (lo, hi) = self.summary.extent?;
+        Some((shift(lo, dcol, drow), shift(hi, dcol, drow)))
+    }
+
+    /// True when every stored route tile lies on `device` and the per-tile
+    /// counts are held, so [`RouteFootprint::columns`] covers every stored
+    /// tile and no tile needs its own bounds check. False sends a reader
+    /// to the per-tile walk, which finds the off-device tiles.
+    pub fn on_device(&self, device: &Device) -> bool {
+        match self.extent() {
+            None => true,
+            Some((lo, hi)) => {
+                self.summary.counts.is_some() && device.in_bounds(lo) && device.in_bounds(hi)
+            }
+        }
+    }
+
+    /// How many non-clock stored routes occupy each tile, one column of
+    /// the extent at a time: the column's lowest tile and the counts
+    /// upward from it. Empty when the counts are not held (see
+    /// [`RouteFootprint::on_device`]).
+    pub fn columns(&self) -> impl Iterator<Item = (TileCoord, &'a [u16])> + 'a {
+        let (dcol, drow) = self.offset;
+        let window = self.summary.extent.zip(self.summary.counts.as_deref());
+        window.into_iter().flat_map(move |((lo, hi), counts)| {
+            let height = usize::from(hi.row - lo.row) + 1;
+            counts.chunks(height).enumerate().map(move |(c, column)| {
+                let base = TileCoord::new(lo.col + c as u16, lo.row);
+                (shift(base, dcol, drow), column)
+            })
+        })
+    }
+
+    /// Net indices of the unrouted non-clock nets, ascending.
+    pub fn unrouted(&self) -> &'a [u32] {
+        &self.summary.unrouted
     }
 }
 
@@ -237,6 +312,14 @@ impl<'a> RouteView<'a> {
     pub fn tiles(&self) -> impl ExactSizeIterator<Item = TileCoord> + 'a {
         let (dcol, drow) = self.offset;
         self.route.tiles.iter().map(move |&t| shift(t, dcol, drow))
+    }
+
+    /// The tiles the route occupies, in the device frame: the tiles a
+    /// route summary counts for it.
+    pub fn occupied(&self) -> impl ExactSizeIterator<Item = TileCoord> + 'a {
+        let (dcol, drow) = self.offset;
+        let tiles = crate::summary::occupied(self.route).iter();
+        tiles.map(move |&t| shift(t, dcol, drow))
     }
 }
 

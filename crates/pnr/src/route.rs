@@ -43,7 +43,7 @@
 use crate::timing::TimingGraph;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord, TileKind};
-use pi_netlist::{Design, Module, NetView, Route, Slot};
+use pi_netlist::{Design, Module, NetView, PlacedNet, Route, RouteView, Slot};
 use pi_obs::Obs;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -920,25 +920,50 @@ pub(crate) fn route_into(
     let mut costs = Costs::new(device);
     let view = target.view();
     let mut tasks = Vec::new();
-    for net in view.nets() {
-        match net.route() {
-            // Seed occupancy with whatever is already routed (locked or
-            // not). A *stored* route occupies every one of its tiles,
-            // source tile included; a route laid by this run occupies all
-            // but its source tile (the merge in [`run`] skips `t[0]`). The
-            // asymmetry is kept bit-exact here, its only seeding site.
-            // Off-grid tiles occupy nothing: they are the DRC's
-            // `RouteOffGrid`, not a tile to charge.
-            Some(route) => {
-                for t in route.tiles().filter(|&t| device.in_bounds(t)) {
-                    let i = costs.idx(t);
-                    costs.occ[i] += 1;
+    let mut task = |net: PlacedNet| {
+        tasks.push(Task {
+            endpoints: net.terminals(),
+            slot: net.slot(),
+        })
+    };
+    // Seed occupancy with whatever is already routed (locked or not): an
+    // instance's per-tile counts come from its shared route summary, added
+    // at its route offset. Which tiles a stored route occupies is decided
+    // in `pi_netlist` alone (`summary::occupied`, which the summary's
+    // counts and `RouteView::occupied` both read); a route laid by this
+    // run occupies all but its source tile (the merge in [`run`] skips
+    // `t[0]`). Off-grid tiles occupy nothing: they are the DRC's
+    // `RouteOffGrid`, not a tile to charge, so an instance whose extent
+    // leaves the device is walked tile by tile with the bounds test.
+    let charge = |costs: &mut Costs, route: RouteView| {
+        for t in route.occupied().filter(|&t| device.in_bounds(t)) {
+            let i = costs.idx(t);
+            costs.occ[i] += 1;
+        }
+    };
+    for inst in 0..view.instance_count() {
+        let footprint = view.footprint(inst);
+        if footprint.on_device(device) {
+            for (base, counts) in footprint.columns() {
+                let i = costs.idx(base);
+                for (occ, &n) in costs.occ[i..i + counts.len()].iter_mut().zip(counts) {
+                    *occ += n;
                 }
             }
-            None => tasks.push(Task {
-                endpoints: net.terminals(),
-                slot: net.slot(),
-            }),
+        } else {
+            for route in view.instance_nets(inst).filter_map(|n| n.route()) {
+                charge(&mut costs, route);
+            }
+        }
+        for &net in footprint.unrouted() {
+            let net = net as usize;
+            task(view.net(Slot::Intra { inst, net }));
+        }
+    }
+    for net in view.top_nets() {
+        match net.route() {
+            Some(route) => charge(&mut costs, route),
+            None => task(net),
         }
     }
     let graph = TimingGraph::build(view);

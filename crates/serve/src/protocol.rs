@@ -20,6 +20,11 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// config is ~2 KB; traces run to a few MB).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
+/// Largest message head accepted: the request or status line plus every
+/// header line, together. Without it a peer that never sends a newline,
+/// or sends headers without end, grows the read without bound.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
+
 /// One parsed request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -45,9 +50,13 @@ pub(crate) struct ErrorBody {
 /// Read a single request off an accepted connection.
 pub fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    parse_request(&mut BufReader::new(stream.try_clone()?))
+}
+
+/// One request: the request line, the headers, the body.
+fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, ServeError> {
+    let mut head = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -57,8 +66,8 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
         .next()
         .ok_or_else(|| ServeError::Protocol(format!("request line {line:?} has no path")))?
         .to_string();
-    let content_length = read_headers(&mut reader)?;
-    let body = read_body(&mut reader, content_length)?;
+    let content_length = read_headers(reader, head)?;
+    let body = read_body(reader, content_length)?;
     Ok(Request { method, path, body })
 }
 
@@ -108,24 +117,40 @@ pub fn http_call(
     )?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    let mut head = MAX_HEAD_BYTES;
+    let status_line = read_head_line(&mut reader, &mut head)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ServeError::Protocol(format!("bad status line {status_line:?}")))?;
-    let content_length = read_headers(&mut reader)?;
+    let content_length = read_headers(&mut reader, head)?;
     let body = read_body(&mut reader, content_length)?;
     Ok((status, body))
 }
 
-/// Consume headers up to the blank line; return `Content-Length` if given.
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<Option<usize>, ServeError> {
+/// One line of a message head, charged to `head`, the head bytes left.
+/// A line the budget cuts off is a [`ServeError::Protocol`]; an empty
+/// string is the end of the stream.
+fn read_head_line<R: BufRead>(reader: &mut R, head: &mut usize) -> Result<String, ServeError> {
+    let mut line = String::new();
+    let n = reader.take(*head as u64).read_line(&mut line)?;
+    if n == *head && !line.ends_with('\n') {
+        return Err(ServeError::Protocol(format!(
+            "message head over {MAX_HEAD_BYTES} bytes"
+        )));
+    }
+    *head -= n;
+    Ok(line)
+}
+
+/// Consume headers up to the blank line, within the `head` bytes left of
+/// the head's budget; return `Content-Length` if given.
+fn read_headers<R: BufRead>(reader: &mut R, mut head: usize) -> Result<Option<usize>, ServeError> {
     let mut content_length = None;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let line = read_head_line(reader, &mut head)?;
+        if line.is_empty() {
             break;
         }
         let line = line.trim();
@@ -169,7 +194,101 @@ fn read_body<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
     use std::net::TcpListener;
+
+    /// ASCII text of bytes in `chars`, of a length in `len`.
+    fn text(
+        chars: std::ops::RangeInclusive<u8>,
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = String> {
+        proptest::collection::vec(chars, len)
+            .prop_map(|bytes| String::from_utf8(bytes).expect("ASCII"))
+    }
+
+    /// A request frame as `http_call` writes it, plus `extra` header lines.
+    fn frame(method: &str, path: &str, extra: &[(String, String)], body: &str) -> Vec<u8> {
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n",
+            body.len()
+        );
+        for (name, value) in extra {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        format!("{head}\r\n{body}").into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Arbitrary bytes are a request or an error, never a panic, and a
+        /// `Content-Length` that parses is within its bound.
+        #[test]
+        fn arbitrary_bytes_never_panic_and_respect_the_body_bound(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let _ = parse_request(&mut Cursor::new(&bytes));
+            let mut reader = Cursor::new(&bytes);
+            let mut head = MAX_HEAD_BYTES;
+            if read_head_line(&mut reader, &mut head).is_ok() {
+                if let Ok(Some(n)) = read_headers(&mut reader, head) {
+                    prop_assert!(n <= MAX_BODY_BYTES);
+                }
+            }
+        }
+
+        /// A well-formed frame parses back to what was written.
+        #[test]
+        fn a_well_formed_frame_round_trips(
+            method in text(b'A'..=b'Z', 1..8),
+            path in text(b'!'..=b'~', 0..25),
+            extra in proptest::collection::vec((text(b'A'..=b'Z', 1..13), text(b' '..=b'~', 0..41)), 0..6),
+            body in text(b'\n'..=b'~', 0..300),
+        ) {
+            let path = format!("/{path}");
+            let extra: Vec<(String, String)> =
+                extra.into_iter().map(|(name, value)| (format!("X-{name}"), value)).collect();
+            let bytes = frame(&method, &path, &extra, &body);
+            let req = parse_request(&mut Cursor::new(&bytes)).unwrap();
+            prop_assert_eq!((req.method, req.path, req.body), (method, path, body));
+        }
+
+        /// A head is accepted exactly when it fits the bound, however the
+        /// bytes are split between the request line and the headers.
+        #[test]
+        fn the_head_bound_holds(
+            line_pad in 0usize..(2 * MAX_HEAD_BYTES),
+            header_pad in 0usize..(MAX_HEAD_BYTES / 2),
+        ) {
+            let path = format!("/{}", "a".repeat(line_pad));
+            let extra = [("X-Pad".to_string(), "b".repeat(header_pad))];
+            let bytes = frame("GET", &path, &extra, "");
+            let head_len = bytes.len();
+            let parsed = parse_request(&mut Cursor::new(&bytes));
+            prop_assert!(parsed.is_ok() == (head_len <= MAX_HEAD_BYTES), "head of {} bytes", head_len);
+            if let Err(e) = parsed {
+                prop_assert!(matches!(e, ServeError::Protocol(_)), "{}", e);
+            }
+        }
+
+        /// A `Content-Length` past the body bound is refused before any
+        /// body byte is read.
+        #[test]
+        fn the_body_bound_holds(n in (MAX_BODY_BYTES + 1)..usize::MAX) {
+            let bytes = format!("POST / HTTP/1.1\r\nContent-Length: {n}\r\n\r\n");
+            let parsed = parse_request(&mut Cursor::new(bytes.as_bytes()));
+            prop_assert!(matches!(parsed, Err(ServeError::Protocol(_))));
+        }
+    }
+
+    #[test]
+    fn a_request_line_past_the_head_bound_is_a_protocol_error() {
+        let bytes = vec![b'a'; 1 << 20];
+        let err = parse_request(&mut Cursor::new(&bytes)).unwrap_err();
+        assert!(matches!(err, ServeError::Protocol(_)), "{err}");
+        assert!(err.to_string().contains("message head over"), "{err}");
+    }
 
     #[test]
     fn request_and_response_round_trip_over_a_socket() {

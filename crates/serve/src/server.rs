@@ -518,7 +518,7 @@ fn run_job(id: &str, spec: &JobSpec) -> Result<JobResult, String> {
 mod tests {
     use super::*;
     use crate::protocol::http_call;
-    use std::io::{Read, Write};
+    use std::io::{ErrorKind, Read, Write};
 
     fn start() -> ServerHandle {
         serve("127.0.0.1:0", ServerOptions::default()).expect("bind ephemeral")
@@ -700,6 +700,35 @@ mod tests {
             assert!(Instant::now() < deadline, "service did not resume");
             std::thread::sleep(Duration::from_millis(20));
         }
+        h.shutdown();
+        h.join();
+    }
+
+    #[test]
+    fn a_request_line_without_end_is_refused_and_the_daemon_serves_on() {
+        let h = start();
+        let addr = h.addr();
+        let mut endless = TcpStream::connect(&addr).unwrap();
+        // Well inside the daemon's own read timeout: the refusal must not
+        // wait for the peer to stall.
+        endless.set_read_timeout(Some(IO_TIMEOUT / 3)).unwrap();
+        // The daemon stops reading past its head bound, so the tail of
+        // this write may be refused; either way the reply must come.
+        let _ = endless.write_all(&vec![b'a'; 1 << 20]);
+        let mut reply = String::new();
+        match endless.read_to_string(&mut reply) {
+            Ok(_) if !reply.is_empty() => {
+                assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+                assert!(reply.contains("message head over"), "{reply}");
+            }
+            Ok(_) => {}
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "no reply and no close: {e}"
+            ),
+        }
+        let (status, _) = http_call(&addr, "GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200);
         h.shutdown();
         h.join();
     }

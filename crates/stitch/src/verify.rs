@@ -13,7 +13,9 @@
 //! `pi-lint` pass manager never calls it; it *folds* a verdict it is handed
 //! into codes `PL0310`–`PL0318` (`pi_lint::checkpoint::violation_code`), so
 //! no lint policy can waive a violation. The route checks read every net
-//! through [`pi_netlist::NetView`] — the walk the router routed on.
+//! through [`pi_netlist::NetView`] — the walk the router routed on — and
+//! skip the per-tile walk of an instance whose route footprint
+//! ([`pi_netlist::RouteFootprint`]) lies on the device.
 //!
 //! Site ownership is a dense per-tile grid of (instance, cell) indices, so
 //! the check over the locked interiors allocates one vector and formats no
@@ -22,7 +24,7 @@
 
 use crate::StitchError;
 use pi_fabric::{Device, TileCoord};
-use pi_netlist::{Design, NetView};
+use pi_netlist::{Design, NetView, PlacedNet, Slot};
 use std::collections::HashMap;
 
 /// One DRC violation.
@@ -190,16 +192,34 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
     }
 
     // Every non-clock net, intra-instance then top, routed and on-grid.
-    for net in NetView::from(design).nets() {
+    // An instance whose stored routes all lie on the device (its shared
+    // route summary's extent, shifted) can only be unrouted: its tiles are
+    // not walked.
+    let view = NetView::from(design);
+    let mut check_net = |net: PlacedNet| {
         let Some(route) = net.route() else {
             violations.push(Violation::Unrouted { net: net.path() });
-            continue;
+            return;
         };
         for at in route.tiles().filter(|&t| !device.in_bounds(t)) {
             let net = net.path();
             violations.push(Violation::RouteOffGrid { net, at });
         }
+    };
+    for inst in 0..view.instance_count() {
+        let footprint = view.footprint(inst);
+        if footprint.on_device(device) {
+            for &net in footprint.unrouted() {
+                check_net(view.net(Slot::Intra {
+                    inst,
+                    net: net as usize,
+                }));
+            }
+        } else {
+            view.instance_nets(inst).for_each(&mut check_net);
+        }
     }
+    view.top_nets().for_each(check_net);
 
     Ok(violations)
 }

@@ -2,16 +2,23 @@
 //! ports but keeps its checkpoint's nets, reading every stored route tile
 //! through an offset.
 //!
-//! The property pins that the offset is invisible to readers: the net walk
-//! yields exactly the tiles a per-tile translation would, `translated`
-//! refuses exactly the shifts a per-coordinate translation refuses, and
-//! shifts compose. The tests after it pin that a writer never sees the
-//! checkpoint frame, and the sharing itself on all five networks of the zoo.
+//! The first property pins that the offset is invisible to readers: the
+//! net walk yields exactly the tiles a per-tile translation would,
+//! `translated` refuses exactly the shifts a per-coordinate translation
+//! refuses, and shifts compose. The second pins the shared route summary:
+//! the router's occupancy seeding and the DRC's route checks, which read
+//! it, equal a per-tile walk of the stored routes, on the device or off
+//! it. The tests after them pin that a writer never sees the checkpoint
+//! frame or a stale summary, and the sharing itself on all five networks
+//! of the zoo.
 
 use preimpl_cnn::netlist::{
-    Cell, CellId, CellKind, Endpoint, ModuleBuilder, Net, NetView, Route, Slot, StreamRole,
+    Cell, CellId, CellKind, DesignKind, Endpoint, ModuleBuilder, Net, NetView, Route, Slot,
+    StreamRole,
 };
+use preimpl_cnn::pnr::{route_design_obs, RouteOptions};
 use preimpl_cnn::prelude::*;
+use preimpl_cnn::stitch::{check_design, Violation};
 use preimpl_cnn::synth::SynthOptions;
 use proptest::prelude::*;
 
@@ -78,6 +85,17 @@ impl Geometry {
 
     /// A locked module carrying this geometry.
     fn module(&self) -> Module {
+        self.build(false)
+    }
+
+    /// [`Geometry::module`] with every unrouted net tied to one extra,
+    /// unplaced cell: a router given the module has no net to lay, so the
+    /// occupancy it reports is what it seeded from the stored routes.
+    fn module_with_idle_unrouted_nets(&self) -> Module {
+        self.build(true)
+    }
+
+    fn build(&self, idle_unrouted: bool) -> Module {
         let mut b = ModuleBuilder::new("m");
         for i in 0..self.partpins.len() {
             b.input(format!("p{i}"), StreamRole::Source, 8);
@@ -85,9 +103,15 @@ impl Geometry {
         for i in 0..self.cells.len() {
             b.cell(Cell::new(format!("c{i}"), CellKind::full_slice()));
         }
+        let idle = idle_unrouted
+            .then(|| Endpoint::Cell(b.cell(Cell::new("idle", CellKind::full_slice()))));
         let cell = |i: usize| Endpoint::Cell(CellId((i % self.cells.len()) as u32));
         for (i, g) in self.nets.iter().enumerate() {
-            let mut net = Net::new(format!("n{i}"), cell(g.source), vec![cell(g.sink)]);
+            let (source, sink) = match (&g.route, idle) {
+                (None, Some(idle)) => (idle, idle),
+                _ => (cell(g.source), cell(g.sink)),
+            };
+            let mut net = Net::new(format!("n{i}"), source, vec![sink]);
             let route = g.route.as_ref();
             net.route = route.map(|tiles| Route::new(tiles.iter().map(|&t| self.at(t)).collect()));
             net.is_clock = g.clock;
@@ -186,6 +210,133 @@ proptest! {
             prop_assert_eq!(walked_routes(&twice), reference_routes(&m, dc + dc2, dr + dr2));
         }
     }
+}
+
+/// Per device tile (column-major), how many non-clock stored routes of
+/// `d` occupy it: the reference walk, tile by tile through the net walk.
+fn walked_occupancy(d: &Design, device: &Device) -> Vec<u32> {
+    let rows = usize::from(device.rows());
+    let mut occ = vec![0; usize::from(device.cols()) * rows];
+    for route in NetView::from(d).nets().filter_map(|n| n.route()) {
+        for t in route.tiles().filter(|&t| device.in_bounds(t)) {
+            occ[usize::from(t.col) * rows + usize::from(t.row)] += 1;
+        }
+    }
+    occ
+}
+
+/// Per device tile, the occupancy the router seeded for `d`. Every
+/// unrouted net of `d` is idle, so the router lays no route and its
+/// final map is its seed; at capacity 1 a tile's span fraction is its
+/// occupancy.
+fn seeded_occupancy(d: &Design, device: &Device) -> Vec<u32> {
+    let opts = RouteOptions {
+        max_iters: 1,
+        capacity: 1,
+    };
+    let (stats, map) = route_design_obs(&mut d.clone(), device, &opts, &Obs::null()).unwrap();
+    assert_eq!(stats.routed_nets, 0, "an idle net was routed");
+    let tiles = (0..device.cols()).flat_map(|c| (0..device.rows()).map(move |r| (c, r)));
+    tiles
+        .map(|(c, r)| {
+            let t = TileCoord::new(c, r);
+            map.span_fraction(t, t) as u32
+        })
+        .collect()
+}
+
+/// The route checks of `check_design` done by the reference walk: every
+/// non-clock net in walk order, unrouted or each of its off-device tiles.
+fn walked_route_violations(d: &Design, device: &Device) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    for net in NetView::from(d).nets() {
+        let Some(route) = net.route() else {
+            violations.push(Violation::Unrouted { net: net.path() });
+            continue;
+        };
+        for at in route.tiles().filter(|&t| !device.in_bounds(t)) {
+            let net = net.path();
+            violations.push(Violation::RouteOffGrid { net, at });
+        }
+    }
+    violations
+}
+
+/// `check_design`'s route violations, in its order.
+fn drc_route_violations(d: &Design, device: &Device) -> Vec<Violation> {
+    let all = check_design(d, device).unwrap();
+    let route = |v: &Violation| {
+        matches!(
+            v,
+            Violation::Unrouted { .. } | Violation::RouteOffGrid { .. }
+        )
+    };
+    all.into_iter().filter(route).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The route summary reads like the per-tile walk: seeded occupancy
+    /// and the DRC's route violations equal the reference, whether each
+    /// instance's shifted extent lies on the device (summary read, tiles
+    /// not walked) or leaves it (the per-tile fallback). Locked modules
+    /// keep their unrouted nets, so `Unrouted` order is checked too.
+    #[test]
+    fn seeding_and_the_drc_read_the_summary_like_a_per_tile_walk(
+        gs in proptest::collection::vec(geometry(), 1..4),
+        shifts in proptest::collection::vec((-10i32..50, -10i32..30), 3..4),
+    ) {
+        // test-part is 40 rows tall: geometry within 40 tiles of the
+        // origin, shifted by up to 50, lands on it, across its edge or
+        // off it.
+        let device = Device::test_part();
+        let mut d = Design::new("d", "test-part", DesignKind::Assembled);
+        for (i, (g, &(dc, dr))) in gs.iter().zip(&shifts).enumerate() {
+            let g = Geometry { base: 0, ..g.clone() };
+            let m = g.module_with_idle_unrouted_nets();
+            if let Some(t) = m.translated(dc, dr) {
+                d.add_instance(format!("i{i}"), t);
+            }
+        }
+        prop_assert_eq!(seeded_occupancy(&d, &device), walked_occupancy(&d, &device));
+        prop_assert_eq!(drc_route_violations(&d, &device), walked_route_violations(&d, &device));
+    }
+}
+
+/// Writing a route through `nets_mut` resets the summary: the next
+/// seeding counts the new tiles and the DRC stops calling the net
+/// unrouted.
+#[test]
+fn a_write_through_nets_mut_resets_the_route_summary() {
+    let device = Device::test_part();
+    let mut b = ModuleBuilder::new("m");
+    let c0 = b.cell(Cell::new("c0", CellKind::full_slice()));
+    let mut routed = Net::new("routed", Endpoint::Cell(c0), vec![Endpoint::Cell(c0)]);
+    routed.route = Some(Route::new(vec![TileCoord::new(2, 3), TileCoord::new(2, 4)]));
+    b.net(routed);
+    b.connect("later", Endpoint::Cell(c0), [Endpoint::Cell(c0)]);
+    let mut d = Design::new("d", "test-part", DesignKind::Flat);
+    d.add_instance("i", b.finish().unwrap().translated(1, 1).unwrap());
+
+    let before = seeded_occupancy(&d, &device);
+    assert_eq!(before, walked_occupancy(&d, &device));
+    assert_eq!(before.iter().sum::<u32>(), 2);
+    let unrouted = vec![Violation::Unrouted {
+        net: "i/later".to_string(),
+    }];
+    assert_eq!(drc_route_violations(&d, &device), unrouted);
+
+    let new_tiles = vec![TileCoord::new(5, 5), TileCoord::new(6, 5)];
+    d.instances_mut()[0].module.nets_mut().unwrap()[1].route = Some(Route::new(new_tiles));
+    let after = seeded_occupancy(&d, &device);
+    assert_eq!(after, walked_occupancy(&d, &device));
+    assert_eq!(
+        after.iter().sum::<u32>(),
+        4,
+        "the new route's tiles are counted"
+    );
+    assert_eq!(drc_route_violations(&d, &device), vec![]);
 }
 
 /// An unlocked translated module hands its writer device-frame routes, and
