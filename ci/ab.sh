@@ -24,8 +24,10 @@
 # Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
-# BENCH_e2e.json at the repository root: both revisions (`git describe`;
-# a checkout with uncommitted changes reads `-dirty`), the workload, the
+# BENCH_e2e.json at the repository root: both revisions as commits one can
+# check out (REV through `git describe`; the checkout as HEAD when it is
+# clean, else as the commit `git stash create` makes of its uncommitted
+# changes, recorded before the first build), the workload, the
 # seed, N, host_cores, the UTC date, per metric each side's median,
 # quartiles and wins, under `traced` each side's counters, and under
 # `layers` each side's traced self-times (one run each, so corroboration,
@@ -42,6 +44,11 @@ seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$here/BENCHMARK.json
 metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
 counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded serve.polls_per_job"
 layers="stitch.relocate_s stitch.check_design_s pnr.route_assembled_s"
+
+# The checkout as a commit: `git stash create` commits a dirty tree without
+# touching it and prints nothing for a clean one.
+change_rev="$(git -C "$here" stash create)"
+change_rev="$(git -C "$here" rev-parse --short=12 "${change_rev:-HEAD}")"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -163,7 +170,7 @@ awk '{ printf "%-13s %-6s %12.6f %12.6f %12.6f %3d/%d\n", $1, $2, $3, $4, $5, $6
 # The ledger point: one JSON line, appended inside the `points` array.
 ledger="$here/BENCH_e2e.json"
 point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
-    -v change="$(git -C "$here" describe --always --dirty)" \
+    -v change="$change_rev" \
     -v workload="$workload" -v seed="$seed" -v pairs="$pairs" \
     -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" \
     -v traced_rev="$(cat "$work/rev.traced")" -v traced_change="$(cat "$work/change.traced")" \

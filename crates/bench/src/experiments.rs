@@ -6,7 +6,8 @@ use crate::{device, fmt_s, md_table, Ctx, Section};
 use pi_cnn::cycles;
 use pi_cnn::graph::Granularity;
 use pi_flow::{
-    build_component_db, plan_partpins, run_pre_implemented_flow, size_pblock, FlowConfig,
+    build_component_db, plan_partpins, run_pre_implemented_flow, size_pblock, BaselineReport,
+    FlowConfig, PreImplReport,
 };
 use pi_netlist::{Checkpoint, CheckpointMeta, Design, DesignKind};
 use pi_obs::agg::{RouteTrace, RunReport};
@@ -191,7 +192,7 @@ pub fn table2_resources(ctx: &mut Ctx) -> Section {
         let run = ctx.lenet();
         data.push((
             ["LeNet (classic)", "LeNet (pre-impl)"],
-            run.baseline.compile.resources,
+            run.baseline.clone().map(|b| b.compile.resources),
             run.preimpl_design.resources(),
         ));
     }
@@ -199,23 +200,36 @@ pub fn table2_resources(ctx: &mut Ctx) -> Section {
         let run = ctx.vgg();
         data.push((
             ["VGG-16 (classic)", "VGG-16 (pre-impl)"],
-            run.baseline.compile.resources,
+            run.baseline.clone().map(|b| b.compile.resources),
             run.preimpl_design.resources(),
         ));
     }
     for (labels, base, pre) in data {
-        for (label, r) in [(labels[0], base), (labels[1], pre)] {
+        for (label, r) in [(labels[0], base), (labels[1], Ok(pre))] {
             let reference = paper::TABLE2
                 .iter()
                 .find(|p| p.row == label)
                 .expect("label matches reference");
-            rows.push(vec![
-                label.to_string(),
-                format!("{} [{}]", fmt_util(r.luts, totals.luts), reference.luts),
-                format!("{} [{}]", fmt_util(r.ffs, totals.ffs), reference.ffs),
-                format!("{} [{}]", fmt_util(r.brams, totals.brams), reference.brams),
-                format!("{} [{}]", fmt_util(r.dsps, totals.dsps), reference.dsps),
-            ]);
+            let measured = match r {
+                Ok(r) => [
+                    fmt_util(r.luts, totals.luts),
+                    fmt_util(r.ffs, totals.ffs),
+                    fmt_util(r.brams, totals.brams),
+                    fmt_util(r.dsps, totals.dsps),
+                ],
+                Err(why) => [why, "-".into(), "-".into(), "-".into()],
+            };
+            let papers = [
+                reference.luts,
+                reference.ffs,
+                reference.brams,
+                reference.dsps,
+            ];
+            let cells = measured
+                .iter()
+                .zip(papers)
+                .map(|(m, p)| format!("{m} [{p}]"));
+            rows.push(std::iter::once(label.to_string()).chain(cells).collect());
         }
     }
     Section {
@@ -240,7 +254,7 @@ pub fn fig6_productivity(ctx: &mut Ctx) -> Section {
         let run = ctx.lenet();
         data.push((
             run.network.name.clone(),
-            run.baseline.total_time(),
+            run.baseline.clone().map(|b| b.total_time()),
             run.preimpl.total_time(),
             run.preimpl.stitch_share(),
             run.db_build_time,
@@ -250,7 +264,7 @@ pub fn fig6_productivity(ctx: &mut Ctx) -> Section {
         let run = ctx.vgg();
         data.push((
             run.network.name.clone(),
-            run.baseline.total_time(),
+            run.baseline.clone().map(|b| b.total_time()),
             run.preimpl.total_time(),
             run.preimpl.stitch_share(),
             run.db_build_time,
@@ -259,12 +273,18 @@ pub fn fig6_productivity(ctx: &mut Ctx) -> Section {
     for ((name, base_t, pre_t, stitch_share, db_time), reference) in
         data.into_iter().zip(&paper::FIG6)
     {
-        let gain = 100.0 * (1.0 - pre_t.as_secs_f64() / base_t.as_secs_f64());
+        let (base_cell, gain) = match base_t {
+            Ok(base_t) => {
+                let gain = 100.0 * (1.0 - pre_t.as_secs_f64() / base_t.as_secs_f64());
+                (fmt_s(base_t), format!("{gain:.0}%"))
+            }
+            Err(why) => (why, "n/a".to_string()),
+        };
         rows.push(vec![
             name,
-            fmt_s(base_t),
+            base_cell,
             fmt_s(pre_t),
-            format!("{gain:.0}% ({:.0}%)", reference.productivity_gain_pct),
+            format!("{gain} ({:.0}%)", reference.productivity_gain_pct),
             format!(
                 "{:.0}% ({:.0}%)",
                 stitch_share * 100.0,
@@ -306,7 +326,7 @@ fn convergence_line(report: &RunReport) -> String {
     let route = &report.route;
     let sum = |f: fn(&RouteTrace) -> u64| route.iter().map(f).sum::<u64>();
     format!(
-        "{} router runs (slowest converged in {} iterations, final overuse {}, \
+        "{} router runs (slowest ran {} iterations, final overuse {}, \
          {} expansions, {} steiner segments, {} criticality re-routes, \
          {} merge conflicts), {} annealing rounds, \
          {} component-placer candidates, {} threshold retries",
@@ -324,6 +344,18 @@ fn convergence_line(report: &RunReport) -> String {
             .map_or(0, |p| p.count),
         report.stitch_retries.len(),
     )
+}
+
+/// The assembled-vs-baseline Fmax ratio as the text quotes it, or why
+/// there is none.
+fn fmax_ratio(ours: &PreImplReport, base: &Result<BaselineReport, String>) -> String {
+    match base {
+        Ok(base) => format!(
+            "{:.2}x",
+            ours.compile.timing.fmax_mhz / base.compile.timing.fmax_mhz
+        ),
+        Err(why) => format!("n/a, the baseline delivered {why}"),
+    }
 }
 
 /// E5 — Table III: LeNet performance exploration.
@@ -372,13 +404,15 @@ pub fn table3_lenet(ctx: &mut Ctx) -> Section {
             paper::TABLE3[7].latency_ns
         ),
     ]);
-    let base = &run.baseline;
-    rows.push(vec![
-        "Baseline (monolithic)".to_string(),
-        format!("{:.0} (n/a)", base.compile.timing.fmax_mhz),
-        format!("{:.1} (n/a)", base.latency.pipeline_ns),
-    ]);
-    let ratio = ours.compile.timing.fmax_mhz / base.compile.timing.fmax_mhz;
+    rows.push(match &run.baseline {
+        Ok(base) => vec![
+            "Baseline (monolithic)".to_string(),
+            format!("{:.0} (n/a)", base.compile.timing.fmax_mhz),
+            format!("{:.1} (n/a)", base.latency.pipeline_ns),
+        ],
+        Err(why) => vec!["Baseline (monolithic)".to_string(), why.clone(), "-".into()],
+    });
+    let ratio = fmax_ratio(ours, &run.baseline);
     Section {
         id: "Table III".to_string(),
         title: "LeNet performance exploration — measured (paper in parentheses)".to_string(),
@@ -386,7 +420,7 @@ pub fn table3_lenet(ctx: &mut Ctx) -> Section {
             &["component", "frequency MHz", "pipeline latency ns"],
             &rows,
         ) + &format!(
-            "\nAssembled-vs-baseline Fmax ratio: {ratio:.2}x (paper claims \
+            "\nAssembled-vs-baseline Fmax ratio: {ratio} (paper claims \
                  1.75x). Shape checks: conv2 is slower than conv1 (more input \
                  channels, deeper accumulation), pools are the fastest \
                  components, and the assembled frequency is bounded by the \
@@ -399,20 +433,26 @@ pub fn table3_lenet(ctx: &mut Ctx) -> Section {
 pub fn fig7_vgg(ctx: &mut Ctx) -> Section {
     let run = ctx.vgg();
     let mut rows = Vec::new();
-    let base = &run.baseline;
-    rows.push(vec![
-        "VGG (baseline)".to_string(),
-        format!(
-            "{:.0} ({:.0})",
-            base.compile.timing.fmax_mhz,
-            paper::FIG7[0].freq_mhz
-        ),
-        format!(
-            "{:.2} ({:.2})",
-            base.latency.frame_ms,
-            paper::FIG7[0].latency_ms
-        ),
-    ]);
+    rows.push(match &run.baseline {
+        Ok(base) => vec![
+            "VGG (baseline)".to_string(),
+            format!(
+                "{:.0} ({:.0})",
+                base.compile.timing.fmax_mhz,
+                paper::FIG7[0].freq_mhz
+            ),
+            format!(
+                "{:.2} ({:.2})",
+                base.latency.frame_ms,
+                paper::FIG7[0].latency_ms
+            ),
+        ],
+        Err(why) => vec![
+            "VGG (baseline)".to_string(),
+            format!("{why} ({:.0})", paper::FIG7[0].freq_mhz),
+            format!("- ({:.2})", paper::FIG7[0].latency_ms),
+        ],
+    });
     for (i, (r, lat)) in run
         .component_reports
         .iter()
@@ -440,13 +480,13 @@ pub fn fig7_vgg(ctx: &mut Ctx) -> Section {
         format!("{:.0} ({:.0})", ours.compile.timing.fmax_mhz, last.freq_mhz),
         format!("{:.2} ({:.2})", ours.latency.frame_ms, last.latency_ms),
     ]);
-    let ratio = ours.compile.timing.fmax_mhz / base.compile.timing.fmax_mhz;
+    let ratio = fmax_ratio(ours, &run.baseline);
     Section {
         id: "Fig. 7".to_string(),
         title: "VGG performance exploration — measured (paper in parentheses)".to_string(),
         body: md_table(&["row", "frequency MHz", "frame latency ms"], &rows)
             + &format!(
-                "\nAssembled-vs-baseline Fmax ratio: {ratio:.2}x (paper: 1.22x). \
+                "\nAssembled-vs-baseline Fmax ratio: {ratio} (paper: 1.22x). \
                  Our component count is 13 (5 conv blocks + 5 pools + 3 FC); the \
                  paper labels 12 — its pool5 appears folded into component 9. \
                  Heavy conv blocks are the slowest components and pools the \
@@ -832,7 +872,7 @@ pub fn ext_alexnet() -> Section {
     let db_time = t0.elapsed();
     let (design, pre) =
         run_pre_implemented_flow(&network, &db, &device, &cfg).expect("flow succeeds");
-    let (_, base) = pi_flow::run_baseline_flow(&network, &device, &cfg).expect("baseline");
+    let base = crate::baseline_arm(&network, &device, &cfg);
 
     let mut rows = Vec::new();
     for r in &reports {
@@ -843,7 +883,13 @@ pub fn ext_alexnet() -> Section {
             r.resources.dsps.to_string(),
         ]);
     }
-    let comparison = pi_flow::FlowComparison::new(&network.name, &base, &pre);
+    let comparison = match &base {
+        Ok(base) => pi_flow::FlowComparison::new(&network.name, base, &pre).to_string(),
+        Err(why) => format!(
+            "{}: pre-implemented {:.1} MHz, {:.2} ms/frame; baseline: {why}",
+            network.name, pre.compile.timing.fmax_mhz, pre.latency.frame_ms
+        ),
+    };
     Section {
         id: "Extension A4".to_string(),
         title: "Generalization: AlexNet-style network through both flows".to_string(),

@@ -25,8 +25,15 @@ pub struct Device {
     rows: u16,
     /// Rows per clock region (horizontal band).
     clock_region_rows: u16,
+    /// Routing wires per tile (see [`Device::route_capacity`]).
+    route_capacity: u16,
     totals: ResourceCount,
 }
+
+/// Routing wires per tile on every catalog part: sized so a chip-filling
+/// monolithic design (~26 average occupancy) negotiates to legality with
+/// headroom.
+const ROUTE_CAPACITY: u16 = 64;
 
 impl Device {
     /// Number of columns in the grid.
@@ -47,6 +54,22 @@ impl Device {
     /// Rows per clock region.
     pub fn clock_region_rows(&self) -> u16 {
         self.clock_region_rows
+    }
+
+    /// Routing wires each tile offers: the one capacity the router
+    /// negotiates against, the timing model's congestion term divides by
+    /// and the DRC judges a routed design with.
+    pub fn route_capacity(&self) -> u16 {
+        self.route_capacity
+    }
+
+    /// This part with `capacity` routing wires per tile, under its own
+    /// `name`: cache keys hash the device name, so a variant must not
+    /// share its parent's.
+    pub fn with_route_capacity(mut self, name: &str, capacity: u16) -> Device {
+        self.name = name.to_string();
+        self.route_capacity = capacity;
+        self
     }
 
     /// Clock region index a coordinate falls in.
@@ -297,6 +320,7 @@ impl DeviceBuilder {
             columns: self.columns,
             rows: self.rows,
             clock_region_rows: self.clock_region_rows,
+            route_capacity: ROUTE_CAPACITY,
             totals,
         }
     }
@@ -387,5 +411,15 @@ mod tests {
     fn catalog_round_trip() {
         assert!(Device::catalog("xcku5p-like").is_ok());
         assert!(Device::catalog("nonsense").is_err());
+    }
+
+    #[test]
+    fn a_capacity_variant_carries_its_own_name() {
+        for name in ["xcku5p-like", "xcku060-like", "test-part"] {
+            assert_eq!(Device::catalog(name).unwrap().route_capacity(), 64);
+        }
+        let v = Device::test_part().with_route_capacity("test-part-cap4", 4);
+        assert_eq!((v.name(), v.route_capacity()), ("test-part-cap4", 4));
+        assert_eq!(v.cols(), Device::test_part().cols());
     }
 }

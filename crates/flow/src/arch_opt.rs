@@ -14,8 +14,9 @@
 //! checks the result; the flow never sizes hardware from it.
 //!
 //! Legality has one judge: [`pi_stitch::check_design`] runs unconditionally
-//! after inter-component routing and any violation is
-//! [`FlowError::DrcFailed`], with or without a lint policy. The lint pass
+//! after inter-component routing (as it does after the baseline's routing)
+//! and any violation is [`FlowError::DrcFailed`], with or without a lint
+//! policy. The lint pass
 //! is additive (structure + netlist lints → [`FlowError::LintFailed`]) and
 //! is handed the DRC's verdict instead of calling it, so a policy cannot
 //! waive `PL031x` inside the flow.
@@ -296,9 +297,7 @@ pub fn run_pre_implemented_flow(
 
     // The one legality verdict: the physical DRC runs unconditionally and
     // any violation aborts via `DrcFailed` — no lint level, waiver or
-    // `--allow` can turn an illegal design into `Ok`. A violation on a
-    // composed design is a flow bug (or a corrupt database), never an
-    // input error.
+    // `--allow` can turn an illegal design into `Ok`.
     let violations = pi_stitch::check_design(&design, device)?;
     if !violations.is_empty() {
         return Err(FlowError::DrcFailed(violations));

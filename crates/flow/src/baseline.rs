@@ -1,6 +1,8 @@
 //! The traditional flow: monolithic synthesis of the whole network, then
 //! full placement, physical optimization and routing — the comparison
-//! baseline of every experiment.
+//! baseline of every experiment. Its result faces the same judge as the
+//! assembled arm's ([`pi_stitch::check_design`]): a design the router left
+//! over capacity is [`FlowError::DrcFailed`], never a report.
 
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
@@ -31,7 +33,8 @@ impl BaselineReport {
 const BASELINE_PHYS_OPT_PASSES: usize = 4;
 
 /// Run the full baseline: monolithic synthesis + full implementation.
-/// Returns the implemented design (wrapped flat) and its report. The
+/// Returns the implemented design (wrapped flat) and its report, or
+/// [`FlowError::DrcFailed`] when the design check finds a violation. The
 /// backend phases report under `pnr::compile` / `pnr::place` /
 /// `pnr::route`, plus a `flow::baseline` summary, through the sink the
 /// config carries.
@@ -72,6 +75,10 @@ pub fn run_baseline_flow(
         );
     }
     let design = Design::flat(format!("{}_baseline", network.name), device.name(), module);
+    let violations = pi_stitch::check_design(&design, device)?;
+    if !violations.is_empty() {
+        return Err(FlowError::DrcFailed(violations));
+    }
     Ok((design, BaselineReport { compile, latency }))
 }
 

@@ -48,9 +48,10 @@ pub enum FlowError {
         component: String,
         reason: String,
     },
-    /// The assembled design failed design-rule checking
-    /// (`pi_stitch::check_design`, the flow's only legality verdict) — a
-    /// flow bug or a corrupt database, never an input error. Raised with or
+    /// The delivered design, assembled or flat, failed design-rule
+    /// checking (`pi_stitch::check_design`, the flow's only legality
+    /// verdict): a flow bug, a corrupt database, or routing the router
+    /// could not bring within the device's track capacity. Raised with or
     /// without a lint policy; no level or waiver can suppress it.
     DrcFailed(Vec<pi_stitch::Violation>),
     /// A stage-boundary lint gate tripped (`FlowConfig::lint` was set and
@@ -73,11 +74,7 @@ impl std::fmt::Display for FlowError {
                 write!(f, "component '{component}' unsatisfiable: {reason}")
             }
             FlowError::DrcFailed(violations) => {
-                write!(
-                    f,
-                    "assembled design failed DRC ({} violations",
-                    violations.len()
-                )?;
+                write!(f, "design failed DRC ({} violations", violations.len())?;
                 if let Some(first) = violations.first() {
                     write!(f, "; first: {first}")?;
                 }

@@ -28,6 +28,7 @@ pub fn violation_code(v: &Violation) -> &'static str {
         Violation::RouteOffGrid { .. } => "PL0316",
         Violation::NotLocked { .. } => "PL0317",
         Violation::Unrouted { .. } => "PL0318",
+        Violation::TileOverCapacity { .. } => "PL0319",
     }
 }
 
@@ -49,6 +50,7 @@ pub fn diagnose_violation(base: &str, v: &Violation) -> Diagnostic {
             format!("{base}/net:{net}")
         }
         Violation::NotLocked { instance } => format!("{base}/inst:{instance}"),
+        Violation::TileOverCapacity { at, .. } => format!("{base}/tile:{at}"),
     };
     Diagnostic::new(violation_code(v), origin, v.to_string())
 }
@@ -331,6 +333,11 @@ mod tests {
                 instance: "i".into(),
             },
             Violation::Unrouted { net: "n".into() },
+            Violation::TileOverCapacity {
+                at,
+                routes: 65,
+                capacity: 64,
+            },
         ];
         let diags: Vec<Diagnostic> = cases
             .iter()
@@ -339,11 +346,11 @@ mod tests {
         let codes = codes_of(&diags);
         let expect = vec![
             "PL0310", "PL0311", "PL0312", "PL0313", "PL0314", "PL0315", "PL0316", "PL0317",
-            "PL0318",
+            "PL0318", "PL0319",
         ];
         assert_eq!(codes, expect, "one distinct code per variant");
         // Every fold is an error by default.
         let report = LintReport::from_raw(diags, &LintConfig::new());
-        assert_eq!(report.errors(), 9);
+        assert_eq!(report.errors(), 10);
     }
 }

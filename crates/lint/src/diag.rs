@@ -329,6 +329,12 @@ pub const REGISTRY: &[LintCode] = &[
         default: Level::Deny,
         summary: "a top-level net in an assembled design has no route",
     },
+    LintCode {
+        code: "PL0319",
+        name: "drc-tile-over-capacity",
+        default: Level::Deny,
+        summary: "more routes occupy a tile than the device has wires per tile",
+    },
     // ---- PL04xx: streaming dataflow analysis (fixpoint rate model) ----
     LintCode {
         code: "PL0402",

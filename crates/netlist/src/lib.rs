@@ -33,7 +33,7 @@ pub use dcp::{Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION};
 pub use design::{Design, DesignKind, InstId, ModuleInst, TopNet, DEFAULT_LINK_FIFO_DEPTH};
 pub use hash::{xxh64, StableHasher};
 pub use module::{Module, ModuleBuilder};
-pub use net::{Endpoint, Net, NetId, Route};
+pub use net::{occupied_tiles, Endpoint, Net, NetId, Route};
 pub use port::{Direction, Port, PortId, StreamRole};
 pub use walk::{NetView, PlacedNet, RouteFootprint, RouteView, Slot};
 

@@ -44,6 +44,16 @@ impl Route {
     }
 }
 
+/// The tiles of a route, given in route order (source tile first), that
+/// the route occupies: every tile but its source. The source tile's wire
+/// is the driver's output pin, not a track. This is the one occupancy
+/// rule: a stored route's summary counts, [`crate::RouteView::occupied`],
+/// and the router's merge, conflict test and rip-up all call it, whether
+/// they hold tiles or tile indices.
+pub fn occupied_tiles<T>(tiles: &[T]) -> &[T] {
+    tiles.get(1..).unwrap_or(&[])
+}
+
 /// A net of the module netlist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Net {
@@ -121,5 +131,7 @@ mod tests {
         };
         assert_eq!(r.length(), 2);
         assert_eq!(Route::default().length(), 0);
+        assert_eq!(occupied_tiles(&r.tiles), &r.tiles[1..]);
+        assert!(occupied_tiles(&Route::default().tiles).is_empty());
     }
 }

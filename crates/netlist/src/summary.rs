@@ -11,7 +11,7 @@
 //! equality, and every write to the nets resets it (the module's one write
 //! helper, `Module::nets_write`).
 
-use crate::net::{Net, Route};
+use crate::net::{occupied_tiles, Net};
 use pi_fabric::TileCoord;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::ops::Deref;
@@ -79,13 +79,6 @@ impl Deserialize for NetStore {
     }
 }
 
-/// The tiles a stored route occupies: every one of its tiles, source tile
-/// included. This is the one place that convention is written down; the
-/// route summary's counts and [`crate::RouteView::occupied`] both read it.
-pub(crate) fn occupied(route: &Route) -> &[TileCoord] {
-    &route.tiles
-}
-
 /// What the readers of stored routes need, in the stored frame.
 #[derive(Clone, Debug)]
 pub(crate) struct RouteSummary {
@@ -120,7 +113,7 @@ impl RouteSummary {
                 let mut counts = vec![0u16; area];
                 let stored = nets.iter().filter(|n| !n.is_clock);
                 for r in stored.filter_map(|n| n.route.as_ref()) {
-                    for t in occupied(r) {
+                    for t in occupied_tiles(&r.tiles) {
                         let i = usize::from(t.col - lo.col) * height + usize::from(t.row - lo.row);
                         counts[i] += 1;
                     }

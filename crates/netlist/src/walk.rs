@@ -12,11 +12,12 @@
 //! the shift as an offset ([`Module::translated`]), applied here. Readers
 //! that need an instance's routes only in aggregate — occupancy, extent,
 //! which nets are unrouted — read its [`RouteFootprint`] instead, the
-//! checkpoint's shared route summary under the same offset.
+//! checkpoint's shared route summary under the same offset, and
+//! [`NetView::occupancy`] sums those footprints over a whole design.
 
 use crate::design::{Design, TopNet};
 use crate::module::{shift, Module};
-use crate::net::{Endpoint, Net, Route};
+use crate::net::{occupied_tiles, Endpoint, Net, Route};
 use crate::summary::RouteSummary;
 use pi_fabric::{Device, TileCoord};
 
@@ -143,6 +144,42 @@ impl<'a> NetView<'a> {
             offset: module.route_offset(),
         }
     }
+
+    /// How many non-clock stored routes occupy each tile of `device`
+    /// ([`occupied_tiles`]), column-major (`col * rows + row`): the
+    /// occupancy the router seeds from and the DRC judges. An instance's
+    /// counts come from its footprint; one whose footprint leaves the
+    /// device, and every top net, is walked tile by tile. Off-device tiles
+    /// occupy nothing: they are the DRC's `RouteOffGrid`, not a track.
+    pub fn occupancy(&self, device: &Device) -> Vec<u16> {
+        let rows = usize::from(device.rows());
+        let mut occ = vec![0u16; usize::from(device.cols()) * rows];
+        let idx = |t: TileCoord| usize::from(t.col) * rows + usize::from(t.row);
+        let charge = |occ: &mut [u16], route: RouteView| {
+            for t in route.occupied().filter(|&t| device.in_bounds(t)) {
+                occ[idx(t)] += 1;
+            }
+        };
+        for inst in 0..self.instance_count() {
+            let footprint = self.footprint(inst);
+            if footprint.on_device(device) {
+                for (base, counts) in footprint.columns() {
+                    let column = &mut occ[idx(base)..idx(base) + counts.len()];
+                    for (o, &n) in column.iter_mut().zip(counts) {
+                        *o += n;
+                    }
+                }
+            } else {
+                for route in self.instance_nets(inst).filter_map(|n| n.route()) {
+                    charge(&mut occ, route);
+                }
+            }
+        }
+        for route in self.top_nets().filter_map(|n| n.route()) {
+            charge(&mut occ, route);
+        }
+        occ
+    }
 }
 
 /// One instance's stored routes in aggregate, read in the device frame:
@@ -182,7 +219,7 @@ impl<'a> RouteFootprint<'a> {
     /// the extent at a time: the column's lowest tile and the counts
     /// upward from it. Empty when the counts are not held (see
     /// [`RouteFootprint::on_device`]).
-    pub fn columns(&self) -> impl Iterator<Item = (TileCoord, &'a [u16])> + 'a {
+    fn columns(&self) -> impl Iterator<Item = (TileCoord, &'a [u16])> + 'a {
         let (dcol, drow) = self.offset;
         let window = self.summary.extent.zip(self.summary.counts.as_deref());
         window.into_iter().flat_map(move |((lo, hi), counts)| {
@@ -314,11 +351,11 @@ impl<'a> RouteView<'a> {
         self.route.tiles.iter().map(move |&t| shift(t, dcol, drow))
     }
 
-    /// The tiles the route occupies, in the device frame: the tiles a
-    /// route summary counts for it.
+    /// The tiles the route occupies ([`occupied_tiles`]), in the device
+    /// frame: the tiles a route summary counts for it.
     pub fn occupied(&self) -> impl ExactSizeIterator<Item = TileCoord> + 'a {
         let (dcol, drow) = self.offset;
-        let tiles = crate::summary::occupied(self.route).iter();
+        let tiles = occupied_tiles(&self.route.tiles).iter();
         tiles.map(move |&t| shift(t, dcol, drow))
     }
 }

@@ -1,7 +1,7 @@
 //! PathFinder-style negotiated-congestion routing on a tile-level
 //! routing-resource graph.
 //!
-//! Every tile boundary offers [`RouteOptions::capacity`] wires. Each
+//! Every tile boundary offers [`Device::route_capacity`] wires. Each
 //! negotiation iteration routes the still-unrouted nets **in parallel**
 //! against a frozen snapshot of the congestion state, then merges the
 //! proposed routes sequentially in a deterministic (criticality) order —
@@ -28,7 +28,10 @@
 //!
 //! The **incremental mode** is the flow's productivity lever: locked
 //! routes seed the occupancy map and are never touched, so an assembled
-//! design only pays for its inter-component nets.
+//! design only pays for its inter-component nets. A stored route and a
+//! route laid here occupy the same tiles, every one but the source
+//! ([`pi_netlist::occupied_tiles`]): the seed is
+//! [`pi_netlist::NetView::occupancy`], the count the DRC judges.
 //!
 //! [`route_module_obs`] and [`route_design_obs`] are two thin fronts over
 //! one body, [`route_into`]: task collection, occupancy seeding and route
@@ -43,7 +46,7 @@
 use crate::timing::TimingGraph;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord, TileKind};
-use pi_netlist::{Design, Module, NetView, PlacedNet, Route, RouteView, Slot};
+use pi_netlist::{occupied_tiles, Design, Module, NetView, PlacedNet, Route, Slot};
 use pi_obs::Obs;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -51,24 +54,18 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Routing options.
+/// Routing options. The wires per tile are the device's
+/// ([`Device::route_capacity`]), not an option.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct RouteOptions {
     /// Negotiation iterations before giving up on congestion.
     pub max_iters: usize,
-    /// Wires available per tile.
-    pub capacity: u16,
 }
 
 impl Default for RouteOptions {
     fn default() -> Self {
-        RouteOptions {
-            max_iters: 8,
-            // Wires per tile. Sized so a chip-filling monolithic design
-            // (~26 average occupancy) negotiates to legality with headroom.
-            capacity: 64,
-        }
+        RouteOptions { max_iters: 8 }
     }
 }
 
@@ -104,16 +101,15 @@ pub struct CongestionMap {
     cols: u16,
     rows: u16,
     capacity: u16,
-    occ: Vec<u16>,
-    /// Summed-area table over `occ`, column-major with a zero first column
-    /// and row: entry `(c, r)` at `c * (rows + 1) + r` is the exact sum of
-    /// every tile left of column `c` and above row `r`.
+    /// Summed-area table over the occupancy grid, column-major with a
+    /// zero first column and row: entry `(c, r)` at `c * (rows + 1) + r`
+    /// is the exact sum of every tile left of column `c` and above row `r`.
     sums: Vec<u64>,
 }
 
 impl CongestionMap {
     /// The map of a column-major occupancy grid (`occ[col * rows + row]`).
-    fn new(rows: u16, capacity: u16, occ: Vec<u16>) -> CongestionMap {
+    fn new(rows: u16, capacity: u16, occ: &[u16]) -> CongestionMap {
         let rows_n = usize::from(rows);
         let cols = occ.len() / rows_n;
         let stride = rows_n + 1;
@@ -129,7 +125,6 @@ impl CongestionMap {
             cols: cols as u16,
             rows,
             capacity,
-            occ,
             sums,
         }
     }
@@ -154,11 +149,6 @@ impl CongestionMap {
         let n = ((c1 - c0) * (r1 - r0)) as u64;
         sum as f64 / n as f64 / f64::from(self.capacity)
     }
-
-    /// Tiles over capacity.
-    pub fn overused(&self) -> usize {
-        self.occ.iter().filter(|&&o| o > self.capacity).count()
-    }
 }
 
 /// The shared congestion state: per-tile occupancy, history and base
@@ -167,6 +157,8 @@ impl CongestionMap {
 struct Costs {
     cols: u16,
     rows: u16,
+    /// The device's wires per tile.
+    capacity: u16,
     occ: Vec<u16>,
     hist: Vec<f32>,
     /// Per-tile base cost: 1 for fabric, higher for discontinuities.
@@ -195,6 +187,7 @@ impl Costs {
         Costs {
             cols,
             rows,
+            capacity: device.route_capacity(),
             occ: vec![0; n],
             hist: vec![0.0; n],
             base,
@@ -223,8 +216,8 @@ impl Costs {
     /// PathFinder price, <1 lets a critical net shoulder through
     /// congestion for a direct path, >1 pushes a non-critical net around
     /// it. The base cost is never scaled — distance stays distance.
-    fn node_cost(&self, idx: usize, capacity: u16, pricing: f32) -> f32 {
-        let occ = self.occ[idx];
+    fn node_cost(&self, idx: usize, pricing: f32) -> f32 {
+        let (occ, capacity) = (self.occ[idx], self.capacity);
         let over = if occ >= capacity {
             8.0 + 4.0 * f32::from(occ - capacity)
         } else {
@@ -235,8 +228,14 @@ impl Costs {
     }
 
     /// A read-only snapshot in the map form the timing model consumes.
-    fn congestion_snapshot(&self, capacity: u16) -> CongestionMap {
-        CongestionMap::new(self.rows, capacity, self.occ.clone())
+    fn congestion_snapshot(&self) -> CongestionMap {
+        CongestionMap::new(self.rows, self.capacity, &self.occ)
+    }
+
+    /// Tiles whose occupancy exceeds the capacity.
+    fn overused(&self) -> impl Iterator<Item = usize> + '_ {
+        let over = self.occ.iter().enumerate();
+        over.filter(|(_, &o)| o > self.capacity).map(|(i, _)| i)
     }
 }
 
@@ -285,7 +284,6 @@ impl Scratch {
         sources: &[usize],
         sink: usize,
         bbox: (u16, u16, u16, u16),
-        capacity: u16,
         pricing: f32,
     ) -> bool {
         self.path.clear();
@@ -334,7 +332,7 @@ impl Scratch {
                 (at.row < r1).then(|| node + 1),
             ];
             for n in neighbours.into_iter().flatten() {
-                let ng = g + costs.node_cost(n, capacity, pricing);
+                let ng = g + costs.node_cost(n, pricing);
                 if self.gen[n] != gen || ng < self.gscore[n] {
                     self.gen[n] = gen;
                     self.gscore[n] = ng;
@@ -536,7 +534,6 @@ fn route_net(
     costs: &Costs,
     scratch: &mut Scratch,
     endpoints: &[TileCoord],
-    opts: &RouteOptions,
     margin: i32,
     pricing: f32,
 ) -> NetAttempt {
@@ -569,7 +566,7 @@ fn route_net(
                 // `a` is a bbox corner and always in the tree.
                 seg_sources.push(costs.idx(a));
             }
-            if scratch.astar(costs, &seg_sources, sink, bbox, opts.capacity, pricing) {
+            if scratch.astar(costs, &seg_sources, sink, bbox, pricing) {
                 steiner_segments += 1;
                 for i in (0..scratch.path.len()).rev() {
                     let p = scratch.path[i];
@@ -592,7 +589,7 @@ fn route_net(
             if tree.contains(&sidx) {
                 continue;
             }
-            if scratch.astar(costs, &tree, sidx, bbox, opts.capacity, pricing) {
+            if scratch.astar(costs, &tree, sidx, bbox, pricing) {
                 // A* reconstructs sink→tree; append in reverse so the
                 // route tiles read as a forward (tree→sink) path.
                 for i in (0..scratch.path.len()).rev() {
@@ -665,7 +662,7 @@ fn run(
         let mut slacks: Option<Vec<f64>> = None;
         let mut pricing: Vec<f32> = Vec::new();
         if !pending.is_empty() {
-            if let Some((s, period)) = slack_fn(&costs.congestion_snapshot(opts.capacity)) {
+            if let Some((s, period)) = slack_fn(&costs.congestion_snapshot()) {
                 debug_assert_eq!(s.len(), tasks.len());
                 let period = period.max(1.0);
                 pricing = s
@@ -702,14 +699,7 @@ fn run(
             .into_par_iter()
             .map(|(ti, buf)| {
                 let attempt = with_scratch(tiles, |scratch| {
-                    route_net(
-                        snap,
-                        scratch,
-                        &tasks[ti].endpoints,
-                        opts,
-                        margin,
-                        price_of(ti),
-                    )
+                    route_net(snap, scratch, &tasks[ti].endpoints, margin, price_of(ti))
                 });
                 if buf.obs().enabled() && attempt.steiner_segments >= 2 {
                     buf.obs().point(
@@ -740,13 +730,15 @@ fn run(
             iter_steiner += attempt.steiner_segments;
             let mut tree = attempt.tree;
             if let Some(t) = &tree {
-                if t[1..].iter().any(|&x| costs.occ[x] >= opts.capacity) {
+                if occupied_tiles(t)
+                    .iter()
+                    .any(|&x| costs.occ[x] >= costs.capacity)
+                {
                     iter_conflicts += 1;
                     let retry = route_net(
                         costs,
                         &mut merge_scratch,
                         &tasks[ti].endpoints,
-                        opts,
                         margin,
                         price_of(ti),
                     );
@@ -757,7 +749,7 @@ fn run(
                 }
             }
             if let Some(t) = tree {
-                for &x in &t[1..] {
+                for &x in occupied_tiles(&t) {
                     costs.occ[x] += 1;
                 }
                 routes[ti] = Some(t.iter().map(|&p| costs.coord(p)).collect());
@@ -768,13 +760,7 @@ fn run(
         stats.parallel_conflicts += iter_conflicts;
 
         // Negotiate: find overused tiles, rip up offenders, raise history.
-        let overused: Vec<usize> = costs
-            .occ
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o > opts.capacity)
-            .map(|(i, _)| i)
-            .collect();
+        let overused: Vec<usize> = costs.overused().collect();
         let done = overused.is_empty() && routes.iter().all(|r| r.is_some());
         for &t in &overused {
             costs.hist[t] += 1.5;
@@ -790,7 +776,7 @@ fn run(
                     continue;
                 }
                 if r.iter().any(|&t| over_set.contains(&costs.idx(t))) {
-                    for &t in &r[1..] {
+                    for &t in occupied_tiles(r) {
                         let i = costs.idx(t);
                         costs.occ[i] = costs.occ[i].saturating_sub(1);
                     }
@@ -806,11 +792,8 @@ fn run(
             }
         }
         stats.criticality_reroutes += crit_reroutes;
-        // Stall detection: when every net is routed and the rip-up pass
-        // found nothing to rip, the residual overuse is not attributable
-        // to any net this run owns (it was seeded by locked instance
-        // routes) — further iterations can only raise history on tiles
-        // nobody crosses.
+        // Stall: every net is routed and the rip-up pass found nothing to
+        // rip, so a further iteration would lay the same routes again.
         let stalled = !done && ripups == 0 && routes.iter().all(|r| r.is_some());
         if obs.enabled() {
             obs.point(
@@ -841,7 +824,7 @@ fn run(
     }
     pathfinder_span.end();
 
-    stats.overused_tiles = costs.occ.iter().filter(|&&o| o > opts.capacity).count();
+    stats.overused_tiles = costs.overused().count();
     stats.routed_nets = routes.iter().filter(|r| r.is_some()).count() - stats.trivial_nets;
     stats.wirelength = routes.iter().flatten().map(|r| r.len() as u64).sum();
     (routes, stats)
@@ -901,10 +884,11 @@ impl Target<'_> {
 }
 
 /// The one routing body: collect the unrouted nets of `target`, seed the
-/// occupancy map from the routes it already stores, negotiate, write the
-/// new routes back. Returns the stats, the final congestion map and the
-/// run's timing graph — built once, re-analyzed every iteration for the
-/// slack ordering, and valid after write-back because routing moves no
+/// occupancy map from the routes it already stores
+/// ([`NetView::occupancy`]), negotiate, write the new routes back.
+/// Returns the stats, the final congestion map and the run's timing
+/// graph — built once, re-analyzed every iteration for the slack
+/// ordering, and valid after write-back because routing moves no
 /// placement: the compile tail takes its final report from it.
 pub(crate) fn route_into(
     mut target: Target<'_>,
@@ -917,55 +901,25 @@ pub(crate) fn route_into(
         module.nets_mut()?;
     }
     let obs = obs.scoped("pnr::route");
-    let mut costs = Costs::new(device);
     let view = target.view();
+    // Seed occupancy with whatever is already routed, locked or not.
+    let mut costs = Costs::new(device);
+    costs.occ = view.occupancy(device);
+    // The unrouted nets: instance by instance in net index order, then
+    // the top nets.
+    let task = |net: PlacedNet| Task {
+        endpoints: net.terminals(),
+        slot: net.slot(),
+    };
     let mut tasks = Vec::new();
-    let mut task = |net: PlacedNet| {
-        tasks.push(Task {
-            endpoints: net.terminals(),
-            slot: net.slot(),
-        })
-    };
-    // Seed occupancy with whatever is already routed (locked or not): an
-    // instance's per-tile counts come from its shared route summary, added
-    // at its route offset. Which tiles a stored route occupies is decided
-    // in `pi_netlist` alone (`summary::occupied`, which the summary's
-    // counts and `RouteView::occupied` both read); a route laid by this
-    // run occupies all but its source tile (the merge in [`run`] skips
-    // `t[0]`). Off-grid tiles occupy nothing: they are the DRC's
-    // `RouteOffGrid`, not a tile to charge, so an instance whose extent
-    // leaves the device is walked tile by tile with the bounds test.
-    let charge = |costs: &mut Costs, route: RouteView| {
-        for t in route.occupied().filter(|&t| device.in_bounds(t)) {
-            let i = costs.idx(t);
-            costs.occ[i] += 1;
-        }
-    };
     for inst in 0..view.instance_count() {
-        let footprint = view.footprint(inst);
-        if footprint.on_device(device) {
-            for (base, counts) in footprint.columns() {
-                let i = costs.idx(base);
-                for (occ, &n) in costs.occ[i..i + counts.len()].iter_mut().zip(counts) {
-                    *occ += n;
-                }
-            }
-        } else {
-            for route in view.instance_nets(inst).filter_map(|n| n.route()) {
-                charge(&mut costs, route);
-            }
-        }
-        for &net in footprint.unrouted() {
+        for &net in view.footprint(inst).unrouted() {
             let net = net as usize;
-            task(view.net(Slot::Intra { inst, net }));
+            tasks.push(task(view.net(Slot::Intra { inst, net })));
         }
     }
-    for net in view.top_nets() {
-        match net.route() {
-            Some(route) => charge(&mut costs, route),
-            None => task(net),
-        }
-    }
+    let top = view.top_nets().filter(|n| n.route().is_none());
+    tasks.extend(top.map(task));
     let graph = TimingGraph::build(view);
     let slack_fn = |map: &CongestionMap| {
         let slots = tasks.iter().map(|t| t.slot);
@@ -975,7 +929,7 @@ pub(crate) fn route_into(
     for (task, route) in tasks.iter().zip(routes) {
         target.set_route(task.slot, route.map(Route::new))?;
     }
-    let map = CongestionMap::new(costs.rows, opts.capacity, costs.occ);
+    let map = CongestionMap::new(costs.rows, costs.capacity, &costs.occ);
     Ok((stats, map, graph))
 }
 
@@ -1098,13 +1052,13 @@ mod tests {
         // Re-running the router on a locked module routes nothing new.
         let mut design = Design::new("d", "test-part", pi_netlist::DesignKind::Assembled);
         design.add_instance("a", m);
-        let (stats, map) =
+        let (stats, _) =
             route_design_obs(&mut design, &device, &RouteOptions::default(), &Obs::null()).unwrap();
         assert_eq!(stats.routed_nets, 0);
         for (net, old) in design.instances()[0].module.nets().iter().zip(saved) {
             assert_eq!(net.route, old);
         }
-        assert!(map.overused() == 0);
+        assert_eq!(stats.overused_tiles, 0);
     }
 
     #[test]
@@ -1151,7 +1105,7 @@ mod tests {
         let src = costs.idx(TileCoord::new(2, 3));
         let sink = costs.idx(TileCoord::new(8, 3));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0));
+        assert!(scratch.astar(&costs, &[src], sink, bbox, 1.0));
         let crossings: Vec<TileCoord> = scratch
             .path
             .iter()
@@ -1164,7 +1118,7 @@ mod tests {
             "path must cross the wall exactly once, through the gap"
         );
         // The reused path buffer serves a second query unchanged.
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 64, 1.0));
+        assert!(scratch.astar(&costs, &[src], sink, bbox, 1.0));
         assert!(!scratch.path.is_empty());
     }
 
@@ -1182,7 +1136,7 @@ mod tests {
         let (from, to) = (TileCoord::new(1, 1), TileCoord::new(20, 14));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
         let mut scratch = Scratch::new(costs.tiles());
-        assert!(scratch.astar(&costs, &[costs.idx(from)], costs.idx(to), bbox, 64, 1.0));
+        assert!(scratch.astar(&costs, &[costs.idx(from)], costs.idx(to), bbox, 1.0));
         let steps = from.manhattan(&to) as usize;
         assert_eq!(
             scratch.path.len(),
@@ -1210,7 +1164,7 @@ mod tests {
         let opts = RouteOptions::default();
         let mut costs = Costs::new(&device);
         let far = costs.idx(TileCoord::new(20, 10));
-        costs.occ[far] = opts.capacity + 1;
+        costs.occ[far] = costs.capacity + 1;
         let (routes, stats) = run(&mut costs, &tasks, &opts, &Obs::null(), &|_| None);
         assert!(routes[0].is_some());
         assert_eq!(stats.iterations, 1);
@@ -1251,13 +1205,10 @@ mod tests {
         }
         // Fill remaining placements for validity (cells may share tiles in
         // this synthetic stress test; the router only cares about coords).
-        let opts = RouteOptions {
-            max_iters: 10,
-            capacity: 8,
-        };
-        let (stats, map) = route_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
+        let device = device.with_route_capacity("test-part-cap8", 8);
+        let opts = RouteOptions { max_iters: 10 };
+        let (stats, _) = route_module_obs(&mut m, &device, &opts, &Obs::null()).unwrap();
         assert_eq!(stats.overused_tiles, 0, "negotiation failed");
-        assert_eq!(map.overused(), 0);
     }
 
     #[test]
@@ -1329,14 +1280,14 @@ mod tests {
     }
 
     /// Reference: the box mean summed tile by tile.
-    fn brute_box_mean(map: &CongestionMap, a: TileCoord, b: TileCoord) -> f64 {
+    fn brute_box_mean(map: &CongestionMap, occ: &[u16], a: TileCoord, b: TileCoord) -> f64 {
         let (c0, c1) = (a.col.min(b.col), a.col.max(b.col));
         let (r0, r1) = (a.row.min(b.row), a.row.max(b.row));
         let mut sum = 0u64;
         let mut n = 0u64;
         for c in c0..=c1 {
             for r in r0..=r1 {
-                sum += u64::from(map.occ[c as usize * map.rows as usize + r as usize]);
+                sum += u64::from(occ[c as usize * map.rows as usize + r as usize]);
                 n += 1;
             }
         }
@@ -1356,7 +1307,7 @@ mod tests {
             boxes in proptest::collection::vec((0u16..14, 0u16..14, 0u16..14, 0u16..14), 1..24),
         ) {
             let occ: Vec<u16> = raw[..cols as usize * rows as usize].to_vec();
-            let map = CongestionMap::new(rows, capacity, occ);
+            let map = CongestionMap::new(rows, capacity, &occ);
             let mut probes: Vec<(TileCoord, TileCoord)> = boxes
                 .iter()
                 .map(|&(c0, r0, c1, r1)| {
@@ -1371,7 +1322,7 @@ mod tests {
                 }
             }
             for (a, b) in probes {
-                let (got, want) = (map.span_fraction(a, b), brute_box_mean(&map, a, b));
+                let (got, want) = (map.span_fraction(a, b), brute_box_mean(&map, &occ, a, b));
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}-{:?}", a, b);
             }
         }
@@ -1379,7 +1330,7 @@ mod tests {
 
     #[test]
     fn span_fraction_clamps_its_box_to_the_grid() {
-        let map = CongestionMap::new(2, 4, vec![1, 2, 3, 4]);
+        let map = CongestionMap::new(2, 4, &[1, 2, 3, 4]);
         let inside = map.span_fraction(TileCoord::new(1, 0), TileCoord::new(1, 1));
         assert_eq!(inside, 7.0 / 2.0 / 4.0);
         // Past the last column and row: only the on-grid part is averaged.

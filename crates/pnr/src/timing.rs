@@ -719,15 +719,12 @@ mod tests {
         let m = pipeline(250, 2);
         let clean = sta_module(&m, &device, None).unwrap();
         // Build a saturated congestion map by routing a module through the
-        // same area with capacity 1 and seeding heavy occupancy.
+        // same area on a capacity-1 variant of the part.
         let mut routed = m.clone();
         let (_, map) = crate::route::route_module_obs(
             &mut routed,
-            &device,
-            &crate::route::RouteOptions {
-                max_iters: 1,
-                capacity: 1,
-            },
+            &device.clone().with_route_capacity("test-part-cap1", 1),
+            &crate::route::RouteOptions { max_iters: 1 },
             &Obs::null(),
         )
         .unwrap();

@@ -5,17 +5,21 @@
 //! placement, partition pins, locked internals); this module verifies the
 //! result *physically*: every cell on a legal site, no two cells sharing a
 //! site across instances, every instance inside its pblock, partition pins
-//! on pblock boundaries, routes within the grid, and locked modules intact.
+//! on pblock boundaries, routes within the grid and within the device's
+//! track capacity, and locked modules intact.
 //!
 //! [`check_design`] is the *single* implementation of the physical checks
-//! and the only judge of legality: `run_pre_implemented_flow` calls it
-//! unconditionally and any [`Violation`] is `FlowError::DrcFailed`. The
-//! `pi-lint` pass manager never calls it; it *folds* a verdict it is handed
-//! into codes `PL0310`–`PL0318` (`pi_lint::checkpoint::violation_code`), so
-//! no lint policy can waive a violation. The route checks read every net
-//! through [`pi_netlist::NetView`] — the walk the router routed on — and
-//! skip the per-tile walk of an instance whose route footprint
-//! ([`pi_netlist::RouteFootprint`]) lies on the device.
+//! and the only judge of legality: both flows — `run_pre_implemented_flow`
+//! and `run_baseline_flow` — call it unconditionally and any [`Violation`]
+//! is `FlowError::DrcFailed`. The `pi-lint` pass manager never calls it;
+//! it *folds* a verdict it is handed into codes `PL0310`–`PL0319`
+//! (`pi_lint::checkpoint::violation_code`), so no lint policy can waive a
+//! violation. The route checks read every net through
+//! [`pi_netlist::NetView`] — the walk the router routed on — and skip the
+//! per-tile walk of an instance whose route footprint
+//! ([`pi_netlist::RouteFootprint`]) lies on the device. The capacity check
+//! judges [`pi_netlist::NetView::occupancy`], the count the router seeds
+//! from, against [`Device::route_capacity`].
 //!
 //! Site ownership is a dense per-tile grid of (instance, cell) indices, so
 //! the check over the locked interiors allocates one vector and formats no
@@ -60,6 +64,12 @@ pub enum Violation {
     NotLocked { instance: String },
     /// A non-clock net is unrouted.
     Unrouted { net: String },
+    /// More routes occupy a tile than the device has wires per tile.
+    TileOverCapacity {
+        at: TileCoord,
+        routes: u16,
+        capacity: u16,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -87,6 +97,11 @@ impl std::fmt::Display for Violation {
             Violation::RouteOffGrid { net, at } => write!(f, "route of {net} off grid at {at}"),
             Violation::NotLocked { instance } => write!(f, "instance {instance} not locked"),
             Violation::Unrouted { net } => write!(f, "net {net} unrouted"),
+            Violation::TileOverCapacity {
+                at,
+                routes,
+                capacity,
+            } => write!(f, "{routes} routes occupy tile {at}, capacity {capacity}"),
         }
     }
 }
@@ -220,6 +235,23 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
         }
     }
     view.top_nets().for_each(check_net);
+
+    // Track capacity, tile by tile in column-major order. A column's
+    // maximum screens it first: almost every column is within capacity.
+    let capacity = device.route_capacity();
+    for (col, occupancy) in view.occupancy(device).chunks(rows).enumerate() {
+        if occupancy.iter().fold(0, |m, &o| m.max(o)) > capacity {
+            for (row, &routes) in occupancy.iter().enumerate() {
+                if routes > capacity {
+                    violations.push(Violation::TileOverCapacity {
+                        at: TileCoord::new(col as u16, row as u16),
+                        routes,
+                        capacity,
+                    });
+                }
+            }
+        }
+    }
 
     Ok(violations)
 }

@@ -27,6 +27,9 @@ pub fn out_slice() -> CellKind {
     CellKind::Slice { luts: 8, ffs: 16 }
 }
 
+/// Incoming nets an [`out_slice`] can take: its 8 six-input LUTs.
+const OUT_FANIN_BUDGET: usize = 8 * 6;
+
 /// Emit `n` cells connected in a chain (cell i drives cell i+1), the first
 /// fed by `input` when given. `make` builds each cell from its index.
 /// Returns the created ids (empty `n` returns an empty vector).
@@ -137,7 +140,11 @@ pub fn emit_mac_lane(
 
     // Extra registered tree slices: chains of 8 hanging between the MAC
     // output and the output stage. They carry area without adding
-    // combinational depth.
+    // combinational depth. When their ends and the tree would exceed the
+    // output stage's fan-in budget, the ends merge first.
+    let chains = spec.extra_slices.div_ceil(8);
+    let merge_ends = 1 + chains > OUT_FANIN_BUDGET;
+    let mut ends = Vec::new();
     let mut remaining = spec.extra_slices;
     let mut chain_idx = 0usize;
     while remaining > 0 {
@@ -149,15 +156,23 @@ pub fn emit_mac_lane(
             |i| Cell::new(format!("{prefix}_x{chain_idx}_{i}"), tree_slice()),
             Some(mac_out),
         );
-        if let Some(last) = chain.last() {
-            b.connect(
-                format!("{prefix}_x{chain_idx}_out"),
-                Endpoint::Cell(*last),
-                [Endpoint::Cell(out)],
-            );
+        if let Some(&last) = chain.last() {
+            if merge_ends {
+                ends.push(Endpoint::Cell(last));
+            } else {
+                b.connect(
+                    format!("{prefix}_x{chain_idx}_out"),
+                    Endpoint::Cell(last),
+                    [Endpoint::Cell(out)],
+                );
+            }
         }
         remaining -= len;
         chain_idx += 1;
+    }
+    if merge_ends {
+        let merged = emit_merge(b, &format!("{prefix}_xm"), &ends);
+        b.connect(format!("{prefix}_xm_out"), merged, [Endpoint::Cell(out)]);
     }
 
     Endpoint::Cell(out)
@@ -242,6 +257,29 @@ mod tests {
         // Combinational cells exist and are exactly the tree chain.
         let comb = m.cells().iter().filter(|c| !c.registered).count();
         assert_eq!(comb, 3);
+    }
+
+    #[test]
+    fn a_wide_lane_merges_its_chain_ends_within_the_out_budget() {
+        let mut b = ModuleBuilder::new("t");
+        let f = feed(&mut b);
+        let spec = LaneSpec {
+            taps: 1,
+            win_slices: 1,
+            comb_len: 1,
+            extra_slices: 8 * OUT_FANIN_BUDGET,
+        };
+        let out = emit_mac_lane(&mut b, "lane", spec, f);
+        let Endpoint::Cell(out) = out else {
+            unreachable!("a lane ends in its out cell")
+        };
+        let m = b.finish().unwrap();
+        let fanin = m
+            .nets()
+            .iter()
+            .filter(|n| n.sinks.contains(&Endpoint::Cell(out)));
+        // The tree plus one merged net instead of 48 chain ends.
+        assert_eq!(fanin.count(), 2);
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     );
     let engines = (
         pbool(),                                             // plan partpins
-        (1usize..40, 1u64..200),                             // route knobs
+        1usize..40,                                          // router iterations
         (0.0f64..500.0, 0.0f64..20.0, 0u64..16, 0usize..12), // placer knobs
         0.5f64..16.0,                                        // baseline effort
     );
@@ -95,7 +95,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     (shape, engines, synth, cache, lint_strategy()).prop_map(
         |(
             (block, seeds, util, effort),
-            (partpins, (max_iters, capacity), placer, baseline),
+            (partpins, max_iters, placer, baseline),
             (mono, width, on_chip),
             (threads, db_dir, budget),
             lint,
@@ -119,10 +119,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                 .with_pblock_utilization(util)
                 .with_effort(effort)
                 .with_plan_partpins(partpins)
-                .with_route(RouteOptions {
-                    max_iters,
-                    capacity: capacity as u16,
-                })
+                .with_route(RouteOptions { max_iters })
                 .with_placer(ComponentPlacerOptions {
                     timing_threshold: placer.0,
                     congestion_weight: placer.1,
@@ -197,10 +194,7 @@ fn every_knob_config() -> FlowConfig {
         .with_pblock_utilization(0.55)
         .with_effort(3.5)
         .with_plan_partpins(false)
-        .with_route(RouteOptions {
-            max_iters: 11,
-            capacity: 48,
-        })
+        .with_route(RouteOptions { max_iters: 11 })
         .with_placer(ComponentPlacerOptions {
             timing_threshold: 123.5,
             congestion_weight: 7.25,
@@ -224,11 +218,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8,"capacity":64},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11,"capacity":48},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
     );
 }
 
@@ -259,9 +253,10 @@ fn missing_keys_take_defaults() {
     assert_eq!(cfg.threads, None);
     assert!(cfg.lint.is_none());
     // Nested objects default key by key as well.
-    let cfg = FlowConfig::from_json("{\"route\":{\"max_iters\":3}}").unwrap();
-    assert_eq!(cfg.route.max_iters, 3);
-    assert_eq!(cfg.route.capacity, RouteOptions::default().capacity);
+    let cfg = FlowConfig::from_json("{\"placer\":{\"max_retries\":5}}").unwrap();
+    assert_eq!(cfg.placer.max_retries, 5);
+    let default = ComponentPlacerOptions::default();
+    assert_eq!(cfg.placer.crowding_margin, default.crowding_margin);
     // An integer is accepted where a float is expected.
     assert_eq!(FlowConfig::from_json("{\"effort\":3}").unwrap().effort, 3.0);
 }
@@ -309,9 +304,10 @@ fn malformed_configs_are_rejected_naming_the_field() {
             "{\"synth\":{\"data_width\":70000}}",
             &["data_width", "out of range"],
         ),
+        // The track capacity is the device's, not a routing option.
         (
-            "{\"route\":{\"capacity\":70000}}",
-            &["capacity", "out of range"],
+            "{\"route\":{\"capacity\":64}}",
+            &["unknown key", "capacity"],
         ),
         (
             "{\"placer\":{\"crowding_margin\":70000}}",

@@ -3,6 +3,7 @@
 
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::cnn::{cycles, models};
+use preimpl_cnn::netlist::Endpoint;
 use preimpl_cnn::synth::{synth_component, SynthOptions};
 
 #[test]
@@ -91,4 +92,43 @@ fn pipeline_depth_orders_components_like_the_paper() {
     assert!(conv2 > conv1, "conv2 {conv2} <= conv1 {conv1}");
     assert!(pool1 < conv1);
     assert!(fc1 < conv1);
+}
+
+/// Incoming nets a slice can take: 8 six-input LUTs.
+const SLICE_FANIN: usize = 8 * 6;
+
+#[test]
+fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
+    // AlexNet's 11x11 conv1 used to wire 212 adder-tree chains into one
+    // output slice; every zoo component now stays within the budget.
+    let vgg = SynthOptions::vgg_like();
+    for (network, opts) in [
+        (models::lenet5(), SynthOptions::lenet_like()),
+        (models::vgg16(), vgg),
+        (models::alexnet_like(), vgg),
+        (models::cifar10_quick(), vgg),
+        (models::resnet_small(), vgg),
+    ] {
+        for gran in [Granularity::Layer, Granularity::Block] {
+            for comp in &network.components(gran).expect("components") {
+                let module = synth_component(&network, comp, &opts).expect("synthesizes");
+                let mut fanin = vec![0usize; module.cells().len()];
+                for net in module.nets() {
+                    for sink in &net.sinks {
+                        if let Endpoint::Cell(c) = sink {
+                            fanin[c.index()] += 1;
+                        }
+                    }
+                }
+                let (widest, &n) = fanin.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
+                assert!(
+                    n <= SLICE_FANIN,
+                    "{} {gran:?} {}: cell {} takes {n} nets",
+                    network.name,
+                    comp.name,
+                    module.cells()[widest].name
+                );
+            }
+        }
+    }
 }

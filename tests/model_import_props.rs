@@ -253,3 +253,34 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Legal or error, in both arms: a design either flow hands back for a
+    /// generated network passes the judge, and its router left no tile
+    /// over capacity. At 16 wires per tile some networks route legally and
+    /// some cannot, so both outcomes occur.
+    #[test]
+    fn both_flows_return_a_legal_design_or_an_error(net in network_strategy()) {
+        use preimpl_cnn::stitch::check_design;
+        let device = Device::xcku5p_like().with_route_capacity("xcku5p-like-cap16", 16);
+        let cfg = FlowConfig::new()
+            .with_seeds([1])
+            .with_effort(0.5)
+            .with_baseline_effort(0.5);
+        let mut delivered = Vec::new();
+        if let Ok((db, _)) = build_component_db(&net, &device, &cfg) {
+            if let Ok((design, report)) = run_pre_implemented_flow(&net, &db, &device, &cfg) {
+                delivered.push((design, report.compile));
+            }
+        }
+        if let Ok((design, report)) = run_baseline_flow(&net, &device, &cfg) {
+            delivered.push((design, report.compile));
+        }
+        for (design, compile) in delivered {
+            prop_assert_eq!(check_design(&design, &device).unwrap(), vec![]);
+            prop_assert_eq!(compile.route_stats.overused_tiles, 0);
+        }
+    }
+}

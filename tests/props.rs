@@ -151,11 +151,13 @@ proptest! {
             m.set_placement(*a, TileCoord::new(p.0, p.1)).expect("places");
             m.set_placement(*z, TileCoord::new(q.0, q.1)).expect("places");
         }
-        let opts = RouteOptions { max_iters: 6, capacity: 16 };
-        let (stats, map) = route_module_obs(&mut m, &device, &opts, &Obs::null()).expect("routes");
+        let device = device.with_route_capacity("test-part-cap16", 16);
+        let opts = RouteOptions { max_iters: 6 };
+        let (stats, _) = route_module_obs(&mut m, &device, &opts, &Obs::null()).expect("routes");
         prop_assert_eq!(stats.overused_tiles, 0);
-        prop_assert_eq!(map.overused(), 0);
         let view = NetView::from(&m);
+        let capacity = device.route_capacity();
+        prop_assert!(view.occupancy(&device).iter().all(|&o| o <= capacity));
         for (i, net) in m.nets().iter().enumerate() {
             let Some(r) = view.net(Slot::Intra { inst: 0, net: i }).route() else { continue };
             let tiles: Vec<TileCoord> = r.tiles().collect();

@@ -212,28 +212,33 @@ proptest! {
     }
 }
 
+/// The test part with one wire per tile, under its own name: a tile's
+/// span fraction is its occupancy, and any tile two routes share is over
+/// capacity.
+fn capacity_1() -> Device {
+    Device::test_part().with_route_capacity("test-part-cap1", 1)
+}
+
 /// Per device tile (column-major), how many non-clock stored routes of
 /// `d` occupy it: the reference walk, tile by tile through the net walk.
+/// A route occupies every tile but its first, the source.
 fn walked_occupancy(d: &Design, device: &Device) -> Vec<u32> {
     let rows = usize::from(device.rows());
     let mut occ = vec![0; usize::from(device.cols()) * rows];
     for route in NetView::from(d).nets().filter_map(|n| n.route()) {
-        for t in route.tiles().filter(|&t| device.in_bounds(t)) {
+        for t in route.tiles().skip(1).filter(|&t| device.in_bounds(t)) {
             occ[usize::from(t.col) * rows + usize::from(t.row)] += 1;
         }
     }
     occ
 }
 
-/// Per device tile, the occupancy the router seeded for `d`. Every
-/// unrouted net of `d` is idle, so the router lays no route and its
-/// final map is its seed; at capacity 1 a tile's span fraction is its
-/// occupancy.
-fn seeded_occupancy(d: &Design, device: &Device) -> Vec<u32> {
-    let opts = RouteOptions {
-        max_iters: 1,
-        capacity: 1,
-    };
+/// Per device tile, the occupancy the router seeded for `d` on
+/// [`capacity_1`]. Every unrouted net of `d` is idle, so the router lays
+/// no route and its final map is its seed.
+fn seeded_occupancy(d: &Design) -> Vec<u32> {
+    let device = &capacity_1();
+    let opts = RouteOptions { max_iters: 1 };
     let (stats, map) = route_design_obs(&mut d.clone(), device, &opts, &Obs::null()).unwrap();
     assert_eq!(stats.routed_nets, 0, "an idle net was routed");
     let tiles = (0..device.cols()).flat_map(|c| (0..device.rows()).map(move |r| (c, r)));
@@ -246,7 +251,8 @@ fn seeded_occupancy(d: &Design, device: &Device) -> Vec<u32> {
 }
 
 /// The route checks of `check_design` done by the reference walk: every
-/// non-clock net in walk order, unrouted or each of its off-device tiles.
+/// non-clock net in walk order, unrouted or each of its off-device tiles,
+/// then every tile the walked occupancy puts over capacity.
 fn walked_route_violations(d: &Design, device: &Device) -> Vec<Violation> {
     let mut violations = Vec::new();
     for net in NetView::from(d).nets() {
@@ -259,6 +265,17 @@ fn walked_route_violations(d: &Design, device: &Device) -> Vec<Violation> {
             violations.push(Violation::RouteOffGrid { net, at });
         }
     }
+    let rows = usize::from(device.rows());
+    let capacity = device.route_capacity();
+    for (i, &routes) in walked_occupancy(d, device).iter().enumerate() {
+        if routes > u32::from(capacity) {
+            violations.push(Violation::TileOverCapacity {
+                at: TileCoord::new((i / rows) as u16, (i % rows) as u16),
+                routes: routes as u16,
+                capacity,
+            });
+        }
+    }
     violations
 }
 
@@ -268,7 +285,9 @@ fn drc_route_violations(d: &Design, device: &Device) -> Vec<Violation> {
     let route = |v: &Violation| {
         matches!(
             v,
-            Violation::Unrouted { .. } | Violation::RouteOffGrid { .. }
+            Violation::Unrouted { .. }
+                | Violation::RouteOffGrid { .. }
+                | Violation::TileOverCapacity { .. }
         )
     };
     all.into_iter().filter(route).collect()
@@ -278,10 +297,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// The route summary reads like the per-tile walk: seeded occupancy
-    /// and the DRC's route violations equal the reference, whether each
-    /// instance's shifted extent lies on the device (summary read, tiles
-    /// not walked) or leaves it (the per-tile fallback). Locked modules
-    /// keep their unrouted nets, so `Unrouted` order is checked too.
+    /// and the DRC's route violations, over-capacity tiles included, equal
+    /// the reference, whether each instance's shifted extent lies on the
+    /// device (summary read, tiles not walked) or leaves it (the per-tile
+    /// fallback). Locked modules keep their unrouted nets, so `Unrouted`
+    /// order is checked too.
     #[test]
     fn seeding_and_the_drc_read_the_summary_like_a_per_tile_walk(
         gs in proptest::collection::vec(geometry(), 1..4),
@@ -290,8 +310,8 @@ proptest! {
         // test-part is 40 rows tall: geometry within 40 tiles of the
         // origin, shifted by up to 50, lands on it, across its edge or
         // off it.
-        let device = Device::test_part();
-        let mut d = Design::new("d", "test-part", DesignKind::Assembled);
+        let device = capacity_1();
+        let mut d = Design::new("d", device.name(), DesignKind::Assembled);
         for (i, (g, &(dc, dr))) in gs.iter().zip(&shifts).enumerate() {
             let g = Geometry { base: 0, ..g.clone() };
             let m = g.module_with_idle_unrouted_nets();
@@ -299,7 +319,7 @@ proptest! {
                 d.add_instance(format!("i{i}"), t);
             }
         }
-        prop_assert_eq!(seeded_occupancy(&d, &device), walked_occupancy(&d, &device));
+        prop_assert_eq!(seeded_occupancy(&d), walked_occupancy(&d, &device));
         prop_assert_eq!(drc_route_violations(&d, &device), walked_route_violations(&d, &device));
     }
 }
@@ -319,9 +339,9 @@ fn a_write_through_nets_mut_resets_the_route_summary() {
     let mut d = Design::new("d", "test-part", DesignKind::Flat);
     d.add_instance("i", b.finish().unwrap().translated(1, 1).unwrap());
 
-    let before = seeded_occupancy(&d, &device);
+    let before = seeded_occupancy(&d);
     assert_eq!(before, walked_occupancy(&d, &device));
-    assert_eq!(before.iter().sum::<u32>(), 2);
+    assert_eq!(before.iter().sum::<u32>(), 1);
     let unrouted = vec![Violation::Unrouted {
         net: "i/later".to_string(),
     }];
@@ -329,11 +349,11 @@ fn a_write_through_nets_mut_resets_the_route_summary() {
 
     let new_tiles = vec![TileCoord::new(5, 5), TileCoord::new(6, 5)];
     d.instances_mut()[0].module.nets_mut().unwrap()[1].route = Some(Route::new(new_tiles));
-    let after = seeded_occupancy(&d, &device);
+    let after = seeded_occupancy(&d);
     assert_eq!(after, walked_occupancy(&d, &device));
     assert_eq!(
         after.iter().sum::<u32>(),
-        4,
+        2,
         "the new route's tiles are counted"
     );
     assert_eq!(drc_route_violations(&d, &device), vec![]);

@@ -127,8 +127,13 @@ proptest! {
     }
 }
 
-/// A module with fan-out nets spread across the fabric and a capacity low
-/// enough to force negotiation: Steiner decomposition, slack ordering and
+/// The test part with 4 wires per tile, under its own name.
+fn capacity_4() -> Device {
+    Device::test_part().with_route_capacity("test-part-cap4", 4)
+}
+
+/// A module with fan-out nets spread across the fabric; on [`capacity_4`]
+/// it forces negotiation: Steiner decomposition, slack ordering and
 /// rip-up all engage.
 fn fanout_module() -> Module {
     let mut b = ModuleBuilder::new("fan");
@@ -169,14 +174,11 @@ fn fanout_module() -> Module {
 /// the Steiner segment count of one routing run at `level` worker threads.
 fn route_at_level(level: usize) -> (String, Vec<Option<Vec<TileCoord>>>, u64) {
     with_level(level, || {
-        let device = Device::test_part();
+        let device = capacity_4();
         let mut m = fanout_module();
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::new(sink.clone());
-        let opts = RouteOptions {
-            capacity: 4,
-            ..RouteOptions::default()
-        };
+        let opts = RouteOptions::default();
         let (stats, _) = preimpl_cnn::pnr::route_module_obs(&mut m, &device, &opts, &obs).unwrap();
         let view = NetView::from(&m);
         let routes = (0..m.nets().len())
@@ -237,13 +239,10 @@ type RouteOutcome = (
 
 fn route_outcome(level: usize, as_design: bool) -> RouteOutcome {
     with_level(level, || {
-        let device = Device::test_part();
+        let device = capacity_4();
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::new(sink.clone());
-        let opts = RouteOptions {
-            capacity: 4,
-            ..RouteOptions::default()
-        };
+        let opts = RouteOptions::default();
         let (module, stats, map) = if as_design {
             let mut d = Design::flat("fan", device.name(), pinned_fanout_module());
             let (stats, map) =
