@@ -21,6 +21,22 @@ twins="$(echo "$pub_fns" | sed -n 's/_obs$//p' | grep -Fxf - <(echo "$pub_fns") 
 [ -z "$twins" ] \
     || { echo "stage functions with both a plain and an _obs form:" $twins; exit 1; }
 
+# One pre-implementation path: outside the backend (`crates/pnr`) and the
+# flow (`crates/flow`), product code places and routes a module only
+# through the flow's stages (`build_component_db`, `pre_implement`), never
+# by calling the engines itself. Product code is each file up to its first
+# `#[cfg(test)]`, comment lines skipped, as ci/loc.sh cuts it.
+echo "==> pre-implementation gate: only the flow places and routes modules"
+ooc_calls="$(find crates src vendor -name '*.rs' -not -path '*/tests/*' \
+    -not -path 'crates/pnr/*' -not -path 'crates/flow/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        /(place|route)_module_obs\(/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$ooc_calls" ] \
+    || { echo "module placed or routed outside the flow's stages:"; echo "$ooc_calls"; exit 1; }
+
 # Dependency direction: the product sizes hardware from the rate model
 # (`pi_cnn::cycles`), never from its own checker. `pi-flow` may hold
 # `pi-lint` only for the opt-in lint gate, and `pi-lint` checks the model,

@@ -4,30 +4,31 @@
 use crate::paper;
 use crate::{device, fmt_s, md_table, Ctx, Section};
 use pi_cnn::cycles;
-use pi_cnn::graph::Granularity;
+use pi_cnn::graph::{ComponentEdge, Granularity};
+use pi_fabric::Device;
 use pi_flow::{
-    build_component_db, plan_partpins, run_pre_implemented_flow, size_pblock, BaselineReport,
-    FlowConfig, PreImplReport,
+    build_component_db, pre_implement, run_pre_implemented_flow, BaselineReport, FlowConfig,
+    PreImplReport,
 };
-use pi_netlist::{Checkpoint, CheckpointMeta, Design, DesignKind};
+use pi_netlist::{Checkpoint, Design};
 use pi_obs::agg::{RouteTrace, RunReport};
 use pi_obs::Obs;
 use pi_pnr::compile::CompileOptions;
-use pi_pnr::{
-    compile_flat_obs, place_module_obs, route_assembled_obs, route_module_obs, sta_module,
-    PlaceOptions, RouteOptions,
-};
-use pi_stitch::{ComponentDb, ComponentPlacerOptions};
+use pi_pnr::{compile_flat_obs, route_assembled_obs, CompileReport};
+use pi_stitch::{assemble_obs, ComponentDb, ComponentPlacerOptions};
 use pi_synth::{synth_kernel, KernelKind};
 use std::time::Instant;
 
 /// E1 — Fig. 1: the motivation experiment. Four 3×3 PE-block kernels built
 /// with the full flow ("Vivado") and as pre-implemented components
-/// ("RapidWright"); compile time and Fmax compared.
+/// ("RapidWright"); compile time and Fmax compared. Both arms' designs go
+/// through the judge.
 pub fn fig1_motivation() -> Section {
     let device = device();
+    let cfg = FlowConfig::new().with_seeds([1]);
     let mut rows = Vec::new();
     for (kind, reference) in KernelKind::ALL.iter().zip(&paper::FIG1) {
+        let abbrev = kind.abbrev();
         // Traditional flow: full implementation of the block.
         let mut base = synth_kernel(*kind, 3, 3).expect("kernel synthesizes");
         let t0 = Instant::now();
@@ -39,65 +40,43 @@ pub fn fig1_motivation() -> Section {
         )
         .expect("compiles");
         let base_time = t0.elapsed();
+        let base_design = Design::flat(format!("{abbrev}_flat"), device.name(), base);
+        let base_fmax = judged(&base_design, &device, &cfg, &base_report);
 
         // Pre-implemented flow: OOC implementation once (not charged), then
-        // generation = relocate + finish routing.
-        let mut ooc = synth_kernel(*kind, 3, 3).expect("kernel synthesizes");
-        let pblock = size_pblock(&ooc.resources(), &device, 0.7).expect("pblock fits");
-        ooc.pblock = Some(pblock);
-        plan_partpins(&mut ooc, &pblock).expect("partpins anchor the ports");
-        place_module_obs(
-            &mut ooc,
+        // generation = assemble + finish routing.
+        let ooc = synth_kernel(*kind, 3, 3).expect("kernel synthesizes");
+        let (cp, _) = pre_implement(ooc, abbrev, 0, &device, &cfg).expect("pre-implements");
+        let t1 = Instant::now();
+        let (mut design, _) = assemble_obs(
+            format!("{abbrev}_asm"),
+            &[(abbrev, &cp)],
+            &[],
             &device,
-            &PlaceOptions {
-                seed: 1,
-                effort: 2.0,
-                region: Some(pblock),
-            },
+            &cfg.placer,
             &Obs::null(),
         )
-        .expect("places");
-        plan_partpins(&mut ooc, &pblock).expect("partpins refine");
-        let _ = route_module_obs(&mut ooc, &device, &RouteOptions::default(), &Obs::null())
-            .expect("routes");
-        ooc.lock();
-        let fmax_ooc = sta_module(&ooc, &device, None).expect("sta").fmax_mhz;
-        let cp = Checkpoint {
-            meta: CheckpointMeta {
-                signature: kind.abbrev().to_string(),
-                fmax_mhz: fmax_ooc,
-                resources: ooc.resources(),
-                pblock,
-                device: device.name().to_string(),
-                latency_cycles: 0,
-            },
-            module: ooc,
-        };
-        let t1 = Instant::now();
-        let module = pi_stitch::relocate_to(&cp, &device, pi_fabric::TileCoord::new(1, 0))
-            .expect("relocates");
-        let mut design = Design::new(
-            format!("{}_asm", kind.abbrev()),
-            device.name(),
-            DesignKind::Assembled,
-        );
-        design.add_instance(kind.abbrev(), module);
+        .expect("assembles");
         let pre_report =
-            route_assembled_obs(&mut design, &device, &RouteOptions::default(), &Obs::null())
-                .expect("routes");
+            route_assembled_obs(&mut design, &device, &cfg.route, &Obs::null()).expect("routes");
         let pre_time = t1.elapsed();
+        let pre_fmax = judged(&design, &device, &cfg, &pre_report);
 
         let compile_gain = 100.0 * (1.0 - pre_time.as_secs_f64() / base_time.as_secs_f64());
-        let fmax_gain = 100.0 * (pre_report.timing.fmax_mhz / base_report.timing.fmax_mhz - 1.0);
+        let fmax_gain = match (&base_fmax, &pre_fmax) {
+            (Ok(base), Ok(pre)) => format!("{:.0}%", 100.0 * (pre / base - 1.0)),
+            _ => "n/a".to_string(),
+        };
+        let mhz = |fmax: Result<f64, String>| fmax.map_or_else(|why| why, |f| format!("{f:.0}"));
         rows.push(vec![
             reference.kernel.to_string(),
             fmt_s(base_time),
             fmt_s(pre_time),
             format!("{compile_gain:.0}%"),
             format!("{:.0}%", reference.compile_gain_pct),
-            format!("{:.0}", base_report.timing.fmax_mhz),
-            format!("{:.0}", pre_report.timing.fmax_mhz),
-            format!("{fmax_gain:.0}%"),
+            mhz(base_fmax),
+            mhz(pre_fmax),
+            fmax_gain,
             format!("{:.0}%", reference.fmax_gain_pct),
         ]);
     }
@@ -118,6 +97,22 @@ pub fn fig1_motivation() -> Section {
             ],
             &rows,
         ),
+    }
+}
+
+/// A routed design's Fmax once [`pi_stitch::check_design`] accepts it, or
+/// why it is no legal design ([`crate::no_legal_design`]).
+fn judged(
+    design: &Design,
+    device: &Device,
+    cfg: &FlowConfig,
+    report: &CompileReport,
+) -> Result<f64, String> {
+    let violations = pi_stitch::check_design(design, device).expect("design checks");
+    if violations.is_empty() {
+        Ok(report.timing.fmax_mhz)
+    } else {
+        Err(crate::no_legal_design(&violations, cfg))
     }
 }
 
@@ -591,6 +586,7 @@ pub fn ablation_cle() -> Section {
     let device = device();
     let network = pi_cnn::models::vgg16();
     let opts = pi_synth::SynthOptions::vgg_like();
+    let cfg = FlowConfig::new().with_seeds([1]);
     let mut rows = Vec::new();
     for q in [1usize, 2, 4] {
         let partition = partition_conv_layers(&network, q).expect("partitions");
@@ -603,83 +599,32 @@ pub fn ablation_cle() -> Section {
             .max_by_key(|(_, m)| **m)
             .map(|(i, _)| i)
             .expect("q >= 1");
-        let mut module =
-            synth_cle(&network, &partition.groups[heaviest], &opts).expect("synthesizes");
+        let module = synth_cle(&network, &partition.groups[heaviest], &opts).expect("synthesizes");
         let per_cle = module.resources();
 
         // Pre-implement once.
         let t0 = Instant::now();
-        let pblock = size_pblock(&per_cle, &device, 0.7).expect("pblock fits");
-        module.pblock = Some(pblock);
-        plan_partpins(&mut module, &pblock).expect("partpins anchor the ports");
-        place_module_obs(
-            &mut module,
-            &device,
-            &PlaceOptions {
-                seed: 1,
-                effort: 2.0,
-                region: Some(pblock),
-            },
-            &Obs::null(),
-        )
-        .expect("places");
-        plan_partpins(&mut module, &pblock).expect("partpins refine");
-        let _ = route_module_obs(&mut module, &device, &RouteOptions::default(), &Obs::null())
-            .expect("routes");
-        module.lock();
+        let name = format!("cle_q{q}");
+        let (cp, _) = pre_implement(module, &name, 0, &device, &cfg).expect("pre-implements");
         let impl_time = t0.elapsed();
-        let cp = Checkpoint {
-            meta: CheckpointMeta {
-                signature: format!("cle_q{q}"),
-                fmax_mhz: sta_module(&module, &device, None).expect("sta").fmax_mhz,
-                resources: per_cle,
-                pblock,
-                device: device.name().to_string(),
-                latency_cycles: 0,
-            },
-            module,
-        };
 
         // Replicate Q times and stitch the frame pipeline.
         let t1 = Instant::now();
-        let refs: Vec<&Checkpoint> = std::iter::repeat_n(&cp, q).collect();
-        let edges: Vec<(usize, usize)> = (0..q.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-        let placement = pi_stitch::place_components(
-            &refs,
-            &edges,
-            &device,
-            &pi_stitch::ComponentPlacerOptions::default(),
-        )
-        .expect("places components");
-        let mut design = Design::new(format!("cle_q{q}"), device.name(), DesignKind::Assembled);
-        for (i, anchor) in placement.anchors.iter().enumerate() {
-            let m = pi_stitch::relocate_to(&cp, &device, *anchor).expect("relocates");
-            design.add_instance(format!("cle{i}"), m);
-        }
-        for &(a, b) in &edges {
-            let (pa, _) = design
-                .instance(pi_netlist::InstId(a as u32))
-                .module
-                .port_by_name("dout")
-                .expect("port");
-            let (pb, _) = design
-                .instance(pi_netlist::InstId(b as u32))
-                .module
-                .port_by_name("din")
-                .expect("port");
-            design
-                .connect_top(
-                    format!("cle{a}_to_{b}"),
-                    (pi_netlist::InstId(a as u32), pa),
-                    vec![(pi_netlist::InstId(b as u32), pb)],
-                    16,
-                )
-                .expect("stitches");
-        }
+        let names: Vec<String> = (0..q).map(|i| format!("cle{i}")).collect();
+        let instances: Vec<(&str, &Checkpoint)> = names.iter().map(|n| (n.as_str(), &cp)).collect();
+        let links: Vec<ComponentEdge> = (1..q)
+            .map(|i| ComponentEdge {
+                source: i - 1,
+                sink: i,
+                operand: 0,
+            })
+            .collect();
+        let (mut design, _) =
+            assemble_obs(name, &instances, &links, &device, &cfg.placer, &Obs::null())
+                .expect("assembles");
         let _ = pi_flow::pipeline_top_nets(&mut design);
         let report =
-            route_assembled_obs(&mut design, &device, &RouteOptions::default(), &Obs::null())
-                .expect("routes");
+            route_assembled_obs(&mut design, &device, &cfg.route, &Obs::null()).expect("routes");
         let gen_time = t1.elapsed();
 
         // Frame rate: groups pipeline across CLEs, so the bottleneck group
@@ -690,14 +635,20 @@ pub fn ablation_cle() -> Section {
             .map(|g| cle_frame_cycles(&network, g, per_cle.dsps).expect("cycles"))
             .max()
             .unwrap_or(0);
-        let interval_ms = pi_cnn::cycles::latency_ms(bottleneck, report.timing.fmax_mhz);
+        let (mhz, interval) = match judged(&design, &device, &cfg, &report) {
+            Ok(fmax) => {
+                let interval_ms = pi_cnn::cycles::latency_ms(bottleneck, fmax);
+                (format!("{fmax:.0}"), format!("{interval_ms:.1}"))
+            }
+            Err(why) => (why, "-".to_string()),
+        };
         rows.push(vec![
             format!("Q = {q}"),
             per_cle.dsps.to_string(),
             (per_cle.luts * q as u64).to_string(),
             format!("{:.2}", partition.imbalance()),
-            format!("{:.0}", report.timing.fmax_mhz),
-            format!("{interval_ms:.1}"),
+            mhz,
+            interval,
             fmt_s(impl_time),
             fmt_s(gen_time),
         ]);
@@ -717,12 +668,17 @@ pub fn ablation_cle() -> Section {
                 "generation",
             ],
             &rows,
-        ) + "\nAll Q engines come from one checkpoint: implementation cost is \
-             paid once regardless of Q, and generation stays in milliseconds — \
-             the replication scenario §III says makes SIMD-class accelerators \
-             \"suitable candidates for RapidWright implementation\". More CLEs \
-             buy throughput at linear area cost until the fixed engine size \
-             (set by the heaviest group) stops shrinking.\n",
+        ) + "\nAll Q engines come from one checkpoint, pre-implemented by the \
+             flow's own sweep and replicated by its one assembly, and every \
+             design above went through the design-rule judge. Implementation \
+             cost is paid once regardless of Q, and generation stays in \
+             milliseconds — the replication scenario §III says makes \
+             SIMD-class accelerators \"suitable candidates for RapidWright \
+             implementation\". Area grows linearly with Q, throughput does \
+             not: Q = 2 more than halves Q = 1's frame interval, but Q = 4's larger \
+             replicated design closes at a much slower assembled clock, which \
+             eats what the extra engines save on the bottleneck group, so its \
+             interval is no shorter than Q = 2's.\n",
     }
 }
 

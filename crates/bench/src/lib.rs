@@ -102,26 +102,36 @@ fn run_network(network: Network, cfg: &FlowConfig) -> NetworkRun {
     }
 }
 
-/// Run the monolithic arm. A design the judge rejects for track capacity
-/// alone is an outcome the tables print, "no legal design: N tiles over
-/// capacity after I iterations"; any other error is a harness failure.
+/// Run the monolithic arm, or say why it delivered no legal design
+/// ([`no_legal_design`]).
 pub fn baseline_arm(
     network: &Network,
     device: &Device,
     cfg: &FlowConfig,
 ) -> Result<BaselineReport, String> {
-    let over_capacity = |v: &Violation| matches!(v, Violation::TileOverCapacity { .. });
     match run_baseline_flow(network, device, cfg) {
         Ok((_, report)) => Ok(report),
-        Err(FlowError::DrcFailed(v)) if v.iter().all(over_capacity) => {
-            let tiles = if v.len() == 1 { "tile" } else { "tiles" };
-            let (over, iters) = (v.len(), cfg.route.max_iters);
-            Err(format!(
-                "no legal design: {over} {tiles} over capacity after {iters} iterations"
-            ))
-        }
+        Err(FlowError::DrcFailed(v)) => Err(no_legal_design(&v, cfg)),
         Err(e) => panic!("baseline flow: {e}"),
     }
+}
+
+/// How the tables print a design the judge rejected for track capacity
+/// alone: "no legal design: N tiles over capacity after I iterations". Any
+/// other violation is a harness failure.
+pub fn no_legal_design(violations: &[Violation], cfg: &FlowConfig) -> String {
+    let over_capacity = |v: &Violation| matches!(v, Violation::TileOverCapacity { .. });
+    assert!(
+        violations.iter().all(over_capacity),
+        "design failed DRC: {violations:?}"
+    );
+    let tiles = if violations.len() == 1 {
+        "tile"
+    } else {
+        "tiles"
+    };
+    let (over, iters) = (violations.len(), cfg.route.max_iters);
+    format!("no legal design: {over} {tiles} over capacity after {iters} iterations")
 }
 
 impl Ctx {

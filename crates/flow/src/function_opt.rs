@@ -218,12 +218,62 @@ pub fn build_component(
     Ok(build_components(&[component], network, device, cfg)?.remove(0))
 }
 
-/// One component's synthesized netlist and the pblock sized for it.
-struct Synthesized<'a> {
-    component: &'a Component,
+/// Pre-implement an already synthesized module — a kernel, a replicated
+/// engine, anything that is not one of a network's components — through
+/// the same sweep as [`build_component`]: size its pblock, run every seed,
+/// lock the best. `signature` names the report and the telemetry and, with
+/// `latency_cycles`, goes into the checkpoint's meta.
+pub fn pre_implement(
+    module: Module,
+    signature: &str,
+    latency_cycles: u64,
+    device: &Device,
+    cfg: &FlowConfig,
+) -> Result<(Checkpoint, ComponentBuildReport), FlowError> {
+    let syn = Synthesized::new(
+        module,
+        signature.to_string(),
+        signature.to_string(),
+        latency_cycles,
+        Instant::now(),
+        device,
+        cfg,
+    )?;
+    Ok(sweep(vec![syn], device, cfg)?.remove(0))
+}
+
+/// One synthesized netlist ready for the sweep: the pblock sized for it
+/// and what its checkpoint and report record.
+struct Synthesized {
+    name: String,
+    signature: String,
+    latency_cycles: u64,
     proto: Module,
     pblock: Pblock,
     synth_time: Duration,
+}
+
+impl Synthesized {
+    /// Size `proto`'s pblock; `t0` is when its synthesis started.
+    fn new(
+        proto: Module,
+        name: String,
+        signature: String,
+        latency_cycles: u64,
+        t0: Instant,
+        device: &Device,
+        cfg: &FlowConfig,
+    ) -> Result<Self, FlowError> {
+        let pblock = size_pblock(&proto.resources(), device, cfg.pblock_utilization)?;
+        Ok(Synthesized {
+            name,
+            signature,
+            latency_cycles,
+            proto,
+            pblock,
+            synth_time: t0.elapsed(),
+        })
+    }
 }
 
 /// One placement seed's implementation of a netlist, with the telemetry
@@ -277,7 +327,7 @@ fn implement_seed(
         dse.with_seed(seed).point(
             "dse_seed",
             &[
-                ("component", syn.component.name.as_str().into()),
+                ("component", syn.name.as_str().into()),
                 ("seed", seed.into()),
                 ("fmax_mhz", timing.fmax_mhz.into()),
             ],
@@ -286,49 +336,61 @@ fn implement_seed(
     Ok((timing.fmax_mhz, m))
 }
 
-/// The one implementation sweep behind every build: pre-implement
-/// `components` and return their checkpoints and reports in input order.
-///
-/// Components whose netlists are equal up to names
-/// ([`Module::same_netlist`]) form a group: VGG-16's conv3 and conv4
-/// blocks, its four pools, ResNet's repeated residual layers. Equal
-/// netlists have equal resources, so a group shares one pblock as well,
-/// and only its first member is implemented. One parallel map runs every
-/// (group, seed) item, largest netlist first and one item per task, so
-/// the longest anneals start first and no task queues two of them. Each
-/// item buffers its telemetry.
-///
-/// Back in component order, a group's first member flushes its seeds'
-/// buffers in seed order, locks the best-Fmax seed (the first on a tie)
-/// and reports `component_built`. Every later member gets that module
-/// under its own module, cell and net names, with its own signature and
-/// latency in the meta, and reports `reused_from` and `seeds_tried: 0`.
-/// Placement, routing and timing read no name, so the shared checkpoint
-/// is byte for byte the one implementing that member separately would
-/// produce. Results and the event stream are identical at any
-/// `PI_THREADS`; the first error in component order is returned.
+/// Synthesize `components` and size their pblocks in parallel, then run
+/// them through [`sweep`]; checkpoints and reports come back in input order.
 fn build_components(
     components: &[&Component],
     network: &Network,
     device: &Device,
     cfg: &FlowConfig,
 ) -> Result<Vec<(Checkpoint, ComponentBuildReport)>, FlowError> {
-    let obs = cfg.obs();
-    let dse = obs.scoped("flow::function_opt");
     let synthesized: Vec<Synthesized> = components
         .par_iter()
         .map(|&component| {
             let t0 = Instant::now();
             let proto = synth_component(network, component, &cfg.synth)?;
-            let pblock = size_pblock(&proto.resources(), device, cfg.pblock_utilization)?;
-            Ok(Synthesized {
-                component,
+            Synthesized::new(
                 proto,
-                pblock,
-                synth_time: t0.elapsed(),
-            })
+                component.name.clone(),
+                component.signature(network),
+                pi_cnn::cycles::component_pipeline_depth(network, component)?,
+                t0,
+                device,
+                cfg,
+            )
         })
         .collect::<Result<_, FlowError>>()?;
+    sweep(synthesized, device, cfg)
+}
+
+/// The one implementation sweep behind every build: pre-implement the
+/// `synthesized` netlists and return their checkpoints and reports in
+/// input order.
+///
+/// Netlists equal up to names ([`Module::same_netlist`]) form a group:
+/// VGG-16's conv3 and conv4 blocks, its four pools, ResNet's repeated
+/// residual layers. Equal netlists have equal resources, so a group shares
+/// one pblock as well, and only its first member is implemented. One
+/// parallel map runs every (group, seed) item, largest netlist first and
+/// one item per task, so the longest anneals start first and no task
+/// queues two of them. Each item buffers its telemetry.
+///
+/// Back in input order, a group's first member flushes its seeds' buffers
+/// in seed order, locks the best-Fmax seed (the first on a tie) and
+/// reports `component_built`. Every later member gets that module under
+/// its own module, cell and net names, with its own signature and latency
+/// in the meta, and reports `reused_from` and `seeds_tried: 0`. Placement,
+/// routing and timing read no name, so the shared checkpoint is byte for
+/// byte the one implementing that member separately would produce. Results
+/// and the event stream are identical at any `PI_THREADS`; the first error
+/// in input order is returned.
+fn sweep(
+    synthesized: Vec<Synthesized>,
+    device: &Device,
+    cfg: &FlowConfig,
+) -> Result<Vec<(Checkpoint, ComponentBuildReport)>, FlowError> {
+    let obs = cfg.obs();
+    let dse = obs.scoped("flow::function_opt");
 
     // `owners[g]` is group g's first member; `group_of[i]` is i's group.
     let mut owners: Vec<usize> = Vec::new();
@@ -400,7 +462,7 @@ fn build_components(
                 (None, Some(best)) => Ok(best),
                 (Some(e), _) => Err(e),
                 (None, None) => Err(FlowError::ComponentUnsatisfiable {
-                    component: syn.component.name.clone(),
+                    component: syn.name.clone(),
                     reason: "no placement seeds supplied".to_string(),
                 }),
             };
@@ -422,47 +484,32 @@ fn build_components(
             let Some((fmax, m)) = &winners[g] else {
                 continue;
             };
-            let from = synthesized[owners[g]].component.name.clone();
+            let from = synthesized[owners[g]].name.clone();
             (*fmax, m.renamed_like(&syn.proto), 0, Some(from))
         };
-        built.push(
-            checkpoint_component(network, syn, device, fmax, module).map(|cp| {
-                let report = ComponentBuildReport {
-                    name: syn.component.name.clone(),
-                    signature: cp.meta.signature.clone(),
-                    fmax_mhz: fmax,
-                    resources: cp.meta.resources,
-                    pblock: syn.pblock,
-                    seeds_tried,
-                    reused_from,
-                    latency_cycles: cp.meta.latency_cycles,
-                    build_time,
-                };
-                report_built(&dse, &report);
-                (cp, report)
-            }),
-        );
+        let meta = CheckpointMeta {
+            signature: syn.signature.clone(),
+            fmax_mhz: fmax,
+            resources: module.resources(),
+            pblock: syn.pblock,
+            device: device.name().to_string(),
+            latency_cycles: syn.latency_cycles,
+        };
+        let report = ComponentBuildReport {
+            name: syn.name.clone(),
+            signature: meta.signature.clone(),
+            fmax_mhz: fmax,
+            resources: meta.resources,
+            pblock: syn.pblock,
+            seeds_tried,
+            reused_from,
+            latency_cycles: meta.latency_cycles,
+            build_time,
+        };
+        report_built(&dse, &report);
+        built.push(Ok((Checkpoint { meta, module }, report)));
     }
     built.into_iter().collect()
-}
-
-/// Wrap one component's locked module as its checkpoint.
-fn checkpoint_component(
-    network: &Network,
-    syn: &Synthesized,
-    device: &Device,
-    fmax: f64,
-    module: Module,
-) -> Result<Checkpoint, FlowError> {
-    let meta = CheckpointMeta {
-        signature: syn.component.signature(network),
-        fmax_mhz: fmax,
-        resources: module.resources(),
-        pblock: syn.pblock,
-        device: device.name().to_string(),
-        latency_cycles: pi_cnn::cycles::component_pipeline_depth(network, syn.component)?,
-    };
-    Ok(Checkpoint { meta, module })
 }
 
 /// The `component_built` point for one accepted (or shared) implementation.
@@ -522,72 +569,6 @@ pub(crate) fn lint_gate_db(
         return Err(FlowError::LintFailed(report));
     }
     Ok(())
-}
-
-/// The paper's stated future work: "the frequency of the pre-implemented
-/// network is bounded by the slowest component of the design. We are
-/// planning to investigate optimization approaches to improve the
-/// performance of components during the function optimization stage."
-///
-/// Each round finds the slowest of this network's components and re-runs
-/// its performance exploration with fresh seeds and doubled effort,
-/// replacing the checkpoint when the new implementation is faster. Returns
-/// one report per improvement made; stops early when a round fails to
-/// improve.
-pub fn improve_slowest(
-    db: &mut ComponentDb,
-    network: &Network,
-    device: &Device,
-    cfg: &FlowConfig,
-    rounds: usize,
-) -> Result<Vec<ComponentBuildReport>, FlowError> {
-    cfg.apply_parallelism();
-    let dse = cfg.obs().scoped("flow::function_opt");
-    let components = network.components(cfg.granularity)?;
-    let mut improvements = Vec::new();
-    for round in 0..rounds {
-        // Slowest checkpoint among this network's components.
-        let (slowest_idx, old_fmax) = components
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                db.get(&c.signature(network))
-                    .map(|cp| (i, cp.meta.fmax_mhz))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .ok_or_else(|| FlowError::ComponentUnsatisfiable {
-                component: network.name.clone(),
-                reason: "no checkpoints for this network in the database".to_string(),
-            })?;
-        // Fresh seeds per round so reruns explore new placements, plus
-        // doubled effort: a deeper dive on the one component that matters.
-        let base = 1000 + (round as u64) * 16;
-        let retry = cfg
-            .clone()
-            .with_seeds(base..base + cfg.seeds.len().max(4) as u64)
-            .with_effort(cfg.effort * 2.0);
-        let (cp, report) = build_component(network, &components[slowest_idx], device, &retry)?;
-        let improved = report.fmax_mhz > old_fmax;
-        if dse.enabled() {
-            dse.point(
-                "improve_round",
-                &[
-                    ("round", round.into()),
-                    ("component", report.name.as_str().into()),
-                    ("old_fmax_mhz", old_fmax.into()),
-                    ("new_fmax_mhz", report.fmax_mhz.into()),
-                    ("improved", improved.into()),
-                ],
-            );
-        }
-        if improved {
-            db.insert(cp);
-            improvements.push(report);
-        } else {
-            break;
-        }
-    }
-    Ok(improvements)
 }
 
 /// Build the whole component database for a network — the "performed
@@ -815,6 +796,21 @@ mod tests {
     }
 
     #[test]
+    fn pre_implementing_a_synthesized_component_is_building_it() {
+        let device = Device::xcku5p_like();
+        let network = models::toy();
+        let comps = network.components(Granularity::Layer).unwrap();
+        let cfg = FlowConfig::new().with_seeds([1, 2]);
+        let (built, _) = build_component(&network, &comps[0], &device, &cfg).unwrap();
+        let module = synth_component(&network, &comps[0], &cfg.synth).unwrap();
+        let meta = &built.meta;
+        let (cp, report) =
+            pre_implement(module, &meta.signature, meta.latency_cycles, &device, &cfg).unwrap();
+        assert_eq!(cp.content_hash(), built.content_hash());
+        assert_eq!(report.seeds_tried, 2);
+    }
+
+    #[test]
     fn full_db_for_toy_network() {
         let device = Device::xcku5p_like();
         let network = models::toy();
@@ -868,44 +864,6 @@ mod tests {
                 _ => assert_eq!(pin.row, pb.row_lo, "{}", port.name),
             }
         }
-    }
-
-    #[test]
-    fn improve_slowest_never_regresses_the_floor() {
-        let device = Device::xcku5p_like();
-        let toy = models::toy();
-        let cfg = FlowConfig::new().with_seeds([1]);
-        let (mut db, reports) = build_component_db(&toy, &device, &cfg).unwrap();
-        let floor_before = reports
-            .iter()
-            .map(|r| r.fmax_mhz)
-            .fold(f64::INFINITY, f64::min);
-        let improvements = improve_slowest(&mut db, &toy, &device, &cfg, 2).unwrap();
-        let floor_after = toy
-            .components(Granularity::Layer)
-            .unwrap()
-            .iter()
-            .map(|c| db.get(&c.signature(&toy)).unwrap().meta.fmax_mhz)
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            floor_after >= floor_before,
-            "floor regressed: {floor_before} -> {floor_after}"
-        );
-        for imp in &improvements {
-            assert!(imp.fmax_mhz > floor_before);
-        }
-    }
-
-    #[test]
-    fn improve_slowest_errors_on_unknown_network() {
-        let device = Device::xcku5p_like();
-        let toy = models::toy();
-        let mut empty = ComponentDb::new();
-        let cfg = FlowConfig::new().with_seeds([1]);
-        assert!(matches!(
-            improve_slowest(&mut empty, &toy, &device, &cfg, 1),
-            Err(FlowError::ComponentUnsatisfiable { .. })
-        ));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use arch_opt::{pipeline_top_nets, run_pre_implemented_flow, PreImplReport};
 pub use baseline::{run_baseline_flow, BaselineReport};
 pub use config::FlowConfig;
 pub use function_opt::{
-    build_component_db, build_component_db_cached, improve_slowest, plan_partpins, size_pblock,
+    build_component_db, build_component_db_cached, plan_partpins, pre_implement, size_pblock,
     ComponentBuildReport, DbCacheStats,
 };
 pub use report::{FlowComparison, LatencyReport};

@@ -492,6 +492,12 @@ impl ModuleBuilder {
         id
     }
 
+    /// Nets added so far that have `sink` among their sinks.
+    pub fn fanin(&self, sink: Endpoint) -> usize {
+        let nets = self.module.nets();
+        nets.iter().filter(|n| n.sinks.contains(&sink)).count()
+    }
+
     /// Number of cells added so far.
     pub fn cell_count(&self) -> usize {
         self.module.cells.len()

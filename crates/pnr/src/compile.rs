@@ -69,10 +69,13 @@ impl CompileOptions {
     }
 }
 
-/// Full implementation of one module (the monolithic baseline path, and the
-/// per-component OOC path). Each phase runs inside a span under
-/// `pnr::compile`, and every phys-opt pass emits the critical path it
-/// started from (`pnr::timing`).
+/// Full implementation of one module: the traditional flow's place,
+/// phys-opt and route, which the monolithic baseline and Fig. 1's
+/// traditional arm run. The per-component OOC path is the function
+/// optimization sweep (`pi_flow`), which places and routes each seed
+/// inside its pblock and never calls this. Each phase runs inside a span
+/// under `pnr::compile`, and every phys-opt pass emits the critical path
+/// it started from (`pnr::timing`).
 pub fn compile_flat_obs(
     module: &mut Module,
     device: &Device,

@@ -1,19 +1,20 @@
 //! Architecture composition — the paper's Algorithm 1.
 //!
-//! BFS the network DFG, match each fused component against the checkpoint
-//! database, choose a legal location (component placer), relocate the
-//! locked module there, and create the inter-component nets between the
-//! source/sink interfaces. The output is an assembled [`Design`] whose only
-//! unrouted nets are the stitched ones — ready for final inter-component
-//! routing.
+//! BFS the network DFG and match each fused component against the
+//! checkpoint database ([`compose_obs`]), then assemble ([`assemble_obs`],
+//! the one assembly every design goes through): choose a legal location
+//! for each checkpoint (component placer), relocate the locked module
+//! there, and create the inter-component nets between the source/sink
+//! interfaces. The output is an assembled [`Design`] whose only unrouted
+//! nets are the stitched ones — ready for final inter-component routing.
 
 use crate::db::ComponentDb;
 use crate::placer::{place_components_obs, ComponentPlacerOptions, PlacementOutcome};
 use crate::relocate::relocate_to;
 use crate::StitchError;
-use pi_cnn::graph::{Granularity, Network};
+use pi_cnn::graph::{ComponentEdge, Granularity, Network};
 use pi_fabric::Device;
-use pi_netlist::{Design, DesignKind};
+use pi_netlist::{Checkpoint, Design, DesignKind, InstId};
 use pi_obs::Obs;
 
 /// Options for composition.
@@ -41,9 +42,12 @@ pub struct ComposeReport {
     pub stitched_nets: usize,
 }
 
-/// Algorithm 1: compose a CNN accelerator from pre-built checkpoints. The
-/// telemetry handle is threaded into the component placer (`stitch::placer`
-/// events) and receives the stitched-net count (`stitch::compose`).
+/// Algorithm 1: compose a CNN accelerator from pre-built checkpoints:
+/// extract the network's components, match each to its checkpoint, and
+/// hand them to [`assemble_obs`] as instances named after the components,
+/// linked by the component graph. The telemetry handle is threaded into
+/// the component placer (`stitch::placer` events) and receives the
+/// stitched-net count (`stitch::compose`).
 pub fn compose_obs(
     network: &Network,
     db: &ComponentDb,
@@ -59,52 +63,77 @@ pub fn compose_obs(
 
     // Component matching: every node of the graph must resolve to a
     // pre-built checkpoint.
-    let checkpoints: Vec<&pi_netlist::Checkpoint> = signatures
+    let instances: Vec<(&str, &Checkpoint)> = components
         .iter()
-        .map(|sig| db.require(sig))
-        .collect::<Result<_, _>>()?;
+        .zip(&signatures)
+        .map(|(c, sig)| Ok((c.name.as_str(), db.require(sig)?)))
+        .collect::<Result<_, StitchError>>()?;
 
-    // The component graph: adjacency for the placer, plus each link's
-    // consumer port for stitching below.
     let links = network.component_edges(&components);
-    let edges: Vec<(usize, usize)> = links.iter().map(|e| (e.source, e.sink)).collect();
+    let (design, placement) = assemble_obs(
+        format!("{}_assembled", network.name),
+        &instances,
+        &links,
+        device,
+        &opts.placer,
+        obs,
+    )?;
+    let stitched_nets = design.top_nets().len();
+    Ok((
+        design,
+        ComposeReport {
+            component_signatures: signatures,
+            placement,
+            stitched_nets,
+        },
+    ))
+}
 
-    // Component placement (Eq. 1–3 with unplace-and-retry).
-    let placement = place_components_obs(&checkpoints, &edges, device, &opts.placer, obs)?;
+/// Assemble a design named `name` from pre-implemented checkpoints: place
+/// the `instances` (instance name, checkpoint) with the component placer
+/// (Eq. 1–3 with unplace-and-retry) over the `links` between them, relocate
+/// each locked module to its anchor, and stitch the links. The result's
+/// only unrouted nets are the stitched ones.
+///
+/// Stitching creates the inter-component stream nets (the FIFO links of
+/// the paper's Fig. 5), one per source instance: a chain yields one
+/// single-sink net per link, a fanout source drives all its consumers
+/// through one multi-sink net (the router's Steiner decomposition handles
+/// the tree), and a join receives its second operand on `din2`
+/// ([`ComponentEdge::port`]). Telemetry: `stitch::placer` events and the
+/// `stitch::compose` stitched-net count.
+pub fn assemble_obs(
+    name: String,
+    instances: &[(&str, &Checkpoint)],
+    links: &[ComponentEdge],
+    device: &Device,
+    placer: &ComponentPlacerOptions,
+    obs: &Obs,
+) -> Result<(Design, PlacementOutcome), StitchError> {
+    let checkpoints: Vec<&Checkpoint> = instances.iter().map(|&(_, cp)| cp).collect();
+    let edges: Vec<(usize, usize)> = links.iter().map(|e| (e.source, e.sink)).collect();
+    let placement = place_components_obs(&checkpoints, &edges, device, placer, obs)?;
 
     // Relocation + instantiation.
-    let mut design = Design::new(
-        format!("{}_assembled", network.name),
-        device.name(),
-        DesignKind::Assembled,
-    );
-    for ((comp, cp), anchor) in components.iter().zip(&checkpoints).zip(&placement.anchors) {
-        let module = relocate_to(cp, device, *anchor)?;
-        design.add_instance(comp.name.clone(), module);
+    let mut design = Design::new(name, device.name(), DesignKind::Assembled);
+    for (&(inst, cp), anchor) in instances.iter().zip(&placement.anchors) {
+        design.add_instance(inst, relocate_to(cp, device, *anchor)?);
     }
 
-    // Stitching: create the inter-component stream nets (the FIFO links of
-    // the paper's Fig. 5). A chain yields one single-sink net per edge,
-    // exactly as before. Branching topologies need two generalizations:
-    // a fanout source drives all its consumers through one multi-sink net
-    // (the router's Steiner decomposition handles the tree), and a join
-    // component receives its second operand on `din2`
-    // ([`pi_cnn::graph::ComponentEdge::port`]).
-    let mut stitched = 0usize;
-    for ca in 0..components.len() {
+    for ca in 0..instances.len() {
         let mut sinks: Vec<_> = links.iter().filter(|e| e.source == ca).collect();
         if sinks.is_empty() {
             continue;
         }
         sinks.sort_unstable_by_key(|e| e.sink);
-        let src_inst = pi_netlist::InstId(ca as u32);
+        let src_inst = InstId(ca as u32);
         let (src_port, sw) = {
             let (pid, p) = design
                 .instance(src_inst)
                 .module
                 .port_by_name("dout")
                 .ok_or_else(|| {
-                    StitchError::MissingComponent(format!("{}: no dout port", components[ca].name))
+                    StitchError::MissingComponent(format!("{}: no dout port", instances[ca].0))
                 })?;
             (pid, p.width)
         };
@@ -115,11 +144,11 @@ pub fn compose_obs(
             let want = link.port().ok_or_else(|| {
                 StitchError::MissingComponent(format!(
                     "{}: {} input streams, components accept at most two",
-                    components[cb].name,
+                    instances[cb].0,
                     links.iter().filter(|e| e.sink == cb).count()
                 ))
             })?;
-            let dst_inst = pi_netlist::InstId(cb as u32);
+            let dst_inst = InstId(cb as u32);
             let (dst_port, _) = design
                 .instance(dst_inst)
                 .module
@@ -127,33 +156,24 @@ pub fn compose_obs(
                 .ok_or_else(|| {
                     StitchError::MissingComponent(format!(
                         "{}: no {want} port (second input stream requires a join component)",
-                        components[cb].name
+                        instances[cb].0
                     ))
                 })?;
             sink_pins.push((dst_inst, dst_port));
-            sink_names.push(components[cb].name.as_str());
+            sink_names.push(instances[cb].0);
         }
         design.connect_top(
-            format!("link_{}_{}", components[ca].name, sink_names.join("+")),
+            format!("link_{}_{}", instances[ca].0, sink_names.join("+")),
             (src_inst, src_port),
             sink_pins,
             sw,
         )?;
-        stitched += 1;
     }
     if obs.enabled() {
         obs.scoped("stitch::compose")
-            .counter("stitched_nets", stitched as u64);
+            .counter("stitched_nets", design.top_nets().len() as u64);
     }
-
-    Ok((
-        design,
-        ComposeReport {
-            component_signatures: signatures,
-            placement,
-            stitched_nets: stitched,
-        },
-    ))
+    Ok((design, placement))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub mod relocate;
 pub mod verify;
 
 pub use cache::{cache_key, CacheLookup, DbCache, CACHE_SCOPE, MANIFEST_FILE, MANIFEST_VERSION};
-pub use compose::{compose_obs, ComposeOptions, ComposeReport};
+pub use compose::{assemble_obs, compose_obs, ComposeOptions, ComposeReport};
 pub use db::ComponentDb;
 pub use lock::{LockFile, DEFAULT_LOCK_TIMEOUT, LOCK_FILE};
 pub use placer::{

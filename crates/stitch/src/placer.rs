@@ -28,8 +28,6 @@ pub struct ComponentPlacerOptions {
     pub timing_threshold: f64,
     /// Weight of the congestion term against the timing term.
     pub congestion_weight: f64,
-    /// Margin (tiles) around a pblock considered "crowded" for Eq. 2.
-    pub crowding_margin: u16,
     /// Backtracking attempts when a component exceeds the threshold.
     pub max_retries: usize,
 }
@@ -42,7 +40,6 @@ impl Default for ComponentPlacerOptions {
             // the retry loop scatters big blocks and fragments the chip.
             timing_threshold: 200.0,
             congestion_weight: 25.0,
-            crowding_margin: 2,
             max_retries: 3,
         }
     }
@@ -93,19 +90,22 @@ fn pblock_at(cp: &Checkpoint, anchor: TileCoord) -> Pblock {
     )
 }
 
-fn expanded(pb: &Pblock, margin: u16, device: &Device) -> Pblock {
+/// Margin (tiles) around a pblock considered "crowded" for Eq. 2.
+const CROWDING_MARGIN: u16 = 2;
+
+fn expanded(pb: &Pblock, device: &Device) -> Pblock {
     Pblock::new(
-        pb.col_lo.saturating_sub(margin),
-        (pb.col_hi + margin).min(device.cols() - 1),
-        pb.row_lo.saturating_sub(margin),
-        (pb.row_hi + margin).min(device.rows() - 1),
+        pb.col_lo.saturating_sub(CROWDING_MARGIN),
+        (pb.col_hi + CROWDING_MARGIN).min(device.cols() - 1),
+        pb.row_lo.saturating_sub(CROWDING_MARGIN),
+        (pb.row_hi + CROWDING_MARGIN).min(device.rows() - 1),
     )
 }
 
 /// Eq. 2–3: crowding of a candidate against already-placed pblocks,
 /// normalized by the candidate's area.
-fn congestion_cost(candidate: &Pblock, placed: &[Pblock], margin: u16, device: &Device) -> f64 {
-    let grown = expanded(candidate, margin, device);
+fn congestion_cost(candidate: &Pblock, placed: &[Pblock], device: &Device) -> f64 {
+    let grown = expanded(candidate, device);
     let overlap: u64 = placed
         .iter()
         .map(|p| u64::from(grown.overlap_area(p)))
@@ -242,7 +242,7 @@ pub fn place_components_obs(
                         return None; // hard illegal: components may not overlap
                     }
                     let t = timing_of(i, anchor, &anchors);
-                    let g = congestion_cost(&pb, &placed_pblocks, opts.crowding_margin, device);
+                    let g = congestion_cost(&pb, &placed_pblocks, device);
                     Some((t + opts.congestion_weight * g, anchor))
                 })
                 .collect();
@@ -286,12 +286,7 @@ pub fn place_components_obs(
             if obs.enabled() {
                 // Eq. 1 / Eq. 3 split of the chosen candidate's cost.
                 let t = timing_of(i, anchor, &anchors);
-                let g = congestion_cost(
-                    &pblock_at(cp, anchor),
-                    &placed_pblocks,
-                    opts.crowding_margin,
-                    device,
-                );
+                let g = congestion_cost(&pblock_at(cp, anchor), &placed_pblocks, device);
                 obs.point(
                     "candidate",
                     &[
@@ -329,12 +324,7 @@ pub fn place_components_obs(
             let mut best = (
                 timing_of(i, current, &anchors)
                     + opts.congestion_weight
-                        * congestion_cost(
-                            &pblock_at(cp, current),
-                            &others,
-                            opts.crowding_margin,
-                            device,
-                        ),
+                        * congestion_cost(&pblock_at(cp, current), &others, device),
                 current,
             );
             for anchor in anchor_candidates(cp, device) {
@@ -343,8 +333,7 @@ pub fn place_components_obs(
                     continue;
                 }
                 let cost = timing_of(i, anchor, &anchors)
-                    + opts.congestion_weight
-                        * congestion_cost(&pb, &others, opts.crowding_margin, device);
+                    + opts.congestion_weight * congestion_cost(&pb, &others, device);
                 if cost + 1e-9 < best.0 {
                     best = (cost, anchor);
                 }
@@ -374,7 +363,7 @@ pub fn place_components_obs(
             .filter(|(j, _)| *j != i)
             .map(|(j, &a)| pblock_at(checkpoints[j], a))
             .collect();
-        total_g += congestion_cost(&pb, &others, opts.crowding_margin, device);
+        total_g += congestion_cost(&pb, &others, device);
     }
     if obs.enabled() {
         obs.point(

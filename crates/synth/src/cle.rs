@@ -10,7 +10,7 @@
 //! reuse story.
 
 use crate::cost;
-use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, LaneSpec};
+use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, FanIn, LaneSpec};
 use crate::memctrl::{emit_memctrl, CtrlSide};
 use crate::{SynthError, SynthOptions};
 use pi_cnn::graph::{Network, NodeId};
@@ -151,13 +151,11 @@ pub fn synth_cle(
         None,
     );
     let ctrl = b.cell(Cell::new("ctrl", crate::emit::out_slice()));
+    let mut feeds = FanIn::new(&b, Endpoint::Cell(ctrl), wbufs.len());
     for (i, wc) in wbufs.iter().enumerate() {
-        b.connect(
-            format!("wfeed{i}"),
-            Endpoint::Cell(*wc),
-            [Endpoint::Cell(ctrl)],
-        );
+        feeds.feed(&mut b, format!("wfeed{i}"), Endpoint::Cell(*wc));
     }
+    feeds.finish(&mut b, "wfeed");
 
     // The shared MAC array.
     let spec = LaneSpec {

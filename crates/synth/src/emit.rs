@@ -30,6 +30,47 @@ pub fn out_slice() -> CellKind {
 /// Incoming nets an [`out_slice`] can take: its 8 six-input LUTs.
 const OUT_FANIN_BUDGET: usize = 8 * 6;
 
+/// Feeds wired into one sink cell within [`OUT_FANIN_BUDGET`], the one
+/// fan-in rule every generator follows. When the sink's nets so far plus
+/// the announced feeds fit the budget, each feed is its own net into the
+/// sink, added as it is fed; above it the feeds merge first
+/// ([`emit_merge`]) and one net carries the result into the sink.
+pub struct FanIn {
+    sink: Endpoint,
+    /// The feeds held back for the merge; `None` while wiring directly.
+    merged: Option<Vec<Endpoint>>,
+}
+
+impl FanIn {
+    /// Announce `feeds` nets into `sink`.
+    pub fn new(b: &ModuleBuilder, sink: Endpoint, feeds: usize) -> Self {
+        let over = b.fanin(sink) + feeds > OUT_FANIN_BUDGET;
+        FanIn {
+            sink,
+            merged: over.then(Vec::new),
+        }
+    }
+
+    /// Wire one feed: a net named `name` into the sink, or held for the merge.
+    pub fn feed(&mut self, b: &mut ModuleBuilder, name: String, source: Endpoint) {
+        match &mut self.merged {
+            Some(ends) => ends.push(source),
+            None => {
+                b.connect(name, source, [self.sink]);
+            }
+        }
+    }
+
+    /// Emit the merge tree (cells `{prefix}_m…`, net `{prefix}_out` into
+    /// the sink) when the feeds did not fit.
+    pub fn finish(self, b: &mut ModuleBuilder, prefix: &str) {
+        if let Some(ends) = self.merged {
+            let merged = emit_merge(b, prefix, &ends);
+            b.connect(format!("{prefix}_out"), merged, [self.sink]);
+        }
+    }
+}
+
 /// Emit `n` cells connected in a chain (cell i drives cell i+1), the first
 /// fed by `input` when given. `make` builds each cell from its index.
 /// Returns the created ids (empty `n` returns an empty vector).
@@ -140,11 +181,8 @@ pub fn emit_mac_lane(
 
     // Extra registered tree slices: chains of 8 hanging between the MAC
     // output and the output stage. They carry area without adding
-    // combinational depth. When their ends and the tree would exceed the
-    // output stage's fan-in budget, the ends merge first.
-    let chains = spec.extra_slices.div_ceil(8);
-    let merge_ends = 1 + chains > OUT_FANIN_BUDGET;
-    let mut ends = Vec::new();
+    // combinational depth.
+    let mut ends = FanIn::new(b, Endpoint::Cell(out), spec.extra_slices.div_ceil(8));
     let mut remaining = spec.extra_slices;
     let mut chain_idx = 0usize;
     while remaining > 0 {
@@ -157,23 +195,13 @@ pub fn emit_mac_lane(
             Some(mac_out),
         );
         if let Some(&last) = chain.last() {
-            if merge_ends {
-                ends.push(Endpoint::Cell(last));
-            } else {
-                b.connect(
-                    format!("{prefix}_x{chain_idx}_out"),
-                    Endpoint::Cell(last),
-                    [Endpoint::Cell(out)],
-                );
-            }
+            let name = format!("{prefix}_x{chain_idx}_out");
+            ends.feed(b, name, Endpoint::Cell(last));
         }
         remaining -= len;
         chain_idx += 1;
     }
-    if merge_ends {
-        let merged = emit_merge(b, &format!("{prefix}_xm"), &ends);
-        b.connect(format!("{prefix}_xm_out"), merged, [Endpoint::Cell(out)]);
-    }
+    ends.finish(b, &format!("{prefix}_xm"));
 
     Endpoint::Cell(out)
 }

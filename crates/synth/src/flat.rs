@@ -2,6 +2,7 @@
 //! input of the traditional baseline flow.
 
 use crate::conv::emit_conv_engine;
+use crate::emit::FanIn;
 use crate::fc::emit_fc_engine;
 use crate::memctrl::{emit_memctrl, CtrlSide};
 use crate::pool::{emit_pool_engine, emit_relu_stage};
@@ -85,48 +86,46 @@ pub fn synth_network_flat(
             (base.ffs * cost::MONOLITHIC_FF_OVERHEAD_PCT / 100).div_ceil(16) as usize;
         let extra_brams = (base.brams * cost::MONOLITHIC_BRAM_OVERHEAD_PCT / 100) as usize;
 
-        let add_overhead =
-            |b: &mut ModuleBuilder, tag: &str, n: usize, kind: CellKind, feed: Endpoint| {
-                let mut remaining = n;
-                let mut g = 0usize;
-                while remaining > 0 {
-                    let len = remaining.min(16);
-                    let chain = crate::emit::emit_chain(
-                        b,
-                        &format!("ovh_{tag}{g}"),
-                        len,
-                        |i| Cell::new(format!("ovh_{tag}{g}_{i}"), kind),
-                        Some(feed),
-                    );
-                    // Tie the tail into the output path so the cells are live.
-                    let tail = Endpoint::Cell(*chain.last().expect("len >= 1"));
-                    b.connect(format!("ovh_{tag}{g}_out"), tail, [cursor]);
-                    remaining -= len;
-                    g += 1;
-                }
-            };
+        // Every overhead chain's tail ties into the output path so the
+        // cells are live.
+        let chains = [extra_lut_slices, extra_ff_slices, extra_brams]
+            .iter()
+            .map(|n| n.div_ceil(16))
+            .sum();
+        let mut tails = FanIn::new(&b, cursor, chains);
+        let mut add_overhead = |b: &mut ModuleBuilder, tag: &str, n: usize, kind: CellKind| {
+            let mut remaining = n;
+            let mut g = 0usize;
+            while remaining > 0 {
+                let len = remaining.min(16);
+                let chain = crate::emit::emit_chain(
+                    b,
+                    &format!("ovh_{tag}{g}"),
+                    len,
+                    |i| Cell::new(format!("ovh_{tag}{g}_{i}"), kind),
+                    Some(first_cell_after_input),
+                );
+                let tail = Endpoint::Cell(*chain.last().expect("len >= 1"));
+                tails.feed(b, format!("ovh_{tag}{g}_out"), tail);
+                remaining -= len;
+                g += 1;
+            }
+        };
         // Fanout-buffer logic (LUT-heavy) and pipeline registers (FF-heavy).
         add_overhead(
             &mut b,
             "lut",
             extra_lut_slices,
             CellKind::Slice { luts: 8, ffs: 4 },
-            first_cell_after_input,
         );
         add_overhead(
             &mut b,
             "ff",
             extra_ff_slices,
             CellKind::Slice { luts: 1, ffs: 16 },
-            first_cell_after_input,
         );
-        add_overhead(
-            &mut b,
-            "bram",
-            extra_brams,
-            CellKind::Bram,
-            first_cell_after_input,
-        );
+        add_overhead(&mut b, "bram", extra_brams, CellKind::Bram);
+        tails.finish(&mut b, "ovh_tail");
     }
 
     // Output buffer (monolithic) or direct port connection (OOC).

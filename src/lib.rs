@@ -73,8 +73,8 @@ pub mod prelude {
     pub use pi_cnn::{models, parse_archdef, parse_archdef_lenient, Network};
     pub use pi_fabric::{Device, Pblock, ResourceCount, TileCoord};
     pub use pi_flow::{
-        build_component_db, build_component_db_cached, improve_slowest, run_baseline_flow,
-        run_pre_implemented_flow, DbCacheStats, FlowComparison, FlowConfig,
+        build_component_db, build_component_db_cached, run_baseline_flow, run_pre_implemented_flow,
+        DbCacheStats, FlowComparison, FlowConfig,
     };
     pub use pi_lint::{parse_waivers, Diagnostic, Level, LintConfig, LintEngine, LintReport};
     pub use pi_model::{Import, ImportFinding, ModelFormat};

@@ -81,10 +81,10 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         0.1f64..16.0,                                     // effort
     );
     let engines = (
-        pbool(),                                             // plan partpins
-        1usize..40,                                          // router iterations
-        (0.0f64..500.0, 0.0f64..20.0, 0u64..16, 0usize..12), // placer knobs
-        0.5f64..16.0,                                        // baseline effort
+        pbool(),                                   // plan partpins
+        1usize..40,                                // router iterations
+        (0.0f64..500.0, 0.0f64..20.0, 0usize..12), // placer knobs
+        0.5f64..16.0,                              // baseline effort
     );
     let synth = (pbool(), 1u64..64, pbool());
     let cache = (
@@ -123,8 +123,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                 .with_placer(ComponentPlacerOptions {
                     timing_threshold: placer.0,
                     congestion_weight: placer.1,
-                    crowding_margin: placer.2 as u16,
-                    max_retries: placer.3,
+                    max_retries: placer.2,
                 })
                 .with_baseline_effort(baseline);
             if let Some(t) = threads {
@@ -198,7 +197,6 @@ fn every_knob_config() -> FlowConfig {
         .with_placer(ComponentPlacerOptions {
             timing_threshold: 123.5,
             congestion_weight: 7.25,
-            crowding_margin: 5,
             max_retries: 9,
         })
         .with_baseline_effort(8.5)
@@ -218,11 +216,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"crowding_margin":2,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"crowding_margin":5,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
     );
 }
 
@@ -256,7 +254,7 @@ fn missing_keys_take_defaults() {
     let cfg = FlowConfig::from_json("{\"placer\":{\"max_retries\":5}}").unwrap();
     assert_eq!(cfg.placer.max_retries, 5);
     let default = ComponentPlacerOptions::default();
-    assert_eq!(cfg.placer.crowding_margin, default.crowding_margin);
+    assert_eq!(cfg.placer.timing_threshold, default.timing_threshold);
     // An integer is accepted where a float is expected.
     assert_eq!(FlowConfig::from_json("{\"effort\":3}").unwrap().effort, 3.0);
 }
@@ -299,6 +297,10 @@ fn malformed_configs_are_rejected_naming_the_field() {
             "{\"fifo_autosize\":true}",
             &["unknown key", "fifo_autosize"],
         ),
+        (
+            "{\"placer\":{\"crowding_margin\":2}}",
+            &["unknown key", "crowding_margin"],
+        ),
         // Out-of-range integers used to be truncated with `as u16`.
         (
             "{\"synth\":{\"data_width\":70000}}",
@@ -308,10 +310,6 @@ fn malformed_configs_are_rejected_naming_the_field() {
         (
             "{\"route\":{\"capacity\":64}}",
             &["unknown key", "capacity"],
-        ),
-        (
-            "{\"placer\":{\"crowding_margin\":70000}}",
-            &["crowding_margin", "out of range"],
         ),
         ("{\"seeds\":[-1]}", &["seeds", "out of range"]),
         ("{\"threads\":0}", &["threads", "at least 1"]),

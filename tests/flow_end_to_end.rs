@@ -206,3 +206,35 @@ fn component_reuse_across_designs() {
     assert!(run_pre_implemented_flow(&net_a, &merged, &device, &FlowConfig::new()).is_ok());
     assert!(run_pre_implemented_flow(&net_b, &merged, &device, &FlowConfig::new()).is_ok());
 }
+
+#[test]
+fn a_replicated_engine_built_through_the_flow_stages_is_legal() {
+    // One 40-lane CLE holding every VGG-16 conv layer (Ext. A3's Q = 1),
+    // pre-implemented by the flow's sweep and assembled by its one
+    // assembly. Its control slice used to take 80 weight-buffer nets,
+    // which put 80 routes on one tile against the 64-wire capacity.
+    use preimpl_cnn::flow::pre_implement;
+    use preimpl_cnn::stitch::{assemble_obs, check_design};
+    use preimpl_cnn::synth::cle::{partition_conv_layers, synth_cle};
+    let device = Device::xcku5p_like();
+    let network = models::vgg16();
+    let partition = partition_conv_layers(&network, 1).expect("partitions");
+    let module =
+        synth_cle(&network, &partition.groups[0], &SynthOptions::vgg_like()).expect("synthesizes");
+    let cfg = FlowConfig::new().with_seeds([1]);
+    let (cp, _) = pre_implement(module, "cle_q1", 0, &device, &cfg).expect("pre-implements");
+    assert!(cp.module.locked);
+    let (mut design, _) = assemble_obs(
+        "cle_q1".to_string(),
+        &[("cle0", &cp)],
+        &[],
+        &device,
+        &cfg.placer,
+        &Obs::null(),
+    )
+    .expect("assembles");
+    preimpl_cnn::pnr::route_assembled_obs(&mut design, &device, &cfg.route, &Obs::null())
+        .expect("routes");
+    assert!(design.fully_routed());
+    assert_eq!(check_design(&design, &device).expect("checks"), vec![]);
+}

@@ -3,8 +3,11 @@
 
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::cnn::{cycles, models};
-use preimpl_cnn::netlist::Endpoint;
-use preimpl_cnn::synth::{synth_component, SynthOptions};
+use preimpl_cnn::netlist::{Endpoint, Module};
+use preimpl_cnn::synth::cle::{partition_conv_layers, synth_cle};
+use preimpl_cnn::synth::{
+    synth_component, synth_kernel, synth_network_flat, KernelKind, SynthOptions,
+};
 
 #[test]
 fn synthesized_dsps_match_the_analytic_estimate() {
@@ -97,10 +100,31 @@ fn pipeline_depth_orders_components_like_the_paper() {
 /// Incoming nets a slice can take: 8 six-input LUTs.
 const SLICE_FANIN: usize = 8 * 6;
 
+/// Panic naming `what` when a cell of `module` takes more nets than
+/// [`SLICE_FANIN`].
+fn assert_fanin_within_budget(module: &Module, what: &str) {
+    let mut fanin = vec![0usize; module.cells().len()];
+    for net in module.nets() {
+        for sink in &net.sinks {
+            if let Endpoint::Cell(c) = sink {
+                fanin[c.index()] += 1;
+            }
+        }
+    }
+    let (widest, &n) = fanin.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
+    assert!(
+        n <= SLICE_FANIN,
+        "{what}: cell {} takes {n} nets",
+        module.cells()[widest].name
+    );
+}
+
 #[test]
 fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
     // AlexNet's 11x11 conv1 used to wire 212 adder-tree chains into one
-    // output slice; every zoo component now stays within the budget.
+    // output slice, the monolithic overhead tied 326 chains into VGG-16's
+    // last sink, and a 40-lane CLE wired 80 weight buffers into its
+    // control slice; every generator now stays within the budget.
     let vgg = SynthOptions::vgg_like();
     for (network, opts) in [
         (models::lenet5(), SynthOptions::lenet_like()),
@@ -112,23 +136,23 @@ fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
         for gran in [Granularity::Layer, Granularity::Block] {
             for comp in &network.components(gran).expect("components") {
                 let module = synth_component(&network, comp, &opts).expect("synthesizes");
-                let mut fanin = vec![0usize; module.cells().len()];
-                for net in module.nets() {
-                    for sink in &net.sinks {
-                        if let Endpoint::Cell(c) = sink {
-                            fanin[c.index()] += 1;
-                        }
-                    }
-                }
-                let (widest, &n) = fanin.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
-                assert!(
-                    n <= SLICE_FANIN,
-                    "{} {gran:?} {}: cell {} takes {n} nets",
-                    network.name,
-                    comp.name,
-                    module.cells()[widest].name
-                );
+                let what = format!("{} {gran:?} {}", network.name, comp.name);
+                assert_fanin_within_budget(&module, &what);
             }
+            let flat = synth_network_flat(&network, gran, &opts.monolithic()).expect("synthesizes");
+            assert_fanin_within_budget(&flat, &format!("{} {gran:?} flat", network.name));
         }
+    }
+    let vgg16 = models::vgg16();
+    for q in [1, 2, 4] {
+        let partition = partition_conv_layers(&vgg16, q).expect("partitions");
+        for (g, group) in partition.groups.iter().enumerate() {
+            let module = synth_cle(&vgg16, group, &vgg).expect("synthesizes");
+            assert_fanin_within_budget(&module, &format!("CLE Q = {q}, group {g}"));
+        }
+    }
+    for kind in KernelKind::ALL {
+        let module = synth_kernel(kind, 3, 3).expect("synthesizes");
+        assert_fanin_within_budget(&module, kind.abbrev());
     }
 }
