@@ -129,7 +129,7 @@ for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router
         || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
 done
 # Likewise a retired lint code: unknown, and named on stderr.
-for code in PL0140 PL0400 PL0401; do
+for code in PL0140 PL0302 PL0308 PL0400 PL0401; do
     retired_err="$(cargo run --release --quiet --bin pilint -- \
         model models/lenet.json --allow "$code" 2>&1 >/dev/null)" \
         && { echo "retired lint code $code was accepted"; exit 1; }

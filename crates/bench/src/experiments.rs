@@ -16,7 +16,7 @@ use pi_obs::Obs;
 use pi_pnr::compile::CompileOptions;
 use pi_pnr::{compile_flat_obs, route_assembled_obs, CompileReport};
 use pi_stitch::{assemble_obs, ComponentDb, ComponentPlacerOptions};
-use pi_synth::{synth_kernel, KernelKind};
+use pi_synth::{cost, synth_kernel, KernelKind};
 use std::time::Instant;
 
 /// E1 — Fig. 1: the motivation experiment. Four 3×3 PE-block kernels built
@@ -233,11 +233,19 @@ pub fn table2_resources(ctx: &mut Ctx) -> Section {
         body: md_table(
             &["design", "CLB LUTs", "CLB registers", "BRAMs", "DSPs"],
             &rows,
-        ) + "\nShape check: the pre-implemented build of each network uses fewer \
-               LUTs/FFs/BRAMs than the classic build at equal DSPs — the paper's \
-               §V-C observation. Absolute DSP counts land on the paper's (~2k for \
-               VGG); utilization percentages read lower because our modeled device \
-               carries more capacity (see DESIGN.md).\n",
+        ) + &format!(
+            "\nThe classic rows' extra LUTs/FFs/BRAMs are not a measurement: \
+             monolithic synthesis adds a fixed {} % / {} % / {} % of the base \
+             design as overhead cells (`MONOLITHIC_{{LUT,FF,BRAM}}_OVERHEAD_PCT`, \
+             `synth/src/cost.rs`), standing in for the global optimization the \
+             paper's §V-C credits. Without it the two builds of a network use \
+             the same resources. Absolute DSP counts land on the paper's (~2k \
+             for VGG); utilization percentages read lower because our modeled \
+             device carries more capacity (see DESIGN.md).\n",
+            cost::MONOLITHIC_LUT_OVERHEAD_PCT,
+            cost::MONOLITHIC_FF_OVERHEAD_PCT,
+            cost::MONOLITHIC_BRAM_OVERHEAD_PCT
+        ),
     }
 }
 
@@ -683,7 +691,8 @@ pub fn ablation_cle() -> Section {
 }
 
 /// A1 — ablation over the function-optimization design considerations the
-/// paper lists in §IV-A (port planning, pblock tightness, DSE width).
+/// paper lists in §IV-A (pblock tightness, DSE width). Port planning has no
+/// row: a pin off the pblock boundary fails the checkpoint judge.
 pub fn ablation_flow_options() -> Section {
     let device = device();
     let network = pi_cnn::models::lenet5();
@@ -693,7 +702,6 @@ pub fn ablation_flow_options() -> Section {
             "default (planned ports, tight pblocks, 3 seeds)",
             lenet_cfg(),
         ),
-        ("no port planning", lenet_cfg().with_plan_partpins(false)),
         (
             "loose pblocks (25% target utilization)",
             lenet_cfg().with_pblock_utilization(0.25),
@@ -734,9 +742,10 @@ pub fn ablation_flow_options() -> Section {
                 "generation time",
             ],
             &rows,
-        ) + "\nUnplanned ports leave partition pins wherever the pblock put \
-             them, so the stitched boundary wires lengthen — the paper's \
-             warning about strategic port planning. Loose pblocks waste area \
+        ) + "\nPort planning has no row: a partition pin anywhere but the \
+             pblock boundary ring fails the checkpoint judge, so no seed of \
+             an unplanned component is ever stored — the paper's warning \
+             about strategic port planning, enforced. Loose pblocks waste area \
              and relocation flexibility for little or no frequency benefit. \
              The seed sweep is the paper's performance-exploration loop: more \
              seeds never hurt.\n",

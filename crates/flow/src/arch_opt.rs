@@ -465,7 +465,7 @@ mod tests {
     }
 
     /// Corrupt every checkpoint through the serde envelope (the in-memory
-    /// module is locked): unlock it, which breaks PL0302 and PL0317.
+    /// module is locked): unlock it, which breaks PL0317.
     fn unlocked(db: &ComponentDb) -> ComponentDb {
         let mut broken = ComponentDb::new();
         for cp in db.checkpoints() {
@@ -487,7 +487,7 @@ mod tests {
         match err {
             crate::FlowError::LintFailed(report) => {
                 assert!(
-                    report.diagnostics.iter().any(|d| d.code == "PL0302"),
+                    report.diagnostics.iter().any(|d| d.code == "PL0317"),
                     "{report:?}"
                 );
             }

@@ -65,8 +65,6 @@ pub struct FlowConfig {
     pub pblock_utilization: f64,
     /// Placement effort for component (OOC) placement.
     pub effort: f64,
-    /// Strategic partition-pin planning (ablation A1 turns this off).
-    pub plan_partpins: bool,
     pub route: RouteOptions,
     /// Eq. 1–3 component-placer options for the architecture phase.
     pub placer: ComponentPlacerOptions,
@@ -98,9 +96,10 @@ pub struct FlowConfig {
     /// relevant `pi-lint` passes at stage boundaries (network before
     /// function optimization, database after it, composed design after —
     /// never instead of — the physical DRC) and fail with
-    /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the default) runs no lints — the
-    /// ablation flows legitimately violate contracts the linter enforces
-    /// (e.g. scattered partition pins).
+    /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the
+    /// default) runs no lints; the flow's legality verdicts
+    /// (`check_checkpoint` at admission, `check_design` on the design) run
+    /// either way.
     ///
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// linting observes checkpoints, it never changes what they contain.
@@ -122,7 +121,6 @@ impl Default for FlowConfig {
             seeds: vec![1, 2, 3],
             pblock_utilization: 0.7,
             effort: 2.0,
-            plan_partpins: true,
             route: RouteOptions::default(),
             placer: ComponentPlacerOptions::default(),
             baseline_effort: 6.0,
@@ -163,11 +161,6 @@ impl FlowConfig {
 
     pub fn with_effort(mut self, effort: f64) -> Self {
         self.effort = effort;
-        self
-    }
-
-    pub fn with_plan_partpins(mut self, plan: bool) -> Self {
-        self.plan_partpins = plan;
         self
     }
 
@@ -225,10 +218,10 @@ impl FlowConfig {
 
     /// Stable fingerprint of every knob that affects what a pre-implemented
     /// checkpoint *is*: synthesis options, granularity, the seed sweep,
-    /// pblock utilization, placement effort, port planning and routing
-    /// options. Combined with the component signature and device
-    /// part by [`pi_stitch::cache_key`] (the part's name also keys its
-    /// track capacity), it keys the persistent cache —
+    /// pblock utilization, placement effort and routing options. Combined
+    /// with the component signature and device part by
+    /// [`pi_stitch::cache_key`] (the part's name also keys its track
+    /// capacity), it keys the persistent cache —
     /// change any of these knobs and every lookup misses cleanly instead of
     /// serving a checkpoint built under different rules.
     ///
@@ -254,7 +247,6 @@ impl FlowConfig {
         }
         h.write_f64(self.pblock_utilization);
         h.write_f64(self.effort);
-        h.write_bool(self.plan_partpins);
         h.write_usize(self.route.max_iters);
         h.finish()
     }
@@ -380,10 +372,6 @@ mod tests {
                 .cache_fingerprint()
         );
         assert_ne!(fp, base.clone().with_effort(3.0).cache_fingerprint());
-        assert_ne!(
-            fp,
-            base.clone().with_plan_partpins(false).cache_fingerprint()
-        );
         assert_ne!(
             fp,
             base.clone()

@@ -16,7 +16,10 @@
 //! * **clock routing**: the checkpoint records a partially routed clock so
 //!   OOC timing analysis is meaningful,
 //! * **logic locking**: placement and routing are frozen before the DCP is
-//!   written to the database.
+//!   written to the database,
+//! * **admission**: a seed is a candidate only if its locked checkpoint
+//!   passes the judge ([`pi_stitch::check_checkpoint`]); a component none
+//!   of whose seeds passes is `FlowError::ComponentUnsatisfiable`.
 
 use crate::config::FlowConfig;
 use crate::FlowError;
@@ -25,7 +28,7 @@ use pi_fabric::{Device, Pblock, ResourceCount, TileCoord};
 use pi_netlist::{Checkpoint, CheckpointMeta, Endpoint, Module};
 use pi_obs::Obs;
 use pi_pnr::{place_module_obs, route_module_obs, sta_module, PlaceOptions};
-use pi_stitch::{cache_key, CacheLookup, ComponentDb, DbCache};
+use pi_stitch::{cache_key, check_checkpoint, CacheLookup, ComponentDb, DbCache, Violation};
 use pi_synth::synth_component;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -132,9 +135,9 @@ pub fn size_pblock(
 }
 
 /// Strategic port planning: put each port's partition pin on the pblock
-/// boundary tile nearest the centroid of the cells it connects to. Badly
-/// planned ports (the ablation's alternative) land wherever, and the
-/// stitched design pays in boundary wire length.
+/// boundary tile nearest the centroid of the cells it connects to. A pin
+/// anywhere else is off the boundary ring, which the checkpoint judge
+/// ([`pi_stitch::check_checkpoint`]) rejects.
 pub fn plan_partpins(module: &mut Module, pblock: &Pblock) -> Result<(), FlowError> {
     // Centroid of connected placed cells, per port.
     let mut targets: Vec<Option<TileCoord>> = vec![None; module.ports().len()];
@@ -169,34 +172,13 @@ pub fn plan_partpins(module: &mut Module, pblock: &Pblock) -> Result<(), FlowErr
         // edge and *leave* through the top edge, at the column nearest the
         // logic they feed. Components stacked in schedule order then connect
         // across short boundary wires — this is what "strategic port
-        // planning" buys, and the un-planned ablation shows what it costs.
+        // planning" buys.
         let col = centroid.col.clamp(pblock.col_lo, pblock.col_hi);
         let row = match port.role {
             pi_netlist::StreamRole::Sink => pblock.row_hi,
             _ => pblock.row_lo,
         };
         port.partpin = Some(TileCoord::new(col, row));
-    }
-    Ok(())
-}
-
-/// The un-planned alternative (ablation A1): the OOC tool placed the ports
-/// "anywhere in the p-block" (paper §IV-A) — modeled as a deterministic
-/// hash-scatter over the pblock interior. The stitched design then pays for
-/// boundary wires that start deep inside the components.
-pub fn scatter_partpins(module: &mut Module, pblock: &Pblock) -> Result<(), FlowError> {
-    let ports = module.ports_mut()?;
-    for (pi, port) in ports.iter_mut().enumerate() {
-        // FNV-ish hash of the port name + index for a stable pseudo-random
-        // interior position.
-        let mut h = 0xcbf29ce484222325u64;
-        for b in port.name.bytes().chain([pi as u8]) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let col = pblock.col_lo + (h % u64::from(pblock.width())) as u16;
-        let row = pblock.row_lo + ((h >> 32) % u64::from(pblock.height())) as u16;
-        port.partpin = Some(pi_fabric::TileCoord::new(col, row));
     }
     Ok(())
 }
@@ -221,8 +203,9 @@ pub fn build_component(
 /// Pre-implement an already synthesized module — a kernel, a replicated
 /// engine, anything that is not one of a network's components — through
 /// the same sweep as [`build_component`]: size its pblock, run every seed,
-/// lock the best. `signature` names the report and the telemetry and, with
-/// `latency_cycles`, goes into the checkpoint's meta.
+/// keep the best one the judge admits. `signature` names the report and
+/// the telemetry and, with `latency_cycles`, goes into the checkpoint's
+/// meta.
 pub fn pre_implement(
     module: Module,
     signature: &str,
@@ -274,26 +257,45 @@ impl Synthesized {
             synth_time: t0.elapsed(),
         })
     }
+
+    /// The checkpoint envelope of an implementation of this netlist.
+    fn meta(&self, fmax_mhz: f64, resources: ResourceCount, device: &Device) -> CheckpointMeta {
+        CheckpointMeta {
+            signature: self.signature.clone(),
+            fmax_mhz,
+            resources,
+            pblock: self.pblock,
+            device: device.name().to_string(),
+            latency_cycles: self.latency_cycles,
+        }
+    }
 }
+
+/// A seed's locked implementation and its Fmax, or the first violation the
+/// checkpoint judge found in it.
+type Admission = Result<(f64, Module), Violation>;
 
 /// One placement seed's implementation of a netlist, with the telemetry
 /// it buffered and the time it took.
 struct SeedRun {
-    result: Result<(f64, Module), FlowError>,
+    result: Result<Admission, FlowError>,
     telemetry: pi_obs::BufferedObs,
     time: Duration,
 }
 
 /// Implement `syn`'s netlist with placement seed `seed`: plan ports, place
-/// inside the pblock, route, and time it. Deterministic in the seed, and
-/// blind to every module, cell and net name. Emits only through `obs`.
+/// inside the pblock, route, time it, mark the clock pre-routed and lock
+/// it, then judge the checkpoint it would be
+/// ([`pi_stitch::check_checkpoint`]). Deterministic in the seed, and blind
+/// to every module, cell and net name. Emits only through `obs`, and
+/// reports `seed_rejected` when the judge rejects the seed.
 fn implement_seed(
     syn: &Synthesized,
     seed: u64,
     device: &Device,
     cfg: &FlowConfig,
     obs: &Obs,
-) -> Result<(f64, Module), FlowError> {
+) -> Result<Admission, FlowError> {
     let pblock = syn.pblock;
     let mut m = syn.proto.clone();
     m.pblock = Some(pblock);
@@ -302,11 +304,7 @@ fn implement_seed(
     // so the boundary paths the stitched design will pay for stay
     // short. A refinement pass afterwards snaps the pin columns to the
     // placed logic.
-    if cfg.plan_partpins {
-        plan_partpins(&mut m, &pblock)?;
-    } else {
-        scatter_partpins(&mut m, &pblock)?;
-    }
+    plan_partpins(&mut m, &pblock)?;
     place_module_obs(
         &mut m,
         device,
@@ -317,9 +315,7 @@ fn implement_seed(
         },
         obs,
     )?;
-    if cfg.plan_partpins {
-        plan_partpins(&mut m, &pblock)?;
-    }
+    plan_partpins(&mut m, &pblock)?;
     let (_, congestion) = route_module_obs(&mut m, device, &cfg.route, &obs.with_seed(seed))?;
     let timing = sta_module(&m, device, Some(&congestion))?;
     let dse = obs.scoped("flow::function_opt");
@@ -333,7 +329,28 @@ fn implement_seed(
             ],
         );
     }
-    Ok((timing.fmax_mhz, m))
+    // Clock pre-route marker + logic locking.
+    m.clock_prerouted = true;
+    m.lock();
+    let checkpoint = Checkpoint {
+        meta: syn.meta(timing.fmax_mhz, m.resources(), device),
+        module: m,
+    };
+    let verdict = check_checkpoint(&checkpoint, device)?;
+    let Some(first) = verdict.into_iter().next() else {
+        return Ok(Ok((timing.fmax_mhz, checkpoint.module)));
+    };
+    if dse.enabled() {
+        dse.with_seed(seed).point(
+            "seed_rejected",
+            &[
+                ("component", syn.name.as_str().into()),
+                ("seed", seed.into()),
+                ("violation", first.to_string().into()),
+            ],
+        );
+    }
+    Ok(Err(first))
 }
 
 /// Synthesize `components` and size their pblocks in parallel, then run
@@ -373,14 +390,17 @@ fn build_components(
 /// one pblock as well, and only its first member is implemented. One
 /// parallel map runs every (group, seed) item, largest netlist first and
 /// one item per task, so the longest anneals start first and no task
-/// queues two of them. Each item buffers its telemetry.
+/// queues two of them. Each item buffers its telemetry, and locks and
+/// judges its seed's checkpoint ([`implement_seed`]).
 ///
 /// Back in input order, a group's first member flushes its seeds' buffers
-/// in seed order, locks the best-Fmax seed (the first on a tie) and
-/// reports `component_built`. Every later member gets that module under
-/// its own module, cell and net names, with its own signature and latency
-/// in the meta, and reports `reused_from` and `seeds_tried: 0`. Placement,
-/// routing and timing read no name, so the shared checkpoint is byte for
+/// in seed order, keeps the best-Fmax admitted seed (the first on a tie)
+/// and reports `component_built`; when the judge admitted none, the member
+/// is `ComponentUnsatisfiable`, naming the first rejected seed's first
+/// violation. Every later member gets that module under its own module,
+/// cell and net names, with its own signature and latency in the meta,
+/// and reports `reused_from` and `seeds_tried: 0`. Placement, routing and
+/// timing read no name, so the shared checkpoint is byte for
 /// byte the one implementing that member separately would produce. Results
 /// and the event stream are identical at any `PI_THREADS`; the first error
 /// in input order is returned.
@@ -443,15 +463,19 @@ fn sweep(
             // Groups are numbered in order of their first member, so this
             // group's seeds are the next `n_seeds` runs.
             let mut best: Option<(f64, Module)> = None;
+            let mut rejected: Option<Violation> = None;
             let mut failed: Option<FlowError> = None;
             for run in runs.by_ref().take(n_seeds) {
                 run.telemetry.flush_into(obs);
                 build_time += run.time;
                 match run.result {
-                    Ok((fmax, m)) => {
+                    Ok(Ok((fmax, m))) => {
                         if best.as_ref().is_none_or(|(b, _)| fmax > *b) {
                             best = Some((fmax, m));
                         }
+                    }
+                    Ok(Err(v)) => {
+                        rejected.get_or_insert(v);
                     }
                     Err(e) => {
                         failed.get_or_insert(e);
@@ -463,10 +487,13 @@ fn sweep(
                 (Some(e), _) => Err(e),
                 (None, None) => Err(FlowError::ComponentUnsatisfiable {
                     component: syn.name.clone(),
-                    reason: "no placement seeds supplied".to_string(),
+                    reason: match rejected {
+                        Some(v) => format!("the checkpoint judge rejected every seed; first: {v}"),
+                        None => "no placement seeds supplied".to_string(),
+                    },
                 }),
             };
-            let (fmax, mut m) = match winner {
+            let (fmax, m) = match winner {
                 Ok(best) => best,
                 Err(e) => {
                     winners.push(None);
@@ -474,9 +501,6 @@ fn sweep(
                     continue;
                 }
             };
-            // Clock pre-route marker + logic locking.
-            m.clock_prerouted = true;
-            m.lock();
             winners.push(Some((fmax, m.clone())));
             (fmax, m, n_seeds, None)
         } else {
@@ -487,14 +511,7 @@ fn sweep(
             let from = synthesized[owners[g]].name.clone();
             (*fmax, m.renamed_like(&syn.proto), 0, Some(from))
         };
-        let meta = CheckpointMeta {
-            signature: syn.signature.clone(),
-            fmax_mhz: fmax,
-            resources: module.resources(),
-            pblock: syn.pblock,
-            device: device.name().to_string(),
-            latency_cycles: syn.latency_cycles,
-        };
+        let meta = syn.meta(fmax, module.resources(), device);
         let report = ComponentBuildReport {
             name: syn.name.clone(),
             signature: meta.signature.clone(),
@@ -564,7 +581,7 @@ pub(crate) fn lint_gate_db(
 ) -> Result<(), FlowError> {
     let Some(lc) = &cfg.lint else { return Ok(()) };
     let engine = pi_lint::LintEngine::new(lc.clone());
-    let report = engine.lint_db_for_network(network, cfg.granularity, db, Some(device), cfg.obs());
+    let report = engine.lint_db_for_network(network, cfg.granularity, db, device, cfg.obs())?;
     if report.gate(lc.deny_warnings) {
         return Err(FlowError::LintFailed(report));
     }
@@ -821,32 +838,6 @@ mod tests {
         for c in network.components(Granularity::Layer).unwrap() {
             assert!(db.get(&c.signature(&network)).is_some());
         }
-    }
-
-    #[test]
-    fn scattered_partpins_land_inside_the_pblock_deterministically() {
-        let device = Device::xcku5p_like();
-        let network = models::toy();
-        let comps = network.components(Granularity::Layer).unwrap();
-        let opts = FlowConfig::new().with_seeds([1]).with_plan_partpins(false);
-        let (cp1, _) = build_component(&network, &comps[0], &device, &opts).unwrap();
-        let (cp2, _) = build_component(&network, &comps[0], &device, &opts).unwrap();
-        for (p1, p2) in cp1.module.ports().iter().zip(cp2.module.ports()) {
-            let pin = p1.partpin.expect("scattered");
-            assert!(cp1.meta.pblock.contains(pin), "{pin} outside pblock");
-            assert_eq!(p1.partpin, p2.partpin, "scatter must be deterministic");
-        }
-        // At least one scattered pin sits off the pblock boundary — that is
-        // the point of the un-planned model.
-        let pb = cp1.meta.pblock;
-        let interior = cp1.module.ports().iter().any(|p| {
-            let pin = p.partpin.expect("scattered");
-            pin.col != pb.col_lo
-                && pin.col != pb.col_hi
-                && pin.row != pb.row_lo
-                && pin.row != pb.row_hi
-        });
-        assert!(interior, "scatter produced only boundary pins");
     }
 
     #[test]

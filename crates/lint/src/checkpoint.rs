@@ -1,20 +1,22 @@
-//! Checkpoint and component-database lints (`PL03xx`), plus the fold of
-//! [`pi_stitch::Violation`] physical DRC results into diagnostics
-//! (`PL031x`).
+//! Checkpoint and component-database lints (`PL03xx`): the fold of
+//! [`pi_stitch::Violation`] verdicts into diagnostics, plus the database's
+//! coverage of a network.
 //!
 //! A pre-implemented flow lives or dies by its checkpoint contracts: a
 //! component can only be relocated and stitched if its internals are
 //! locked, its placement stays inside the envelope pblock, its stream
 //! ports sit on the pblock boundary ring, and its clock tree is already
-//! routed. These passes verify each `.dcp` envelope against exactly
-//! those contracts, before composition ever runs.
+//! routed. [`pi_stitch::check_checkpoint`] decides those contracts, as
+//! [`pi_stitch::check_design`] decides a design's; this module only prints
+//! the verdict, so no lint level or waiver can admit what the judge
+//! rejects.
 
 use crate::diag::Diagnostic;
 use pi_cnn::graph::{Component, Granularity};
 use pi_cnn::{cycles, Network};
 use pi_fabric::Device;
 use pi_netlist::Checkpoint;
-use pi_stitch::{ComponentDb, Violation};
+use pi_stitch::{check_checkpoint, ComponentDb, StitchError, Violation};
 
 /// Stable code for a folded physical DRC violation.
 pub fn violation_code(v: &Violation) -> &'static str {
@@ -29,6 +31,11 @@ pub fn violation_code(v: &Violation) -> &'static str {
         Violation::NotLocked { .. } => "PL0317",
         Violation::Unrouted { .. } => "PL0318",
         Violation::TileOverCapacity { .. } => "PL0319",
+        Violation::PblockMismatch { .. } => "PL0303",
+        Violation::NoPartpin { .. } => "PL0304",
+        Violation::ClockNotPrerouted { .. } => "PL0305",
+        Violation::DeviceMismatch { .. } => "PL0306",
+        Violation::MetaMismatch { .. } => "PL0307",
     }
 }
 
@@ -43,7 +50,8 @@ pub fn diagnose_violation(base: &str, v: &Violation) -> Diagnostic {
         }
         Violation::SiteConflict { a, .. } => format!("{base}/inst:{a}"),
         Violation::PblockOverlap { a, b } => format!("{base}/inst:{a}+{b}"),
-        Violation::PartpinOffPblock { instance, port, .. } => {
+        Violation::PartpinOffPblock { instance, port, .. }
+        | Violation::NoPartpin { instance, port } => {
             format!("{base}/inst:{instance}/port:{port}")
         }
         Violation::RouteOffGrid { net, .. } | Violation::Unrouted { net } => {
@@ -51,179 +59,27 @@ pub fn diagnose_violation(base: &str, v: &Violation) -> Diagnostic {
         }
         Violation::NotLocked { instance } => format!("{base}/inst:{instance}"),
         Violation::TileOverCapacity { at, .. } => format!("{base}/tile:{at}"),
+        Violation::PblockMismatch { instance, .. } => format!("{base}/inst:{instance}/pblock"),
+        Violation::ClockNotPrerouted { instance, .. } => format!("{base}/inst:{instance}/clock"),
+        Violation::DeviceMismatch { instance, .. } => format!("{base}/inst:{instance}/device"),
+        Violation::MetaMismatch { instance, .. } => format!("{base}/inst:{instance}/meta"),
     };
     Diagnostic::new(violation_code(v), origin, v.to_string())
 }
 
-/// Run every envelope-contract lint on one checkpoint. `device`, when
-/// given, is cross-checked against the envelope's recorded device.
-pub fn lint_checkpoint(checkpoint: &Checkpoint, device: Option<&Device>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let meta = &checkpoint.meta;
-    let module = &checkpoint.module;
-    let base = format!("checkpoint:{}", meta.signature);
-
-    // PL0302: reusable checkpoints must be frozen.
-    if !module.locked {
-        out.push(Diagnostic::new(
-            "PL0302",
-            base.clone(),
-            "checkpointed module is not locked",
-        ));
-    }
-
-    // PL0303: envelope pblock contract.
-    match module.pblock {
-        None => out.push(Diagnostic::new(
-            "PL0303",
-            format!("{base}/pblock"),
-            "module has no pblock but the envelope promises one",
-        )),
-        Some(pb) if pb != meta.pblock => out.push(Diagnostic::new(
-            "PL0303",
-            format!("{base}/pblock"),
-            format!(
-                "module pblock {:?} differs from envelope pblock {:?}",
-                pb, meta.pblock
-            ),
-        )),
-        Some(_) => {}
-    }
-    let strays = module
-        .cells()
+/// The checkpoint judge's verdict ([`check_checkpoint`]) on one
+/// checkpoint, folded through [`violation_code`]: the envelope contracts
+/// print as `PL0303`–`PL0307`, the physical rules as `PL0310`–`PL0319`.
+pub fn lint_checkpoint(
+    checkpoint: &Checkpoint,
+    device: &Device,
+) -> Result<Vec<Diagnostic>, StitchError> {
+    let base = format!("checkpoint:{}", checkpoint.meta.signature);
+    let verdict = check_checkpoint(checkpoint, device)?;
+    Ok(verdict
         .iter()
-        .filter(|c| c.placement.is_some_and(|at| !meta.pblock.contains(at)))
-        .count();
-    if strays > 0 {
-        out.push(Diagnostic::new(
-            "PL0303",
-            format!("{base}/placement"),
-            format!("{strays} placed cell(s) outside the envelope pblock"),
-        ));
-    }
-
-    // PL0304: stream ports must carry partition pins on the pblock
-    // boundary ring — that is what makes relocation + stitching legal.
-    for port in module.ports() {
-        let origin = format!("{base}/port:{}", port.name);
-        match port.partpin {
-            None => out.push(Diagnostic::new(
-                "PL0304",
-                origin,
-                format!("port `{}` has no partition pin", port.name),
-            )),
-            Some(pin) => {
-                if !meta.pblock.on_ring(pin) {
-                    out.push(Diagnostic::new(
-                        "PL0304",
-                        origin,
-                        format!(
-                            "partition pin of `{}` at {pin} is off the pblock boundary ring",
-                            port.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // PL0305: clock contract — a clock port exists and the tree is
-    // pre-routed (the flow's skew guarantee across relocated components).
-    let has_clock = module
-        .ports_with_role(pi_netlist::StreamRole::Clock)
-        .next()
-        .is_some();
-    if !has_clock {
-        out.push(Diagnostic::new(
-            "PL0305",
-            format!("{base}/clock"),
-            "checkpoint has no clock port",
-        ));
-    }
-    if !module.clock_prerouted {
-        out.push(Diagnostic::new(
-            "PL0305",
-            format!("{base}/clock"),
-            "clock tree is not pre-routed",
-        ));
-    }
-
-    // PL0306: the envelope's device must match the device we lint for.
-    if let Some(dev) = device {
-        if meta.device != dev.name() {
-            out.push(Diagnostic::new(
-                "PL0306",
-                format!("{base}/device"),
-                format!(
-                    "envelope targets device `{}` but the flow runs on `{}`",
-                    meta.device,
-                    dev.name()
-                ),
-            ));
-        }
-    }
-
-    // PL0307: envelope metadata must agree with the module it wraps.
-    if module.resources() != meta.resources {
-        out.push(Diagnostic::new(
-            "PL0307",
-            format!("{base}/resources"),
-            format!(
-                "envelope resources {:?} differ from module resources {:?}",
-                meta.resources,
-                module.resources()
-            ),
-        ));
-    }
-    if !meta.fmax_mhz.is_finite() || meta.fmax_mhz <= 0.0 {
-        out.push(Diagnostic::new(
-            "PL0307",
-            format!("{base}/fmax"),
-            format!("envelope Fmax {} MHz is not positive", meta.fmax_mhz),
-        ));
-    }
-
-    // PL0308: a reusable checkpoint is fully implemented by definition.
-    if !module.fully_placed() {
-        out.push(Diagnostic::new(
-            "PL0308",
-            base.clone(),
-            "module is not fully placed",
-        ));
-    }
-    if !module.fully_routed() {
-        out.push(Diagnostic::new(
-            "PL0308",
-            base.clone(),
-            "module is not fully routed",
-        ));
-    }
-    out
-}
-
-/// Cross-checkpoint consistency: every envelope in a database must name
-/// the same device (PL0306) — mixing parts makes relocation meaningless.
-pub fn lint_db_consistency(db: &ComponentDb) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut first: Option<(&str, &str)> = None;
-    for cp in db.checkpoints() {
-        match first {
-            None => first = Some((cp.meta.signature.as_str(), cp.meta.device.as_str())),
-            Some((sig0, dev0)) => {
-                if cp.meta.device != dev0 {
-                    out.push(Diagnostic::new(
-                        "PL0306",
-                        format!("checkpoint:{}/device", cp.meta.signature),
-                        format!(
-                            "device `{}` disagrees with `{}` (from `{sig0}`)",
-                            cp.meta.device, dev0
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
+        .map(|v| diagnose_violation(&base, v))
+        .collect())
 }
 
 /// PL0301: every component the network needs must have a checkpoint.
@@ -338,6 +194,28 @@ mod tests {
                 routes: 65,
                 capacity: 64,
             },
+            Violation::PblockMismatch {
+                instance: "i".into(),
+                module: None,
+                envelope: pi_fabric::Pblock::new(1, 16, 0, 7),
+            },
+            Violation::NoPartpin {
+                instance: "i".into(),
+                port: "p".into(),
+            },
+            Violation::ClockNotPrerouted {
+                instance: "i".into(),
+                clock_port: true,
+            },
+            Violation::DeviceMismatch {
+                instance: "i".into(),
+                envelope: "a".into(),
+                device: "b".into(),
+            },
+            Violation::MetaMismatch {
+                instance: "i".into(),
+                detail: "d".into(),
+            },
         ];
         let diags: Vec<Diagnostic> = cases
             .iter()
@@ -346,11 +224,11 @@ mod tests {
         let codes = codes_of(&diags);
         let expect = vec![
             "PL0310", "PL0311", "PL0312", "PL0313", "PL0314", "PL0315", "PL0316", "PL0317",
-            "PL0318", "PL0319",
+            "PL0318", "PL0319", "PL0303", "PL0304", "PL0305", "PL0306", "PL0307",
         ];
         assert_eq!(codes, expect, "one distinct code per variant");
         // Every fold is an error by default.
         let report = LintReport::from_raw(diags, &LintConfig::new());
-        assert_eq!(report.errors(), 10);
+        assert_eq!(report.errors(), 15);
     }
 }

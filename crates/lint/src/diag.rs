@@ -7,8 +7,11 @@
 //! would silently invalidate waiver files and CI greps downstream. A
 //! retired code's number is never reused; naming one is "unknown lint
 //! code". Retired: `PL0140` / `PL0141` (they policed the star router,
-//! since deleted) and `PL0400` / `PL0401` (undersized link FIFOs — the
-//! flow sizes every link from the rate model, so neither can fire).
+//! since deleted), `PL0400` / `PL0401` (undersized link FIFOs — the
+//! flow sizes every link from the rate model, so neither can fire) and
+//! `PL0302` / `PL0308` (an unlocked or unimplemented checkpoint — the
+//! checkpoint judge's verdict prints those as `PL0317` / `PL0310` /
+//! `PL0318`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -225,26 +228,17 @@ pub const REGISTRY: &[LintCode] = &[
                   component database",
     },
     LintCode {
-        code: "PL0302",
-        name: "checkpoint-unlocked",
-        default: Level::Deny,
-        summary: "a checkpointed module is not locked (placement and routing \
-                  must be frozen before reuse)",
-    },
-    LintCode {
         code: "PL0303",
         name: "pblock-contract",
         default: Level::Deny,
-        summary: "a checkpoint breaks its pblock contract: module pblock \
-                  absent or different from the envelope, or placed cells \
-                  outside it",
+        summary: "a checkpoint's module pblock is absent or differs from its \
+                  envelope's",
     },
     LintCode {
         code: "PL0304",
         name: "partpin-contract",
         default: Level::Deny,
-        summary: "a stream port has no partition pin or its pin is off the \
-                  pblock boundary ring",
+        summary: "a checkpoint port has no partition pin",
     },
     LintCode {
         code: "PL0305",
@@ -257,8 +251,8 @@ pub const REGISTRY: &[LintCode] = &[
         code: "PL0306",
         name: "device-mismatch",
         default: Level::Deny,
-        summary: "checkpoints disagree about the target device, or differ \
-                  from the device being linted against",
+        summary: "a checkpoint targets another device than the one it is \
+                  judged for",
     },
     LintCode {
         code: "PL0307",
@@ -268,18 +262,14 @@ pub const REGISTRY: &[LintCode] = &[
                   wraps (resource counts, non-positive Fmax) or with the rate \
                   model of the component it serves (latency cycles, DSPs)",
     },
-    LintCode {
-        code: "PL0308",
-        name: "incomplete-impl",
-        default: Level::Deny,
-        summary: "a checkpointed module is not fully placed and routed",
-    },
-    // ---- PL031x: physical DRC (folded from stitch::verify) ----
+    // ---- PL031x: physical DRC of a design or a checkpoint (folded from
+    // stitch::verify) ----
     LintCode {
         code: "PL0310",
         name: "drc-unplaced-cell",
         default: Level::Deny,
-        summary: "a cell in an assembled design has no placement",
+        summary: "a cell in an assembled design or a checkpoint has no \
+                  placement",
     },
     LintCode {
         code: "PL0311",
@@ -321,13 +311,13 @@ pub const REGISTRY: &[LintCode] = &[
         code: "PL0317",
         name: "drc-not-locked",
         default: Level::Deny,
-        summary: "an assembled instance is not locked",
+        summary: "an assembled instance or a checkpoint is not locked",
     },
     LintCode {
         code: "PL0318",
         name: "drc-unrouted",
         default: Level::Deny,
-        summary: "a top-level net in an assembled design has no route",
+        summary: "a net in an assembled design or a checkpoint has no route",
     },
     LintCode {
         code: "PL0319",

@@ -14,9 +14,7 @@
 //! order (the `pi-obs` determinism contract) — so a lint run's event
 //! stream and report are byte-identical at any `PI_THREADS`.
 
-use crate::checkpoint::{
-    diagnose_violation, lint_checkpoint, lint_db_consistency, lint_db_coverage,
-};
+use crate::checkpoint::{diagnose_violation, lint_checkpoint, lint_db_coverage};
 use crate::diag::{Diagnostic, LintConfig};
 use crate::graph::lint_network;
 use crate::netlist::{lint_design_structure, lint_module};
@@ -26,7 +24,7 @@ use pi_cnn::Network;
 use pi_fabric::Device;
 use pi_netlist::{Checkpoint, Design};
 use pi_obs::{Obs, Value};
-use pi_stitch::{ComponentDb, Violation};
+use pi_stitch::{ComponentDb, StitchError, Violation};
 use rayon::prelude::*;
 
 /// A saturating interval `[lo, hi]` of cycle counts — the value domain of
@@ -261,43 +259,54 @@ impl LintEngine {
         self.finalize("module", lint_module(origin_base, module), obs)
     }
 
-    /// Checkpoint-family pass (`PL03xx`) plus the netlist pass on the
-    /// wrapped module, for one checkpoint.
+    /// Checkpoint-family pass (`PL03xx`, the checkpoint judge's verdict
+    /// against `device`) plus the netlist pass on the wrapped module, for
+    /// one checkpoint.
     pub fn lint_checkpoint(
         &self,
         checkpoint: &Checkpoint,
-        device: Option<&Device>,
+        device: &Device,
         obs: &Obs,
-    ) -> LintReport {
-        self.finalize("checkpoint", self.checkpoint_raw(checkpoint, device), obs)
+    ) -> Result<LintReport, StitchError> {
+        let raw = self.checkpoint_raw(checkpoint, device)?;
+        Ok(self.finalize("checkpoint", raw, obs))
     }
 
-    fn checkpoint_raw(&self, checkpoint: &Checkpoint, device: Option<&Device>) -> Vec<Diagnostic> {
-        let mut raw = lint_checkpoint(checkpoint, device);
+    fn checkpoint_raw(
+        &self,
+        checkpoint: &Checkpoint,
+        device: &Device,
+    ) -> Result<Vec<Diagnostic>, StitchError> {
+        let mut raw = lint_checkpoint(checkpoint, device)?;
         let base = format!("checkpoint:{}/module", checkpoint.meta.signature);
         raw.extend(lint_module(&base, &checkpoint.module));
-        raw
+        Ok(raw)
     }
 
-    /// Lint every checkpoint in a database (parallel fan-out) plus the
-    /// cross-checkpoint consistency pass.
-    pub fn lint_db(&self, db: &ComponentDb, device: Option<&Device>, obs: &Obs) -> LintReport {
+    /// Lint every checkpoint in a database (parallel fan-out). A checkpoint
+    /// on another device than `device` is `PL0306`, so a database mixing
+    /// parts reports every checkpoint not on the one it is linted for.
+    pub fn lint_db(
+        &self,
+        db: &ComponentDb,
+        device: &Device,
+        obs: &Obs,
+    ) -> Result<LintReport, StitchError> {
         // ComponentDb iterates in BTreeMap (signature) order, so the
         // fan-out input — and therefore the flush order and the final
         // report — is deterministic.
         let items: Vec<(&Checkpoint, pi_obs::BufferedObs)> =
             db.checkpoints().map(|cp| (cp, obs.buffered())).collect();
-        let linted: Vec<(Vec<Diagnostic>, pi_obs::BufferedObs)> = items
+        let linted: Vec<(Result<Vec<Diagnostic>, StitchError>, pi_obs::BufferedObs)> = items
             .into_par_iter()
             .map(|(cp, buf)| (self.checkpoint_raw(cp, device), buf))
             .collect();
         let mut raw = Vec::new();
         for (diags, buf) in linted {
             buf.flush_into(obs);
-            raw.extend(diags);
+            raw.extend(diags?);
         }
-        raw.extend(lint_db_consistency(db));
-        self.finalize("db", raw, obs)
+        Ok(self.finalize("db", raw, obs))
     }
 
     /// [`Self::lint_db`] plus coverage (`PL0301`): every component the
@@ -307,17 +316,17 @@ impl LintEngine {
         network: &Network,
         granularity: Granularity,
         db: &ComponentDb,
-        device: Option<&Device>,
+        device: &Device,
         obs: &Obs,
-    ) -> LintReport {
-        let mut report = self.lint_db(db, device, obs);
+    ) -> Result<LintReport, StitchError> {
+        let mut report = self.lint_db(db, device, obs)?;
         let coverage = self.finalize(
             "db-coverage",
             lint_db_coverage(network, granularity, db),
             obs,
         );
         report.merge(coverage);
-        report
+        Ok(report)
     }
 
     /// Lint a composed design: top-level structure and every instance's

@@ -498,6 +498,12 @@ impl ModuleBuilder {
         nets.iter().filter(|n| n.sinks.contains(&sink)).count()
     }
 
+    /// Nets added so far that `source` drives.
+    pub fn fanout(&self, source: Endpoint) -> usize {
+        let nets = self.module.nets();
+        nets.iter().filter(|n| n.source == source).count()
+    }
+
     /// Number of cells added so far.
     pub fn cell_count(&self) -> usize {
         self.module.cells.len()

@@ -30,7 +30,7 @@ pub use placer::{
     place_components, place_components_obs, ComponentPlacerOptions, PlacementOutcome,
 };
 pub use relocate::{relocate_to, valid_anchor_columns};
-pub use verify::{check_design, Violation};
+pub use verify::{check_checkpoint, check_design, Violation};
 
 /// Errors from stitching.
 #[derive(Debug)]

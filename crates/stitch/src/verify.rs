@@ -1,5 +1,5 @@
-//! Design-rule checks for assembled designs — the flow's one legality
-//! verdict.
+//! Design-rule checks for assembled designs and for the checkpoints they
+//! are assembled from — the flow's one legality verdict.
 //!
 //! Composition has many moving parts (relocation, overlap-free component
 //! placement, partition pins, locked internals); this module verifies the
@@ -21,14 +21,21 @@
 //! judges [`pi_netlist::NetView::occupancy`], the count the router seeds
 //! from, against [`Device::route_capacity`].
 //!
+//! [`check_checkpoint`] is the same judge for one checkpoint: its module as
+//! a one-instance assembled design at its stored position, plus the
+//! envelope contracts only a checkpoint has (pblock, partition pins,
+//! clock, device, metadata). The function-optimization sweep admits a seed
+//! only when it passes, and `pi_lint` folds this verdict too (`PL0303`–
+//! `PL0307`).
+//!
 //! Site ownership is a dense per-tile grid of (instance, cell) indices, so
 //! the check over the locked interiors allocates one vector and formats no
 //! name: a hierarchical `instance/cell` tag is built only for a
 //! `SiteConflict` it reports.
 
 use crate::StitchError;
-use pi_fabric::{Device, TileCoord};
-use pi_netlist::{Design, NetView, PlacedNet, Slot};
+use pi_fabric::{Device, Pblock, TileCoord};
+use pi_netlist::{Checkpoint, Design, DesignKind, NetView, PlacedNet, Slot, StreamRole};
 use std::collections::HashMap;
 
 /// One DRC violation.
@@ -70,6 +77,25 @@ pub enum Violation {
         routes: u16,
         capacity: u16,
     },
+    /// A checkpoint's module pblock is missing or is not its envelope's.
+    PblockMismatch {
+        instance: String,
+        module: Option<Pblock>,
+        envelope: Pblock,
+    },
+    /// A checkpoint port has no partition pin.
+    NoPartpin { instance: String, port: String },
+    /// A checkpoint has no clock port, or its clock is not pre-routed.
+    ClockNotPrerouted { instance: String, clock_port: bool },
+    /// A checkpoint's envelope names another device.
+    DeviceMismatch {
+        instance: String,
+        envelope: String,
+        device: String,
+    },
+    /// A checkpoint's envelope metadata disagrees with its module, or its
+    /// Fmax is not a positive finite number.
+    MetaMismatch { instance: String, detail: String },
 }
 
 impl std::fmt::Display for Violation {
@@ -102,6 +128,35 @@ impl std::fmt::Display for Violation {
                 routes,
                 capacity,
             } => write!(f, "{routes} routes occupy tile {at}, capacity {capacity}"),
+            Violation::PblockMismatch {
+                instance,
+                module,
+                envelope,
+            } => write!(
+                f,
+                "module pblock {module:?} of {instance} differs from envelope pblock {envelope:?}"
+            ),
+            Violation::NoPartpin { instance, port } => {
+                write!(f, "port {instance}/{port} has no partition pin")
+            }
+            Violation::ClockNotPrerouted {
+                instance,
+                clock_port: false,
+            } => write!(f, "checkpoint {instance} has no clock port"),
+            Violation::ClockNotPrerouted { instance, .. } => {
+                write!(f, "clock tree of {instance} is not pre-routed")
+            }
+            Violation::DeviceMismatch {
+                instance,
+                envelope,
+                device,
+            } => write!(
+                f,
+                "checkpoint {instance} targets device `{envelope}` but the flow runs on `{device}`"
+            ),
+            Violation::MetaMismatch { instance, detail } => {
+                write!(f, "envelope of {instance}: {detail}")
+            }
         }
     }
 }
@@ -124,7 +179,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
     };
 
     for (ii, inst) in design.instances().iter().enumerate() {
-        if design.kind == pi_netlist::DesignKind::Assembled && !inst.module.locked {
+        if design.kind == DesignKind::Assembled && !inst.module.locked {
             violations.push(Violation::NotLocked {
                 instance: inst.name.clone(),
             });
@@ -253,6 +308,67 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
         }
     }
 
+    Ok(violations)
+}
+
+/// Judge one checkpoint: its module, named as itself, as a one-instance
+/// assembled design at its stored position ([`check_design`], so every
+/// physical rule applies, track capacity included), plus the envelope
+/// contracts that make it relocatable and reusable. Returns every
+/// violation found (empty = admissible).
+pub fn check_checkpoint(
+    checkpoint: &Checkpoint,
+    device: &Device,
+) -> Result<Vec<Violation>, StitchError> {
+    let (meta, module) = (&checkpoint.meta, &checkpoint.module);
+    let instance = || module.name.clone();
+    let mut violations = Vec::new();
+    if module.pblock != Some(meta.pblock) {
+        violations.push(Violation::PblockMismatch {
+            instance: instance(),
+            module: module.pblock,
+            envelope: meta.pblock,
+        });
+    }
+    for port in module.ports().iter().filter(|p| p.partpin.is_none()) {
+        violations.push(Violation::NoPartpin {
+            instance: instance(),
+            port: port.name.clone(),
+        });
+    }
+    let clock_port = module.ports_with_role(StreamRole::Clock).next().is_some();
+    if !clock_port || !module.clock_prerouted {
+        violations.push(Violation::ClockNotPrerouted {
+            instance: instance(),
+            clock_port,
+        });
+    }
+    if meta.device != device.name() {
+        violations.push(Violation::DeviceMismatch {
+            instance: instance(),
+            envelope: meta.device.clone(),
+            device: device.name().to_string(),
+        });
+    }
+    if meta.resources != module.resources() {
+        violations.push(Violation::MetaMismatch {
+            instance: instance(),
+            detail: format!(
+                "resources {:?} differ from the module's {:?}",
+                meta.resources,
+                module.resources()
+            ),
+        });
+    }
+    if !(meta.fmax_mhz.is_finite() && meta.fmax_mhz > 0.0) {
+        violations.push(Violation::MetaMismatch {
+            instance: instance(),
+            detail: format!("Fmax {} MHz is not positive", meta.fmax_mhz),
+        });
+    }
+    let mut design = Design::new(&meta.signature, device.name(), DesignKind::Assembled);
+    design.add_instance(instance(), module.clone());
+    violations.extend(check_design(&design, device)?);
     Ok(violations)
 }
 

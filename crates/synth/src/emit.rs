@@ -30,6 +30,12 @@ pub fn out_slice() -> CellKind {
 /// Incoming nets an [`out_slice`] can take: its 8 six-input LUTs.
 const OUT_FANIN_BUDGET: usize = 8 * 6;
 
+/// Distinct nets one cell may drive. A cell has its tile to itself, so its
+/// routes leave through the four neighbouring tiles: 4 × 64 = 256 wires on
+/// every catalog part. The budget leaves 32 of them to routes passing
+/// through.
+pub const CELL_FANOUT_BUDGET: usize = 224;
+
 /// Feeds wired into one sink cell within [`OUT_FANIN_BUDGET`], the one
 /// fan-in rule every generator follows. When the sink's nets so far plus
 /// the announced feeds fit the budget, each feed is its own net into the

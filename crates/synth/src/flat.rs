@@ -2,7 +2,7 @@
 //! input of the traditional baseline flow.
 
 use crate::conv::emit_conv_engine;
-use crate::emit::FanIn;
+use crate::emit::{FanIn, CELL_FANOUT_BUDGET};
 use crate::fc::emit_fc_engine;
 use crate::memctrl::{emit_memctrl, CtrlSide};
 use crate::pool::{emit_pool_engine, emit_relu_stage};
@@ -93,6 +93,12 @@ pub fn synth_network_flat(
             .map(|n| n.div_ceil(16))
             .sum();
         let mut tails = FanIn::new(&b, cursor, chains);
+        // Each chain's head is its own net from the first controller,
+        // unless that would have the controller drive more nets than its
+        // tile can route out: then one net feeds every head.
+        let shared_head = b.fanout(first_cell_after_input) + chains > CELL_FANOUT_BUDGET;
+        let head_input = (!shared_head).then_some(first_cell_after_input);
+        let mut heads = Vec::new();
         let mut add_overhead = |b: &mut ModuleBuilder, tag: &str, n: usize, kind: CellKind| {
             let mut remaining = n;
             let mut g = 0usize;
@@ -103,8 +109,9 @@ pub fn synth_network_flat(
                     &format!("ovh_{tag}{g}"),
                     len,
                     |i| Cell::new(format!("ovh_{tag}{g}_{i}"), kind),
-                    Some(first_cell_after_input),
+                    head_input,
                 );
+                heads.push(Endpoint::Cell(chain[0]));
                 let tail = Endpoint::Cell(*chain.last().expect("len >= 1"));
                 tails.feed(b, format!("ovh_{tag}{g}_out"), tail);
                 remaining -= len;
@@ -125,6 +132,9 @@ pub fn synth_network_flat(
             CellKind::Slice { luts: 1, ffs: 16 },
         );
         add_overhead(&mut b, "bram", extra_brams, CellKind::Bram);
+        if shared_head {
+            b.connect("ovh_in", first_cell_after_input, heads);
+        }
         tails.finish(&mut b, "ovh_tail");
     }
 

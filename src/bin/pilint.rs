@@ -224,10 +224,11 @@ fn run() -> Result<ExitCode, String> {
             let mut report = match args.positional.first() {
                 Some(archdef) => {
                     let network = load_network(archdef)?;
-                    engine.lint_db_for_network(&network, granularity, &db, Some(&device), &obs)
+                    engine.lint_db_for_network(&network, granularity, &db, &device, &obs)
                 }
-                None => engine.lint_db(&db, Some(&device), &obs),
-            };
+                None => engine.lint_db(&db, &device, &obs),
+            }
+            .map_err(|e| e.to_string())?;
             finish(&mut report, &args)
         }
         "trace" => {
@@ -246,8 +247,9 @@ fn run() -> Result<ExitCode, String> {
             let network = load_network(archdef)?;
             let db = load_db(&args)?;
             let mut report = engine.lint_network(&network, granularity, &obs);
-            let coverage =
-                engine.lint_db_for_network(&network, granularity, &db, Some(&device), &obs);
+            let coverage = engine
+                .lint_db_for_network(&network, granularity, &db, &device, &obs)
+                .map_err(|e| e.to_string())?;
             report.merge(coverage);
             if report.errors() > 0 {
                 // A broken network or database cannot be composed; report

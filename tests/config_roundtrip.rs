@@ -81,7 +81,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         0.1f64..16.0,                                     // effort
     );
     let engines = (
-        pbool(),                                   // plan partpins
         1usize..40,                                // router iterations
         (0.0f64..500.0, 0.0f64..20.0, 0usize..12), // placer knobs
         0.5f64..16.0,                              // baseline effort
@@ -95,7 +94,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     (shape, engines, synth, cache, lint_strategy()).prop_map(
         |(
             (block, seeds, util, effort),
-            (partpins, max_iters, placer, baseline),
+            (max_iters, placer, baseline),
             (mono, width, on_chip),
             (threads, db_dir, budget),
             lint,
@@ -118,7 +117,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                 .with_seeds(seeds)
                 .with_pblock_utilization(util)
                 .with_effort(effort)
-                .with_plan_partpins(partpins)
                 .with_route(RouteOptions { max_iters })
                 .with_placer(ComponentPlacerOptions {
                     timing_threshold: placer.0,
@@ -192,7 +190,6 @@ fn every_knob_config() -> FlowConfig {
         .with_seeds([9, 4, 7])
         .with_pblock_utilization(0.55)
         .with_effort(3.5)
-        .with_plan_partpins(false)
         .with_route(RouteOptions { max_iters: 11 })
         .with_placer(ComponentPlacerOptions {
             timing_threshold: 123.5,
@@ -216,11 +213,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"plan_partpins":true,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"plan_partpins":false,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
     );
 }
 
@@ -300,6 +297,10 @@ fn malformed_configs_are_rejected_naming_the_field() {
         (
             "{\"placer\":{\"crowding_margin\":2}}",
             &["unknown key", "crowding_margin"],
+        ),
+        (
+            "{\"plan_partpins\":true}",
+            &["unknown key", "plan_partpins"],
         ),
         // Out-of-range integers used to be truncated with `as u16`.
         (

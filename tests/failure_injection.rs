@@ -114,6 +114,23 @@ fn router_reports_congestion_when_capacity_is_starved() {
 }
 
 #[test]
+fn a_component_the_judge_rejects_on_every_seed_is_unsatisfiable() {
+    // At one wire per tile no seed's routes fit, so the checkpoint judge
+    // rejects every seed and the sweep stores nothing it did not prove.
+    let device = Device::test_part().with_route_capacity("test-part-cap1", 1);
+    let network = parse_archdef("network one\ninput 1x8x8\nconv c1 kernel=3 out=2\n").unwrap();
+    let cfg = FlowConfig::new().with_seeds([1, 2]);
+    match build_component_db(&network, &device, &cfg) {
+        Err(FlowError::ComponentUnsatisfiable { component, reason }) => {
+            assert_eq!(component, "c1");
+            assert!(reason.contains(", capacity 1"), "{reason}");
+        }
+        Err(other) => panic!("expected ComponentUnsatisfiable, got {other}"),
+        Ok(_) => panic!("checkpoints over the track capacity were admitted"),
+    }
+}
+
+#[test]
 fn locked_modules_reject_mutation_everywhere() {
     let device = Device::xcku5p_like();
     let network = preimpl_cnn::cnn::models::toy();
@@ -467,27 +484,36 @@ fn a_checkpoint_carrying_a_route_offset_is_a_decode_error() {
 }
 
 /// Both arms face one judge: on a part with 24 wires per tile LeNet-5
-/// cannot be routed legally, and neither flow hands back its overused
-/// design as `Ok`.
+/// cannot be routed legally. The pre-implemented arm admits no checkpoint
+/// for it, and the baseline does not hand back its overused design as
+/// `Ok`.
 #[test]
 fn a_design_over_track_capacity_is_an_error_in_both_arms() {
     use preimpl_cnn::stitch::Violation;
     let device = Device::xcku5p_like().with_route_capacity("xcku5p-like-cap24", 24);
     let network = preimpl_cnn::cnn::models::lenet5();
     let cfg = FlowConfig::new().with_seeds([1]);
-    let over_capacity = |arm: &str, result: Result<Design, FlowError>| match result {
+    // The pre-implemented arm stops at admission: the judge rejects the
+    // first component's only seed for the tile it leaves over capacity.
+    match build_component_db(&network, &device, &cfg) {
+        Err(FlowError::ComponentUnsatisfiable { component, reason }) => {
+            assert_eq!(component, "conv1");
+            assert!(
+                reason.contains("routes occupy tile") && reason.contains(", capacity 24"),
+                "{reason}"
+            );
+        }
+        Err(other) => panic!("pre-implemented: expected ComponentUnsatisfiable, got {other}"),
+        Ok(_) => panic!("pre-implemented: over-capacity checkpoints were admitted"),
+    }
+    match run_baseline_flow(&network, &device, &cfg) {
         Err(FlowError::DrcFailed(violations)) => assert!(
             violations
                 .iter()
                 .any(|v| matches!(v, Violation::TileOverCapacity { capacity: 24, .. })),
-            "{arm}: {violations:?}"
+            "baseline: {violations:?}"
         ),
-        Err(other) => panic!("{arm}: expected DrcFailed, got {other}"),
-        Ok(_) => panic!("{arm}: an over-capacity design came back Ok"),
-    };
-    let (db, _) = build_component_db(&network, &device, &cfg).expect("components build");
-    let assembled = run_pre_implemented_flow(&network, &db, &device, &cfg);
-    over_capacity("pre-implemented", assembled.map(|(d, _)| d));
-    let flat = run_baseline_flow(&network, &device, &cfg);
-    over_capacity("baseline", flat.map(|(d, _)| d));
+        Err(other) => panic!("baseline: expected DrcFailed, got {other}"),
+        Ok(_) => panic!("baseline: an over-capacity design came back Ok"),
+    }
 }

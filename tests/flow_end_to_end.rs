@@ -238,3 +238,29 @@ fn a_replicated_engine_built_through_the_flow_stages_is_legal() {
     assert!(design.fully_routed());
     assert_eq!(check_design(&design, &device).expect("checks"), vec![]);
 }
+
+#[test]
+fn every_zoo_checkpoint_passes_the_checkpoint_judge() {
+    // The benchmark's zoo at its synthesis options and granularity, under
+    // the default seed sweep: whatever the build returns, the judge admits.
+    use preimpl_cnn::cnn::models;
+    use preimpl_cnn::stitch::check_checkpoint;
+    let device = Device::xcku5p_like();
+    let (lenet, vgg) = (SynthOptions::lenet_like(), SynthOptions::vgg_like());
+    for (network, synth, granularity) in [
+        (models::lenet5(), lenet, Granularity::Layer),
+        (models::cifar10_quick(), lenet, Granularity::Layer),
+        (models::resnet_small(), lenet, Granularity::Layer),
+        (models::alexnet_like(), vgg, Granularity::Layer),
+        (models::vgg16(), vgg, Granularity::Block),
+    ] {
+        let cfg = FlowConfig::new()
+            .with_synth(synth)
+            .with_granularity(granularity);
+        let (db, _) = build_component_db(&network, &device, &cfg).expect("zoo builds");
+        for cp in db.checkpoints() {
+            let verdict = check_checkpoint(cp, &device).expect("judges");
+            assert_eq!(verdict, vec![], "{} {}", network.name, cp.meta.signature);
+        }
+    }
+}

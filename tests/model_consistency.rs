@@ -3,6 +3,7 @@
 
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::cnn::{cycles, models};
+use preimpl_cnn::fabric::Device;
 use preimpl_cnn::netlist::{Endpoint, Module};
 use preimpl_cnn::synth::cle::{partition_conv_layers, synth_cle};
 use preimpl_cnn::synth::{
@@ -154,5 +155,58 @@ fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
     for kind in KernelKind::ALL {
         let module = synth_kernel(kind, 3, 3).expect("synthesizes");
         assert_fanin_within_budget(&module, kind.abbrev());
+    }
+}
+
+/// Distinct nets one cell may drive. A cell has its tile to itself, so its
+/// routes leave through the four neighbouring tiles: 4 × 64 = 256 wires on
+/// every catalog part, the hard ceiling. The bound leaves 32 of them to
+/// routes passing through; the widest cell it admits is AlexNet conv1's
+/// `mac120` DSP, at 213 nets.
+const CELL_FANOUT: usize = 224;
+
+/// Panic naming `what` when a cell of `module` drives more nets than
+/// [`CELL_FANOUT`].
+fn assert_fanout_within_budget(module: &Module, what: &str) {
+    let mut fanout = vec![0usize; module.cells().len()];
+    for net in module.nets() {
+        if let Endpoint::Cell(c) = net.source {
+            fanout[c.index()] += 1;
+        }
+    }
+    let (widest, &n) = fanout.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
+    assert!(
+        n <= CELL_FANOUT,
+        "{what}: cell {} drives {n} nets",
+        module.cells()[widest].name
+    );
+}
+
+#[test]
+fn no_synthesized_cell_drives_more_nets_than_its_tile_can_route_out() {
+    // Flat VGG-16's first source controller used to drive one net per
+    // monolithic overhead chain, 323 in all, which no router can fit
+    // through its four neighbours' 256 wires.
+    for part in ["xcku5p-like", "xcku060-like", "test-part"] {
+        let capacity = Device::catalog(part).unwrap().route_capacity();
+        assert!(CELL_FANOUT < 4 * usize::from(capacity), "{part}");
+    }
+    let vgg = SynthOptions::vgg_like();
+    for (network, opts) in [
+        (models::lenet5(), SynthOptions::lenet_like()),
+        (models::vgg16(), vgg),
+        (models::alexnet_like(), vgg),
+        (models::cifar10_quick(), vgg),
+        (models::resnet_small(), vgg),
+    ] {
+        for gran in [Granularity::Layer, Granularity::Block] {
+            for comp in &network.components(gran).expect("components") {
+                let module = synth_component(&network, comp, &opts).expect("synthesizes");
+                let what = format!("{} {gran:?} {}", network.name, comp.name);
+                assert_fanout_within_budget(&module, &what);
+            }
+            let flat = synth_network_flat(&network, gran, &opts.monolithic()).expect("synthesizes");
+            assert_fanout_within_budget(&flat, &format!("{} {gran:?} flat", network.name));
+        }
     }
 }
