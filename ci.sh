@@ -136,6 +136,39 @@ for code in PL0140 PL0302 PL0308 PL0400 PL0401; do
     echo "$retired_err" | grep -F "unknown lint code $code" >/dev/null \
         || { echo "$code rejected without naming it: $retired_err"; exit 1; }
 done
+# One network judge: the flow refuses exactly what the lint denies. Each
+# malformed network below — join operands that disagree, a one-operand
+# join, a zero-channel conv (also as a `--model` JSON descriptor) — is an
+# error naming its defect in `preimpl`, whatever the format, and the
+# `PL02xx` code that folds the same defect in `pilint` (exit 2).
+echo "==> network-judge parity: preimpl refuses what pilint denies"
+printf 'network mismatch\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nconv b kernel=3 pad=1 out=4 from=input\nadd j from=a,b\n' \
+    > "$smoke_dir/mismatch.txt"
+printf 'network unary\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a\n' \
+    > "$smoke_dir/unary.txt"
+printf 'network zero\ninput 1x8x8\nconv a kernel=3 out=0\n' > "$smoke_dir/zero.txt"
+printf '{"name": "zero", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 0}}], "outputs": ["a"]}\n' \
+    > "$smoke_dir/zero.json"
+while read -r kind file code defect; do
+    input="$smoke_dir/$file"
+    [ "$kind" = model ] && flag=--model || flag=
+    stats_err="$(cargo run --release --quiet --bin preimpl -- stats $flag "$input" 2>&1 >/dev/null)" \
+        && { echo "preimpl stats accepted $file"; exit 1; }
+    echo "$stats_err" | grep -F "$defect" >/dev/null \
+        || { echo "preimpl refused $file without naming '$defect': $stats_err"; exit 1; }
+    set +e
+    judged="$(cargo run --release --quiet --bin pilint -- "$kind" "$input" 2>/dev/null)"
+    judged_rc=$?
+    set -e
+    { [ "$judged_rc" -eq 2 ] && echo "$judged" | grep -F "error[$code]" >/dev/null; } \
+        || { echo "pilint $kind $file exited $judged_rc, want 2 with $code: $judged"; exit 1; }
+done <<'PROBES'
+archdef mismatch.txt PL0201 disagree on the interface shape
+archdef unary.txt PL0205 has 1 input stream(s)
+archdef zero.txt PL0205 out_channels=0
+model zero.json PL0205 out_channels=0
+PROBES
+echo "    every malformed network refused by preimpl, naming its defect, and denied by pilint (exit 2)"
 
 # flowstat determinism gate: two LeNet-5 runs with the same seed (each
 # against a FRESH --db-dir — a warm cache changes the event stream) must

@@ -30,20 +30,19 @@ use crate::layer::{ConvParams, EltwiseOp, FcParams, Layer, PoolParams, Shape};
 use crate::CnnError;
 use std::collections::HashMap;
 
-/// Parse an architecture definition into a [`Network`].
+/// Parse an architecture definition into a [`Network`] the network judge
+/// accepts: a graph defect ([`Network::defects`]) is a parse-time error,
+/// not a synthesis-time one.
 pub fn parse_archdef(text: &str) -> Result<Network, CnnError> {
     let net = parse_archdef_lenient(text)?;
     net.validate()?;
-    // Shape propagation catches geometric inconsistencies eagerly so the
-    // user gets a parse-time error, not a synthesis-time one.
-    net.input_shapes()?;
     Ok(net)
 }
 
-/// Parse without the eager structural/geometric validation.
+/// Parse without judging the graph.
 ///
-/// The linter needs this: a shape-inconsistent network must come back as
-/// a `Network` so the graph passes can report *every* defect as a
+/// The linter needs this: a malformed network must come back as a
+/// `Network` so [`Network::defects`] can report *every* defect as a
 /// diagnostic, instead of the parser aborting at the first one. Syntax
 /// errors are still errors.
 pub fn parse_archdef_lenient(text: &str) -> Result<Network, CnnError> {

@@ -4,7 +4,7 @@ use crate::layer::{Layer, PoolKind, Shape};
 use crate::CnnError;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Index of a node in a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -111,62 +111,12 @@ impl Network {
         Ok(first)
     }
 
-    /// Breadth-first traversal order from the input — the traversal the
-    /// paper's Algorithm 1 uses (CNN DFGs are deeper than wide, BFS
-    /// discovers components level by level).
-    pub fn bfs(&self) -> Result<Vec<NodeId>, CnnError> {
-        let root = self.input()?;
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::new();
-        seen[root.index()] = true;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for w in self.successors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-        if order.len() != self.nodes.len() {
-            return Err(CnnError::BadGraph(format!(
-                "{} nodes unreachable from input",
-                self.nodes.len() - order.len()
-            )));
-        }
-        Ok(order)
-    }
-
     /// Deterministic topological order (Kahn's algorithm, smallest ready
-    /// node id first). Unlike [`Network::bfs`], every predecessor of a node
-    /// appears before the node itself, which branching topologies need for
-    /// shape propagation — BFS can reach a join through its short branch
-    /// before the long branch has been computed. On chains the two orders
-    /// coincide.
+    /// node id first): every predecessor of a node appears before the node
+    /// itself, which shape propagation over branching topologies needs.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, CnnError> {
-        let mut indeg = vec![0usize; self.nodes.len()];
-        for (_, t) in &self.edges {
-            indeg[t.index()] += 1;
-        }
-        let mut ready: BinaryHeap<Reverse<u32>> = indeg
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| Reverse(i as u32))
-            .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
-        while let Some(Reverse(i)) = ready.pop() {
-            let id = NodeId(i);
-            order.push(id);
-            for s in self.successors(id) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    ready.push(Reverse(s.0));
-                }
-            }
-        }
+        let (_, succs) = self.adjacency();
+        let order = peel(&succs);
         if order.len() != self.nodes.len() {
             return Err(CnnError::BadGraph(format!(
                 "{} nodes trapped in a dependency cycle",
@@ -176,37 +126,195 @@ impl Network {
         Ok(order)
     }
 
-    /// Input shape of every node, propagated from the network input.
-    /// For multi-predecessor nodes the first predecessor's output is used
-    /// (joins are shape-preserving; pi-lint PL0201 flags disagreement).
-    pub fn input_shapes(&self) -> Result<Vec<Shape>, CnnError> {
-        self.bfs()?; // reachability + unique-input validation
-        let order = self.topo_order()?;
-        let mut out_shapes: Vec<Option<Shape>> = vec![None; self.nodes.len()];
-        let mut in_shapes: Vec<Option<Shape>> = vec![None; self.nodes.len()];
-        for id in order {
-            let input = match self.predecessors(id).next() {
-                Some(p) => out_shapes[p.index()].ok_or_else(|| {
-                    CnnError::BadGraph(format!(
-                        "node {} visited before predecessor (cycle?)",
-                        self.node(id).name
-                    ))
-                })?,
-                // The input node feeds itself its declared shape.
-                None => match self.node(id).layer {
-                    Layer::Input(s) => s,
-                    _ => {
-                        return Err(CnnError::BadGraph(format!(
-                            "non-input node {} has no predecessor",
-                            self.node(id).name
-                        )))
+    /// Predecessor and successor lists of every node, in edge order. An
+    /// edge naming a missing node is left out ([`DefectKind::MissingNode`]).
+    fn adjacency(&self) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+        let n = self.nodes.len();
+        let mut preds = vec![Vec::new(); n];
+        let mut succs = vec![Vec::new(); n];
+        for &(f, t) in &self.edges {
+            if f.index() < n && t.index() < n {
+                succs[f.index()].push(t);
+                preds[t.index()].push(f);
+            }
+        }
+        (preds, succs)
+    }
+
+    /// The network judge: every defect of the graph, in one pass and
+    /// without stopping at the first — edges to missing nodes, the input
+    /// layer, degenerate parameters and join arity, a cycle, nodes the
+    /// input does not reach, and shape propagation along one topological
+    /// peel (operands that disagree, a layer that rejects its input). An
+    /// empty list is the only verdict under which the network may enter
+    /// the flow: [`Network::validate`] and [`Network::input_shapes`] fail
+    /// on the first defect, and `pi-lint` prints the list as `PL0201`–`PL0205`.
+    pub fn defects(&self) -> Vec<GraphDefect> {
+        self.judge().0
+    }
+
+    /// [`Network::defects`] plus the input shape of every node the shape
+    /// walk reached — all of them when there is no defect.
+    fn judge(&self) -> (Vec<GraphDefect>, Vec<Option<Shape>>) {
+        let n = self.nodes.len();
+        let name = |id: NodeId| self.node(id).name.as_str();
+        let mut defects = Vec::new();
+        let mut defect = |kind, node, message: String| {
+            defects.push(GraphDefect {
+                kind,
+                node,
+                message,
+            })
+        };
+        for (i, &(f, t)) in self.edges.iter().enumerate() {
+            if f.index() >= n || t.index() >= n {
+                defect(
+                    DefectKind::MissingNode,
+                    None,
+                    format!("edge {i} ({} -> {}) references a missing node", f.0, t.0),
+                );
+            }
+        }
+        let (preds, succs) = self.adjacency();
+
+        let inputs: Vec<NodeId> = (0..n as u32)
+            .map(NodeId)
+            .filter(|&id| matches!(self.node(id).layer, Layer::Input(_)))
+            .collect();
+        match inputs.as_slice() {
+            [] => defect(
+                DefectKind::Input,
+                None,
+                "graph has no input layer".to_string(),
+            ),
+            [id] if !preds[id.index()].is_empty() => defect(
+                DefectKind::Input,
+                Some(*id),
+                format!("input layer `{}` has predecessors", name(*id)),
+            ),
+            [_] => {}
+            many => defect(
+                DefectKind::Input,
+                None,
+                format!(
+                    "graph has {} input layers, expected exactly one",
+                    many.len()
+                ),
+            ),
+        }
+
+        for (i, node) in self.nodes.iter().enumerate() {
+            if let Some((kind, message)) = parameter_defect(node, preds[i].len()) {
+                defect(kind, Some(NodeId(i as u32)), message);
+            }
+        }
+
+        let order = peel(&succs);
+        if order.len() < n {
+            // Whatever the peel could not reach sits on (or behind) a cycle.
+            let mut peeled = vec![false; n];
+            for id in &order {
+                peeled[id.index()] = true;
+            }
+            let mut stuck: Vec<&str> = (0..n as u32)
+                .map(NodeId)
+                .filter(|id| !peeled[id.index()])
+                .map(name)
+                .collect();
+            stuck.sort_unstable();
+            let suffix = if stuck.len() > 4 { ", ..." } else { "" };
+            defect(
+                DefectKind::Cycle,
+                None,
+                format!(
+                    "dataflow graph has a cycle involving {} node(s): {}{suffix}",
+                    stuck.len(),
+                    stuck[..stuck.len().min(4)].join(", "),
+                ),
+            );
+        }
+
+        // Reachability is defined only from the one input.
+        if let [input] = inputs.as_slice() {
+            let mut seen = vec![false; n];
+            let mut work = vec![*input];
+            seen[input.index()] = true;
+            while let Some(id) = work.pop() {
+                for &s in &succs[id.index()] {
+                    if !seen[s.index()] {
+                        seen[s.index()] = true;
+                        work.push(s);
                     }
-                },
+                }
+            }
+            for id in (0..n as u32).map(NodeId).filter(|id| !seen[id.index()]) {
+                defect(
+                    DefectKind::Unreachable,
+                    Some(id),
+                    format!("node `{}` is unreachable from the input layer", name(id)),
+                );
+            }
+        }
+
+        // Shape propagation along the peel. A node takes its first known
+        // operand's shape; a node no shape reaches (an orphan, or one
+        // behind a defect already reported) is skipped.
+        let mut in_shapes: Vec<Option<Shape>> = vec![None; n];
+        let mut out_shapes: Vec<Option<Shape>> = vec![None; n];
+        for id in order {
+            let node = self.node(id);
+            let input = match node.layer {
+                Layer::Input(s) => s,
+                _ => {
+                    let known: Vec<(NodeId, Shape)> = preds[id.index()]
+                        .iter()
+                        .filter_map(|&p| out_shapes[p.index()].map(|s| (p, s)))
+                        .collect();
+                    let Some(&(_, first)) = known.first() else {
+                        continue;
+                    };
+                    if known.iter().any(|&(_, s)| s != first) {
+                        let operands: Vec<String> = known
+                            .iter()
+                            .map(|&(p, s)| format!("`{}` -> {s}", name(p)))
+                            .collect();
+                        defect(
+                            DefectKind::OperandsDisagree,
+                            Some(id),
+                            format!(
+                                "predecessors of `{}` disagree on the interface shape: {}",
+                                node.name,
+                                operands.join(", ")
+                            ),
+                        );
+                    }
+                    first
+                }
             };
             in_shapes[id.index()] = Some(input);
-            out_shapes[id.index()] = Some(self.node(id).layer.output_shape(input)?);
+            match node.layer.output_shape(input) {
+                Ok(s) => out_shapes[id.index()] = Some(s),
+                Err(e) => defect(
+                    DefectKind::RejectsInput,
+                    Some(id),
+                    format!("layer `{}` rejects input shape {input}: {e}", node.name),
+                ),
+            }
         }
-        Ok(in_shapes.into_iter().map(|s| s.unwrap()).collect())
+        (defects, in_shapes)
+    }
+
+    /// Input shape of every node, propagated from the network input, or
+    /// the first of [`Network::defects`] as an error.
+    pub fn input_shapes(&self) -> Result<Vec<Shape>, CnnError> {
+        let (defects, shapes) = self.judge();
+        if let Some(d) = defects.into_iter().next() {
+            return Err(d.into());
+        }
+        Ok(shapes
+            .into_iter()
+            .map(|s| s.expect("a network without defects has every input shape"))
+            .collect())
     }
 
     /// Output shape of the final node; for a chain, the network output. The
@@ -361,17 +469,115 @@ impl Network {
             .collect()
     }
 
-    /// Basic structural validation.
+    /// The network judge's verdict: `Ok` exactly when
+    /// [`Network::defects`] is empty, else its first defect.
     pub fn validate(&self) -> Result<(), CnnError> {
-        for (f, t) in &self.edges {
-            if f.index() >= self.nodes.len() || t.index() >= self.nodes.len() {
-                return Err(CnnError::BadGraph(
-                    "edge references missing node".to_string(),
-                ));
+        match self.defects().into_iter().next() {
+            Some(d) => Err(d.into()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One defect of a network graph, as [`Network::defects`] reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphDefect {
+    pub kind: DefectKind,
+    /// The node the defect sits at; `None` for a whole-graph defect (no or
+    /// several input layers, a cycle, an edge to a missing node).
+    pub node: Option<NodeId>,
+    pub message: String,
+}
+
+/// The classes of [`GraphDefect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefectKind {
+    /// An edge names a node the network does not have.
+    MissingNode,
+    /// No input layer, several, or one with predecessors.
+    Input,
+    /// Nodes on or behind a dependency cycle.
+    Cycle,
+    /// A node the input layer does not reach.
+    Unreachable,
+    /// A zero kernel, stride, window, channel or feature count, or an
+    /// input shape with a zero dimension.
+    Degenerate,
+    /// An element-wise join without exactly two operands.
+    JoinArity,
+    /// A node's operands disagree on the interface shape.
+    OperandsDisagree,
+    /// A layer rejects its input shape.
+    RejectsInput,
+}
+
+/// A defect as an error: degenerate parameters are a
+/// [`CnnError::ShapeMismatch`], like the geometry the layer then fails to
+/// compute; every other class is a [`CnnError::BadGraph`].
+impl From<GraphDefect> for CnnError {
+    fn from(d: GraphDefect) -> Self {
+        match d.kind {
+            DefectKind::Degenerate => CnnError::ShapeMismatch(d.message),
+            _ => CnnError::BadGraph(d.message),
+        }
+    }
+}
+
+/// The parameter defect of one node, if any: a degenerate parameter, or a
+/// join fed by other than two operands.
+fn parameter_defect(node: &Node, operands: usize) -> Option<(DefectKind, String)> {
+    let degenerate = match &node.layer {
+        Layer::Input(shape) if shape.elements() == 0 => {
+            format!("input shape {shape} has a zero dimension")
+        }
+        Layer::Conv(p) if p.kernel == 0 || p.stride == 0 || p.out_channels == 0 => format!(
+            "conv kernel={} stride={} out_channels={} — all must be positive",
+            p.kernel, p.stride, p.out_channels
+        ),
+        Layer::Pool(p) if p.window == 0 || p.stride == 0 => format!(
+            "pool window={} stride={} — both must be positive",
+            p.window, p.stride
+        ),
+        Layer::Fc(p) if p.out_features == 0 => "fc out_features=0".to_string(),
+        Layer::Eltwise(_) if operands != 2 => {
+            return Some((
+                DefectKind::JoinArity,
+                format!(
+                    "join `{}` has {operands} input stream(s) — element-wise joins need exactly 2",
+                    node.name
+                ),
+            ))
+        }
+        _ => return None,
+    };
+    Some((DefectKind::Degenerate, degenerate))
+}
+
+/// Kahn's topological peel, smallest ready node id first: the order of
+/// every node not on or behind a cycle.
+fn peel(succs: &[Vec<NodeId>]) -> Vec<NodeId> {
+    let mut indeg = vec![0usize; succs.len()];
+    for t in succs.iter().flatten() {
+        indeg[t.index()] += 1;
+    }
+    let mut ready: BinaryHeap<Reverse<u32>> = indeg
+        .iter()
+        .enumerate()
+        .filter(|(_, &d)| d == 0)
+        .map(|(i, _)| Reverse(i as u32))
+        .collect();
+    let mut order = Vec::with_capacity(succs.len());
+    while let Some(Reverse(i)) = ready.pop() {
+        let id = NodeId(i);
+        order.push(id);
+        for s in &succs[id.index()] {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                ready.push(Reverse(s.0));
             }
         }
-        self.bfs().map(|_| ())
     }
+    order
 }
 
 /// Component-extraction granularity.
@@ -503,15 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_visits_chain_in_order() {
-        let n = mini_net();
-        let order = n.bfs().unwrap();
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], NodeId(0));
-        assert_eq!(order[4], NodeId(4));
-    }
-
-    #[test]
     fn shapes_propagate() {
         let n = mini_net();
         let shapes = n.input_shapes().unwrap();
@@ -583,7 +780,7 @@ mod tests {
         let join = n.add_node("join", Layer::Eltwise(crate::layer::EltwiseOp::Add));
         // Branches are wired to the join in reverse order: the operand rank
         // follows the component index, not the edge order.
-        let branches: Vec<NodeId> = (0..3).map(|i| n.add_node(format!("b{i}"), conv)).collect();
+        let branches: Vec<NodeId> = (0..2).map(|i| n.add_node(format!("b{i}"), conv)).collect();
         for &b in branches.iter().rev() {
             n.add_edge(stem, b);
             n.add_edge(b, join);
@@ -591,13 +788,20 @@ mod tests {
         let comps = n.components(Granularity::Layer).unwrap();
         let index = |name: &str| comps.iter().position(|c| c.name == name).unwrap();
         let edges = n.component_edges(&comps);
-        // stem -> b{0,1,2} -> join; the input node is no component.
-        assert_eq!(edges.len(), 6);
+        // stem -> b{0,1} -> join; the input node is no component.
+        assert_eq!(edges.len(), 4);
         let mut into_join: Vec<_> = edges.iter().filter(|e| e.sink == index("join")).collect();
-        assert_eq!(into_join[0].source, index("b2"), "network-edge order");
+        assert_eq!(into_join[0].source, index("b1"), "network-edge order");
         into_join.sort_by_key(|e| e.source);
         let operands: Vec<_> = into_join.iter().map(|e| (e.operand, e.port())).collect();
-        assert_eq!(operands, [(0, Some("din")), (1, Some("din2")), (2, None)]);
+        assert_eq!(operands, [(0, Some("din")), (1, Some("din2"))]);
+        // Components accept at most two input streams.
+        let third = ComponentEdge {
+            source: 0,
+            sink: 1,
+            operand: 2,
+        };
+        assert_eq!(third.port(), None);
     }
 
     #[test]
@@ -615,11 +819,19 @@ mod tests {
     fn disconnected_and_inputless_graphs_are_rejected() {
         let mut n = Network::new("bad");
         n.add_node("a", Layer::Relu);
-        assert!(n.bfs().is_err());
+        assert!(n.validate().is_err());
 
         let mut n2 = Network::new("bad2");
         n2.add_node("in", Layer::Input(Shape::new(1, 4, 4)));
         n2.add_node("orphan", Layer::Relu);
         assert!(n2.validate().is_err());
+
+        // An edge to a node the network does not have is a defect, not a
+        // panic, and the rest of the graph is still judged.
+        let mut n3 = mini_net();
+        n3.add_edge(NodeId(4), NodeId(9));
+        let kinds: Vec<DefectKind> = n3.defects().iter().map(|d| d.kind).collect();
+        assert_eq!(kinds, [DefectKind::MissingNode]);
+        assert!(n3.input_shapes().is_err());
     }
 }

@@ -14,7 +14,7 @@ pub mod layer;
 pub mod models;
 
 pub use archdef::{parse_archdef, parse_archdef_lenient};
-pub use graph::{Component, ComponentEdge, Network, NetworkStats, NodeId};
+pub use graph::{Component, ComponentEdge, DefectKind, GraphDefect, Network, NetworkStats, NodeId};
 pub use layer::{ConvParams, EltwiseOp, FcParams, Layer, PoolKind, PoolParams, Shape};
 
 /// Errors from CNN graph construction and the archdef parser.

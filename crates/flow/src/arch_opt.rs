@@ -265,7 +265,7 @@ pub fn run_pre_implemented_flow(
     cfg: &FlowConfig,
 ) -> Result<(Design, PreImplReport), FlowError> {
     cfg.apply_parallelism();
-    crate::function_opt::lint_gate_network(network, cfg)?;
+    crate::function_opt::network_gate(network, cfg)?;
     let obs = cfg.obs();
     let arch = obs.scoped("flow::arch_opt");
 
@@ -303,12 +303,10 @@ pub fn run_pre_implemented_flow(
         return Err(FlowError::DrcFailed(violations));
     }
     // The lint pass is purely additive: structure + per-instance netlist
-    // lints, gated via `LintFailed`. It is handed the DRC's verdict to
-    // fold rather than calling the DRC — empty here by construction.
+    // lints, gated via `LintFailed`.
     let lint = match &cfg.lint {
         Some(lc) => {
-            let report =
-                pi_lint::LintEngine::new(lc.clone()).lint_design(&design, &violations, obs);
+            let report = pi_lint::LintEngine::new(lc.clone()).lint_design(&design, obs);
             if report.gate(lc.deny_warnings) {
                 return Err(FlowError::LintFailed(report));
             }

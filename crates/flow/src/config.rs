@@ -93,13 +93,13 @@ pub struct FlowConfig {
     /// contains.
     pub db_budget_bytes: Option<u64>,
     /// Static-analysis policy. When set, the flow entry points run the
-    /// relevant `pi-lint` passes at stage boundaries (network before
-    /// function optimization, database after it, composed design after —
-    /// never instead of — the physical DRC) and fail with
+    /// relevant `pi-lint` passes at stage boundaries (network at every
+    /// entry, database after function optimization, composed design after
+    /// — never instead of — the physical DRC) and fail with
     /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the
-    /// default) runs no lints; the flow's legality verdicts
-    /// (`check_checkpoint` at admission, `check_design` on the design) run
-    /// either way.
+    /// default) runs no lints; the flow's legality verdicts (the network
+    /// judge at every entry, `check_checkpoint` at admission,
+    /// `check_design` on the design) run either way.
     ///
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// linting observes checkpoints, it never changes what they contain.

@@ -554,20 +554,24 @@ fn report_built(dse: &Obs, report: &ComponentBuildReport) {
     dse.point("component_built", &fields);
 }
 
-/// Pre-stage lint gate: when `cfg.lint` is set, run the graph-family
-/// passes *and* the `PL04xx` dataflow analysis on the network before
-/// spending any implementation effort. Waivers are audited here, on the
-/// merged report, so a waiver consumed by either pass counts as used.
-pub(crate) fn lint_gate_network(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
-    let Some(lc) = &cfg.lint else { return Ok(()) };
-    let engine = pi_lint::LintEngine::new(lc.clone());
-    let mut report = engine.lint_network(network, cfg.granularity, cfg.obs());
-    report.merge(engine.lint_dataflow(network, cfg.granularity, cfg.obs()));
-    report.audit_waivers(lc);
-    if report.gate(lc.deny_warnings) {
-        return Err(FlowError::LintFailed(report));
+/// The network gate every flow entry opens with. When `cfg.lint` is set,
+/// the graph-family passes *and* the `PL04xx` dataflow analysis run
+/// first, so a rejected network reports every finding as `LintFailed`;
+/// waivers are audited on the merged report, so a waiver consumed by
+/// either pass counts as used. Either way the network judge
+/// ([`Network::validate`]) then refuses what it rejects, so no policy or
+/// waiver admits a malformed graph.
+pub(crate) fn network_gate(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
+    if let Some(lc) = &cfg.lint {
+        let engine = pi_lint::LintEngine::new(lc.clone());
+        let mut report = engine.lint_network(network, cfg.granularity, cfg.obs());
+        report.merge(engine.lint_dataflow(network, cfg.granularity, cfg.obs()));
+        report.audit_waivers(lc);
+        if report.gate(lc.deny_warnings) {
+            return Err(FlowError::LintFailed(report));
+        }
     }
-    Ok(())
+    Ok(network.validate()?)
 }
 
 /// Post-stage lint gate: when `cfg.lint` is set, verify every checkpoint
@@ -604,7 +608,7 @@ pub fn build_component_db(
     cfg: &FlowConfig,
 ) -> Result<(ComponentDb, Vec<ComponentBuildReport>), FlowError> {
     cfg.apply_parallelism();
-    lint_gate_network(network, cfg)?;
+    network_gate(network, cfg)?;
     let components = network.components(cfg.granularity)?;
     let span = cfg.obs().scoped("flow::function_opt").span_with(
         "build_component_db",
@@ -679,7 +683,7 @@ pub fn build_component_db_cached(
         return Ok((db, reports, stats));
     };
     cfg.apply_parallelism();
-    lint_gate_network(network, cfg)?;
+    network_gate(network, cfg)?;
     let obs = cfg.obs();
     let dse = obs.scoped("flow::function_opt");
     let fingerprint = cfg.cache_fingerprint();

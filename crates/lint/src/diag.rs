@@ -183,7 +183,8 @@ pub const REGISTRY: &[LintCode] = &[
         code: "PL0202",
         name: "orphan-node",
         default: Level::Deny,
-        summary: "a graph node is unreachable from the input layer",
+        summary: "a graph node is unreachable from the input layer, or an \
+                  edge names a node the graph does not have",
     },
     LintCode {
         code: "PL0203",

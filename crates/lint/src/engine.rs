@@ -3,18 +3,19 @@
 //! the findings through the configured policy and emits one telemetry
 //! point per pass.
 //!
-//! The engine checks; it neither routes nor judges legality. The design
-//! pass is handed the physical DRC's verdict (`&[Violation]`, produced by
-//! the one call to `pi_stitch::check_design` in the flow) and only folds it
-//! into `PL031x` findings — so the policy here shapes a *report*, and can
-//! never turn an illegal design into a legal one.
+//! The engine checks; it neither routes nor judges legality. The network
+//! and checkpoint passes fold their judges' verdicts (`Network::defects`,
+//! `pi_stitch::check_checkpoint`); the design pass adds structure and
+//! netlist lints only, because the flow fails on the physical DRC's
+//! verdict before it runs — so the policy here shapes a *report*, and can
+//! never turn an illegal network or design into a legal one.
 //!
 //! Per-checkpoint and per-instance passes fan out across the vendored
 //! rayon backend, buffering each unit's telemetry and flushing in input
 //! order (the `pi-obs` determinism contract) — so a lint run's event
 //! stream and report are byte-identical at any `PI_THREADS`.
 
-use crate::checkpoint::{diagnose_violation, lint_checkpoint, lint_db_coverage};
+use crate::checkpoint::{lint_checkpoint, lint_db_coverage};
 use crate::diag::{Diagnostic, LintConfig};
 use crate::graph::lint_network;
 use crate::netlist::{lint_design_structure, lint_module};
@@ -24,7 +25,7 @@ use pi_cnn::Network;
 use pi_fabric::Device;
 use pi_netlist::{Checkpoint, Design};
 use pi_obs::{Obs, Value};
-use pi_stitch::{ComponentDb, StitchError, Violation};
+use pi_stitch::{ComponentDb, StitchError};
 use rayon::prelude::*;
 
 /// A saturating interval `[lo, hi]` of cycle counts — the value domain of
@@ -330,11 +331,10 @@ impl LintEngine {
     }
 
     /// Lint a composed design: top-level structure and every instance's
-    /// module (parallel fan-out), plus `drc` — the verdict of the physical
-    /// DRC ([`pi_stitch::check_design`]), which the caller ran — folded into
-    /// `PL031x` diagnostics. The engine reports the verdict; it never
-    /// produces or overrides it.
-    pub fn lint_design(&self, design: &Design, drc: &[Violation], obs: &Obs) -> LintReport {
+    /// module (parallel fan-out). The physical DRC's verdict is not a lint
+    /// here: the flow fails with it before this pass runs, and `pilint
+    /// design` folds it through [`crate::diagnose_violation`].
+    pub fn lint_design(&self, design: &Design, obs: &Obs) -> LintReport {
         let base = format!("design:{}", design.name);
         let mut raw = lint_design_structure(design);
 
@@ -354,7 +354,6 @@ impl LintEngine {
             raw.extend(diags);
         }
 
-        raw.extend(drc.iter().map(|v| diagnose_violation(&base, v)));
         self.finalize("design", raw, obs)
     }
 }
@@ -366,20 +365,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn lint_design_folds_the_verdict_it_is_handed() {
+    fn lint_design_of_an_empty_design_is_clean() {
         let design = Design::new("d", "test-part", pi_netlist::DesignKind::Assembled);
-        let verdict = [Violation::NotLocked {
-            instance: "conv1".into(),
-        }];
-        let report = LintEngine::default().lint_design(&design, &verdict, &Obs::null());
-        assert_eq!(report.by_code(), vec![("PL0317", 1)], "{report:?}");
-        // A policy shapes the report, never the verdict: the caller still
-        // holds the violation.
-        let lax = LintEngine::new(LintConfig::new().allow("PL0317"));
-        let report = lax.lint_design(&design, &verdict, &Obs::null());
-        assert!(report.is_clean() && report.allowed == 1, "{report:?}");
         assert!(LintEngine::default()
-            .lint_design(&design, &[], &Obs::null())
+            .lint_design(&design, &Obs::null())
             .is_clean());
     }
 

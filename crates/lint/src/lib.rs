@@ -7,8 +7,10 @@
 //!   outputs, width mismatches, combinational loops (Tarjan SCC), dead
 //!   cells, fan-out hotspots;
 //! * **graph** (`PL02xx`) — CNN dataflow defects in [`pi_cnn`] networks:
-//!   shape propagation and interface mismatches, cycles, orphans,
-//!   degenerate layer parameters, memory-controller bandwidth budgets;
+//!   the network judge's verdict ([`pi_cnn::Network::defects`]: shape
+//!   propagation and interface mismatches, cycles, orphans, degenerate
+//!   layer parameters) folded into `PL0201`–`PL0205`, plus the
+//!   memory-controller bandwidth and fusion advisories;
 //! * **trace** (`PL016x`) — structural invariants of recorded [`pi_obs`]
 //!   telemetry streams: balanced span trees and strictly increasing
 //!   sequence numbers (`pilint trace`);
@@ -47,7 +49,7 @@ pub use diag::{
     lookup, parse_waivers, Diagnostic, Level, LintCode, LintConfig, Severity, Waiver, REGISTRY,
 };
 pub use engine::{fixpoint_intervals, FixpointOutcome, Interval, LintEngine};
-pub use graph::lint_network;
+pub use graph::{defect_code, lint_network};
 pub use model::lint_model;
 pub use netlist::{lint_design_structure, lint_module};
 pub use report::{CodeCount, LintReport};

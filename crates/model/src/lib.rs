@@ -135,23 +135,24 @@ impl Ctx {
     }
 }
 
-/// Strict import: parse, normalize, propagate shapes, and validate. The
-/// returned network has passed the same structural/geometric checks
-/// `parse_archdef` applies, so it can enter the flow directly. Non-fatal
-/// normalization findings ride along in [`Import::findings`].
+/// Strict import: parse, normalize, then judge. The returned network has
+/// passed the network judge ([`Network::validate`]) that `parse_archdef`
+/// applies, so it can enter the flow directly. Non-fatal normalization
+/// findings ride along in [`Import::findings`].
 pub fn import(text: &str, format: ModelFormat) -> Result<Import, CnnError> {
     let mut ctx = Ctx::default();
-    let result = import_inner(text, format, &mut ctx);
-    result.map(|network| Import {
+    let network = import_inner(text, format, &mut ctx)?;
+    network.validate()?;
+    Ok(Import {
         network,
         findings: ctx.findings,
     })
 }
 
-/// Lenient import for the linter: never errors. On failure the fatal
-/// defect is the last finding; the network slot is `None`. On success
-/// the network comes back *without* eager validation so the graph lints
-/// can report every defect themselves.
+/// Lenient import for the linter: never errors. On a frontend failure the
+/// fatal defect is the last finding and the network slot is `None`. On
+/// success the network comes back *unjudged*, so the graph lints can
+/// report every defect [`Network::defects`] finds.
 pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<ImportFinding>) {
     let mut ctx = Ctx::default();
     match import_inner(text, format, &mut ctx) {
@@ -166,8 +167,8 @@ pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<I
             )
         }
         Err(e) => {
-            // Frontends stamp their own fatal findings; errors that
-            // bubbled up from pi-cnn validation arrive unstamped.
+            // Frontends stamp their own fatal findings; an archdef syntax
+            // error arrives unstamped.
             if ctx.findings.is_empty() {
                 ctx.warn(MODEL_MALFORMED, "model", e.to_string());
             }
@@ -176,23 +177,14 @@ pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<I
     }
 }
 
+/// Parse and normalize a descriptor in any dialect, without judging the
+/// resulting graph.
 fn import_inner(text: &str, format: ModelFormat, ctx: &mut Ctx) -> Result<Network, CnnError> {
-    let network = match format {
-        ModelFormat::Archdef => pi_cnn::parse_archdef(text)?,
-        ModelFormat::Json => {
-            let model = json::parse_json(text)?;
-            json::to_network(&model, ctx)?
-        }
-        ModelFormat::Prototxt => {
-            let model = prototxt::parse_prototxt(text)?;
-            prototxt::to_network(&model, ctx)?
-        }
-    };
-    // The pi-lint shape-propagation gate: structural validation plus a
-    // full shape walk, before the network may enter the flow.
-    network.validate()?;
-    network.input_shapes()?;
-    Ok(network)
+    match format {
+        ModelFormat::Archdef => pi_cnn::parse_archdef_lenient(text),
+        ModelFormat::Json => json::to_network(&json::parse_json(text)?, ctx),
+        ModelFormat::Prototxt => prototxt::to_network(&prototxt::parse_prototxt(text)?, ctx),
+    }
 }
 
 /// Edit distance (Levenshtein) for the "did you mean" suggestions on

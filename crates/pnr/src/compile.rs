@@ -6,7 +6,6 @@
 //! the pre-implemented flow only for inter-component routing.
 
 use crate::place::{place_module_obs, PlaceOptions, PlaceStats};
-use crate::power::{estimate, PowerReport};
 use crate::route::{route_into, CongestionMap, RouteOptions, RouteStats, Target};
 use crate::timing::{sta_module, TimingGraph, TimingReport};
 use crate::PnrError;
@@ -39,7 +38,6 @@ pub struct CompileReport {
     pub phases: PhaseTimes,
     pub timing: TimingReport,
     pub resources: ResourceCount,
-    pub power: PowerReport,
     pub place_stats: PlaceStats,
     pub route_stats: RouteStats,
     /// Wirelength of every routed net in the design, locked and new —
@@ -147,7 +145,7 @@ pub fn compile_flat_obs(
 /// The tail both compile paths share: final congestion-aware timing on the
 /// routing run's own graph (one `final_timing` point), wirelength of every
 /// stored route — locked and new; `route_stats.wirelength` only counts
-/// this run's — and power.
+/// this run's.
 fn report_routed(
     (name, view, resources): (&str, NetView<'_>, ResourceCount),
     device: &Device,
@@ -168,14 +166,12 @@ fn report_routed(
     }
     let routes = view.nets().filter_map(|n| n.route());
     let total_wirelength: u64 = routes.map(|r| r.tiles().len() as u64).sum();
-    let power = estimate(&resources, total_wirelength, timing.fmax_mhz);
     Ok(CompileReport {
         design_name: name.to_string(),
         device_name: device.name().to_string(),
         phases,
         timing,
         resources,
-        power,
         place_stats,
         route_stats,
         total_wirelength,
@@ -370,7 +366,6 @@ mod tests {
             compile_flat_obs(&mut m, &device, &CompileOptions::with_seed(5), &Obs::null()).unwrap();
         assert!(report.timing.fmax_mhz > 50.0);
         assert!(report.route_stats.overused_tiles == 0);
-        assert!(report.power.total_mw() > 0.0);
         assert!(report.phases.total() > Duration::ZERO);
         assert!(m.fully_placed());
         assert!(m.fully_routed());

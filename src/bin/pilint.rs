@@ -13,9 +13,11 @@
 //! All lint commands accept `--json`, `--deny-warnings`, `--waivers FILE`,
 //! `--allow CODE` / `--warn CODE` / `--deny CODE` (repeatable),
 //! `--device NAME` (default `xcku5p-like`), `--block` (block granularity)
-//! and `--threads N`. `archdef` parses leniently so semantic defects (a
-//! corrupted shape, an orphan layer) surface as diagnostics rather than a
-//! parse failure; only syntax errors abort the run.
+//! and `--threads N`. `archdef` and `model` read leniently, so every
+//! defect the network judge (`Network::defects`) finds in the graph — a
+//! corrupted shape, an orphan layer — surfaces as a `PL0201`–`PL0205`
+//! diagnostic rather than a parse failure, whatever the descriptor format;
+//! only syntax errors abort the run.
 //!
 //! `dataflow` takes any importable network description (archdef, `.json`,
 //! `.prototxt` — format sniffed from the extension, archdef otherwise) and
@@ -207,15 +209,15 @@ fn run() -> Result<ExitCode, String> {
             let format = preimpl_cnn::model::ModelFormat::from_path(path)
                 .unwrap_or(preimpl_cnn::model::ModelFormat::Archdef);
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let (network, mut import_report) = engine.lint_model(&text, format, granularity, &obs);
+            let (network, mut model_report) = engine.lint_model(&text, format, granularity, &obs);
             match network {
-                // Import failed: the findings say why the dataflow pass
-                // never got a graph to analyze.
-                None => finish(&mut import_report, &args),
-                Some(network) => {
+                Some(network) if network.defects().is_empty() => {
                     let mut report = engine.lint_dataflow(&network, granularity, &obs);
                     finish(&mut report, &args)
                 }
+                // Import failed or the network judge rejects the graph:
+                // the model pass says why there is no dataflow to analyze.
+                _ => finish(&mut model_report, &args),
             }
         }
         "db" => {

@@ -32,10 +32,10 @@
 //! Every archdef-taking command also accepts `--model FILE` instead of
 //! the positional `<archdef>`: FILE is a model descriptor (`.json` op
 //! graph or `.prototxt` layer config — see `pi-model`) imported into the
-//! flow, with importer findings printed as warnings and the `pi-lint`
-//! graph passes (shape propagation included) run as a gate before
-//! anything is built. A positional past the archdef (or any positional
-//! with `--model`) is a usage error.
+//! flow, with importer findings printed as warnings. Whatever the format,
+//! a graph the network judge (`Network::defects`) rejects is an error
+//! naming the defect before anything is built. A positional past the
+//! archdef (or any positional with `--model`) is a usage error.
 //!
 //! `compose` and `build-db` also accept `--remote ADDR`: instead of
 //! running locally, the job (archdef or descriptor text + full
@@ -130,17 +130,6 @@ fn run() -> Result<ExitCode, String> {
         eprintln!("preimpl: warning[{}] {}: {}", f.code, f.origin, f.message);
     }
     let network = import.network;
-    // Imported graphs pass the lint shape-propagation gate before the
-    // flow sees them; archdefs keep their opt-in `--lint` behavior.
-    if format != ModelFormat::Archdef {
-        let engine = preimpl_cnn::lint::LintEngine::new(preimpl_cnn::lint::LintConfig::new());
-        let report = engine.lint_network(&network, granularity, &preimpl_cnn::obs::Obs::null());
-        if report.errors() > 0 {
-            print!("{}", report.render_text());
-            eprintln!("preimpl: model gate tripped ({})", report.summary_line());
-            return Ok(ExitCode::from(preimpl_cnn::exit::GATE));
-        }
-    }
 
     if let Some(addr) = args.value("--remote") {
         return run_remote(addr, &args, &text, format, granularity);

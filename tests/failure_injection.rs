@@ -517,3 +517,60 @@ fn a_design_over_track_capacity_is_an_error_in_both_arms() {
         Ok(_) => panic!("baseline: an over-capacity design came back Ok"),
     }
 }
+
+/// The three malformed networks the network judge must refuse: join
+/// operands that disagree (2 vs 4 channels), a one-operand join, and a
+/// zero-channel convolution.
+const MALFORMED_NETWORKS: [&str; 3] = [
+    "network mismatch\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\n\
+     conv b kernel=3 pad=1 out=4 from=input\nadd j from=a,b\n",
+    "network unary\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a\n",
+    "network zero\ninput 1x8x8\nconv a kernel=3 out=0\n",
+];
+
+#[test]
+fn every_flow_entry_refuses_a_network_the_judge_rejects() {
+    use preimpl_cnn::model::{import, ModelFormat};
+    let device = Device::xcku5p_like();
+    // No lint policy, and a policy that allows every code these networks
+    // raise: the judge is not a lint, so neither admits them.
+    let lax = LintConfig::new().allow("PL0201").allow("PL0205");
+    let configs = [
+        FlowConfig::new().with_seeds([1]),
+        FlowConfig::new().with_seeds([1]).with_lint(lax),
+    ];
+    for text in MALFORMED_NETWORKS {
+        assert!(
+            parse_archdef(text).is_err(),
+            "parse_archdef accepted {text:?}"
+        );
+        assert!(
+            import(text, ModelFormat::Archdef).is_err(),
+            "import accepted {text:?}"
+        );
+        let network = parse_archdef_lenient(text).expect("syntactically valid");
+        assert!(!network.defects().is_empty(), "{text:?}");
+        for cfg in &configs {
+            let refused = |entry: &str, result: Result<(), FlowError>| match result {
+                Err(FlowError::Cnn(_)) => {}
+                other => panic!("{entry} on {text:?}: {other:?}"),
+            };
+            refused(
+                "build_component_db",
+                build_component_db(&network, &device, cfg).map(|_| ()),
+            );
+            refused(
+                "build_component_db_cached",
+                build_component_db_cached(&network, &device, cfg).map(|_| ()),
+            );
+            refused(
+                "run_pre_implemented_flow",
+                run_pre_implemented_flow(&network, &ComponentDb::new(), &device, cfg).map(|_| ()),
+            );
+            refused(
+                "run_baseline_flow",
+                run_baseline_flow(&network, &device, cfg).map(|_| ()),
+            );
+        }
+    }
+}

@@ -439,3 +439,107 @@ fn flow_lint_gate_is_clean_on_smoke_network() {
     assert!(lint.is_clean(), "{}", lint.render_text());
     assert!(report.deterministic_summary().contains("\"lint\""));
 }
+
+/// The five zoo networks.
+fn zoo() -> [Network; 5] {
+    [
+        models::lenet5(),
+        models::vgg16(),
+        models::alexnet_like(),
+        models::cifar10_quick(),
+        models::resnet_small(),
+    ]
+}
+
+/// The network judge's verdict as the `(code, origin)` pairs `PL0201`–
+/// `PL0205` must print: each defect's class through `defect_code`,
+/// anchored at its node, or at the part of the graph a whole-graph defect
+/// concerns.
+fn judge_fold(network: &Network) -> std::collections::BTreeSet<(&'static str, String)> {
+    use preimpl_cnn::cnn::DefectKind;
+    let base = format!("network:{}", network.name);
+    network
+        .defects()
+        .iter()
+        .map(|d| {
+            let origin = match (d.node, d.kind) {
+                (Some(id), _) => format!("{base}/node:{}", network.node(id).name),
+                (None, DefectKind::Cycle) => format!("{base}/cycle"),
+                (None, DefectKind::MissingNode) => format!("{base}/edges"),
+                (None, _) => format!("{base}/input"),
+            };
+            (preimpl_cnn::lint::defect_code(d.kind), origin)
+        })
+        .collect()
+}
+
+/// One judge: `validate` accepts exactly what `defects` finds nothing in,
+/// and the graph lint's `PL0201`–`PL0205` are that verdict, folded.
+fn check_lint_folds_the_judge(network: &Network) -> Result<(), TestCaseError> {
+    prop_assert_eq!(network.validate().is_ok(), network.defects().is_empty());
+    let linted: std::collections::BTreeSet<(&'static str, String)> =
+        preimpl_cnn::lint::lint_network(network, Granularity::Layer)
+            .into_iter()
+            .filter(|d| ("PL0201"..="PL0205").contains(&d.code))
+            .map(|d| (d.code, d.origin))
+            .collect();
+    prop_assert_eq!(linted, judge_fold(network));
+    Ok(())
+}
+
+#[test]
+fn zoo_networks_satisfy_the_judge_and_its_fold() {
+    for network in zoo() {
+        assert!(network.defects().is_empty(), "{}", network.name);
+        check_lint_folds_the_judge(&network).unwrap();
+    }
+}
+
+proptest! {
+    /// Zeroing or inflating one layer parameter of a zoo network: whatever
+    /// the judge decides, `validate`, `parse_archdef` and the graph lint
+    /// agree with it.
+    #[test]
+    fn corrupted_zoo_archdefs_are_judged_once(
+        net_idx in 0usize..5,
+        pick in 0usize..1000,
+        inflate in 0u8..2,
+    ) {
+        let text = to_archdef(&zoo()[net_idx]);
+        let params: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .flat_map(|(i, l)| {
+                ["kernel", "stride", "out", "window"]
+                    .into_iter()
+                    .filter(move |k| l.contains(&format!(" {k}=")))
+                    .map(move |k| (i, k))
+            })
+            .collect();
+        let (target, key) = params[pick % params.len()];
+        let value = if inflate == 1 { 999 } else { 0 };
+        let corrupted: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                if i != target {
+                    return format!("{l}\n");
+                }
+                let words: Vec<String> = l
+                    .split(' ')
+                    .map(|w| match w.split_once('=') {
+                        Some((k, _)) if k == key => format!("{k}={value}"),
+                        _ => w.to_string(),
+                    })
+                    .collect();
+                words.join(" ") + "\n"
+            })
+            .collect();
+        let network = parse_archdef_lenient(&corrupted).expect("still syntactically valid");
+        if inflate == 0 {
+            prop_assert!(!network.defects().is_empty(), "{key}=0 on line {target} judged clean");
+        }
+        prop_assert_eq!(parse_archdef(&corrupted).is_ok(), network.defects().is_empty());
+        check_lint_folds_the_judge(&network)?;
+    }
+}
