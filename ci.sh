@@ -129,7 +129,7 @@ for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router
         || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
 done
 # Likewise a retired lint code: unknown, and named on stderr.
-for code in PL0140 PL0302 PL0308 PL0400 PL0401; do
+for code in PL0140 PL0302 PL0308 PL0400 PL0401 PL0403; do
     retired_err="$(cargo run --release --quiet --bin pilint -- \
         model models/lenet.json --allow "$code" 2>&1 >/dev/null)" \
         && { echo "retired lint code $code was accepted"; exit 1; }
@@ -138,15 +138,18 @@ for code in PL0140 PL0302 PL0308 PL0400 PL0401; do
 done
 # One network judge: the flow refuses exactly what the lint denies. Each
 # malformed network below — join operands that disagree, a one-operand
-# join, a zero-channel conv (also as a `--model` JSON descriptor) — is an
-# error naming its defect in `preimpl`, whatever the format, and the
-# `PL02xx` code that folds the same defect in `pilint` (exit 2).
+# join, a zero-channel conv (also as a `--model` JSON descriptor), a ReLU
+# fed by two operands — is an error naming its defect in `preimpl`,
+# whatever the format, and the `PL02xx` code that folds the same defect in
+# `pilint` (exit 2).
 echo "==> network-judge parity: preimpl refuses what pilint denies"
 printf 'network mismatch\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nconv b kernel=3 pad=1 out=4 from=input\nadd j from=a,b\n' \
     > "$smoke_dir/mismatch.txt"
 printf 'network unary\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a\n' \
     > "$smoke_dir/unary.txt"
 printf 'network zero\ninput 1x8x8\nconv a kernel=3 out=0\n' > "$smoke_dir/zero.txt"
+printf 'network fanin\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nconv b kernel=3 pad=1 out=2 from=input\nrelu r from=a,b\n' \
+    > "$smoke_dir/fanin.txt"
 printf '{"name": "zero", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 0}}], "outputs": ["a"]}\n' \
     > "$smoke_dir/zero.json"
 while read -r kind file code defect; do
@@ -167,7 +170,17 @@ archdef mismatch.txt PL0201 disagree on the interface shape
 archdef unary.txt PL0205 has 1 input stream(s)
 archdef zero.txt PL0205 out_channels=0
 model zero.json PL0205 out_channels=0
+archdef fanin.txt PL0205 has 2 input stream(s)
 PROBES
+# `pilint db` with a network lints the network too: against a valid
+# database, the mismatched join is its PL0201, not a silent "0 errors".
+set +e
+db_judged="$(cargo run --release --quiet --bin pilint -- \
+    db "$smoke_dir/mismatch.txt" --db-dir "$smoke_dir/db" 2>/dev/null)"
+db_judged_rc=$?
+set -e
+{ [ "$db_judged_rc" -eq 2 ] && echo "$db_judged" | grep -F 'error[PL0201]' >/dev/null; } \
+    || { echo "pilint db on a rejected network exited $db_judged_rc, want 2 with PL0201: $db_judged"; exit 1; }
 echo "    every malformed network refused by preimpl, naming its defect, and denied by pilint (exit 2)"
 
 # flowstat determinism gate: two LeNet-5 runs with the same seed (each
@@ -343,7 +356,7 @@ echo "$mdl_diff" | grep -F 'identical' >/dev/null \
 echo "    all descriptors lint clean, descriptor LeNet matches the seed trace"
 
 # Dataflow gate: every checked-in descriptor must pass the PL04xx
-# fixpoint analysis (rate balance / divergence) under --deny-warnings,
+# analysis (token-rate balance) under --deny-warnings,
 # and so must a ResNet whose skip path is artificially skewed (7x7
 # convolutions on the main path): the flow sizes its deep skip FIFO from
 # the rate model, so skew is not a finding.
@@ -362,10 +375,10 @@ cargo run --release --quiet --bin pilint -- \
     || { echo "skewed ResNet failed the dataflow gate"; exit 1; }
 echo "    descriptors and the skewed skip lint clean"
 
-# Lint bench gate: the dataflow fixpoint bench must self-gate clean
-# (convergence, clean bundled models within the default link depth,
-# stable ResNet skip minimum) and be byte-identical across PI_THREADS.
-echo "==> lint bench gate: fixpoint self-gates clean, stable across threads"
+# Lint bench gate: the dataflow checker bench must self-gate clean
+# (clean bundled models within the default link depth, stable ResNet skip
+# minimum) and be byte-identical across PI_THREADS.
+echo "==> lint bench gate: dataflow checker self-gates clean, stable across threads"
 lb_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir" "$mdl_dir" "$lb_dir"' EXIT
 PI_THREADS=1 cargo run --release --quiet -p pi-bench --bin lint -- \

@@ -21,8 +21,8 @@
 //!   [`link_min_depths`] applies it to every link of a network.
 //!
 //! Readers: `pi-synth` sizes lanes from it, `pi-flow` sizes FIFOs and
-//! prints latency from it, `pi-lint` checks its own interval fixpoint and
-//! the checkpoints' measured values against it.
+//! prints latency from it, `pi-lint` checks its own longest-path link
+//! depths and the checkpoints' measured values against it.
 
 use crate::graph::{Component, Granularity, Network};
 use crate::layer::{Layer, Shape};

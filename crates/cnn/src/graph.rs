@@ -503,8 +503,9 @@ pub enum DefectKind {
     /// A zero kernel, stride, window, channel or feature count, or an
     /// input shape with a zero dimension.
     Degenerate,
-    /// An element-wise join without exactly two operands.
-    JoinArity,
+    /// An element-wise join without exactly two operands, or another
+    /// layer with more than one.
+    Arity,
     /// A node's operands disagree on the interface shape.
     OperandsDisagree,
     /// A layer rejects its input shape.
@@ -523,8 +524,9 @@ impl From<GraphDefect> for CnnError {
     }
 }
 
-/// The parameter defect of one node, if any: a degenerate parameter, or a
-/// join fed by other than two operands.
+/// The parameter defect of one node, if any: a degenerate parameter, a
+/// join fed by other than two operands, or another layer fed by several
+/// (a component has one input port, a join two).
 fn parameter_defect(node: &Node, operands: usize) -> Option<(DefectKind, String)> {
     let degenerate = match &node.layer {
         Layer::Input(shape) if shape.elements() == 0 => {
@@ -541,9 +543,19 @@ fn parameter_defect(node: &Node, operands: usize) -> Option<(DefectKind, String)
         Layer::Fc(p) if p.out_features == 0 => "fc out_features=0".to_string(),
         Layer::Eltwise(_) if operands != 2 => {
             return Some((
-                DefectKind::JoinArity,
+                DefectKind::Arity,
                 format!(
                     "join `{}` has {operands} input stream(s) — element-wise joins need exactly 2",
+                    node.name
+                ),
+            ))
+        }
+        Layer::Eltwise(_) | Layer::Input(_) => return None,
+        _ if operands > 1 => {
+            return Some((
+                DefectKind::Arity,
+                format!(
+                    "layer `{}` has {operands} input stream(s) — only element-wise joins take more than 1",
                     node.name
                 ),
             ))
@@ -654,7 +666,7 @@ pub struct ComponentEdge {
 impl ComponentEdge {
     /// The sink's input port this link drives: `din`, or `din2` for a
     /// join's second operand. `None` past that — components accept at most
-    /// two input streams.
+    /// two input streams, and the network judge refuses a third (`Arity`).
     pub fn port(&self) -> Option<&'static str> {
         match self.operand {
             0 => Some("din"),

@@ -556,11 +556,12 @@ fn report_built(dse: &Obs, report: &ComponentBuildReport) {
 
 /// The network gate every flow entry opens with. When `cfg.lint` is set,
 /// the graph-family passes *and* the `PL04xx` dataflow analysis run
-/// first, so a rejected network reports every finding as `LintFailed`;
-/// waivers are audited on the merged report, so a waiver consumed by
-/// either pass counts as used. Either way the network judge
-/// ([`Network::validate`]) then refuses what it rejects, so no policy or
-/// waiver admits a malformed graph.
+/// first, so a rejected network reports every finding as `LintFailed`
+/// (the graph pass names its defects; the dataflow pass checks only a
+/// network the judge accepts); waivers are audited on the merged report,
+/// so a waiver consumed by either pass counts as used. Either way the
+/// network judge ([`Network::validate`]) then refuses what it rejects, so
+/// no policy or waiver admits a malformed graph.
 pub(crate) fn network_gate(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
     if let Some(lc) = &cfg.lint {
         let engine = pi_lint::LintEngine::new(lc.clone());

@@ -14,31 +14,28 @@
 //! below the standard depth, so no link it builds can be undersized.
 //!
 //! This is the *checker*. It re-derives the same depths independently
-//! (`tests/model_import_props.rs` holds the two equal) and is the one
-//! that keeps going when the graph is not well formed. It propagates
-//! first-token *arrival intervals* (cycles from frame start) over the
-//! component graph with the worklist fixpoint core in
-//! [`crate::engine`]: a component's arrival is the synchronizing `sup` of
-//! each predecessor's arrival offset by that predecessor's pipeline
-//! depth. Per-component quantities — pipeline depth, tokens in and out,
-//! frame cycles — are read from the model's
-//! [`pi_cnn::cycles::ComponentRate`], and the skew → depth rule is the
-//! model's [`pi_cnn::cycles::min_link_depth`]; only the arrival
-//! propagation is this pass's own. Per-edge token counts are also
-//! balance-checked (SDF consistency: producer tokens per frame must equal
-//! what the consumer port expects).
+//! (`tests/model_import_props.rs` holds the two equal) over networks the
+//! judge ([`Network::defects`]) accepts; a rejected network has no
+//! dataflow to check, and the graph pass (`PL02xx`) says why. A
+//! component's first-token *arrival* (cycles from frame start) is the
+//! longest path to it from the input, each producer adding its pipeline
+//! depth. Unlike the sizer, which sweeps components in topological order
+//! and assumes every link points forward, the checker relaxes every link
+//! until nothing changes, so the link order does not matter.
+//! Per-component quantities — pipeline depth, tokens in and out, frame
+//! cycles — are read from the model's [`pi_cnn::cycles::ComponentRate`],
+//! and the skew → depth rule is the model's
+//! [`pi_cnn::cycles::min_link_depth`]; only the arrival propagation is
+//! this pass's own. Per-edge token counts are also balance-checked (SDF
+//! consistency: producer tokens per frame must equal what the consumer
+//! port expects).
 //!
-//! Findings: `PL0402` (token-rate imbalance), `PL0403` (fixpoint widened
-//! to top before stabilizing — cyclic graph, nothing proven). When the
-//! graph is too broken for the rate model (cycles, shape failures) the
-//! analysis falls back to a unit-rate node-level graph so it still
-//! terminates and still reports divergence instead of crashing or
-//! silently passing.
+//! Finding: `PL0402` (token-rate imbalance).
 
 use crate::diag::Diagnostic;
-use crate::engine::{fixpoint_intervals, FixpointOutcome, Interval};
-use pi_cnn::graph::{Granularity, Network};
-use pi_cnn::{cycles, CnnError};
+use pi_cnn::cycles::{self, ComponentRate};
+use pi_cnn::graph::{Component, ComponentEdge, Granularity, Network};
+use pi_cnn::CnnError;
 use std::collections::BTreeMap;
 
 /// One analyzed inter-component stream link.
@@ -62,26 +59,16 @@ pub struct EdgeFlow {
     pub skew_cycles: u64,
     /// Minimum FIFO depth that absorbs the skew without backpressure: the
     /// tokens queued during pipeline fill plus the one in flight at the
-    /// consumer. [`Interval::TOP_HI`] when the fixpoint widened to top.
+    /// consumer.
     pub min_depth: u64,
 }
 
-/// The analysis result: per-link flows plus fixpoint bookkeeping — what
-/// the `lint` bench bin measures.
+/// The analysis result: per-link flows — what the `lint` bench bin
+/// measures.
 #[derive(Debug, Clone)]
 pub struct DataflowAnalysis {
     pub network_name: String,
-    /// Actors the fixpoint ran over (components, or nodes in fallback).
-    pub actors: usize,
     pub edges: Vec<EdgeFlow>,
-    /// Node evaluations the worklist performed before stabilizing.
-    pub iterations: u64,
-    /// The fixpoint widened to top — bounds below are not trustworthy.
-    pub diverged: bool,
-    /// The rate model could not run (graph cycle or shape failure); the
-    /// analysis degraded to a unit-rate node-level graph. The message
-    /// explains why.
-    pub fallback: Option<String>,
 }
 
 impl DataflowAnalysis {
@@ -99,33 +86,11 @@ impl DataflowAnalysis {
         self.edges.iter().map(|e| e.min_depth).max().unwrap_or(1)
     }
 
-    /// The findings of the analysis: divergence and rate imbalance. Link
-    /// depths are not findings — the flow installs them.
+    /// The findings of the analysis: rate imbalance. Link depths are not
+    /// findings — the flow installs them.
     pub fn lint(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let net = &self.network_name;
-        if let Some(why) = &self.fallback {
-            out.push(Diagnostic::new(
-                "PL0403",
-                format!("network:{net}/dataflow"),
-                format!(
-                    "rate model unavailable ({why}); fell back to the \
-                     unit-rate node graph — FIFO bounds not proven"
-                ),
-            ));
-        }
-        if self.diverged {
-            out.push(Diagnostic::new(
-                "PL0403",
-                format!("network:{net}/dataflow"),
-                format!(
-                    "fixpoint widened to top after {} iterations over {} \
-                     actors (cyclic dataflow?): occupancy bounds and \
-                     deadlock-freedom could not be proven",
-                    self.iterations, self.actors
-                ),
-            ));
-        }
         for e in &self.edges {
             if e.tokens_per_frame != e.expected_tokens {
                 out.push(Diagnostic::new(
@@ -143,121 +108,74 @@ impl DataflowAnalysis {
     }
 }
 
-/// Run the dataflow analysis over a network at the given granularity.
-pub fn analyze(network: &Network, granularity: Granularity) -> DataflowAnalysis {
-    match analyze_components(network, granularity) {
-        Ok(a) => a,
-        Err(e) => analyze_fallback(network, e),
-    }
-}
-
-/// The precise path: actors are the fused components the stitcher will
-/// instantiate, rates come from the model.
-fn analyze_components(
-    network: &Network,
-    granularity: Granularity,
-) -> Result<DataflowAnalysis, CnnError> {
+/// Run the dataflow analysis over a network at the given granularity: the
+/// actors are the fused components the stitcher will instantiate, and
+/// rates come from the model. A network the judge rejects is `Err` with
+/// its first defect.
+pub fn analyze(network: &Network, granularity: Granularity) -> Result<DataflowAnalysis, CnnError> {
     let comps = network.components(granularity)?;
-    let n = comps.len();
     let rates = cycles::component_rates(network, &comps)?;
-
     // The same component graph the stitcher wires from.
     let links = network.component_edges(&comps);
-    let (preds, outcome) = arrivals(n, links.iter().map(|e| (e.source, e.sink)), |p| {
-        rates[p].depth_cycles
-    });
-
-    // Per-edge flows. An edge's operand "arrives" at the consumer after
-    // the producer's pipeline: A_e = arrival(src) + depth(src). A
-    // synchronizing consumer fires at the latest A_e; everything the
-    // early operand produces until then queues in its link FIFO.
-    let mut edges = Vec::with_capacity(links.len());
-    for link in &links {
-        let (ca, cb) = (link.source, link.sink);
-        let latest = preds[cb]
-            .iter()
-            .filter_map(|&a| outcome.values[a].map(|v| v.offset(rates[a].depth_cycles).hi))
-            .max()
-            .unwrap_or(0);
-        let producer = &rates[ca];
-        let skew = match outcome.values[ca].map(|v| v.offset(producer.depth_cycles)) {
-            Some(a) if a.is_top() || latest == Interval::TOP_HI => Interval::TOP_HI,
-            Some(a) => latest.saturating_sub(a.lo),
-            // Producer unreachable from the input: orphan territory
-            // (PL0202); nothing flows, nothing queues.
-            None => 0,
-        };
-        let min_depth = if skew == Interval::TOP_HI {
-            Interval::TOP_HI
-        } else {
-            cycles::min_link_depth(skew, producer.tokens_out, producer.frame_cycles)
-        };
-        edges.push(EdgeFlow {
-            source: ca,
-            sink: cb,
-            source_name: comps[ca].name.clone(),
-            sink_name: comps[cb].name.clone(),
-            // A third operand has no port (PL0205 flags the join); it
-            // keeps the second's label here.
-            port: link.port().unwrap_or("din2"),
-            tokens_per_frame: producer.tokens_out,
-            expected_tokens: rates[cb].tokens_in,
-            skew_cycles: skew,
-            min_depth,
-        });
-    }
-
     Ok(DataflowAnalysis {
         network_name: network.name.clone(),
-        actors: n,
-        edges,
-        iterations: outcome.iterations,
-        diverged: outcome.diverged,
-        fallback: None,
+        edges: edge_flows(&comps, &rates, &links),
     })
 }
 
-/// The degraded path: when components/shapes cannot be derived (the graph
-/// has a cycle, a layer rejects its shape) run the fixpoint over the raw
-/// node graph with unit depths and rates. Guarantees termination and
-/// turns a structural cycle into a widening-to-top divergence report
-/// instead of an analysis crash.
-fn analyze_fallback(network: &Network, why: CnnError) -> DataflowAnalysis {
-    let n = network.nodes().len();
-    let node_edges = network.edges().iter().map(|(a, b)| (a.index(), b.index()));
-    let (_, outcome) = arrivals(n, node_edges, |_| 1);
-    DataflowAnalysis {
-        network_name: network.name.clone(),
-        actors: n,
-        edges: Vec::new(),
-        iterations: outcome.iterations,
-        diverged: outcome.diverged,
-        fallback: Some(why.to_string()),
-    }
+/// Per-link flows. A link's operand "arrives" at the consumer after the
+/// producer's pipeline: `arrival(src) + depth(src)`. A synchronizing
+/// consumer fires at its latest operand; everything an earlier operand
+/// produces until then queues in its link FIFO.
+fn edge_flows(
+    comps: &[Component],
+    rates: &[ComponentRate],
+    links: &[ComponentEdge],
+) -> Vec<EdgeFlow> {
+    let fires = arrivals(rates, links);
+    links
+        .iter()
+        .map(|link| {
+            let producer = &rates[link.source];
+            let skew = fires[link.sink] - (fires[link.source] + producer.depth_cycles);
+            EdgeFlow {
+                source: link.source,
+                sink: link.sink,
+                source_name: comps[link.source].name.clone(),
+                sink_name: comps[link.sink].name.clone(),
+                port: link
+                    .port()
+                    .expect("a judged network feeds a component at most two streams"),
+                tokens_per_frame: producer.tokens_out,
+                expected_tokens: rates[link.sink].tokens_in,
+                skew_cycles: skew,
+                min_depth: cycles::min_link_depth(skew, producer.tokens_out, producer.frame_cycles),
+            }
+        })
+        .collect()
 }
 
-/// First-token arrival interval of each of `n` actors: actors without a
-/// producer fire at cycle 0 and every edge delays its producer's arrival
-/// by `depth_of(producer)`. Returns the predecessor lists alongside.
-fn arrivals(
-    n: usize,
-    edges: impl Iterator<Item = (usize, usize)>,
-    depth_of: impl Fn(usize) -> u64,
-) -> (Vec<Vec<usize>>, FixpointOutcome) {
-    let mut preds = vec![Vec::new(); n];
-    let mut succs = vec![Vec::new(); n];
-    for (a, b) in edges {
-        if a < n && b < n {
-            preds[b].push(a);
-            succs[a].push(b);
+/// First-token arrival of each component: the longest path to it from the
+/// input, each producer adding its pipeline depth. Every link is relaxed
+/// until nothing changes. A longest path has fewer links than there are
+/// components, so on the judged (acyclic) graph the last round changes
+/// nothing, whatever order the links come in.
+fn arrivals(rates: &[ComponentRate], links: &[ComponentEdge]) -> Vec<u64> {
+    let mut fires = vec![0u64; rates.len()];
+    for _ in 0..rates.len() {
+        let mut changed = false;
+        for link in links {
+            let delivered = fires[link.source] + rates[link.source].depth_cycles;
+            if delivered > fires[link.sink] {
+                fires[link.sink] = delivered;
+                changed = true;
+            }
+        }
+        if !changed {
+            return fires;
         }
     }
-    let seeds: Vec<(usize, Interval)> = (0..n)
-        .filter(|&i| preds[i].is_empty())
-        .map(|i| (i, Interval::point(0)))
-        .collect();
-    let outcome = fixpoint_intervals(&preds, &succs, &seeds, |p, _n, v| v.offset(depth_of(p)));
-    (preds, outcome)
+    unreachable!("a judged component graph has no cycle")
 }
 
 #[cfg(test)]
@@ -268,8 +186,7 @@ mod tests {
 
     #[test]
     fn linear_chains_have_unit_depths() {
-        let a = analyze(&models::lenet5(), Granularity::Layer);
-        assert!(a.fallback.is_none() && !a.diverged, "{a:?}");
+        let a = analyze(&models::lenet5(), Granularity::Layer).unwrap();
         assert!(!a.edges.is_empty());
         for e in &a.edges {
             assert_eq!(e.min_depth, 1, "{e:?}");
@@ -280,8 +197,7 @@ mod tests {
 
     #[test]
     fn resnet_skip_edges_need_skew_buffering_within_default_capacity() {
-        let a = analyze(&models::resnet_small(), Granularity::Layer);
-        assert!(a.fallback.is_none() && !a.diverged, "{a:?}");
+        let a = analyze(&models::resnet_small(), Granularity::Layer).unwrap();
         let skips: Vec<&EdgeFlow> = a.edges.iter().filter(|e| e.skew_cycles > 0).collect();
         assert_eq!(skips.len(), 2, "two skip operands: {:?}", a.edges);
         for e in &skips {
@@ -294,8 +210,31 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_graph_falls_back_and_reports_divergence() {
+    fn arrivals_do_not_depend_on_link_order() {
+        let net = models::resnet_small();
+        let comps = net.components(Granularity::Layer).unwrap();
+        let rates = cycles::component_rates(&net, &comps).unwrap();
+        let links = net.component_edges(&comps);
+        let reversed: Vec<ComponentEdge> = links.iter().rev().copied().collect();
+        let depths = |links: &[ComponentEdge]| {
+            let mut d: Vec<(usize, usize, u64)> = edge_flows(&comps, &rates, links)
+                .iter()
+                .map(|e| (e.source, e.sink, e.min_depth))
+                .collect();
+            d.sort_unstable();
+            d
+        };
+        let forward = depths(&links);
+        assert!(forward.iter().any(|&(_, _, d)| d > 1), "{forward:?}");
+        assert_eq!(forward, depths(&reversed));
+    }
+
+    #[test]
+    fn a_cyclic_graph_is_left_to_the_graph_pass() {
+        use crate::diag::LintConfig;
+        use crate::engine::LintEngine;
         use pi_cnn::layer::{Layer, Shape};
+        use pi_obs::Obs;
         let mut n = Network::new("cyclic");
         let input = n.add_node("input", Layer::Input(Shape::new(1, 8, 8)));
         let a = n.add_node("a", Layer::Relu);
@@ -303,10 +242,14 @@ mod tests {
         n.add_edge(input, a);
         n.add_edge(a, b);
         n.add_edge(b, a);
-        let out = analyze(&n, Granularity::Layer);
-        assert!(out.fallback.is_some());
-        assert!(out.diverged, "{out:?}");
-        let diags = out.lint();
-        assert!(diags.iter().any(|d| d.code == "PL0403"), "{diags:?}");
+        assert!(analyze(&n, Granularity::Layer).is_err());
+        let engine = LintEngine::new(LintConfig::new());
+        let dataflow = engine.lint_dataflow(&n, Granularity::Layer, &Obs::null());
+        assert!(dataflow.diagnostics.is_empty(), "{dataflow:?}");
+        let graph = engine.lint_network(&n, Granularity::Layer, &Obs::null());
+        assert!(
+            graph.diagnostics.iter().any(|d| d.code == "PL0203"),
+            "{graph:?}"
+        );
     }
 }

@@ -8,10 +8,12 @@
 //! retired code's number is never reused; naming one is "unknown lint
 //! code". Retired: `PL0140` / `PL0141` (they policed the star router,
 //! since deleted), `PL0400` / `PL0401` (undersized link FIFOs — the
-//! flow sizes every link from the rate model, so neither can fire) and
-//! `PL0302` / `PL0308` (an unlocked or unimplemented checkpoint — the
-//! checkpoint judge's verdict prints those as `PL0317` / `PL0310` /
-//! `PL0318`).
+//! flow sizes every link from the rate model, so neither can fire),
+//! `PL0403` (the dataflow analysis diverged — it runs only on networks
+//! the judge accepts, which are acyclic, and the graph pass reports the
+//! rest) and `PL0302` / `PL0308` (an unlocked or unimplemented
+//! checkpoint — the checkpoint judge's verdict prints those as `PL0317`
+//! / `PL0310` / `PL0318`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -326,21 +328,13 @@ pub const REGISTRY: &[LintCode] = &[
         default: Level::Deny,
         summary: "more routes occupy a tile than the device has wires per tile",
     },
-    // ---- PL04xx: streaming dataflow analysis (fixpoint rate model) ----
+    // ---- PL04xx: streaming dataflow analysis (rate model) ----
     LintCode {
         code: "PL0402",
         name: "rate-mismatch",
         default: Level::Deny,
         summary: "a producer's tokens per frame disagree with what the \
                   consumer port expects (SDF balance violation)",
-    },
-    LintCode {
-        code: "PL0403",
-        name: "analysis-diverged",
-        default: Level::Warn,
-        summary: "the fixpoint dataflow analysis widened to top before \
-                  stabilizing (usually a graph cycle): FIFO bounds and \
-                  deadlock-freedom could not be proven",
     },
 ];
 

@@ -28,150 +28,6 @@ use pi_obs::{Obs, Value};
 use pi_stitch::{ComponentDb, StitchError};
 use rayon::prelude::*;
 
-/// A saturating interval `[lo, hi]` of cycle counts — the value domain of
-/// the dataflow fixpoint (`crate::dataflow`). `hi == u64::MAX` is the
-/// lattice top: "unbounded", the widened state a diverging chain lands in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interval {
-    pub lo: u64,
-    pub hi: u64,
-}
-
-impl Interval {
-    /// The sentinel upper bound meaning "unbounded".
-    pub const TOP_HI: u64 = u64::MAX;
-
-    /// The degenerate interval `[v, v]`.
-    pub fn point(v: u64) -> Self {
-        Interval { lo: v, hi: v }
-    }
-
-    /// Shift both bounds by `d`, saturating (top stays top).
-    pub fn offset(self, d: u64) -> Self {
-        Interval {
-            lo: self.lo.saturating_add(d),
-            hi: self.hi.saturating_add(d),
-        }
-    }
-
-    /// Lattice join: the smallest interval containing both (union hull).
-    pub fn join(self, other: Self) -> Self {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
-    /// Element-wise maximum: the arrival of a *synchronizing* join, which
-    /// cannot fire before its latest operand on either bound.
-    pub fn sup(self, other: Self) -> Self {
-        Interval {
-            lo: self.lo.max(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
-    /// True once the upper bound has been widened to top.
-    pub fn is_top(self) -> bool {
-        self.hi == Self::TOP_HI
-    }
-}
-
-/// What a fixpoint run produced: the per-node post-state (`None` for
-/// nodes no seed reaches), how many node evaluations it took, and whether
-/// any value had to be widened to top before the run stabilized.
-#[derive(Debug, Clone)]
-pub struct FixpointOutcome {
-    pub values: Vec<Option<Interval>>,
-    pub iterations: u64,
-    pub diverged: bool,
-}
-
-/// A node's value is re-widened to top after this many changes — the
-/// knob that bounds the fixpoint on cyclic graphs: `lo` freezes at first
-/// assignment (the hull join keeps the minimum) and `hi` can only rise
-/// this many times before saturating, so every node stabilizes.
-const WIDEN_AFTER: u32 = 8;
-
-/// Worklist fixpoint over intervals on a finite directed graph.
-///
-/// Each node's input state is the element-wise [`Interval::sup`] of its
-/// predecessors' values pushed through `transfer(pred, node, value)`
-/// (synchronization semantics: a multi-input node fires when its *latest*
-/// operand arrives), hull-joined with the node's previous state so values
-/// grow monotonically. `seeds` pins the initial state of source nodes.
-/// The worklist drains in ascending node order, so on a DAG whose edges
-/// point from lower to higher index (the order `Network::components`
-/// emits) one sweep converges exactly; on cyclic graphs widening caps
-/// each node at [`WIDEN_AFTER`] changes and the run reports `diverged`.
-pub fn fixpoint_intervals(
-    preds: &[Vec<usize>],
-    succs: &[Vec<usize>],
-    seeds: &[(usize, Interval)],
-    transfer: impl Fn(usize, usize, Interval) -> Interval,
-) -> FixpointOutcome {
-    let n = preds.len();
-    assert_eq!(succs.len(), n, "preds/succs describe the same graph");
-    let mut values: Vec<Option<Interval>> = vec![None; n];
-    let mut seeded: Vec<Option<Interval>> = vec![None; n];
-    for &(node, v) in seeds {
-        seeded[node] = Some(match seeded[node] {
-            Some(prev) => prev.join(v),
-            None => v,
-        });
-    }
-    let mut changes = vec![0u32; n];
-    let mut worklist: std::collections::BTreeSet<usize> = (0..n).collect();
-    let mut iterations = 0u64;
-    // Belt-and-braces bound: widening alone terminates, but a hard budget
-    // keeps a core bug from hanging a lint run.
-    let budget = (n as u64 + 1) * (u64::from(WIDEN_AFTER) + 2) * 4 + 1024;
-    let mut diverged = false;
-    while let Some(&node) = worklist.iter().next() {
-        worklist.remove(&node);
-        iterations += 1;
-        if iterations > budget {
-            diverged = true;
-            break;
-        }
-        let mut incoming = seeded[node];
-        for &p in &preds[node] {
-            if let Some(v) = values[p] {
-                let contrib = transfer(p, node, v);
-                incoming = Some(match incoming {
-                    Some(acc) => acc.sup(contrib),
-                    None => contrib,
-                });
-            }
-        }
-        let Some(new) = incoming else { continue };
-        let merged = match values[node] {
-            Some(prev) => prev.join(new),
-            None => new,
-        };
-        if values[node] == Some(merged) {
-            continue;
-        }
-        changes[node] += 1;
-        let stored = if changes[node] > WIDEN_AFTER && !merged.is_top() {
-            Interval {
-                lo: merged.lo,
-                hi: Interval::TOP_HI,
-            }
-        } else {
-            merged
-        };
-        values[node] = Some(stored);
-        worklist.extend(succs[node].iter().copied());
-    }
-    diverged = diverged || values.iter().flatten().any(|v| v.is_top());
-    FixpointOutcome {
-        values,
-        iterations,
-        diverged,
-    }
-}
-
 /// Runs lint passes under one [`LintConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct LintEngine {
@@ -216,8 +72,9 @@ impl LintEngine {
         self.finalize("network", lint_network(network, granularity), obs)
     }
 
-    /// Dataflow-family pass (`PL04xx`): fixpoint analysis over the
-    /// component graph, reporting rate imbalance and divergence.
+    /// Dataflow-family pass (`PL04xx`): token-rate balance over the
+    /// component graph. A network the judge rejects has no dataflow to
+    /// check and reports nothing here: the graph pass explains it.
     pub fn lint_dataflow(
         &self,
         network: &Network,
@@ -229,10 +86,13 @@ impl LintEngine {
             let _span = scope.span("analyze");
             crate::dataflow::analyze(network, granularity)
         };
-        scope.counter("iterations", analysis.iterations);
-        scope.counter("links", analysis.edges.len() as u64);
-        scope.counter("diverged", u64::from(analysis.diverged));
-        let raw = analysis.lint();
+        let raw = match analysis {
+            Ok(analysis) => {
+                scope.counter("links", analysis.edges.len() as u64);
+                analysis.lint()
+            }
+            Err(_) => Vec::new(),
+        };
         self.finalize("dataflow", raw, obs)
     }
 

@@ -34,7 +34,7 @@ pub fn defect_code(kind: DefectKind) -> &'static str {
         DefectKind::MissingNode | DefectKind::Unreachable => "PL0202",
         DefectKind::Cycle => "PL0203",
         DefectKind::Input => "PL0204",
-        DefectKind::Degenerate | DefectKind::JoinArity => "PL0205",
+        DefectKind::Degenerate | DefectKind::Arity => "PL0205",
     }
 }
 

@@ -21,10 +21,10 @@
 //!   ([`pi_stitch::check_design`], run by the flow, never by this crate)
 //!   folded into `PL031x` codes;
 //! * **dataflow** (`PL04xx`) — streaming rate analysis of the stitched
-//!   pipeline: a worklist fixpoint over arrival intervals derives each
-//!   link's minimum FIFO depth independently of the rate model the flow
-//!   sizes links from, and flags token-rate imbalance and divergence
-//!   (`pilint dataflow`).
+//!   pipeline of a network the judge accepts: a longest-path pass over
+//!   first-token arrivals derives each link's minimum FIFO depth
+//!   independently of the rate model the flow sizes links from, and flags
+//!   token-rate imbalance (`pilint dataflow`).
 //!
 //! Every finding is a [`Diagnostic`] with a stable code from
 //! [`REGISTRY`]; [`LintConfig`] applies rustc-style `allow`/`warn`/`deny`
@@ -48,7 +48,7 @@ pub use dataflow::{analyze as analyze_dataflow, DataflowAnalysis, EdgeFlow};
 pub use diag::{
     lookup, parse_waivers, Diagnostic, Level, LintCode, LintConfig, Severity, Waiver, REGISTRY,
 };
-pub use engine::{fixpoint_intervals, FixpointOutcome, Interval, LintEngine};
+pub use engine::LintEngine;
 pub use graph::{defect_code, lint_network};
 pub use model::lint_model;
 pub use netlist::{lint_design_structure, lint_module};

@@ -3,8 +3,8 @@
 //! ```text
 //! pilint archdef  <file>                      lint a CNN architecture definition
 //! pilint model    <file>                      import + lint a model descriptor (.json/.prototxt)
-//! pilint dataflow <file>                      fixpoint rate analysis (PL04xx)
-//! pilint db       [archdef] --db-dir PATH     lint a component database (+ coverage)
+//! pilint dataflow <file>                      stream-link rate analysis (PL04xx)
+//! pilint db       [archdef] --db-dir PATH     lint a component database (+ the network and its coverage)
 //! pilint design   <archdef> --db-dir PATH     run the flow's assembly, report its DRC verdict + design lints
 //! pilint trace    <trace.jsonl>               lint a recorded telemetry stream
 //! pilint codes                                print the lint-code registry
@@ -20,11 +20,12 @@
 //! only syntax errors abort the run.
 //!
 //! `dataflow` takes any importable network description (archdef, `.json`,
-//! `.prototxt` — format sniffed from the extension, archdef otherwise) and
-//! runs the worklist fixpoint over arrival intervals: token-rate
-//! mismatches and divergence (a cyclic graph). Link FIFO depths are not
-//! findings — the flow sizes every link from the rate model, which this
-//! fixpoint re-derives independently.
+//! `.prototxt` — format sniffed from the extension, archdef otherwise) and,
+//! when the network judge accepts it, checks every stream link's token
+//! rate. Link FIFO depths are not findings — the flow sizes every link
+//! from the rate model, which this pass re-derives independently. A
+//! rejected network reports the model pass instead, which says why there
+//! is no dataflow to check.
 //!
 //! `db` and `design` read the component database `preimpl --db-dir`
 //! writes, through the same verified lookup the flow uses: every entry is
@@ -141,6 +142,26 @@ fn load_network(path: &str) -> Result<Network, String> {
     parse_archdef_lenient(&text).map_err(|e| e.to_string())
 }
 
+/// The network's graph pass, then the database and its coverage of the
+/// network: coverage is computed over the network's components, so a
+/// network the judge rejects is explained by the graph pass, not passed
+/// over in silence.
+fn lint_network_db(
+    engine: &LintEngine,
+    network: &Network,
+    granularity: Granularity,
+    db: &ComponentDb,
+    device: &Device,
+) -> Result<LintReport, String> {
+    let obs = Obs::null();
+    let mut report = engine.lint_network(network, granularity, &obs);
+    let coverage = engine
+        .lint_db_for_network(network, granularity, db, device, &obs)
+        .map_err(|e| e.to_string())?;
+    report.merge(coverage);
+    Ok(report)
+}
+
 /// Audit waivers on the merged report (this is the outermost point of any
 /// pilint run, so "used in any pass" is fully known here), then render and
 /// map onto the shared exit-code convention.
@@ -226,11 +247,12 @@ fn run() -> Result<ExitCode, String> {
             let mut report = match args.positional.first() {
                 Some(archdef) => {
                     let network = load_network(archdef)?;
-                    engine.lint_db_for_network(&network, granularity, &db, &device, &obs)
+                    lint_network_db(&engine, &network, granularity, &db, &device)?
                 }
-                None => engine.lint_db(&db, &device, &obs),
-            }
-            .map_err(|e| e.to_string())?;
+                None => engine
+                    .lint_db(&db, &device, &obs)
+                    .map_err(|e| e.to_string())?,
+            };
             finish(&mut report, &args)
         }
         "trace" => {
@@ -248,11 +270,7 @@ fn run() -> Result<ExitCode, String> {
             let device = Device::catalog(args.device()).map_err(|e| e.to_string())?;
             let network = load_network(archdef)?;
             let db = load_db(&args)?;
-            let mut report = engine.lint_network(&network, granularity, &obs);
-            let coverage = engine
-                .lint_db_for_network(&network, granularity, &db, &device, &obs)
-                .map_err(|e| e.to_string())?;
-            report.merge(coverage);
+            let mut report = lint_network_db(&engine, &network, granularity, &db, &device)?;
             if report.errors() > 0 {
                 // A broken network or database cannot be composed; report
                 // what the early passes found instead of failing opaquely.

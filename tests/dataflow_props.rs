@@ -1,12 +1,12 @@
-//! Property and acceptance tests of the `pi-lint` dataflow engine and the
-//! link sizing it checks: the fixpoint terminates on arbitrary cyclic
-//! graphs, FIFO minima are monotone in path skew, every bundled network
-//! fits the standard link depth, and the skewed-ResNet scenario flows
+//! Property and acceptance tests of the `pi-lint` dataflow checker and the
+//! link sizing it checks: FIFO minima are monotone in path skew, every
+//! bundled network fits the standard link depth, and the skewed-ResNet
+//! scenario flows
 //! end-to-end under a plain config — its deep skip FIFO derived, not
 //! configured — with thread-count-independent telemetry.
 
 use preimpl_cnn::cnn::cycles::{link_min_depths, min_link_depth};
-use preimpl_cnn::lint::{analyze_dataflow, fixpoint_intervals, Interval, LintConfig, LintEngine};
+use preimpl_cnn::lint::{analyze_dataflow, LintConfig, LintEngine};
 use preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH;
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
@@ -28,44 +28,6 @@ fn skewed_resnet(kernel: u64) -> Network {
 }
 
 proptest! {
-    /// The interval fixpoint terminates on *arbitrary* directed graphs —
-    /// self-loops, cycles, disconnected nodes — within its stated
-    /// iteration budget, and never reports divergence on a forward DAG.
-    #[test]
-    fn fixpoint_terminates_on_arbitrary_graphs(
-        n in 1usize..12,
-        edge_bits in proptest::collection::vec(0u8..2, 144..145),
-        depths in proptest::collection::vec(0u64..1_000, 12..13),
-        forward_only in 0u8..2,
-    ) {
-        let forward_only = forward_only == 1;
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for a in 0..n {
-            for b in 0..n {
-                let keep = edge_bits[a * 12 + b] == 1 && (!forward_only || a < b);
-                if keep {
-                    succs[a].push(b);
-                    preds[b].push(a);
-                }
-            }
-        }
-        let seeds: Vec<(usize, Interval)> = (0..n)
-            .filter(|&i| preds[i].is_empty())
-            .map(|i| (i, Interval::point(0)))
-            .collect();
-        let out = fixpoint_intervals(&preds, &succs, &seeds, |p, _, v| v.offset(depths[p]));
-        let budget = ((n as u64) + 1) * (8 + 2) * 4 + 1024;
-        prop_assert!(out.iterations <= budget, "{} > {budget}", out.iterations);
-        if forward_only {
-            prop_assert!(!out.diverged, "DAG widened: {out:?}");
-            // On a forward DAG every seeded-reachable value is finite.
-            for v in out.values.into_iter().flatten() {
-                prop_assert!(!v.is_top());
-            }
-        }
-    }
-
     /// The FIFO sizing rule is monotone in skew and exact at zero: more
     /// cycles of skew can never need a *shallower* FIFO, and zero skew
     /// needs exactly the one slot in flight.
@@ -93,8 +55,7 @@ fn resnet_skip_min_depth_grows_with_kernel() {
     let mut last = 0u64;
     for kernel in [3u64, 5, 7, 9] {
         let network = skewed_resnet(kernel);
-        let analysis = analyze_dataflow(&network, Granularity::Layer);
-        assert!(!analysis.diverged, "kernel {kernel} diverged");
+        let analysis = analyze_dataflow(&network, Granularity::Layer).unwrap();
         let deepest = analysis.max_min_depth();
         assert!(
             deepest >= last,
@@ -154,7 +115,7 @@ fn skewed_resnet_flows_with_derived_link_depths() {
         .with_lint(LintConfig::new().with_deny_warnings(true));
     let (db, _) = build_component_db(&network, &device, &base).unwrap();
 
-    let analysis = analyze_dataflow(&network, Granularity::Layer);
+    let analysis = analyze_dataflow(&network, Granularity::Layer).unwrap();
     let deepest = analysis.max_min_depth();
     assert!(deepest > DEFAULT_LINK_FIFO_DEPTH);
     let mut renders = Vec::new();

@@ -201,6 +201,7 @@ proptest! {
                 .map(|e| (e.source, e.sink, e.port()))
                 .collect();
             let analyzed: Vec<_> = preimpl_cnn::lint::analyze_dataflow(&net, granularity)
+                .unwrap()
                 .edges
                 .iter()
                 .map(|e| (e.source, e.sink, Some(e.port)))
@@ -211,12 +212,11 @@ proptest! {
 
     /// Sizer vs. checker: the minimum depths the flow sizes links from
     /// (the rate model's forward sweep) are exactly what the lint's
-    /// independent interval fixpoint computes, link for link.
+    /// independent longest-path pass computes, link for link.
     #[test]
     fn model_link_depths_equal_the_dataflow_analysis(net in network_strategy()) {
         for granularity in [Granularity::Layer, Granularity::Block] {
-            let analysis = preimpl_cnn::lint::analyze_dataflow(&net, granularity);
-            prop_assert!(!analysis.diverged && analysis.fallback.is_none(), "{analysis:?}");
+            let analysis = preimpl_cnn::lint::analyze_dataflow(&net, granularity).unwrap();
             let sized = preimpl_cnn::cnn::cycles::link_min_depths(&net, granularity).unwrap();
             prop_assert_eq!(sized, analysis.depth_map());
         }
