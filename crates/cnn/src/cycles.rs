@@ -21,8 +21,10 @@
 //!   [`link_min_depths`] applies it to every link of a network.
 //!
 //! Readers: `pi-synth` sizes lanes from it, `pi-flow` sizes FIFOs and
-//! prints latency from it, `pi-lint` checks its own longest-path link
-//! depths and the checkpoints' measured values against it.
+//! prints latency from it, and `pi-lint` checks the checkpoints' measured
+//! values against it. `pi_lint::dataflow` re-derives the link depths by
+//! its own longest path, the reference tier-1 holds [`link_min_depths`]
+//! equal to.
 
 use crate::graph::{Component, Granularity, Network};
 use crate::layer::{Layer, Shape};
@@ -98,8 +100,6 @@ pub struct ComponentRate {
     pub dsps: u64,
     /// Cycles to stream one frame through the component's engines.
     pub frame_cycles: u64,
-    /// Tokens consumed per frame on each input stream.
-    pub tokens_in: u64,
     /// Tokens emitted per frame.
     pub tokens_out: u64,
 }
@@ -133,7 +133,6 @@ impl ComponentRate {
             macs,
             dsps,
             frame_cycles: frame_cycles(macs, tokens_out, dsps),
-            tokens_in: component.input_shape.elements(),
             tokens_out,
         })
     }

@@ -204,7 +204,7 @@ impl Network {
         }
 
         for (i, node) in self.nodes.iter().enumerate() {
-            if let Some((kind, message)) = parameter_defect(node, preds[i].len()) {
+            if let Some((kind, message)) = parameter_defect(node, &preds[i]) {
                 defect(kind, Some(NodeId(i as u32)), message);
             }
         }
@@ -439,7 +439,7 @@ impl Network {
     /// `components` (as returned by [`Network::components`]) joined by a
     /// network edge, in network-edge order. This is the single derivation
     /// the stitcher wires top-level nets from, the rate model sizes link
-    /// FIFOs over and the dataflow lint checks them over.
+    /// FIFOs over and the dataflow reference re-derives them over.
     pub fn component_edges(&self, components: &[Component]) -> Vec<ComponentEdge> {
         let mut node_to_comp = HashMap::new();
         for (ci, comp) in components.iter().enumerate() {
@@ -503,8 +503,8 @@ pub enum DefectKind {
     /// A zero kernel, stride, window, channel or feature count, or an
     /// input shape with a zero dimension.
     Degenerate,
-    /// An element-wise join without exactly two operands, or another
-    /// layer with more than one.
+    /// An element-wise join without exactly two distinct operands, or
+    /// another layer with more than one.
     Arity,
     /// A node's operands disagree on the interface shape.
     OperandsDisagree,
@@ -525,9 +525,10 @@ impl From<GraphDefect> for CnnError {
 }
 
 /// The parameter defect of one node, if any: a degenerate parameter, a
-/// join fed by other than two operands, or another layer fed by several
-/// (a component has one input port, a join two).
-fn parameter_defect(node: &Node, operands: usize) -> Option<(DefectKind, String)> {
+/// join fed by other than two distinct operands, or another layer fed by
+/// several (a component has one input port, a join two, each driven by
+/// its own producer).
+fn parameter_defect(node: &Node, operands: &[NodeId]) -> Option<(DefectKind, String)> {
     let degenerate = match &node.layer {
         Layer::Input(shape) if shape.elements() == 0 => {
             format!("input shape {shape} has a zero dimension")
@@ -541,22 +542,33 @@ fn parameter_defect(node: &Node, operands: usize) -> Option<(DefectKind, String)
             p.window, p.stride
         ),
         Layer::Fc(p) if p.out_features == 0 => "fc out_features=0".to_string(),
-        Layer::Eltwise(_) if operands != 2 => {
+        Layer::Eltwise(_) if operands.len() != 2 => {
             return Some((
                 DefectKind::Arity,
                 format!(
-                    "join `{}` has {operands} input stream(s) — element-wise joins need exactly 2",
+                    "join `{}` has {} input stream(s) — element-wise joins need exactly 2",
+                    node.name,
+                    operands.len()
+                ),
+            ))
+        }
+        Layer::Eltwise(_) if operands[0] == operands[1] => {
+            return Some((
+                DefectKind::Arity,
+                format!(
+                    "join `{}` has 2 input streams from 1 producer — element-wise joins need 2 distinct operands",
                     node.name
                 ),
             ))
         }
         Layer::Eltwise(_) | Layer::Input(_) => return None,
-        _ if operands > 1 => {
+        _ if operands.len() > 1 => {
             return Some((
                 DefectKind::Arity,
                 format!(
-                    "layer `{}` has {operands} input stream(s) — only element-wise joins take more than 1",
-                    node.name
+                    "layer `{}` has {} input stream(s) — only element-wise joins take more than 1",
+                    node.name,
+                    operands.len()
                 ),
             ))
         }

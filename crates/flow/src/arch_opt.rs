@@ -474,23 +474,51 @@ mod tests {
         broken
     }
 
+    /// Give every checkpoint's module a spare input port that drives no
+    /// net: a netlist defect (`PL0102`) that leaves the checkpoint legal.
+    fn with_dangling_input(db: &ComponentDb) -> ComponentDb {
+        let mut broken = ComponentDb::new();
+        for cp in db.checkpoints() {
+            let mut json = serde_json::to_value(cp);
+            let serde_json::Value::Seq(ports) = &mut json["module"]["ports"] else {
+                panic!("a module serializes its ports as a list");
+            };
+            let mut spare = ports
+                .iter()
+                .find(|p| p["name"] == serde_json::Value::Str("din".into()))
+                .expect("every component has a din port")
+                .clone();
+            spare["name"] = serde_json::Value::Str("spare".into());
+            ports.push(spare);
+            broken.insert(serde_json::from_value(json).expect("checkpoint round-trips"));
+        }
+        broken
+    }
+
     #[test]
-    fn lint_gate_trips_on_contract_break() {
-        let (device, network, db) = toy_setup();
-        let broken = unlocked(&db);
+    fn lint_gate_trips_on_a_netlist_defect() {
+        let (device, _, db) = toy_setup();
+        let broken = with_dangling_input(&db);
+        for cp in broken.checkpoints() {
+            assert!(pi_stitch::check_checkpoint(cp, &device).unwrap().is_empty());
+        }
         let cfg = FlowConfig::new()
             .with_seeds([1])
-            .with_lint(pi_lint::LintConfig::new());
-        let err = crate::function_opt::lint_gate_db(&broken, &network, &device, &cfg).unwrap_err();
+            .with_lint(pi_lint::LintConfig::new().with_deny_warnings(true));
+        let err = crate::function_opt::lint_gate_db(&broken, &cfg).unwrap_err();
         match err {
             crate::FlowError::LintFailed(report) => {
                 assert!(
-                    report.diagnostics.iter().any(|d| d.code == "PL0317"),
+                    report
+                        .diagnostics
+                        .iter()
+                        .any(|d| d.code == "PL0102" && d.origin.ends_with("/module/port:spare")),
                     "{report:?}"
                 );
             }
             other => panic!("expected LintFailed, got {other}"),
         }
+        assert!(crate::function_opt::lint_gate_db(&db, &cfg).is_ok());
     }
 
     #[test]

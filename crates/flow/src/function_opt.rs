@@ -555,18 +555,14 @@ fn report_built(dse: &Obs, report: &ComponentBuildReport) {
 }
 
 /// The network gate every flow entry opens with. When `cfg.lint` is set,
-/// the graph-family passes *and* the `PL04xx` dataflow analysis run
-/// first, so a rejected network reports every finding as `LintFailed`
-/// (the graph pass names its defects; the dataflow pass checks only a
-/// network the judge accepts); waivers are audited on the merged report,
-/// so a waiver consumed by either pass counts as used. Either way the
-/// network judge ([`Network::validate`]) then refuses what it rejects, so
-/// no policy or waiver admits a malformed graph.
+/// the graph-family passes run first, so a rejected network reports every
+/// finding as `LintFailed`; waivers are audited on that report. Either way
+/// the network judge ([`Network::validate`]) then refuses what it rejects,
+/// so no policy or waiver admits a malformed graph.
 pub(crate) fn network_gate(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
     if let Some(lc) = &cfg.lint {
         let engine = pi_lint::LintEngine::new(lc.clone());
         let mut report = engine.lint_network(network, cfg.granularity, cfg.obs());
-        report.merge(engine.lint_dataflow(network, cfg.granularity, cfg.obs()));
         report.audit_waivers(lc);
         if report.gate(lc.deny_warnings) {
             return Err(FlowError::LintFailed(report));
@@ -575,18 +571,19 @@ pub(crate) fn network_gate(network: &Network, cfg: &FlowConfig) -> Result<(), Fl
     Ok(network.validate()?)
 }
 
-/// Post-stage lint gate: when `cfg.lint` is set, verify every checkpoint
-/// the function-optimization stage produced (or loaded) honours its
-/// envelope contracts and covers the network.
-pub(crate) fn lint_gate_db(
-    db: &ComponentDb,
-    network: &Network,
-    device: &Device,
-    cfg: &FlowConfig,
-) -> Result<(), FlowError> {
+/// Post-stage lint gate: when `cfg.lint` is set, run the netlist pass
+/// (`PL01xx`) over every checkpoint's module. Nothing here re-judges
+/// legality: every fresh checkpoint passed [`check_checkpoint`] at
+/// admission, the database holds one checkpoint per component by
+/// construction, and the assembly's DRC judges whatever is composed.
+pub(crate) fn lint_gate_db(db: &ComponentDb, cfg: &FlowConfig) -> Result<(), FlowError> {
     let Some(lc) = &cfg.lint else { return Ok(()) };
     let engine = pi_lint::LintEngine::new(lc.clone());
-    let report = engine.lint_db_for_network(network, cfg.granularity, db, device, cfg.obs())?;
+    let mut report = pi_lint::LintReport::new();
+    for cp in db.checkpoints() {
+        let base = format!("checkpoint:{}/module", cp.meta.signature);
+        report.merge(engine.lint_module(&base, &cp.module, cfg.obs()));
+    }
     if report.gate(lc.deny_warnings) {
         return Err(FlowError::LintFailed(report));
     }
@@ -624,7 +621,7 @@ pub fn build_component_db(
         db.insert(cp);
         reports.push(report);
     }
-    lint_gate_db(&db, network, device, cfg)?;
+    lint_gate_db(&db, cfg)?;
     Ok((db, reports))
 }
 
@@ -743,7 +740,7 @@ pub fn build_component_db_cached(
         dse.counter("cache_evictions", stats.evictions);
     }
     span.end();
-    lint_gate_db(&db, network, device, cfg)?;
+    lint_gate_db(&db, cfg)?;
     Ok((db, reports, stats))
 }
 

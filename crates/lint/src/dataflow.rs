@@ -1,4 +1,5 @@
-//! `PL04xx` — streaming dataflow analysis of a stitched pipeline.
+//! Streaming dataflow analysis of a stitched pipeline: the independent
+//! reference for the flow's link FIFO sizing.
 //!
 //! The stitcher turns a CNN into a chain of pre-implemented components
 //! linked by stream FIFOs. On linear chains any FIFO depth works: the
@@ -13,28 +14,25 @@
 //! forward sweep that assumes the component DAG is well formed), never
 //! below the standard depth, so no link it builds can be undersized.
 //!
-//! This is the *checker*. It re-derives the same depths independently
+//! This module re-derives the same depths independently
 //! (`tests/model_import_props.rs` holds the two equal) over networks the
-//! judge ([`Network::defects`]) accepts; a rejected network has no
-//! dataflow to check, and the graph pass (`PL02xx`) says why. A
-//! component's first-token *arrival* (cycles from frame start) is the
-//! longest path to it from the input, each producer adding its pipeline
-//! depth. Unlike the sizer, which sweeps components in topological order
-//! and assumes every link points forward, the checker relaxes every link
-//! until nothing changes, so the link order does not matter.
-//! Per-component quantities — pipeline depth, tokens in and out, frame
-//! cycles — are read from the model's [`pi_cnn::cycles::ComponentRate`],
-//! and the skew → depth rule is the model's
-//! [`pi_cnn::cycles::min_link_depth`]; only the arrival propagation is
-//! this pass's own. Per-edge token counts are also balance-checked (SDF
-//! consistency: producer tokens per frame must equal what the consumer
-//! port expects).
+//! judge ([`Network::defects`]) accepts. A component's first-token
+//! *arrival* (cycles from frame start) is the longest path to it from the
+//! input, each producer adding its pipeline depth. Unlike the sizer, which
+//! sweeps components in topological order and assumes every link points
+//! forward, this pass relaxes every link until nothing changes, so the
+//! link order does not matter. Per-component quantities — pipeline depth,
+//! tokens out, frame cycles — are read from the model's
+//! [`pi_cnn::cycles::ComponentRate`], and the skew → depth rule is the
+//! model's [`pi_cnn::cycles::min_link_depth`]; only the arrival
+//! propagation is this pass's own.
 //!
-//! Finding: `PL0402` (token-rate imbalance).
+//! There are no findings. Token balance holds by construction on a judged
+//! network: a component link leaves the producer's last node and enters
+//! the consumer's first node, whose shapes the judge requires to agree.
 
-use crate::diag::Diagnostic;
 use pi_cnn::cycles::{self, ComponentRate};
-use pi_cnn::graph::{Component, ComponentEdge, Granularity, Network};
+use pi_cnn::graph::{ComponentEdge, Granularity, Network};
 use pi_cnn::CnnError;
 use std::collections::BTreeMap;
 
@@ -45,15 +43,9 @@ pub struct EdgeFlow {
     pub source: usize,
     /// Consumer component index.
     pub sink: usize,
-    pub source_name: String,
-    pub sink_name: String,
     /// Consumer port the stitcher assigns (`din`, or `din2` for a join's
     /// second operand).
     pub port: &'static str,
-    /// Tokens the producer emits per frame (its output elements).
-    pub tokens_per_frame: u64,
-    /// Tokens the consumer port expects per frame.
-    pub expected_tokens: u64,
     /// Synchronization wait this operand sees at the consumer: the gap
     /// between its own earliest arrival and the join's latest operand.
     pub skew_cycles: u64,
@@ -63,11 +55,9 @@ pub struct EdgeFlow {
     pub min_depth: u64,
 }
 
-/// The analysis result: per-link flows — what the `lint` bench bin
-/// measures.
+/// The analysis result: per-link flows.
 #[derive(Debug, Clone)]
 pub struct DataflowAnalysis {
-    pub network_name: String,
     pub edges: Vec<EdgeFlow>,
 }
 
@@ -85,27 +75,6 @@ impl DataflowAnalysis {
     pub fn max_min_depth(&self) -> u64 {
         self.edges.iter().map(|e| e.min_depth).max().unwrap_or(1)
     }
-
-    /// The findings of the analysis: rate imbalance. Link depths are not
-    /// findings — the flow installs them.
-    pub fn lint(&self) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let net = &self.network_name;
-        for e in &self.edges {
-            if e.tokens_per_frame != e.expected_tokens {
-                out.push(Diagnostic::new(
-                    "PL0402",
-                    format!("network:{net}/link:{}->{}", e.source_name, e.sink_name),
-                    format!(
-                        "rate mismatch on `{}`: `{}` produces {} tokens per \
-                         frame, `{}` consumes {}",
-                        e.port, e.source_name, e.tokens_per_frame, e.sink_name, e.expected_tokens
-                    ),
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// Run the dataflow analysis over a network at the given granularity: the
@@ -118,8 +87,7 @@ pub fn analyze(network: &Network, granularity: Granularity) -> Result<DataflowAn
     // The same component graph the stitcher wires from.
     let links = network.component_edges(&comps);
     Ok(DataflowAnalysis {
-        network_name: network.name.clone(),
-        edges: edge_flows(&comps, &rates, &links),
+        edges: edge_flows(&rates, &links),
     })
 }
 
@@ -127,11 +95,7 @@ pub fn analyze(network: &Network, granularity: Granularity) -> Result<DataflowAn
 /// producer's pipeline: `arrival(src) + depth(src)`. A synchronizing
 /// consumer fires at its latest operand; everything an earlier operand
 /// produces until then queues in its link FIFO.
-fn edge_flows(
-    comps: &[Component],
-    rates: &[ComponentRate],
-    links: &[ComponentEdge],
-) -> Vec<EdgeFlow> {
+fn edge_flows(rates: &[ComponentRate], links: &[ComponentEdge]) -> Vec<EdgeFlow> {
     let fires = arrivals(rates, links);
     links
         .iter()
@@ -141,13 +105,9 @@ fn edge_flows(
             EdgeFlow {
                 source: link.source,
                 sink: link.sink,
-                source_name: comps[link.source].name.clone(),
-                sink_name: comps[link.sink].name.clone(),
                 port: link
                     .port()
                     .expect("a judged network feeds a component at most two streams"),
-                tokens_per_frame: producer.tokens_out,
-                expected_tokens: rates[link.sink].tokens_in,
                 skew_cycles: skew,
                 min_depth: cycles::min_link_depth(skew, producer.tokens_out, producer.frame_cycles),
             }
@@ -190,9 +150,7 @@ mod tests {
         assert!(!a.edges.is_empty());
         for e in &a.edges {
             assert_eq!(e.min_depth, 1, "{e:?}");
-            assert_eq!(e.tokens_per_frame, e.expected_tokens, "{e:?}");
         }
-        assert!(a.lint().is_empty());
     }
 
     #[test]
@@ -206,7 +164,6 @@ mod tests {
                 "{e:?}"
             );
         }
-        assert!(a.lint().is_empty());
     }
 
     #[test]
@@ -217,7 +174,7 @@ mod tests {
         let links = net.component_edges(&comps);
         let reversed: Vec<ComponentEdge> = links.iter().rev().copied().collect();
         let depths = |links: &[ComponentEdge]| {
-            let mut d: Vec<(usize, usize, u64)> = edge_flows(&comps, &rates, links)
+            let mut d: Vec<(usize, usize, u64)> = edge_flows(&rates, links)
                 .iter()
                 .map(|e| (e.source, e.sink, e.min_depth))
                 .collect();
@@ -244,8 +201,6 @@ mod tests {
         n.add_edge(b, a);
         assert!(analyze(&n, Granularity::Layer).is_err());
         let engine = LintEngine::new(LintConfig::new());
-        let dataflow = engine.lint_dataflow(&n, Granularity::Layer, &Obs::null());
-        assert!(dataflow.diagnostics.is_empty(), "{dataflow:?}");
         let graph = engine.lint_network(&n, Granularity::Layer, &Obs::null());
         assert!(
             graph.diagnostics.iter().any(|d| d.code == "PL0203"),

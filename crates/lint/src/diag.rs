@@ -11,7 +11,9 @@
 //! flow sizes every link from the rate model, so neither can fire),
 //! `PL0403` (the dataflow analysis diverged — it runs only on networks
 //! the judge accepts, which are acyclic, and the graph pass reports the
-//! rest) and `PL0302` / `PL0308` (an unlocked or unimplemented
+//! rest), `PL0402` (token-rate imbalance on a link — a link joins a
+//! producer's last node to a consumer's first, whose shapes the judge
+//! requires to agree) and `PL0302` / `PL0308` (an unlocked or unimplemented
 //! checkpoint — the checkpoint judge's verdict prints those as `PL0317`
 //! / `PL0310` / `PL0318`).
 
@@ -327,14 +329,6 @@ pub const REGISTRY: &[LintCode] = &[
         name: "drc-tile-over-capacity",
         default: Level::Deny,
         summary: "more routes occupy a tile than the device has wires per tile",
-    },
-    // ---- PL04xx: streaming dataflow analysis (rate model) ----
-    LintCode {
-        code: "PL0402",
-        name: "rate-mismatch",
-        default: Level::Deny,
-        summary: "a producer's tokens per frame disagree with what the \
-                  consumer port expects (SDF balance violation)",
     },
 ];
 

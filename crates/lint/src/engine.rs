@@ -72,30 +72,6 @@ impl LintEngine {
         self.finalize("network", lint_network(network, granularity), obs)
     }
 
-    /// Dataflow-family pass (`PL04xx`): token-rate balance over the
-    /// component graph. A network the judge rejects has no dataflow to
-    /// check and reports nothing here: the graph pass explains it.
-    pub fn lint_dataflow(
-        &self,
-        network: &Network,
-        granularity: Granularity,
-        obs: &Obs,
-    ) -> LintReport {
-        let scope = obs.scoped("lint::dataflow");
-        let analysis = {
-            let _span = scope.span("analyze");
-            crate::dataflow::analyze(network, granularity)
-        };
-        let raw = match analysis {
-            Ok(analysis) => {
-                scope.counter("links", analysis.edges.len() as u64);
-                analysis.lint()
-            }
-            Err(_) => Vec::new(),
-        };
-        self.finalize("dataflow", raw, obs)
-    }
-
     /// Model-import pass (`PL015x`) over a descriptor text, chaining the
     /// graph-family pass when the import yields a network. Returns the
     /// imported network alongside the report so callers can keep it.

@@ -1,6 +1,6 @@
 //! Static-analysis pass manager for the pre-implemented flow.
 //!
-//! Three analysis families, one diagnostics surface:
+//! Five analysis families, one diagnostics surface:
 //!
 //! * **netlist** (`PL01xx`) — structural defects in [`pi_netlist`]
 //!   modules and designs: multi-driven ports, dangling inputs, floating
@@ -11,6 +11,9 @@
 //!   propagation and interface mismatches, cycles, orphans, degenerate
 //!   layer parameters) folded into `PL0201`–`PL0205`, plus the
 //!   memory-controller bandwidth and fusion advisories;
+//! * **model** (`PL015x`) — model-descriptor import findings (unsupported
+//!   operators, unfoldable batch norms, malformed descriptors), chained
+//!   with the graph passes on the imported network (`pilint model`);
 //! * **trace** (`PL016x`) — structural invariants of recorded [`pi_obs`]
 //!   telemetry streams: balanced span trees and strictly increasing
 //!   sequence numbers (`pilint trace`);
@@ -19,12 +22,12 @@
 //!   boundary partition pins, pre-routed clocks, device/metadata
 //!   consistency — plus the verdict of the physical DRC
 //!   ([`pi_stitch::check_design`], run by the flow, never by this crate)
-//!   folded into `PL031x` codes;
-//! * **dataflow** (`PL04xx`) — streaming rate analysis of the stitched
-//!   pipeline of a network the judge accepts: a longest-path pass over
-//!   first-token arrivals derives each link's minimum FIFO depth
-//!   independently of the rate model the flow sizes links from, and flags
-//!   token-rate imbalance (`pilint dataflow`).
+//!   folded into `PL031x` codes.
+//!
+//! Beside them, [`dataflow`] re-derives every stream link's minimum FIFO
+//! depth by its own longest path over first-token arrivals: not a lint,
+//! but the independent reference the flow's link sizing
+//! ([`pi_cnn::cycles::link_min_depths`]) is tested against.
 //!
 //! Every finding is a [`Diagnostic`] with a stable code from
 //! [`REGISTRY`]; [`LintConfig`] applies rustc-style `allow`/`warn`/`deny`

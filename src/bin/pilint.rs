@@ -3,7 +3,6 @@
 //! ```text
 //! pilint archdef  <file>                      lint a CNN architecture definition
 //! pilint model    <file>                      import + lint a model descriptor (.json/.prototxt)
-//! pilint dataflow <file>                      stream-link rate analysis (PL04xx)
 //! pilint db       [archdef] --db-dir PATH     lint a component database (+ the network and its coverage)
 //! pilint design   <archdef> --db-dir PATH     run the flow's assembly, report its DRC verdict + design lints
 //! pilint trace    <trace.jsonl>               lint a recorded telemetry stream
@@ -18,14 +17,6 @@
 //! corrupted shape, an orphan layer — surfaces as a `PL0201`–`PL0205`
 //! diagnostic rather than a parse failure, whatever the descriptor format;
 //! only syntax errors abort the run.
-//!
-//! `dataflow` takes any importable network description (archdef, `.json`,
-//! `.prototxt` — format sniffed from the extension, archdef otherwise) and,
-//! when the network judge accepts it, checks every stream link's token
-//! rate. Link FIFO depths are not findings — the flow sizes every link
-//! from the rate model, which this pass re-derives independently. A
-//! rejected network reports the model pass instead, which says why there
-//! is no dataflow to check.
 //!
 //! `db` and `design` read the component database `preimpl --db-dir`
 //! writes, through the same verified lookup the flow uses: every entry is
@@ -52,8 +43,7 @@ use preimpl_cnn::prelude::*;
 use preimpl_cnn::stitch::{CacheLookup, MANIFEST_FILE};
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: pilint <archdef|model|dataflow|db|design|trace|codes> <input> [--db-dir PATH] \
+const USAGE: &str = "usage: pilint <archdef|model|db|design|trace|codes> <input> [--db-dir PATH] \
                      [--block] [--json] [--deny-warnings] [--waivers FILE] [--allow CODE] \
                      [--warn CODE] [--deny CODE] [--device NAME] [--threads N]";
 
@@ -224,22 +214,6 @@ fn run() -> Result<ExitCode, String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let (_, mut report) = engine.lint_model(&text, format, granularity, &obs);
             finish(&mut report, &args)
-        }
-        "dataflow" => {
-            let path = args.positional(0, "model-or-archdef", USAGE)?;
-            let format = preimpl_cnn::model::ModelFormat::from_path(path)
-                .unwrap_or(preimpl_cnn::model::ModelFormat::Archdef);
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let (network, mut model_report) = engine.lint_model(&text, format, granularity, &obs);
-            match network {
-                Some(network) if network.defects().is_empty() => {
-                    let mut report = engine.lint_dataflow(&network, granularity, &obs);
-                    finish(&mut report, &args)
-                }
-                // Import failed or the network judge rejects the graph:
-                // the model pass says why there is no dataflow to analyze.
-                _ => finish(&mut model_report, &args),
-            }
         }
         "db" => {
             let device = Device::catalog(args.device()).map_err(|e| e.to_string())?;

@@ -1,12 +1,12 @@
-//! Property and acceptance tests of the `pi-lint` dataflow checker and the
-//! link sizing it checks: FIFO minima are monotone in path skew, every
-//! bundled network fits the standard link depth, and the skewed-ResNet
-//! scenario flows
+//! Property and acceptance tests of the link FIFO sizing and the `pi-lint`
+//! dataflow analysis that re-derives it: FIFO minima are monotone in path
+//! skew, every bundled network fits the standard link depth (ResNet-small's
+//! skip link at exactly 44), and the skewed-ResNet scenario flows
 //! end-to-end under a plain config — its deep skip FIFO derived, not
 //! configured — with thread-count-independent telemetry.
 
 use preimpl_cnn::cnn::cycles::{link_min_depths, min_link_depth};
-use preimpl_cnn::lint::{analyze_dataflow, LintConfig, LintEngine};
+use preimpl_cnn::lint::{analyze_dataflow, LintConfig};
 use preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH;
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
@@ -48,8 +48,7 @@ proptest! {
 /// Network-level monotonicity: widening the ResNet main-path kernels
 /// strictly stretches the add2 skip skew, so the analysis' deepest FIFO
 /// requirement is non-decreasing in kernel size — and exceeds the
-/// standard depth (64) past kernel 3. The flow sizes links from that
-/// requirement, so the dataflow lint stays clean at every skew.
+/// standard depth (64) past kernel 3.
 #[test]
 fn resnet_skip_min_depth_grows_with_kernel() {
     let mut last = 0u64;
@@ -67,19 +66,15 @@ fn resnet_skip_min_depth_grows_with_kernel() {
             kernel > 3,
             "kernel {kernel}: deepest requirement {deepest}"
         );
-        let engine = LintEngine::new(LintConfig::new());
-        let report = engine.lint_dataflow(&network, Granularity::Layer, &Obs::null());
-        assert!(
-            report.is_clean(),
-            "kernel {kernel}: {}",
-            report.render_text()
-        );
     }
 }
 
 /// Every bundled network, at the granularity it ships with, needs no link
 /// deeper than the standard depth: deriving depths from the rate model
-/// leaves each of their stitched FIFOs at `DEFAULT_LINK_FIFO_DEPTH`.
+/// leaves each of their stitched FIFOs at `DEFAULT_LINK_FIFO_DEPTH`. The
+/// deepest of them is ResNet-small's skip link into `add2+relu2b`: 43
+/// cycles of path skew at one token per cycle, plus the one in flight. A
+/// change there means the rate model moved.
 #[test]
 fn bundled_networks_fit_the_standard_link_depth() {
     for (network, granularity) in [
@@ -99,6 +94,9 @@ fn bundled_networks_fit_the_standard_link_depth() {
             "{}: deepest requirement {deepest}",
             network.name
         );
+        if network.name == "resnet-small" {
+            assert_eq!(deepest, 44, "{}", network.name);
+        }
     }
 }
 

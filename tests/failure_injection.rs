@@ -520,9 +520,10 @@ fn a_design_over_track_capacity_is_an_error_in_both_arms() {
 
 /// The malformed networks the network judge must refuse: join operands
 /// that disagree (2 vs 4 channels), a one-operand join, a zero-channel
-/// convolution, and a ReLU and a convolution fed by several operands
-/// (only a join has a second input port).
-const MALFORMED_NETWORKS: [&str; 5] = [
+/// convolution, a ReLU and a convolution fed by several operands (only a
+/// join has a second input port), and a join whose two operands are one
+/// producer (its second port would be left undriven).
+const MALFORMED_NETWORKS: [&str; 6] = [
     "network mismatch\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\n\
      conv b kernel=3 pad=1 out=4 from=input\nadd j from=a,b\n",
     "network unary\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a\n",
@@ -532,6 +533,7 @@ const MALFORMED_NETWORKS: [&str; 5] = [
     "network fanin3\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\n\
      conv b kernel=3 pad=1 out=2 from=input\nconv c kernel=3 pad=1 out=2 from=input\n\
      conv r kernel=3 pad=1 out=2 from=a,b,c\n",
+    "network twice\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a,a\n",
 ];
 
 #[test]

@@ -190,13 +190,40 @@ proptest! {
     }
 
     /// The dataflow analysis sizes exactly the links the stitcher wires:
-    /// its edges are `Network::component_edges`, port for port.
+    /// its edges are `Network::component_edges`, port for port. And every
+    /// link is token-balanced by construction: it leaves the producer's
+    /// last node and enters the consumer's first, so it carries the
+    /// producer's output shape into the consumer's input shape.
     #[test]
     fn dataflow_analysis_covers_the_component_graph(net in network_strategy()) {
         for granularity in [Granularity::Layer, Granularity::Block] {
             let components = net.components(granularity).unwrap();
-            let graph: Vec<_> = net
-                .component_edges(&components)
+            let component_of = |id| components.iter().position(|c| c.nodes.contains(&id));
+            for &(a, b) in net.edges() {
+                if let (Some(ca), Some(cb)) = (component_of(a), component_of(b)) {
+                    prop_assert!(
+                        ca == cb
+                            || (components[ca].nodes.last() == Some(&a)
+                                && components[cb].nodes[0] == b),
+                        "edge {:?} -> {:?} crosses {} -> {} off their ends",
+                        a,
+                        b,
+                        &components[ca].name,
+                        &components[cb].name
+                    );
+                }
+            }
+            let edges = net.component_edges(&components);
+            for e in &edges {
+                prop_assert_eq!(
+                    components[e.source].output_shape,
+                    components[e.sink].input_shape,
+                    "{} -> {}",
+                    &components[e.source].name,
+                    &components[e.sink].name
+                );
+            }
+            let graph: Vec<_> = edges
                 .iter()
                 .map(|e| (e.source, e.sink, e.port()))
                 .collect();
@@ -210,9 +237,9 @@ proptest! {
         }
     }
 
-    /// Sizer vs. checker: the minimum depths the flow sizes links from
-    /// (the rate model's forward sweep) are exactly what the lint's
-    /// independent longest-path pass computes, link for link.
+    /// Sizer vs. reference: the minimum depths the flow sizes links from
+    /// (the rate model's forward sweep) are exactly what the independent
+    /// longest-path pass of `pi_lint::dataflow` computes, link for link.
     #[test]
     fn model_link_depths_equal_the_dataflow_analysis(net in network_strategy()) {
         for granularity in [Granularity::Layer, Granularity::Block] {
