@@ -37,17 +37,24 @@ ooc_calls="$(find crates src vendor -name '*.rs' -not -path '*/tests/*' \
 [ -z "$ooc_calls" ] \
     || { echo "module placed or routed outside the flow's stages:"; echo "$ooc_calls"; exit 1; }
 
-# Dependency direction: the product sizes hardware from the rate model
-# (`pi_cnn::cycles`), never from its own checker. `pi-flow` may hold
-# `pi-lint` only for the opt-in lint gate, and `pi-lint` checks the model,
-# so it has no business depending on the generators — nor on the backend:
-# the linter checks routes, it does not re-route.
-echo "==> dependency-direction gate: the flow does not size from the linter"
-if grep -rnE 'analyze_dataflow|pi_lint::dataflow' crates/flow/src; then
-    echo "crates/flow/src sizes hardware from pi-lint's dataflow analysis"; exit 1
-fi
+# Dependency direction: `pi-lint` checks the model, so it has no business
+# depending on the generators — nor on the backend: the linter checks
+# routes, it does not re-route.
+echo "==> dependency-direction gate: the linter depends on no generator"
 if grep -nE 'pi-(synth|pnr)' crates/lint/Cargo.toml; then
     echo "pi-lint depends on a generator or the backend"; exit 1
+fi
+
+# One module judge: `Module::defects` in pi-netlist decides every netlist
+# rule, so pi-lint holds no loop search or budget of its own, and a pin
+# budget (a cell's fan-in or fan-out bound) is defined only beside it.
+echo "==> judge gate: netlist rules live in pi-netlist"
+if grep -rnE 'fn tarjan|const [A-Z0-9_]*_BUDGET\b' crates/lint/src; then
+    echo "crates/lint/src decides a netlist rule of its own"; exit 1
+fi
+if grep -rnE 'const [A-Z0-9_]*(_BUDGET|_FANIN|_FANOUT)\b' --include='*.rs' \
+    crates src tests examples | grep -v '^crates/netlist/src/'; then
+    echo "a pin budget is defined outside crates/netlist/src"; exit 1
 fi
 
 # One serialization mechanism: every JSON artifact the flow writes or reads

@@ -278,15 +278,7 @@ pub struct Table4Ref {
     pub latency_ms: &'static str,
 }
 
-pub const TABLE4: [Table4Ref; 4] = [
-    Table4Ref {
-        work: "[?] (cited)",
-        fpga: "ZC706",
-        freq_mhz: "200",
-        precision: "fixed 16",
-        dsp_util: "90%",
-        latency_ms: "40.7",
-    },
+pub const TABLE4: [Table4Ref; 3] = [
     Table4Ref {
         work: "Caffeine [19] (cited)",
         fpga: "Xilinx KU460",

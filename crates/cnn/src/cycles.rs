@@ -22,9 +22,9 @@
 //!
 //! Readers: `pi-synth` sizes lanes from it, `pi-flow` sizes FIFOs and
 //! prints latency from it, and `pi-lint` checks the checkpoints' measured
-//! values against it. `pi_lint::dataflow` re-derives the link depths by
-//! its own longest path, the reference tier-1 holds [`link_min_depths`]
-//! equal to.
+//! values against it. The test reference `tests/support/dataflow.rs`
+//! re-derives the link depths by its own longest path, and tier-1 holds
+//! [`link_min_depths`] equal to it.
 
 use crate::graph::{Component, Granularity, Network};
 use crate::layer::{Layer, Shape};

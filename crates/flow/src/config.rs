@@ -98,8 +98,9 @@ pub struct FlowConfig {
     /// — never instead of — the physical DRC) and fail with
     /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the
     /// default) runs no lints; the flow's legality verdicts (the network
-    /// judge at every entry, `check_checkpoint` at admission,
-    /// `check_design` on the design) run either way.
+    /// judge at every entry, the module judge on every netlist it
+    /// implements, `check_checkpoint` at admission, `check_design` on the
+    /// design) run either way.
     ///
     /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
     /// linting observes checkpoints, it never changes what they contain.

@@ -17,9 +17,11 @@
 //!   OOC timing analysis is meaningful,
 //! * **logic locking**: placement and routing are frozen before the DCP is
 //!   written to the database,
-//! * **admission**: a seed is a candidate only if its locked checkpoint
-//!   passes the judge ([`pi_stitch::check_checkpoint`]); a component none
-//!   of whose seeds passes is `FlowError::ComponentUnsatisfiable`.
+//! * **admission**: a netlist enters the sweep only if the module judge
+//!   ([`Module::defects`]) finds no defect in it, and a seed is a
+//!   candidate only if its locked checkpoint passes the checkpoint judge
+//!   ([`pi_stitch::check_checkpoint`]); a component none of whose seeds
+//!   passes is `FlowError::ComponentUnsatisfiable`.
 
 use crate::config::FlowConfig;
 use crate::FlowError;
@@ -237,7 +239,9 @@ struct Synthesized {
 }
 
 impl Synthesized {
-    /// Size `proto`'s pblock; `t0` is when its synthesis started.
+    /// Size `proto`'s pblock; `t0` is when its synthesis started. A netlist
+    /// the module judge rejects ([`Module::validate`]) is refused here,
+    /// before any seed anneals it.
     fn new(
         proto: Module,
         name: String,
@@ -247,6 +251,7 @@ impl Synthesized {
         device: &Device,
         cfg: &FlowConfig,
     ) -> Result<Self, FlowError> {
+        proto.validate()?;
         let pblock = size_pblock(&proto.resources(), device, cfg.pblock_utilization)?;
         Ok(Synthesized {
             name,

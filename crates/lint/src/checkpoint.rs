@@ -36,6 +36,7 @@ pub fn violation_code(v: &Violation) -> &'static str {
         Violation::ClockNotPrerouted { .. } => "PL0305",
         Violation::DeviceMismatch { .. } => "PL0306",
         Violation::MetaMismatch { .. } => "PL0307",
+        Violation::ModuleDefect { defect, .. } => crate::netlist::defect_code(defect.kind),
     }
 }
 
@@ -63,13 +64,16 @@ pub fn diagnose_violation(base: &str, v: &Violation) -> Diagnostic {
         Violation::ClockNotPrerouted { instance, .. } => format!("{base}/inst:{instance}/clock"),
         Violation::DeviceMismatch { instance, .. } => format!("{base}/inst:{instance}/device"),
         Violation::MetaMismatch { instance, .. } => format!("{base}/inst:{instance}/meta"),
+        // Where the netlist pass anchors the checkpoint's module.
+        Violation::ModuleDefect { defect, .. } => format!("{base}/module/{}", defect.at),
     };
     Diagnostic::new(violation_code(v), origin, v.to_string())
 }
 
 /// The checkpoint judge's verdict ([`check_checkpoint`]) on one
 /// checkpoint, folded through [`violation_code`]: the envelope contracts
-/// print as `PL0303`–`PL0307`, the physical rules as `PL0310`–`PL0319`.
+/// print as `PL0303`–`PL0307`, the physical rules as `PL0310`–`PL0319`
+/// and the module judge's defects as their `PL01xx` codes.
 pub fn lint_checkpoint(
     checkpoint: &Checkpoint,
     device: &Device,

@@ -111,8 +111,8 @@ pub const REGISTRY: &[LintCode] = &[
         code: "PL0105",
         name: "combinational-loop",
         default: Level::Deny,
-        summary: "a cycle through unregistered cells (Tarjan SCC over the \
-                  combinational subgraph)",
+        summary: "a cycle through unregistered cells (the module judge's \
+                  Tarjan SCC over the combinational subgraph)",
     },
     LintCode {
         code: "PL0106",
@@ -127,6 +127,14 @@ pub const REGISTRY: &[LintCode] = &[
         default: Level::Warn,
         summary: "a net's endpoint count exceeds the configured fan-out \
                   threshold",
+    },
+    LintCode {
+        code: "PL0108",
+        name: "malformed-netlist",
+        default: Level::Deny,
+        summary: "a net names a missing cell or port, has no sinks or runs \
+                  against a port's direction, or a cell takes or drives more \
+                  nets than its pins allow (the module judge's remaining rules)",
     },
     // ---- PL015x: model-descriptor import (pi-model findings) ----
     LintCode {

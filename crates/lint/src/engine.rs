@@ -3,12 +3,13 @@
 //! the findings through the configured policy and emits one telemetry
 //! point per pass.
 //!
-//! The engine checks; it neither routes nor judges legality. The network
-//! and checkpoint passes fold their judges' verdicts (`Network::defects`,
-//! `pi_stitch::check_checkpoint`); the design pass adds structure and
-//! netlist lints only, because the flow fails on the physical DRC's
-//! verdict before it runs — so the policy here shapes a *report*, and can
-//! never turn an illegal network or design into a legal one.
+//! The engine checks; it neither routes nor judges legality. The network,
+//! netlist and checkpoint passes fold their judges' verdicts
+//! (`Network::defects`, `Module::defects` / `Design::defects`,
+//! `pi_stitch::check_checkpoint`); the design pass adds no physical check,
+//! because the flow fails on the physical DRC's verdict before it runs —
+//! so the policy here shapes a *report*, and can never turn an illegal
+//! network, netlist or design into a legal one.
 //!
 //! Per-checkpoint and per-instance passes fan out across the vendored
 //! rayon backend, buffering each unit's telemetry and flushing in input
@@ -18,7 +19,7 @@
 use crate::checkpoint::{lint_checkpoint, lint_db_coverage};
 use crate::diag::{Diagnostic, LintConfig};
 use crate::graph::lint_network;
-use crate::netlist::{lint_design_structure, lint_module};
+use crate::netlist::{fold_defects, lint_module, module_advisories};
 use crate::report::LintReport;
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;
@@ -97,8 +98,8 @@ impl LintEngine {
     }
 
     /// Checkpoint-family pass (`PL03xx`, the checkpoint judge's verdict
-    /// against `device`) plus the netlist pass on the wrapped module, for
-    /// one checkpoint.
+    /// against `device`, which carries the module judge's) plus the
+    /// netlist advisories on the wrapped module, for one checkpoint.
     pub fn lint_checkpoint(
         &self,
         checkpoint: &Checkpoint,
@@ -116,7 +117,7 @@ impl LintEngine {
     ) -> Result<Vec<Diagnostic>, StitchError> {
         let mut raw = lint_checkpoint(checkpoint, device)?;
         let base = format!("checkpoint:{}/module", checkpoint.meta.signature);
-        raw.extend(lint_module(&base, &checkpoint.module));
+        raw.extend(module_advisories(&base, &checkpoint.module));
         Ok(raw)
     }
 
@@ -166,13 +167,14 @@ impl LintEngine {
         Ok(report)
     }
 
-    /// Lint a composed design: top-level structure and every instance's
-    /// module (parallel fan-out). The physical DRC's verdict is not a lint
-    /// here: the flow fails with it before this pass runs, and `pilint
-    /// design` folds it through [`crate::diagnose_violation`].
+    /// Lint a composed design: the design judge's verdict on its top nets
+    /// and instances, plus every instance module's advisories (parallel
+    /// fan-out). The physical DRC's verdict is not a lint here: the flow
+    /// fails with it before this pass runs, and `pilint design` folds it
+    /// through [`crate::diagnose_violation`].
     pub fn lint_design(&self, design: &Design, obs: &Obs) -> LintReport {
         let base = format!("design:{}", design.name);
-        let mut raw = lint_design_structure(design);
+        let mut raw = fold_defects(&base, design.defects());
 
         let items: Vec<(usize, pi_obs::BufferedObs)> = (0..design.instances().len())
             .map(|i| (i, obs.buffered()))
@@ -182,7 +184,7 @@ impl LintEngine {
             .map(|(i, buf)| {
                 let inst = &design.instances()[i];
                 let origin = format!("{base}/inst:{}", inst.name);
-                (lint_module(&origin, &inst.module), buf)
+                (module_advisories(&origin, &inst.module), buf)
             })
             .collect();
         for (diags, buf) in linted {

@@ -3,9 +3,11 @@
 //! Five analysis families, one diagnostics surface:
 //!
 //! * **netlist** (`PL01xx`) — structural defects in [`pi_netlist`]
-//!   modules and designs: multi-driven ports, dangling inputs, floating
-//!   outputs, width mismatches, combinational loops (Tarjan SCC), dead
-//!   cells, fan-out hotspots;
+//!   modules and designs: the module judge's verdict
+//!   ([`pi_netlist::Module::defects`]: multi-driven ports, width
+//!   mismatches, combinational loops, malformed nets and pin budgets)
+//!   folded into `PL0101`, `PL0104`, `PL0105` and `PL0108`, plus the
+//!   dangling-input, floating-output, dead-cell and fan-out advisories;
 //! * **graph** (`PL02xx`) — CNN dataflow defects in [`pi_cnn`] networks:
 //!   the network judge's verdict ([`pi_cnn::Network::defects`]: shape
 //!   propagation and interface mismatches, cycles, orphans, degenerate
@@ -24,11 +26,6 @@
 //!   ([`pi_stitch::check_design`], run by the flow, never by this crate)
 //!   folded into `PL031x` codes.
 //!
-//! Beside them, [`dataflow`] re-derives every stream link's minimum FIFO
-//! depth by its own longest path over first-token arrivals: not a lint,
-//! but the independent reference the flow's link sizing
-//! ([`pi_cnn::cycles::link_min_depths`]) is tested against.
-//!
 //! Every finding is a [`Diagnostic`] with a stable code from
 //! [`REGISTRY`]; [`LintConfig`] applies rustc-style `allow`/`warn`/`deny`
 //! levels and waivers, and [`LintReport`] renders deterministically as
@@ -37,7 +34,6 @@
 //! so reports and event streams are byte-identical at any `PI_THREADS`.
 
 pub mod checkpoint;
-pub mod dataflow;
 pub mod diag;
 pub mod engine;
 pub mod graph;
@@ -47,14 +43,13 @@ pub mod report;
 pub mod trace;
 
 pub use checkpoint::{diagnose_violation, lint_checkpoint, lint_db_coverage, violation_code};
-pub use dataflow::{analyze as analyze_dataflow, DataflowAnalysis, EdgeFlow};
 pub use diag::{
     lookup, parse_waivers, Diagnostic, Level, LintCode, LintConfig, Severity, Waiver, REGISTRY,
 };
 pub use engine::LintEngine;
 pub use graph::{defect_code, lint_network};
 pub use model::lint_model;
-pub use netlist::{lint_design_structure, lint_module};
+pub use netlist::lint_module;
 pub use report::{CodeCount, LintReport};
 pub use trace::lint_trace;
 

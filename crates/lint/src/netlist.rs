@@ -1,234 +1,101 @@
 //! Netlist-structure lints (`PL01xx`) over [`pi_netlist::Module`] and
-//! the top level of a [`pi_netlist::Design`].
+//! [`pi_netlist::Design`].
 //!
-//! These catch what `Module::validate` deliberately tolerates: a
-//! multi-driven output port, an input port that feeds nothing, a
-//! floating output, endpoint width disagreements, combinational cycles
-//! and dead logic. Everything here is pure structure — no device or
-//! timing knowledge — so the passes run in microseconds even on the
-//! VGG-scale modules the synthesizer emits.
+//! The deny-level codes compute nothing of their own: `PL0101`, `PL0104`,
+//! `PL0105` and `PL0108` are a fold of the module judge's verdict
+//! ([`Module::defects`], [`Design::defects`], which every flow entry
+//! enforces) through the one [`defect_code`] map, so no level or waiver
+//! can admit a netlist the flow refuses. Only the advisories are derived
+//! here: an input port that feeds nothing, a floating output, dead logic
+//! and fan-out hotspots (`PL0102`, `PL0103`, `PL0106`, `PL0107`). Both are
+//! pure structure — no device or timing knowledge — so the passes run in
+//! microseconds even on the VGG-scale modules the synthesizer emits.
 
 use crate::diag::Diagnostic;
-use pi_netlist::{Design, Direction, Endpoint, Module};
-use std::collections::BTreeMap;
+use pi_netlist::{sample_names, Direction, Endpoint, Module, ModuleDefect, ModuleDefectKind};
 
-/// How many element names an aggregated diagnostic spells out before
-/// eliding the rest.
-const NAME_SAMPLE: usize = 4;
-
-fn sample_names(names: &[String]) -> String {
-    let shown: Vec<&str> = names.iter().take(NAME_SAMPLE).map(String::as_str).collect();
-    if names.len() > NAME_SAMPLE {
-        format!("{}, ...", shown.join(", "))
-    } else {
-        shown.join(", ")
+/// Stable code for a class of module-judge defect.
+pub fn defect_code(kind: ModuleDefectKind) -> &'static str {
+    match kind {
+        ModuleDefectKind::MultiDriven => "PL0101",
+        ModuleDefectKind::WidthMismatch => "PL0104",
+        ModuleDefectKind::CombinationalLoop => "PL0105",
+        ModuleDefectKind::DanglingRef
+        | ModuleDefectKind::Sinkless
+        | ModuleDefectKind::Direction
+        | ModuleDefectKind::FanIn
+        | ModuleDefectKind::FanOut => "PL0108",
     }
 }
 
-/// Run every module-level netlist lint. `origin_base` anchors the
-/// diagnostics, e.g. `module:conv1` or `db:conv_k5.../module`.
+/// Fold the module or design judge's defects into diagnostics anchored
+/// under `base`.
+pub(crate) fn fold_defects(base: &str, defects: Vec<ModuleDefect>) -> Vec<Diagnostic> {
+    defects
+        .into_iter()
+        .map(|d| Diagnostic::new(defect_code(d.kind), format!("{base}/{}", d.at), d.message))
+        .collect()
+}
+
+/// Every module-level netlist lint: the module judge's verdict, then the
+/// advisories. `origin_base` anchors the diagnostics, e.g. `module:conv1`
+/// or `checkpoint:conv_k5.../module`.
 pub fn lint_module(origin_base: &str, module: &Module) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    port_drive_lints(origin_base, module, &mut out);
-    width_lints(origin_base, module, &mut out);
-    combinational_loop_lints(origin_base, module, &mut out);
-    unreachable_cell_lints(origin_base, module, &mut out);
-    fanout_lints(origin_base, module, &mut out);
+    let mut out = fold_defects(origin_base, module.defects());
+    out.extend(module_advisories(origin_base, module));
     out
 }
 
-/// PL0101 / PL0102 / PL0103: per-port drive and sink multiplicity.
-///
-/// Inside a module an *input* port is a signal source (it should drive
-/// at least one net) and an *output* port is a signal sink (it should be
-/// sunk by exactly one net — two nets merging onto one output is a
-/// short).
+/// The warn-level module lints: `PL0102`, `PL0103`, `PL0106`, `PL0107`.
+/// An endpoint naming a missing cell or port (the judge's `PL0108`) is
+/// skipped.
+pub(crate) fn module_advisories(base: &str, module: &Module) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    port_drive_lints(base, module, &mut out);
+    unreachable_cell_lints(base, module, &mut out);
+    fanout_lints(base, module, &mut out);
+    out
+}
+
+/// PL0102 / PL0103: inside a module an *input* port is a signal source
+/// that should drive at least one net, and an *output* port a signal sink
+/// that should be sunk by one (several is the judge's `PL0101`).
 fn port_drive_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
-    let mut sources = vec![0usize; module.ports().len()];
-    let mut sinks = vec![0usize; module.ports().len()];
+    let mut used = vec![false; module.ports().len()];
+    let mut mark = |e: Endpoint, dir: Direction| {
+        if let Endpoint::Port(p) = e {
+            if module
+                .ports()
+                .get(p.index())
+                .is_some_and(|port| port.dir == dir)
+            {
+                used[p.index()] = true;
+            }
+        }
+    };
     for net in module.nets() {
-        if let Endpoint::Port(p) = net.source {
-            sources[p.index()] += 1;
-        }
-        for s in &net.sinks {
-            if let Endpoint::Port(p) = s {
-                sinks[p.index()] += 1;
-            }
+        mark(net.source, Direction::Input);
+        for &sink in &net.sinks {
+            mark(sink, Direction::Output);
         }
     }
-    for (i, port) in module.ports().iter().enumerate() {
-        let origin = format!("{base}/port:{}", port.name);
-        match port.dir {
-            Direction::Input => {
-                if sources[i] == 0 {
-                    out.push(Diagnostic::new(
-                        "PL0102",
-                        origin,
-                        format!("input port `{}` drives no net", port.name),
-                    ));
-                }
-            }
-            Direction::Output => {
-                if sinks[i] == 0 {
-                    out.push(Diagnostic::new(
-                        "PL0103",
-                        origin,
-                        format!("output port `{}` is driven by no net", port.name),
-                    ));
-                } else if sinks[i] > 1 {
-                    out.push(Diagnostic::new(
-                        "PL0101",
-                        origin,
-                        format!(
-                            "output port `{}` is driven by {} nets (multi-driven)",
-                            port.name, sinks[i]
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// PL0104: endpoint width consistency. Cell pins carry no widths in this
-/// model, so the check is confined to nets that connect ports to ports —
-/// exactly the feed-through paths whose widths must agree.
-fn width_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
-    for net in module.nets() {
-        let Endpoint::Port(src) = net.source else {
-            continue;
-        };
-        let src_port = module.port(src);
-        for sink in &net.sinks {
-            let Endpoint::Port(dst) = sink else { continue };
-            let dst_port = module.port(*dst);
-            if src_port.width != dst_port.width {
-                out.push(Diagnostic::new(
-                    "PL0104",
-                    format!("{base}/net:{}", net.name),
-                    format!(
-                        "net `{}` connects port `{}` (width {}) to port `{}` (width {})",
-                        net.name, src_port.name, src_port.width, dst_port.name, dst_port.width
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// PL0105: combinational loops. Builds the cell→cell edge list induced
-/// on unregistered cells only, then runs an iterative Tarjan SCC; any
-/// SCC of size > 1 (or a self-loop) is a loop. Plain combinational
-/// *chains* — which the synthesizer legitimately emits — have trivial
-/// SCCs and stay clean.
-fn combinational_loop_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
-    let n = module.cells().len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut self_loop = vec![false; n];
-    for net in module.nets() {
-        let Endpoint::Cell(src) = net.source else {
-            continue;
-        };
-        if module.cell(src).registered {
-            continue;
-        }
-        for sink in &net.sinks {
-            let Endpoint::Cell(dst) = sink else { continue };
-            if module.cell(*dst).registered {
-                continue;
-            }
-            if src == *dst {
-                self_loop[src.index()] = true;
-            } else {
-                adj[src.index()].push(dst.index());
-            }
-        }
-    }
-
-    for scc in tarjan_sccs(&adj) {
-        let looped = scc.len() > 1 || self_loop[scc[0]];
-        if !looped {
-            continue;
-        }
-        let mut names: Vec<String> = scc
-            .iter()
-            .map(|&c| module.cells()[c].name.clone())
-            .collect();
-        names.sort();
-        out.push(Diagnostic::new(
-            "PL0105",
-            format!("{base}/cell:{}", names[0]),
-            format!(
-                "combinational loop through {} cell(s): {}",
-                scc.len(),
-                sample_names(&names)
+    for (port, _) in module.ports().iter().zip(&used).filter(|(_, &u)| !u) {
+        let (code, message) = match port.dir {
+            Direction::Input => (
+                "PL0102",
+                format!("input port `{}` drives no net", port.name),
             ),
+            Direction::Output => (
+                "PL0103",
+                format!("output port `{}` is driven by no net", port.name),
+            ),
+        };
+        out.push(Diagnostic::new(
+            code,
+            format!("{base}/port:{}", port.name),
+            message,
         ));
     }
-}
-
-/// Iterative Tarjan strongly-connected components. Returns each SCC as a
-/// sorted list of node indices; singleton SCCs are included (callers
-/// filter). Iterative because synthesized FC modules can be deep enough
-/// to overflow a recursive walk.
-fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let n = adj.len();
-    let (mut index, mut low) = (vec![UNSET; n], vec![0usize; n]);
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut counter = 0usize;
-    // (node, next-edge-cursor) frames replace recursion.
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        frames.push((start, 0));
-        index[start] = counter;
-        low[start] = counter;
-        counter += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some(&(v, cursor)) = frames.last() {
-            if cursor < adj[v].len() {
-                frames.last_mut().expect("frame exists").1 += 1;
-                let w = adj[v][cursor];
-                if index[w] == UNSET {
-                    index[w] = counter;
-                    low[w] = counter;
-                    counter += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack non-empty");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// PL0106: cells with no connectivity path to any port. Treats each net
@@ -246,7 +113,11 @@ fn unreachable_cell_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>
         let mut touches_port = false;
         for e in net.endpoints() {
             match e {
-                Endpoint::Cell(c) => cell_nets[c.index()].push(ni),
+                Endpoint::Cell(c) => {
+                    if let Some(nets) = cell_nets.get_mut(c.index()) {
+                        nets.push(ni);
+                    }
+                }
                 Endpoint::Port(_) => touches_port = true,
             }
         }
@@ -259,7 +130,7 @@ fn unreachable_cell_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>
     while let Some(ni) = worklist.pop() {
         for e in module.nets()[ni].endpoints() {
             let Endpoint::Cell(c) = e else { continue };
-            if cell_seen[c.index()] {
+            if cell_seen.get(c.index()).is_none_or(|&seen| seen) {
                 continue;
             }
             cell_seen[c.index()] = true;
@@ -316,62 +187,6 @@ fn fanout_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Top-level design structure lints: PL0101 for instance input ports
-/// driven by more than one top net, PL0104 for top-net width mismatches
-/// against their endpoint ports. Per-instance module internals are
-/// linted separately (the engine fans those out in parallel).
-pub fn lint_design_structure(design: &Design) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let base = format!("design:{}", design.name);
-    // (instance, port) -> number of top nets sinking it; BTreeMap for
-    // deterministic iteration order.
-    let mut sink_count: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    for net in design.top_nets() {
-        let (src_inst, src_port) = net.source;
-        let src = design.instance(src_inst).module.port(src_port);
-        if net.width != src.width {
-            out.push(Diagnostic::new(
-                "PL0104",
-                format!("{base}/net:{}", net.name),
-                format!(
-                    "top net `{}` (width {}) driven by port `{}` of width {}",
-                    net.name, net.width, src.name, src.width
-                ),
-            ));
-        }
-        for &(inst, port) in &net.sinks {
-            *sink_count.entry((inst.0, port.0)).or_insert(0) += 1;
-            let dst = design.instance(inst).module.port(port);
-            if net.width != dst.width {
-                out.push(Diagnostic::new(
-                    "PL0104",
-                    format!("{base}/net:{}", net.name),
-                    format!(
-                        "top net `{}` (width {}) sinks port `{}` of width {}",
-                        net.name, net.width, dst.name, dst.width
-                    ),
-                ));
-            }
-        }
-    }
-    for ((inst, port), n) in sink_count {
-        if n > 1 {
-            let inst_id = pi_netlist::InstId(inst);
-            let instance = design.instance(inst_id);
-            let pname = &instance.module.port(pi_netlist::PortId(port)).name;
-            out.push(Diagnostic::new(
-                "PL0101",
-                format!("{base}/inst:{}/port:{}", instance.name, pname),
-                format!(
-                    "input port `{}` of instance `{}` is driven by {} top nets",
-                    pname, instance.name, n
-                ),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,22 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn detects_dangling_input_and_multidriven_output() {
+    fn detects_dangling_input() {
         let mut b = ModuleBuilder::new("m");
         let _din = b.input("din", StreamRole::Source, 8);
         let dout = b.output("dout", StreamRole::Sink, 8);
         let a = reg(&mut b, "a");
         let c = reg(&mut b, "c");
-        b.connect(
-            "n0",
-            Endpoint::Cell(a),
-            [Endpoint::Cell(c), Endpoint::Port(dout)],
-        );
+        b.connect("n0", Endpoint::Cell(a), [Endpoint::Cell(c)]);
         b.connect("n1", Endpoint::Cell(c), [Endpoint::Port(dout)]);
         let m = b.finish().unwrap();
         let codes = codes_of(&lint_module("module:m", &m));
-        assert!(codes.contains(&"PL0101"), "multi-driven dout: {codes:?}");
-        assert!(codes.contains(&"PL0102"), "dangling din: {codes:?}");
+        assert_eq!(codes, ["PL0102"]);
     }
 
     #[test]
@@ -437,32 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn detects_width_mismatch_on_port_to_port_net() {
-        let mut b = ModuleBuilder::new("m");
-        let din = b.input("din", StreamRole::Source, 8);
-        let dout = b.output("dout", StreamRole::Sink, 16);
-        b.connect("thru", Endpoint::Port(din), [Endpoint::Port(dout)]);
-        let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:m", &m));
-        assert!(codes.contains(&"PL0104"), "{codes:?}");
-    }
-
-    #[test]
-    fn detects_combinational_loop_but_not_chain() {
-        // Chain: x -> y (both combinational) — legal.
-        let mut b = ModuleBuilder::new("chain");
-        let din = b.input("din", StreamRole::Source, 8);
-        let dout = b.output("dout", StreamRole::Sink, 8);
-        let x = comb(&mut b, "x");
-        let y = comb(&mut b, "y");
-        b.connect("n0", Endpoint::Port(din), [Endpoint::Cell(x)]);
-        b.connect("n1", Endpoint::Cell(x), [Endpoint::Cell(y)]);
-        b.connect("n2", Endpoint::Cell(y), [Endpoint::Port(dout)]);
-        let m = b.finish().unwrap();
-        let codes = codes_of(&lint_module("module:chain", &m));
-        assert!(!codes.contains(&"PL0105"), "chain is not a loop: {codes:?}");
-
-        // Loop: x -> y -> x.
+    fn deny_codes_are_the_module_judge_folded() {
+        // din -> x -> y -> dout, then y also feeds x (a loop through two
+        // unregistered cells) and x also drives dout (multi-driven).
         let mut b = ModuleBuilder::new("lp");
         let din = b.input("din", StreamRole::Source, 8);
         let dout = b.output("dout", StreamRole::Sink, 8);
@@ -470,16 +257,22 @@ mod tests {
         let y = comb(&mut b, "y");
         b.connect("n0", Endpoint::Port(din), [Endpoint::Cell(x)]);
         b.connect("n1", Endpoint::Cell(x), [Endpoint::Cell(y)]);
-        b.connect(
-            "n2",
-            Endpoint::Cell(y),
-            [Endpoint::Cell(x), Endpoint::Port(dout)],
-        );
-        let m = b.finish().unwrap();
+        b.connect("n2", Endpoint::Cell(y), [Endpoint::Port(dout)]);
+        let mut m = b.finish().unwrap();
+        assert!(lint_module("module:lp", &m).is_empty());
+        let nets = m.nets_mut().unwrap();
+        nets[2].sinks.push(Endpoint::Cell(x));
+        nets[1].sinks.push(Endpoint::Port(dout));
         let diags = lint_module("module:lp", &m);
-        let loops: Vec<_> = diags.iter().filter(|d| d.code == "PL0105").collect();
-        assert_eq!(loops.len(), 1, "{diags:?}");
-        assert!(loops[0].message.contains("2 cell(s)"));
+        let got: Vec<(&str, &str)> = diags.iter().map(|d| (d.code, d.origin.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                ("PL0101", "module:lp/port:dout"),
+                ("PL0105", "module:lp/cell:x"),
+            ]
+        );
+        assert!(diags[1].message.contains("2 cell(s): x, y"), "{diags:?}");
     }
 
     #[test]
@@ -511,10 +304,12 @@ mod tests {
             let dout = b.output("dout", StreamRole::Sink, 8);
             let cells: Vec<_> = (0..sinks).map(|i| reg(&mut b, &format!("c{i}"))).collect();
             let sinks: Vec<_> = cells.iter().map(|&c| Endpoint::Cell(c)).collect();
-            b.connect("wide", Endpoint::Port(din), sinks);
-            for (i, &c) in cells.iter().enumerate() {
-                b.connect(format!("o{i}"), Endpoint::Cell(c), [Endpoint::Port(dout)]);
+            b.connect("wide", Endpoint::Port(din), sinks.clone());
+            // The fanned-out cells chain into dout.
+            for (i, pair) in sinks.windows(2).enumerate() {
+                b.connect(format!("o{i}"), pair[0], [pair[1]]);
             }
+            b.connect("out", sinks[sinks.len() - 1], [Endpoint::Port(dout)]);
             b.finish().unwrap()
         };
         let codes = codes_of(&lint_module("module:m", &wide_net(65)));

@@ -73,7 +73,27 @@ impl CellKind {
     pub const fn full_slice() -> CellKind {
         CellKind::Slice { luts: 8, ffs: 16 }
     }
+
+    /// Input nets a cell of this kind may take: a slice's LUT inputs, six
+    /// per LUT6 in use. `None` for a hard block, whose pins the model does
+    /// not budget.
+    pub fn fanin_budget(&self) -> Option<usize> {
+        match *self {
+            CellKind::Slice { luts, .. } => Some(LUT_INPUTS * usize::from(luts)),
+            _ => None,
+        }
+    }
 }
+
+/// Inputs of one LUT6.
+const LUT_INPUTS: usize = 6;
+
+/// Distinct nets one cell may drive. A cell has its tile to itself, so its
+/// routes leave through the four neighbouring tiles: 4 × 64 = 256 wires on
+/// every catalog part. The budget leaves 32 of them to routes passing
+/// through; the widest cell the zoo synthesizes is AlexNet conv1's
+/// `mac120` DSP, at 213 nets.
+pub const CELL_FANOUT_BUDGET: usize = 224;
 
 /// One cell of a module netlist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -207,28 +207,6 @@ impl Design {
     pub fn cell_count(&self) -> usize {
         self.instances.iter().map(|i| i.module.cells().len()).sum()
     }
-
-    /// Structural validation of every instance and top net.
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        for inst in &self.instances {
-            inst.module.validate()?;
-        }
-        for net in &self.top_nets {
-            for (inst, port) in net.endpoints() {
-                let mi = self
-                    .instances
-                    .get(inst.index())
-                    .ok_or_else(|| NetlistError::DanglingRef(format!("top net {}", net.name)))?;
-                if port.index() >= mi.module.ports().len() {
-                    return Err(NetlistError::DanglingRef(format!(
-                        "top net {} references missing port on {}",
-                        net.name, mi.name
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

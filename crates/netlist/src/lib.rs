@@ -20,6 +20,7 @@
 
 pub mod cell;
 pub mod dcp;
+mod defect;
 pub mod design;
 pub mod hash;
 pub mod module;
@@ -28,8 +29,9 @@ pub mod port;
 mod summary;
 pub mod walk;
 
-pub use cell::{Cell, CellId, CellKind};
+pub use cell::{Cell, CellId, CellKind, CELL_FANOUT_BUDGET};
 pub use dcp::{Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION};
+pub use defect::{sample_names, ModuleDefect, ModuleDefectKind};
 pub use design::{Design, DesignKind, InstId, ModuleInst, TopNet, DEFAULT_LINK_FIFO_DEPTH};
 pub use hash::{xxh64, StableHasher};
 pub use module::{Module, ModuleBuilder};
@@ -40,9 +42,10 @@ pub use walk::{NetView, PlacedNet, RouteFootprint, RouteView, Slot};
 /// Errors produced by netlist construction and the checkpoint codec.
 #[derive(Debug)]
 pub enum NetlistError {
-    /// Referenced an id that does not exist in the module.
+    /// Referenced an id that does not exist in the module: the module
+    /// judge's dangling-reference defect.
     DanglingRef(String),
-    /// A net was constructed with no source or an output-port source, etc.
+    /// Any other defect the module judge ([`Module::defects`]) finds.
     BadNet(String),
     /// Attempted to mutate a locked module.
     Locked(String),

@@ -361,63 +361,6 @@ impl Module {
             Endpoint::Port(p) => self.ports[p.index()].partpin,
         }
     }
-
-    /// Structural validation: all endpoints resolve, sources drive, sinks
-    /// receive.
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        for net in self.nets.iter() {
-            if net.sinks.is_empty() {
-                return Err(NetlistError::BadNet(format!(
-                    "{}: net {} has no sinks",
-                    self.name, net.name
-                )));
-            }
-            for e in net.endpoints() {
-                match e {
-                    Endpoint::Cell(c) if c.index() >= self.cells.len() => {
-                        return Err(NetlistError::DanglingRef(format!(
-                            "{}: net {} references missing cell {}",
-                            self.name,
-                            net.name,
-                            c.index()
-                        )))
-                    }
-                    Endpoint::Port(p) if p.index() >= self.ports.len() => {
-                        return Err(NetlistError::DanglingRef(format!(
-                            "{}: net {} references missing port {}",
-                            self.name,
-                            net.name,
-                            p.index()
-                        )))
-                    }
-                    _ => {}
-                }
-            }
-            if let Endpoint::Port(p) = net.source {
-                if self.ports[p.index()].dir == Direction::Output {
-                    return Err(NetlistError::BadNet(format!(
-                        "{}: net {} sourced by output port {}",
-                        self.name,
-                        net.name,
-                        self.ports[p.index()].name
-                    )));
-                }
-            }
-            for s in &net.sinks {
-                if let Endpoint::Port(p) = s {
-                    if self.ports[p.index()].dir == Direction::Input {
-                        return Err(NetlistError::BadNet(format!(
-                            "{}: net {} sinks into input port {}",
-                            self.name,
-                            net.name,
-                            self.ports[p.index()].name
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// `t` moved by (dcol, drow), which the caller has checked keeps it in
@@ -515,7 +458,8 @@ impl ModuleBuilder {
         self.module.resources()
     }
 
-    /// Validate and return the module.
+    /// The module, if the module judge ([`Module::defects`]) finds no
+    /// defect in it; else its first defect.
     pub fn finish(self) -> Result<Module, NetlistError> {
         self.module.validate()?;
         Ok(self.module)

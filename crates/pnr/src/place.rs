@@ -885,12 +885,7 @@ mod tests {
         let loose = b.input("loose", StreamRole::Source, 1);
         let mut ids = Vec::new();
         for i in 0..slices {
-            let cell = Cell::new(format!("s{i}"), CellKind::full_slice());
-            ids.push(b.cell(if i % 3 == 0 {
-                cell.combinational()
-            } else {
-                cell
-            }));
+            ids.push(b.cell(Cell::new(format!("s{i}"), CellKind::full_slice())));
         }
         for i in 0..hard {
             ids.push(b.cell(Cell::new(format!("d{i}"), CellKind::Dsp)));
@@ -908,6 +903,12 @@ mod tests {
             b.connect(format!("w{n}"), cell(a), [cell(x), cell(y)]);
         }
         let mut m = b.finish().unwrap();
+        // Every third slice is combinational. The random wiring may close
+        // a loop through them, which the module judge refuses at `finish`
+        // but the placer never reads.
+        for cell in m.cells_mut().unwrap()[..slices].iter_mut().step_by(3) {
+            cell.registered = false;
+        }
         let anchors = [(3, 3), (5, 7), (20, 30), (300, 300)];
         for (cell, (col, row)) in m.cells_mut().unwrap().iter_mut().zip(anchors) {
             cell.placement = Some(TileCoord::new(col, row));

@@ -24,9 +24,10 @@
 //! [`check_checkpoint`] is the same judge for one checkpoint: its module as
 //! a one-instance assembled design at its stored position, plus the
 //! envelope contracts only a checkpoint has (pblock, partition pins,
-//! clock, device, metadata). The function-optimization sweep admits a seed
-//! only when it passes, and `pi_lint` folds this verdict too (`PL0303`–
-//! `PL0307`).
+//! clock, device, metadata) and the module judge's verdict on its
+//! netlist. The function-optimization sweep admits a seed only when it
+//! passes, and `pi_lint` folds this verdict too (`PL0303`–`PL0307`, and
+//! the netlist defects as their `PL01xx` codes).
 //!
 //! Site ownership is a dense per-tile grid of (instance, cell) indices, so
 //! the check over the locked interiors allocates one vector and formats no
@@ -35,7 +36,9 @@
 
 use crate::StitchError;
 use pi_fabric::{Device, Pblock, TileCoord};
-use pi_netlist::{Checkpoint, Design, DesignKind, NetView, PlacedNet, Slot, StreamRole};
+use pi_netlist::{
+    Checkpoint, Design, DesignKind, ModuleDefect, NetView, PlacedNet, Slot, StreamRole,
+};
 use std::collections::HashMap;
 
 /// One DRC violation.
@@ -96,6 +99,12 @@ pub enum Violation {
     /// A checkpoint's envelope metadata disagrees with its module, or its
     /// Fmax is not a positive finite number.
     MetaMismatch { instance: String, detail: String },
+    /// A checkpoint's module fails the module judge
+    /// ([`pi_netlist::Module::defects`]).
+    ModuleDefect {
+        instance: String,
+        defect: ModuleDefect,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -156,6 +165,9 @@ impl std::fmt::Display for Violation {
             ),
             Violation::MetaMismatch { instance, detail } => {
                 write!(f, "envelope of {instance}: {detail}")
+            }
+            Violation::ModuleDefect { instance, defect } => {
+                write!(f, "netlist of {instance}: {}", defect.message)
             }
         }
     }
@@ -314,7 +326,8 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
 /// Judge one checkpoint: its module, named as itself, as a one-instance
 /// assembled design at its stored position ([`check_design`], so every
 /// physical rule applies, track capacity included), plus the envelope
-/// contracts that make it relocatable and reusable. Returns every
+/// contracts that make it relocatable and reusable and the module judge's
+/// verdict on its netlist ([`pi_netlist::Module::defects`]). Returns every
 /// violation found (empty = admissible).
 pub fn check_checkpoint(
     checkpoint: &Checkpoint,
@@ -365,6 +378,10 @@ pub fn check_checkpoint(
             instance: instance(),
             detail: format!("Fmax {} MHz is not positive", meta.fmax_mhz),
         });
+    }
+    for defect in module.defects() {
+        let instance = instance();
+        violations.push(Violation::ModuleDefect { instance, defect });
     }
     let mut design = Design::new(&meta.signature, device.name(), DesignKind::Assembled);
     design.add_instance(instance(), module.clone());

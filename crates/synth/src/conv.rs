@@ -1,7 +1,7 @@
 //! Convolution engine generator (paper Fig. 4a/4b).
 
 use crate::cost;
-use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, LaneSpec};
+use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, FanIn, LaneSpec};
 use crate::SynthOptions;
 use pi_cnn::cycles;
 use pi_cnn::layer::{ConvParams, Shape};
@@ -61,13 +61,11 @@ pub fn emit_conv_engine(
         crate::emit::out_slice(),
     ));
     // Weight storage feeds the controller, which schedules the lanes.
+    let mut wfeeds = FanIn::new(b, Endpoint::Cell(ctrl), weight_cells.len());
     for (i, wc) in weight_cells.iter().enumerate() {
-        b.connect(
-            format!("{prefix}_wfeed{i}"),
-            Endpoint::Cell(*wc),
-            [Endpoint::Cell(ctrl)],
-        );
+        wfeeds.feed(b, format!("{prefix}_wfeed{i}"), Endpoint::Cell(*wc));
     }
+    wfeeds.finish(b, &format!("{prefix}_wfeed"));
 
     // MAC lanes.
     let comb_len = cost::comb_chain_len(taps * u64::from(input_shape.channels));

@@ -27,17 +27,14 @@ pub fn out_slice() -> CellKind {
     CellKind::Slice { luts: 8, ffs: 16 }
 }
 
-/// Incoming nets an [`out_slice`] can take: its 8 six-input LUTs.
-const OUT_FANIN_BUDGET: usize = 8 * 6;
+/// Incoming nets an [`out_slice`] can take: the module judge's budget for
+/// its 8 LUTs ([`CellKind::fanin_budget`]).
+fn out_fanin() -> usize {
+    out_slice().fanin_budget().expect("a slice has LUT inputs")
+}
 
-/// Distinct nets one cell may drive. A cell has its tile to itself, so its
-/// routes leave through the four neighbouring tiles: 4 × 64 = 256 wires on
-/// every catalog part. The budget leaves 32 of them to routes passing
-/// through.
-pub const CELL_FANOUT_BUDGET: usize = 224;
-
-/// Feeds wired into one sink cell within [`OUT_FANIN_BUDGET`], the one
-/// fan-in rule every generator follows. When the sink's nets so far plus
+/// Feeds wired into one sink cell within [`out_fanin`], the one fan-in
+/// rule every generator follows. When the sink's nets so far plus
 /// the announced feeds fit the budget, each feed is its own net into the
 /// sink, added as it is fed; above it the feeds merge first
 /// ([`emit_merge`]) and one net carries the result into the sink.
@@ -50,7 +47,7 @@ pub struct FanIn {
 impl FanIn {
     /// Announce `feeds` nets into `sink`.
     pub fn new(b: &ModuleBuilder, sink: Endpoint, feeds: usize) -> Self {
-        let over = b.fanin(sink) + feeds > OUT_FANIN_BUDGET;
+        let over = b.fanin(sink) + feeds > out_fanin();
         FanIn {
             sink,
             merged: over.then(Vec::new),
@@ -301,7 +298,7 @@ mod tests {
             taps: 1,
             win_slices: 1,
             comb_len: 1,
-            extra_slices: 8 * OUT_FANIN_BUDGET,
+            extra_slices: 8 * out_fanin(),
         };
         let out = emit_mac_lane(&mut b, "lane", spec, f);
         let Endpoint::Cell(out) = out else {

@@ -3,7 +3,7 @@
 //! a folded MAC array with a deep accumulation tree.
 
 use crate::cost;
-use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, LaneSpec};
+use crate::emit::{emit_chain, emit_fanout, emit_mac_lane, emit_merge, FanIn, LaneSpec};
 use crate::SynthOptions;
 use pi_cnn::cycles;
 use pi_cnn::layer::{FcParams, Shape};
@@ -50,13 +50,11 @@ pub fn emit_fc_engine(
         format!("{prefix}_ctrl"),
         crate::emit::out_slice(),
     ));
+    let mut wfeeds = FanIn::new(b, Endpoint::Cell(ctrl), wrom.len());
     for (i, wc) in wrom.iter().enumerate() {
-        b.connect(
-            format!("{prefix}_wfeed{i}"),
-            Endpoint::Cell(*wc),
-            [Endpoint::Cell(ctrl)],
-        );
+        wfeeds.feed(b, format!("{prefix}_wfeed{i}"), Endpoint::Cell(*wc));
     }
+    wfeeds.finish(b, &format!("{prefix}_wfeed"));
 
     // MAC lanes: one DSP each, folded over the input vector.
     let comb_len = cost::comb_chain_len(in_elems);

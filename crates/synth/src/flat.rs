@@ -2,14 +2,16 @@
 //! input of the traditional baseline flow.
 
 use crate::conv::emit_conv_engine;
-use crate::emit::{FanIn, CELL_FANOUT_BUDGET};
+use crate::emit::FanIn;
 use crate::fc::emit_fc_engine;
 use crate::memctrl::{emit_memctrl, CtrlSide};
 use crate::pool::{emit_pool_engine, emit_relu_stage};
 use crate::{cost, SynthError, SynthMode, SynthOptions};
 use pi_cnn::graph::{Granularity, Network};
 use pi_cnn::layer::Layer;
-use pi_netlist::{Cell, CellKind, Endpoint, Module, ModuleBuilder, Net, StreamRole};
+use pi_netlist::{
+    Cell, CellKind, Endpoint, Module, ModuleBuilder, Net, StreamRole, CELL_FANOUT_BUDGET,
+};
 
 /// Synthesize the whole network into one flat module.
 ///

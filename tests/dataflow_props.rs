@@ -1,12 +1,17 @@
-//! Property and acceptance tests of the link FIFO sizing and the `pi-lint`
-//! dataflow analysis that re-derives it: FIFO minima are monotone in path
+//! Property and acceptance tests of the link FIFO sizing and the dataflow
+//! analysis that re-derives it (`support/dataflow.rs`): FIFO minima are monotone in path
 //! skew, every bundled network fits the standard link depth (ResNet-small's
 //! skip link at exactly 44), and the skewed-ResNet scenario flows
 //! end-to-end under a plain config — its deep skip FIFO derived, not
 //! configured — with thread-count-independent telemetry.
 
-use preimpl_cnn::cnn::cycles::{link_min_depths, min_link_depth};
-use preimpl_cnn::lint::{analyze_dataflow, LintConfig};
+#[path = "support/dataflow.rs"]
+mod dataflow;
+
+use dataflow::{analyze as analyze_dataflow, edge_flows, EdgeFlow};
+use preimpl_cnn::cnn::cycles::{self, link_min_depths, min_link_depth};
+use preimpl_cnn::cnn::graph::ComponentEdge;
+use preimpl_cnn::lint::LintConfig;
 use preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH;
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
@@ -140,4 +145,65 @@ fn skewed_resnet_flows_with_derived_link_depths() {
         renders.push(RunReport::from_events(&sink.snapshot()).render_text());
     }
     assert_eq!(renders[0], renders[1], "telemetry depends on thread count");
+}
+
+#[test]
+fn linear_chains_have_unit_depths() {
+    let a = analyze_dataflow(&models::lenet5(), Granularity::Layer).unwrap();
+    assert!(!a.edges.is_empty());
+    for e in &a.edges {
+        assert_eq!(e.min_depth, 1, "{e:?}");
+    }
+}
+
+#[test]
+fn resnet_skip_edges_need_skew_buffering_within_default_capacity() {
+    let a = analyze_dataflow(&models::resnet_small(), Granularity::Layer).unwrap();
+    let skips: Vec<&EdgeFlow> = a.edges.iter().filter(|e| e.skew_cycles > 0).collect();
+    assert_eq!(skips.len(), 2, "two skip operands: {:?}", a.edges);
+    for e in &skips {
+        assert!(
+            e.min_depth > 1 && e.min_depth <= DEFAULT_LINK_FIFO_DEPTH,
+            "{e:?}"
+        );
+    }
+}
+
+#[test]
+fn arrivals_do_not_depend_on_link_order() {
+    let net = models::resnet_small();
+    let comps = net.components(Granularity::Layer).unwrap();
+    let rates = cycles::component_rates(&net, &comps).unwrap();
+    let links = net.component_edges(&comps);
+    let reversed: Vec<ComponentEdge> = links.iter().rev().copied().collect();
+    let depths = |links: &[ComponentEdge]| {
+        let mut d: Vec<(usize, usize, u64)> = edge_flows(&rates, links)
+            .iter()
+            .map(|e| (e.source, e.sink, e.min_depth))
+            .collect();
+        d.sort_unstable();
+        d
+    };
+    let forward = depths(&links);
+    assert!(forward.iter().any(|&(_, _, d)| d > 1), "{forward:?}");
+    assert_eq!(forward, depths(&reversed));
+}
+
+#[test]
+fn a_cyclic_graph_is_left_to_the_graph_pass() {
+    use preimpl_cnn::cnn::{Layer, Shape};
+    let mut n = Network::new("cyclic");
+    let input = n.add_node("input", Layer::Input(Shape::new(1, 8, 8)));
+    let a = n.add_node("a", Layer::Relu);
+    let b = n.add_node("b", Layer::Relu);
+    n.add_edge(input, a);
+    n.add_edge(a, b);
+    n.add_edge(b, a);
+    assert!(analyze_dataflow(&n, Granularity::Layer).is_err());
+    let engine = LintEngine::new(LintConfig::new());
+    let graph = engine.lint_network(&n, Granularity::Layer, &Obs::null());
+    assert!(
+        graph.diagnostics.iter().any(|d| d.code == "PL0203"),
+        "{graph:?}"
+    );
 }

@@ -582,3 +582,125 @@ fn every_flow_entry_refuses_a_network_the_judge_rejects() {
         }
     }
 }
+
+/// One defect injected into a synthesized module's nets, and the words
+/// the module judge's verdict names it by.
+type ModuleMutation = (&'static str, fn(&mut Module), &'static str);
+
+/// The `conv c1 kernel=3 out=2` component module with one defect each:
+/// its `dout` port given a second driver, and a loop through two
+/// combinational cells. Both mutate an unlocked module in place, so they
+/// apply to the synthesized netlist and to a checkpoint's routed one
+/// alike.
+const MALFORMED_MODULES: [ModuleMutation; 2] = [
+    ("multi-driven dout", drive_dout_twice, "driven by 2 nets"),
+    ("combinational loop", loop_two_cells, "combinational loop"),
+];
+
+fn drive_dout_twice(m: &mut Module) {
+    use preimpl_cnn::netlist::Endpoint;
+    let (dout, _) = m.port_by_name("dout").expect("a component has dout");
+    let dout = Endpoint::Port(dout);
+    let net = m
+        .nets()
+        .iter()
+        .position(|n| matches!(n.source, Endpoint::Cell(_)) && !n.sinks.contains(&dout))
+        .expect("a cell net that does not sink dout");
+    m.nets_mut().unwrap()[net].sinks.push(dout);
+}
+
+fn loop_two_cells(m: &mut Module) {
+    use preimpl_cnn::netlist::Endpoint;
+    let (a, b, back) = m
+        .nets()
+        .iter()
+        .find_map(|n| {
+            let Endpoint::Cell(a) = n.source else {
+                return None;
+            };
+            n.sinks.iter().find_map(|&sink| {
+                let Endpoint::Cell(b) = sink else { return None };
+                let back = m.nets().iter().position(|n| n.source == sink)?;
+                (a != b).then_some((a, b, back))
+            })
+        })
+        .expect("a chain of two cells");
+    for c in [a, b] {
+        m.cells_mut().unwrap()[c.index()].registered = false;
+    }
+    m.nets_mut().unwrap()[back].sinks.push(Endpoint::Cell(a));
+}
+
+/// Annealer moves in a telemetry stream: every round's accepted plus
+/// rejected moves.
+fn anneal_moves(events: &[preimpl_cnn::obs::Event]) -> u64 {
+    use preimpl_cnn::obs::Value;
+    events
+        .iter()
+        .filter(|e| e.name == "anneal_round")
+        .flat_map(|e| &e.fields)
+        .filter(|(k, _)| k == "accepted" || k == "rejected")
+        .map(|(_, v)| match v {
+            Value::U64(n) => *n,
+            other => panic!("move count {other:?}"),
+        })
+        .sum()
+}
+
+#[test]
+fn every_flow_entry_refuses_a_module_the_judge_rejects() {
+    use preimpl_cnn::flow::pre_implement;
+    use preimpl_cnn::netlist::DesignKind;
+    use preimpl_cnn::pnr::{compile_flat_obs, route_assembled_obs, CompileOptions, RouteOptions};
+    use preimpl_cnn::stitch::check_checkpoint;
+    use std::sync::Arc;
+    let device = Device::test_part();
+    // No lint policy: the judge is not a lint.
+    let cfg = FlowConfig::new().with_seeds([1]);
+    let network = parse_archdef("network probe\ninput 1x8x8\nconv c1 kernel=3 out=2\n").unwrap();
+    let component = &network.components(Granularity::Layer).unwrap()[0];
+    let clean = preimpl_cnn::synth::synth_component(&network, component, &cfg.synth).unwrap();
+    // The clean module's checkpoint; each mutation edits its nets in place
+    // and keeps every route.
+    let (checkpoint, _) = pre_implement(clean.clone(), "probe", 1, &device, &cfg).unwrap();
+    for (what, mutate, names) in MALFORMED_MODULES {
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::new(sink.clone());
+        let mut m = clean.clone();
+        mutate(&mut m);
+        let traced = cfg.clone().with_obs(obs.clone());
+        match pre_implement(m.clone(), "probe", 1, &device, &traced) {
+            Err(e) => assert!(e.to_string().contains(names), "pre_implement: {e}"),
+            Ok((cp, _)) => panic!("pre_implement admitted {what} at {} MHz", cp.meta.fmax_mhz),
+        }
+        match compile_flat_obs(&mut m, &device, &CompileOptions::with_seed(1), &obs) {
+            Err(e) => assert!(e.to_string().contains(names), "compile_flat_obs: {e}"),
+            Ok(r) => panic!(
+                "compile_flat_obs admitted {what} at {} MHz",
+                r.timing.fmax_mhz
+            ),
+        }
+        assert_eq!(anneal_moves(&sink.snapshot()), 0, "{what} was annealed");
+
+        let mut json = serde_json::to_value(&checkpoint);
+        json["module"]["locked"] = serde_json::Value::Bool(false);
+        let mut broken: Checkpoint = serde_json::from_value(json).unwrap();
+        mutate(&mut broken.module);
+        broken.module.lock();
+        let verdict = check_checkpoint(&broken, &device).unwrap();
+        assert!(
+            verdict.iter().any(|v| v.to_string().contains(names)),
+            "check_checkpoint on {what}: {verdict:?}"
+        );
+        // The locked module as an assembled design's one instance.
+        let mut design = Design::new("probe", device.name(), DesignKind::Assembled);
+        design.add_instance("c1", broken.module);
+        match route_assembled_obs(&mut design, &device, &RouteOptions::default(), &obs) {
+            Err(e) => assert!(e.to_string().contains(names), "route_assembled_obs: {e}"),
+            Ok(r) => panic!(
+                "route_assembled_obs admitted {what} at {} MHz",
+                r.timing.fmax_mhz
+            ),
+        }
+    }
+}

@@ -3,25 +3,27 @@
 //! reports render byte-identically regardless of worker-thread count.
 
 use preimpl_cnn::cnn::archdef::to_archdef;
-use preimpl_cnn::lint::{LintConfig, LintEngine};
-use preimpl_cnn::netlist::{Cell, CellKind, Endpoint, ModuleBuilder, StreamRole};
+use preimpl_cnn::lint::netlist::defect_code;
+use preimpl_cnn::lint::{LintConfig, LintEngine, Severity};
+use preimpl_cnn::netlist::{
+    Cell, CellKind, DesignKind, Endpoint, ModuleBuilder, PortId, StreamRole,
+};
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn engine() -> LintEngine {
     LintEngine::new(LintConfig::new())
 }
 
-/// A clean N-stage registered pipeline module: `din -> c0 -> … -> dout`.
-fn chain_module(stages: usize, defect: Defect) -> preimpl_cnn::netlist::Module {
+/// An N-stage registered pipeline module `din -> c0 -> … -> dout` with
+/// one injected defect. The module builder judges what it finishes, so
+/// the two warn-level cuts are built in and the deny-level defects are
+/// written into the finished, unlocked module.
+fn chain_module(stages: usize, defect: Defect) -> Module {
     let mut b = ModuleBuilder::new("chain");
     let din = b.input("din", StreamRole::Source, 8);
-    let out_width = if matches!(defect, Defect::WidenOutput) {
-        16
-    } else {
-        8
-    };
-    let dout = b.output("dout", StreamRole::Sink, out_width);
+    let dout = b.output("dout", StreamRole::Sink, 8);
     let cells: Vec<_> = (0..stages)
         .map(|i| b.cell(Cell::new(format!("c{i}"), CellKind::full_slice())))
         .collect();
@@ -35,50 +37,51 @@ fn chain_module(stages: usize, defect: Defect) -> preimpl_cnn::netlist::Module {
             [Endpoint::Cell(cells[i])],
         );
     }
+    if !matches!(defect, Defect::CutOutputNet) {
+        b.connect(
+            "n_out",
+            Endpoint::Cell(cells[stages - 1]),
+            [Endpoint::Port(dout)],
+        );
+    }
+    let mut m = b.finish().expect("module builds");
+    let (first, last) = (1, m.nets().len() - 1);
     match defect {
-        Defect::CutOutputNet => {}
-        Defect::DoubleDriveOutput => {
-            b.connect(
-                "n_out_a",
-                Endpoint::Cell(cells[stages - 1]),
-                [Endpoint::Port(dout)],
-            );
-            b.connect("n_out_b", Endpoint::Cell(cells[0]), [Endpoint::Port(dout)]);
-        }
+        Defect::CutInputNet | Defect::CutOutputNet | Defect::DoubleDriveInstanceInput => {}
+        // c0 -> c1 also drives dout.
+        Defect::DoubleDriveOutput => m.nets_mut().unwrap()[first]
+            .sinks
+            .push(Endpoint::Port(dout)),
+        // dout is widened and fed straight from din.
         Defect::WidenOutput => {
-            // An 8-bit producer port driving the 16-bit output through a
-            // port-to-port feedthrough module would be caught at the
-            // design level; inside one module the mismatch is between the
-            // input and output port of a direct feedthrough net.
-            b.connect(
-                "n_out",
-                Endpoint::Cell(cells[stages - 1]),
-                [Endpoint::Port(dout)],
-            );
-            b.connect("thru", Endpoint::Port(din), [Endpoint::Port(dout)]);
+            m.ports_mut().unwrap()[dout.index()].width = 16;
+            m.nets_mut().unwrap()[last].source = Endpoint::Port(din);
         }
+        // c0 and c1 turn combinational and c1's output feeds c0 back.
         Defect::CombLoop => {
-            b.connect(
-                "n_out",
-                Endpoint::Cell(cells[stages - 1]),
-                [Endpoint::Port(dout)],
-            );
-            let x = b.cell(Cell::new("loop_x", CellKind::full_slice()).combinational());
-            let y = b.cell(Cell::new("loop_y", CellKind::full_slice()).combinational());
-            b.connect("l0", Endpoint::Cell(x), [Endpoint::Cell(y)]);
-            b.connect("l1", Endpoint::Cell(y), [Endpoint::Cell(x)]);
-            // Keep the loop reachable so PL0106 does not fire instead.
-            b.connect("l2", Endpoint::Cell(cells[0]), [Endpoint::Cell(x)]);
-        }
-        Defect::CutInputNet => {
-            b.connect(
-                "n_out",
-                Endpoint::Cell(cells[stages - 1]),
-                [Endpoint::Port(dout)],
-            );
+            for c in &mut m.cells_mut().unwrap()[..2] {
+                c.registered = false;
+            }
+            m.nets_mut().unwrap()[first + 1]
+                .sinks
+                .push(Endpoint::Cell(cells[0]));
         }
     }
-    b.finish().expect("module builds")
+    m
+}
+
+/// A design of two clean chains whose one link is doubled: two top nets
+/// from `a/dout` both sink `b/din`.
+fn doubly_driven_design(stages: usize) -> Design {
+    let mut d = Design::new("d", "test-part", DesignKind::Assembled);
+    let chain = chain_module(stages, Defect::DoubleDriveInstanceInput);
+    let a = d.add_instance("a", chain.clone());
+    let b = d.add_instance("b", chain);
+    let (dout, din) = (PortId(1), PortId(0));
+    for name in ["l0", "l1"] {
+        d.connect_top(name, (a, dout), vec![(b, din)], 8).unwrap();
+    }
+    d
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -88,6 +91,8 @@ enum Defect {
     DoubleDriveOutput,
     WidenOutput,
     CombLoop,
+    /// A design-level defect ([`doubly_driven_design`]).
+    DoubleDriveInstanceInput,
 }
 
 impl Defect {
@@ -98,35 +103,49 @@ impl Defect {
             Defect::DoubleDriveOutput => "PL0101",
             Defect::WidenOutput => "PL0104",
             Defect::CombLoop => "PL0105",
+            Defect::DoubleDriveInstanceInput => "PL0101",
         }
     }
 }
 
-const DEFECTS: [Defect; 5] = [
+const DEFECTS: [Defect; 6] = [
     Defect::CutInputNet,
     Defect::CutOutputNet,
     Defect::DoubleDriveOutput,
     Defect::WidenOutput,
     Defect::CombLoop,
+    Defect::DoubleDriveInstanceInput,
 ];
 
 proptest! {
     /// Every injected netlist defect class is caught with its stable
-    /// code, at any pipeline depth.
+    /// code, at any pipeline depth, and the lint's deny-level findings are
+    /// exactly the module judge's defects folded through `defect_code`.
     #[test]
     fn injected_netlist_defects_always_caught(
         stages in 2usize..8,
         defect_idx in 0usize..DEFECTS.len(),
     ) {
         let defect = DEFECTS[defect_idx];
-        let m = chain_module(stages, defect);
-        let report = engine().lint_module("module:chain", &m, &Obs::null());
+        let (report, defects, base) = if let Defect::DoubleDriveInstanceInput = defect {
+            let d = doubly_driven_design(stages);
+            (engine().lint_design(&d, &Obs::null()), d.defects(), "design:d")
+        } else {
+            let m = chain_module(stages, defect);
+            let report = engine().lint_module("module:chain", &m, &Obs::null());
+            (report, m.defects(), "module:chain")
+        };
         let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
         prop_assert!(
             codes.contains(&defect.expected_code()),
             "{defect:?} must raise {}: got {codes:?}",
             defect.expected_code()
         );
+        let folded: BTreeSet<(&str, String)> = defects
+            .iter()
+            .map(|d| (defect_code(d.kind), format!("{base}/{}", d.at)))
+            .collect();
+        prop_assert_eq!(deny_set(&report), folded);
     }
 
     /// Corrupting one layer parameter of a bundled model always raises a
@@ -171,6 +190,16 @@ proptest! {
             "corrupting line {target} must raise {expected}: got {codes:?}"
         );
     }
+}
+
+/// The deny-level findings of a report, as (code, origin) pairs.
+fn deny_set(report: &LintReport) -> BTreeSet<(&'static str, String)> {
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| (d.code, d.origin.clone()))
+        .collect()
 }
 
 #[test]
@@ -248,6 +277,25 @@ fn synthesized_db_lints_clean_and_contract_breaks_are_caught() {
     let mut wrong = cp.clone();
     wrong.meta.device = "some-other-part".to_string();
     assert_eq!(codes_of(&wrong), vec!["PL0306"]);
+
+    // A second driver on `dout`: the module judge's defect, carried by the
+    // checkpoint judge and printed once, where the netlist pass anchors it.
+    let mut json = serde_json::to_value(&cp);
+    json["module"]["locked"] = serde_json::Value::Bool(false);
+    let mut m: Module = serde_json::from_value(json["module"].clone()).unwrap();
+    let dout = Endpoint::Port(m.port_by_name("dout").unwrap().0);
+    let net = m
+        .nets()
+        .iter()
+        .position(|n| matches!(n.source, Endpoint::Cell(_)) && !n.sinks.contains(&dout))
+        .unwrap();
+    m.nets_mut().unwrap()[net].sinks.push(dout);
+    m.lock();
+    let mut broken = cp.clone();
+    broken.module = m;
+    let report = e.lint_checkpoint(&broken, &device, &Obs::null()).unwrap();
+    let origin = format!("checkpoint:{}/module/port:dout", cp.meta.signature);
+    assert_eq!(deny_set(&report), BTreeSet::from([("PL0101", origin)]));
 
     // Model next to measurement: an envelope whose recorded latency or
     // DSP count is not what the rate model says of the component it

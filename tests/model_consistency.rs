@@ -4,7 +4,7 @@
 use preimpl_cnn::cnn::graph::Granularity;
 use preimpl_cnn::cnn::{cycles, models};
 use preimpl_cnn::fabric::Device;
-use preimpl_cnn::netlist::{Endpoint, Module};
+use preimpl_cnn::netlist::{CellKind, Endpoint, Module, ModuleDefectKind, CELL_FANOUT_BUDGET};
 use preimpl_cnn::synth::cle::{partition_conv_layers, synth_cle};
 use preimpl_cnn::synth::{
     synth_component, synth_kernel, synth_network_flat, KernelKind, SynthOptions,
@@ -98,34 +98,10 @@ fn pipeline_depth_orders_components_like_the_paper() {
     assert!(fc1 < conv1);
 }
 
-/// Incoming nets a slice can take: 8 six-input LUTs.
-const SLICE_FANIN: usize = 8 * 6;
-
-/// Panic naming `what` when a cell of `module` takes more nets than
-/// [`SLICE_FANIN`].
-fn assert_fanin_within_budget(module: &Module, what: &str) {
-    let mut fanin = vec![0usize; module.cells().len()];
-    for net in module.nets() {
-        for sink in &net.sinks {
-            if let Endpoint::Cell(c) = sink {
-                fanin[c.index()] += 1;
-            }
-        }
-    }
-    let (widest, &n) = fanin.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
-    assert!(
-        n <= SLICE_FANIN,
-        "{what}: cell {} takes {n} nets",
-        module.cells()[widest].name
-    );
-}
-
-#[test]
-fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
-    // AlexNet's 11x11 conv1 used to wire 212 adder-tree chains into one
-    // output slice, the monolithic overhead tied 326 chains into VGG-16's
-    // last sink, and a 40-lane CLE wired 80 weight buffers into its
-    // control slice; every generator now stays within the budget.
+/// Calls `check` on every module the synthesizer emits for the zoo: each
+/// component and the flat netlist at both granularities, VGG-16's CLEs at
+/// Q = 1, 2 and 4, and every kernel, with a name for its failure message.
+fn for_each_synthesized_module(mut check: impl FnMut(&Module, &str)) {
     let vgg = SynthOptions::vgg_like();
     for (network, opts) in [
         (models::lenet5(), SynthOptions::lenet_like()),
@@ -137,11 +113,10 @@ fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
         for gran in [Granularity::Layer, Granularity::Block] {
             for comp in &network.components(gran).expect("components") {
                 let module = synth_component(&network, comp, &opts).expect("synthesizes");
-                let what = format!("{} {gran:?} {}", network.name, comp.name);
-                assert_fanin_within_budget(&module, &what);
+                check(&module, &format!("{} {gran:?} {}", network.name, comp.name));
             }
             let flat = synth_network_flat(&network, gran, &opts.monolithic()).expect("synthesizes");
-            assert_fanin_within_budget(&flat, &format!("{} {gran:?} flat", network.name));
+            check(&flat, &format!("{} {gran:?} flat", network.name));
         }
     }
     let vgg16 = models::vgg16();
@@ -149,64 +124,64 @@ fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
         let partition = partition_conv_layers(&vgg16, q).expect("partitions");
         for (g, group) in partition.groups.iter().enumerate() {
             let module = synth_cle(&vgg16, group, &vgg).expect("synthesizes");
-            assert_fanin_within_budget(&module, &format!("CLE Q = {q}, group {g}"));
+            check(&module, &format!("CLE Q = {q}, group {g}"));
         }
     }
     for kind in KernelKind::ALL {
         let module = synth_kernel(kind, 3, 3).expect("synthesizes");
-        assert_fanin_within_budget(&module, kind.abbrev());
+        check(&module, kind.abbrev());
     }
 }
 
-/// Distinct nets one cell may drive. A cell has its tile to itself, so its
-/// routes leave through the four neighbouring tiles: 4 × 64 = 256 wires on
-/// every catalog part, the hard ceiling. The bound leaves 32 of them to
-/// routes passing through; the widest cell it admits is AlexNet conv1's
-/// `mac120` DSP, at 213 nets.
-const CELL_FANOUT: usize = 224;
+/// Panic naming `what` when the module judge finds a `kind` defect in
+/// `module`.
+fn assert_no_defect_of(kind: ModuleDefectKind, module: &Module, what: &str) {
+    let defects: Vec<_> = module
+        .defects()
+        .into_iter()
+        .filter(|d| d.kind == kind)
+        .collect();
+    assert!(defects.is_empty(), "{what}: {defects:?}");
+}
 
-/// Panic naming `what` when a cell of `module` drives more nets than
-/// [`CELL_FANOUT`].
-fn assert_fanout_within_budget(module: &Module, what: &str) {
-    let mut fanout = vec![0usize; module.cells().len()];
-    for net in module.nets() {
-        if let Endpoint::Cell(c) = net.source {
-            fanout[c.index()] += 1;
+#[test]
+fn no_synthesized_cell_takes_more_nets_than_its_luts_have_inputs() {
+    // The judge's fan-in budget is the synthesizer's rule: AlexNet's 11x11
+    // conv1 used to wire 212 adder-tree chains into one output slice, the
+    // monolithic overhead tied 326 chains into VGG-16's last sink, and a
+    // 40-lane CLE wired 80 weight buffers into its control slice.
+    // The judge budgets slices only; a hard block is held to a full
+    // slice's inputs.
+    let hard_block_fanin = CellKind::full_slice().fanin_budget().unwrap();
+    for_each_synthesized_module(|module, what| {
+        assert_no_defect_of(ModuleDefectKind::FanIn, module, what);
+        let mut fanin = vec![0usize; module.cells().len()];
+        for sink in module.nets().iter().flat_map(|net| &net.sinks) {
+            if let Endpoint::Cell(c) = sink {
+                fanin[c.index()] += 1;
+            }
         }
-    }
-    let (widest, &n) = fanout.iter().enumerate().max_by_key(|(_, &n)| n).unwrap();
-    assert!(
-        n <= CELL_FANOUT,
-        "{what}: cell {} drives {n} nets",
-        module.cells()[widest].name
-    );
+        for (cell, n) in module.cells().iter().zip(fanin) {
+            let hard = cell.kind.fanin_budget().is_none();
+            assert!(
+                !hard || n <= hard_block_fanin,
+                "{what}: cell {} takes {n} nets",
+                cell.name
+            );
+        }
+    });
 }
 
 #[test]
 fn no_synthesized_cell_drives_more_nets_than_its_tile_can_route_out() {
     // Flat VGG-16's first source controller used to drive one net per
-    // monolithic overhead chain, 323 in all, which no router can fit
-    // through its four neighbours' 256 wires.
+    // monolithic overhead chain, 323 in all, more than its four
+    // neighbours' 256 wires can route out.
     for part in ["xcku5p-like", "xcku060-like", "test-part"] {
         let capacity = Device::catalog(part).unwrap().route_capacity();
-        assert!(CELL_FANOUT < 4 * usize::from(capacity), "{part}");
+        assert!(CELL_FANOUT_BUDGET < 4 * usize::from(capacity), "{part}");
     }
-    let vgg = SynthOptions::vgg_like();
-    for (network, opts) in [
-        (models::lenet5(), SynthOptions::lenet_like()),
-        (models::vgg16(), vgg),
-        (models::alexnet_like(), vgg),
-        (models::cifar10_quick(), vgg),
-        (models::resnet_small(), vgg),
-    ] {
-        for gran in [Granularity::Layer, Granularity::Block] {
-            for comp in &network.components(gran).expect("components") {
-                let module = synth_component(&network, comp, &opts).expect("synthesizes");
-                let what = format!("{} {gran:?} {}", network.name, comp.name);
-                assert_fanout_within_budget(&module, &what);
-            }
-            let flat = synth_network_flat(&network, gran, &opts.monolithic()).expect("synthesizes");
-            assert_fanout_within_budget(&flat, &format!("{} {gran:?} flat", network.name));
-        }
-    }
+    for_each_synthesized_module(|module, what| {
+        assert_no_defect_of(ModuleDefectKind::FanOut, module, what)
+    });
 }

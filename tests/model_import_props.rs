@@ -5,6 +5,9 @@
 //! cycle) comes back as a located `CnnError::Import` — never a panic —
 //! with every lenient-mode finding carrying a registered lint code.
 
+#[path = "support/dataflow.rs"]
+mod dataflow;
+
 use preimpl_cnn::cnn::{CnnError, ConvParams, EltwiseOp, FcParams, Layer, PoolParams, Shape};
 use preimpl_cnn::model::json::{parse_json, render_json, to_json_descriptor, JsonModel};
 use preimpl_cnn::model::{import, import_lenient, ModelFormat};
@@ -227,7 +230,7 @@ proptest! {
                 .iter()
                 .map(|e| (e.source, e.sink, e.port()))
                 .collect();
-            let analyzed: Vec<_> = preimpl_cnn::lint::analyze_dataflow(&net, granularity)
+            let analyzed: Vec<_> = dataflow::analyze(&net, granularity)
                 .unwrap()
                 .edges
                 .iter()
@@ -239,11 +242,11 @@ proptest! {
 
     /// Sizer vs. reference: the minimum depths the flow sizes links from
     /// (the rate model's forward sweep) are exactly what the independent
-    /// longest-path pass of `pi_lint::dataflow` computes, link for link.
+    /// longest-path pass of `support/dataflow.rs` computes, link for link.
     #[test]
     fn model_link_depths_equal_the_dataflow_analysis(net in network_strategy()) {
         for granularity in [Granularity::Layer, Granularity::Block] {
-            let analysis = preimpl_cnn::lint::analyze_dataflow(&net, granularity).unwrap();
+            let analysis = dataflow::analyze(&net, granularity).unwrap();
             let sized = preimpl_cnn::cnn::cycles::link_min_depths(&net, granularity).unwrap();
             prop_assert_eq!(sized, analysis.depth_map());
         }

@@ -1,5 +1,7 @@
 //! Streaming dataflow analysis of a stitched pipeline: the independent
-//! reference for the flow's link FIFO sizing.
+//! test reference for the flow's link FIFO sizing, shared by
+//! `tests/model_import_props.rs` and `tests/dataflow_props.rs` (each
+//! reads part of it, hence the `dead_code` allowance).
 //!
 //! The stitcher turns a CNN into a chain of pre-implemented components
 //! linked by stream FIFOs. On linear chains any FIFO depth works: the
@@ -10,30 +12,32 @@
 //! If the skew exceeded the link capacity, backpressure would propagate to
 //! the shared ancestor, the long path would starve, and the pipeline would
 //! deadlock. The flow therefore never picks a capacity: it sizes every
-//! link FIFO from the rate model ([`pi_cnn::cycles::link_min_depths`], one
-//! forward sweep that assumes the component DAG is well formed), never
-//! below the standard depth, so no link it builds can be undersized.
+//! link FIFO from the rate model (`cycles::link_min_depths`, one forward
+//! sweep that assumes the component DAG is well formed), never below the
+//! standard depth, so no link it builds can be undersized.
 //!
 //! This module re-derives the same depths independently
 //! (`tests/model_import_props.rs` holds the two equal) over networks the
-//! judge ([`Network::defects`]) accepts. A component's first-token
+//! judge (`Network::defects`) accepts. A component's first-token
 //! *arrival* (cycles from frame start) is the longest path to it from the
 //! input, each producer adding its pipeline depth. Unlike the sizer, which
 //! sweeps components in topological order and assumes every link points
 //! forward, this pass relaxes every link until nothing changes, so the
 //! link order does not matter. Per-component quantities — pipeline depth,
 //! tokens out, frame cycles — are read from the model's
-//! [`pi_cnn::cycles::ComponentRate`], and the skew → depth rule is the
-//! model's [`pi_cnn::cycles::min_link_depth`]; only the arrival
-//! propagation is this pass's own.
+//! `cycles::ComponentRate`, and the skew → depth rule is the model's
+//! `cycles::min_link_depth`; only the arrival propagation is this pass's
+//! own.
 //!
 //! There are no findings. Token balance holds by construction on a judged
 //! network: a component link leaves the producer's last node and enters
 //! the consumer's first node, whose shapes the judge requires to agree.
 
-use pi_cnn::cycles::{self, ComponentRate};
-use pi_cnn::graph::{ComponentEdge, Granularity, Network};
-use pi_cnn::CnnError;
+#![allow(dead_code)]
+
+use preimpl_cnn::cnn::cycles::{self, ComponentRate};
+use preimpl_cnn::cnn::graph::{ComponentEdge, Granularity, Network};
+use preimpl_cnn::cnn::CnnError;
 use std::collections::BTreeMap;
 
 /// One analyzed inter-component stream link.
@@ -63,7 +67,7 @@ pub struct DataflowAnalysis {
 
 impl DataflowAnalysis {
     /// Computed minimum depth per component edge — comparable key for key
-    /// with [`pi_cnn::cycles::link_min_depths`].
+    /// with `cycles::link_min_depths`.
     pub fn depth_map(&self) -> BTreeMap<(usize, usize), u64> {
         self.edges
             .iter()
@@ -95,7 +99,7 @@ pub fn analyze(network: &Network, granularity: Granularity) -> Result<DataflowAn
 /// producer's pipeline: `arrival(src) + depth(src)`. A synchronizing
 /// consumer fires at its latest operand; everything an earlier operand
 /// produces until then queues in its link FIFO.
-fn edge_flows(rates: &[ComponentRate], links: &[ComponentEdge]) -> Vec<EdgeFlow> {
+pub fn edge_flows(rates: &[ComponentRate], links: &[ComponentEdge]) -> Vec<EdgeFlow> {
     let fires = arrivals(rates, links);
     links
         .iter()
@@ -136,75 +140,4 @@ fn arrivals(rates: &[ComponentRate], links: &[ComponentEdge]) -> Vec<u64> {
         }
     }
     unreachable!("a judged component graph has no cycle")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pi_cnn::models;
-    use pi_netlist::DEFAULT_LINK_FIFO_DEPTH;
-
-    #[test]
-    fn linear_chains_have_unit_depths() {
-        let a = analyze(&models::lenet5(), Granularity::Layer).unwrap();
-        assert!(!a.edges.is_empty());
-        for e in &a.edges {
-            assert_eq!(e.min_depth, 1, "{e:?}");
-        }
-    }
-
-    #[test]
-    fn resnet_skip_edges_need_skew_buffering_within_default_capacity() {
-        let a = analyze(&models::resnet_small(), Granularity::Layer).unwrap();
-        let skips: Vec<&EdgeFlow> = a.edges.iter().filter(|e| e.skew_cycles > 0).collect();
-        assert_eq!(skips.len(), 2, "two skip operands: {:?}", a.edges);
-        for e in &skips {
-            assert!(
-                e.min_depth > 1 && e.min_depth <= DEFAULT_LINK_FIFO_DEPTH,
-                "{e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn arrivals_do_not_depend_on_link_order() {
-        let net = models::resnet_small();
-        let comps = net.components(Granularity::Layer).unwrap();
-        let rates = cycles::component_rates(&net, &comps).unwrap();
-        let links = net.component_edges(&comps);
-        let reversed: Vec<ComponentEdge> = links.iter().rev().copied().collect();
-        let depths = |links: &[ComponentEdge]| {
-            let mut d: Vec<(usize, usize, u64)> = edge_flows(&rates, links)
-                .iter()
-                .map(|e| (e.source, e.sink, e.min_depth))
-                .collect();
-            d.sort_unstable();
-            d
-        };
-        let forward = depths(&links);
-        assert!(forward.iter().any(|&(_, _, d)| d > 1), "{forward:?}");
-        assert_eq!(forward, depths(&reversed));
-    }
-
-    #[test]
-    fn a_cyclic_graph_is_left_to_the_graph_pass() {
-        use crate::diag::LintConfig;
-        use crate::engine::LintEngine;
-        use pi_cnn::layer::{Layer, Shape};
-        use pi_obs::Obs;
-        let mut n = Network::new("cyclic");
-        let input = n.add_node("input", Layer::Input(Shape::new(1, 8, 8)));
-        let a = n.add_node("a", Layer::Relu);
-        let b = n.add_node("b", Layer::Relu);
-        n.add_edge(input, a);
-        n.add_edge(a, b);
-        n.add_edge(b, a);
-        assert!(analyze(&n, Granularity::Layer).is_err());
-        let engine = LintEngine::new(LintConfig::new());
-        let graph = engine.lint_network(&n, Granularity::Layer, &Obs::null());
-        assert!(
-            graph.diagnostics.iter().any(|d| d.code == "PL0203"),
-            "{graph:?}"
-        );
-    }
 }
