@@ -57,6 +57,14 @@ if grep -rnE 'const [A-Z0-9_]*(_BUDGET|_FANIN|_FANOUT)\b' --include='*.rs' \
     echo "a pin budget is defined outside crates/netlist/src"; exit 1
 fi
 
+# The component placer has no unplace-and-retry loop (DESIGN.md §8): each
+# component takes its cheapest legal candidate, so neither the loop's
+# knobs nor its event may come back.
+echo "==> placer gate: no threshold-retry loop"
+if grep -rnE 'timing_threshold|max_retries|threshold_retry|StitchRetry' crates src; then
+    echo "the component placer's retry loop is deleted; its names may not return"; exit 1
+fi
+
 # One serialization mechanism: every JSON artifact the flow writes or reads
 # is a derived serde struct (a hand-written `Serialize` impl forwards to a
 # derived view where the wire form has computed or untagged values), so no

@@ -332,7 +332,7 @@ fn convergence_line(report: &RunReport) -> String {
         "{} router runs (slowest ran {} iterations, final overuse {}, \
          {} expansions, {} steiner segments, {} criticality re-routes, \
          {} merge conflicts), {} annealing rounds, \
-         {} component-placer candidates, {} threshold retries",
+         {} component-placer candidates",
         route.len(),
         route.iter().map(RouteTrace::iters).max().unwrap_or(0),
         route.last().map_or(0, RouteTrace::final_overused),
@@ -345,7 +345,6 @@ fn convergence_line(report: &RunReport) -> String {
             .points
             .get("stitch::placer:candidate")
             .map_or(0, |p| p.count),
-        report.stitch_retries.len(),
     )
 }
 
@@ -759,28 +758,12 @@ pub fn ablation_placement(ctx: &mut Ctx) -> Section {
         let run = ctx.lenet();
         (run.network.clone(), run.db.clone())
     };
-    let variants: Vec<(&str, ComponentPlacerOptions)> = vec![
+    let variants = [
         ("default", ComponentPlacerOptions::default()),
         (
             "no congestion term (Eq. 2-3 off)",
             ComponentPlacerOptions {
                 congestion_weight: 0.0,
-                ..Default::default()
-            },
-        ),
-        (
-            "tight threshold (30 tiles)",
-            ComponentPlacerOptions {
-                timing_threshold: 30.0,
-                max_retries: 8,
-                ..Default::default()
-            },
-        ),
-        (
-            "no retry loop",
-            ComponentPlacerOptions {
-                max_retries: 0,
-                ..Default::default()
             },
         ),
     ];
@@ -791,15 +774,21 @@ pub fn ablation_placement(ctx: &mut Ctx) -> Section {
             .with_placer(placer)
             .with_obs(ctx.obs().clone());
         match run_pre_implemented_flow(&network, &db, &device, &cfg) {
-            Ok((_, report)) => rows.push(vec![
-                label.to_string(),
-                format!("{:.0}", report.compose.placement.timing_cost),
-                format!("{:.2}", report.compose.placement.congestion_cost),
-                report.compose.placement.retries.to_string(),
-                format!("{:.0}", report.compile.timing.fmax_mhz),
-            ]),
+            Ok((_, report)) => {
+                let latency = &report.latency;
+                let depth: u64 = latency.per_component.iter().map(|c| c.depth_cycles).sum();
+                rows.push(vec![
+                    label.to_string(),
+                    format!("{:.0}", report.compose.placement.timing_cost),
+                    format!("{:.2}", report.compose.placement.congestion_cost),
+                    (latency.pipeline_cycles - depth).to_string(),
+                    report.compile.route_stats.expansions.to_string(),
+                    format!("{:.0}", report.compile.timing.fmax_mhz),
+                ]);
+            }
             Err(e) => rows.push(vec![
                 label.to_string(),
+                "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
@@ -815,7 +804,8 @@ pub fn ablation_placement(ctx: &mut Ctx) -> Section {
                 "variant",
                 "Eq.1 timing cost (tiles)",
                 "Eq.3 congestion cost",
-                "retries",
+                "pipeline registers added",
+                "inter-component A* expansions",
                 "assembled MHz",
             ],
             &rows,

@@ -154,7 +154,6 @@ impl PreImplReport {
                 anchors: placement.anchors.iter().map(|a| (a.col, a.row)).collect(),
                 timing_cost: placement.timing_cost,
                 congestion_cost: placement.congestion_cost,
-                retries: placement.retries,
                 stitched_nets: self.compose.stitched_nets,
             },
             compile: CompileSummary {
@@ -211,7 +210,6 @@ struct ComposeSummary<'a> {
     anchors: Vec<(u16, u16)>,
     timing_cost: f64,
     congestion_cost: f64,
-    retries: usize,
     stitched_nets: usize,
 }
 

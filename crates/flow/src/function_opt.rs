@@ -207,7 +207,9 @@ pub fn build_component(
 /// the same sweep as [`build_component`]: size its pblock, run every seed,
 /// keep the best one the judge admits. `signature` names the report and
 /// the telemetry and, with `latency_cycles`, goes into the checkpoint's
-/// meta.
+/// meta. The module comes from outside the flow, so a netlist the module
+/// judge rejects ([`Module::validate`]) is refused here, before any seed
+/// anneals it.
 pub fn pre_implement(
     module: Module,
     signature: &str,
@@ -215,6 +217,7 @@ pub fn pre_implement(
     device: &Device,
     cfg: &FlowConfig,
 ) -> Result<(Checkpoint, ComponentBuildReport), FlowError> {
+    module.validate()?;
     let syn = Synthesized::new(
         module,
         signature.to_string(),
@@ -239,9 +242,9 @@ struct Synthesized {
 }
 
 impl Synthesized {
-    /// Size `proto`'s pblock; `t0` is when its synthesis started. A netlist
-    /// the module judge rejects ([`Module::validate`]) is refused here,
-    /// before any seed anneals it.
+    /// Size `proto`'s pblock; `t0` is when its synthesis started. `proto`
+    /// is a judged netlist: `synth_component` ends in
+    /// `ModuleBuilder::finish`, and [`pre_implement`] judges the rest.
     fn new(
         proto: Module,
         name: String,
@@ -251,7 +254,6 @@ impl Synthesized {
         device: &Device,
         cfg: &FlowConfig,
     ) -> Result<Self, FlowError> {
-        proto.validate()?;
         let pblock = size_pblock(&proto.resources(), device, cfg.pblock_utilization)?;
         Ok(Synthesized {
             name,

@@ -14,8 +14,7 @@
 //! * **metric tables** — counter sums, gauge last/min/max, point counts,
 //!   and fixed-bucket [`Histogram`]s over every numeric point field;
 //! * **convergence traces** — annealer cost per temperature round, router
-//!   expansions/rip-ups per negotiation pass, and the stitch placer's
-//!   threshold-retry log.
+//!   expansions/rip-ups per negotiation pass.
 //!
 //! [`RunReport::diff`] aligns two reports by scope path and flags every
 //! metric delta; `flowstat diff --fail-on-regression` turns that into a CI
@@ -329,16 +328,6 @@ impl Serialize for RouteTrace {
     }
 }
 
-/// One firing of the stitch placer's unplace-and-retry loop
-/// (`stitch::placer` `threshold_retry`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
-pub struct StitchRetry {
-    pub component: String,
-    pub step: u64,
-    pub score: f64,
-    pub threshold: f64,
-}
-
 /// A deterministic aggregation of one telemetry stream.
 ///
 /// Folding is keyed entirely on the event payload in `seq` order — never on
@@ -376,8 +365,6 @@ pub struct RunReport {
     pub anneal: Vec<AnnealTrace>,
     /// Router negotiation traces, in stream order.
     pub route: Vec<RouteTrace>,
-    /// Stitch-placer threshold retries, in stream order.
-    pub stitch_retries: Vec<StitchRetry>,
 }
 
 /// The wire form of a [`RunReport`]: deterministic (sorted keys, no
@@ -397,7 +384,6 @@ struct ReportJson<'a> {
 struct ConvergenceJson<'a> {
     anneal: &'a [AnnealTrace],
     route: &'a [RouteTrace],
-    stitch_retries: &'a [StitchRetry],
 }
 
 impl Serialize for RunReport {
@@ -412,7 +398,6 @@ impl Serialize for RunReport {
             convergence: ConvergenceJson {
                 anneal: &self.anneal,
                 route: &self.route,
-                stitch_retries: &self.stitch_retries,
             },
         }
         .to_content()
@@ -441,16 +426,6 @@ fn field_f64(fields: &[(String, Value)], key: &str) -> Option<f64> {
 
 fn field_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
     field_f64(fields, key).map(|v| v as u64)
-}
-
-fn field_str<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
 }
 
 impl RunReport {
@@ -574,14 +549,6 @@ impl RunReport {
                 t.criticality_reroutes += field_u64(&e.fields, "criticality_reroutes").unwrap_or(0);
                 t.parallel_conflicts += field_u64(&e.fields, "parallel_conflicts").unwrap_or(0);
             }
-            ("stitch::placer", "threshold_retry") => {
-                self.stitch_retries.push(StitchRetry {
-                    component: field_str(&e.fields, "component").unwrap_or("").to_string(),
-                    step: field_u64(&e.fields, "step").unwrap_or(0),
-                    score: field_f64(&e.fields, "score").unwrap_or(0.0),
-                    threshold: field_f64(&e.fields, "threshold").unwrap_or(0.0),
-                });
-            }
             _ => {}
         }
     }
@@ -668,10 +635,6 @@ impl RunReport {
         m.insert(
             "trace route parallel_conflicts".to_string(),
             self.route.iter().map(|t| t.parallel_conflicts).sum::<u64>() as f64,
-        );
-        m.insert(
-            "trace stitch retries".to_string(),
-            self.stitch_retries.len() as f64,
         );
         m
     }
@@ -823,16 +786,6 @@ impl RunReport {
                 .sum::<u64>(),
             self.route.iter().map(|t| t.parallel_conflicts).sum::<u64>()
         ));
-        out.push_str(&format!(
-            "  stitch: {} threshold retries\n",
-            self.stitch_retries.len()
-        ));
-        for t in &self.stitch_retries {
-            out.push_str(&format!(
-                "    step {:<3} {:<40} score {:>10.2} > threshold {:>10.2}\n",
-                t.step, t.component, t.score, t.threshold
-            ));
-        }
         out
     }
 
@@ -1034,13 +987,8 @@ mod tests {
             &[("score", 12.5f64.into()), ("step", 0u64.into())],
         );
         placer.point(
-            "threshold_retry",
-            &[
-                ("component", "conv1".into()),
-                ("step", 1u64.into()),
-                ("score", 300.0f64.into()),
-                ("threshold", 200.0f64.into()),
-            ],
+            "candidate",
+            &[("score", 30.0f64.into()), ("step", 1u64.into())],
         );
         span.end();
         let route = obs.scoped("pnr::route");
@@ -1122,8 +1070,6 @@ mod tests {
         assert_eq!(m["trace route steiner_segments"], 7.0);
         assert_eq!(m["trace route criticality_reroutes"], 1.0);
         assert_eq!(m["trace route parallel_conflicts"], 1.0);
-        assert_eq!(r.stitch_retries.len(), 1);
-        assert_eq!(r.stitch_retries[0].component, "conv1");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn compose_obs(
 
 /// Assemble a design named `name` from pre-implemented checkpoints: place
 /// the `instances` (instance name, checkpoint) with the component placer
-/// (Eq. 1–3 with unplace-and-retry) over the `links` between them, relocate
+/// (Eq. 1–3) over the `links` between them, relocate
 /// each locked module to its anchor, and stitch the links. The result's
 /// only unrouted nets are the stitched ones.
 ///

@@ -9,7 +9,7 @@
 //! * [`relocate`] — replicate/relocate a locked placed-and-routed module to
 //!   another chip location, validating columnar compatibility.
 //! * [`placer`] — congestion-aware timing-driven placement of whole
-//!   components (Eq. 1–3 of the paper, with the unplace-and-retry loop).
+//!   components (Eq. 1–3 of the paper).
 //! * [`compose`] — Algorithm 1: BFS the network DFG, pull matching
 //!   checkpoints, place them, and stitch inter-component nets between
 //!   partition pins.
@@ -37,7 +37,7 @@ pub use verify::{check_checkpoint, check_design, Violation};
 pub enum StitchError {
     /// The database has no checkpoint for a required component signature.
     MissingComponent(String),
-    /// No legal, threshold-satisfying location for a component.
+    /// No legal location for a component.
     NoValidLocation {
         component: String,
         tried: usize,

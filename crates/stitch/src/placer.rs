@@ -9,9 +9,9 @@
 //!   the pblock area; overlap with an already-placed component is illegal,
 //!   and crowding (overlap of the margin-expanded pblock) is penalized.
 //!
-//! A placement is accepted when its cost is below threshold; otherwise the
-//! previously placed component is unplaced and moved to its next-best
-//! location before retrying — the unplace-and-retry loop of the paper.
+//! Each component takes its cheapest legal candidate. The paper's
+//! threshold-and-unplace retry loop is not modelled: here it never lowered
+//! the cost it exists to lower (DESIGN.md §8).
 
 use crate::relocate::valid_anchor_columns;
 use crate::StitchError;
@@ -24,23 +24,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct ComponentPlacerOptions {
-    /// Per-edge HPWL (tiles) above which a candidate is over threshold.
-    pub timing_threshold: f64,
     /// Weight of the congestion term against the timing term.
     pub congestion_weight: f64,
-    /// Backtracking attempts when a component exceeds the threshold.
-    pub max_retries: usize,
 }
 
 impl Default for ComponentPlacerOptions {
     fn default() -> Self {
         ComponentPlacerOptions {
-            // Center-to-center HPWL of two adjacent chip-half-sized
-            // components is ~100 tiles; the threshold must tolerate that or
-            // the retry loop scatters big blocks and fragments the chip.
-            timing_threshold: 200.0,
             congestion_weight: 25.0,
-            max_retries: 3,
         }
     }
 }
@@ -54,8 +45,6 @@ pub struct PlacementOutcome {
     pub timing_cost: f64,
     /// Eq. 3 congestion total.
     pub congestion_cost: f64,
-    /// Times the unplace-and-retry loop fired.
-    pub retries: usize,
 }
 
 /// All legal anchors for a checkpoint on the device, row-major.
@@ -164,9 +153,9 @@ fn edge_cost(
 
 /// Place a set of components connected by `edges` (indices into
 /// `checkpoints`). Components are processed big-rocks-first so the rigid
-/// rectangles pack, each picking its `skip`-th best legal location (the
-/// retry loop raises skips), then BFS-order refinement sweeps pull every
-/// component toward its neighbours' partition pins.
+/// rectangles pack, each taking its cheapest legal location, then
+/// BFS-order refinement sweeps pull every component toward its
+/// neighbours' partition pins.
 pub fn place_components(
     checkpoints: &[&Checkpoint],
     edges: &[(usize, usize)],
@@ -177,8 +166,8 @@ pub fn place_components(
 }
 
 /// [`place_components`] with telemetry under the `stitch::placer` scope:
-/// the Eq. 1–3 cost of every chosen candidate, each threshold-retry of the
-/// unplace-and-retry loop, and the final placement costs.
+/// the Eq. 1–3 cost of every chosen candidate and the final placement
+/// costs.
 pub fn place_components_obs(
     checkpoints: &[&Checkpoint],
     edges: &[(usize, usize)],
@@ -192,8 +181,6 @@ pub fn place_components_obs(
         "place_components",
         &[("components", n.into()), ("edges", edges.len().into())],
     );
-    let mut skips = vec![0usize; n];
-    let mut retries = 0usize;
     let pins: Vec<PinOffsets> = checkpoints.iter().map(|cp| pin_offsets(cp)).collect();
 
     // Timing cost of component i sitting at `anchor`, against every placed
@@ -212,12 +199,6 @@ pub fn place_components_obs(
             })
             .sum()
     };
-    let degree_of = |i: usize, anchors: &[Option<TileCoord>]| -> usize {
-        edges
-            .iter()
-            .filter(|&&(a, b)| (a == i && anchors[b].is_some()) || (b == i && anchors[a].is_some()))
-            .count()
-    };
 
     // Process big components first (classic big-rocks floorplanning):
     // placing the large rigid rectangles before the small ones keeps the
@@ -227,85 +208,54 @@ pub fn place_components_obs(
     order.sort_by_key(|&i| (std::cmp::Reverse(checkpoints[i].meta.pblock.area()), i));
 
     let mut anchors: Vec<Option<TileCoord>> = vec![None; n];
-    'attempt: loop {
-        anchors.iter_mut().for_each(|a| *a = None);
-        let mut placed_pblocks: Vec<Pblock> = Vec::with_capacity(n);
-
-        for (step, &i) in order.iter().enumerate() {
-            let cp = checkpoints[i];
-            // Score all legal candidates.
-            let mut scored: Vec<(f64, TileCoord)> = anchor_candidates(cp, device)
-                .into_iter()
-                .filter_map(|anchor| {
-                    let pb = pblock_at(cp, anchor);
-                    if placed_pblocks.iter().any(|p| p.overlaps(&pb)) {
-                        return None; // hard illegal: components may not overlap
-                    }
-                    let t = timing_of(i, anchor, &anchors);
-                    let g = congestion_cost(&pb, &placed_pblocks, device);
-                    Some((t + opts.congestion_weight * g, anchor))
-                })
-                .collect();
-            if scored.is_empty() {
-                return Err(StitchError::NoValidLocation {
-                    component: cp.meta.signature.clone(),
-                    tried: anchor_candidates(cp, device).len(),
-                });
-            }
-            // Ties resolve bottom-left (row-major): components form shelves
-            // from the bottom of the chip upward.
-            scored.sort_by(|a, b| {
-                a.0.total_cmp(&b.0)
-                    .then_with(|| (a.1.row, a.1.col).cmp(&(b.1.row, b.1.col)))
-            });
-            let pick = skips[i].min(scored.len() - 1);
-            let (score, anchor) = scored[pick];
-
-            // Threshold check with the paper's unplace-and-retry loop: move
-            // the previously placed component to its next-best spot and
-            // restart.
-            let per_edge_threshold = opts.timing_threshold * degree_of(i, &anchors).max(1) as f64;
-            if score > per_edge_threshold && retries < opts.max_retries && step > 0 {
-                retries += 1;
-                skips[order[step - 1]] += 1;
-                if obs.enabled() {
-                    obs.point(
-                        "threshold_retry",
-                        &[
-                            ("component", cp.meta.signature.as_str().into()),
-                            ("step", step.into()),
-                            ("score", score.into()),
-                            ("threshold", per_edge_threshold.into()),
-                            ("retries", retries.into()),
-                        ],
-                    );
+    let mut placed_pblocks: Vec<Pblock> = Vec::with_capacity(n);
+    for (step, &i) in order.iter().enumerate() {
+        let cp = checkpoints[i];
+        // Score all legal candidates.
+        let scored: Vec<(f64, TileCoord)> = anchor_candidates(cp, device)
+            .into_iter()
+            .filter_map(|anchor| {
+                let pb = pblock_at(cp, anchor);
+                if placed_pblocks.iter().any(|p| p.overlaps(&pb)) {
+                    return None; // hard illegal: components may not overlap
                 }
-                continue 'attempt;
-            }
-
-            if obs.enabled() {
-                // Eq. 1 / Eq. 3 split of the chosen candidate's cost.
                 let t = timing_of(i, anchor, &anchors);
-                let g = congestion_cost(&pblock_at(cp, anchor), &placed_pblocks, device);
-                obs.point(
-                    "candidate",
-                    &[
-                        ("component", cp.meta.signature.as_str().into()),
-                        ("step", step.into()),
-                        ("candidates", scored.len().into()),
-                        ("skip", pick.into()),
-                        ("timing_cost", t.into()),
-                        ("congestion_cost", g.into()),
-                        ("score", score.into()),
-                        ("anchor_col", anchor.col.into()),
-                        ("anchor_row", anchor.row.into()),
-                    ],
-                );
-            }
-            anchors[i] = Some(anchor);
-            placed_pblocks.push(pblock_at(cp, anchor));
+                let g = congestion_cost(&pb, &placed_pblocks, device);
+                Some((t + opts.congestion_weight * g, anchor))
+            })
+            .collect();
+        // The cheapest one; ties resolve bottom-left (row-major), so
+        // components form shelves from the bottom of the chip upward.
+        let Some(&(score, anchor)) = scored.iter().min_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then_with(|| (a.1.row, a.1.col).cmp(&(b.1.row, b.1.col)))
+        }) else {
+            return Err(StitchError::NoValidLocation {
+                component: cp.meta.signature.clone(),
+                tried: anchor_candidates(cp, device).len(),
+            });
+        };
+
+        if obs.enabled() {
+            // Eq. 1 / Eq. 3 split of the chosen candidate's cost.
+            let t = timing_of(i, anchor, &anchors);
+            let g = congestion_cost(&pblock_at(cp, anchor), &placed_pblocks, device);
+            obs.point(
+                "candidate",
+                &[
+                    ("component", cp.meta.signature.as_str().into()),
+                    ("step", step.into()),
+                    ("candidates", scored.len().into()),
+                    ("timing_cost", t.into()),
+                    ("congestion_cost", g.into()),
+                    ("score", score.into()),
+                    ("anchor_col", anchor.col.into()),
+                    ("anchor_row", anchor.row.into()),
+                ],
+            );
         }
-        break;
+        anchors[i] = Some(anchor);
+        placed_pblocks.push(pblock_at(cp, anchor));
     }
 
     // Refinement sweeps in BFS order: every component moves to the legal
@@ -372,7 +322,6 @@ pub fn place_components_obs(
                 ("components", n.into()),
                 ("timing_cost", total_t.into()),
                 ("congestion_cost", total_g.into()),
-                ("retries", retries.into()),
             ],
         );
     }
@@ -381,7 +330,6 @@ pub fn place_components_obs(
         anchors: final_anchors,
         timing_cost: total_t,
         congestion_cost: total_g,
-        retries,
     })
 }
 

@@ -81,9 +81,9 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         0.1f64..16.0,                                     // effort
     );
     let engines = (
-        1usize..40,                                // router iterations
-        (0.0f64..500.0, 0.0f64..20.0, 0usize..12), // placer knobs
-        0.5f64..16.0,                              // baseline effort
+        1usize..40,   // router iterations
+        0.0f64..20.0, // placer congestion weight
+        0.5f64..16.0, // baseline effort
     );
     let synth = (pbool(), 1u64..64, pbool());
     let cache = (
@@ -94,7 +94,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     (shape, engines, synth, cache, lint_strategy()).prop_map(
         |(
             (block, seeds, util, effort),
-            (max_iters, placer, baseline),
+            (max_iters, congestion_weight, baseline),
             (mono, width, on_chip),
             (threads, db_dir, budget),
             lint,
@@ -118,11 +118,7 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
                 .with_pblock_utilization(util)
                 .with_effort(effort)
                 .with_route(RouteOptions { max_iters })
-                .with_placer(ComponentPlacerOptions {
-                    timing_threshold: placer.0,
-                    congestion_weight: placer.1,
-                    max_retries: placer.2,
-                })
+                .with_placer(ComponentPlacerOptions { congestion_weight })
                 .with_baseline_effort(baseline);
             if let Some(t) = threads {
                 cfg = cfg.with_threads(t);
@@ -192,9 +188,7 @@ fn every_knob_config() -> FlowConfig {
         .with_effort(3.5)
         .with_route(RouteOptions { max_iters: 11 })
         .with_placer(ComponentPlacerOptions {
-            timing_threshold: 123.5,
             congestion_weight: 7.25,
-            max_retries: 9,
         })
         .with_baseline_effort(8.5)
         .with_threads(3)
@@ -213,11 +207,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"route":{"max_iters":8},"placer":{"timing_threshold":200.0,"congestion_weight":25.0,"max_retries":3},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"route":{"max_iters":8},"placer":{"congestion_weight":25.0},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"route":{"max_iters":11},"placer":{"timing_threshold":123.5,"congestion_weight":7.25,"max_retries":9},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"route":{"max_iters":11},"placer":{"congestion_weight":7.25},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
     );
 }
 
@@ -248,10 +242,11 @@ fn missing_keys_take_defaults() {
     assert_eq!(cfg.threads, None);
     assert!(cfg.lint.is_none());
     // Nested objects default key by key as well.
-    let cfg = FlowConfig::from_json("{\"placer\":{\"max_retries\":5}}").unwrap();
-    assert_eq!(cfg.placer.max_retries, 5);
-    let default = ComponentPlacerOptions::default();
-    assert_eq!(cfg.placer.timing_threshold, default.timing_threshold);
+    let cfg = FlowConfig::from_json("{\"synth\":{\"data_width\":8}}").unwrap();
+    assert_eq!(cfg.synth.data_width, 8);
+    let default = SynthOptions::default();
+    assert_eq!(cfg.synth.mode, default.mode);
+    assert_eq!(cfg.synth.weights_on_chip, default.weights_on_chip);
     // An integer is accepted where a float is expected.
     assert_eq!(FlowConfig::from_json("{\"effort\":3}").unwrap().effort, 3.0);
 }
@@ -297,6 +292,14 @@ fn malformed_configs_are_rejected_naming_the_field() {
         (
             "{\"placer\":{\"crowding_margin\":2}}",
             &["unknown key", "crowding_margin"],
+        ),
+        (
+            "{\"placer\":{\"max_retries\":3}}",
+            &["unknown key", "max_retries"],
+        ),
+        (
+            "{\"placer\":{\"timing_threshold\":200.0}}",
+            &["unknown key", "timing_threshold"],
         ),
         (
             "{\"plan_partpins\":true}",

@@ -9,8 +9,8 @@ use preimpl_cnn::prelude::{parse_jsonl, RunReport};
 use proptest::prelude::*;
 
 /// Scopes chosen so the generator regularly hits the convergence-trace
-/// fold paths (annealer rounds, pathfinder passes, stitch retries) in
-/// addition to plain scopes.
+/// fold paths (annealer rounds, pathfinder passes) in addition to plain
+/// scopes.
 const SCOPES: &[&str] = &[
     "pnr::place",
     "pnr::route",
@@ -24,7 +24,7 @@ const NAMES: &[&str] = &[
     "anneal_round",
     "pathfinder",
     "pathfinder_iter",
-    "threshold_retry",
+    "candidate",
     "route_design",
     "flow_done",
     "cache_hit",
