@@ -65,6 +65,15 @@ if grep -rnE 'timing_threshold|max_retries|threshold_retry|StitchRetry' crates s
     echo "the component placer's retry loop is deleted; its names may not return"; exit 1
 fi
 
+# The router negotiates congestion only (DESIGN.md §8, §14): no timing
+# reads a route, so slack ordering, criticality pricing and their counter
+# may not come back.
+echo "==> router gate: no timing feedback in the negotiation"
+if grep -rnE 'criticality_order|net_slacks|CRIT_TARGET_RATIO|criticality_reroutes|SlackFn' \
+    crates src; then
+    echo "the router's timing feedback is deleted; its names may not return"; exit 1
+fi
+
 # One serialization mechanism: every JSON artifact the flow writes or reads
 # is a derived serde struct (a hand-written `Serialize` impl forwards to a
 # derived view where the wire form has computed or untagged values), so no

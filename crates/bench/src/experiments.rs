@@ -330,15 +330,13 @@ fn convergence_line(report: &RunReport) -> String {
     let sum = |f: fn(&RouteTrace) -> u64| route.iter().map(f).sum::<u64>();
     format!(
         "{} router runs (slowest ran {} iterations, final overuse {}, \
-         {} expansions, {} steiner segments, {} criticality re-routes, \
-         {} merge conflicts), {} annealing rounds, \
-         {} component-placer candidates",
+         {} expansions, {} steiner segments, {} merge conflicts), \
+         {} annealing rounds, {} component-placer candidates",
         route.len(),
         route.iter().map(RouteTrace::iters).max().unwrap_or(0),
         route.last().map_or(0, RouteTrace::final_overused),
         sum(RouteTrace::total_expansions),
         sum(|t| t.steiner_segments),
-        sum(|t| t.criticality_reroutes),
         sum(|t| t.parallel_conflicts),
         report.anneal.iter().map(|t| t.rounds()).sum::<u64>(),
         report

@@ -275,8 +275,6 @@ pub struct RouteTrace {
     pub passes: Vec<(u64, u64, u64)>,
     /// Two-pin segments routed through Steiner decomposition across the run.
     pub steiner_segments: u64,
-    /// Rip-ups of negative-slack (timing-critical) nets across the run.
-    pub criticality_reroutes: u64,
     /// Parallel-merge conflicts re-routed against the live state.
     pub parallel_conflicts: u64,
 }
@@ -307,7 +305,6 @@ struct RouteJson<'a> {
     ripups: u64,
     expansions: u64,
     steiner_segments: u64,
-    criticality_reroutes: u64,
     parallel_conflicts: u64,
     passes: &'a [(u64, u64, u64)],
 }
@@ -320,7 +317,6 @@ impl Serialize for RouteTrace {
             ripups: self.total_ripups(),
             expansions: self.total_expansions(),
             steiner_segments: self.steiner_segments,
-            criticality_reroutes: self.criticality_reroutes,
             parallel_conflicts: self.parallel_conflicts,
             passes: &self.passes,
         }
@@ -546,7 +542,6 @@ impl RunReport {
                     field_u64(&e.fields, "expansions").unwrap_or(0),
                 ));
                 t.steiner_segments += field_u64(&e.fields, "steiner_segments").unwrap_or(0);
-                t.criticality_reroutes += field_u64(&e.fields, "criticality_reroutes").unwrap_or(0);
                 t.parallel_conflicts += field_u64(&e.fields, "parallel_conflicts").unwrap_or(0);
             }
             _ => {}
@@ -624,13 +619,6 @@ impl RunReport {
         m.insert(
             "trace route steiner_segments".to_string(),
             self.route.iter().map(|t| t.steiner_segments).sum::<u64>() as f64,
-        );
-        m.insert(
-            "trace route criticality_reroutes".to_string(),
-            self.route
-                .iter()
-                .map(|t| t.criticality_reroutes)
-                .sum::<u64>() as f64,
         );
         m.insert(
             "trace route parallel_conflicts".to_string(),
@@ -778,12 +766,8 @@ impl RunReport {
                 .sum::<u64>()
         ));
         out.push_str(&format!(
-            "  route opt: {} steiner segments, {} criticality re-routes, {} merge conflicts\n",
+            "  route opt: {} steiner segments, {} merge conflicts\n",
             self.route.iter().map(|t| t.steiner_segments).sum::<u64>(),
-            self.route
-                .iter()
-                .map(|t| t.criticality_reroutes)
-                .sum::<u64>(),
             self.route.iter().map(|t| t.parallel_conflicts).sum::<u64>()
         ));
         out
@@ -1001,7 +985,6 @@ mod tests {
                 ("ripups", 2u64.into()),
                 ("expansions", 100u64.into()),
                 ("steiner_segments", 5u64.into()),
-                ("criticality_reroutes", 1u64.into()),
                 ("parallel_conflicts", 0u64.into()),
             ],
         );
@@ -1013,7 +996,6 @@ mod tests {
                 ("ripups", 0u64.into()),
                 ("expansions", 40u64.into()),
                 ("steiner_segments", 2u64.into()),
-                ("criticality_reroutes", 0u64.into()),
                 ("parallel_conflicts", 1u64.into()),
             ],
         );
@@ -1064,11 +1046,9 @@ mod tests {
         assert_eq!(r.route[0].total_expansions(), 140);
         assert_eq!(r.route[0].final_overused(), 0);
         assert_eq!(r.route[0].steiner_segments, 7);
-        assert_eq!(r.route[0].criticality_reroutes, 1);
         assert_eq!(r.route[0].parallel_conflicts, 1);
         let m = r.metrics();
         assert_eq!(m["trace route steiner_segments"], 7.0);
-        assert_eq!(m["trace route criticality_reroutes"], 1.0);
         assert_eq!(m["trace route parallel_conflicts"], 1.0);
     }
 

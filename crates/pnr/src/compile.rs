@@ -6,8 +6,8 @@
 //! the pre-implemented flow only for inter-component routing.
 
 use crate::place::{place_module_obs, PlaceOptions, PlaceStats};
-use crate::route::{route_into, CongestionMap, RouteOptions, RouteStats, Target};
-use crate::timing::{sta_module, TimingGraph, TimingReport};
+use crate::route::{route_design_obs, route_module_obs, CongestionMap, RouteOptions, RouteStats};
+use crate::timing::{sta, sta_module, TimingReport};
 use crate::PnrError;
 use pi_fabric::TileCoord;
 use pi_fabric::{Device, ResourceCount};
@@ -128,7 +128,7 @@ pub fn compile_flat_obs(
     // route_design.
     let t3 = Instant::now();
     let span = phases.span("route_design");
-    let routed = route_into(Target::Module(module), device, &opts.route, obs)?;
+    let routed = route_module_obs(module, device, &opts.route, obs)?;
     span.end();
     let route_time = t3.elapsed();
 
@@ -142,19 +142,19 @@ pub fn compile_flat_obs(
     report_routed(netlist, device, phases, place_stats, routed, &timing_obs)
 }
 
-/// The tail both compile paths share: final congestion-aware timing on the
-/// routing run's own graph (one `final_timing` point), wirelength of every
-/// stored route — locked and new; `route_stats.wirelength` only counts
-/// this run's.
+/// The tail both compile paths share: the routed netlist's one timing
+/// analysis, against the routing run's final congestion map (one
+/// `final_timing` point), and the wirelength of every stored route —
+/// locked and new; `route_stats.wirelength` only counts this run's.
 fn report_routed(
     (name, view, resources): (&str, NetView<'_>, ResourceCount),
     device: &Device,
     phases: PhaseTimes,
     place_stats: PlaceStats,
-    (route_stats, congestion, graph): (RouteStats, CongestionMap, TimingGraph),
+    (route_stats, congestion): (RouteStats, CongestionMap),
     timing_obs: &Obs,
 ) -> Result<CompileReport, PnrError> {
-    let timing = graph.report(view, device, Some(&congestion))?;
+    let timing = sta(view, device, Some(&congestion))?;
     if timing_obs.enabled() {
         timing_obs.point(
             "final_timing",
@@ -199,7 +199,7 @@ pub fn route_assembled_obs(
 
     let t1 = Instant::now();
     let span = phases.span("route_design");
-    let routed = route_into(Target::Design(design), device, opts, obs)?;
+    let routed = route_design_obs(design, device, opts, obs)?;
     span.end();
     let route_time = t1.elapsed();
 

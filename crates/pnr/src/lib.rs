@@ -30,10 +30,7 @@ pub use compile::{
     compile_flat_obs, route_assembled_obs, CompileOptions, CompileReport, PhaseTimes,
 };
 pub use place::{place_module_obs, PlaceOptions, PlaceStats};
-pub use route::{
-    criticality_order, route_design_obs, route_module_obs, steiner_topology, RouteOptions,
-    RouteStats,
-};
+pub use route::{route_design_obs, route_module_obs, steiner_topology, RouteOptions, RouteStats};
 pub use timing::{sta_design, sta_module, TimingReport};
 
 /// Errors from the backend.

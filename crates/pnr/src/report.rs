@@ -90,15 +90,15 @@ pub fn utilization_table(used: &ResourceCount, device: &Device) -> String {
 
 /// Render a routing summary: net counts, wirelength, the router's work
 /// metric (A* expansions) and the optimization counters (Steiner segments,
-/// criticality-driven re-routes, parallel-merge conflicts).
+/// parallel-merge conflicts).
 pub fn routing_summary(stats: &crate::route::RouteStats) -> String {
     let mut out = format!(
         "routing: {} nets ({} trivial), wirelength {}, {} iterations, {} expansions\n",
         stats.routed_nets, stats.trivial_nets, stats.wirelength, stats.iterations, stats.expansions
     );
     out.push_str(&format!(
-        "  steiner segments {}, criticality re-routes {}, merge conflicts {}\n",
-        stats.steiner_segments, stats.criticality_reroutes, stats.parallel_conflicts
+        "  steiner segments {}, merge conflicts {}\n",
+        stats.steiner_segments, stats.parallel_conflicts
     ));
     out
 }
@@ -184,13 +184,11 @@ mod tests {
             iterations: 3,
             expansions: 9000,
             steiner_segments: 7,
-            criticality_reroutes: 4,
             parallel_conflicts: 1,
         };
         let r = routing_summary(&stats);
         assert!(r.contains("12 nets"));
         assert!(r.contains("steiner segments 7"));
-        assert!(r.contains("criticality re-routes 4"));
         assert!(r.contains("merge conflicts 1"));
     }
 }

@@ -4,27 +4,26 @@
 //! Every tile boundary offers [`Device::route_capacity`] wires. Each
 //! negotiation iteration routes the still-unrouted nets **in parallel**
 //! against a frozen snapshot of the congestion state, then merges the
-//! proposed routes sequentially in a deterministic (criticality) order —
-//! a proposal that lands on a tile the merge has already filled to
-//! capacity is re-routed on the spot against the live state. Overused
-//! tiles then get history costs, the nets through them are ripped up, and
-//! the loop repeats — the classic negotiation, parallelized without
-//! giving up byte-identical results at any `PI_THREADS`.
+//! proposed routes sequentially in net index order — a proposal that
+//! lands on a tile the merge has already filled to capacity is re-routed
+//! on the spot against the live state. Overused tiles then get history
+//! costs, the nets through them are ripped up, and the loop repeats — the
+//! classic negotiation, parallelized without giving up byte-identical
+//! results at any `PI_THREADS`.
 //!
-//! Two quality levers ride on top of the negotiation:
+//! The router negotiates congestion only: a tile costs its base plus its
+//! history plus its present overuse ([`Costs::node_cost`]), and no timing
+//! enters it. Timing charges a wire by its endpoints' distance and the
+//! congestion around them, never by the route's tiles, so slack fed back
+//! into the negotiation could move route tiles but never Fmax.
 //!
-//! * **Steiner decomposition** — multi-terminal nets are decomposed into a
-//!   rectilinear Steiner topology ([`steiner_topology`]: Prim over the
-//!   terminals plus greedy Hanan-point insertion) before any A* runs, so
-//!   the router walks short two-pin segments with tight per-segment
-//!   bounding boxes instead of one fan-out star over the whole net bbox.
-//!   Already-routed tree tiles are zero-cost sources for every later
-//!   segment.
-//! * **Slack-aware ordering** — per-net STA slacks are refreshed from the
-//!   live congestion map every iteration; nets route most-negative-slack
-//!   first ([`criticality_order`]) and the history/congestion share of
-//!   [`Costs::node_cost`] is priced by criticality, so critical nets take
-//!   direct paths and non-critical nets absorb the detours.
+//! **Steiner decomposition** rides on top of the negotiation:
+//! multi-terminal nets are decomposed into a rectilinear Steiner topology
+//! ([`steiner_topology`]: Prim over the terminals plus greedy Hanan-point
+//! insertion) before any A* runs, so the router walks short two-pin
+//! segments with tight per-segment bounding boxes instead of one fan-out
+//! star over the whole net bbox. Already-routed tree tiles are zero-cost
+//! sources for every later segment.
 //!
 //! The **incremental mode** is the flow's productivity lever: locked
 //! routes seed the occupancy map and are never touched, so an assembled
@@ -36,14 +35,12 @@
 //! [`route_module_obs`] and [`route_design_obs`] are two thin fronts over
 //! one body, [`route_into`]: task collection, occupancy seeding and route
 //! write-back all read the nets through [`pi_netlist::NetView`], where a
-//! module is the one-instance case of a design. One routing run builds one
-//! `timing::TimingGraph`: every iteration's slack ordering re-analyzes it, and
-//! the compile tail (`compile::report_routed`) takes the run's final timing
-//! report from the same graph instead of building a second one. The
-//! [`CongestionMap`] each analysis reads carries a summed-area table, so a
-//! timing edge's congestion term is four lookups, not a box walk.
+//! module is the one-instance case of a design. A routing run does no
+//! timing: it returns the final [`CongestionMap`], which the compile tail
+//! (`compile::report_routed`) hands to its one timing report. The map
+//! carries a summed-area table, so a timing edge's congestion term is four
+//! lookups, not a box walk.
 
-use crate::timing::TimingGraph;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord, TileKind};
 use pi_netlist::{occupied_tiles, Design, Module, NetView, PlacedNet, Route, Slot};
@@ -86,9 +83,6 @@ pub struct RouteStats {
     pub expansions: u64,
     /// Two-pin segments routed through Steiner decomposition.
     pub steiner_segments: u64,
-    /// Rip-ups of timing-critical (negative-slack) nets — these route
-    /// first, at reduced congestion pricing, in the next iteration.
-    pub criticality_reroutes: u64,
     /// Snapshot proposals that collided with an earlier merge (tile at
     /// capacity) and were re-routed against the live state.
     pub parallel_conflicts: u64,
@@ -211,12 +205,9 @@ impl Costs {
         )
     }
 
-    /// Tile cost for one step. `pricing` scales the negotiated share
-    /// (history + congestion) by net criticality: 1.0 is the neutral
-    /// PathFinder price, <1 lets a critical net shoulder through
-    /// congestion for a direct path, >1 pushes a non-critical net around
-    /// it. The base cost is never scaled — distance stays distance.
-    fn node_cost(&self, idx: usize, pricing: f32) -> f32 {
+    /// Tile cost for one step: the PathFinder price, base plus history
+    /// plus present congestion.
+    fn node_cost(&self, idx: usize) -> f32 {
         let (occ, capacity) = (self.occ[idx], self.capacity);
         let over = if occ >= capacity {
             8.0 + 4.0 * f32::from(occ - capacity)
@@ -224,12 +215,10 @@ impl Costs {
             // Soft pressure keeps channels balanced before they overflow.
             f32::from(occ) / f32::from(capacity)
         };
-        self.base[idx] + pricing * (self.hist[idx] + over)
-    }
-
-    /// A read-only snapshot in the map form the timing model consumes.
-    fn congestion_snapshot(&self) -> CongestionMap {
-        CongestionMap::new(self.rows, self.capacity, &self.occ)
+        // The negotiated share is summed before the base: float addition is
+        // not associative, and stored routes (so checkpoint hashes) follow
+        // these bits.
+        self.base[idx] + (self.hist[idx] + over)
     }
 
     /// Tiles whose occupancy exceeds the capacity.
@@ -284,7 +273,6 @@ impl Scratch {
         sources: &[usize],
         sink: usize,
         bbox: (u16, u16, u16, u16),
-        pricing: f32,
     ) -> bool {
         self.path.clear();
         self.astar_calls += 1;
@@ -332,7 +320,7 @@ impl Scratch {
                 (at.row < r1).then(|| node + 1),
             ];
             for n in neighbours.into_iter().flatten() {
-                let ng = g + costs.node_cost(n, pricing);
+                let ng = g + costs.node_cost(n);
                 if self.gen[n] != gen || ng < self.gscore[n] {
                     self.gen[n] = gen;
                     self.gscore[n] = ng;
@@ -501,15 +489,6 @@ pub fn steiner_topology(terminals: &[TileCoord]) -> Vec<(TileCoord, TileCoord)> 
     order
 }
 
-/// Deterministic criticality order: indices sorted most-negative-slack
-/// first, ties broken by index. Always a permutation of `0..slacks.len()`
-/// (property-checked in `tests/router_props.rs`).
-pub fn criticality_order(slacks: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..slacks.len()).collect();
-    order.sort_by(|&a, &b| slacks[a].total_cmp(&slacks[b]).then(a.cmp(&b)));
-    order
-}
-
 /// One routable net: located endpoints (source first) and where to write
 /// the result.
 struct Task {
@@ -535,7 +514,6 @@ fn route_net(
     scratch: &mut Scratch,
     endpoints: &[TileCoord],
     margin: i32,
-    pricing: f32,
 ) -> NetAttempt {
     let exp0 = scratch.expansions;
     let calls0 = scratch.astar_calls;
@@ -566,7 +544,7 @@ fn route_net(
                 // `a` is a bbox corner and always in the tree.
                 seg_sources.push(costs.idx(a));
             }
-            if scratch.astar(costs, &seg_sources, sink, bbox, pricing) {
+            if scratch.astar(costs, &seg_sources, sink, bbox) {
                 steiner_segments += 1;
                 for i in (0..scratch.path.len()).rev() {
                     let p = scratch.path[i];
@@ -589,7 +567,7 @@ fn route_net(
             if tree.contains(&sidx) {
                 continue;
             }
-            if scratch.astar(costs, &tree, sidx, bbox, pricing) {
+            if scratch.astar(costs, &tree, sidx, bbox) {
                 // A* reconstructs sink→tree; append in reverse so the
                 // route tiles read as a forward (tree→sink) path.
                 for i in (0..scratch.path.len()).rev() {
@@ -613,12 +591,6 @@ fn route_net(
     }
 }
 
-/// Per-iteration slack feedback: maps the live congestion state to
-/// `(per-task slack ps, clock period ps)`. `None` means "no timing data
-/// this iteration" (e.g. STA failed on a combinational loop) and the
-/// router falls back to index order at neutral pricing.
-type SlackFn<'a> = &'a dyn Fn(&CongestionMap) -> Option<(Vec<f64>, f64)>;
-
 /// The negotiation engine shared by module- and design-level entry points.
 /// Emits one `pathfinder_iter` point per negotiation iteration when the
 /// handle is enabled, plus one `steiner_net` point per decomposed
@@ -629,7 +601,6 @@ fn run(
     tasks: &[Task],
     opts: &RouteOptions,
     obs: &Obs,
-    slack_fn: SlackFn,
 ) -> (Vec<Option<Vec<TileCoord>>>, RouteStats) {
     let mut stats = RouteStats::default();
     let mut routes: Vec<Option<Vec<TileCoord>>> = (0..tasks.len()).map(|_| None).collect();
@@ -652,54 +623,20 @@ fn run(
                 }
             }
         }
-        let mut pending: Vec<usize> = (0..tasks.len())
-            .filter(|&ti| routes[ti].is_none())
-            .collect();
-
-        // Slack feedback: refresh per-net criticality from the live
-        // congestion state, order this wave most-critical-first and price
-        // each net's congestion share by its criticality.
-        let mut slacks: Option<Vec<f64>> = None;
-        let mut pricing: Vec<f32> = Vec::new();
-        if !pending.is_empty() {
-            if let Some((s, period)) = slack_fn(&costs.congestion_snapshot()) {
-                debug_assert_eq!(s.len(), tasks.len());
-                let period = period.max(1.0);
-                pricing = s
-                    .iter()
-                    .map(|&sl| {
-                        let crit = (1.0 - sl / period).clamp(0.0, 1.0) as f32;
-                        1.25 - 0.75 * crit
-                    })
-                    .collect();
-                let pending_slacks: Vec<f64> = pending.iter().map(|&ti| s[ti]).collect();
-                pending = criticality_order(&pending_slacks)
-                    .into_iter()
-                    .map(|i| pending[i])
-                    .collect();
-                slacks = Some(s);
-            }
-        }
-        let price_of = |ti: usize| -> f32 {
-            if pricing.is_empty() {
-                1.0
-            } else {
-                pricing[ti]
-            }
-        };
-
-        // Proposal wave: every pending net routes against the frozen
-        // iteration-start snapshot, in parallel. Results are collected in
-        // wave order (the pool guarantees index order), so the schedule
-        // cannot leak into routes or telemetry.
+        // Proposal wave: every pending net, in index order, routes against
+        // the frozen iteration-start snapshot, in parallel. Results are
+        // collected in wave order (the pool guarantees index order), so the
+        // schedule cannot leak into routes or telemetry.
         let snap: &Costs = costs;
-        let items: Vec<(usize, pi_obs::BufferedObs)> =
-            pending.iter().map(|&ti| (ti, obs.buffered())).collect();
+        let items: Vec<(usize, pi_obs::BufferedObs)> = (0..tasks.len())
+            .filter(|&ti| routes[ti].is_none())
+            .map(|ti| (ti, obs.buffered()))
+            .collect();
         let proposals: Vec<(usize, NetAttempt, pi_obs::BufferedObs)> = items
             .into_par_iter()
             .map(|(ti, buf)| {
                 let attempt = with_scratch(tiles, |scratch| {
-                    route_net(snap, scratch, &tasks[ti].endpoints, margin, price_of(ti))
+                    route_net(snap, scratch, &tasks[ti].endpoints, margin)
                 });
                 if buf.obs().enabled() && attempt.steiner_segments >= 2 {
                     buf.obs().point(
@@ -715,7 +652,7 @@ fn run(
             })
             .collect();
 
-        // Deterministic merge, in wave (criticality) order: apply each
+        // Deterministic merge, in wave (net index) order: apply each
         // proposal unless an earlier merge already filled one of its tiles
         // to capacity — those conflicts re-route immediately against the
         // live state.
@@ -735,13 +672,7 @@ fn run(
                     .any(|&x| costs.occ[x] >= costs.capacity)
                 {
                     iter_conflicts += 1;
-                    let retry = route_net(
-                        costs,
-                        &mut merge_scratch,
-                        &tasks[ti].endpoints,
-                        margin,
-                        price_of(ti),
-                    );
+                    let retry = route_net(costs, &mut merge_scratch, &tasks[ti].endpoints, margin);
                     iter_exp += retry.expansions;
                     iter_calls += retry.astar_calls;
                     iter_steiner += retry.steiner_segments;
@@ -767,10 +698,9 @@ fn run(
         }
         let overused_count = overused.len();
         let mut ripups = 0usize;
-        let mut crit_reroutes = 0u64;
         if !done && iter + 1 < opts.max_iters {
             let over_set: std::collections::HashSet<usize> = overused.into_iter().collect();
-            for (ti, route) in routes.iter_mut().enumerate() {
+            for route in routes.iter_mut() {
                 let Some(r) = route else { continue };
                 if r.is_empty() {
                     continue;
@@ -782,16 +712,9 @@ fn run(
                     }
                     *route = None;
                     ripups += 1;
-                    if slacks.as_ref().map(|s| s[ti] < 0.0).unwrap_or(false) {
-                        // A timing-critical net goes back in the queue; it
-                        // routes first, at reduced congestion pricing, next
-                        // iteration.
-                        crit_reroutes += 1;
-                    }
                 }
             }
         }
-        stats.criticality_reroutes += crit_reroutes;
         // Stall: every net is routed and the rip-up pass found nothing to
         // rip, so a further iteration would lay the same routes again.
         let stalled = !done && ripups == 0 && routes.iter().all(|r| r.is_some());
@@ -813,7 +736,6 @@ fn run(
                         costs.hist.iter().map(|&h| f64::from(h)).sum::<f64>().into(),
                     ),
                     ("steiner_segments", iter_steiner.into()),
-                    ("criticality_reroutes", crit_reroutes.into()),
                     ("parallel_conflicts", iter_conflicts.into()),
                 ],
             );
@@ -848,7 +770,7 @@ fn bbox_of(pts: &[TileCoord], margin: i32, cols: u16, rows: u16) -> (u16, u16, u
 
 /// What a routing run writes its routes back into. A module is the
 /// one-instance case of a design, so both go through [`route_into`].
-pub(crate) enum Target<'a> {
+enum Target<'a> {
     Module(&'a mut Module),
     Design(&'a mut Design),
 }
@@ -886,16 +808,13 @@ impl Target<'_> {
 /// The one routing body: collect the unrouted nets of `target`, seed the
 /// occupancy map from the routes it already stores
 /// ([`NetView::occupancy`]), negotiate, write the new routes back.
-/// Returns the stats, the final congestion map and the run's timing
-/// graph — built once, re-analyzed every iteration for the slack
-/// ordering, and valid after write-back because routing moves no
-/// placement: the compile tail takes its final report from it.
-pub(crate) fn route_into(
+/// Returns the stats and the final congestion map.
+fn route_into(
     mut target: Target<'_>,
     device: &Device,
     opts: &RouteOptions,
     obs: &Obs,
-) -> Result<(RouteStats, CongestionMap, TimingGraph), PnrError> {
+) -> Result<(RouteStats, CongestionMap), PnrError> {
     if let Target::Module(module) = &mut target {
         // A bare module is routed to be written: refuse a locked one.
         module.nets_mut()?;
@@ -920,23 +839,18 @@ pub(crate) fn route_into(
     }
     let top = view.top_nets().filter(|n| n.route().is_none());
     tasks.extend(top.map(task));
-    let graph = TimingGraph::build(view);
-    let slack_fn = |map: &CongestionMap| {
-        let slots = tasks.iter().map(|t| t.slot);
-        graph.net_slacks(view, slots, device, Some(map)).ok()
-    };
-    let (routes, stats) = run(&mut costs, &tasks, opts, &obs, &slack_fn);
+    let (routes, stats) = run(&mut costs, &tasks, opts, &obs);
     for (task, route) in tasks.iter().zip(routes) {
         target.set_route(task.slot, route.map(Route::new))?;
     }
     let map = CongestionMap::new(costs.rows, costs.capacity, &costs.occ);
-    Ok((stats, map, graph))
+    Ok((stats, map))
 }
 
 /// Route all unrouted non-clock nets of one module. Returns stats plus the
 /// resulting congestion map (used by congestion-aware timing), and emits
 /// one `pathfinder_iter` point per negotiation iteration (overused tiles,
-/// rip-ups, history-cost growth, Steiner/criticality/conflict counters)
+/// rip-ups, history-cost growth, Steiner and merge-conflict counters)
 /// under the `pnr::route` scope.
 pub fn route_module_obs(
     module: &mut Module,
@@ -944,8 +858,7 @@ pub fn route_module_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    let (stats, map, _) = route_into(Target::Module(module), device, opts, obs)?;
-    Ok((stats, map))
+    route_into(Target::Module(module), device, opts, obs)
 }
 
 /// Route an assembled design: locked module routes seed the congestion map
@@ -958,8 +871,7 @@ pub fn route_design_obs(
     opts: &RouteOptions,
     obs: &Obs,
 ) -> Result<(RouteStats, CongestionMap), PnrError> {
-    let (stats, map, _) = route_into(Target::Design(design), device, opts, obs)?;
-    Ok((stats, map))
+    route_into(Target::Design(design), device, opts, obs)
 }
 
 #[cfg(test)]
@@ -1105,7 +1017,7 @@ mod tests {
         let src = costs.idx(TileCoord::new(2, 3));
         let sink = costs.idx(TileCoord::new(8, 3));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 1.0));
+        assert!(scratch.astar(&costs, &[src], sink, bbox));
         let crossings: Vec<TileCoord> = scratch
             .path
             .iter()
@@ -1118,7 +1030,7 @@ mod tests {
             "path must cross the wall exactly once, through the gap"
         );
         // The reused path buffer serves a second query unchanged.
-        assert!(scratch.astar(&costs, &[src], sink, bbox, 1.0));
+        assert!(scratch.astar(&costs, &[src], sink, bbox));
         assert!(!scratch.path.is_empty());
     }
 
@@ -1136,7 +1048,7 @@ mod tests {
         let (from, to) = (TileCoord::new(1, 1), TileCoord::new(20, 14));
         let bbox = (0, costs.cols - 1, 0, costs.rows - 1);
         let mut scratch = Scratch::new(costs.tiles());
-        assert!(scratch.astar(&costs, &[costs.idx(from)], costs.idx(to), bbox, 1.0));
+        assert!(scratch.astar(&costs, &[costs.idx(from)], costs.idx(to), bbox));
         let steps = from.manhattan(&to) as usize;
         assert_eq!(
             scratch.path.len(),
@@ -1165,7 +1077,7 @@ mod tests {
         let mut costs = Costs::new(&device);
         let far = costs.idx(TileCoord::new(20, 10));
         costs.occ[far] = costs.capacity + 1;
-        let (routes, stats) = run(&mut costs, &tasks, &opts, &Obs::null(), &|_| None);
+        let (routes, stats) = run(&mut costs, &tasks, &opts, &Obs::null());
         assert!(routes[0].is_some());
         assert_eq!(stats.iterations, 1);
         assert_eq!(stats.overused_tiles, 1);
@@ -1338,12 +1250,5 @@ mod tests {
         assert_eq!(over, inside);
         let outside = TileCoord::new(2, 0);
         assert_eq!(map.span_fraction(outside, outside), 0.0);
-    }
-
-    #[test]
-    fn criticality_order_sorts_most_negative_first() {
-        let slacks = [120.0, -450.0, 0.0, -450.0, f64::INFINITY];
-        assert_eq!(criticality_order(&slacks), vec![1, 3, 2, 0, 4]);
-        assert!(criticality_order(&[]).is_empty());
     }
 }

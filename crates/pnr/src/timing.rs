@@ -12,11 +12,11 @@
 //!
 //! There is one graph, `TimingGraph`, built over a
 //! [`pi_netlist::NetView`]: a module is the one-instance case of a design,
-//! so [`sta_module`], [`sta_design`], the router's per-net slack ordering
-//! and a routing run's final report all analyze the same graph. Only the
-//! congestion map changes between analyses of one placement, so a routing
-//! run builds the graph once, re-analyzes it every negotiation iteration
-//! and hands it to the compile tail for the final report.
+//! so [`sta_module`], [`sta_design`] and a compile run's final report all
+//! analyze the same graph. Routing reads no timing: a wire is charged by its
+//! endpoints' distance and the congestion map around them, never by the
+//! route's tiles, so the compile tail times a routed netlist once, against
+//! the routing run's final congestion map.
 //!
 //! The graph is nameless: a node is an index in walk order (per instance,
 //! its cells then its ports), and names are resolved through the view only
@@ -28,18 +28,10 @@ use crate::delay;
 use crate::route::CongestionMap;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord};
-use pi_netlist::{Design, Endpoint, Module, NetView, PlacedNet, Slot};
+use pi_netlist::{Design, Endpoint, Module, NetView, PlacedNet};
 
 /// Launch allowance for paths entering an OOC module boundary, picoseconds.
 const IO_LAUNCH_PS: f64 = 150.0;
-
-/// Slack is reported against a 5 %-tightened target clock
-/// (`critical_path_ps * 0.95`), not the achieved period. Against the
-/// achieved period the worst path would always read exactly zero slack and
-/// no net would ever be "critical"; tightening the target makes the whole
-/// near-critical cone read negative, giving downstream consumers — the
-/// router's criticality ordering — a non-empty critical set to act on.
-const CRIT_TARGET_RATIO: f64 = 0.95;
 
 /// The result of a timing run.
 #[derive(Debug, Clone)]
@@ -91,11 +83,9 @@ struct TNode {
 /// cell then one per port, and one edge per (driver, sink) pair of every
 /// non-clock net, intra nets first, top nets last.
 ///
-/// It borrows nothing, so a routing run can write its routes back and still
-/// hand the graph on. Placements are all it reads, and routing does not
-/// move them. Every method that needs a name or a net takes the view the
-/// graph was built from.
-pub(crate) struct TimingGraph {
+/// Placements are all it reads; a method that needs a name takes the view
+/// the graph was built from.
+struct TimingGraph {
     nodes: Vec<TNode>,
     /// Per instance: index of its first cell node and of its first port
     /// node.
@@ -112,10 +102,6 @@ pub(crate) struct TimingGraph {
 
 /// What one forward pass leaves behind.
 struct Forward {
-    /// Wire delay of every edge, in CSR order.
-    wire: Vec<f64>,
-    /// Arrival at each node's *output*.
-    arrival: Vec<f64>,
     /// Worst predecessor per node ([`NONE`] = none).
     pred: Vec<u32>,
     /// Per capture endpoint its worst path: (ps, driver of the final hop).
@@ -123,12 +109,10 @@ struct Forward {
     /// Critical path, ps, and where it captures.
     critical: f64,
     critical_end: u32,
-    /// Kahn pop order: a topological order of every processed node.
-    pop_order: Vec<u32>,
 }
 
 impl TimingGraph {
-    pub(crate) fn build(view: NetView<'_>) -> TimingGraph {
+    fn build(view: NetView<'_>) -> TimingGraph {
         let mut nodes = Vec::new();
         let mut bases = Vec::with_capacity(view.instance_count());
         for inst in 0..view.instance_count() {
@@ -242,13 +226,8 @@ impl TimingGraph {
         // One slot per *endpoint*: a register captures many paths but
         // reports its worst.
         let mut worst_at: Vec<Option<(f64, u32)>> = vec![None; n];
-        // Pop order is a valid topological order of every processed node
-        // (a node only becomes ready once all its fanins have been
-        // popped); reversed, it drives the backward required-time pass.
-        let mut pop_order: Vec<u32> = Vec::with_capacity(n);
 
         while let Some(node) = ready.pop() {
-            pop_order.push(node);
             let i = node as usize;
             let out_arr = arrival[i];
             let edges = self.fanout(i);
@@ -302,21 +281,18 @@ impl TimingGraph {
             return Err(stuck.map(|i| i as u32));
         }
         Ok(Forward {
-            wire,
-            arrival,
             pred,
             worst_at,
             // Floors: even an empty design runs at the clock network's
             // limit.
             critical: critical.max(500.0),
             critical_end,
-            pop_order,
         })
     }
 
     /// The full report: critical path, worst path and the multi-path
     /// report, names resolved through `view`.
-    pub(crate) fn report(
+    fn report(
         &self,
         view: NetView<'_>,
         device: &Device,
@@ -375,65 +351,6 @@ impl TimingGraph {
             nodes: self.nodes.len(),
             edges: self.out.len(),
         })
-    }
-
-    /// The router's slack feed: per-net slack of the nets in `slots`
-    /// (worst output slack across the net's endpoints) against the
-    /// tightened target clock, plus that target (ps). Negative slack marks
-    /// the near-critical cone (see [`CRIT_TARGET_RATIO`]). It needs only
-    /// placements, not routes, so it is valid mid-negotiation.
-    pub(crate) fn net_slacks(
-        &self,
-        view: NetView<'_>,
-        slots: impl Iterator<Item = Slot>,
-        device: &Device,
-        congestion: Option<&CongestionMap>,
-    ) -> Result<(Vec<f64>, f64), PnrError> {
-        let f = self
-            .forward(device, congestion)
-            .map_err(|stuck| self.loop_error(view, stuck))?;
-        let target = f.critical * CRIT_TARGET_RATIO;
-
-        // Backward required-time pass against the tightened target clock.
-        // Reverse pop order guarantees a combinational sink's requirement
-        // is final before any of its fanins is visited; registered sinks
-        // need no requirement of their own (capture is `target - setup`
-        // directly).
-        let setup = f64::from(delay::SETUP_PS);
-        let mut required: Vec<f64> = vec![f64::INFINITY; self.nodes.len()];
-        for &node in f.pop_order.iter().rev() {
-            let i = node as usize;
-            let edges = self.fanout(i);
-            let mut req = f64::INFINITY;
-            for (&(t, _), &wire) in self.out[edges.clone()].iter().zip(&f.wire[edges.clone()]) {
-                let sink = &self.nodes[t as usize];
-                let cand = if sink.registered {
-                    target - setup - wire
-                } else {
-                    required[t as usize] - sink.comb_delay_ps - wire
-                };
-                req = req.min(cand);
-            }
-            if !self.nodes[i].registered && edges.is_empty() {
-                req = req.min(target - setup);
-            }
-            required[i] = req;
-        }
-        // Output slack per node, `+inf` for unconstrained nodes.
-        let slack = |i: usize| {
-            if f.arrival[i] == f64::NEG_INFINITY || required[i] == f64::INFINITY {
-                f64::INFINITY
-            } else {
-                required[i] - f.arrival[i]
-            }
-        };
-        let slacks = slots
-            .map(|slot| {
-                let nodes = net_nodes(&self.bases, view.net(slot));
-                nodes.fold(f64::INFINITY, |s, n| s.min(slack(n as usize)))
-            })
-            .collect();
-        Ok((slacks, target))
     }
 
     /// Hierarchical name of `node`: the instance prefix, then the cell or
@@ -504,7 +421,7 @@ fn edge_wire_ps(
 }
 
 /// STA over everything a view covers.
-fn sta(
+pub(crate) fn sta(
     view: NetView<'_>,
     device: &Device,
     congestion: Option<&CongestionMap>,
@@ -732,69 +649,6 @@ mod tests {
         .unwrap();
         let congested = sta_module(&m, &device, Some(&map)).unwrap();
         assert!(congested.fmax_mhz <= clean.fmax_mhz);
-    }
-
-    #[test]
-    fn net_slacks_mark_the_critical_cone_negative() {
-        let device = Device::test_part();
-        let m = pipeline(250, 1);
-        let slots: Vec<Slot> = NetView::from(&m).nets().map(|n| n.slot()).collect();
-        assert_eq!(slots.len(), m.nets().len());
-        let view = NetView::from(&m);
-        let (slacks, target) = TimingGraph::build(view)
-            .net_slacks(view, slots.iter().copied(), &device, None)
-            .unwrap();
-        let report = sta_module(&m, &device, None).unwrap();
-        assert!((target - report.critical_path_ps * CRIT_TARGET_RATIO).abs() < 1e-9);
-        // The critical chain runs through every data net, so against the
-        // tightened target the worst nets must read negative.
-        let worst = slacks.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(worst < 0.0, "no negative slack in {slacks:?}");
-        // Worst slack equals target minus the achieved critical path.
-        assert!(
-            (worst - (target - report.critical_path_ps)).abs() < 1e-6,
-            "worst {worst} vs target {target} critical {}",
-            report.critical_path_ps
-        );
-        // Every slack is finite or +inf, never NaN.
-        assert!(slacks.iter().all(|s| !s.is_nan()));
-    }
-
-    #[test]
-    fn design_net_slacks_cover_instances_and_top_nets() {
-        let device = Device::test_part();
-        let make = |name: &str, col: u16, pp: TileCoord| {
-            let mut b = ModuleBuilder::new(name);
-            let din = b.input("din", StreamRole::Source, 16);
-            let dout = b.output("dout", StreamRole::Sink, 16);
-            let c = b.cell(Cell::new("c", CellKind::full_slice()));
-            b.connect("i", Endpoint::Port(din), [Endpoint::Cell(c)]);
-            b.connect("o", Endpoint::Cell(c), [Endpoint::Port(dout)]);
-            let mut m = b.finish().unwrap();
-            m.set_placement(pi_netlist::CellId(0), TileCoord::new(col, 1))
-                .unwrap();
-            m.ports_mut().unwrap()[din.index()].partpin = Some(pp);
-            m.ports_mut().unwrap()[dout.index()].partpin = Some(pp);
-            m
-        };
-        let mut d = Design::new("d", "test-part", pi_netlist::DesignKind::Assembled);
-        let a = d.add_instance("a", make("a", 1, TileCoord::new(2, 1)));
-        let bb = d.add_instance("b", make("b", 10, TileCoord::new(9, 1)));
-        let (pa, _) = d.instance(a).module.port_by_name("dout").unwrap();
-        let (pb, _) = d.instance(bb).module.port_by_name("din").unwrap();
-        d.connect_top("link", (a, pa), vec![(bb, pb)], 16).unwrap();
-        // Two nets per instance plus the link, the top net last.
-        let slots: Vec<Slot> = NetView::from(&d).nets().map(|n| n.slot()).collect();
-        assert_eq!(slots.len(), 5);
-        assert_eq!(slots[4], Slot::Top { net: 0 });
-        let view = NetView::from(&d);
-        let (slacks, target) = TimingGraph::build(view)
-            .net_slacks(view, slots.iter().copied(), &device, None)
-            .unwrap();
-        assert_eq!(slacks.len(), slots.len());
-        assert!(target > 0.0);
-        let worst = slacks.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(worst < 0.0, "tightened target must leave a critical cone");
     }
 
     #[test]

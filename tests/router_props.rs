@@ -1,11 +1,11 @@
-//! Property and determinism tests for the Steiner-aware, slack-driven
-//! parallel router.
+//! Property and determinism tests for the Steiner-aware parallel router,
+//! which negotiates congestion only.
 //!
 //! * Steiner decomposition must always produce a topology that connects
 //!   every terminal, at no more wirelength than the fan-out star it
 //!   replaces.
-//! * Criticality ordering must be a permutation, sorted most-negative
-//!   slack first with index tie-breaks.
+//! * Timing does not steer routing: re-timing every fourth cell leaves
+//!   every route as it was.
 //! * Routes and the telemetry stream must be byte-identical at
 //!   `PI_THREADS` = 1, 2 and 8 — the parallel proposal wave and the
 //!   deterministic merge may not leak the schedule into results.
@@ -13,7 +13,7 @@
 //!   off-grid stored route reaches the DRC's `RouteOffGrid` verdict.
 
 use preimpl_cnn::obs::{MemorySink, Obs};
-use preimpl_cnn::pnr::{criticality_order, steiner_topology, RouteOptions};
+use preimpl_cnn::pnr::{steiner_topology, RouteOptions};
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -90,41 +90,6 @@ proptest! {
             );
         }
     }
-
-    /// Criticality ordering is a permutation of the net indices, sorted
-    /// ascending by slack with index tie-breaks — every net routes exactly
-    /// once per wave, most critical first.
-    #[test]
-    fn criticality_order_is_a_sorted_permutation(
-        raw in proptest::collection::vec(-30_000i64..30_000, 0..64),
-    ) {
-        // Mix finite slacks with ties (coarse quantization) and +inf
-        // (unconstrained nets, e.g. clocks).
-        let slacks: Vec<f64> = raw
-            .iter()
-            .map(|&x| {
-                if x % 10 == 0 {
-                    f64::INFINITY
-                } else {
-                    f64::from((x / 100) as i32)
-                }
-            })
-            .collect();
-        let order = criticality_order(&slacks);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..slacks.len()).collect::<Vec<_>>());
-        for w in order.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            prop_assert!(
-                slacks[a] < slacks[b] || (slacks[a] == slacks[b] && a < b),
-                "order not (slack, index)-sorted: {} before {} in {:?}",
-                a,
-                b,
-                slacks
-            );
-        }
-    }
 }
 
 /// The test part with 4 wires per tile, under its own name.
@@ -133,8 +98,7 @@ fn capacity_4() -> Device {
 }
 
 /// A module with fan-out nets spread across the fabric; on [`capacity_4`]
-/// it forces negotiation: Steiner decomposition, slack ordering and
-/// rip-up all engage.
+/// it forces negotiation: Steiner decomposition and rip-up both engage.
 fn fanout_module() -> Module {
     let mut b = ModuleBuilder::new("fan");
     let din = b.input("din", StreamRole::Source, 16);
@@ -216,6 +180,34 @@ fn routes_and_telemetry_are_identical_across_thread_counts() {
             "routes changed between 1 and {level} worker threads"
         );
     }
+}
+
+/// The routes a routing run lays on `m` over [`capacity_4`], in net order.
+fn routes_of(mut m: Module) -> Vec<Option<preimpl_cnn::netlist::Route>> {
+    let opts = RouteOptions::default();
+    preimpl_cnn::pnr::route_module_obs(&mut m, &capacity_4(), &opts, &Obs::null()).unwrap();
+    m.nets().iter().map(|n| n.route.clone()).collect()
+}
+
+/// No timing reads a route, so none steers one: making every fourth cell
+/// combinational, each with its own delay, moves the critical path but no
+/// route tile.
+#[test]
+fn cell_timing_does_not_move_routes() {
+    let mut retimed = fanout_module();
+    for (i, cell) in retimed.cells_mut().unwrap().iter_mut().enumerate() {
+        if i % 4 == 0 {
+            cell.registered = false;
+            cell.delay_ps = 700 + 37 * i as u32;
+        }
+    }
+    let device = capacity_4();
+    let before = preimpl_cnn::pnr::sta_module(&fanout_module(), &device, None).unwrap();
+    let after = preimpl_cnn::pnr::sta_module(&retimed, &device, None).unwrap();
+    assert_ne!(before.critical_path_ps, after.critical_path_ps);
+    let (base, routes) = (routes_of(fanout_module()), routes_of(retimed));
+    assert!(base.iter().all(|r| r.is_some()), "module fully routed");
+    assert_eq!(base, routes, "cell timing moved a route");
 }
 
 /// `fanout_module` with both stream ports partition-pinned, so the two
