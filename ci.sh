@@ -39,10 +39,15 @@ ooc_calls="$(find crates src vendor -name '*.rs' -not -path '*/tests/*' \
 
 # Dependency direction: `pi-lint` checks the model, so it has no business
 # depending on the generators — nor on the backend: the linter checks
-# routes, it does not re-route.
-echo "==> dependency-direction gate: the linter depends on no generator"
+# routes, it does not re-route. The other way, the flow runs no lint: its
+# one `pi_lint` name is the `PreImplReport::lint` field, always `None`,
+# which the benchmark's replay still builds.
+echo "==> dependency-direction gate: the linter depends on no generator, the flow on no lint"
 if grep -nE 'pi-(synth|pnr)' crates/lint/Cargo.toml; then
     echo "pi-lint depends on a generator or the backend"; exit 1
+fi
+if grep -rn 'pi_lint' crates/flow/src | grep -vF 'pub lint: Option<pi_lint::LintReport>,'; then
+    echo "crates/flow/src names pi_lint beyond the PreImplReport::lint field"; exit 1
 fi
 
 # One module judge: `Module::defects` in pi-netlist decides every netlist
@@ -63,6 +68,14 @@ fi
 echo "==> placer gate: no threshold-retry loop"
 if grep -rnE 'timing_threshold|max_retries|threshold_retry|StitchRetry' crates src; then
     echo "the component placer's retry loop is deleted; its names may not return"; exit 1
+fi
+
+# The flow stops linting (DESIGN.md §12): its verdict is its judges, and
+# `pilint` is the one place a lint runs, so the flow's lint policy, its
+# error variant and its stage gates may not come back.
+echo "==> flow-lint gate: no lint policy inside the flow"
+if grep -rnE 'with_lint|LintFailed|lint_gate_db|network_gate' crates src; then
+    echo "the flow's lint gates are deleted; their names may not return"; exit 1
 fi
 
 # The router negotiates congestion only (DESIGN.md §8, §14): no timing
@@ -147,7 +160,10 @@ for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router
     "preimpl stats $smoke_dir/arch.txt junk" \
     "preimpl compose $smoke_dir/arch.txt --fifo-autosize on" \
     "pilint dataflow models/lenet.json --autosize" \
-    "pilint dataflow models/lenet.json"; do
+    "pilint dataflow models/lenet.json" \
+    "preimpl compose $smoke_dir/arch.txt --lint" \
+    "preimpl stats $smoke_dir/arch.txt --lint" \
+    "preimpl compose $smoke_dir/arch.txt --deny-warnings"; do
     gone_err="$(cargo run --release --quiet --bin ${gone%% *} -- ${gone#* } 2>&1 >/dev/null)" \
         && { echo "removed surface was accepted: $gone"; exit 1; }
     echo "$gone_err" | grep -F "usage: ${gone%% *}" >/dev/null \
@@ -356,6 +372,17 @@ echo "$missing_err" | grep -F "$lint_dir/no_db" >/dev/null \
 [ ! -e "$lint_dir/no_db" ] \
     || { echo "pilint db created the missing --db-dir"; exit 1; }
 echo "    LeNet cache clean, missing --db-dir named and not created"
+
+# pilint design gate: the flow assembles, routes and judges LeNet from the
+# cache built above, and the design it returns lints clean with warnings
+# denied (exit 0).
+echo "==> pilint design gate: the assembled LeNet lints clean"
+design_lint="$(cargo run --release --quiet --bin pilint -- \
+    design "$fs_dir/lenet.txt" --db-dir "$fs_dir/db1" --deny-warnings --json)" \
+    || { echo "assembled LeNet did not lint clean: $design_lint"; exit 1; }
+echo "$design_lint" | grep -F '"errors": 0' >/dev/null \
+    || { echo "assembled LeNet JSON summary lacks zero errors: $design_lint"; exit 1; }
+echo "    assembled LeNet clean under --deny-warnings"
 
 # Model-descriptor gate: every checked-in descriptor under models/ must
 # import and lint clean (exit 0) through `pilint model`, and the LeNet

@@ -10,16 +10,13 @@
 //!
 //! Every design decision here that needs a component's rate — link FIFO
 //! depths, the latency report — reads the rate model
-//! ([`pi_cnn::cycles`]). `pi-lint` appears only as the opt-in gate that
-//! checks the result; the flow never sizes hardware from it.
+//! ([`pi_cnn::cycles`]).
 //!
 //! Legality has one judge: [`pi_stitch::check_design`] runs unconditionally
 //! after inter-component routing (as it does after the baseline's routing)
-//! and any violation is [`FlowError::DrcFailed`], with or without a lint
-//! policy. The lint pass
-//! is additive (structure + netlist lints → [`FlowError::LintFailed`]) and
-//! is handed the DRC's verdict instead of calling it, so a policy cannot
-//! waive `PL031x` inside the flow.
+//! and any violation is [`FlowError::DrcFailed`]. The flow runs no lint:
+//! `pilint design` lints the design this returns, and renders a
+//! `DrcFailed` verdict as diagnostics it cannot waive.
 
 use crate::config::FlowConfig;
 use crate::report::LatencyReport;
@@ -27,7 +24,6 @@ use crate::FlowError;
 use pi_cnn::cycles;
 use pi_cnn::graph::Network;
 use pi_fabric::{Device, ResourceCount};
-use pi_lint::CodeCount;
 use pi_netlist::{Design, DEFAULT_LINK_FIFO_DEPTH};
 use pi_pnr::{route_assembled_obs, CompileReport};
 use pi_stitch::{compose_obs, ComponentDb, ComposeOptions, ComposeReport};
@@ -99,11 +95,10 @@ pub struct PreImplReport {
     /// captured event stream *after* the flow's own `flow_done` point, so
     /// it covers the whole run.
     pub run_report: Option<pi_obs::agg::RunReport>,
-    /// Lint report over the composed design — present when the config
-    /// carries a lint policy ([`FlowConfig::with_lint`]). A gate-tripping
-    /// report never lands here: the flow fails with
-    /// [`crate::FlowError::LintFailed`] instead (and an illegal design
-    /// with [`crate::FlowError::DrcFailed`] before any lint runs).
+    /// Always `None`: the flow runs no lint. Kept only because the
+    /// benchmark's replay (`benchmark/src/replay.rs`) builds a
+    /// `PreImplReport` field by field; it goes when the traced product run
+    /// replaces that replay.
     pub lint: Option<pi_lint::LintReport>,
 }
 
@@ -178,13 +173,6 @@ impl PreImplReport {
                 frame_ms: self.latency.frame_ms,
                 fmax_mhz: self.latency.fmax_mhz,
             },
-            lint: self.lint.as_ref().map(|lint| LintSummary {
-                errors: lint.errors(),
-                warnings: lint.warnings(),
-                waived: lint.waived,
-                allowed: lint.allowed,
-                by_code: lint.by_code().into_iter().map(CodeCount::from).collect(),
-            }),
         };
         serde_json::to_string_pretty(&summary).expect("summary serializes")
     }
@@ -196,11 +184,6 @@ struct Summary<'a> {
     compose: ComposeSummary<'a>,
     compile: CompileSummary<'a>,
     latency: LatencySummary,
-    /// Only present when a lint policy ran — summaries of lint-less runs
-    /// (the warm/cold CI smoke, cache determinism tests) are unchanged by
-    /// the lint subsystem existing.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    lint: Option<LintSummary>,
 }
 
 #[derive(Serialize)]
@@ -243,15 +226,6 @@ struct LatencySummary {
     fmax_mhz: f64,
 }
 
-#[derive(Serialize)]
-struct LintSummary {
-    errors: usize,
-    warnings: usize,
-    waived: usize,
-    allowed: usize,
-    by_code: Vec<CodeCount>,
-}
-
 /// Run the architecture-optimization phase: compose from the database, then
 /// route the inter-component nets. Telemetry goes to the sink the config
 /// carries: `stitch::placer` / `stitch::compose` during composition,
@@ -263,7 +237,7 @@ pub fn run_pre_implemented_flow(
     cfg: &FlowConfig,
 ) -> Result<(Design, PreImplReport), FlowError> {
     cfg.apply_parallelism();
-    crate::function_opt::network_gate(network, cfg)?;
+    network.validate()?;
     let obs = cfg.obs();
     let arch = obs.scoped("flow::arch_opt");
 
@@ -294,24 +268,11 @@ pub fn run_pre_implemented_flow(
     let route_time = t1.elapsed();
 
     // The one legality verdict: the physical DRC runs unconditionally and
-    // any violation aborts via `DrcFailed` — no lint level, waiver or
-    // `--allow` can turn an illegal design into `Ok`.
+    // any violation aborts via `DrcFailed`.
     let violations = pi_stitch::check_design(&design, device)?;
     if !violations.is_empty() {
         return Err(FlowError::DrcFailed(violations));
     }
-    // The lint pass is purely additive: structure + per-instance netlist
-    // lints, gated via `LintFailed`.
-    let lint = match &cfg.lint {
-        Some(lc) => {
-            let report = pi_lint::LintEngine::new(lc.clone()).lint_design(&design, obs);
-            if report.gate(lc.deny_warnings) {
-                return Err(FlowError::LintFailed(report));
-            }
-            Some(report)
-        }
-        None => None,
-    };
 
     let latency = LatencyReport::for_assembled(
         network,
@@ -328,7 +289,7 @@ pub fn run_pre_implemented_flow(
         route_time,
         latency,
         run_report: None,
-        lint,
+        lint: None,
     };
     if arch.enabled() {
         arch.point(
@@ -434,32 +395,6 @@ mod tests {
         assert!(report.run_report.is_none());
     }
 
-    #[test]
-    fn flow_with_lint_enabled_passes_clean_and_reports() {
-        let device = Device::xcku5p_like();
-        let network = models::toy();
-        let cfg = FlowConfig::new()
-            .with_seeds([1])
-            .with_lint(pi_lint::LintConfig::new().with_deny_warnings(true));
-        // Both stage gates run: network + db during function optimization,
-        // the full design pass during architecture optimization.
-        let (db, _) = build_component_db(&network, &device, &cfg).unwrap();
-        let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
-        assert!(design.fully_routed());
-        let lint = report.lint.as_ref().expect("lint policy ran");
-        assert!(lint.is_clean(), "{}", lint.render_text());
-        assert!(
-            report.deterministic_summary().contains("\"lint\""),
-            "summary gains a lint section when lint ran"
-        );
-        // Without a policy the summary is unchanged.
-        let (_, plain) =
-            run_pre_implemented_flow(&network, &db, &device, &FlowConfig::new().with_seeds([1]))
-                .unwrap();
-        assert!(plain.lint.is_none());
-        assert!(!plain.deterministic_summary().contains("\"lint\""));
-    }
-
     /// Corrupt every checkpoint through the serde envelope (the in-memory
     /// module is locked): unlock it, which breaks PL0317.
     fn unlocked(db: &ComponentDb) -> ComponentDb {
@@ -472,75 +407,17 @@ mod tests {
         broken
     }
 
-    /// Give every checkpoint's module a spare input port that drives no
-    /// net: a netlist defect (`PL0102`) that leaves the checkpoint legal.
-    fn with_dangling_input(db: &ComponentDb) -> ComponentDb {
-        let mut broken = ComponentDb::new();
-        for cp in db.checkpoints() {
-            let mut json = serde_json::to_value(cp);
-            let serde_json::Value::Seq(ports) = &mut json["module"]["ports"] else {
-                panic!("a module serializes its ports as a list");
-            };
-            let mut spare = ports
-                .iter()
-                .find(|p| p["name"] == serde_json::Value::Str("din".into()))
-                .expect("every component has a din port")
-                .clone();
-            spare["name"] = serde_json::Value::Str("spare".into());
-            ports.push(spare);
-            broken.insert(serde_json::from_value(json).expect("checkpoint round-trips"));
-        }
-        broken
-    }
-
     #[test]
-    fn lint_gate_trips_on_a_netlist_defect() {
-        let (device, _, db) = toy_setup();
-        let broken = with_dangling_input(&db);
-        for cp in broken.checkpoints() {
-            assert!(pi_stitch::check_checkpoint(cp, &device).unwrap().is_empty());
-        }
-        let cfg = FlowConfig::new()
-            .with_seeds([1])
-            .with_lint(pi_lint::LintConfig::new().with_deny_warnings(true));
-        let err = crate::function_opt::lint_gate_db(&broken, &cfg).unwrap_err();
-        match err {
-            crate::FlowError::LintFailed(report) => {
-                assert!(
-                    report
-                        .diagnostics
-                        .iter()
-                        .any(|d| d.code == "PL0102" && d.origin.ends_with("/module/port:spare")),
-                    "{report:?}"
-                );
-            }
-            other => panic!("expected LintFailed, got {other}"),
-        }
-        assert!(crate::function_opt::lint_gate_db(&db, &cfg).is_ok());
-    }
-
-    #[test]
-    fn a_lint_policy_cannot_waive_the_drc() {
+    fn an_unlocked_database_fails_the_drc() {
         let (device, network, db) = toy_setup();
-        let broken = unlocked(&db);
-        let waived = pi_lint::LintConfig::new().with_waivers(vec![pi_lint::Waiver {
-            code: "PL0317".into(),
-            origin_prefix: "*".into(),
-        }]);
-        for cfg in [
-            FlowConfig::new(),
-            FlowConfig::from_json(r#"{"lint":{"levels":{"PL0317":"allow"}}}"#).unwrap(),
-            FlowConfig::new().with_lint(waived),
-        ] {
-            match run_pre_implemented_flow(&network, &broken, &device, &cfg) {
-                Err(FlowError::DrcFailed(v)) => assert!(
-                    v.iter()
-                        .any(|v| matches!(v, pi_stitch::Violation::NotLocked { .. })),
-                    "{v:?}"
-                ),
-                Err(other) => panic!("expected DrcFailed, got {other}"),
-                Ok(_) => panic!("an unlocked design passed under {:?}", cfg.lint),
-            }
+        match run_pre_implemented_flow(&network, &unlocked(&db), &device, &FlowConfig::new()) {
+            Err(FlowError::DrcFailed(v)) => assert!(
+                v.iter()
+                    .any(|v| matches!(v, pi_stitch::Violation::NotLocked { .. })),
+                "{v:?}"
+            ),
+            Err(other) => panic!("expected DrcFailed, got {other}"),
+            Ok(_) => panic!("an unlocked design passed"),
         }
     }
 

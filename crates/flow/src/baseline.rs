@@ -34,7 +34,8 @@ const BASELINE_PHYS_OPT_PASSES: usize = 4;
 
 /// Run the full baseline: monolithic synthesis + full implementation.
 /// Returns the implemented design (wrapped flat) and its report, the
-/// network gate's error when the graph is rejected, or
+/// network judge's error ([`Network::validate`]) when the graph is
+/// rejected, or
 /// [`FlowError::DrcFailed`] when the design check finds a violation. The
 /// backend phases report under `pnr::compile` / `pnr::place` /
 /// `pnr::route`, plus a `flow::baseline` summary, through the sink the
@@ -45,7 +46,7 @@ pub fn run_baseline_flow(
     cfg: &FlowConfig,
 ) -> Result<(Design, BaselineReport), FlowError> {
     cfg.apply_parallelism();
-    crate::function_opt::network_gate(network, cfg)?;
+    network.validate()?;
     // The first seed of the component sweep also seeds the baseline.
     let seed = cfg.seeds.first().copied().unwrap_or(1);
     let base = cfg.obs().scoped("flow::baseline").with_seed(seed);

@@ -40,7 +40,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Configuration for the whole flow (both phases and the baseline), plus
-/// the telemetry sink. Build one with the `with_*` methods:
+/// the telemetry sink. It carries no lint policy: the flow's verdict is
+/// its judges (the network judge at every entry, the module judge on every
+/// netlist it implements, `check_checkpoint` at admission, `check_design`
+/// on the design), and `pilint` is the one place a lint runs. Build one
+/// with the `with_*` methods:
 ///
 /// ```
 /// use pi_flow::FlowConfig;
@@ -92,19 +96,6 @@ pub struct FlowConfig {
     /// budget decides which entries *stay cached*, never what a checkpoint
     /// contains.
     pub db_budget_bytes: Option<u64>,
-    /// Static-analysis policy. When set, the flow entry points run the
-    /// relevant `pi-lint` passes at stage boundaries (network at every
-    /// entry, database after function optimization, composed design after
-    /// — never instead of — the physical DRC) and fail with
-    /// [`crate::FlowError::LintFailed`] when the gate trips. `None` (the
-    /// default) runs no lints; the flow's legality verdicts (the network
-    /// judge at every entry, the module judge on every netlist it
-    /// implements, `check_checkpoint` at admission, `check_design` on the
-    /// design) run either way.
-    ///
-    /// Deliberately excluded from [`FlowConfig::cache_fingerprint`]:
-    /// linting observes checkpoints, it never changes what they contain.
-    pub lint: Option<pi_lint::LintConfig>,
     #[serde(skip)]
     obs: Obs,
     /// In-process event capture installed by
@@ -128,7 +119,6 @@ impl Default for FlowConfig {
             threads: None,
             db_dir: None,
             db_budget_bytes: None,
-            lint: None,
             obs: Obs::null(),
             capture: None,
         }
@@ -207,13 +197,6 @@ impl FlowConfig {
     /// Byte budget for the persistent cache (LRU eviction beyond it).
     pub fn with_db_budget_bytes(mut self, bytes: u64) -> Self {
         self.db_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Enable stage-boundary linting under the given policy (see the
-    /// `lint` field).
-    pub fn with_lint(mut self, lint: pi_lint::LintConfig) -> Self {
-        self.lint = Some(lint);
         self
     }
 

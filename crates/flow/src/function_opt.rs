@@ -561,42 +561,6 @@ fn report_built(dse: &Obs, report: &ComponentBuildReport) {
     dse.point("component_built", &fields);
 }
 
-/// The network gate every flow entry opens with. When `cfg.lint` is set,
-/// the graph-family passes run first, so a rejected network reports every
-/// finding as `LintFailed`; waivers are audited on that report. Either way
-/// the network judge ([`Network::validate`]) then refuses what it rejects,
-/// so no policy or waiver admits a malformed graph.
-pub(crate) fn network_gate(network: &Network, cfg: &FlowConfig) -> Result<(), FlowError> {
-    if let Some(lc) = &cfg.lint {
-        let engine = pi_lint::LintEngine::new(lc.clone());
-        let mut report = engine.lint_network(network, cfg.granularity, cfg.obs());
-        report.audit_waivers(lc);
-        if report.gate(lc.deny_warnings) {
-            return Err(FlowError::LintFailed(report));
-        }
-    }
-    Ok(network.validate()?)
-}
-
-/// Post-stage lint gate: when `cfg.lint` is set, run the netlist pass
-/// (`PL01xx`) over every checkpoint's module. Nothing here re-judges
-/// legality: every fresh checkpoint passed [`check_checkpoint`] at
-/// admission, the database holds one checkpoint per component by
-/// construction, and the assembly's DRC judges whatever is composed.
-pub(crate) fn lint_gate_db(db: &ComponentDb, cfg: &FlowConfig) -> Result<(), FlowError> {
-    let Some(lc) = &cfg.lint else { return Ok(()) };
-    let engine = pi_lint::LintEngine::new(lc.clone());
-    let mut report = pi_lint::LintReport::new();
-    for cp in db.checkpoints() {
-        let base = format!("checkpoint:{}/module", cp.meta.signature);
-        report.merge(engine.lint_module(&base, &cp.module, cfg.obs()));
-    }
-    if report.gate(lc.deny_warnings) {
-        return Err(FlowError::LintFailed(report));
-    }
-    Ok(())
-}
-
 /// Build the whole component database for a network — the "performed
 /// exactly once" investment of the paper. Each distinct netlist is
 /// implemented once: components whose netlists are equal up to module,
@@ -613,7 +577,7 @@ pub fn build_component_db(
     cfg: &FlowConfig,
 ) -> Result<(ComponentDb, Vec<ComponentBuildReport>), FlowError> {
     cfg.apply_parallelism();
-    network_gate(network, cfg)?;
+    network.validate()?;
     let components = network.components(cfg.granularity)?;
     let span = cfg.obs().scoped("flow::function_opt").span_with(
         "build_component_db",
@@ -628,7 +592,6 @@ pub fn build_component_db(
         db.insert(cp);
         reports.push(report);
     }
-    lint_gate_db(&db, cfg)?;
     Ok((db, reports))
 }
 
@@ -688,7 +651,7 @@ pub fn build_component_db_cached(
         return Ok((db, reports, stats));
     };
     cfg.apply_parallelism();
-    network_gate(network, cfg)?;
+    network.validate()?;
     let obs = cfg.obs();
     let dse = obs.scoped("flow::function_opt");
     let fingerprint = cfg.cache_fingerprint();
@@ -747,7 +710,6 @@ pub fn build_component_db_cached(
         dse.counter("cache_evictions", stats.evictions);
     }
     span.end();
-    lint_gate_db(&db, cfg)?;
     Ok((db, reports, stats))
 }
 

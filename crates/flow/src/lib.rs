@@ -51,14 +51,10 @@ pub enum FlowError {
     /// The delivered design, assembled or flat, failed design-rule
     /// checking (`pi_stitch::check_design`, the flow's only legality
     /// verdict): a flow bug, a corrupt database, or routing the router
-    /// could not bring within the device's track capacity. Raised with or
-    /// without a lint policy; no level or waiver can suppress it.
+    /// could not bring within the device's track capacity. The flow runs
+    /// no lint, so nothing can suppress it; `pilint design` only renders
+    /// it as `PL03xx` diagnostics.
     DrcFailed(Vec<pi_stitch::Violation>),
-    /// A stage-boundary lint gate tripped (`FlowConfig::lint` was set and
-    /// the report has errors, or warnings under `deny_warnings`). The
-    /// report carries every finding for rendering. Never stands in for
-    /// `DrcFailed`: the design pass only adds structure and netlist lints.
-    LintFailed(pi_lint::LintReport),
 }
 
 impl std::fmt::Display for FlowError {
@@ -79,22 +75,6 @@ impl std::fmt::Display for FlowError {
                     write!(f, "; first: {first}")?;
                 }
                 write!(f, ")")
-            }
-            FlowError::LintFailed(report) => {
-                write!(
-                    f,
-                    "lint gate tripped: {} errors, {} warnings",
-                    report.errors(),
-                    report.warnings()
-                )?;
-                if let Some(first) = report.diagnostics.first() {
-                    write!(
-                        f,
-                        "; first: {}[{}] {}",
-                        first.severity, first.code, first.message
-                    )?;
-                }
-                Ok(())
             }
         }
     }

@@ -17,7 +17,7 @@
 //! checkpoint — the checkpoint judge's verdict prints those as `PL0317`
 //! / `PL0310` / `PL0318`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -44,8 +44,7 @@ impl fmt::Display for Severity {
 
 /// Per-code policy knob, rustc-style: `allow` drops findings, `warn`
 /// reports without failing, `deny` makes them errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     /// Suppress findings with this code (still counted as "allowed").
     Allow,
@@ -395,8 +394,7 @@ impl fmt::Display for Diagnostic {
 
 /// A waiver suppresses matching findings without changing the code's
 /// level for everything else. `origin_prefix == "*"` matches any origin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     /// Registry code the waiver applies to.
     pub code: String,
@@ -448,12 +446,9 @@ pub fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
 }
 
 /// Per-run lint policy: level overrides, waivers and the warning gate.
-/// Policy never enters `FlowConfig::cache_fingerprint`, since linting
-/// cannot change what a checkpoint contains. The numeric thresholds the
-/// passes check against are not policy: they are the constants the
-/// synthesizer and stitcher actually build with.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
+/// The numeric thresholds the passes check against are not policy: they
+/// are the constants the synthesizer and stitcher actually build with.
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Per-code level overrides; codes not present use registry defaults.
     pub levels: BTreeMap<String, Level>,

@@ -50,7 +50,7 @@ pub use engine::LintEngine;
 pub use graph::{defect_code, lint_network};
 pub use model::lint_model;
 pub use netlist::lint_module;
-pub use report::{CodeCount, LintReport};
+pub use report::LintReport;
 pub use trace::lint_trace;
 
 // The physical DRC enum stays defined in `pi_stitch` (see the satellite

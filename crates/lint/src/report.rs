@@ -5,12 +5,11 @@ use crate::diag::{Diagnostic, Level, LintConfig, Severity};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
-/// Findings of one code: an entry of a report's `by_code` summary, also
-/// the shape of the lint section of the flow's deterministic summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct CodeCount {
-    pub code: &'static str,
-    pub count: usize,
+/// Findings of one code: an entry of a report's `by_code` summary.
+#[derive(Serialize)]
+struct CodeCount {
+    code: &'static str,
+    count: usize,
 }
 
 impl From<(&'static str, usize)> for CodeCount {

@@ -251,16 +251,13 @@ fn run() -> Result<ExitCode, String> {
                 return finish(&mut report, &args);
             }
             // The flow itself composes, routes and judges the design — at
-            // the granularity the passes above used, under this run's
-            // policy — so `pilint design` refuses exactly what the flow
-            // would refuse.
+            // the granularity the passes above used — so `pilint design`
+            // refuses exactly what the flow would refuse, then lints the
+            // design it returns.
             use preimpl_cnn::flow::{run_pre_implemented_flow, FlowConfig, FlowError};
-            let cfg = FlowConfig::new()
-                .with_granularity(granularity)
-                .with_lint(engine.config().clone());
+            let cfg = FlowConfig::new().with_granularity(granularity);
             match run_pre_implemented_flow(&network, &db, &device, &cfg) {
-                Ok((_, flow)) => report.merge(flow.lint.expect("the config carries a policy")),
-                Err(FlowError::LintFailed(r)) => report.merge(r),
+                Ok((design, _)) => report.merge(engine.lint_design(&design, &obs)),
                 Err(FlowError::DrcFailed(violations)) => {
                     // The origin `lint_design` anchors a composed design at.
                     let base = format!("design:{}_assembled", network.name);

@@ -15,10 +15,7 @@
 //! `--trace <path>` (write a JSON-Lines telemetry stream of the run),
 //! `--report <path>` (write the aggregated `flowstat` run report of the
 //! run — see the `flowstat` binary for summarizing/diffing recorded
-//! traces), `--lint` (run the `pi-lint` stage-boundary passes; adds a
-//! lint summary to the output and, with `--deny-warnings`, turns any
-//! warning into a gate failure — exit code 2, matching `pilint` and
-//! `flowstat diff`), `--db-dir <path>` (the component database: a
+//! traces), `--db-dir <path>` (the component database: a
 //! persistent content-addressed cache whose checkpoints, keyed by
 //! signature + device + implementation knobs and verified against their
 //! content hash on every lookup, are reused across runs instead of
@@ -37,6 +34,10 @@
 //! naming the defect before anything is built. A positional past the
 //! archdef (or any positional with `--model`) is a usage error.
 //!
+//! `preimpl` runs no lint: the flow's verdict is its judges, and a flow
+//! error (a rejected network or module, an unsatisfiable component, a
+//! failed DRC) exits 1. `pilint` is the one place a lint runs.
+//!
 //! `compose` and `build-db` also accept `--remote ADDR`: instead of
 //! running locally, the job (archdef or descriptor text + full
 //! serialized config) is submitted to a `pi-serve` compile farm at ADDR,
@@ -53,14 +54,12 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: preimpl <stats|build-db|compose|baseline|floorplan|devices> \
                      <archdef> [--model FILE] [--device NAME] [--seeds N] [--threads N] \
-                     [--block] [--lint] [--deny-warnings] [--trace PATH] [--report PATH] \
+                     [--block] [--trace PATH] [--report PATH] \
                      [--db-dir PATH] [--db-budget-bytes N] [--remote ADDR] \
                      [--router-max-iters N]";
 
 const FLAGS: &[Flag] = &[
     Flag::switch("--block"),
-    Flag::switch("--lint"),
-    Flag::switch("--deny-warnings"),
     Flag::value("--model"),
     Flag::value("--device"),
     Flag::value("--seeds"),
@@ -81,18 +80,6 @@ fn main() -> ExitCode {
 /// `--model FILE` stands in for it.
 fn positionals(args: &Cli) -> usize {
     usize::from(args.command != "devices" && args.value("--model").is_none())
-}
-
-/// Render a lint-gate failure and map it onto the shared exit convention;
-/// every other flow error stays an operational error.
-fn lint_gate_exit(e: preimpl_cnn::flow::FlowError) -> Result<ExitCode, String> {
-    if let preimpl_cnn::flow::FlowError::LintFailed(report) = e {
-        print!("{}", report.render_text());
-        eprintln!("preimpl: lint gate tripped ({})", report.summary_line());
-        Ok(ExitCode::from(preimpl_cnn::exit::GATE))
-    } else {
-        Err(e.to_string())
-    }
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -150,18 +137,6 @@ fn run() -> Result<ExitCode, String> {
                 stats.total_weights(),
                 stats.total_macs()
             );
-            if args.switch("--lint") {
-                let engine = preimpl_cnn::lint::LintEngine::new(
-                    preimpl_cnn::lint::LintConfig::new()
-                        .with_deny_warnings(args.switch("--deny-warnings")),
-                );
-                let report =
-                    engine.lint_network(&network, granularity, &preimpl_cnn::obs::Obs::null());
-                println!("{}", report.summary_line());
-                if report.gate(args.switch("--deny-warnings")) {
-                    return Ok(ExitCode::from(preimpl_cnn::exit::GATE));
-                }
-            }
             println!("\ncomponents ({granularity:?} granularity):");
             for c in network.components(granularity).map_err(|e| e.to_string())? {
                 println!("  {:<40} {} -> {}", c.name, c.input_shape, c.output_shape);
@@ -174,10 +149,8 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("build-db needs --db-dir PATH or --remote ADDR\n{USAGE}"))?;
             let cfg = config(&args, granularity)?;
             let t = std::time::Instant::now();
-            let (db, reports, stats) = match build_component_db_cached(&network, &device, &cfg) {
-                Ok(v) => v,
-                Err(e) => return lint_gate_exit(e),
-            };
+            let (db, reports, stats) =
+                build_component_db_cached(&network, &device, &cfg).map_err(|e| e.to_string())?;
             println!(
                 "built {} checkpoints in {:.1} s -> {dir}",
                 db.len(),
@@ -197,14 +170,10 @@ fn run() -> Result<ExitCode, String> {
             let cfg = config(&args, granularity)?;
             // Hits come off `--db-dir`; misses (everything, without it) are
             // built now.
-            let (db, _, stats) = match build_component_db_cached(&network, &device, &cfg) {
-                Ok(v) => v,
-                Err(e) => return lint_gate_exit(e),
-            };
-            let (design, report) = match run_pre_implemented_flow(&network, &db, &device, &cfg) {
-                Ok(v) => v,
-                Err(e) => return lint_gate_exit(e),
-            };
+            let (db, _, stats) =
+                build_component_db_cached(&network, &device, &cfg).map_err(|e| e.to_string())?;
+            let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg)
+                .map_err(|e| e.to_string())?;
             if args.command == "floorplan" {
                 println!(
                     "{}",
@@ -214,9 +183,6 @@ fn run() -> Result<ExitCode, String> {
                 // Deterministic line first (the warm/cold CI smoke compares
                 // these byte-for-byte), wall-clock on its own line after.
                 println!("{}", report.summary_line(&design));
-                if let Some(lint) = &report.lint {
-                    println!("{}", lint.summary_line());
-                }
                 if args.value("--db-dir").is_some() {
                     print!("{}", db_cache_line(&stats));
                 }
@@ -239,10 +205,8 @@ fn run() -> Result<ExitCode, String> {
         }
         "baseline" => {
             let cfg = config(&args, granularity)?;
-            let (design, report) = match run_baseline_flow(&network, &device, &cfg) {
-                Ok(v) => v,
-                Err(e) => return lint_gate_exit(e),
-            };
+            let (design, report) =
+                run_baseline_flow(&network, &device, &cfg).map_err(|e| e.to_string())?;
             println!(
                 "baseline {}: Fmax {:.0} MHz, implemented in {:.2} s",
                 design.name,
@@ -334,11 +298,6 @@ fn wire_config(args: &Cli, granularity: Granularity) -> Result<FlowConfig, Strin
             return Err("--router-max-iters must be at least 1".into());
         }
         cfg.route.max_iters = n;
-    }
-    if args.switch("--lint") {
-        cfg = cfg.with_lint(
-            preimpl_cnn::lint::LintConfig::new().with_deny_warnings(args.switch("--deny-warnings")),
-        );
     }
     Ok(cfg)
 }

@@ -47,8 +47,8 @@ pub use pi_pnr as pnr;
 pub use pi_stitch as stitch;
 pub use pi_synth as synth;
 
-/// Process exit codes shared by every gating binary (`pilint`, `flowstat
-/// diff`, `preimpl --lint`).
+/// Process exit codes shared by the gating binaries (`pilint`, `flowstat
+/// diff`). `preimpl` has no gate: it exits `0` or `1`.
 ///
 /// The convention separates "the tool could not do its job" from "the tool
 /// did its job and the gate tripped", so CI scripts can distinguish a

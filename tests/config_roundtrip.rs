@@ -12,21 +12,12 @@
 //! rejected for.
 
 use preimpl_cnn::cnn::graph::Granularity;
-use preimpl_cnn::lint::{Level, LintConfig, Waiver};
 use preimpl_cnn::pnr::RouteOptions;
 use preimpl_cnn::prelude::FlowConfig;
 use preimpl_cnn::stitch::ComponentPlacerOptions;
 use preimpl_cnn::synth::{SynthMode, SynthOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
-
-/// Real codes from the lint registry plus one unknown-looking spelling
-/// (the levels map is policy, not validation — unknown codes may be
-/// configured and simply never fire).
-const CODES: &[&str] = &["PL0101", "PL0107", "PL0206", "PL0301", "PL9999"];
-
-/// Waiver origin prefixes with globbing, separators, unicode, empty.
-const PREFIXES: &[&str] = &["", "net:top_*", "comp:conv2d_*", "mem/alloc", "配線*", "*"];
 
 /// Cache directories with relative/absolute/dotted/unicode shapes.
 const DIRS: &[&str] = &[
@@ -47,32 +38,6 @@ fn opt<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
     (0u8..2, s).prop_map(|(some, v)| if some == 1 { Some(v) } else { None })
 }
 
-fn lint_strategy() -> impl Strategy<Value = Option<LintConfig>> {
-    let levels = proptest::collection::vec((0usize..CODES.len(), 0u8..3), 0..4);
-    let waivers = proptest::collection::vec((0usize..CODES.len(), 0usize..PREFIXES.len()), 0..3);
-    let cfg = (levels, waivers, pbool()).prop_map(|(levels, waivers, deny)| {
-        let mut lint = LintConfig::new().with_deny_warnings(deny);
-        for (code, level) in levels {
-            let level = match level {
-                0 => Level::Allow,
-                1 => Level::Warn,
-                _ => Level::Deny,
-            };
-            lint = lint.with_level(CODES[code].to_string(), level);
-        }
-        lint.with_waivers(
-            waivers
-                .into_iter()
-                .map(|(code, prefix)| Waiver {
-                    code: CODES[code].to_string(),
-                    origin_prefix: PREFIXES[prefix].to_string(),
-                })
-                .collect(),
-        )
-    });
-    opt(cfg)
-}
-
 fn config_strategy() -> impl Strategy<Value = FlowConfig> {
     let shape = (
         pbool(),                                          // granularity
@@ -91,13 +56,12 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
         opt(0usize..DIRS.len()), // db dir
         opt(1u64..u64::MAX),     // db budget
     );
-    (shape, engines, synth, cache, lint_strategy()).prop_map(
+    (shape, engines, synth, cache).prop_map(
         |(
             (block, seeds, util, effort),
             (max_iters, congestion_weight, baseline),
             (mono, width, on_chip),
             (threads, db_dir, budget),
-            lint,
         )| {
             let mut cfg = FlowConfig::new()
                 .with_synth(SynthOptions {
@@ -129,9 +93,6 @@ fn config_strategy() -> impl Strategy<Value = FlowConfig> {
             if let Some(b) = budget {
                 cfg = cfg.with_db_budget_bytes(b);
             }
-            if let Some(l) = lint {
-                cfg = cfg.with_lint(l);
-            }
             cfg
         },
     )
@@ -153,10 +114,6 @@ proptest! {
         prop_assert_eq!(back.db_dir.clone(), cfg.db_dir.clone());
         prop_assert_eq!(back.db_budget_bytes, cfg.db_budget_bytes);
         prop_assert_eq!(back.baseline_effort, cfg.baseline_effort);
-        prop_assert_eq!(
-            back.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings)),
-            cfg.lint.as_ref().map(|l| (l.levels.clone(), l.waivers.clone(), l.deny_warnings))
-        );
     }
 
     /// Equal configs serialize byte-identically — a round-tripped config
@@ -172,14 +129,6 @@ proptest! {
 
 /// A config with every wire-visible knob off its default.
 fn every_knob_config() -> FlowConfig {
-    let lint = LintConfig::new()
-        .deny("PL0107")
-        .allow("PL0206")
-        .with_waivers(vec![Waiver {
-            code: "PL0101".into(),
-            origin_prefix: "net:top_*".into(),
-        }])
-        .with_deny_warnings(true);
     FlowConfig::new()
         .with_synth(SynthOptions::vgg_like())
         .with_granularity(Granularity::Block)
@@ -194,7 +143,6 @@ fn every_knob_config() -> FlowConfig {
         .with_threads(3)
         .with_db_dir("/tmp/pi-db")
         .with_db_budget_bytes(1 << 20)
-        .with_lint(lint)
 }
 
 /// The derived wire form is the hand-written one it replaced, byte for
@@ -207,11 +155,11 @@ fn every_knob_config() -> FlowConfig {
 fn wire_bytes_are_pinned() {
     assert_eq!(
         FlowConfig::new().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"route":{"max_iters":8},"placer":{"congestion_weight":25.0},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null,"lint":null}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":true},"granularity":"layer","seeds":[1,2,3],"pblock_utilization":0.7,"effort":2.0,"route":{"max_iters":8},"placer":{"congestion_weight":25.0},"baseline_effort":6.0,"threads":null,"db_dir":null,"db_budget_bytes":null}"#
     );
     assert_eq!(
         every_knob_config().to_json(),
-        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"route":{"max_iters":11},"placer":{"congestion_weight":7.25},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576,"lint":{"levels":{"PL0107":"deny","PL0206":"allow"},"waivers":[{"code":"PL0101","origin_prefix":"net:top_*"}],"deny_warnings":true}}"#
+        r#"{"synth":{"mode":"ooc","data_width":16,"weights_on_chip":false},"granularity":"block","seeds":[9,4,7],"pblock_utilization":0.55,"effort":3.5,"route":{"max_iters":11},"placer":{"congestion_weight":7.25},"baseline_effort":8.5,"threads":3,"db_dir":"/tmp/pi-db","db_budget_bytes":1048576}"#
     );
 }
 
@@ -225,10 +173,6 @@ fn every_knob_round_trips() {
     assert_eq!(back.threads, Some(3));
     assert_eq!(back.db_dir, Some(PathBuf::from("/tmp/pi-db")));
     assert_eq!(back.db_budget_bytes, Some(1 << 20));
-    let back_lint = back.lint.as_ref().unwrap();
-    assert_eq!(back_lint.levels, cfg.lint.as_ref().unwrap().levels);
-    assert_eq!(back_lint.waivers, cfg.lint.as_ref().unwrap().waivers);
-    assert!(back_lint.deny_warnings);
     // A deserialized config carries no telemetry sink.
     assert!(!back.obs().enabled());
     assert!(back.run_report().is_none());
@@ -240,7 +184,6 @@ fn missing_keys_take_defaults() {
     assert_eq!(cfg.seeds, vec![5]);
     assert_eq!(cfg.effort, FlowConfig::new().effort);
     assert_eq!(cfg.threads, None);
-    assert!(cfg.lint.is_none());
     // Nested objects default key by key as well.
     let cfg = FlowConfig::from_json("{\"synth\":{\"data_width\":8}}").unwrap();
     assert_eq!(cfg.synth.data_width, 8);
@@ -273,17 +216,20 @@ fn malformed_configs_are_rejected_naming_the_field() {
             "{\"phys_opt_passes\":4}",
             &["unknown key", "phys_opt_passes"],
         ),
+        // The flow runs no lint: a policy of any shape, or none, is a
+        // removed knob.
+        ("{\"lint\":null}", &["unknown key", "lint"]),
         (
             "{\"lint\":{\"link_fifo_depth\":96}}",
-            &["unknown key", "link_fifo_depth"],
+            &["unknown key", "lint"],
         ),
         (
             "{\"lint\":{\"fanout_threshold\":17}}",
-            &["unknown key", "fanout_threshold"],
+            &["unknown key", "lint"],
         ),
         (
             "{\"lint\":{\"frame_cycle_budget\":1}}",
-            &["unknown key", "frame_cycle_budget"],
+            &["unknown key", "lint"],
         ),
         (
             "{\"fifo_autosize\":true}",
@@ -324,11 +270,11 @@ fn malformed_configs_are_rejected_naming_the_field() {
         ),
         (
             "{\"lint\":{\"levels\":{\"PL0101\":\"Deny\"}}}",
-            &["levels", "PL0101", "unknown variant"],
+            &["unknown key", "lint"],
         ),
         (
             "{\"lint\":{\"waivers\":[{\"code\":\"PL0101\"}]}}",
-            &["origin_prefix"],
+            &["unknown key", "lint"],
         ),
         ("[]", &["expected map"]),
     ] {

@@ -11,7 +11,7 @@ mod dataflow;
 use dataflow::{analyze as analyze_dataflow, edge_flows, EdgeFlow};
 use preimpl_cnn::cnn::cycles::{self, link_min_depths, min_link_depth};
 use preimpl_cnn::cnn::graph::ComponentEdge;
-use preimpl_cnn::lint::LintConfig;
+use preimpl_cnn::lint::{LintConfig, LintEngine};
 use preimpl_cnn::netlist::DEFAULT_LINK_FIFO_DEPTH;
 use preimpl_cnn::prelude::*;
 use proptest::prelude::*;
@@ -105,17 +105,17 @@ fn bundled_networks_fit_the_standard_link_depth() {
     }
 }
 
-/// The acceptance scenario end-to-end: under a plain config with a
-/// `deny_warnings` lint policy, the skewed ResNet flows to completion with
-/// its deepest computed requirement installed on a stitched net — and the
-/// run's telemetry is byte-identical at `PI_THREADS` 1 and 4.
+/// The acceptance scenario end-to-end: under a plain config, the skewed
+/// ResNet flows to completion with its deepest computed requirement
+/// installed on a stitched net, the design it returns lints clean under a
+/// `deny_warnings` policy — and the run's telemetry, that lint included, is
+/// byte-identical at `PI_THREADS` 1 and 4.
 #[test]
 fn skewed_resnet_flows_with_derived_link_depths() {
     let device = Device::xcku5p_like();
     let network = skewed_resnet(7);
-    let base = FlowConfig::new()
-        .with_seeds([1])
-        .with_lint(LintConfig::new().with_deny_warnings(true));
+    let base = FlowConfig::new().with_seeds([1]);
+    let engine = LintEngine::new(LintConfig::new().with_deny_warnings(true));
     let (db, _) = build_component_db(&network, &device, &base).unwrap();
 
     let analysis = analyze_dataflow(&network, Granularity::Layer).unwrap();
@@ -126,13 +126,10 @@ fn skewed_resnet_flows_with_derived_link_depths() {
         rayon::set_num_threads(threads);
         let sink = Arc::new(MemorySink::new());
         let cfg = base.clone().with_obs(Obs::new(sink.clone()));
-        let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
+        let (design, _) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
         assert!(design.fully_routed());
-        assert!(
-            report.lint.as_ref().expect("lint ran").is_clean(),
-            "{}",
-            report.lint.unwrap().render_text()
-        );
+        let lint = engine.lint_design(&design, cfg.obs());
+        assert!(!lint.gate(true), "{}", lint.render_text());
         assert!(
             design.top_nets().iter().any(|n| n.fifo_depth == deepest),
             "no stitched net carries the computed depth {deepest}: {:?}",

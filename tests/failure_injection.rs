@@ -540,13 +540,7 @@ const MALFORMED_NETWORKS: [&str; 6] = [
 fn every_flow_entry_refuses_a_network_the_judge_rejects() {
     use preimpl_cnn::model::{import, ModelFormat};
     let device = Device::xcku5p_like();
-    // No lint policy, and a policy that allows every code these networks
-    // raise: the judge is not a lint, so neither admits them.
-    let lax = LintConfig::new().allow("PL0201").allow("PL0205");
-    let configs = [
-        FlowConfig::new().with_seeds([1]),
-        FlowConfig::new().with_seeds([1]).with_lint(lax),
-    ];
+    let cfg = &FlowConfig::new().with_seeds([1]);
     for text in MALFORMED_NETWORKS {
         assert!(
             parse_archdef(text).is_err(),
@@ -558,28 +552,26 @@ fn every_flow_entry_refuses_a_network_the_judge_rejects() {
         );
         let network = parse_archdef_lenient(text).expect("syntactically valid");
         assert!(!network.defects().is_empty(), "{text:?}");
-        for cfg in &configs {
-            let refused = |entry: &str, result: Result<(), FlowError>| match result {
-                Err(FlowError::Cnn(_)) => {}
-                other => panic!("{entry} on {text:?}: {other:?}"),
-            };
-            refused(
-                "build_component_db",
-                build_component_db(&network, &device, cfg).map(|_| ()),
-            );
-            refused(
-                "build_component_db_cached",
-                build_component_db_cached(&network, &device, cfg).map(|_| ()),
-            );
-            refused(
-                "run_pre_implemented_flow",
-                run_pre_implemented_flow(&network, &ComponentDb::new(), &device, cfg).map(|_| ()),
-            );
-            refused(
-                "run_baseline_flow",
-                run_baseline_flow(&network, &device, cfg).map(|_| ()),
-            );
-        }
+        let refused = |entry: &str, result: Result<(), FlowError>| match result {
+            Err(FlowError::Cnn(_)) => {}
+            other => panic!("{entry} on {text:?}: {other:?}"),
+        };
+        refused(
+            "build_component_db",
+            build_component_db(&network, &device, cfg).map(|_| ()),
+        );
+        refused(
+            "build_component_db_cached",
+            build_component_db_cached(&network, &device, cfg).map(|_| ()),
+        );
+        refused(
+            "run_pre_implemented_flow",
+            run_pre_implemented_flow(&network, &ComponentDb::new(), &device, cfg).map(|_| ()),
+        );
+        refused(
+            "run_baseline_flow",
+            run_baseline_flow(&network, &device, cfg).map(|_| ()),
+        );
     }
 }
 
@@ -655,7 +647,6 @@ fn every_flow_entry_refuses_a_module_the_judge_rejects() {
     use preimpl_cnn::stitch::check_checkpoint;
     use std::sync::Arc;
     let device = Device::test_part();
-    // No lint policy: the judge is not a lint.
     let cfg = FlowConfig::new().with_seeds([1]);
     let network = parse_archdef("network probe\ninput 1x8x8\nconv c1 kernel=3 out=2\n").unwrap();
     let component = &network.components(Granularity::Layer).unwrap()[0];

@@ -334,6 +334,49 @@ fn synthesized_db_lints_clean_and_contract_breaks_are_caught() {
     }
 }
 
+/// A spare copy of each checkpoint's `din` port drives no net: a
+/// warn-level netlist advisory (`PL0102`), not a defect, so the checkpoint
+/// judge admits it and only the lint flags it.
+#[test]
+fn lint_db_flags_a_dangling_input_the_checkpoint_judge_admits() {
+    let (device, _, db) = smoke_db();
+    let mut broken = ComponentDb::new();
+    for cp in db.checkpoints() {
+        let mut json = serde_json::to_value(cp);
+        let serde_json::Value::Seq(ports) = &mut json["module"]["ports"] else {
+            panic!("a module serializes its ports as a list");
+        };
+        let mut spare = ports
+            .iter()
+            .find(|p| p["name"] == serde_json::Value::Str("din".into()))
+            .expect("every component has a din port")
+            .clone();
+        spare["name"] = serde_json::Value::Str("spare".into());
+        ports.push(spare);
+        broken.insert(serde_json::from_value(json).expect("checkpoint round-trips"));
+    }
+    for cp in broken.checkpoints() {
+        let violations = preimpl_cnn::stitch::check_checkpoint(cp, &device).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+    let e = LintEngine::new(LintConfig::new().with_deny_warnings(true));
+    let report = e.lint_db(&broken, &device, &Obs::null()).unwrap();
+    for cp in broken.checkpoints() {
+        let origin = format!("checkpoint:{}/module/port:spare", cp.meta.signature);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == "PL0102" && d.origin == origin),
+            "{origin}: {}",
+            report.render_text()
+        );
+    }
+    assert!(report.gate(true));
+    let clean = e.lint_db(&db, &device, &Obs::null()).unwrap();
+    assert!(!clean.gate(true), "{}", clean.render_text());
+}
+
 #[test]
 fn lint_reports_render_byte_identically_across_thread_counts() {
     let (device, network, db) = smoke_db();
@@ -475,17 +518,18 @@ fn bundled_descriptors_lint_clean_through_the_model_pass() {
     }
 }
 
+/// The flow runs no lint; `pilint design` lints the design it returns,
+/// which is clean on the smoke network even with warnings denied.
 #[test]
 fn flow_lint_gate_is_clean_on_smoke_network() {
     let (device, network, db) = smoke_db();
-    let cfg = FlowConfig::new()
-        .with_seeds([1])
-        .with_lint(LintConfig::new().with_deny_warnings(true));
-    let (design, report) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
+    let cfg = FlowConfig::new().with_seeds([1]);
+    let (design, _) = run_pre_implemented_flow(&network, &db, &device, &cfg).unwrap();
     assert!(design.fully_routed());
-    let lint = report.lint.as_ref().expect("lint ran");
+    let policy = LintConfig::new().with_deny_warnings(true);
+    let lint = LintEngine::new(policy).lint_design(&design, &Obs::null());
+    assert!(!lint.gate(true), "{}", lint.render_text());
     assert!(lint.is_clean(), "{}", lint.render_text());
-    assert!(report.deterministic_summary().contains("\"lint\""));
 }
 
 /// The five zoo networks.
