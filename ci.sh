@@ -78,6 +78,14 @@ if grep -rnE 'with_lint|LintFailed|lint_gate_db|network_gate' crates src; then
     echo "the flow's lint gates are deleted; their names may not return"; exit 1
 fi
 
+# One network judge for every dialect (DESIGN.md §15): the JSON frontend
+# lowers and `Network::defects` decides every graph rule, so the importer's
+# own join-channel code may not come back.
+echo "==> network-judge gate: no join rule in the JSON frontend"
+if grep -rnE 'JOIN_CHANNEL_MISMATCH|join-channel-mismatch' crates src; then
+    echo "the importer's join-channel check is retired; its names may not return"; exit 1
+fi
+
 # The router negotiates congestion only (DESIGN.md §8, §14): no timing
 # reads a route, so slack ordering, criticality pricing and their counter
 # may not come back.
@@ -170,7 +178,7 @@ for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router
         || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
 done
 # Likewise a retired lint code: unknown, and named on stderr.
-for code in PL0140 PL0302 PL0308 PL0400 PL0401 PL0402 PL0403; do
+for code in PL0140 PL0141 PL0152 PL0302 PL0308 PL0400 PL0401 PL0402 PL0403; do
     retired_err="$(cargo run --release --quiet --bin pilint -- \
         model models/lenet.json --allow "$code" 2>&1 >/dev/null)" \
         && { echo "retired lint code $code was accepted"; exit 1; }
@@ -178,9 +186,9 @@ for code in PL0140 PL0302 PL0308 PL0400 PL0401 PL0402 PL0403; do
         || { echo "$code rejected without naming it: $retired_err"; exit 1; }
 done
 # One network judge: the flow refuses exactly what the lint denies. Each
-# malformed network below — join operands that disagree, a one-operand
-# join, a zero-channel conv (also as a `--model` JSON descriptor), a ReLU
-# fed by two operands, a join fed twice by one producer — is an error
+# malformed network below — join operands that disagree and a zero-channel
+# conv (both also as `--model` JSON descriptors), a one-operand join, a
+# ReLU fed by two operands, a join fed twice by one producer — is an error
 # naming its defect in `preimpl`, whatever the format, and the `PL02xx`
 # code that folds the same defect in `pilint` (exit 2).
 echo "==> network-judge parity: preimpl refuses what pilint denies"
@@ -195,6 +203,8 @@ printf 'network twice\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a,a\
     > "$smoke_dir/twice.txt"
 printf '{"name": "zero", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 0}}], "outputs": ["a"]}\n' \
     > "$smoke_dir/zero.json"
+printf '{"name": "mismatch", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}}, {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 4, "pad": 1}}, {"name": "j", "op": "Add", "inputs": ["a", "b"]}], "outputs": ["j"]}\n' \
+    > "$smoke_dir/mismatch.json"
 while read -r kind file code defect; do
     input="$smoke_dir/$file"
     [ "$kind" = model ] && flag=--model || flag=
@@ -210,6 +220,7 @@ while read -r kind file code defect; do
         || { echo "pilint $kind $file exited $judged_rc, want 2 with $code: $judged"; exit 1; }
 done <<'PROBES'
 archdef mismatch.txt PL0201 disagree on the interface shape
+model mismatch.json PL0201 disagree on the interface shape
 archdef unary.txt PL0205 has 1 input stream(s)
 archdef zero.txt PL0205 out_channels=0
 model zero.json PL0205 out_channels=0

@@ -13,9 +13,11 @@
 //! the judge accepts, which are acyclic, and the graph pass reports the
 //! rest), `PL0402` (token-rate imbalance on a link — a link joins a
 //! producer's last node to a consumer's first, whose shapes the judge
-//! requires to agree) and `PL0302` / `PL0308` (an unlocked or unimplemented
+//! requires to agree), `PL0302` / `PL0308` (an unlocked or unimplemented
 //! checkpoint — the checkpoint judge's verdict prints those as `PL0317`
-//! / `PL0310` / `PL0318`).
+//! / `PL0310` / `PL0318`) and `PL0152` (a JSON join whose operand channel
+//! counts disagree — the network judge prints that as `PL0201`, in every
+//! descriptor dialect).
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -152,18 +154,12 @@ pub const REGISTRY: &[LintCode] = &[
                   identity",
     },
     LintCode {
-        code: "PL0152",
-        name: "join-channel-mismatch",
-        default: Level::Deny,
-        summary: "an element-wise join merges streams with different channel \
-                  counts",
-    },
-    LintCode {
         code: "PL0153",
         name: "model-malformed",
         default: Level::Deny,
         summary: "any other malformed-descriptor defect: syntax error, \
-                  dangling edge, duplicate name, missing attribute",
+                  dangling edge, an input declared after its consumer, \
+                  duplicate name, missing attribute",
     },
     // ---- PL016x: telemetry trace streams (pi-obs JSONL) ----
     LintCode {

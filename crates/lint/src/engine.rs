@@ -1,7 +1,7 @@
 //! The pass manager: [`LintEngine`] runs analysis families against a
-//! network, a module, a checkpoint database or a composed design, folds
-//! the findings through the configured policy and emits one telemetry
-//! point per pass.
+//! network, a model descriptor, a checkpoint database or a composed
+//! design, folds the findings through the configured policy and emits one
+//! telemetry point per pass.
 //!
 //! The engine checks; it neither routes nor judges legality. The network,
 //! netlist and checkpoint passes fold their judges' verdicts
@@ -11,15 +11,15 @@
 //! so the policy here shapes a *report*, and can never turn an illegal
 //! network, netlist or design into a legal one.
 //!
-//! Per-checkpoint and per-instance passes fan out across the vendored
-//! rayon backend, buffering each unit's telemetry and flushing in input
-//! order (the `pi-obs` determinism contract) — so a lint run's event
-//! stream and report are byte-identical at any `PI_THREADS`.
+//! Per-checkpoint and per-instance passes are plain parallel maps over
+//! the vendored rayon backend, collected in input order; only the pass
+//! summaries are telemetry, emitted on the calling thread — so a lint
+//! run's event stream and report are byte-identical at any `PI_THREADS`.
 
 use crate::checkpoint::{lint_checkpoint, lint_db_coverage};
 use crate::diag::{Diagnostic, LintConfig};
 use crate::graph::lint_network;
-use crate::netlist::{fold_defects, lint_module, module_advisories};
+use crate::netlist::{fold_defects, module_advisories};
 use crate::report::LintReport;
 use pi_cnn::graph::Granularity;
 use pi_cnn::Network;
@@ -87,16 +87,6 @@ impl LintEngine {
         (network, self.finalize("model", raw, obs))
     }
 
-    /// Netlist-family pass (`PL01xx`) over a single module.
-    pub fn lint_module(
-        &self,
-        origin_base: &str,
-        module: &pi_netlist::Module,
-        obs: &Obs,
-    ) -> LintReport {
-        self.finalize("module", lint_module(origin_base, module), obs)
-    }
-
     /// Checkpoint-family pass (`PL03xx`, the checkpoint judge's verdict
     /// against `device`, which carries the module judge's) plus the
     /// netlist advisories on the wrapped module, for one checkpoint.
@@ -131,17 +121,15 @@ impl LintEngine {
         obs: &Obs,
     ) -> Result<LintReport, StitchError> {
         // ComponentDb iterates in BTreeMap (signature) order, so the
-        // fan-out input — and therefore the flush order and the final
-        // report — is deterministic.
-        let items: Vec<(&Checkpoint, pi_obs::BufferedObs)> =
-            db.checkpoints().map(|cp| (cp, obs.buffered())).collect();
-        let linted: Vec<(Result<Vec<Diagnostic>, StitchError>, pi_obs::BufferedObs)> = items
+        // fan-out input — and therefore the final report — is
+        // deterministic.
+        let checkpoints: Vec<&Checkpoint> = db.checkpoints().collect();
+        let linted: Vec<Result<Vec<Diagnostic>, StitchError>> = checkpoints
             .into_par_iter()
-            .map(|(cp, buf)| (self.checkpoint_raw(cp, device), buf))
+            .map(|cp| self.checkpoint_raw(cp, device))
             .collect();
         let mut raw = Vec::new();
-        for (diags, buf) in linted {
-            buf.flush_into(obs);
+        for diags in linted {
             raw.extend(diags?);
         }
         Ok(self.finalize("db", raw, obs))
@@ -176,21 +164,12 @@ impl LintEngine {
         let base = format!("design:{}", design.name);
         let mut raw = fold_defects(&base, design.defects());
 
-        let items: Vec<(usize, pi_obs::BufferedObs)> = (0..design.instances().len())
-            .map(|i| (i, obs.buffered()))
+        let linted: Vec<Vec<Diagnostic>> = design
+            .instances()
+            .par_iter()
+            .map(|inst| module_advisories(&format!("{base}/inst:{}", inst.name), &inst.module))
             .collect();
-        let linted: Vec<(Vec<Diagnostic>, pi_obs::BufferedObs)> = items
-            .into_par_iter()
-            .map(|(i, buf)| {
-                let inst = &design.instances()[i];
-                let origin = format!("{base}/inst:{}", inst.name);
-                (module_advisories(&origin, &inst.module), buf)
-            })
-            .collect();
-        for (diags, buf) in linted {
-            buf.flush_into(obs);
-            raw.extend(diags);
-        }
+        raw.extend(linted.into_iter().flatten());
 
         self.finalize("design", raw, obs)
     }

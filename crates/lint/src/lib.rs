@@ -49,7 +49,6 @@ pub use diag::{
 pub use engine::LintEngine;
 pub use graph::{defect_code, lint_network};
 pub use model::lint_model;
-pub use netlist::lint_module;
 pub use report::LintReport;
 pub use trace::lint_trace;
 

@@ -11,8 +11,8 @@ use pi_cnn::Network;
 use pi_model::{import_lenient, ImportFinding, ModelFormat};
 
 /// Map one importer finding onto the diagnostics model. Every
-/// [`ImportFinding`] code is registered (`PL015x`, or a `PL02xx` graph
-/// code for structural defects the importer detects itself).
+/// [`ImportFinding`] code is registered (`PL015x`, or `PL0201` for a
+/// declared shape the judge's propagation contradicts).
 pub fn finding_to_diagnostic(finding: &ImportFinding) -> Diagnostic {
     Diagnostic::new(
         finding.code,
@@ -30,13 +30,15 @@ pub fn lint_model(
     format: ModelFormat,
     granularity: Granularity,
 ) -> (Option<Network>, Vec<Diagnostic>) {
-    let (import, findings) = import_lenient(text, format);
-    let mut raw: Vec<Diagnostic> = findings.iter().map(finding_to_diagnostic).collect();
-    let network = import.map(|imp| imp.network);
-    if let Some(network) = &network {
-        raw.extend(lint_network(network, granularity));
+    match import_lenient(text, format) {
+        Ok(import) => {
+            let mut raw: Vec<Diagnostic> =
+                import.findings.iter().map(finding_to_diagnostic).collect();
+            raw.extend(lint_network(&import.network, granularity));
+            (Some(import.network), raw)
+        }
+        Err(findings) => (None, findings.iter().map(finding_to_diagnostic).collect()),
     }
-    (network, raw)
 }
 
 #[cfg(test)]

@@ -37,15 +37,6 @@ pub(crate) fn fold_defects(base: &str, defects: Vec<ModuleDefect>) -> Vec<Diagno
         .collect()
 }
 
-/// Every module-level netlist lint: the module judge's verdict, then the
-/// advisories. `origin_base` anchors the diagnostics, e.g. `module:conv1`
-/// or `checkpoint:conv_k5.../module`.
-pub fn lint_module(origin_base: &str, module: &Module) -> Vec<Diagnostic> {
-    let mut out = fold_defects(origin_base, module.defects());
-    out.extend(module_advisories(origin_base, module));
-    out
-}
-
 /// The warn-level module lints: `PL0102`, `PL0103`, `PL0106`, `PL0107`.
 /// An endpoint naming a missing cell or port (the judge's `PL0108`) is
 /// skipped.
@@ -198,6 +189,14 @@ mod tests {
 
     fn comb(b: &mut ModuleBuilder, name: &str) -> pi_netlist::CellId {
         b.cell(Cell::new(name, CellKind::full_slice()).combinational())
+    }
+
+    /// Every module-level netlist lint: the module judge's verdict, then
+    /// the advisories.
+    fn lint_module(origin_base: &str, module: &Module) -> Vec<Diagnostic> {
+        let mut out = fold_defects(origin_base, module.defects());
+        out.extend(module_advisories(origin_base, module));
+        out
     }
 
     fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {

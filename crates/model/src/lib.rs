@@ -23,7 +23,8 @@
 //! materialized flatten), and `GlobalAveragePool` resolves to an average
 //! pool spanning the propagated input window. Anything the flow cannot
 //! express is reported as an [`ImportFinding`] with a stable `PL015x`
-//! code so `pi-lint` can render it alongside the graph lints.
+//! code so `pi-lint` can render it alongside the graph lints. The graph
+//! itself is judged once, for every dialect, by [`Network::defects`].
 
 pub mod json;
 pub mod prototxt;
@@ -36,10 +37,8 @@ use std::path::Path;
 pub const UNSUPPORTED_OP: &str = "PL0150";
 /// A `BatchNormalization` that cannot fold into a producing convolution.
 pub const UNFOLDABLE_BATCHNORM: &str = "PL0151";
-/// An element-wise join whose operand channel counts disagree.
-pub const JOIN_CHANNEL_MISMATCH: &str = "PL0152";
-/// Any other malformed-descriptor defect (syntax, dangling edge,
-/// missing attribute, duplicate name).
+/// Any other malformed-descriptor defect (syntax, dangling or forward
+/// edge, missing attribute, duplicate name).
 pub const MODEL_MALFORMED: &str = "PL0153";
 
 /// Which descriptor dialect a file speaks. On the wire (a `pi-serve`
@@ -83,8 +82,9 @@ impl ModelFormat {
 /// a registered `pi-lint` code so findings render as diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImportFinding {
-    /// Stable lint code (`PL0150`–`PL0153`, or a `PL02xx` graph code for
-    /// structural defects the graph passes also know about).
+    /// Stable lint code: `PL0150`, `PL0151` or `PL0153`, or `PL0201` for
+    /// a declared shape or a `GlobalAveragePool` input the judge's
+    /// propagation contradicts.
     pub code: &'static str,
     /// Where in the descriptor: a field path (`nodes[3].attrs.kernel`)
     /// or `line N`.
@@ -149,30 +149,24 @@ pub fn import(text: &str, format: ModelFormat) -> Result<Import, CnnError> {
     })
 }
 
-/// Lenient import for the linter: never errors. On a frontend failure the
-/// fatal defect is the last finding and the network slot is `None`. On
-/// success the network comes back *unjudged*, so the graph lints can
-/// report every defect [`Network::defects`] finds.
-pub fn import_lenient(text: &str, format: ModelFormat) -> (Option<Import>, Vec<ImportFinding>) {
+/// Lenient import for the linter. On success the network comes back
+/// *unjudged*, in every dialect, so the graph lints can report every
+/// defect [`Network::defects`] finds. On a frontend failure the findings
+/// come back alone, the fatal defect last.
+pub fn import_lenient(text: &str, format: ModelFormat) -> Result<Import, Vec<ImportFinding>> {
     let mut ctx = Ctx::default();
     match import_inner(text, format, &mut ctx) {
-        Ok(network) => {
-            let findings = ctx.findings.clone();
-            (
-                Some(Import {
-                    network,
-                    findings: ctx.findings,
-                }),
-                findings,
-            )
-        }
+        Ok(network) => Ok(Import {
+            network,
+            findings: ctx.findings,
+        }),
         Err(e) => {
             // Frontends stamp their own fatal findings; an archdef syntax
             // error arrives unstamped.
             if ctx.findings.is_empty() {
                 ctx.warn(MODEL_MALFORMED, "model", e.to_string());
             }
-            (None, ctx.findings)
+            Err(ctx.findings)
         }
     }
 }

@@ -536,8 +536,7 @@ layer {
     #[test]
     fn missing_input_block_is_fatal_with_code() {
         let text = "layer {\n    num_outputs: 4\n    conv: { kernel_size: 3 }\n}\n";
-        let (net, findings) = crate::import_lenient(text, ModelFormat::Prototxt);
-        assert!(net.is_none());
+        let findings = crate::import_lenient(text, ModelFormat::Prototxt).unwrap_err();
         assert_eq!(findings.last().unwrap().code, crate::MODEL_MALFORMED);
     }
 }

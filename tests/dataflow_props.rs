@@ -27,9 +27,10 @@ fn skewed_resnet(kernel: u64) -> Network {
     let skewed = text
         .replace("\"kernel\": 3", &format!("\"kernel\": {kernel}"))
         .replace("\"pad\": 1", &format!("\"pad\": {}", (kernel - 1) / 2));
-    let (import, findings) = preimpl_cnn::model::import_lenient(&skewed, ModelFormat::Json);
-    assert!(findings.is_empty(), "{findings:?}");
-    import.expect("skewed descriptor imports").network
+    let import = preimpl_cnn::model::import_lenient(&skewed, ModelFormat::Json)
+        .expect("skewed descriptor imports");
+    assert!(import.findings.is_empty(), "{:?}", import.findings);
+    import.network
 }
 
 proptest! {

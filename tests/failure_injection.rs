@@ -575,6 +575,81 @@ fn every_flow_entry_refuses_a_network_the_judge_rejects() {
     }
 }
 
+/// The JSON descriptor twins of [`MALFORMED_NETWORKS`], in the same order:
+/// the same nodes, operands and parameters, declared producers first.
+const MALFORMED_DESCRIPTORS: [(&str, &str, &str); 6] = [
+    (
+        "mismatch",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 4, "pad": 1}},
+           {"name": "j", "op": "Add", "inputs": ["a", "b"]}"#,
+        "j",
+    ),
+    (
+        "unary",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "j", "op": "Add", "inputs": ["a"]}"#,
+        "j",
+    ),
+    (
+        "zero",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 0}}"#,
+        "a",
+    ),
+    (
+        "fanin",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "r", "op": "Relu", "inputs": ["a", "b"]}"#,
+        "r",
+    ),
+    (
+        "fanin3",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "c", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "r", "op": "Conv", "inputs": ["a", "b", "c"], "attrs": {"kernel": 3, "out": 2, "pad": 1}}"#,
+        "r",
+    ),
+    (
+        "twice",
+        r#"{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+           {"name": "j", "op": "Add", "inputs": ["a", "a"]}"#,
+        "j",
+    ),
+];
+
+/// One network judge for every dialect: each JSON twin fails its strict
+/// import with the archdef's error, and lints to the archdef's codes.
+#[test]
+fn a_malformed_descriptor_fails_as_its_archdef_twin() {
+    use preimpl_cnn::model::{import, import_lenient};
+    use std::collections::BTreeSet;
+    let codes = |text: &str, format| {
+        let network = import_lenient(text, format).expect("lowers").network;
+        let report = LintEngine::default().lint_network(&network, Granularity::Layer, &Obs::null());
+        report
+            .diagnostics
+            .iter()
+            .map(|d| d.code)
+            .collect::<BTreeSet<_>>()
+    };
+    for (archdef, (name, nodes, output)) in MALFORMED_NETWORKS.iter().zip(MALFORMED_DESCRIPTORS) {
+        let json = format!(
+            r#"{{"name": "{name}", "input": {{"name": "input", "shape": [1, 8, 8]}},
+                "nodes": [{nodes}], "outputs": ["{output}"]}}"#
+        );
+        let want = import(archdef, ModelFormat::Archdef).unwrap_err();
+        let got = import(&json, ModelFormat::Json).unwrap_err();
+        assert_eq!(got.to_string(), want.to_string(), "{name}");
+        assert_eq!(
+            codes(&json, ModelFormat::Json),
+            codes(archdef, ModelFormat::Archdef),
+            "{name}"
+        );
+    }
+}
+
 /// One defect injected into a synthesized module's nets, and the words
 /// the module judge's verdict names it by.
 type ModuleMutation = (&'static str, fn(&mut Module), &'static str);

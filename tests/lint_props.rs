@@ -127,14 +127,13 @@ proptest! {
         defect_idx in 0usize..DEFECTS.len(),
     ) {
         let defect = DEFECTS[defect_idx];
-        let (report, defects, base) = if let Defect::DoubleDriveInstanceInput = defect {
-            let d = doubly_driven_design(stages);
-            (engine().lint_design(&d, &Obs::null()), d.defects(), "design:d")
+        let design = if let Defect::DoubleDriveInstanceInput = defect {
+            doubly_driven_design(stages)
         } else {
-            let m = chain_module(stages, defect);
-            let report = engine().lint_module("module:chain", &m, &Obs::null());
-            (report, m.defects(), "module:chain")
+            Design::flat("d", "test-part", chain_module(stages, defect))
         };
+        let report = engine().lint_design(&design, &Obs::null());
+        let defects = design.defects();
         let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
         prop_assert!(
             codes.contains(&defect.expected_code()),
@@ -143,7 +142,7 @@ proptest! {
         );
         let folded: BTreeSet<(&str, String)> = defects
             .iter()
-            .map(|d| (defect_code(d.kind), format!("{base}/{}", d.at)))
+            .map(|d| (defect_code(d.kind), format!("design:d/{}", d.at)))
             .collect();
         prop_assert_eq!(deny_set(&report), folded);
     }
@@ -447,8 +446,9 @@ fn model_descriptor_defects_raise_the_pl015x_family() {
     assert!(!report.gate(false) && report.gate(true), "PL0151 warns");
     assert!(report.diagnostics.iter().any(|d| d.code == "PL0151"));
 
-    // PL0152: joining branches with different channel counts is an error
-    // located at the join node.
+    // A join whose branches carry different channel counts is the
+    // network judge's PL0201, located at the join node of the imported
+    // network, as from an archdef.
     let (net, report) = lint_descriptor(
         r#"{
   "name": "x",
@@ -461,13 +461,13 @@ fn model_descriptor_defects_raise_the_pl015x_family() {
   "outputs": ["j"]
 }"#,
     );
-    assert!(net.is_none());
+    assert!(net.is_some());
     let d = report
         .diagnostics
         .iter()
-        .find(|d| d.code == "PL0152")
+        .find(|d| d.code == "PL0201")
         .expect("join mismatch raised");
-    assert!(d.origin.contains("nodes[2]"), "{}", d.origin);
+    assert_eq!(d.origin, "network:x/node:j");
 
     // PL0153: structural malformation (a dangling edge) is an error
     // located at the referencing field.
@@ -491,12 +491,44 @@ fn model_descriptor_defects_raise_the_pl015x_family() {
     for (code, level) in [
         ("PL0150", Level::Deny),
         ("PL0151", Level::Warn),
-        ("PL0152", Level::Deny),
         ("PL0153", Level::Deny),
     ] {
         let c = preimpl_cnn::lint::lookup(code).expect(code);
         assert_eq!(c.default, level, "{code}");
     }
+    assert!(
+        preimpl_cnn::lint::lookup("PL0152").is_none(),
+        "PL0152 is retired: the judge's PL0201 names a join mismatch"
+    );
+}
+
+/// A `GlobalAveragePool` below a join the judge rejects: lowering stops
+/// at the pool, whose window needs the judge's propagation, and the
+/// judge's verdict on what was lowered names the join.
+#[test]
+fn a_pool_below_a_rejected_join_reports_the_judges_verdict() {
+    let (net, report) = lint_descriptor(
+        r#"{
+  "name": "ga",
+  "input": {"name": "input", "shape": [1, 8, 8]},
+  "nodes": [
+    {"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}},
+    {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 4, "pad": 1}},
+    {"name": "j", "op": "Add", "inputs": ["a", "b"]},
+    {"name": "g", "op": "GlobalAveragePool", "inputs": ["j"]},
+    {"name": "f", "op": "Gemm", "inputs": ["g"], "attrs": {"out": 10}}
+  ],
+  "outputs": ["f"]
+}"#,
+    );
+    assert!(net.is_some());
+    let errors: Vec<(&str, &str)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| (d.code, d.origin.as_str()))
+        .collect();
+    assert_eq!(errors, [("PL0201", "network:ga/node:j")]);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! descriptor round-trips byte-identically through the canonical writer
 //! and imports to exactly the network it was rendered from; any of the
 //! classic malformations (unknown op, dangling edge, declared-shape lie,
-//! cycle) comes back as a located `CnnError::Import` — never a panic —
+//! forward reference) comes back as a located `CnnError::Import` — never a panic —
 //! with every lenient-mode finding carrying a registered lint code.
 
 #[path = "support/dataflow.rs"]
@@ -141,8 +141,8 @@ fn mutate(model: &mut JsonModel, kind: u8, pick: usize) {
             model.nodes[i].shape = Some(Shape::new(s.channels + 1, s.height, s.width));
         }
         _ => {
-            // Point an early node at a later one: every generated node
-            // feeds the chain downstream, so this always closes a cycle.
+            // Point a node at itself or a later one: producers come first
+            // in a descriptor, so a forward reference is malformed.
             let j = i + (pick / model.nodes.len()) % (model.nodes.len() - i);
             model.nodes[i].inputs[0] = model.nodes[j].name.clone();
         }
@@ -271,8 +271,9 @@ proptest! {
             Err(other) => prop_assert!(false, "unlocated error type: {other}"),
             Ok(_) => prop_assert!(false, "mutation {kind} imported cleanly"),
         }
-        let (imported, findings) = import_lenient(&text, ModelFormat::Json);
-        prop_assert!(imported.is_none());
+        let lenient = import_lenient(&text, ModelFormat::Json);
+        prop_assert!(lenient.is_err());
+        let findings = lenient.unwrap_err();
         prop_assert!(!findings.is_empty());
         for f in &findings {
             prop_assert!(
