@@ -19,7 +19,8 @@
 # the work counters: pnr.assembled_expansions, stitch.stitched_nets,
 # pnr.overused_tiles, stitch.cache_bytes_loaded and serve.polls_per_job
 # (the /result fetches per serve_mix job); and the traced self-times
-# stitch.relocate_s, stitch.check_design_s and pnr.route_assembled_s, which
+# stitch.relocate_s, stitch.check_design_s, pnr.route_assembled_s and
+# pnr.sta_design_s (the replay's probe of the product `sta_design`), which
 # show the layer a saving lands in.
 # Exits 1 if any run fails an op.
 #
@@ -43,7 +44,7 @@ here="$(cd "$(dirname "$0")/.." && pwd)"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$here/BENCHMARK.json")"
 metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
 counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded serve.polls_per_job"
-layers="stitch.relocate_s stitch.check_design_s pnr.route_assembled_s"
+layers="stitch.relocate_s stitch.check_design_s pnr.route_assembled_s pnr.sta_design_s"
 
 # The checkout as a commit: `git stash create` commits a dirty tree without
 # touching it and prints nothing for a clean one.

@@ -760,7 +760,7 @@ mod tests {
         let comps = network.components(Granularity::Layer).unwrap();
         let opts = FlowConfig::new().with_seeds([1, 2]);
         let (cp, report) = build_component(&network, &comps[0], &device, &opts).unwrap();
-        assert!(cp.module.locked);
+        assert!(cp.module.is_locked());
         assert!(cp.module.fully_placed());
         assert!(report.fmax_mhz > 100.0, "fmax {}", report.fmax_mhz);
         assert_eq!(report.seeds_tried, 2);

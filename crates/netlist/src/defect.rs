@@ -9,6 +9,10 @@
 //! (`pi_stitch::check_checkpoint`) reports each one as a violation, and
 //! `pi-lint` prints the list as `PL0101`, `PL0104`, `PL0105` and `PL0108`.
 //! The judge emits no telemetry.
+//!
+//! A locked module's verdict is kept on its shared net storage
+//! (`Module::locked_verdict`), so [`Design::defects`] judges each locked
+//! checkpoint clean once, not once per instance and per call.
 
 use crate::cell::CELL_FANOUT_BUDGET;
 use crate::design::{Design, InstId};
@@ -201,11 +205,22 @@ impl Design {
     /// The design judge: every instance's [`Module::defects`] (anchored
     /// under `inst:NAME/`), then the top nets' — endpoints naming a
     /// missing instance or port, instance input ports driven by several
-    /// top nets, and top nets whose width is not their ports'.
+    /// top nets, and top nets whose width is not their ports'. A locked
+    /// instance whose storage already holds a clean verdict is not judged
+    /// again; every other instance is, and its verdict is kept if locked.
     pub fn defects(&self) -> Vec<ModuleDefect> {
         let mut out = Vec::new();
         for inst in self.instances() {
-            out.extend(inst.module.defects().into_iter().map(|mut d| {
+            let verdict = inst.module.locked_verdict();
+            if verdict.and_then(|v| v.get()) == Some(&true) {
+                continue;
+            }
+            let defects = inst.module.defects();
+            if let Some(v) = verdict {
+                // A racing judge of the same storage sets the same value.
+                let _ = v.set(defects.is_empty());
+            }
+            out.extend(defects.into_iter().map(|mut d| {
                 d.at = format!("inst:{}/{}", inst.name, d.at);
                 d
             }));
@@ -418,6 +433,43 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("drives 225 nets"), "{err}");
+    }
+
+    /// A locked checkpoint keeps its verdict on its shared storage: a
+    /// defective one fails the design judge with the same message on
+    /// every call and through a moved copy, and a clean one is judged
+    /// once.
+    #[test]
+    fn a_locked_instance_is_judged_once_and_a_defect_every_time() {
+        let mut clean = chain(false);
+        clean.lock();
+        // `dout` sunk by a second net, written through the serde envelope:
+        // the only way to a locked module the builder never judged.
+        let mut json: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(&clean).unwrap()).unwrap();
+        let serde_json::Value::Seq(nets) = &mut json["nets"] else {
+            unreachable!("nets serialize as a list")
+        };
+        nets.push(nets[2].clone());
+        let bad: Module = serde_json::from_value(json).unwrap();
+        assert!(bad.is_locked());
+
+        let mut d = Design::new("d", "test-part", DesignKind::Assembled);
+        d.add_instance("a", clean.clone());
+        d.add_instance("b", bad.clone());
+        let want = "malformed net: d/inst:b/port:dout: \
+                    output port `dout` is driven by 2 nets (multi-driven)";
+        for call in ["first", "repeat"] {
+            let err = d.validate().unwrap_err().to_string();
+            assert_eq!(err, want, "{call} call");
+        }
+        assert_eq!(clean.locked_verdict().unwrap().get(), Some(&true));
+        assert_eq!(bad.locked_verdict().unwrap().get(), Some(&false));
+        let mut moved = Design::new("d", "test-part", DesignKind::Assembled);
+        moved.add_instance("a", clean.translated(3, 4).unwrap());
+        moved.add_instance("b", bad.translated(3, 4).unwrap());
+        assert_eq!(moved.validate().unwrap_err().to_string(), want);
+        assert_eq!(moved.defects(), d.defects());
     }
 
     #[test]

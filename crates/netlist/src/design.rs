@@ -193,14 +193,17 @@ impl Design {
 
     /// True when all intra-module nets and all top nets are routed.
     pub fn fully_routed(&self) -> bool {
-        let mut nets = crate::walk::NetView::from(self).nets();
-        nets.all(|n| n.route().is_some())
+        self.unrouted_nets() == 0
     }
 
-    /// Number of unrouted nets (the work remaining for the final router).
+    /// Number of unrouted non-clock nets (the work remaining for the final
+    /// router): each instance footprint's unrouted list, then the top nets.
     pub fn unrouted_nets(&self) -> usize {
-        let nets = crate::walk::NetView::from(self).nets();
-        nets.filter(|n| n.route().is_none()).count()
+        let view = crate::walk::NetView::from(self);
+        let intra: usize = (0..self.instances.len())
+            .map(|inst| view.footprint(inst).unrouted().len())
+            .sum();
+        intra + self.top_nets.iter().filter(|n| n.route.is_none()).count()
     }
 
     /// Total cell count across instances.

@@ -13,12 +13,15 @@
 //! write to the nets bakes the offset in, so no writer sees the
 //! checkpoint frame.
 //!
-//! The shared net storage also caches a route summary (the stored
-//! tiles' extent, a per-tile route count and the unrouted nets), built on
-//! first read and shared like the nets, so `translated`, the router's
-//! occupancy seeding and the DRC read one summary per checkpoint instead
-//! of walking its tiles. Every write to the nets goes through one helper
-//! that resets it.
+//! The shared net storage also caches what its readers derive from the
+//! nets, built on first read and shared like the nets: a route summary
+//! (the stored tiles' extent, a per-tile route count, the unrouted nets
+//! and the stored wirelength), the timing graph's connections and, for a
+//! locked module, the module judge's verdict. So `translated`, the
+//! router's occupancy seeding, the DRC, the timing graph, the compile
+//! tail and the design judge read them once per checkpoint instead of
+//! walking its nets per instance. Every write to the nets goes through one
+//! helper that resets them.
 
 use crate::cell::{Cell, CellId};
 use crate::net::{Endpoint, Net, NetId};
@@ -27,7 +30,7 @@ use crate::summary::{NetStore, RouteSummary};
 use crate::NetlistError;
 use pi_fabric::{Pblock, ResourceCount, TileCoord};
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A netlist module: the unit of synthesis, OOC implementation, checkpointing
 /// and reuse.
@@ -38,8 +41,10 @@ pub struct Module {
     nets: Arc<NetStore>,
     ports: Arc<Vec<Port>>,
     /// True once the module's placement and routing are frozen (the paper's
-    /// logic-locking step). Locked modules reject further mutation.
-    pub locked: bool,
+    /// logic-locking step). Locked modules reject further mutation. Only
+    /// [`Module::lock`] sets it, and nothing clears it: a decoded
+    /// checkpoint is the only way to an unlocked copy.
+    locked: bool,
     /// The module-local pblock it was implemented in, if any.
     pub pblock: Option<Pblock>,
     /// Models the HD.CLK_SRC constraint: the clock is partially routed to
@@ -128,6 +133,11 @@ impl Module {
         self.cells.iter().all(|c| c.placement.is_some())
     }
 
+    /// True once [`Module::lock`] has frozen the module.
+    pub fn is_locked(&self) -> bool {
+        self.locked
+    }
+
     /// True when every non-clock net has a route.
     pub fn fully_routed(&self) -> bool {
         self.nets.iter().all(|n| n.is_clock || n.route.is_some())
@@ -192,6 +202,24 @@ impl Module {
     /// first read and shared with every module sharing the nets.
     pub(crate) fn route_summary(&self) -> &RouteSummary {
         self.nets.summary()
+    }
+
+    /// The (driver, sink) endpoint pairs of every non-clock net, in net
+    /// index order and then sink order: the module's timing edges. Built
+    /// on first read and shared with every module sharing the nets.
+    pub fn connections(&self) -> &[(Endpoint, Endpoint)] {
+        self.nets.connections()
+    }
+
+    /// Where a locked module's judge verdict (is [`Module::defects`]
+    /// empty?) is kept once known: its shared net storage. The judge reads
+    /// cells, ports and nets but no placement, partition pin or pblock, so
+    /// [`Module::translated`] cannot change the verdict; a locked module's
+    /// cells, ports and nets are frozen, and [`Module::lock`] unshares the
+    /// storage from any unlocked module. `None` when unlocked: an unlocked
+    /// module's cells and ports may change under the same storage.
+    pub(crate) fn locked_verdict(&self) -> Option<&OnceLock<bool>> {
+        self.locked.then(|| self.nets.clean())
     }
 
     /// Mutable port access (for partition-pin planning). Fails when locked.
@@ -519,7 +547,7 @@ mod tests {
         let mut m = two_cell_module();
         m.set_placement(CellId(0), TileCoord::new(1, 1)).unwrap();
         m.lock();
-        assert!(m.locked);
+        assert!(m.is_locked());
         assert!(m.set_placement(CellId(1), TileCoord::new(2, 2)).is_err());
         assert!(m.cells_mut().is_err());
         assert!(m.nets_mut().is_err());
@@ -610,13 +638,43 @@ mod tests {
             cells: m.cells().to_vec(),
             nets: m.nets().to_vec(),
             ports: m.ports().to_vec(),
-            locked: m.locked,
+            locked: m.is_locked(),
             pblock: m.pblock,
             clock_prerouted: m.clock_prerouted,
         };
         assert_eq!(json, serde_json::to_string(&plain).unwrap());
         let back: Module = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn every_write_to_the_nets_resets_what_is_derived_from_them() {
+        let mut m = two_cell_module();
+        let pairs = |m: &Module| m.connections().to_vec();
+        let (din, dout) = (Endpoint::Port(PortId(0)), Endpoint::Port(PortId(1)));
+        let (c0, c1) = (Endpoint::Cell(CellId(0)), Endpoint::Cell(CellId(1)));
+        assert_eq!(pairs(&m), [(din, c0), (c0, c1), (c1, dout)]);
+        // A clone shares the derived state until either side writes.
+        let clone = m.clone();
+        assert!(std::ptr::eq(clone.connections(), m.connections()));
+        m.nets_mut().unwrap()[1].sinks.push(dout);
+        assert_eq!(pairs(&m), [(din, c0), (c0, c1), (c0, dout), (c1, dout)]);
+        assert_eq!(pairs(&clone), [(din, c0), (c0, c1), (c1, dout)]);
+
+        m.lock();
+        let verdict = m.locked_verdict().expect("a locked module keeps one");
+        verdict.set(true).unwrap();
+        assert_eq!(m.clone().locked_verdict().unwrap().get(), Some(&true));
+        assert_eq!(
+            m.translated(1, 1).unwrap().locked_verdict().unwrap().get(),
+            Some(&true),
+            "a move cannot change the verdict"
+        );
+        let renamed = m.renamed_like(&m);
+        assert_eq!(renamed.locked_verdict().unwrap().get(), None);
+        assert!(!std::ptr::eq(renamed.connections(), m.connections()));
+        assert_eq!(pairs(&renamed), pairs(&m));
+        assert!(clone.locked_verdict().is_none(), "unlocked keeps none");
     }
 
     #[test]

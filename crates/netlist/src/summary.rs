@@ -1,17 +1,23 @@
-//! A module's shared net storage and the route summary cached beside it.
+//! A module's shared net storage and the facts derived from it.
 //!
 //! A checkpoint's nets are shared by every instance placed from it
-//! ([`crate::Module::translated`]), so what the readers of stored routes
-//! need from them — the extent of the stored tiles, the per-tile route
-//! count and the unrouted nets — is computed once per storage, on first
-//! read, and shared too. It is in the stored frame; [`crate::walk`]
-//! applies an instance's route offset when it hands the summary out.
+//! ([`crate::Module::translated`]), so what the readers of its nets need
+//! from them is computed once per storage, on first read, and shared too:
 //!
-//! The summary is derived state: it is never serialized, takes no part in
+//! * the route summary — the extent of the stored tiles, the per-tile
+//!   route count, the unrouted nets and the stored wirelength — in the
+//!   stored frame; [`crate::walk`] applies an instance's route offset when
+//!   it hands the summary out;
+//! * the connections: the (driver, sink) endpoint pairs of the non-clock
+//!   nets, which the timing graph maps to its edges;
+//! * for a locked module only, the module judge's verdict: whether
+//!   [`crate::Module::defects`] is empty.
+//!
+//! All of it is derived state: it is never serialized, takes no part in
 //! equality, and every write to the nets resets it (the module's one write
 //! helper, `Module::nets_write`).
 
-use crate::net::{occupied_tiles, Net};
+use crate::net::{occupied_tiles, Endpoint, Net};
 use pi_fabric::TileCoord;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::ops::Deref;
@@ -22,24 +28,53 @@ use std::sync::OnceLock;
 /// summary keeps no window and its readers walk the tiles instead.
 const MAX_WINDOW_TILES: usize = 1 << 24;
 
-/// A module's nets plus their lazily built [`RouteSummary`].
+/// A module's nets plus what is lazily derived from them.
 #[derive(Clone, Default)]
 pub(crate) struct NetStore {
     nets: Vec<Net>,
+    derived: Derived,
+}
+
+/// Each fact is built on its first read; a write to the nets drops all
+/// of them at once.
+#[derive(Clone, Default)]
+struct Derived {
     summary: OnceLock<RouteSummary>,
+    connections: OnceLock<Vec<(Endpoint, Endpoint)>>,
+    clean: OnceLock<bool>,
 }
 
 impl NetStore {
-    /// The nets for writing. The summary is dropped first, so the next
-    /// read rebuilds it from what the writer left.
+    /// The nets for writing. Everything derived is dropped first, so the
+    /// next read rebuilds it from what the writer left.
     pub(crate) fn write(&mut self) -> &mut Vec<Net> {
-        self.summary.take();
+        self.derived = Derived::default();
         &mut self.nets
     }
 
     /// The summary of the stored routes, built on first read.
     pub(crate) fn summary(&self) -> &RouteSummary {
-        self.summary.get_or_init(|| RouteSummary::build(&self.nets))
+        self.derived
+            .summary
+            .get_or_init(|| RouteSummary::build(&self.nets))
+    }
+
+    /// The (driver, sink) pairs of every non-clock net, in net order and
+    /// then sink order; built on first read.
+    pub(crate) fn connections(&self) -> &[(Endpoint, Endpoint)] {
+        self.derived.connections.get_or_init(|| {
+            let nets = self.nets.iter().filter(|n| !n.is_clock);
+            let pairs = nets.flat_map(|n| n.sinks.iter().map(|&sink| (n.source, sink)));
+            pairs.collect()
+        })
+    }
+
+    /// Whether the module judge found the module clean, once it has been
+    /// asked. The storage cannot tell what the judge reads beyond the
+    /// nets, so only a locked module, whose cells and ports are frozen
+    /// alongside, keeps its verdict here (`Module::locked_verdict`).
+    pub(crate) fn clean(&self) -> &OnceLock<bool> {
+        &self.derived.clean
     }
 }
 
@@ -74,7 +109,7 @@ impl Deserialize for NetStore {
         let nets = Vec::<Net>::from_content(c)?;
         Ok(NetStore {
             nets,
-            summary: OnceLock::new(),
+            derived: Derived::default(),
         })
     }
 }
@@ -92,6 +127,9 @@ pub(crate) struct RouteSummary {
     pub(crate) counts: Option<Vec<u16>>,
     /// Indices of the unrouted non-clock nets, ascending.
     pub(crate) unrouted: Vec<u32>,
+    /// Summed tile count of the non-clock stored routes; a shift moves
+    /// no tile in or out, so it is frame-free.
+    pub(crate) wirelength: u64,
 }
 
 impl RouteSummary {
@@ -121,12 +159,18 @@ impl RouteSummary {
                 counts
             })
         });
-        let unrouted = nets.iter().enumerate();
-        let unrouted = unrouted.filter(|(_, n)| !n.is_clock && n.route.is_none());
+        let (mut unrouted, mut wirelength) = (Vec::new(), 0);
+        for (i, n) in nets.iter().enumerate().filter(|(_, n)| !n.is_clock) {
+            match &n.route {
+                Some(r) => wirelength += r.tiles.len() as u64,
+                None => unrouted.push(i as u32),
+            }
+        }
         RouteSummary {
             extent,
             counts,
-            unrouted: unrouted.map(|(i, _)| i as u32).collect(),
+            unrouted,
+            wirelength,
         }
     }
 }

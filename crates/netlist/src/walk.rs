@@ -11,9 +11,9 @@
 //! tiles: a relocated instance shares its checkpoint's routes and carries
 //! the shift as an offset ([`Module::translated`]), applied here. Readers
 //! that need an instance's routes only in aggregate — occupancy, extent,
-//! which nets are unrouted — read its [`RouteFootprint`] instead, the
-//! checkpoint's shared route summary under the same offset, and
-//! [`NetView::occupancy`] sums those footprints over a whole design.
+//! which nets are unrouted, wirelength — read its [`RouteFootprint`]
+//! instead, the checkpoint's shared route summary under the same offset,
+//! and [`NetView::occupancy`] sums those footprints over a whole design.
 
 use crate::design::{Design, TopNet};
 use crate::module::{shift, Module};
@@ -234,6 +234,12 @@ impl<'a> RouteFootprint<'a> {
     /// Net indices of the unrouted non-clock nets, ascending.
     pub fn unrouted(&self) -> &'a [u32] {
         &self.summary.unrouted
+    }
+
+    /// Summed tile count of the non-clock stored routes: what walking
+    /// [`RouteView::tiles`] over them would count, in any frame.
+    pub fn wirelength(&self) -> u64 {
+        self.summary.wirelength
     }
 }
 

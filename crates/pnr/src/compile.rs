@@ -145,7 +145,9 @@ pub fn compile_flat_obs(
 /// The tail both compile paths share: the routed netlist's one timing
 /// analysis, against the routing run's final congestion map (one
 /// `final_timing` point), and the wirelength of every stored route —
-/// locked and new; `route_stats.wirelength` only counts this run's.
+/// locked and new; `route_stats.wirelength` only counts this run's. An
+/// instance's routes are counted by its footprint, shared with its
+/// checkpoint; only the top nets are walked.
 fn report_routed(
     (name, view, resources): (&str, NetView<'_>, ResourceCount),
     device: &Device,
@@ -164,8 +166,9 @@ fn report_routed(
             ],
         );
     }
-    let routes = view.nets().filter_map(|n| n.route());
-    let total_wirelength: u64 = routes.map(|r| r.tiles().len() as u64).sum();
+    let stored = (0..view.instance_count()).map(|inst| view.footprint(inst).wirelength());
+    let top = view.top_nets().filter_map(|n| n.route());
+    let total_wirelength = stored.sum::<u64>() + top.map(|r| r.tiles().len() as u64).sum::<u64>();
     Ok(CompileReport {
         design_name: name.to_string(),
         device_name: device.name().to_string(),

@@ -792,7 +792,7 @@ impl Target<'_> {
                 };
                 // Instances may be locked (their unrouted nets should not
                 // exist), so go through the unlocked path only.
-                if !module.locked {
+                if !module.is_locked() {
                     module.nets_mut()?[net].route = route;
                 }
             }

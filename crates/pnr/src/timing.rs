@@ -23,12 +23,19 @@
 //! for the reported paths and a combinational-loop error. Adjacency is CSR
 //! in edge order and the capture table is dense, so an analysis fills a
 //! few flat vectors and hashes nothing.
+//!
+//! An instance's edges are its module's [`Module::connections`], kept on
+//! the checkpoint's shared net storage and mapped through the instance's
+//! first cell and port nodes; only the top nets are walked net by net.
+//! So timing an assembled design walks no locked instance's nets, and a
+//! second analysis of the same design, or of a design sharing its
+//! checkpoints, builds the same graph from the same storage.
 
 use crate::delay;
 use crate::route::CongestionMap;
 use crate::PnrError;
 use pi_fabric::{Device, TileCoord};
-use pi_netlist::{Design, Endpoint, Module, NetView, PlacedNet};
+use pi_netlist::{Design, Endpoint, Module, NetView};
 
 /// Launch allowance for paths entering an OOC module boundary, picoseconds.
 const IO_LAUNCH_PS: f64 = 150.0;
@@ -81,7 +88,7 @@ struct TNode {
 
 /// The timing graph of everything a view covers: per instance one node per
 /// cell then one per port, and one edge per (driver, sink) pair of every
-/// non-clock net, intra nets first, top nets last.
+/// non-clock net, instance by instance in net order, top nets last.
 ///
 /// Placements are all it reads; a method that needs a name takes the view
 /// the graph was built from.
@@ -113,10 +120,15 @@ struct Forward {
 
 impl TimingGraph {
     fn build(view: NetView<'_>) -> TimingGraph {
-        let mut nodes = Vec::new();
+        let modules = (0..view.instance_count()).map(|inst| view.module(inst));
+        let node_count = modules.clone().map(|m| m.cells().len() + m.ports().len());
+        let top_edges = view.top_nets().map(|net| net.endpoints().count() - 1);
+        let edge_count = modules.clone().map(|m| m.connections().len());
+        let mut nodes = Vec::with_capacity(node_count.sum());
+        let mut edges: Vec<(u32, u32, u32)> =
+            Vec::with_capacity(edge_count.sum::<usize>() + top_edges.sum::<usize>());
         let mut bases = Vec::with_capacity(view.instance_count());
-        for inst in 0..view.instance_count() {
-            let module = view.module(inst);
+        for module in modules {
             let cell_base = nodes.len();
             nodes.extend(module.cells().iter().map(|cell| TNode {
                 comb_delay_ps: delay::comb_delay_ps(cell.delay_ps),
@@ -131,11 +143,13 @@ impl TimingGraph {
                 clk2q_ps: 0.0,
                 coord: port.partpin,
             }));
-            bases.push((cell_base, port_base));
+            let base = (cell_base, port_base);
+            let pairs = module.connections().iter();
+            edges.extend(pairs.map(|&(src, sink)| (node(base, src), node(base, sink), 1)));
+            bases.push(base);
         }
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        for net in view.nets() {
-            let mut ends = net_nodes(&bases, net);
+        for net in view.top_nets() {
+            let mut ends = net.endpoints().map(|(inst, e)| node(bases[inst], e));
             let src = ends.next().expect("a net has a driver");
             let stages = net.pipeline_stages();
             edges.extend(ends.map(|sink| (src, sink, stages)));
@@ -379,19 +393,13 @@ impl TimingGraph {
     }
 }
 
-/// The graph nodes of a net's endpoints, driver first, given each
-/// instance's (first cell node, first port node).
-fn net_nodes<'a>(
-    bases: &'a [(usize, usize)],
-    net: PlacedNet<'a>,
-) -> impl Iterator<Item = u32> + 'a {
-    net.endpoints().map(|(inst, e)| {
-        let (cell_base, port_base) = bases[inst];
-        match e {
-            Endpoint::Cell(c) => (cell_base + c.index()) as u32,
-            Endpoint::Port(p) => (port_base + p.index()) as u32,
-        }
-    })
+/// The graph node of an endpoint of the instance whose first cell node
+/// and first port node are `base`.
+fn node((cell_base, port_base): (usize, usize), e: Endpoint) -> u32 {
+    match e {
+        Endpoint::Cell(c) => (cell_base + c.index()) as u32,
+        Endpoint::Port(p) => (port_base + p.index()) as u32,
+    }
 }
 
 /// Wire delay of one timing edge.
@@ -535,6 +543,26 @@ mod tests {
         let r = sta_module(&pipeline(250, 1), &device, None).unwrap();
         assert!(r.worst_path.len() >= 3);
         assert!(r.worst_path.iter().any(|n| n == "c2" || n == "c1"));
+    }
+
+    /// The graph's edges come from the module's shared connections: a
+    /// rewire through `nets_mut` after an analysis reaches the next one,
+    /// and a clone that shared the storage before the write keeps its own.
+    #[test]
+    fn a_rewire_after_an_analysis_reaches_the_next_one() {
+        let device = Device::test_part();
+        let mut m = pipeline(250, 1);
+        let shared = m.clone();
+        let before = sta_module(&m, &device, None).unwrap();
+        assert_eq!(before.edges, 5);
+        // a also feeds z directly.
+        m.nets_mut().unwrap()[1]
+            .sinks
+            .push(Endpoint::Cell(pi_netlist::CellId(3)));
+        let after = sta_module(&m, &device, None).unwrap();
+        assert_eq!(after.edges, 6);
+        let again = sta_module(&shared, &device, None).unwrap();
+        assert_eq!(format!("{again:?}"), format!("{before:?}"));
     }
 
     #[test]

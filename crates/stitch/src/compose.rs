@@ -289,7 +289,7 @@ mod tests {
         assert!(design.validate().is_ok());
         // All instances locked (pre-implemented), only top nets unrouted.
         for inst in design.instances() {
-            assert!(inst.module.locked);
+            assert!(inst.module.is_locked());
         }
         assert_eq!(design.unrouted_nets(), 2);
     }

@@ -102,7 +102,7 @@ mod tests {
             m.cell(pi_netlist::CellId(0)).placement,
             Some(TileCoord::new(1, 22))
         );
-        assert!(m.locked);
+        assert!(m.is_locked());
         // Internal structure preserved: relative offsets identical.
         assert_eq!(
             m.cell(pi_netlist::CellId(1)).placement,

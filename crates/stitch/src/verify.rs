@@ -191,7 +191,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
     };
 
     for (ii, inst) in design.instances().iter().enumerate() {
-        if design.kind == DesignKind::Assembled && !inst.module.locked {
+        if design.kind == DesignKind::Assembled && !inst.module.is_locked() {
             violations.push(Violation::NotLocked {
                 instance: inst.name.clone(),
             });

@@ -46,7 +46,7 @@ fn lenet_preimplemented_flow_end_to_end() {
 
     // All instances are locked pre-implemented checkpoints.
     for inst in design.instances() {
-        assert!(inst.module.locked, "{} not locked", inst.name);
+        assert!(inst.module.is_locked(), "{} not locked", inst.name);
         assert!(inst.module.fully_placed());
     }
 
@@ -223,7 +223,7 @@ fn a_replicated_engine_built_through_the_flow_stages_is_legal() {
         synth_cle(&network, &partition.groups[0], &SynthOptions::vgg_like()).expect("synthesizes");
     let cfg = FlowConfig::new().with_seeds([1]);
     let (cp, _) = pre_implement(module, "cle_q1", 0, &device, &cfg).expect("pre-implements");
-    assert!(cp.module.locked);
+    assert!(cp.module.is_locked());
     let (mut design, _) = assemble_obs(
         "cle_q1".to_string(),
         &[("cle0", &cp)],

@@ -10,7 +10,7 @@
 //! it, equal a per-tile walk of the stored routes, on the device or off
 //! it. The tests after them pin that a writer never sees the checkpoint
 //! frame or a stale summary, and the sharing itself on all five networks
-//! of the zoo.
+//! of the zoo, whose stored wirelength the compile tail reads from it.
 
 use preimpl_cnn::netlist::{
     Cell, CellId, CellKind, DesignKind, Endpoint, ModuleBuilder, Net, NetView, Route, Slot,
@@ -402,7 +402,9 @@ fn nets_mut_on_a_translated_module_returns_device_frame_routes() {
 }
 
 /// Assemble `network` and check that every instance reads its
-/// checkpoint's net storage: assembly copies no net.
+/// checkpoint's net storage: assembly copies no net. The compile tail's
+/// `total_wirelength`, which counts each instance's routes through its
+/// shared footprint, equals a walk over every routed net.
 fn assert_instances_share_nets(network: Network, synth: SynthOptions, granularity: Granularity) {
     let device = Device::xcku5p_like();
     // Sharing does not depend on placement quality: one short sweep (an
@@ -426,6 +428,9 @@ fn assert_instances_share_nets(network: Network, synth: SynthOptions, granularit
             inst.name
         );
     }
+    let routes = NetView::from(&design).nets().filter_map(|n| n.route());
+    let walked: u64 = routes.map(|r| r.tiles().len() as u64).sum();
+    assert_eq!(report.compile.total_wirelength, walked, "{}", network.name);
 }
 
 fn import(text: &str, format: ModelFormat) -> Network {

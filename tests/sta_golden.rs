@@ -7,7 +7,9 @@
 //! delay, the f64 evaluation order, the multi-path ranking, a reported
 //! name, the graph size or the order and content of a violation list
 //! changes a value here. A PR that intends to change timing re-captures
-//! them and says so.
+//! them and says so. A design's second analysis, which builds its graph
+//! from the edges the first one left on the checkpoints' shared storage,
+//! is pinned to the same value.
 
 use preimpl_cnn::flow::pipeline_top_nets;
 use preimpl_cnn::netlist::{CheckpointMeta, StableHasher, StreamRole};
@@ -106,20 +108,35 @@ fn assembled_timing(design: &Design, device: &Device, opts: &RouteOptions) -> Ti
     compile.timing
 }
 
-/// Per network: `sta_design` on the composed design and on the routed
-/// design without its congestion map, then the fresh and the routing
-/// run's own analysis at the flow's routing options and at [`SATURATED`].
-/// A saturated map counts each stored route on every tile but its source
+/// `design` with every instance's net storage unshared and nothing
+/// derived from it yet: the next analysis builds each instance's edges.
+fn cold(design: &Design) -> Design {
+    let mut cold = design.clone();
+    for inst in cold.instances_mut() {
+        inst.module = inst.module.renamed_like(&inst.module);
+    }
+    cold
+}
+
+/// Per network: `sta_design` on the composed design, first on a copy with
+/// nothing derived ([`cold`]) and then again on it, which reads the edges
+/// the first analysis left on the shared storage; on the routed design
+/// without its congestion map; then the fresh and the routing run's own
+/// analysis at the flow's routing options and at [`SATURATED`]. A
+/// saturated map counts each stored route on every tile but its source
 /// (`pi_netlist::occupied_tiles`), as the router counts its own.
-fn design_fingerprints(b: &Built) -> [u64; 6] {
+fn design_fingerprints(b: &Built) -> [u64; 7] {
     let device = Device::xcku5p_like();
     let design = composed(b, &device);
-    let unrouted = sta_design(&design, &device, None).unwrap();
+    let cold = cold(&design);
+    let unrouted = sta_design(&cold, &device, None).unwrap();
+    let again = sta_design(&cold, &device, None).unwrap();
     let mut routed = design.clone();
     route_design_obs(&mut routed, &device, &b.cfg.route, &Obs::null()).unwrap();
     let plain = sta_design(&routed, &device, None).unwrap();
     [
         unrouted,
+        again,
         plain,
         fresh_analysis(&design, &device, &b.cfg.route),
         assembled_timing(&design, &device, &b.cfg.route),
@@ -157,7 +174,7 @@ fn sta_design_on_composed_lenet_matches_parent_commit() {
     let (routed, saturated) = (0xc1cbb0d7978fada1, 0x2ced2df6688b80b2);
     assert_eq!(
         got,
-        [routed, routed, routed, routed, saturated, saturated],
+        [routed, routed, routed, routed, routed, saturated, saturated],
         "{got:#x?}"
     );
 }
@@ -168,7 +185,7 @@ fn sta_design_on_composed_resnet_small_matches_parent_commit() {
     let (routed, saturated) = (0x61d66a5ed47e6176, 0x5387416b2ce3d372);
     assert_eq!(
         got,
-        [routed, routed, routed, routed, saturated, saturated],
+        [routed, routed, routed, routed, routed, saturated, saturated],
         "{got:#x?}"
     );
 }
