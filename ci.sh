@@ -62,39 +62,6 @@ if grep -rnE 'const [A-Z0-9_]*(_BUDGET|_FANIN|_FANOUT)\b' --include='*.rs' \
     echo "a pin budget is defined outside crates/netlist/src"; exit 1
 fi
 
-# The component placer has no unplace-and-retry loop (DESIGN.md §8): each
-# component takes its cheapest legal candidate, so neither the loop's
-# knobs nor its event may come back.
-echo "==> placer gate: no threshold-retry loop"
-if grep -rnE 'timing_threshold|max_retries|threshold_retry|StitchRetry' crates src; then
-    echo "the component placer's retry loop is deleted; its names may not return"; exit 1
-fi
-
-# The flow stops linting (DESIGN.md §12): its verdict is its judges, and
-# `pilint` is the one place a lint runs, so the flow's lint policy, its
-# error variant and its stage gates may not come back.
-echo "==> flow-lint gate: no lint policy inside the flow"
-if grep -rnE 'with_lint|LintFailed|lint_gate_db|network_gate' crates src; then
-    echo "the flow's lint gates are deleted; their names may not return"; exit 1
-fi
-
-# One network judge for every dialect (DESIGN.md §15): the JSON frontend
-# lowers and `Network::defects` decides every graph rule, so the importer's
-# own join-channel code may not come back.
-echo "==> network-judge gate: no join rule in the JSON frontend"
-if grep -rnE 'JOIN_CHANNEL_MISMATCH|join-channel-mismatch' crates src; then
-    echo "the importer's join-channel check is retired; its names may not return"; exit 1
-fi
-
-# The router negotiates congestion only (DESIGN.md §8, §14): no timing
-# reads a route, so slack ordering, criticality pricing and their counter
-# may not come back.
-echo "==> router gate: no timing feedback in the negotiation"
-if grep -rnE 'criticality_order|net_slacks|CRIT_TARGET_RATIO|criticality_reroutes|SlackFn' \
-    crates src; then
-    echo "the router's timing feedback is deleted; its names may not return"; exit 1
-fi
-
 # One serialization mechanism: every JSON artifact the flow writes or reads
 # is a derived serde struct (a hand-written `Serialize` impl forwards to a
 # derived view where the wire form has computed or untagged values), so no
@@ -121,6 +88,11 @@ echo "==> product lines (ci/loc.sh): $(ci/loc.sh)"
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+# A deleted mechanism's names, a removed flag, subcommand or positional and
+# a retired lint code are each a row of ci/retired.tsv; its reader checks all.
+echo "==> retired-names gate: no row of ci/retired.tsv is back"
+ci/retired.sh
+
 # Tier-1 runs under both scheduler regimes: the forced-sequential path
 # (PI_THREADS=1) and the real worker pool (PI_THREADS=4). Results must be
 # identical either way — only the execution schedule differs.
@@ -136,18 +108,22 @@ PI_THREADS=4 cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# One scratch root for every gate below; the trap also stops a pi-serve
+# daemon that a failing gate left running.
+tmp="$(mktemp -d)"
+serve_pid=""
+trap 'rm -rf "$tmp"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+
 # Warm/cold smoke of the persistent component-database cache: the second
 # run against the same --db-dir must serve every checkpoint from disk
 # (zero pre-implementations) and assemble the identical accelerator.
 echo "==> db-cache smoke: cold vs warm compose"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 printf 'network smoke\ninput 1x16x16\nconv c kernel=3 out=4\nfc f out=8\n' \
-    > "$smoke_dir/arch.txt"
+    > "$tmp/arch.txt"
 cold_out="$(cargo run --release --quiet --bin preimpl -- \
-    compose "$smoke_dir/arch.txt" --db-dir "$smoke_dir/db" --seeds 2)"
+    compose "$tmp/arch.txt" --db-dir "$tmp/db" --seeds 2)"
 warm_out="$(cargo run --release --quiet --bin preimpl -- \
-    compose "$smoke_dir/arch.txt" --db-dir "$smoke_dir/db" --seeds 2)"
+    compose "$tmp/arch.txt" --db-dir "$tmp/db" --seeds 2)"
 echo "$cold_out" | grep -F 'db-cache: 0 hits, 2 misses' >/dev/null \
     || { echo "cold run did not miss: $cold_out"; exit 1; }
 echo "$warm_out" | grep -F 'db-cache: 2 hits, 0 misses' >/dev/null \
@@ -157,34 +133,6 @@ warm_line="$(echo "$warm_out" | grep '^assembled ')"
 [ "$cold_line" = "$warm_line" ] \
     || { echo "warm result differs: '$cold_line' vs '$warm_line'"; exit 1; }
 echo "    cold missed, warm hit, identical result: $warm_line"
-# A removed flag, subcommand or positional must fail loudly with the usage
-# text on stderr, not be ignored. The component database is `--db-dir`
-# only: a database directory given as a positional is a surplus argument.
-for gone in "preimpl compose $smoke_dir/arch.txt --db-dir $smoke_dir/db --router-steiner off" \
-    "pilint dataflow models/lenet.json --fifo-depth 8" \
-    "flowstat trend --history x" \
-    "preimpl compose $smoke_dir/arch.txt $smoke_dir/db" \
-    "pilint db $smoke_dir/db" \
-    "preimpl stats $smoke_dir/arch.txt junk" \
-    "preimpl compose $smoke_dir/arch.txt --fifo-autosize on" \
-    "pilint dataflow models/lenet.json --autosize" \
-    "pilint dataflow models/lenet.json" \
-    "preimpl compose $smoke_dir/arch.txt --lint" \
-    "preimpl stats $smoke_dir/arch.txt --lint" \
-    "preimpl compose $smoke_dir/arch.txt --deny-warnings"; do
-    gone_err="$(cargo run --release --quiet --bin ${gone%% *} -- ${gone#* } 2>&1 >/dev/null)" \
-        && { echo "removed surface was accepted: $gone"; exit 1; }
-    echo "$gone_err" | grep -F "usage: ${gone%% *}" >/dev/null \
-        || { echo "'$gone' rejected without the usage text: $gone_err"; exit 1; }
-done
-# Likewise a retired lint code: unknown, and named on stderr.
-for code in PL0140 PL0141 PL0152 PL0302 PL0308 PL0400 PL0401 PL0402 PL0403; do
-    retired_err="$(cargo run --release --quiet --bin pilint -- \
-        model models/lenet.json --allow "$code" 2>&1 >/dev/null)" \
-        && { echo "retired lint code $code was accepted"; exit 1; }
-    echo "$retired_err" | grep -F "unknown lint code $code" >/dev/null \
-        || { echo "$code rejected without naming it: $retired_err"; exit 1; }
-done
 # One network judge: the flow refuses exactly what the lint denies. Each
 # malformed network below — join operands that disagree and a zero-channel
 # conv (both also as `--model` JSON descriptors), a one-operand join, a
@@ -193,20 +141,20 @@ done
 # code that folds the same defect in `pilint` (exit 2).
 echo "==> network-judge parity: preimpl refuses what pilint denies"
 printf 'network mismatch\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nconv b kernel=3 pad=1 out=4 from=input\nadd j from=a,b\n' \
-    > "$smoke_dir/mismatch.txt"
+    > "$tmp/mismatch.txt"
 printf 'network unary\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a\n' \
-    > "$smoke_dir/unary.txt"
-printf 'network zero\ninput 1x8x8\nconv a kernel=3 out=0\n' > "$smoke_dir/zero.txt"
+    > "$tmp/unary.txt"
+printf 'network zero\ninput 1x8x8\nconv a kernel=3 out=0\n' > "$tmp/zero.txt"
 printf 'network fanin\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nconv b kernel=3 pad=1 out=2 from=input\nrelu r from=a,b\n' \
-    > "$smoke_dir/fanin.txt"
+    > "$tmp/fanin.txt"
 printf 'network twice\ninput 1x8x8\nconv a kernel=3 pad=1 out=2\nadd j from=a,a\n' \
-    > "$smoke_dir/twice.txt"
+    > "$tmp/twice.txt"
 printf '{"name": "zero", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 0}}], "outputs": ["a"]}\n' \
-    > "$smoke_dir/zero.json"
+    > "$tmp/zero.json"
 printf '{"name": "mismatch", "input": {"name": "input", "shape": [1, 8, 8]}, "nodes": [{"name": "a", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 2, "pad": 1}}, {"name": "b", "op": "Conv", "inputs": ["input"], "attrs": {"kernel": 3, "out": 4, "pad": 1}}, {"name": "j", "op": "Add", "inputs": ["a", "b"]}], "outputs": ["j"]}\n' \
-    > "$smoke_dir/mismatch.json"
+    > "$tmp/mismatch.json"
 while read -r kind file code defect; do
-    input="$smoke_dir/$file"
+    input="$tmp/$file"
     [ "$kind" = model ] && flag=--model || flag=
     stats_err="$(cargo run --release --quiet --bin preimpl -- stats $flag "$input" 2>&1 >/dev/null)" \
         && { echo "preimpl stats accepted $file"; exit 1; }
@@ -231,7 +179,7 @@ PROBES
 # database, the mismatched join is its PL0201, not a silent "0 errors".
 set +e
 db_judged="$(cargo run --release --quiet --bin pilint -- \
-    db "$smoke_dir/mismatch.txt" --db-dir "$smoke_dir/db" 2>/dev/null)"
+    db "$tmp/mismatch.txt" --db-dir "$tmp/db" 2>/dev/null)"
 db_judged_rc=$?
 set -e
 { [ "$db_judged_rc" -eq 2 ] && echo "$db_judged" | grep -F 'error[PL0201]' >/dev/null; } \
@@ -244,46 +192,44 @@ echo "    every malformed network refused by preimpl, naming its defect, and den
 # perturbed run (different seed) must produce a non-empty diff that trips
 # the --fail-on-regression gate with a non-zero exit.
 echo "==> flowstat gate: same-seed LeNet runs diff to zero deltas"
-fs_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fs_dir"' EXIT
 printf 'network lenet5\ninput 1x32x32\nconv c1 kernel=5 out=6\npool p1 window=2\nconv c2 kernel=5 out=16\npool p2 window=2\nfc f1 out=120\nfc f2 out=84\nfc f3 out=10\n' \
-    > "$fs_dir/lenet.txt"
+    > "$tmp/lenet.txt"
 cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --db-dir "$fs_dir/db1" --seeds 1 \
-    --trace "$fs_dir/t1.jsonl" >/dev/null
+    compose "$tmp/lenet.txt" --db-dir "$tmp/db1" --seeds 1 \
+    --trace "$tmp/t1.jsonl" >/dev/null
 cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --db-dir "$fs_dir/db2" --seeds 1 \
-    --trace "$fs_dir/t2.jsonl" >/dev/null
+    compose "$tmp/lenet.txt" --db-dir "$tmp/db2" --seeds 1 \
+    --trace "$tmp/t2.jsonl" >/dev/null
 diff_out="$(cargo run --release --quiet --bin flowstat -- \
-    diff "$fs_dir/t1.jsonl" "$fs_dir/t2.jsonl")"
+    diff "$tmp/t1.jsonl" "$tmp/t2.jsonl")"
 echo "$diff_out" | grep -F 'identical' >/dev/null \
     || { echo "same-seed flowstat diff not empty: $diff_out"; exit 1; }
-cargo run --release --quiet --bin flowstat -- summarize "$fs_dir/t1.jsonl" \
-    > "$fs_dir/s1.txt"
-cargo run --release --quiet --bin flowstat -- summarize "$fs_dir/t2.jsonl" \
-    > "$fs_dir/s2.txt"
-cmp -s "$fs_dir/s1.txt" "$fs_dir/s2.txt" \
+cargo run --release --quiet --bin flowstat -- summarize "$tmp/t1.jsonl" \
+    > "$tmp/s1.txt"
+cargo run --release --quiet --bin flowstat -- summarize "$tmp/t2.jsonl" \
+    > "$tmp/s2.txt"
+cmp -s "$tmp/s1.txt" "$tmp/s2.txt" \
     || { echo "same-seed flowstat summaries not byte-identical"; exit 1; }
 echo "    $diff_out"
 
 echo "==> flowstat gate: perturbed run trips --fail-on-regression"
 cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --db-dir "$fs_dir/db3" --seeds 2 \
-    --trace "$fs_dir/t3.jsonl" >/dev/null
+    compose "$tmp/lenet.txt" --db-dir "$tmp/db3" --seeds 2 \
+    --trace "$tmp/t3.jsonl" >/dev/null
 pert_out="$(cargo run --release --quiet --bin flowstat -- \
-    diff "$fs_dir/t1.jsonl" "$fs_dir/t3.jsonl")"
+    diff "$tmp/t1.jsonl" "$tmp/t3.jsonl")"
 echo "$pert_out" | grep -F 'identical' >/dev/null \
     && { echo "perturbed flowstat diff unexpectedly empty"; exit 1; }
 if cargo run --release --quiet --bin flowstat -- \
-    diff "$fs_dir/t1.jsonl" "$fs_dir/t3.jsonl" --fail-on-regression 0 \
+    diff "$tmp/t1.jsonl" "$tmp/t3.jsonl" --fail-on-regression 0 \
     >/dev/null 2>&1; then
     echo "perturbed diff did not trip --fail-on-regression"; exit 1
 fi
 top_out="$(cargo run --release --quiet --bin flowstat -- \
-    summarize "$fs_dir/t1.jsonl" --top 5)"
+    summarize "$tmp/t1.jsonl" --top 5)"
 echo "$top_out" | grep -F 'flowstat hot spans: top' >/dev/null \
     || { echo "summarize --top produced no hot-span table: $top_out"; exit 1; }
-trace_lint="$(cargo run --release --quiet --bin pilint -- trace "$fs_dir/t1.jsonl" --json)"
+trace_lint="$(cargo run --release --quiet --bin pilint -- trace "$tmp/t1.jsonl" --json)"
 echo "$trace_lint" | grep -F '"errors": 0' >/dev/null \
     || { echo "recorded trace did not lint clean: $trace_lint"; exit 1; }
 echo "    perturbed diff non-empty and gate exits non-zero, hot spans render, trace lints clean"
@@ -297,30 +243,28 @@ echo "    perturbed diff non-empty and gate exits non-zero, hot spans render, tr
 # `ci/router_lenet.seed.jsonl` — zero deltas, no silent drift in router
 # work per pass.
 echo "==> router gate: no drift against the ledger, thread determinism, seed snapshot"
-rt_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir"' EXIT
-cp BENCH_router.json "$rt_dir/r1.json"
-cp BENCH_router.json "$rt_dir/r4.json"
+cp BENCH_router.json "$tmp/r1.json"
+cp BENCH_router.json "$tmp/r4.json"
 PI_THREADS=1 cargo run --release --quiet -p pi-bench --bin router -- \
-    --networks lenet --seeds 1 --out "$rt_dir/r1.json" \
-    --trace "$rt_dir/r1.jsonl" >/dev/null \
+    --networks lenet --seeds 1 --out "$tmp/r1.json" \
+    --trace "$tmp/r1.jsonl" >/dev/null \
     || { echo "router bench drifted from the BENCH_router.json ledger (PI_THREADS=1)"; exit 1; }
 PI_THREADS=4 cargo run --release --quiet -p pi-bench --bin router -- \
-    --networks lenet --seeds 1 --out "$rt_dir/r4.json" \
-    --trace "$rt_dir/r4.jsonl" >/dev/null \
+    --networks lenet --seeds 1 --out "$tmp/r4.json" \
+    --trace "$tmp/r4.jsonl" >/dev/null \
     || { echo "router bench drifted from the BENCH_router.json ledger (PI_THREADS=4)"; exit 1; }
 rt_diff="$(cargo run --release --quiet --bin flowstat -- \
-    diff "$rt_dir/r1.jsonl" "$rt_dir/r4.jsonl")"
+    diff "$tmp/r1.jsonl" "$tmp/r4.jsonl")"
 echo "$rt_diff" | grep -F 'identical' >/dev/null \
     || { echo "router telemetry differs across PI_THREADS: $rt_diff"; exit 1; }
-cargo run --release --quiet --bin flowstat -- summarize "$rt_dir/r1.jsonl" \
-    > "$rt_dir/rs1.txt"
-cargo run --release --quiet --bin flowstat -- summarize "$rt_dir/r4.jsonl" \
-    > "$rt_dir/rs4.txt"
-cmp -s "$rt_dir/rs1.txt" "$rt_dir/rs4.txt" \
+cargo run --release --quiet --bin flowstat -- summarize "$tmp/r1.jsonl" \
+    > "$tmp/rs1.txt"
+cargo run --release --quiet --bin flowstat -- summarize "$tmp/r4.jsonl" \
+    > "$tmp/rs4.txt"
+cmp -s "$tmp/rs1.txt" "$tmp/rs4.txt" \
     || { echo "router summaries not byte-identical across PI_THREADS"; exit 1; }
 seed_diff="$(cargo run --release --quiet --bin flowstat -- \
-    diff ci/router_lenet.seed.jsonl "$rt_dir/r1.jsonl" --fail-on-regression 0)" \
+    diff ci/router_lenet.seed.jsonl "$tmp/r1.jsonl" --fail-on-regression 0)" \
     || { echo "router trace regressed vs checked-in seed: $seed_diff"; exit 1; }
 echo "$seed_diff" | grep -F 'identical' >/dev/null \
     || { echo "router trace drifted from checked-in seed: $seed_diff"; exit 1; }
@@ -332,8 +276,6 @@ echo "    no drift vs ledger, traces identical across threads and vs seed"
 # exit-code convention (exactly 2: "ran fine, findings denied" — not 1,
 # which would mean the tool itself failed).
 echo "==> pilint gate: bundled models clean, broken fixture exits 2"
-lint_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir"' EXIT
 {
     printf 'network vgg16\ninput 3x224x224\n'
     for block in '1 64 2' '2 128 2' '3 256 3' '4 512 3' '5 512 3'; do
@@ -345,21 +287,21 @@ trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir"' EXIT
         printf 'pool pool%s window=2\n' "$1"
     done
     printf 'fc fc1 out=4096\nrelu relu_fc1\nfc fc2 out=4096\nrelu relu_fc2\nfc fc3 out=1000\n'
-} > "$lint_dir/vgg16.txt"
+} > "$tmp/vgg16.txt"
 lenet_lint="$(cargo run --release --quiet --bin pilint -- \
-    archdef "$fs_dir/lenet.txt" --deny-warnings --json)" \
+    archdef "$tmp/lenet.txt" --deny-warnings --json)" \
     || { echo "LeNet-5 did not lint clean"; exit 1; }
 echo "$lenet_lint" | grep -F '"errors": 0' >/dev/null \
     || { echo "LeNet-5 JSON summary lacks zero errors: $lenet_lint"; exit 1; }
 vgg_lint="$(cargo run --release --quiet --bin pilint -- \
-    archdef "$lint_dir/vgg16.txt" --deny-warnings --json)" \
+    archdef "$tmp/vgg16.txt" --deny-warnings --json)" \
     || { echo "VGG-16 did not lint clean"; exit 1; }
 echo "$vgg_lint" | grep -F '"warnings": 0' >/dev/null \
     || { echo "VGG-16 JSON summary lacks zero warnings: $vgg_lint"; exit 1; }
-printf 'network broken\ninput 1x4x4\nconv c kernel=9 out=2\n' > "$lint_dir/broken.txt"
+printf 'network broken\ninput 1x4x4\nconv c kernel=9 out=2\n' > "$tmp/broken.txt"
 set +e
 cargo run --release --quiet --bin pilint -- \
-    archdef "$lint_dir/broken.txt" >/dev/null 2>&1
+    archdef "$tmp/broken.txt" >/dev/null 2>&1
 lint_rc=$?
 set -e
 [ "$lint_rc" -eq 2 ] \
@@ -371,16 +313,16 @@ echo "    both models clean, broken fixture tripped the gate (exit 2)"
 # never an empty database, and never created (`DbCache::open` would).
 echo "==> pilint db gate: the LeNet cache lints clean, a missing --db-dir is an error"
 db_lint="$(cargo run --release --quiet --bin pilint -- \
-    db "$fs_dir/lenet.txt" --db-dir "$fs_dir/db1" --json)" \
+    db "$tmp/lenet.txt" --db-dir "$tmp/db1" --json)" \
     || { echo "LeNet cache did not lint clean: $db_lint"; exit 1; }
 echo "$db_lint" | grep -F '"errors": 0' >/dev/null \
     || { echo "LeNet cache JSON summary lacks zero errors: $db_lint"; exit 1; }
 missing_err="$(cargo run --release --quiet --bin pilint -- \
-    db --db-dir "$lint_dir/no_db" 2>&1 >/dev/null)" \
+    db --db-dir "$tmp/no_db" 2>&1 >/dev/null)" \
     && { echo "pilint db accepted a missing --db-dir"; exit 1; }
-echo "$missing_err" | grep -F "$lint_dir/no_db" >/dev/null \
+echo "$missing_err" | grep -F "$tmp/no_db" >/dev/null \
     || { echo "missing --db-dir rejected without naming it: $missing_err"; exit 1; }
-[ ! -e "$lint_dir/no_db" ] \
+[ ! -e "$tmp/no_db" ] \
     || { echo "pilint db created the missing --db-dir"; exit 1; }
 echo "    LeNet cache clean, missing --db-dir named and not created"
 
@@ -389,7 +331,7 @@ echo "    LeNet cache clean, missing --db-dir named and not created"
 # denied (exit 0).
 echo "==> pilint design gate: the assembled LeNet lints clean"
 design_lint="$(cargo run --release --quiet --bin pilint -- \
-    design "$fs_dir/lenet.txt" --db-dir "$fs_dir/db1" --deny-warnings --json)" \
+    design "$tmp/lenet.txt" --db-dir "$tmp/db1" --deny-warnings --json)" \
     || { echo "assembled LeNet did not lint clean: $design_lint"; exit 1; }
 echo "$design_lint" | grep -F '"errors": 0' >/dev/null \
     || { echo "assembled LeNet JSON summary lacks zero errors: $design_lint"; exit 1; }
@@ -401,8 +343,6 @@ echo "    assembled LeNet clean under --deny-warnings"
 # checked-in seed trace `ci/model_lenet.seed.jsonl` — zero deltas, so the
 # descriptor frontend cannot silently change what the flow builds.
 echo "==> model gate: descriptors lint clean, descriptor LeNet matches seed"
-mdl_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir" "$mdl_dir"' EXIT
 for m in models/*; do
     m_lint="$(cargo run --release --quiet --bin pilint -- \
         model "$m" --deny-warnings --json)" \
@@ -411,10 +351,10 @@ for m in models/*; do
         || { echo "descriptor $m JSON summary lacks zero errors: $m_lint"; exit 1; }
 done
 cargo run --release --quiet --bin preimpl -- \
-    compose --model models/lenet.json --db-dir "$mdl_dir/db" --seeds 1 \
-    --trace "$mdl_dir/lenet_model.jsonl" >/dev/null
+    compose --model models/lenet.json --db-dir "$tmp/model_db" --seeds 1 \
+    --trace "$tmp/lenet_model.jsonl" >/dev/null
 mdl_diff="$(cargo run --release --quiet --bin flowstat -- \
-    diff ci/model_lenet.seed.jsonl "$mdl_dir/lenet_model.jsonl" \
+    diff ci/model_lenet.seed.jsonl "$tmp/lenet_model.jsonl" \
     --fail-on-regression 0)" \
     || { echo "descriptor LeNet regressed vs checked-in seed: $mdl_diff"; exit 1; }
 echo "$mdl_diff" | grep -F 'identical' >/dev/null \
@@ -426,27 +366,28 @@ echo "    all descriptors lint clean, descriptor LeNet matches the seed trace"
 # deltas against the local cold run above — and a warm follow-up must be
 # served entirely from the daemon's shared component cache.
 echo "==> pi-serve gate: remote compose matches local run"
-srv_dir="$(mktemp -d)"
-serve_pid=""
-trap 'rm -rf "$smoke_dir" "$fs_dir" "$rt_dir" "$lint_dir" "$mdl_dir" "$srv_dir"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
-cargo run --release --quiet --bin pi-serve -- \
-    serve --bind 127.0.0.1:0 --db-dir "$srv_dir/db" --workers 2 \
-    > "$srv_dir/serve.log" &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    grep -q 'listening on' "$srv_dir/serve.log" 2>/dev/null && break
-    sleep 0.1
-done
-serve_addr="$(sed -n 's/^pi-serve listening on //p' "$srv_dir/serve.log")"
-[ -n "$serve_addr" ] \
-    || { echo "pi-serve did not start:"; cat "$srv_dir/serve.log"; exit 1; }
+# Starts `pi-serve serve` on an ephemeral port with the flags after $1,
+# logging to $tmp/$1.log, and sets serve_pid and serve_addr once it listens.
+start_serve() {
+    local log="$tmp/$1.log"
+    shift
+    cargo run --release --quiet --bin pi-serve -- serve --bind 127.0.0.1:0 "$@" > "$log" &
+    serve_pid=$!
+    for _ in $(seq 1 100); do
+        grep -q 'listening on' "$log" 2>/dev/null && break
+        sleep 0.1
+    done
+    serve_addr="$(sed -n 's/^pi-serve listening on //p' "$log")"
+    [ -n "$serve_addr" ] || { echo "pi-serve $* did not start:"; cat "$log"; exit 1; }
+}
+start_serve serve --db-dir "$tmp/serve_db" --workers 2
 remote_out="$(cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --remote "$serve_addr" --seeds 1 \
-    --trace "$srv_dir/remote.jsonl")"
+    compose "$tmp/lenet.txt" --remote "$serve_addr" --seeds 1 \
+    --trace "$tmp/remote.jsonl")"
 echo "$remote_out" | grep -q '^assembled ' \
     || { echo "remote compose produced no summary: $remote_out"; exit 1; }
 remote_diff="$(cargo run --release --quiet --bin flowstat -- \
-    diff "$fs_dir/t1.jsonl" "$srv_dir/remote.jsonl" --fail-on-regression 0)" \
+    diff "$tmp/t1.jsonl" "$tmp/remote.jsonl" --fail-on-regression 0)" \
     || { echo "remote trace regressed vs local: $remote_diff"; exit 1; }
 echo "$remote_diff" | grep -F 'identical' >/dev/null \
     || { echo "remote trace differs from local run: $remote_diff"; exit 1; }
@@ -455,41 +396,41 @@ echo "$remote_diff" | grep -F 'identical' >/dev/null \
 # local `serve:request` span. Same seed at PI_THREADS=1 and 4 must write
 # byte-identical spliced reports containing the daemon-side span.
 PI_THREADS=1 cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --remote "$serve_addr" --seeds 1 \
-    --report "$srv_dir/spliced1.txt" >/dev/null
+    compose "$tmp/lenet.txt" --remote "$serve_addr" --seeds 1 \
+    --report "$tmp/spliced1.txt" >/dev/null
 PI_THREADS=4 cargo run --release --quiet --bin preimpl -- \
-    compose "$fs_dir/lenet.txt" --remote "$serve_addr" --seeds 1 \
-    --report "$srv_dir/spliced4.txt" >/dev/null
-cmp -s "$srv_dir/spliced1.txt" "$srv_dir/spliced4.txt" \
+    compose "$tmp/lenet.txt" --remote "$serve_addr" --seeds 1 \
+    --report "$tmp/spliced4.txt" >/dev/null
+cmp -s "$tmp/spliced1.txt" "$tmp/spliced4.txt" \
     || { echo "spliced remote reports differ across PI_THREADS"; exit 1; }
-grep -q 'serve::job:run' "$srv_dir/spliced1.txt" \
+grep -q 'serve::job:run' "$tmp/spliced1.txt" \
     || { echo "spliced report is missing the daemon-side span tree"; exit 1; }
-grep -q 'serve:request' "$srv_dir/spliced1.txt" \
+grep -q 'serve:request' "$tmp/spliced1.txt" \
     || { echo "spliced report is missing the client-side request span"; exit 1; }
 
 # Live /metrics exposition: scrape through the CLI (no curl in the image)
 # and require every line to be a well-formed Prometheus comment or sample,
 # with the farm counters and wallclock histogram present.
 cargo run --release --quiet --bin pi-serve -- \
-    metrics --addr "$serve_addr" > "$srv_dir/metrics.txt"
+    metrics --addr "$serve_addr" > "$tmp/metrics.txt"
 awk '
     /^# (TYPE|HELP) / { next }
     /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+$/ { next }
     { print "malformed metrics line: " $0; bad = 1 }
     END { exit bad }
-' "$srv_dir/metrics.txt" \
+' "$tmp/metrics.txt" \
     || { echo "metrics exposition failed to parse"; exit 1; }
 for metric in pi_serve_jobs_submitted_total pi_serve_jobs_completed_total \
     pi_serve_jobs_coalesced_total pi_serve_queue_depth \
     pi_serve_db_cache_hits_total pi_serve_job_wall_ms_compose_bucket \
     pi_serve_queue_wait_ms_bucket pi_serve_connections_in_flight \
     uptime_seconds; do
-    grep -q "^$metric" "$srv_dir/metrics.txt" \
+    grep -q "^$metric" "$tmp/metrics.txt" \
         || { echo "metrics exposition is missing $metric"; exit 1; }
 done
 
 warm_remote="$(cargo run --release --quiet --bin preimpl -- \
-    build-db "$fs_dir/lenet.txt" --remote "$serve_addr" --seeds 1)"
+    build-db "$tmp/lenet.txt" --remote "$serve_addr" --seeds 1)"
 echo "$warm_remote" | grep -Eq 'db-cache: [1-9][0-9]* hits, 0 misses' \
     || { echo "warm remote job did not hit the shared cache: $warm_remote"; exit 1; }
 cargo run --release --quiet --bin pi-serve -- stop --addr "$serve_addr" >/dev/null
@@ -502,24 +443,14 @@ echo "    metrics exposition parseable, warm job served from shared cache"
 # insert — the job still completes, and the result's cache counters
 # surface the evictions to the client.
 echo "==> pi-serve gate: tiny --db-budget-bytes forces eviction"
-cargo run --release --quiet --bin pi-serve -- \
-    serve --bind 127.0.0.1:0 --db-dir "$srv_dir/tiny" --db-budget-bytes 1 \
-    > "$srv_dir/tiny.log" &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    grep -q 'listening on' "$srv_dir/tiny.log" 2>/dev/null && break
-    sleep 0.1
-done
-tiny_addr="$(sed -n 's/^pi-serve listening on //p' "$srv_dir/tiny.log")"
-[ -n "$tiny_addr" ] \
-    || { echo "budgeted pi-serve did not start:"; cat "$srv_dir/tiny.log"; exit 1; }
+start_serve tiny --db-dir "$tmp/tiny" --db-budget-bytes 1
 evict_out="$(cargo run --release --quiet --bin preimpl -- \
-    compose "$smoke_dir/arch.txt" --remote "$tiny_addr" --seeds 2)"
+    compose "$tmp/arch.txt" --remote "$serve_addr" --seeds 2)"
 echo "$evict_out" | grep -q '^assembled ' \
     || { echo "budgeted compose failed: $evict_out"; exit 1; }
 echo "$evict_out" | grep -Eq ' [1-9][0-9]* evicted' \
     || { echo "1-byte budget evicted nothing: $evict_out"; exit 1; }
-cargo run --release --quiet --bin pi-serve -- stop --addr "$tiny_addr" >/dev/null
+cargo run --release --quiet --bin pi-serve -- stop --addr "$serve_addr" >/dev/null
 wait "$serve_pid"
 serve_pid=""
 echo "    budgeted daemon completed the job and reported evictions"

@@ -25,10 +25,10 @@
 # Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
-# BENCH_e2e.json at the repository root: both revisions as commits one can
-# check out (REV through `git describe`; the checkout as HEAD when it is
-# clean, else as the commit `git stash create` makes of its uncommitted
-# changes, recorded before the first build), the workload, the
+# BENCH_e2e.json at the repository root: both revisions through
+# `git describe --always` (the checkout with `--dirty`, recorded before the
+# first build, so a point measured on uncommitted changes names the commit
+# they sit on and says `-dirty`), the workload, the
 # seed, N, host_cores, the UTC date, per metric each side's median,
 # quartiles and wins, under `traced` each side's counters, and under
 # `layers` each side's traced self-times (one run each, so corroboration,
@@ -46,10 +46,7 @@ metrics="e2e_s e2e_tail_s jobs_per_s cpu_s_per_op"
 counters="pnr.assembled_expansions stitch.stitched_nets pnr.overused_tiles stitch.cache_bytes_loaded serve.polls_per_job"
 layers="stitch.relocate_s stitch.check_design_s pnr.route_assembled_s pnr.sta_design_s"
 
-# The checkout as a commit: `git stash create` commits a dirty tree without
-# touching it and prints nothing for a clean one.
-change_rev="$(git -C "$here" stash create)"
-change_rev="$(git -C "$here" rev-parse --short=12 "${change_rev:-HEAD}")"
+change_rev="$(git -C "$here" describe --always --dirty)"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT

@@ -6,18 +6,8 @@
 //! checkpoint/database/physical). Codes are append-only: renumbering
 //! would silently invalidate waiver files and CI greps downstream. A
 //! retired code's number is never reused; naming one is "unknown lint
-//! code". Retired: `PL0140` / `PL0141` (they policed the star router,
-//! since deleted), `PL0400` / `PL0401` (undersized link FIFOs — the
-//! flow sizes every link from the rate model, so neither can fire),
-//! `PL0403` (the dataflow analysis diverged — it runs only on networks
-//! the judge accepts, which are acyclic, and the graph pass reports the
-//! rest), `PL0402` (token-rate imbalance on a link — a link joins a
-//! producer's last node to a consumer's first, whose shapes the judge
-//! requires to agree), `PL0302` / `PL0308` (an unlocked or unimplemented
-//! checkpoint — the checkpoint judge's verdict prints those as `PL0317`
-//! / `PL0310` / `PL0318`) and `PL0152` (a JSON join whose operand channel
-//! counts disagree — the network judge prints that as `PL0201`, in every
-//! descriptor dialect).
+//! code". The retired codes, each with the change that retired it and
+//! why, are the `code` rows of `ci/retired.tsv`.
 
 use serde::Serialize;
 use std::collections::BTreeMap;

@@ -496,10 +496,28 @@ fn model_descriptor_defects_raise_the_pl015x_family() {
         let c = preimpl_cnn::lint::lookup(code).expect(code);
         assert_eq!(c.default, level, "{code}");
     }
-    assert!(
-        preimpl_cnn::lint::lookup("PL0152").is_none(),
-        "PL0152 is retired: the judge's PL0201 names a join mismatch"
-    );
+}
+
+/// A retired lint code's number is never reused: every `code` row of
+/// `ci/retired.tsv` is out of the registry, so naming it is "unknown lint
+/// code".
+#[test]
+fn retired_lint_codes_stay_unknown() {
+    let codes: Vec<&str> = include_str!("../ci/retired.tsv")
+        .lines()
+        .filter_map(|row| row.strip_prefix("code\t")?.split('\t').next())
+        .collect();
+    assert!(codes.contains(&"PL0152"), "no code rows read: {codes:?}");
+    for code in codes {
+        assert!(
+            preimpl_cnn::lint::lookup(code).is_none(),
+            "{code} is retired"
+        );
+        assert!(
+            preimpl_cnn::lint::REGISTRY.iter().all(|c| c.code != code),
+            "{code} is retired but in the registry"
+        );
+    }
 }
 
 /// A `GlobalAveragePool` below a join the judge rejects: lowering stops
