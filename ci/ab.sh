@@ -15,7 +15,9 @@
 # Prints each run's numbers as it lands, then, for e2e_s, e2e_tail_s,
 # jobs_per_s and cpu_s_per_op, each side's median, quartiles (linear
 # interpolation) and the pairs it won (higher is better for jobs_per_s,
-# lower for the rest). Then one traced run (`--trace 1`) per side prints
+# lower for the rest; a tie counts for neither side), and whether the
+# metric is resolved: the change won at least 9 pairs in 10 and the two
+# medians differ by more than REV's q3 - q1. Then one traced run (`--trace 1`) per side prints
 # the work counters: pnr.assembled_expansions, stitch.stitched_nets,
 # pnr.overused_tiles, stitch.cache_bytes_loaded and serve.polls_per_job
 # (the /result fetches per serve_mix job); and the traced self-times
@@ -30,7 +32,7 @@
 # first build, so a point measured on uncommitted changes names the commit
 # they sit on and says `-dirty`), the workload, the
 # seed, N, host_cores, the UTC date, per metric each side's median,
-# quartiles and wins, under `traced` each side's counters, and under
+# quartiles and wins and the metric's `resolved` verdict, under `traced` each side's counters, and under
 # `layers` each side's traced self-times (one run each, so corroboration,
 # not a claim). Commit the point with the change it measured.
 #
@@ -165,6 +167,23 @@ done
 awk '{ printf "%-13s %-6s %12.6f %12.6f %12.6f %3d/%d\n", $1, $2, $3, $4, $5, $6, $7 }' \
     "$work/summary.tsv"
 
+# Per metric "metric resolved": true when the change won at least 9/10 of
+# the pairs and the medians differ by more than REV's quartile spread.
+awk '
+    { med[$1, $2] = $3; iqr[$1, $2] = $5 - $4; wins[$1, $2] = $6; n[$1, $2] = $7 }
+    !($1 in seen) { order[++k] = $1; seen[$1] = 1 }
+    END {
+        for (i = 1; i <= k; i++) {
+            m = order[i]
+            d = med[m, "change"] - med[m, "rev"]
+            if (d < 0) d = -d
+            won = wins[m, "change"] * 10 >= n[m, "change"] * 9
+            print m, (won && d > iqr[m, "rev"]) ? "true" : "false"
+        }
+    }' "$work/summary.tsv" > "$work/resolved.tsv"
+echo
+awk '{ printf "%-13s resolved=%s\n", $1, $2 }' "$work/resolved.tsv"
+
 # The ledger point: one JSON line, appended inside the `points` array.
 ledger="$here/BENCH_e2e.json"
 point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
@@ -173,6 +192,7 @@ point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
     -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%d)" \
     -v traced_rev="$(cat "$work/rev.traced")" -v traced_change="$(cat "$work/change.traced")" \
     -v layers_rev="$(cat "$work/rev.layers")" -v layers_change="$(cat "$work/change.layers")" '
+    FNR == NR { resolved[$1] = $2; next }
     {
         side = sprintf("\"median\":%s,\"q1\":%s,\"q3\":%s,\"wins\":%s", $3, $4, $5, $6)
         if (!($1 in seen)) { order[++k] = $1; seen[$1] = 1 }
@@ -181,13 +201,16 @@ point="$(awk -v rev="$(git -C "$here" describe --always "$rev")" \
     END {
         printf "{\"rev\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%s,", rev, change, workload, seed
         printf "\"n\":%s,\"host_cores\":%s,\"date\":\"%s\",\"metrics\":{", pairs, cores, date
-        for (i = 1; i <= k; i++) printf "%s\"%s\":{%s}", (i > 1 ? "," : ""), order[i], body[order[i]]
+        for (i = 1; i <= k; i++) {
+            m = order[i]
+            printf "%s\"%s\":{%s,\"resolved\":%s}", (i > 1 ? "," : ""), m, body[m], resolved[m]
+        }
         printf "},\"traced\":{\"rev\":%s,\"change\":%s}", traced_rev, traced_change
         printf ",\"layers\":{\"rev\":%s,\"change\":%s}}", layers_rev, layers_change
-    }' "$work/summary.tsv")"
+    }' "$work/resolved.tsv" "$work/summary.tsv")"
 if [ ! -s "$ledger" ]; then
     printf '{"ledger":"BENCH_e2e","about":"%s","points":[\n]}\n' \
-        "ci/ab.sh REV WORKLOAD N SEED: N interleaved pairs of the frozen benchmark, REV against the change; per metric, the median, quartiles and pairs won of each side" \
+        "ci/ab.sh REV WORKLOAD N SEED: N interleaved pairs of the frozen benchmark, REV against the change; per metric, the median, quartiles and pairs won (ties count for neither) of each side, and resolved: the change won at least 9/10 pairs and the medians differ by more than REV's q3 - q1" \
         > "$ledger"
 fi
 sed -i '$d' "$ledger"

@@ -138,7 +138,7 @@ fn unreachable_cell_lints(base: &str, module: &Module, out: &mut Vec<Diagnostic>
         .iter()
         .enumerate()
         .filter(|(i, _)| !cell_seen[*i])
-        .map(|(_, c)| c.name.clone())
+        .map(|(_, c)| c.name.to_string())
         .collect();
     if !dead.is_empty() {
         out.push(Diagnostic::new(

@@ -2,6 +2,7 @@
 
 use pi_fabric::{ResourceCount, SiteKind, TileCoord};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a cell within its [`crate::Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,8 +99,10 @@ pub const CELL_FANOUT_BUDGET: usize = 224;
 /// One cell of a module netlist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
-    /// Hierarchical name, for reports and debugging.
-    pub name: String,
+    /// Hierarchical name, for reports and debugging. Shared, so that a
+    /// copy of the cell (relocation copies every cell of a checkpoint)
+    /// bumps a reference count instead of allocating the name again.
+    pub name: Arc<str>,
     pub kind: CellKind,
     /// Intrinsic logic delay through the cell, picoseconds. Set by the
     /// synthesis generators per function (a comparator is faster than a
@@ -117,7 +120,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    pub fn new(name: impl Into<String>, kind: CellKind) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, kind: CellKind) -> Self {
         Cell {
             name: name.into(),
             kind,

@@ -183,7 +183,7 @@ impl Module {
                 push(Kind::FanOut, at(), m);
             }
         }
-        let name_of = |c: u32| cells[c as usize].name.clone();
+        let name_of = |c: u32| cells[c as usize].name.to_string();
         for scc in combinational_loops(comb_edges) {
             let mut names: Vec<String> = scc.into_iter().map(name_of).collect();
             names.sort();

@@ -7,11 +7,12 @@
 //! write to a shared clone copies only the vector it touches.
 //!
 //! Relocation ([`Module::translated`]) copies the cells and ports but
-//! shares the nets: a translated module keeps its checkpoint's routes in
-//! the checkpoint frame and records the shift as a route offset, which
-//! [`crate::walk`] (the one reader of stored routes) applies. The first
-//! write to the nets bakes the offset in, so no writer sees the
-//! checkpoint frame.
+//! shares the nets. A copied cell shares its name (an `Arc<str>`), so
+//! copying the cells allocates no string. A translated module keeps its
+//! checkpoint's routes in the checkpoint frame and records the shift as a
+//! route offset, which [`crate::walk`] (the one reader of stored routes)
+//! applies. The first write to the nets bakes the offset in, so no writer
+//! sees the checkpoint frame.
 //!
 //! The shared net storage also caches what its readers derive from the
 //! nets, built on first read and shared like the nets: a route summary
@@ -250,7 +251,8 @@ impl Module {
     /// exactly what relocation of a pre-implemented component does. Returns
     /// `None` if any coordinate would leave the grid's coordinate space.
     ///
-    /// Cells, ports and the pblock are copied; the nets are shared with
+    /// Cells, ports and the pblock are copied, each cell as a fixed-size
+    /// record whose name is shared with `self`; the nets are shared with
     /// `self` and the shift is added to the route offset, so the routes are
     /// neither copied nor rewritten. The routes' extent comes from the
     /// shared route summary.

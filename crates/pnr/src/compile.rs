@@ -234,7 +234,7 @@ fn phys_opt_pass(module: &mut Module, device: &Device) -> Result<(bool, TimingRe
     // Map path names back to cell indices.
     let mut path_cells: Vec<usize> = Vec::new();
     for name in &report.worst_path {
-        if let Some(i) = module.cells().iter().position(|c| &c.name == name) {
+        if let Some(i) = module.cells().iter().position(|c| *c.name == **name) {
             path_cells.push(i);
         }
     }

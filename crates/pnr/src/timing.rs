@@ -316,11 +316,16 @@ impl TimingGraph {
             .forward(device, congestion)
             .map_err(|stuck| self.loop_error(view, stuck))?;
 
-        // Reconstruct the worst path.
+        // Reconstruct the worst path, back to its launch: the first
+        // registered node after the endpoint. A register's `pred` names a
+        // path it captured, not one it launched.
         let mut worst_path = Vec::new();
         let mut cur = f.critical_end;
         while cur != NONE && worst_path.len() < 64 {
             worst_path.push(self.name(view, cur));
+            if worst_path.len() > 1 && self.nodes[cur as usize].registered {
+                break;
+            }
             cur = f.pred[cur as usize];
         }
         worst_path.reverse();
@@ -379,7 +384,7 @@ impl TimingGraph {
             - 1;
         let (cell_base, port_base) = self.bases[inst];
         let module = view.module(inst);
-        let local = if node < port_base {
+        let local: &str = if node < port_base {
             &module.cells()[node - cell_base].name
         } else {
             &module.ports()[node - port_base].name
@@ -543,6 +548,27 @@ mod tests {
         let r = sta_module(&pipeline(250, 1), &device, None).unwrap();
         assert!(r.worst_path.len() >= 3);
         assert!(r.worst_path.iter().any(|n| n == "c2" || n == "c1"));
+    }
+
+    /// The worst path starts at its launch register, even when that
+    /// register captured an earlier critical path: r1 is popped first, so
+    /// r1 -> r2 is critical until r2 -> r3 (7 tiles) overtakes it.
+    #[test]
+    fn worst_path_stops_at_its_launch_register() {
+        let mut b = ModuleBuilder::new("chain");
+        let r3 = b.cell(Cell::new("r3", CellKind::full_slice()));
+        let r2 = b.cell(Cell::new("r2", CellKind::full_slice()));
+        let r1 = b.cell(Cell::new("r1", CellKind::full_slice()));
+        b.connect("a", Endpoint::Cell(r1), [Endpoint::Cell(r2)]);
+        b.connect("b", Endpoint::Cell(r2), [Endpoint::Cell(r3)]);
+        let mut m = b.finish().unwrap();
+        for (id, col) in [(r1, 1), (r2, 2), (r3, 9)] {
+            m.set_placement(id, TileCoord::new(col, 1)).unwrap();
+        }
+        let r = sta_module(&m, &Device::test_part(), None).unwrap();
+        // clk2q (100) + 7 tiles of wire (120 + 7 * 32) + setup (60).
+        assert!((r.critical_path_ps - 504.0).abs() < 1e-9, "{r:?}");
+        assert_eq!(r.worst_path, ["r2", "r3"]);
     }
 
     /// The graph's edges come from the module's shared connections: a

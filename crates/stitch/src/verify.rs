@@ -201,7 +201,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
             let Some(at) = cell.placement else {
                 violations.push(Violation::UnplacedCell {
                     instance: inst.name.clone(),
-                    cell: cell.name.clone(),
+                    cell: cell.name.to_string(),
                 });
                 continue;
             };
@@ -210,7 +210,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
                 Ok(Some(site)) if site == cell.kind.site() => {}
                 _ => violations.push(Violation::WrongSiteKind {
                     instance: inst.name.clone(),
-                    cell: cell.name.clone(),
+                    cell: cell.name.to_string(),
                     at,
                 }),
             }
@@ -234,7 +234,7 @@ pub fn check_design(design: &Design, device: &Device) -> Result<Vec<Violation>, 
                 if !pb.contains(at) {
                     violations.push(Violation::OutsidePblock {
                         instance: inst.name.clone(),
-                        cell: cell.name.clone(),
+                        cell: cell.name.to_string(),
                         at,
                     });
                 }

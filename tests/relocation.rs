@@ -1,6 +1,6 @@
 //! Relocation shares routes: a translated module copies its cells and
 //! ports but keeps its checkpoint's nets, reading every stored route tile
-//! through an offset.
+//! through an offset. A copied cell shares its checkpoint's name.
 //!
 //! The first property pins that the offset is invisible to readers: the
 //! net walk yields exactly the tiles a per-tile translation would,
@@ -9,8 +9,9 @@
 //! the router's occupancy seeding and the DRC's route checks, which read
 //! it, equal a per-tile walk of the stored routes, on the device or off
 //! it. The tests after them pin that a writer never sees the checkpoint
-//! frame or a stale summary, and the sharing itself on all five networks
-//! of the zoo, whose stored wirelength the compile tail reads from it.
+//! frame or a stale summary, and the sharing itself, of nets and cell
+//! names, on all five networks of the zoo, whose stored wirelength the
+//! compile tail reads from the shared nets.
 
 use preimpl_cnn::netlist::{
     Cell, CellId, CellKind, DesignKind, Endpoint, ModuleBuilder, Net, NetView, Route, Slot,
@@ -21,6 +22,7 @@ use preimpl_cnn::prelude::*;
 use preimpl_cnn::stitch::{check_design, Violation};
 use preimpl_cnn::synth::SynthOptions;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Generated geometry: every coordinate lies within 40 tiles of `base`, so
 /// shifts of up to 80 tiles leave the u16 space only near its edges.
@@ -401,8 +403,29 @@ fn nets_mut_on_a_translated_module_returns_device_frame_routes() {
     assert_eq!(serde_json::to_string(&m).unwrap(), checkpoint_json);
 }
 
+/// `renamed_like` hands out the donor's cell names, not copies of them.
+#[test]
+fn renamed_like_shares_the_donors_cell_names() {
+    let mut b = ModuleBuilder::new("m");
+    let c0 = b.cell(Cell::new("c0", CellKind::full_slice()));
+    let c1 = b.cell(Cell::new("c1", CellKind::full_slice()));
+    b.connect("n", Endpoint::Cell(c0), [Endpoint::Cell(c1)]);
+    let m = b.finish().unwrap();
+    let mut donor = m.clone();
+    for (i, c) in donor.cells_mut().unwrap().iter_mut().enumerate() {
+        c.name = format!("d{i}").into();
+    }
+    let mut locked = m.clone();
+    locked.lock();
+    let renamed = locked.renamed_like(&donor);
+    for (cell, name) in renamed.cells().iter().zip(donor.cells().iter()) {
+        assert!(Arc::ptr_eq(&cell.name, &name.name), "{}", cell.name);
+    }
+}
+
 /// Assemble `network` and check that every instance reads its
-/// checkpoint's net storage: assembly copies no net. The compile tail's
+/// checkpoint's net storage and its cells' names: assembly copies no net
+/// and allocates no name. The compile tail's
 /// `total_wirelength`, which counts each instance's routes through its
 /// shared footprint, equals a walk over every routed net.
 fn assert_instances_share_nets(network: Network, synth: SynthOptions, granularity: Granularity) {
@@ -427,6 +450,16 @@ fn assert_instances_share_nets(network: Network, synth: SynthOptions, granularit
             network.name,
             inst.name
         );
+        let cells = inst.module.cells().iter().zip(cp.module.cells().iter());
+        for (cell, stored) in cells {
+            assert!(
+                Arc::ptr_eq(&cell.name, &stored.name),
+                "{}: instance {} copied the name of cell {}",
+                network.name,
+                inst.name,
+                cell.name
+            );
+        }
     }
     let routes = NetView::from(&design).nets().filter_map(|n| n.route());
     let walked: u64 = routes.map(|r| r.tiles().len() as u64).sum();

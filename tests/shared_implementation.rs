@@ -25,7 +25,7 @@ fn scrambled(m: &Module, salt: u64) -> Module {
     let mut s = m.clone();
     s.name = name("m", usize::MAX);
     for (i, c) in s.cells_mut().unwrap().iter_mut().enumerate() {
-        c.name = name("c", i);
+        c.name = name("c", i).into();
     }
     for (i, n) in s.nets_mut().unwrap().iter_mut().enumerate() {
         n.name = name("n", i);
