@@ -12,29 +12,31 @@
 # once on each side, REV first in odd pairs and this checkout first in even
 # ones. T is BENCHMARK.json's `run_seconds`; SEED defaults to 1.
 #
-# Prints each run's numbers as it lands, then, for e2e_s, e2e_tail_s,
-# jobs_per_s and cpu_s_per_op, each side's median, quartiles (linear
-# interpolation) and the pairs it won (higher is better for jobs_per_s,
-# lower for the rest; a tie counts for neither side), and whether the
-# metric is resolved: the change won at least 9 pairs in 10 and the two
-# medians differ by more than REV's q3 - q1. Then one traced run (`--trace 1`) per side prints
-# the work counters: pnr.assembled_expansions, stitch.stitched_nets,
-# pnr.overused_tiles, stitch.cache_bytes_loaded and serve.polls_per_job
-# (the /result fetches per serve_mix job); and the traced self-times
+# Prints each run's numbers as it lands. Then one traced run
+# (`--trace 1`) per side prints the work counters:
+# pnr.assembled_expansions, stitch.stitched_nets, pnr.overused_tiles,
+# stitch.cache_bytes_loaded and serve.polls_per_job (the /result
+# fetches per serve_mix job); and the traced self-times
 # stitch.relocate_s, stitch.check_design_s, pnr.route_assembled_s and
 # pnr.sta_design_s (the replay's probe of the product `sta_design`), which
-# show the layer a saving lands in.
+# show the layer a saving lands in. Last, for e2e_s, e2e_tail_s,
+# jobs_per_s and cpu_s_per_op, it prints each side's median, quartiles
+# (linear interpolation) and the pairs it won (higher is better for
+# jobs_per_s, lower for the rest; a tie counts for neither side), and
+# whether the metric is resolved: the change won at least 9 pairs in 10
+# and the two medians differ by more than REV's q3 - q1.
 # Exits 1 if any run fails an op.
 #
 # Every completed A/B appends one point, one line, to the perf ledger
 # BENCH_e2e.json at the repository root: both revisions through
 # `git describe --always` (the checkout with `--dirty`, recorded before the
 # first build, so a point measured on uncommitted changes names the commit
-# they sit on and says `-dirty`), the workload, the
-# seed, N, host_cores, the UTC date, per metric each side's median,
-# quartiles and wins and the metric's `resolved` verdict, under `traced` each side's counters, and under
-# `layers` each side's traced self-times (one run each, so corroboration,
-# not a claim). Commit the point with the change it measured.
+# they sit on and says `-dirty`), the workload, the seed, N, host_cores,
+# the UTC date, per metric each side's median, quartiles and wins and
+# the metric's `resolved` verdict, under `traced` each side's counters,
+# and under `layers` each side's traced self-times (one run each, so
+# corroboration, not a claim). Commit the point with the change it
+# measured.
 #
 # Nothing under benchmark/ is edited, but cargo rewrites
 # benchmark/Cargo.lock whenever the crates' manifests have moved on:
